@@ -206,7 +206,14 @@ fn bench_consolidation(c: &mut Criterion) {
         let plan = scan(1);
         b.iter_with_setup(
             || ChangeSet::new(inserts.clone(), vec![]),
-            |cs| dt_ivm::merge::maybe_consolidate(&plan, true, cs),
+            |cs| {
+                // What a refresh does when every source change is an insert.
+                if dt_ivm::merge::is_insert_only_safe(&plan) {
+                    cs
+                } else {
+                    cs.consolidate()
+                }
+            },
         );
     });
     group.finish();

@@ -2,16 +2,19 @@
 //!
 //! Interactive queries no longer come through here — they run lock-free
 //! against a [`crate::ReadSnapshot`] (which implements
-//! [`TableProvider`] itself). These borrowed providers serve the paths
-//! that already hold the engine write lock: refresh evaluation with DVS
-//! or persisted semantics ([`SnapshotProvider`]) and DML subqueries over
-//! the latest state ([`LatestProvider`]).
+//! [`TableProvider`] itself). These borrowed providers serve refresh
+//! evaluation with DVS or persisted semantics ([`SnapshotProvider`]) and
+//! DML subqueries over the latest state ([`LatestProvider`]). Every
+//! provider, the read snapshot included, turns a resolved table version
+//! into rows or zero-copy batches through one crate-private type,
+//! `PinnedVersion`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dt_common::{DtError, DtResult, EntityId, Row, Timestamp};
+use dt_common::{Batch, DtError, DtResult, EntityId, PredicateSet, Row, Timestamp, VersionId};
 use dt_exec::TableProvider;
+use dt_plan::LogicalPlan;
 use dt_storage::TableStore;
 use dt_txn::RefreshTsMap;
 
@@ -47,6 +50,52 @@ pub fn strip_row_ids(rows: Vec<Row>) -> Vec<Row> {
         .collect()
 }
 
+/// One table version a provider resolved an entity to — the one place that
+/// knows how a stored version becomes the relation a plan sees. DT storage
+/// carries a leading `$ROW_ID` column that plans never see: row scans strip
+/// it, and columnar scans shift the pushed-down filter one column right
+/// going in and drop the column coming out.
+pub(crate) struct PinnedVersion<'a> {
+    pub(crate) store: &'a TableStore,
+    pub(crate) version: VersionId,
+    pub(crate) is_dt: bool,
+}
+
+impl PinnedVersion<'_> {
+    /// The relation's rows, cloned out of the pinned partitions (the
+    /// store's lock is held only while the version is pinned).
+    pub(crate) fn rows(&self) -> DtResult<Vec<Row>> {
+        let rows = self.store.snapshot(self.version)?.scan();
+        Ok(if self.is_dt {
+            strip_row_ids(rows)
+        } else {
+            rows
+        })
+    }
+
+    /// The relation as zero-copy columnar batches, one per partition whose
+    /// zone maps do not rule `filter` out, fanned out over up to `threads`
+    /// morsel workers.
+    pub(crate) fn batches(
+        &self,
+        filter: Option<&PredicateSet>,
+        threads: usize,
+    ) -> DtResult<Vec<Batch>> {
+        let snap = self.store.snapshot(self.version)?;
+        if !self.is_dt {
+            return Ok(crate::morsel::scan_batches_parallel(&snap, filter, threads));
+        }
+        let shifted = filter.map(|f| f.shift_columns(1));
+        let batches = crate::morsel::scan_batches_parallel(&snap, shifted.as_ref(), threads);
+        Ok(batches.into_iter().map(Batch::drop_first_column).collect())
+    }
+}
+
+/// Write-path scans run one partition after another: the round driver
+/// already spreads a level's DTs over the refresh workers, and a DML
+/// subquery over the latest state runs under the engine lock.
+pub(crate) const WRITE_SCAN_THREADS: usize = 1;
+
 /// A provider that resolves every entity as of a data timestamp, applying
 /// the chosen semantics for DT reads.
 pub struct SnapshotProvider<'a> {
@@ -67,30 +116,68 @@ impl<'a> SnapshotProvider<'a> {
     }
 }
 
-impl TableProvider for SnapshotProvider<'_> {
-    fn scan(&self, entity: EntityId) -> DtResult<Vec<Row>> {
+impl SnapshotProvider<'_> {
+    /// The version of `entity` this provider reads.
+    pub(crate) fn pinned(&self, entity: EntityId) -> DtResult<PinnedVersion<'_>> {
         let store = self
             .view
             .tables
             .get(&entity)
             .ok_or_else(|| DtError::Storage(format!("no storage for {entity}")))?;
         let is_dt = (self.view.dt_entities)(entity);
-        let version = if is_dt {
-            match self.semantics {
-                VersionSemantics::Dvs => self.view.refresh_map.exact_version_for(entity, self.at)?,
-                VersionSemantics::Persisted => store
-                    .version_at(self.at)
-                    .ok_or_else(|| DtError::Storage(format!("no version of {entity}")))?,
-            }
+        let version = if is_dt && self.semantics == VersionSemantics::Dvs {
+            self.view.refresh_map.exact_version_for(entity, self.at)?
         } else {
-            // Base tables resolve by commit timestamp (§5.3).
+            // Base tables (and DTs under persisted semantics) resolve by
+            // commit timestamp (§5.3).
             store
                 .version_at(self.at)
                 .ok_or_else(|| DtError::Storage(format!("no version of {entity} at {}", self.at)))?
         };
-        let rows = store.scan(version)?;
-        Ok(if is_dt { strip_row_ids(rows) } else { rows })
+        Ok(PinnedVersion {
+            store,
+            version,
+            is_dt,
+        })
     }
+}
+
+impl TableProvider for SnapshotProvider<'_> {
+    fn scan(&self, entity: EntityId) -> DtResult<Vec<Row>> {
+        self.pinned(entity)?.rows()
+    }
+
+    fn scan_batches(
+        &self,
+        entity: EntityId,
+        filter: Option<&PredicateSet>,
+    ) -> DtResult<Vec<Batch>> {
+        self.pinned(entity)?.batches(filter, WRITE_SCAN_THREADS)
+    }
+}
+
+/// Evaluate a plan at a data timestamp under `semantics` (filters pushed
+/// into the scans first, like every interactive query); also returns the
+/// total input row count, read off version metadata, for the cost model
+/// and the source-row telemetry.
+pub(crate) fn evaluate_at(
+    view: StorageView<'_>,
+    semantics: VersionSemantics,
+    plan: &LogicalPlan,
+    ts: Timestamp,
+) -> DtResult<(Vec<Row>, usize)> {
+    let provider = SnapshotProvider::new(view, ts, semantics);
+    let mut input_rows = 0usize;
+    for e in plan.scanned_entities() {
+        // An unresolvable source counts nothing here; executing the plan
+        // reports it.
+        input_rows += provider
+            .pinned(e)
+            .and_then(|p| p.store.row_count_at(p.version))
+            .unwrap_or(0);
+    }
+    let rows = dt_exec::execute(&dt_plan::push_down_filters(plan), &provider)?;
+    Ok((rows, input_rows))
 }
 
 /// A provider for interactive queries: every entity at its latest committed
@@ -112,8 +199,8 @@ impl<'a> LatestProvider<'a> {
     }
 }
 
-impl TableProvider for LatestProvider<'_> {
-    fn scan(&self, entity: EntityId) -> DtResult<Vec<Row>> {
+impl LatestProvider<'_> {
+    fn pinned(&self, entity: EntityId) -> DtResult<PinnedVersion<'_>> {
         if (self.uninitialized)(entity) {
             return Err(DtError::NotInitialized(format!(
                 "dynamic table {entity} has not been initialized yet"
@@ -124,11 +211,24 @@ impl TableProvider for LatestProvider<'_> {
             .tables
             .get(&entity)
             .ok_or_else(|| DtError::Storage(format!("no storage for {entity}")))?;
-        let rows = store.scan(store.latest_version())?;
-        Ok(if (self.view.dt_entities)(entity) {
-            strip_row_ids(rows)
-        } else {
-            rows
+        Ok(PinnedVersion {
+            store,
+            version: store.latest_version(),
+            is_dt: (self.view.dt_entities)(entity),
         })
+    }
+}
+
+impl TableProvider for LatestProvider<'_> {
+    fn scan(&self, entity: EntityId) -> DtResult<Vec<Row>> {
+        self.pinned(entity)?.rows()
+    }
+
+    fn scan_batches(
+        &self,
+        entity: EntityId,
+        filter: Option<&PredicateSet>,
+    ) -> DtResult<Vec<Batch>> {
+        self.pinned(entity)?.batches(filter, WRITE_SCAN_THREADS)
     }
 }

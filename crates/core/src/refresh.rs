@@ -14,11 +14,11 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use dt_catalog::RefreshMode;
-use dt_common::{DtError, DtResult, EntityId, Row, Timestamp, Value, VersionId};
+use dt_common::{Batch, DtError, DtResult, EntityId, PredicateSet, Row, Timestamp, VersionId};
 use dt_exec::TableProvider;
 use dt_ivm::{
-    assign_change_rows, delta, delta_unconsolidated, ChangeProvider, DeltaContext,
-    OuterJoinStrategy, StoredRows,
+    assign_change_rows, delta, delta_unconsolidated, with_initial_row_ids, ChangeProvider,
+    DeltaContext, MergeAction, OuterJoinStrategy,
 };
 use dt_plan::LogicalPlan;
 use dt_scheduler::{CostModel, RefreshAction, RefreshOutcome};
@@ -26,7 +26,10 @@ use dt_storage::{ChangeSet, PreparedChange, TableStore};
 use dt_txn::{Frontier, RefreshTsMap};
 
 use crate::database::EngineState;
-use crate::providers::{strip_row_ids, SnapshotProvider, StorageView, VersionSemantics};
+use crate::providers::{
+    evaluate_at, strip_row_ids, PinnedVersion, SnapshotProvider, StorageView, VersionSemantics,
+    WRITE_SCAN_THREADS,
+};
 
 /// One executed refresh, for telemetry and the §6.3 statistics. `Copy`:
 /// entries are a few machine words, so handing them out by value is free.
@@ -171,22 +174,13 @@ impl RefreshEnv {
         }
     }
 
-    /// Evaluate a plan at a data timestamp; also returns the total input
-    /// row count (for the cost model and source-row telemetry).
-    fn evaluate_at(&self, plan: &LogicalPlan, ts: Timestamp) -> DtResult<(Vec<Row>, usize)> {
-        let is_dt = |id: EntityId| self.is_dt(id);
-        let view = StorageView {
+    /// This environment's pinned tables as a provider view.
+    fn view<'a>(&'a self, is_dt: &'a dyn Fn(EntityId) -> bool) -> StorageView<'a> {
+        StorageView {
             tables: &self.tables,
-            dt_entities: &is_dt,
+            dt_entities: is_dt,
             refresh_map: &self.refresh_map,
-        };
-        let provider = SnapshotProvider::new(view, ts, self.semantics);
-        let mut input_rows = 0usize;
-        for e in plan.scanned_entities() {
-            input_rows += provider.scan(e).map(|r| r.len()).unwrap_or(0);
         }
-        let rows = dt_exec::execute(plan, &provider)?;
-        Ok((rows, input_rows))
     }
 }
 
@@ -272,14 +266,9 @@ pub(crate) fn compute_refresh(
 
     let full = initial || evolved || refresh_mode == RefreshMode::Full;
     if full {
-        let (rows, input_rows) = env.evaluate_at(plan, refresh_ts)?;
-        let stored = StoredRows::initialize(rows);
-        let mut out_rows = Vec::with_capacity(stored.len());
-        for (id, r) in stored.pairs() {
-            let mut vals = vec![Value::Str(id.clone())];
-            vals.extend(r.values().iter().cloned());
-            out_rows.push(Row::new(vals));
-        }
+        let is_dt = |id: EntityId| env.is_dt(id);
+        let (rows, input_rows) = evaluate_at(env.view(&is_dt), env.semantics, plan, refresh_ts)?;
+        let out_rows = with_initial_row_ids(rows);
         let changed = out_rows.len();
         let dt_rows = out_rows.len();
         let prep = store.prepare_overwrite_at(base, out_rows)?;
@@ -336,30 +325,15 @@ pub(crate) fn compute_refresh(
         && dt_ivm::merge::is_insert_only_safe(plan);
     let changes = IntervalChanges { per_entity };
 
-    let stored_pairs: Vec<(String, Row)> = store
-        .scan(base)?
-        .into_iter()
-        .map(|r| {
-            let id = r.get(0).expect_str()?.to_string();
-            Ok((id, Row::new(r.values()[1..].to_vec())))
-        })
-        .collect::<DtResult<_>>()?;
-    let mut stored = StoredRows::from_pairs(stored_pairs);
-
     let d = {
         let is_dt = |id: EntityId| env.is_dt(id);
-        let new_view = StorageView {
-            tables: &env.tables,
-            dt_entities: &is_dt,
-            refresh_map: &env.refresh_map,
-        };
         // The "old" provider resolves each source at the previous
         // frontier version; implemented as a fixed-version provider.
         let old = FrontierProvider {
             env,
             frontier: prev,
         };
-        let new = SnapshotProvider::new(new_view, refresh_ts, env.semantics);
+        let new = SnapshotProvider::new(env.view(&is_dt), refresh_ts, env.semantics);
         let ctx = DeltaContext {
             old: &old,
             new: &new,
@@ -373,23 +347,21 @@ pub(crate) fn compute_refresh(
         }
     };
 
-    // Merge: assign $ROW_IDs, validate the §6.1 invariants, stage.
-    let change_rows = assign_change_rows(&stored, &d)?;
-    stored.apply(&change_rows)?;
+    // Merge: assign $ROW_IDs against the pinned base version (walked by
+    // reference; only payloads the delta names are indexed), validate the
+    // §6.1 invariants, stage.
+    let stored = store.snapshot(base)?;
     let mut inserts = Vec::new();
     let mut deletes = Vec::new();
-    for c in &change_rows {
-        let mut vals = vec![Value::Str(c.row_id.clone())];
-        vals.extend(c.row.values().iter().cloned());
-        let row = Row::new(vals);
+    for c in assign_change_rows(stored.iter_rows(), &d)? {
         match c.action {
-            dt_ivm::MergeAction::Insert => inserts.push(row),
-            dt_ivm::MergeAction::Delete => deletes.push(row),
+            MergeAction::Insert => inserts.push(c.into_stored_row()),
+            MergeAction::Delete => deletes.push(c.into_stored_row()),
         }
     }
     let changed = inserts.len() + deletes.len();
     let prep = store.prepare_change_at(base, inserts, deletes)?;
-    let dt_rows = stored.len();
+    let dt_rows = prep.row_count();
     Ok(ComputedRefresh {
         outcome: RefreshOutcome {
             action: RefreshAction::Incremental,
@@ -615,28 +587,6 @@ impl EngineState {
         hlc_now.max(refresh_ts)
     }
 
-    /// Evaluate a plan at a data timestamp under the configured semantics;
-    /// also returns the total input row count (for the cost model).
-    pub(crate) fn evaluate_at(
-        &self,
-        plan: &LogicalPlan,
-        ts: Timestamp,
-    ) -> DtResult<(Vec<Row>, usize)> {
-        let is_dt = |id: EntityId| self.is_dt(id);
-        let view = StorageView {
-            tables: &self.tables,
-            dt_entities: &is_dt,
-            refresh_map: &self.refresh_map,
-        };
-        let provider = SnapshotProvider::new(view, ts, self.config.semantics);
-        let mut input_rows = 0usize;
-        for e in plan.scanned_entities() {
-            input_rows += provider.scan(e).map(|r| r.len()).unwrap_or(0);
-        }
-        let rows = dt_exec::execute(plan, &provider)?;
-        Ok((rows, input_rows))
-    }
-
     /// §6.1 level-4 validation: "if you run the defining query as of the
     /// data timestamp, you should get the same result as in the DT."
     pub(crate) fn validate_dvs_invariant(
@@ -648,7 +598,13 @@ impl EngineState {
         let store = &self.tables[&dt];
         let mut stored = strip_row_ids(store.scan(store.latest_version())?);
         stored.sort();
-        let (mut expected, _) = self.evaluate_at(plan, refresh_ts)?;
+        let is_dt = |id: EntityId| self.is_dt(id);
+        let view = StorageView {
+            tables: &self.tables,
+            dt_entities: &is_dt,
+            refresh_map: &self.refresh_map,
+        };
+        let (mut expected, _) = evaluate_at(view, self.config.semantics, plan, refresh_ts)?;
         expected.sort();
         if stored != expected {
             return Err(DtError::internal(format!(
@@ -679,17 +635,30 @@ struct FrontierProvider<'a> {
     frontier: &'a Frontier,
 }
 
-impl TableProvider for FrontierProvider<'_> {
-    fn scan(&self, entity: EntityId) -> DtResult<Vec<Row>> {
+impl FrontierProvider<'_> {
+    fn pinned(&self, entity: EntityId) -> DtResult<PinnedVersion<'_>> {
         let version = self
             .frontier
             .get(entity)
             .ok_or_else(|| DtError::internal(format!("no frontier entry for {entity}")))?;
-        let rows = self.env.store(entity)?.scan(version)?;
-        Ok(if self.env.is_dt(entity) {
-            strip_row_ids(rows)
-        } else {
-            rows
+        Ok(PinnedVersion {
+            store: self.env.store(entity)?,
+            version,
+            is_dt: self.env.is_dt(entity),
         })
+    }
+}
+
+impl TableProvider for FrontierProvider<'_> {
+    fn scan(&self, entity: EntityId) -> DtResult<Vec<Row>> {
+        self.pinned(entity)?.rows()
+    }
+
+    fn scan_batches(
+        &self,
+        entity: EntityId,
+        filter: Option<&PredicateSet>,
+    ) -> DtResult<Vec<Batch>> {
+        self.pinned(entity)?.batches(filter, WRITE_SCAN_THREADS)
     }
 }

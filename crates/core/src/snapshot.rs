@@ -30,7 +30,7 @@ use dt_storage::TableStore;
 use dt_txn::Frontier;
 
 use crate::database::{reject_placeholders, EngineState, ExecResult, QueryResult};
-use crate::providers::strip_row_ids;
+use crate::providers::PinnedVersion;
 
 /// One table pinned inside a [`ReadSnapshot`]: the shared store handle,
 /// the version the snapshot resolves it at, and what kind of relation it
@@ -401,10 +401,10 @@ impl std::fmt::Debug for ReadSnapshot {
 }
 
 impl ReadSnapshot {
-    /// Resolve `entity` to its pinned handle + version, with the scan-path
-    /// error taxonomy (unknown entity, uninitialized DT, no version at the
+    /// Resolve `entity` to its pinned version, with the scan-path error
+    /// taxonomy (unknown entity, uninitialized DT, no version at the
     /// pinned instant).
-    fn pinned(&self, entity: EntityId) -> DtResult<(&TableHandle, VersionId)> {
+    fn pinned(&self, entity: EntityId) -> DtResult<PinnedVersion<'_>> {
         let handle = self
             .tables
             .get(&entity)
@@ -417,7 +417,11 @@ impl ReadSnapshot {
         let version = handle.version.ok_or_else(|| {
             DtError::Storage(format!("no version of {entity} at {}", self.read_ts))
         })?;
-        Ok((handle, version))
+        Ok(PinnedVersion {
+            store: &handle.store,
+            version,
+            is_dt: handle.is_dt,
+        })
     }
 }
 
@@ -426,39 +430,18 @@ impl ReadSnapshot {
 /// then rows stream out of immutable `Arc`'d partitions.
 impl TableProvider for ReadSnapshot {
     fn scan(&self, entity: EntityId) -> DtResult<Vec<Row>> {
-        let (handle, version) = self.pinned(entity)?;
-        let rows = handle.store.snapshot(version)?.scan();
-        Ok(if handle.is_dt {
-            strip_row_ids(rows)
-        } else {
-            rows
-        })
+        self.pinned(entity)?.rows()
     }
 
     /// The columnar scan: batches slice the version's partitions zero-copy,
     /// the pushed-down filter prunes partitions via their zone maps before
     /// any column data is read, and partitions fan out over morsel workers
-    /// when the snapshot's thread budget allows. DT storage's leading
-    /// `$ROW_ID` column is invisible to plans, so the filter shifts one
-    /// column right going in and the column is dropped coming out.
+    /// when the snapshot's thread budget allows.
     fn scan_batches(
         &self,
         entity: EntityId,
         filter: Option<&PredicateSet>,
     ) -> DtResult<Vec<Batch>> {
-        let (handle, version) = self.pinned(entity)?;
-        let snap = handle.store.snapshot(version)?;
-        let shifted = if handle.is_dt {
-            filter.map(|f| f.shift_columns(1))
-        } else {
-            None
-        };
-        let effective = if handle.is_dt { shifted.as_ref() } else { filter };
-        let batches = crate::morsel::scan_batches_parallel(&snap, effective, self.scan_threads);
-        Ok(if handle.is_dt {
-            batches.into_iter().map(Batch::drop_first_column).collect()
-        } else {
-            batches
-        })
+        self.pinned(entity)?.batches(filter, self.scan_threads)
     }
 }

@@ -42,7 +42,7 @@
 //! releases them, so an abandoned handle can never leak a `TxnManager`
 //! lock.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use dt_common::{DtError, DtResult, EntityId, Row, Schema, Timestamp, TxnId, Value};
@@ -87,11 +87,13 @@ impl TableWrites {
     /// this transaction leaves no trace), so the surviving delete list
     /// always refers to rows of the pinned base version.
     fn fold(&mut self, inserts: Vec<Row>, deletes: Vec<Row>) {
-        for d in deletes {
-            if let Some(pos) = self.inserts.iter().position(|r| *r == d) {
-                self.inserts.remove(pos);
-            } else {
-                self.deletes.push(d);
+        let mut pending = delete_counts(&deletes);
+        remove_counted(&mut self.inserts, &mut pending);
+        // Whatever did not cancel refers to rows of the base version.
+        for d in &deletes {
+            if let Some(n) = pending.get_mut(d).filter(|n| **n > 0) {
+                *n -= 1;
+                self.deletes.push(d.clone());
             }
         }
         self.inserts.extend(inserts);
@@ -115,18 +117,42 @@ impl TableProvider for OverlayProvider<'_> {
     fn scan(&self, entity: EntityId) -> DtResult<Vec<Row>> {
         let mut rows = self.snap.scan(entity)?;
         if let Some(w) = self.writes.get(&entity) {
-            for d in &w.deletes {
-                let pos = rows.iter().position(|r| r == d).ok_or_else(|| {
-                    DtError::internal(
-                        "buffered delete not present in the pinned base version",
-                    )
-                })?;
-                rows.remove(pos);
+            let mut pending = delete_counts(&w.deletes);
+            remove_counted(&mut rows, &mut pending);
+            if pending.values().any(|n| *n > 0) {
+                return Err(DtError::internal(
+                    "buffered delete not present in the pinned base version",
+                ));
             }
             rows.extend(w.inserts.iter().cloned());
         }
         Ok(rows)
     }
+}
+
+/// `deletes` as a counted multiset.
+fn delete_counts(deletes: &[Row]) -> HashMap<&Row, usize> {
+    let mut counts = HashMap::with_capacity(deletes.len());
+    for d in deletes {
+        *counts.entry(d).or_insert(0) += 1;
+    }
+    counts
+}
+
+/// Remove from `rows`, in one pass and keeping their order, the first
+/// `pending[r]` copies of each row `r`; `pending` is left holding the
+/// copies that were not found.
+fn remove_counted(rows: &mut Vec<Row>, pending: &mut HashMap<&Row, usize>) {
+    if pending.is_empty() {
+        return;
+    }
+    rows.retain(|r| match pending.get_mut(r) {
+        Some(n) if *n > 0 => {
+            *n -= 1;
+            false
+        }
+        _ => true,
+    });
 }
 
 /// The [`DmlSource`] of a transaction: names resolve in the frozen
@@ -911,6 +937,35 @@ mod tests {
             "transaction t9 is not active".into()
         )));
         assert!(!is_serialization_conflict(&DtError::Unsupported("x".into())));
+    }
+
+    #[test]
+    fn fold_cancels_deletes_against_own_inserts_as_a_multiset() {
+        use dt_common::row;
+        let (a, b, c, d) = (row!(1i64), row!(2i64), row!(3i64), row!(4i64));
+        let mut w = TableWrites::default();
+        w.fold(vec![a.clone(), b.clone(), a.clone()], vec![]);
+        // Two of the three deletes of `a` cancel this transaction's own
+        // inserts; the third, and `d`, refer to the base version.
+        w.fold(
+            vec![c.clone()],
+            vec![a.clone(), d.clone(), a.clone(), a.clone()],
+        );
+        assert_eq!(w.inserts, [b, c]);
+        assert_eq!(w.deletes, [a, d]);
+    }
+
+    #[test]
+    fn counted_removal_takes_the_first_copies_and_reports_the_missing() {
+        use dt_common::row;
+        let mut rows = vec![row!(1i64), row!(2i64), row!(1i64), row!(3i64), row!(1i64)];
+        let deletes = [row!(1i64), row!(9i64), row!(1i64)];
+        let mut pending = delete_counts(&deletes);
+        remove_counted(&mut rows, &mut pending);
+        assert_eq!(rows, [row!(2i64), row!(3i64), row!(1i64)]);
+        // The overlay scan turns a leftover into its internal error.
+        assert_eq!(pending[&row!(1i64)], 0);
+        assert_eq!(pending[&row!(9i64)], 1);
     }
 
     #[test]

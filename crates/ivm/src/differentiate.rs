@@ -2,9 +2,11 @@
 
 use std::collections::{HashMap, HashSet};
 
-use dt_common::{DtResult, EntityId, Row, Value};
-use dt_exec::{execute, TableProvider};
-use dt_plan::{JoinType, LogicalPlan, ScalarExpr};
+use dt_common::{Batch, DtResult, EntityId, Row, Value};
+use dt_exec::aggregate::execute_aggregate_batches;
+use dt_exec::batch::flatten;
+use dt_exec::{execute_batches, TableProvider};
+use dt_plan::{push_down_filters, JoinType, LogicalPlan, ScalarExpr};
 use dt_storage::ChangeSet;
 
 use crate::merge::project_delta;
@@ -137,13 +139,12 @@ fn delta_inner(plan: &LogicalPlan, ctx: &DeltaContext<'_>) -> DtResult<ChangeSet
                 return Ok(ChangeSet::empty());
             }
             let affected = affected_keys(&d, group_exprs)?;
-            let restrict = |rows: Vec<Row>| -> DtResult<Vec<Row>> {
-                filter_by_keys(rows, group_exprs, &affected)
+            let side = |provider| -> DtResult<Vec<Row>> {
+                let batches = restricted(input, provider, group_exprs, &affected)?;
+                execute_aggregate_batches(&batches, group_exprs, aggregates)
             };
-            let old_rows = restrict(execute(input, ctx.old)?)?;
-            let new_rows = restrict(execute(input, ctx.new)?)?;
-            let old_out = dt_exec::aggregate::execute_aggregate(&old_rows, group_exprs, aggregates)?;
-            let new_out = dt_exec::aggregate::execute_aggregate(&new_rows, group_exprs, aggregates)?;
+            let old_out = side(ctx.old)?;
+            let new_out = side(ctx.new)?;
             // Groups that vanished entirely produce deletes; empty restricted
             // input yields no groups (grouped aggregation over zero rows is
             // the empty set, since group_exprs is non-empty for
@@ -156,17 +157,15 @@ fn delta_inner(plan: &LogicalPlan, ctx: &DeltaContext<'_>) -> DtResult<ChangeSet
                 return Ok(ChangeSet::empty());
             }
             // Affected "keys" are the changed rows themselves.
-            let affected: HashSet<Row> = d
-                .inserts()
-                .iter()
-                .chain(d.deletes().iter())
-                .cloned()
-                .collect();
-            let present = |rows: Vec<Row>| -> HashSet<Row> {
-                rows.into_iter().filter(|r| affected.contains(r)).collect()
+            let all_columns: Vec<ScalarExpr> =
+                (0..input.schema().len()).map(ScalarExpr::col).collect();
+            let affected = affected_keys(&d, &all_columns)?;
+            let present = |provider| -> DtResult<HashSet<Row>> {
+                let batches = restricted(input, provider, &all_columns, &affected)?;
+                Ok(flatten(batches).into_iter().collect())
             };
-            let old_present = present(execute(input, ctx.old)?);
-            let new_present = present(execute(input, ctx.new)?);
+            let old_present = present(ctx.old)?;
+            let new_present = present(ctx.new)?;
             let inserts: Vec<Row> = new_present.difference(&old_present).cloned().collect();
             let deletes: Vec<Row> = old_present.difference(&new_present).cloned().collect();
             Ok(ChangeSet::new(inserts, deletes))
@@ -188,10 +187,8 @@ fn delta_inner(plan: &LogicalPlan, ctx: &DeltaContext<'_>) -> DtResult<ChangeSet
                 }
             }
             let affected = affected_keys(&d, &key_exprs)?;
-            let restrict =
-                |rows: Vec<Row>| -> DtResult<Vec<Row>> { filter_by_keys(rows, &key_exprs, &affected) };
-            let old_rows = restrict(execute(input, ctx.old)?)?;
-            let new_rows = restrict(execute(input, ctx.new)?)?;
+            let old_rows = flatten(restricted(input, ctx.old, &key_exprs, &affected)?);
+            let new_rows = flatten(restricted(input, ctx.new, &key_exprs, &affected)?);
             let old_out = dt_exec::window::execute_window(&old_rows, exprs)?;
             let new_out = dt_exec::window::execute_window(&new_rows, exprs)?;
             Ok(ChangeSet::new(new_out, old_out))
@@ -216,45 +213,54 @@ fn inner_join_delta(
     let ra = right.schema().len();
     let mut out = ChangeSet::empty();
     if !dl.is_empty() {
-        let r1 = execute(right, ctx.new)?;
-        signed_join_into(&mut out, &dl, 1, &plain(&r1), la, ra, on)?;
+        let r1 = evaluate(right, ctx.new)?;
+        signed_join_into(
+            &mut out,
+            (dl.inserts(), dl.deletes()),
+            (&r1, &[]),
+            la,
+            ra,
+            on,
+        )?;
     }
     if !dr.is_empty() {
-        let q0 = execute(left, ctx.old)?;
-        signed_join_into(&mut out, &plain(&q0), 1, &dr, la, ra, on)?;
+        let q0 = evaluate(left, ctx.old)?;
+        signed_join_into(
+            &mut out,
+            (&q0, &[]),
+            (dr.inserts(), dr.deletes()),
+            la,
+            ra,
+            on,
+        )?;
     }
     Ok(out)
 }
 
-/// Wrap plain rows as an all-inserts change set (weight +1).
-fn plain(rows: &[Row]) -> ChangeSet {
-    ChangeSet::new(rows.to_vec(), vec![])
-}
-
-/// Join two signed sets, accumulating weighted results into `out`.
+/// Join two signed sets, each an (inserts, deletes) pair of row slices,
+/// accumulating weighted results into `out`.
 fn signed_join_into(
     out: &mut ChangeSet,
-    l: &ChangeSet,
-    _lw: i64,
-    r: &ChangeSet,
+    l: (&[Row], &[Row]),
+    r: (&[Row], &[Row]),
     la: usize,
     ra: usize,
     on: &ScalarExpr,
 ) -> DtResult<()> {
     // Four sign combinations; inner-join execution handles the matching.
-    let combos: [(&[Row], &[Row], i64); 4] = [
-        (l.inserts(), r.inserts(), 1),
-        (l.inserts(), r.deletes(), -1),
-        (l.deletes(), r.inserts(), -1),
-        (l.deletes(), r.deletes(), 1),
+    let combos: [(&[Row], &[Row], bool); 4] = [
+        (l.0, r.0, true),
+        (l.0, r.1, false),
+        (l.1, r.0, false),
+        (l.1, r.1, true),
     ];
-    for (lrows, rrows, sign) in combos {
+    for (lrows, rrows, insert) in combos {
         if lrows.is_empty() || rrows.is_empty() {
             continue;
         }
         let joined = dt_exec::join::execute_join(lrows, rrows, la, ra, JoinType::Inner, on)?;
         for row in joined {
-            if sign > 0 {
+            if insert {
                 out.push_insert(row);
             } else {
                 out.push_delete(row);
@@ -344,16 +350,16 @@ fn outer_join_delta_direct(
         // No equi keys: every row is potentially affected; fall back to a
         // full recompute diff.
         let old = dt_exec::join::execute_join(
-            &execute(left, ctx.old)?,
-            &execute(right, ctx.old)?,
+            &evaluate(left, ctx.old)?,
+            &evaluate(right, ctx.old)?,
             la,
             ra,
             join_type,
             on,
         )?;
         let new = dt_exec::join::execute_join(
-            &execute(left, ctx.new)?,
-            &execute(right, ctx.new)?,
+            &evaluate(left, ctx.new)?,
+            &evaluate(right, ctx.new)?,
             la,
             ra,
             join_type,
@@ -366,15 +372,10 @@ fn outer_join_delta_direct(
     collect_keys(&dl, &lk, &mut affected)?;
     collect_keys(&dr, &rk, &mut affected)?;
 
-    let restrict_l =
-        |rows: Vec<Row>| -> DtResult<Vec<Row>> { filter_by_keys(rows, &lk, &affected) };
-    let restrict_r =
-        |rows: Vec<Row>| -> DtResult<Vec<Row>> { filter_by_keys(rows, &rk, &affected) };
-
-    let l0 = restrict_l(execute(left, ctx.old)?)?;
-    let r0 = restrict_r(execute(right, ctx.old)?)?;
-    let l1 = restrict_l(execute(left, ctx.new)?)?;
-    let r1 = restrict_r(execute(right, ctx.new)?)?;
+    let l0 = flatten(restricted(left, ctx.old, &lk, &affected)?);
+    let r0 = flatten(restricted(right, ctx.old, &rk, &affected)?);
+    let l1 = flatten(restricted(left, ctx.new, &lk, &affected)?);
+    let r1 = flatten(restricted(right, ctx.new, &rk, &affected)?);
 
     let old = dt_exec::join::execute_join(&l0, &r0, la, ra, join_type, on)?;
     let new = dt_exec::join::execute_join(&l1, &r1, la, ra, join_type, on)?;
@@ -400,13 +401,13 @@ fn outer_join_delta_naive(
     // Terms 2/3: deltas of the padded anti-joins. Computed as full
     // recompute diffs of the anti-join terms (re-evaluating Q and R).
     if matches!(join_type, JoinType::Left | JoinType::Full) {
-        let old = anti_join_padded(&execute(left, ctx.old)?, &execute(right, ctx.old)?, la, ra, on, true)?;
-        let new = anti_join_padded(&execute(left, ctx.new)?, &execute(right, ctx.new)?, la, ra, on, true)?;
+        let old = anti_join_padded(&evaluate(left, ctx.old)?, &evaluate(right, ctx.old)?, la, ra, on, true)?;
+        let new = anti_join_padded(&evaluate(left, ctx.new)?, &evaluate(right, ctx.new)?, la, ra, on, true)?;
         out.extend(ChangeSet::new(new, old));
     }
     if matches!(join_type, JoinType::Right | JoinType::Full) {
-        let old = anti_join_padded(&execute(left, ctx.old)?, &execute(right, ctx.old)?, la, ra, on, false)?;
-        let new = anti_join_padded(&execute(left, ctx.new)?, &execute(right, ctx.new)?, la, ra, on, false)?;
+        let old = anti_join_padded(&evaluate(left, ctx.old)?, &evaluate(right, ctx.old)?, la, ra, on, false)?;
+        let new = anti_join_padded(&evaluate(left, ctx.new)?, &evaluate(right, ctx.new)?, la, ra, on, false)?;
         out.extend(ChangeSet::new(new, old));
     }
     Ok(out)
@@ -459,29 +460,67 @@ fn affected_keys(d: &ChangeSet, key_exprs: &[ScalarExpr]) -> DtResult<HashSet<Ve
     Ok(out)
 }
 
-fn filter_by_keys(
-    rows: Vec<Row>,
+/// Evaluate a sub-plan at one end of the interval as columnar batches.
+/// Filters are pushed into the scans first, like every interactive query,
+/// so zone maps prune refresh scans too. (Only sub-plans handed to a
+/// snapshot come through here: [`delta_inner`] recurses on the un-pushed
+/// plan, whose scans stand for the raw source changes.)
+fn evaluate_batches(plan: &LogicalPlan, provider: &dyn TableProvider) -> DtResult<Vec<Batch>> {
+    execute_batches(&push_down_filters(plan), provider)
+}
+
+/// [`evaluate_batches`], materialized as rows.
+fn evaluate(plan: &LogicalPlan, provider: &dyn TableProvider) -> DtResult<Vec<Row>> {
+    Ok(flatten(evaluate_batches(plan, provider)?))
+}
+
+/// Evaluate a sub-plan and narrow each batch's selection to the rows whose
+/// key tuple is in `keys`, so only those rows are ever materialized. Keys
+/// that are plain columns are read straight off the column vectors; other
+/// key expressions are evaluated on the materialized row.
+fn restricted(
+    plan: &LogicalPlan,
+    provider: &dyn TableProvider,
     key_exprs: &[ScalarExpr],
     keys: &HashSet<Vec<Value>>,
-) -> DtResult<Vec<Row>> {
-    let mut out = Vec::new();
-    for r in rows {
-        let mut k = Vec::with_capacity(key_exprs.len());
-        for e in key_exprs {
-            k.push(e.eval(&r)?);
+) -> DtResult<Vec<Batch>> {
+    let mut batches = evaluate_batches(plan, provider)?;
+    let mut key = Vec::with_capacity(key_exprs.len());
+    for b in &mut batches {
+        let key_columns: Option<Vec<usize>> = key_exprs
+            .iter()
+            .map(|e| match e {
+                ScalarExpr::Column(c) if *c < b.arity() => Some(*c),
+                _ => None,
+            })
+            .collect();
+        let mut keep = vec![false; b.len()];
+        for (i, k) in keep.iter_mut().enumerate() {
+            if !b.is_selected(i) {
+                continue;
+            }
+            key.clear();
+            match &key_columns {
+                Some(cols) => key.extend(cols.iter().map(|&c| b.column(c).get(i))),
+                None => {
+                    let row = b.row(i);
+                    for e in key_exprs {
+                        key.push(e.eval(&row)?);
+                    }
+                }
+            }
+            *k = keys.contains(key.as_slice());
         }
-        if keys.contains(&k) {
-            out.push(r);
-        }
+        b.set_selection(Some(keep));
     }
-    Ok(out)
+    Ok(batches)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dt_common::row;
-    use dt_exec::MapProvider;
+    use dt_exec::{execute, MapProvider};
 
     mod fixtures {
         use super::*;

@@ -20,7 +20,7 @@
 //! Both fail the refresh rather than corrupt the table.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
 use dt_common::{DtError, DtResult, Row, Value};
@@ -61,141 +61,123 @@ pub fn make_row_id(row: &Row, occurrence: usize) -> String {
     format!("{:04x}-{:016x}-{}", h & 0xffff, h, occurrence)
 }
 
-/// The stored contents of an incremental DT: rows with their row ids.
-#[derive(Debug, Clone, Default)]
-pub struct StoredRows {
-    /// (row_id, payload) pairs, as persisted.
-    rows: Vec<(String, Row)>,
+/// Prefix every row of a full query result with a fresh `$ROW_ID` — the
+/// stored form of a DT (id column first, then the payload), as written by
+/// initialization and FULL refreshes.
+pub fn with_initial_row_ids(rows: Vec<Row>) -> Vec<Row> {
+    let mut occ: HashMap<u64, usize> = HashMap::new();
+    rows.into_iter()
+        .map(|r| {
+            let n = occ.entry(content_hash(&r)).or_insert(0);
+            let id = make_row_id(&r, *n);
+            *n += 1;
+            stored_row(id, &r)
+        })
+        .collect()
 }
 
-impl StoredRows {
-    /// Empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// The stored form of a payload row: `$ROW_ID` first, then the payload.
+fn stored_row(row_id: String, payload: &Row) -> Row {
+    let mut vals = Vec::with_capacity(payload.len() + 1);
+    vals.push(Value::Str(row_id));
+    vals.extend_from_slice(payload.values());
+    Row::new(vals)
+}
 
-    /// Rebuild from persisted (row_id, payload) pairs.
-    pub fn from_pairs(rows: Vec<(String, Row)>) -> Self {
-        StoredRows { rows }
-    }
-
-    /// Initialize from a full query result, assigning fresh row ids.
-    pub fn initialize(rows: Vec<Row>) -> Self {
-        let mut occ: HashMap<u64, usize> = HashMap::new();
-        let mut out = Vec::with_capacity(rows.len());
-        for r in rows {
-            let h = content_hash(&r);
-            let n = occ.entry(h).or_insert(0);
-            out.push((make_row_id(&r, *n), r));
-            *n += 1;
-        }
-        StoredRows { rows: out }
-    }
-
-    /// The payload rows (what a SELECT sees).
-    pub fn payload(&self) -> Vec<Row> {
-        self.rows.iter().map(|(_, r)| r.clone()).collect()
-    }
-
-    /// The persisted pairs.
-    pub fn pairs(&self) -> &[(String, Row)] {
-        &self.rows
-    }
-
-    /// Row count.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Apply assigned change rows, upholding validation #2 (no duplicate
-    /// `($ROW_ID, $ACTION)`) and #3 (no delete of a nonexistent row).
-    pub fn apply(&mut self, changes: &[ChangeRow]) -> DtResult<()> {
-        // Validation #2.
-        let mut seen: HashMap<(&str, MergeAction), usize> = HashMap::new();
-        for c in changes {
-            let n = seen.entry((c.row_id.as_str(), c.action)).or_insert(0);
-            *n += 1;
-            if *n > 1 {
-                return Err(DtError::IvmInvariant(format!(
-                    "duplicate ($ROW_ID, $ACTION) pair: ({}, {:?})",
-                    c.row_id, c.action
-                )));
-            }
-        }
-        // Deletes first (an update is a delete + insert of the same id).
-        for c in changes.iter().filter(|c| c.action == MergeAction::Delete) {
-            let pos = self
-                .rows
-                .iter()
-                .position(|(id, _)| *id == c.row_id)
-                .ok_or_else(|| {
-                    DtError::IvmInvariant(format!(
-                        "delete of nonexistent row id {} (payload {})",
-                        c.row_id, c.row
-                    ))
-                })?;
-            self.rows.swap_remove(pos);
-        }
-        for c in changes.iter().filter(|c| c.action == MergeAction::Insert) {
-            self.rows.push((c.row_id.clone(), c.row.clone()));
-        }
-        Ok(())
+impl ChangeRow {
+    /// This change as a row of DT storage (`$ROW_ID` first).
+    pub fn into_stored_row(self) -> Row {
+        stored_row(self.row_id, &self.row)
     }
 }
 
-/// Assign `$ROW_ID`s to a consolidated change set against the current
-/// stored rows: deletes claim the ids of existing copies of their payload;
-/// inserts mint ids at the next free occurrence index. Fails with the §6.1
-/// invariant error when a delete cannot be matched.
-pub fn assign_change_rows(stored: &StoredRows, delta: &ChangeSet) -> DtResult<Vec<ChangeRow>> {
-    // Index existing ids by payload content.
-    let mut by_content: HashMap<&Row, Vec<&str>> = HashMap::new();
-    for (id, r) in stored.pairs() {
-        by_content.entry(r).or_default().push(id);
+/// The stored copies of one payload the delta names, and how many of them
+/// (and of the ids minted after them) this merge has used up.
+#[derive(Default)]
+struct Occurrences<'a> {
+    /// `$ROW_ID`s of the stored copies, in scan order.
+    ids: Vec<&'a str>,
+    claimed: usize,
+    minted: usize,
+}
+
+/// Assign `$ROW_ID`s to a consolidated change set against the DT's stored
+/// rows (`$ROW_ID` first, then the payload; walked once, by reference):
+/// deletes claim the ids of existing copies of their payload; inserts mint
+/// ids at the next free occurrence index. Only payloads the delta names
+/// are indexed, so the per-row work on unchanged data is one hash probe.
+/// Fails with the §6.1 invariant errors when a delete cannot be matched
+/// or two change rows share a `($ROW_ID, $ACTION)` pair.
+pub fn assign_change_rows<'a>(
+    stored: impl IntoIterator<Item = &'a Row>,
+    delta: &'a ChangeSet,
+) -> DtResult<Vec<ChangeRow>> {
+    let mut by_content: HashMap<&[Value], Occurrences<'a>> = delta
+        .inserts()
+        .iter()
+        .chain(delta.deletes())
+        .map(|r| (r.values(), Occurrences::default()))
+        .collect();
+    for r in stored {
+        let (id, payload) = r
+            .values()
+            .split_first()
+            .ok_or_else(|| DtError::internal("stored DT row without a $ROW_ID column"))?;
+        if let Some(occ) = by_content.get_mut(payload) {
+            occ.ids.push(id.expect_str()?);
+        }
     }
     let mut out = Vec::with_capacity(delta.len());
     // Deletes claim ids from the back (highest occurrence first keeps the
     // lowest-occurrence ids stable across refreshes).
-    let mut claimed: HashMap<&Row, usize> = HashMap::new();
     for d in delta.deletes() {
-        let ids = by_content.get(d).map(|v| v.as_slice()).unwrap_or(&[]);
-        let n_claimed = claimed.entry(d).or_insert(0);
-        if *n_claimed >= ids.len() {
+        let occ = by_content
+            .get_mut(d.values())
+            .expect("seeded from the delta");
+        if occ.claimed >= occ.ids.len() {
             return Err(DtError::IvmInvariant(format!(
                 "delete of nonexistent row {d}"
             )));
         }
-        let id = ids[ids.len() - 1 - *n_claimed];
-        *n_claimed += 1;
+        occ.claimed += 1;
         out.push(ChangeRow {
             action: MergeAction::Delete,
-            row_id: id.to_string(),
+            row_id: occ.ids[occ.ids.len() - occ.claimed].to_string(),
             row: d.clone(),
         });
     }
     // Inserts mint fresh occurrence indices: existing copies − claimed
-    // deletes + already-minted inserts of the same content.
-    let mut minted: HashMap<&Row, usize> = HashMap::new();
+    // deletes + already-minted inserts of the same content, so slots freed
+    // by this merge's deletes are reused first.
     for i in delta.inserts() {
-        let existing = by_content.get(i).map(|v| v.len()).unwrap_or(0);
-        let deleted = claimed.get(i).copied().unwrap_or(0);
-        let fresh = minted.entry(i).or_insert(0);
-        // Occurrence indices 0..existing are (possibly) taken; deletes freed
-        // the top `deleted` of them. Reuse freed slots first.
-        let occurrence = existing - deleted + *fresh;
-        *fresh += 1;
+        let occ = by_content
+            .get_mut(i.values())
+            .expect("seeded from the delta");
+        let occurrence = occ.ids.len() - occ.claimed + occ.minted;
+        occ.minted += 1;
         out.push(ChangeRow {
             action: MergeAction::Insert,
             row_id: make_row_id(i, occurrence),
             row: i.clone(),
         });
     }
+    check_unique_actions(&out)?;
     Ok(out)
+}
+
+/// §6.1 validation: never more than one change row per
+/// `($ROW_ID, $ACTION)` pair.
+fn check_unique_actions(changes: &[ChangeRow]) -> DtResult<()> {
+    let mut seen = HashSet::with_capacity(changes.len());
+    for c in changes {
+        if !seen.insert((c.row_id.as_str(), c.action)) {
+            return Err(DtError::IvmInvariant(format!(
+                "duplicate ($ROW_ID, $ACTION) pair: ({}, {:?})",
+                c.row_id, c.action
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Apply a projection to both sides of a change set (the Δ rule for π).
@@ -234,50 +216,49 @@ pub fn is_insert_only_safe(plan: &dt_plan::LogicalPlan) -> bool {
     ok
 }
 
-/// Check whether every source change set is insert-only.
-pub fn changes_are_insert_only<'a>(
-    changes: impl Iterator<Item = &'a ChangeSet>,
-) -> bool {
-    let mut any = false;
-    for c in changes {
-        any = true;
-        if !c.deletes().is_empty() {
-            return false;
-        }
-    }
-    any
-}
-
-/// Drop-in helper used by benches: skip consolidation when both the plan
-/// structure and the source changes guarantee it is a no-op.
-pub fn maybe_consolidate(
-    plan: &dt_plan::LogicalPlan,
-    sources_insert_only: bool,
-    delta: ChangeSet,
-) -> ChangeSet {
-    if sources_insert_only && is_insert_only_safe(plan) {
-        delta
-    } else {
-        delta.consolidate()
-    }
-}
-
-/// NULL-free helper used when building key tuples for row-id prefix tests.
-pub fn row_has_null(row: &Row) -> bool {
-    row.values().iter().any(Value::is_null)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dt_common::row;
 
+    /// Apply assigned change rows to stored rows the way the storage
+    /// install does: deletes remove the exact stored row, inserts append.
+    fn apply(stored: &mut Vec<Row>, changes: Vec<ChangeRow>) {
+        for c in changes {
+            let action = c.action;
+            let row = c.into_stored_row();
+            match action {
+                MergeAction::Delete => {
+                    let pos = stored.iter().position(|r| *r == row);
+                    stored.remove(pos.expect("delete names a stored row"));
+                }
+                MergeAction::Insert => stored.push(row),
+            }
+        }
+    }
+
+    fn ids(stored: &[Row]) -> Vec<&str> {
+        stored
+            .iter()
+            .map(|r| r.get(0).expect_str().unwrap())
+            .collect()
+    }
+
+    fn payloads(stored: &[Row]) -> Vec<Row> {
+        let mut p: Vec<Row> = stored
+            .iter()
+            .map(|r| Row::new(r.values()[1..].to_vec()))
+            .collect();
+        p.sort();
+        p
+    }
+
     #[test]
     fn initialize_assigns_distinct_ids_to_duplicates() {
-        let s = StoredRows::initialize(vec![row!(1i64), row!(1i64), row!(2i64)]);
-        let ids: std::collections::HashSet<_> =
-            s.pairs().iter().map(|(id, _)| id.clone()).collect();
-        assert_eq!(ids.len(), 3);
+        let s = with_initial_row_ids(vec![row!(1i64), row!(1i64), row!(2i64)]);
+        let distinct: HashSet<_> = ids(&s).into_iter().collect();
+        assert_eq!(distinct.len(), 3);
+        assert_eq!(payloads(&s), vec![row!(1i64), row!(1i64), row!(2i64)]);
     }
 
     #[test]
@@ -292,18 +273,16 @@ mod tests {
 
     #[test]
     fn assign_update_delete_insert_roundtrip() {
-        let mut s = StoredRows::initialize(vec![row!(1i64), row!(2i64)]);
+        let mut s = with_initial_row_ids(vec![row!(1i64), row!(2i64)]);
         let delta = ChangeSet::new(vec![row!(3i64)], vec![row!(2i64)]);
         let changes = assign_change_rows(&s, &delta).unwrap();
-        s.apply(&changes).unwrap();
-        let mut p = s.payload();
-        p.sort();
-        assert_eq!(p, vec![row!(1i64), row!(3i64)]);
+        apply(&mut s, changes);
+        assert_eq!(payloads(&s), vec![row!(1i64), row!(3i64)]);
     }
 
     #[test]
     fn delete_of_missing_row_is_invariant_violation() {
-        let s = StoredRows::initialize(vec![row!(1i64)]);
+        let s = with_initial_row_ids(vec![row!(1i64)]);
         let delta = ChangeSet::new(vec![], vec![row!(99i64)]);
         let err = assign_change_rows(&s, &delta).unwrap_err();
         assert!(matches!(err, DtError::IvmInvariant(_)));
@@ -311,43 +290,130 @@ mod tests {
 
     #[test]
     fn deleting_more_copies_than_stored_fails() {
-        let s = StoredRows::initialize(vec![row!(1i64)]);
+        let s = with_initial_row_ids(vec![row!(1i64)]);
         let delta = ChangeSet::new(vec![], vec![row!(1i64), row!(1i64)]);
-        assert!(assign_change_rows(&s, &delta).is_err());
+        let err = assign_change_rows(&s, &delta).unwrap_err();
+        assert!(matches!(err, DtError::IvmInvariant(_)));
     }
 
     #[test]
-    fn duplicate_row_id_action_rejected_by_apply() {
-        let mut s = StoredRows::initialize(vec![]);
+    fn duplicate_row_id_action_rejected() {
         let c = ChangeRow {
             action: MergeAction::Insert,
             row_id: "x".into(),
             row: row!(1i64),
         };
-        let err = s.apply(&[c.clone(), c]).unwrap_err();
+        let delete = ChangeRow {
+            action: MergeAction::Delete,
+            ..c.clone()
+        };
+        // An update is a delete + insert of one id; that is not a duplicate.
+        check_unique_actions(&[c.clone(), delete]).unwrap();
+        let err = check_unique_actions(&[c.clone(), c]).unwrap_err();
+        assert!(matches!(err, DtError::IvmInvariant(_)));
+    }
+
+    #[test]
+    fn stored_rows_sharing_an_id_fail_the_merge() {
+        // Two stored copies of one payload under one id (a corrupt table):
+        // deleting both would emit the pair (id, DELETE) twice.
+        let mut s = with_initial_row_ids(vec![row!(1i64)]);
+        s.push(s[0].clone());
+        let delta = ChangeSet::new(vec![], vec![row!(1i64), row!(1i64)]);
+        let err = assign_change_rows(&s, &delta).unwrap_err();
         assert!(matches!(err, DtError::IvmInvariant(_)));
     }
 
     #[test]
     fn duplicate_content_inserts_get_distinct_ids() {
-        let s = StoredRows::initialize(vec![row!(7i64)]);
+        let s = with_initial_row_ids(vec![row!(7i64)]);
         let delta = ChangeSet::new(vec![row!(7i64), row!(7i64)], vec![]);
         let changes = assign_change_rows(&s, &delta).unwrap();
-        let ids: std::collections::HashSet<_> =
-            changes.iter().map(|c| c.row_id.clone()).collect();
-        assert_eq!(ids.len(), 2);
+        let minted: HashSet<_> = changes.iter().map(|c| c.row_id.as_str()).collect();
+        assert_eq!(minted.len(), 2);
         // And they don't collide with the stored copy's id.
-        assert!(!ids.contains(&s.pairs()[0].0));
+        assert!(!minted.contains(ids(&s)[0]));
     }
 
     #[test]
     fn delete_then_reinsert_same_content_reuses_freed_slot() {
-        let mut s = StoredRows::initialize(vec![row!(5i64), row!(5i64)]);
+        let mut s = with_initial_row_ids(vec![row!(5i64), row!(5i64)]);
+        let before: HashSet<String> = ids(&s).into_iter().map(String::from).collect();
         // Update-like churn: delete one copy, insert one copy.
         let delta = ChangeSet::new(vec![row!(5i64)], vec![row!(5i64)]);
         let changes = assign_change_rows(&s, &delta).unwrap();
-        s.apply(&changes).unwrap();
-        assert_eq!(s.len(), 2);
+        assert_eq!(changes[0].row_id, changes[1].row_id);
+        apply(&mut s, changes);
+        let after: HashSet<String> = ids(&s).into_iter().map(String::from).collect();
+        assert_eq!(before, after);
+    }
+
+    #[test]
+    fn only_payloads_the_delta_names_are_matched() {
+        // Stored rows the delta does not name never enter the index; a
+        // delete of a payload that merely resembles one still fails.
+        let s = with_initial_row_ids((0..100i64).map(|i| row!(i, i % 3)).collect());
+        let delta = ChangeSet::new(vec![row!(100i64, 1i64)], vec![row!(7i64, 1i64)]);
+        let changes = assign_change_rows(&s, &delta).unwrap();
+        assert_eq!(changes.len(), 2);
+        assert_eq!(changes[0].row_id, ids(&s)[7]);
+        let bad = ChangeSet::new(vec![], vec![row!(7i64, 2i64)]);
+        assert!(assign_change_rows(&s, &bad).is_err());
+    }
+
+    /// The ids this merge assigns on a fixed bag with duplicates are the
+    /// ones the whole-table-index implementation it replaced assigned
+    /// (values printed by that implementation), so stored `$ROW_ID`s do
+    /// not churn across the upgrade.
+    #[test]
+    fn assigned_ids_match_the_previous_implementation() {
+        const A: &str = "0e27-f692beba65b00e27";
+        const B: &str = "22b4-f7d77f7059d822b4";
+        const C: &str = "1db0-453a3cc402fc1db0";
+        const D: &str = "84f8-8d2cdc77a78684f8";
+        let (a, b, c, d) = (
+            row!(1i64, "a"),
+            row!(2i64, "b"),
+            row!(3i64, "c"),
+            row!(4i64, "d"),
+        );
+        let s = with_initial_row_ids(vec![
+            a.clone(),
+            a.clone(),
+            b.clone(),
+            a.clone(),
+            c.clone(),
+            b.clone(),
+        ]);
+        let id = |h: &str, n: usize| format!("{h}-{n}");
+        assert_eq!(
+            ids(&s),
+            [id(A, 0), id(A, 1), id(B, 0), id(A, 2), id(C, 0), id(B, 1)]
+        );
+        let delta = ChangeSet::new(
+            vec![a.clone(), a.clone(), d.clone(), d.clone(), b.clone()],
+            vec![a.clone(), c.clone(), b.clone(), b.clone()],
+        );
+        let got: Vec<(MergeAction, String, Row)> = assign_change_rows(&s, &delta)
+            .unwrap()
+            .into_iter()
+            .map(|c| (c.action, c.row_id, c.row))
+            .collect();
+        use MergeAction::{Delete, Insert};
+        assert_eq!(
+            got,
+            vec![
+                (Delete, id(A, 2), a.clone()),
+                (Delete, id(C, 0), c),
+                (Delete, id(B, 1), b.clone()),
+                (Delete, id(B, 0), b.clone()),
+                (Insert, id(A, 2), a.clone()),
+                (Insert, id(A, 3), a),
+                (Insert, id(D, 0), d.clone()),
+                (Insert, id(D, 1), d),
+                (Insert, id(B, 0), b),
+            ]
+        );
     }
 
     #[test]
@@ -365,10 +431,5 @@ mod tests {
             input: Box::new(scan.clone()),
         };
         assert!(!is_insert_only_safe(&agg));
-
-        let cs_ins = ChangeSet::new(vec![row!(1i64)], vec![]);
-        let cs_del = ChangeSet::new(vec![], vec![row!(1i64)]);
-        assert!(changes_are_insert_only([&cs_ins].into_iter()));
-        assert!(!changes_are_insert_only([&cs_ins, &cs_del].into_iter()));
     }
 }
