@@ -5,9 +5,9 @@
 //! table — level 0 reads the base, level *i* reads level *i-1* — and
 //! drives `rounds` refresh rounds through two arms:
 //!
-//! * `serial` — every DT refreshed one at a time in topological order
-//!   under the engine write lock (`EngineState::run_refresh`), the
-//!   pre-PR-8 behaviour.
+//! * `serial` — every DT refreshed one at a time in topological order,
+//!   each inline under the engine write lock
+//!   (`EngineState::run_refresh`: pin, compute and install in place).
 //! * `parallel` — [`dt_core::Engine::refresh_all_parallel`]: each level's
 //!   deltas computed concurrently against pinned snapshots, installs
 //!   group-committed so a whole level lands in one or two engine-lock

@@ -4,12 +4,8 @@
 //! N writer threads each run a fixed number of transactions (a small DML
 //! batch, then commit) over either **disjoint** table sets (writer *i*
 //! owns table *i*) or **overlapping** ones (every writer hits the same
-//! table). Three commit paths are compared:
+//! table). Two commit paths are compared:
 //!
-//! * `engine-lock` — the pre-transaction behaviour: the whole statement
-//!   (bind + evaluate + storage commit) executes under the engine write
-//!   lock via `EngineState::execute_parsed`, so all writers serialize no
-//!   matter which tables they touch, and no commit can ever abort.
 //! * `per-table` — explicit [`dt_core::Transaction`]s finished with
 //!   `commit_unbatched()`: DML is planned lock-free against the pinned
 //!   snapshot, commit takes per-table `TxnManager` locks, and each
@@ -67,11 +63,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 
-use dt_core::{is_serialization_conflict, DbConfig, Engine, EngineState};
+use dt_core::{is_serialization_conflict, DbConfig, Engine};
 
 #[derive(Clone, Copy, PartialEq)]
 enum CommitPath {
-    EngineLock,
     PerTable,
     GroupCommit,
 }
@@ -79,7 +74,6 @@ enum CommitPath {
 impl CommitPath {
     fn label(self) -> &'static str {
         match self {
-            CommitPath::EngineLock => "engine-lock",
             CommitPath::PerTable => "per-table",
             CommitPath::GroupCommit => "group-commit",
         }
@@ -208,41 +202,23 @@ fn run(
                 for i in 0..txns {
                     let sql = insert_sql(table, w, i, rows);
                     let start = Instant::now();
-                    match path {
-                        CommitPath::EngineLock => {
-                            // The legacy path: everything under the engine
-                            // write lock; cannot abort.
-                            engine.inspect_mut(|state: &mut EngineState| {
-                                state
-                                    .execute_parsed(
-                                        dt_sql::parse(&sql).unwrap(),
-                                        &sql,
-                                        "sysadmin",
-                                        &[],
-                                    )
-                                    .unwrap();
-                            });
-                            commits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        CommitPath::PerTable | CommitPath::GroupCommit => loop {
-                            let mut txn = session.begin();
-                            txn.execute(&sql).unwrap();
-                            let outcome = if path == CommitPath::GroupCommit {
-                                txn.commit()
-                            } else {
-                                txn.commit_unbatched()
-                            };
-                            match outcome {
-                                Ok(_) => {
-                                    commits.fetch_add(1, Ordering::Relaxed);
-                                    break;
-                                }
-                                Err(e) if is_serialization_conflict(&e) => {
-                                    aborts.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(e) => panic!("commit failed: {e}"),
+                    loop {
+                        let mut txn = session.begin();
+                        txn.execute(&sql).unwrap();
+                        let outcome = match path {
+                            CommitPath::GroupCommit => txn.commit(),
+                            CommitPath::PerTable => txn.commit_unbatched(),
+                        };
+                        match outcome {
+                            Ok(_) => {
+                                commits.fetch_add(1, Ordering::Relaxed);
+                                break;
                             }
-                        },
+                            Err(e) if is_serialization_conflict(&e) => {
+                                aborts.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Err(e) => panic!("commit failed: {e}"),
+                        }
                     }
                     lat.push(start.elapsed().as_micros() as u64);
                 }
@@ -393,8 +369,8 @@ fn main() {
     let mut reports = Vec::new();
     for &writers in &writer_counts {
         for mode in [TableMode::Disjoint, TableMode::Overlapping] {
-            // The historical three-path series, pure optimistic.
-            for path in [CommitPath::EngineLock, CommitPath::PerTable, CommitPath::GroupCommit] {
+            // The two commit paths, pure optimistic.
+            for path in [CommitPath::PerTable, CommitPath::GroupCommit] {
                 let r = run(path, mode, Locking::Optimistic, writers, txns, rows);
                 print_report(&r);
                 reports.push(r);
@@ -411,10 +387,10 @@ fn main() {
     }
 
     // Invariants the harness asserts (kept loose enough for 1-core CI):
-    // the engine-lock path never aborts, and no path aborts on disjoint
-    // tables — conflicts and waits alike require a shared table.
+    // no path aborts on disjoint tables — conflicts and waits alike
+    // require a shared table.
     for r in &reports {
-        if r.path == CommitPath::EngineLock || r.mode == TableMode::Disjoint {
+        if r.mode == TableMode::Disjoint {
             assert_eq!(
                 r.aborts,
                 0,

@@ -470,7 +470,7 @@ impl Catalog {
     /// `dt-wal` codec. Used both by checkpoints and by DDL WAL records
     /// (which snapshot the whole post-statement catalog; see
     /// [`crate::durable`]).
-    pub fn encode(&self, w: &mut dt_wal::Writer) {
+    pub fn encode(&self, w: &mut dt_common::codec::Writer) {
         w.put_u64(self.next_id);
         w.put_u64(self.generation);
         let mut entities: Vec<&Entity> = self.entities.values().collect();
@@ -508,13 +508,13 @@ impl Catalog {
 
     /// Encode the catalog as a standalone byte blob.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = dt_wal::Writer::new();
+        let mut w = dt_common::codec::Writer::new();
         self.encode(&mut w);
         w.into_bytes()
     }
 
     /// Decode a catalog encoded by [`Catalog::encode`].
-    pub fn decode(r: &mut dt_wal::Reader<'_>) -> DtResult<Catalog> {
+    pub fn decode(r: &mut dt_common::codec::Reader<'_>) -> DtResult<Catalog> {
         let next_id = r.get_u64()?;
         let generation = r.get_u64()?;
         let n = r.get_len(20)?;
@@ -592,7 +592,7 @@ impl Catalog {
     /// Decode a catalog from a standalone byte blob (strict: trailing
     /// bytes are corruption).
     pub fn from_bytes(bytes: &[u8]) -> DtResult<Catalog> {
-        let mut r = dt_wal::Reader::new(bytes);
+        let mut r = dt_common::codec::Reader::new(bytes);
         let c = Catalog::decode(&mut r)?;
         r.finish()?;
         Ok(c)

@@ -5,8 +5,8 @@
 //! operation per DDL statement, a DDL record snapshots the entire
 //! post-statement catalog. Replay is then trivially idempotent and
 //! total-order-faithful: install the newest snapshot, done. The encode
-//! format is the `dt-wal` codec (explicit little-endian layout, strict
-//! decoding that surfaces [`DtError::Corruption`]).
+//! format is [`dt_common::codec`] (explicit little-endian layout, strict
+//! decoding that surfaces here as [`DtError::Corruption`]).
 //!
 //! This module encodes the public catalog pieces ([`Entity`],
 //! [`DdlEvent`], [`Privilege`]); the [`crate::Catalog`] container itself
@@ -15,8 +15,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use dt_common::codec::{get_schema, put_schema, Reader, Writer};
 use dt_common::{DtError, DtResult, Duration, EntityId, Timestamp};
-use dt_wal::codec::{get_schema, put_schema, Reader, Writer};
 
 use crate::ddl_log::{DdlEvent, DdlOp};
 use crate::entity::{DtState, DynamicTableMeta, Entity, EntityKind, RefreshMode, TargetLagSpec};

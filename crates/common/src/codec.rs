@@ -1,43 +1,57 @@
-//! The binary encoding primitives under the wire protocol.
+//! The workspace's one binary codec: the byte layout of WAL records,
+//! checkpoint payloads, catalog and storage images, and wire-protocol
+//! messages.
 //!
 //! Hand-rolled rather than serde-based: the workspace's vendored `serde`
-//! is a no-op marker stand-in (no registry access), and a wire format
-//! wants an explicit, versioned byte layout anyway — every type's
-//! encoding is spelled out here and in [`crate::message`], and
-//! `docs/PROTOCOL.md` documents the same layout for foreign clients.
+//! is a no-op marker stand-in (no registry access), and both a durable
+//! on-disk format and a wire format want an explicit, versioned byte
+//! layout anyway. It lives in `dt-common` because both ends of the
+//! dependency graph write it — the catalog, storage and WAL layers below
+//! the engine, the wire protocol above it. `docs/DURABILITY.md` and
+//! `docs/PROTOCOL.md` document what each of them puts in these bytes.
 //!
 //! Conventions (all integers little-endian):
 //!
 //! * fixed-width scalars: `u8`, `u16`, `u32`, `u64`, `i64`; `bool` is a
 //!   `u8` that must be exactly 0 or 1; `f64` is its IEEE-754 bit pattern
 //!   as `u64`.
-//! * `String` / `&str`: `u32` byte length, then that many UTF-8 bytes.
+//! * `String` / `&str` / byte blobs: `u32` byte length, then that many
+//!   bytes (UTF-8 for strings).
 //! * sequences: `u32` element count, then each element.
 //! * enums: a `u8` tag, then the variant's fields in order.
 //!
 //! Decoding is strict: every read is bounds-checked, collection lengths
 //! are validated against the remaining payload *before* allocation (a
-//! hostile `u32::MAX` length cannot OOM the server), unknown tags fail,
-//! and [`Reader::finish`] rejects trailing bytes. All failures surface as
-//! [`DecodeError`] — decoders never panic on malformed input, which the
-//! fuzz tests in this crate and the live-socket robustness suite assert.
+//! hostile or corrupt `u32::MAX` length cannot force a huge allocation),
+//! unknown tags fail, and [`Reader::finish`] rejects trailing bytes. All
+//! failures surface as [`DecodeError`] — decoders never panic on malformed
+//! input. What a malformed payload *means* is the caller's business: the
+//! wire layer answers it with a protocol error frame, and on the recovery
+//! path `?` converts it to [`DtError::Corruption`] (bytes that came off
+//! the disk and do not decode are corrupt durable state).
 
 use std::fmt;
 
-use dt_common::{DataType, Duration, Row, Schema, Timestamp, Value};
+use crate::{Column, DataType, DtError, Duration, Row, Schema, Timestamp, Value};
 
-/// A malformed payload. Carries only a message: the decoder's caller
-/// (server or client) wraps it into a typed protocol error frame.
+/// A malformed payload. Carries only a message; see the module docs for
+/// how each caller classifies it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeError(pub String);
 
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "malformed wire payload: {}", self.0)
+        write!(f, "malformed payload: {}", self.0)
     }
 }
 
 impl std::error::Error for DecodeError {}
+
+impl From<DecodeError> for DtError {
+    fn from(e: DecodeError) -> DtError {
+        DtError::Corruption(e.0)
+    }
+}
 
 /// Decoding result.
 pub type DecodeResult<T> = Result<T, DecodeError>;
@@ -119,13 +133,19 @@ impl Writer {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
+    /// Append a length-prefixed byte blob.
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
+        self.put_u32(bytes.len() as u32);
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Append a sequence length (element count).
     pub fn put_len(&mut self, n: usize) {
         self.put_u32(n as u32);
     }
 }
 
-/// A bounds-checked cursor over a received payload.
+/// A bounds-checked cursor over an encoded payload.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
@@ -143,12 +163,12 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Fail unless the payload was consumed exactly. Strict framing: a
-    /// well-formed message leaves no trailing bytes, so any surplus means
-    /// the peer and we disagree about the layout.
+    /// Fail unless the payload was consumed exactly: a well-formed payload
+    /// leaves no trailing bytes, so any surplus means the writer and the
+    /// reader disagree about the layout.
     pub fn finish(self) -> DecodeResult<()> {
         if self.remaining() != 0 {
-            return err(format!("{} trailing byte(s) after message", self.remaining()));
+            return err(format!("{} trailing byte(s) after payload", self.remaining()));
         }
         Ok(())
     }
@@ -211,6 +231,13 @@ impl<'a> Reader<'a> {
             .take(n)
             .map_err(|_| DecodeError(format!("string length {n} exceeds payload")))?;
         String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError("string is not UTF-8".into()))
+    }
+
+    /// Read a length-prefixed byte blob, borrowed from the payload.
+    pub fn get_bytes(&mut self) -> DecodeResult<&'a [u8]> {
+        let n = self.get_u32()? as usize;
+        self.take(n)
+            .map_err(|_| DecodeError(format!("blob length {n} exceeds payload")))
     }
 
     /// Read a sequence length, validated against a per-element lower
@@ -328,7 +355,7 @@ pub fn get_schema(r: &mut Reader<'_>) -> DecodeResult<Schema> {
     for _ in 0..n {
         let name = r.get_str()?;
         let ty = get_data_type(r)?;
-        cols.push(dt_common::Column::new(name, ty));
+        cols.push(Column::new(name, ty));
     }
     Ok(Schema::new(cols))
 }
@@ -392,7 +419,6 @@ pub fn get_values(r: &mut Reader<'_>) -> DecodeResult<Vec<Value>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dt_common::Column;
 
     fn round_trip_value(v: Value) {
         let mut w = Writer::new();
@@ -419,22 +445,27 @@ mod tests {
     }
 
     #[test]
-    fn schema_and_rows_round_trip() {
+    fn schema_rows_values_and_blobs_round_trip() {
         let schema = Schema::new(vec![
             Column::new("k", DataType::Int),
             Column::new("name", DataType::Str),
         ]);
         let rows = vec![
-            Row::new(vec![Value::Int(1), Value::Str("a".into())]),
+            Row::new(vec![Value::Int(i64::MIN), Value::Str("héllo".into())]),
             Row::new(vec![Value::Null, Value::Null]),
         ];
+        let params = vec![Value::Int(7), Value::Null, Value::Str("p".into())];
         let mut w = Writer::new();
         put_schema(&mut w, &schema);
         put_rows(&mut w, &rows);
+        put_values(&mut w, &params);
+        w.put_bytes(b"opaque blob");
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(get_schema(&mut r).unwrap(), schema);
         assert_eq!(get_rows(&mut r).unwrap(), rows);
+        assert_eq!(get_values(&mut r).unwrap(), params);
+        assert_eq!(r.get_bytes().unwrap(), b"opaque blob");
         r.finish().unwrap();
     }
 
@@ -458,13 +489,20 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(get_rows(&mut r).is_err());
+        let mut r = Reader::new(&bytes);
+        assert!(get_values(&mut r).is_err());
+        let mut r = Reader::new(&bytes);
+        assert!(r.get_bytes().is_err());
 
+        // A string / blob claiming u32::MAX bytes with 3 behind it.
         let mut w = Writer::new();
-        w.put_u32(u32::MAX); // string byte length
+        w.put_u32(u32::MAX);
         w.put_raw(b"abc");
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(r.get_str().is_err());
+        let mut r = Reader::new(&bytes);
+        assert!(r.get_bytes().is_err());
     }
 
     #[test]
@@ -486,5 +524,16 @@ mod tests {
         assert!(get_data_type(&mut r).is_err());
         let mut r = Reader::new(&[2]); // bool byte 2
         assert!(r.get_bool().is_err());
+    }
+
+    #[test]
+    fn malformed_input_becomes_corruption_on_the_durable_path() {
+        fn decode(bytes: &[u8]) -> crate::DtResult<Value> {
+            Ok(get_value(&mut Reader::new(bytes))?)
+        }
+        match decode(&[0x7F]) {
+            Err(DtError::Corruption(_)) => {}
+            other => panic!("expected Corruption, got {other:?}"),
+        }
     }
 }

@@ -13,7 +13,10 @@
 //!   are deterministic.
 //! * [`error::DtError`] — the workspace-wide error type.
 //! * [`ids`] — strongly typed identifiers.
+//! * [`codec`] — the one binary codec every durable and wire format in the
+//!   workspace is written in.
 
+pub mod codec;
 pub mod column;
 pub mod durability;
 pub mod error;

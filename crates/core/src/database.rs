@@ -23,9 +23,8 @@ use dt_sql::ast;
 use dt_storage::TableStore;
 use dt_txn::{Frontier, RefreshTsMap, TxnManager};
 
-use crate::dml::{self, DmlSource};
 use crate::durability::{SideEffect, WalRecord, WalShared};
-use crate::providers::{LatestProvider, StorageView, VersionSemantics};
+use crate::providers::VersionSemantics;
 use crate::refresh::RefreshLog;
 
 /// EngineState configuration.
@@ -481,19 +480,6 @@ impl EngineState {
             ast::Statement::CreateDynamicTable(cdt) => {
                 self.create_dynamic_table(sql, cdt, role)
             }
-            ast::Statement::Insert {
-                table,
-                values,
-                query,
-            } => self.dml_insert(&table, values, query, params),
-            ast::Statement::Delete { table, predicate } => {
-                self.dml_delete(&table, predicate, params)
-            }
-            ast::Statement::Update {
-                table,
-                assignments,
-                predicate,
-            } => self.dml_update(&table, assignments, predicate, params),
             ast::Statement::Clone { name, source } => self.clone_entity(&name, &source, role),
             ast::Statement::Drop { name } => {
                 let now = self.now();
@@ -522,13 +508,18 @@ impl EngineState {
                 self.wal_log_catalog(SideEffect::None)?;
                 Ok(ExecResult::Ok(format!("{name} undropped")))
             }
-            ast::Statement::Begin | ast::Statement::Commit | ast::Statement::Rollback => {
-                Err(DtError::Unsupported(
-                    "transaction control (BEGIN/COMMIT/ROLLBACK) is \
-                     session-scoped; execute it through a Session"
-                        .into(),
-                ))
-            }
+            // Every write is a transaction (auto-commit DML is the
+            // one-statement kind), and transactions belong to sessions.
+            ast::Statement::Insert { .. }
+            | ast::Statement::Delete { .. }
+            | ast::Statement::Update { .. }
+            | ast::Statement::Begin
+            | ast::Statement::Commit
+            | ast::Statement::Rollback => Err(DtError::Unsupported(
+                "DML and transaction control (BEGIN/COMMIT/ROLLBACK) are \
+                 session-scoped; execute them through a Session"
+                    .into(),
+            )),
             ast::Statement::AlterTableLocking { name, policy } => {
                 // Resolve to a *base table*: DTs are written only by their
                 // refreshes (which must stay non-blocking under the engine
@@ -631,15 +622,10 @@ impl EngineState {
                 if self.wal_enabled() {
                     // One batch (one fsync): the clone's catalog record,
                     // then the carried-over refresh-map/frontier entry.
-                    let mut records = vec![WalRecord::Catalog {
-                        stamp: self.txn.hlc().tick(),
-                        catalog: self.catalog.to_bytes(),
-                        meta: self.engine_meta(),
-                        side_effect: SideEffect::CloneStore {
-                            source: src.id,
-                            target: id,
-                        },
-                    }];
+                    let mut records = vec![self.catalog_record(SideEffect::CloneStore {
+                        source: src.id,
+                        target: id,
+                    })];
                     if let Some((ts, version, commit_ts, frontier)) = carried {
                         records.push(WalRecord::Refresh {
                             dt: id,
@@ -689,29 +675,6 @@ impl EngineState {
         self.capture_snapshot(None).query_isolation_level(sql)
     }
 
-    pub(crate) fn execute_plan_latest(&self, plan: &LogicalPlan) -> DtResult<Vec<Row>> {
-        let tables = &self.tables;
-        let is_dt = |id: EntityId| self.is_dt(id);
-        let view = StorageView {
-            tables,
-            dt_entities: &is_dt,
-            refresh_map: &self.refresh_map,
-        };
-        let uninitialized = |id: EntityId| {
-            self.catalog
-                .get(id)
-                .ok()
-                .and_then(|e| e.as_dt().map(|m| m.state == DtState::Initializing))
-                .unwrap_or(false)
-        };
-        let provider = LatestProvider::new(view, &uninitialized);
-        dt_exec::execute(&dt_plan::push_down_filters(plan), &provider)
-    }
-
-    // ------------------------------------------------------------------
-    // DML
-    // ------------------------------------------------------------------
-
     fn base_table(&self, name: &str) -> DtResult<(EntityId, Schema)> {
         let e = self.catalog.resolve(name)?;
         match &e.kind {
@@ -721,72 +684,6 @@ impl EngineState {
                 e.kind.label()
             ))),
         }
-    }
-
-    fn commit_dml(
-        &mut self,
-        entity: EntityId,
-        inserts: Vec<Row>,
-        deletes: Vec<Row>,
-    ) -> DtResult<usize> {
-        let n = inserts.len() + deletes.len();
-        let t = self.txn.begin();
-        self.txn.try_lock(&t, entity)?;
-        let commit_ts = self.txn.commit(&t)?;
-        let store = self
-            .tables
-            .get(&entity)
-            .ok_or_else(|| DtError::Storage(format!("no storage for {entity}")))?;
-        if self.wal_enabled() {
-            // Two-phase form of the same commit, so the physical install
-            // record can be logged before anyone observes the version.
-            let prep = store.prepare_change_at(store.latest_version(), inserts, deletes)?;
-            let rec = prep.install_record();
-            store.install_prepared(prep, commit_ts, t.id)?;
-            self.wal_append(&[WalRecord::DmlCommit {
-                commit_ts,
-                txn: t.id,
-                tables: vec![(entity, rec)],
-            }])?;
-        } else {
-            store.commit_change(inserts, deletes, commit_ts, t.id)?;
-        }
-        Ok(n)
-    }
-
-    fn dml_insert(
-        &mut self,
-        table: &str,
-        values: Vec<Vec<ast::Expr>>,
-        query: Option<ast::Query>,
-        params: &[Value],
-    ) -> DtResult<ExecResult> {
-        let change = dml::plan_insert(self, table, values, query, params)?;
-        self.commit_dml(change.entity, change.inserts, change.deletes)?;
-        Ok(ExecResult::Count(change.count))
-    }
-
-    fn dml_delete(
-        &mut self,
-        table: &str,
-        predicate: Option<ast::Expr>,
-        params: &[Value],
-    ) -> DtResult<ExecResult> {
-        let change = dml::plan_delete(self, table, predicate, params)?;
-        self.commit_dml(change.entity, change.inserts, change.deletes)?;
-        Ok(ExecResult::Count(change.count))
-    }
-
-    fn dml_update(
-        &mut self,
-        table: &str,
-        assignments: Vec<(String, ast::Expr)>,
-        predicate: Option<ast::Expr>,
-        params: &[Value],
-    ) -> DtResult<ExecResult> {
-        let change = dml::plan_update(self, table, assignments, predicate, params)?;
-        self.commit_dml(change.entity, change.inserts, change.deletes)?;
-        Ok(ExecResult::Count(change.count))
     }
 
     // ------------------------------------------------------------------
@@ -974,47 +871,12 @@ impl EngineState {
             };
             self.clock.advance(duration);
             let ended = self.now();
-            let suspended = self
-                .scheduler
-                .report(cmd.dt, cmd.refresh_ts, &outcome, ended)?;
-            if suspended {
-                self.catalog
-                    .set_dt_state(cmd.dt, DtState::SuspendedOnErrors, ended)?;
-                self.wal_log_catalog(SideEffect::None)?;
-            }
+            let mut wal_records = Vec::new();
+            self.report_refresh(cmd.dt, cmd.refresh_ts, &outcome, ended, &mut wal_records)?;
+            self.wal_append(&wal_records)?;
             executed += 1;
         }
         Ok(executed)
-    }
-}
-
-/// DML planned against the live latest state (the legacy auto-commit path:
-/// prepared DML, the `Database` shim, and internal callers that already
-/// hold the engine write lock). Transactions plan against their pinned
-/// snapshot instead — see [`crate::Transaction`].
-impl DmlSource for EngineState {
-    fn target_table(&self, name: &str) -> DtResult<(EntityId, Schema)> {
-        self.base_table(name)
-    }
-
-    fn entity_name(&self, id: EntityId) -> DtResult<String> {
-        Ok(self.catalog.get(id)?.name.clone())
-    }
-
-    fn bind_query(&self, q: &ast::Query) -> DtResult<BindOutput> {
-        EngineState::bind_query(self, q)
-    }
-
-    fn execute_plan(&self, plan: &LogicalPlan) -> DtResult<Vec<Row>> {
-        self.execute_plan_latest(plan)
-    }
-
-    fn scan_base(&self, id: EntityId) -> DtResult<Vec<Row>> {
-        let store = self
-            .tables
-            .get(&id)
-            .ok_or_else(|| DtError::Storage(format!("no storage for {id}")))?;
-        store.scan(store.latest_version())
     }
 }
 

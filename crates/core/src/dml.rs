@@ -1,34 +1,18 @@
-//! Shared DML planning: computing the row-level effect of INSERT /
-//! DELETE / UPDATE statements against *some* view of the database.
+//! DML planning: computing the row-level effect of an INSERT / DELETE /
+//! UPDATE statement — value binding, coercion, predicate matching,
+//! assignment evaluation.
 //!
-//! Two consumers share this logic. [`crate::database::EngineState`] plans
-//! against the live latest state under the engine write lock (the legacy
-//! auto-commit path used by prepared statements and the `Database` shim),
-//! and [`crate::Transaction`] plans against its pinned snapshot overlaid
-//! with its own buffered write set. The row computation — value binding,
-//! coercion, predicate matching, assignment evaluation — is identical;
-//! only the scan source and what happens to the resulting change differ
-//! (immediate commit vs buffering until `COMMIT`).
+//! Every DML statement runs inside a [`crate::Transaction`] (auto-commit
+//! is the one-statement kind), so every statement is planned against a
+//! [`TxnDmlSource`]: the transaction's pinned snapshot overlaid with its
+//! own buffered write set. The resulting [`DmlChange`] is buffered until
+//! `COMMIT`.
 
 use dt_common::{DtError, DtResult, EntityId, Row, Schema, Value};
-use dt_plan::{BindOutput, LogicalPlan};
+use dt_plan::LogicalPlan;
 use dt_sql::ast;
 
-/// The view a DML statement is planned against: name resolution, query
-/// binding/execution, and base-table scans.
-pub(crate) trait DmlSource {
-    /// Resolve a DML target to a base table (errors for views and DTs).
-    fn target_table(&self, name: &str) -> DtResult<(EntityId, Schema)>;
-    /// The catalog name of an entity (used to bind predicates and
-    /// assignment expressions in the table's scope).
-    fn entity_name(&self, id: EntityId) -> DtResult<String>;
-    /// Bind a query in this view's catalog.
-    fn bind_query(&self, q: &ast::Query) -> DtResult<BindOutput>;
-    /// Execute a bound plan against this view's data.
-    fn execute_plan(&self, plan: &LogicalPlan) -> DtResult<Vec<Row>>;
-    /// The currently visible rows of a base table in this view.
-    fn scan_base(&self, id: EntityId) -> DtResult<Vec<Row>>;
-}
+use crate::transaction::TxnDmlSource;
 
 /// The row-level effect of one DML statement: rows to insert and rows to
 /// delete on one base table, plus the statement's user-visible row count.
@@ -88,7 +72,7 @@ fn scaffold_query(
 
 /// Plan `INSERT INTO table VALUES ... | <query>`.
 pub(crate) fn plan_insert(
-    src: &dyn DmlSource,
+    src: &TxnDmlSource<'_>,
     table: &str,
     values: Vec<Vec<ast::Expr>>,
     query: Option<ast::Query>,
@@ -141,7 +125,7 @@ pub(crate) fn plan_insert(
 
 /// The visible rows of `id` matching `predicate` (all rows when absent).
 fn matching_rows(
-    src: &dyn DmlSource,
+    src: &TxnDmlSource<'_>,
     id: EntityId,
     predicate: &Option<ast::Expr>,
     params: &[Value],
@@ -175,7 +159,7 @@ fn matching_rows(
 
 /// Plan `DELETE FROM table [WHERE predicate]`.
 pub(crate) fn plan_delete(
-    src: &dyn DmlSource,
+    src: &TxnDmlSource<'_>,
     table: &str,
     predicate: Option<ast::Expr>,
     params: &[Value],
@@ -193,7 +177,7 @@ pub(crate) fn plan_delete(
 
 /// Plan `UPDATE table SET col = expr, ... [WHERE predicate]`.
 pub(crate) fn plan_update(
-    src: &dyn DmlSource,
+    src: &TxnDmlSource<'_>,
     table: &str,
     assignments: Vec<(String, ast::Expr)>,
     predicate: Option<ast::Expr>,

@@ -22,7 +22,11 @@
 //! Both group-commit leaders (the DML [`dt_txn::CommitQueue`] and the
 //! refresh install queue) append their whole batch with **one** `fsync`
 //! while still holding the engine write lock: durable strictly before
-//! acknowledged *and* before visible, at ≤ 1 fsync per batch.
+//! acknowledged *and* before visible, at ≤ 1 fsync per batch. An inline
+//! refresh ([`EngineState::run_refresh`]) is a batch of one.
+//!
+//! The bytes of every record and of the checkpoint image are written with
+//! [`dt_common::codec`]; the file formats around them belong to `dt-wal`.
 //!
 //! A checkpoint snapshots the entire engine image — catalog, every table
 //! store (dropped ones included, for `UNDROP`), frontiers, and the
@@ -39,14 +43,14 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use dt_catalog::{Catalog, DtState, TargetLagSpec};
+use dt_common::codec::{get_schema, put_schema, Reader, Writer};
 use dt_common::{
     DtError, DtResult, Duration, EntityId, Schema, Timestamp, TxnId, VersionId,
 };
 use dt_scheduler::TargetLag;
 use dt_storage::{TableStore, VersionInstallRecord};
 use dt_txn::Frontier;
-use dt_wal::codec::{get_schema, put_schema};
-use dt_wal::{Reader, Wal, WalStats, WalStatsSnapshot, Writer};
+use dt_wal::{Wal, WalStats, WalStatsSnapshot};
 
 use crate::database::{DbConfig, EngineState};
 
@@ -217,8 +221,9 @@ pub(crate) enum WalRecord {
         tables: Vec<(EntityId, VersionInstallRecord)>,
     },
     /// One installed DT refresh. The storage install carries its own
-    /// stamp: the serial path stamps storage and the refresh map
-    /// differently (§5.3), and replay must reproduce both exactly.
+    /// stamp field: installs stamp storage and the refresh map alike, but
+    /// logs written before the refresh paths were unified stamped the two
+    /// differently, and replay must reproduce both exactly.
     Refresh {
         dt: EntityId,
         txn: TxnId,
@@ -386,34 +391,6 @@ impl WalRecord {
     }
 }
 
-/// A refresh's WAL payload, staged before the caller's final catalog
-/// mutations (success counters) so the record can carry the *post*-update
-/// catalog image.
-pub(crate) struct PendingRefreshWal {
-    pub(crate) dt: EntityId,
-    pub(crate) txn: TxnId,
-    pub(crate) refresh_ts: Timestamp,
-    pub(crate) commit_ts: Timestamp,
-    pub(crate) install: Option<(Timestamp, VersionInstallRecord)>,
-    pub(crate) version: VersionId,
-    pub(crate) frontier: Frontier,
-}
-
-impl PendingRefreshWal {
-    pub(crate) fn into_record(self, catalog: Vec<u8>) -> WalRecord {
-        WalRecord::Refresh {
-            dt: self.dt,
-            txn: self.txn,
-            refresh_ts: self.refresh_ts,
-            commit_ts: self.commit_ts,
-            install: self.install,
-            version: self.version,
-            frontier: self.frontier.iter().collect(),
-            catalog,
-        }
-    }
-}
-
 /// One entity's frontier in a checkpoint image:
 /// `(entity, refresh_ts, sorted source versions)`.
 type FrontierEntry = (EntityId, Timestamp, Vec<(EntityId, VersionId)>);
@@ -556,16 +533,21 @@ impl EngineState {
         if self.wal.is_none() {
             return Ok(());
         }
-        let record = WalRecord::Catalog {
+        self.wal_append(&[self.catalog_record(side_effect)])
+    }
+
+    /// The catalog record for the state as it is now, for callers that
+    /// append it as part of a larger batch.
+    pub(crate) fn catalog_record(&self, side_effect: SideEffect) -> WalRecord {
+        WalRecord::Catalog {
             stamp: self.txn.hlc().tick(),
             catalog: self.catalog.to_bytes(),
             meta: self.engine_meta(),
             side_effect,
-        };
-        self.wal_append(&[record])
+        }
     }
 
-    pub(crate) fn engine_meta(&self) -> EngineMeta {
+    fn engine_meta(&self) -> EngineMeta {
         let mut dt_warehouse: Vec<(EntityId, String)> = self
             .dt_warehouse
             .iter()

@@ -22,7 +22,9 @@
 //! capture a [`ReadSnapshot`] — an `Arc`'d catalog view plus per-table
 //! pinned versions — then release it and bind, plan, and execute entirely
 //! against the snapshot. Readers therefore never wait behind an in-flight
-//! refresh. DDL, DML, and refreshes still serialize under the write lock.
+//! refresh. DML commits through [`Transaction`] (auto-commit is the
+//! one-statement kind); DDL and inline refreshes run under the write lock,
+//! and every install — DML or refresh — takes it briefly.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -879,12 +881,10 @@ impl Statement {
             PreparedKind::Command { ast } if EngineState::is_read_statement(ast) => {
                 self.session.engine.snapshot().read_statement(ast, params)
             }
-            // DML auto-commits through the optimistic transaction path —
-            // the legacy engine-lock path's single, unretried `try_lock`
-            // would spuriously fail against an in-flight transaction's
-            // per-table lock where `Session::execute` retries. The role
-            // lookup stays first so statements still fail closed when
-            // their owning session is gone.
+            // DML auto-commits as a one-statement transaction, exactly as
+            // through `Session::execute`. The role lookup stays first so
+            // statements still fail closed when their owning session is
+            // gone.
             PreparedKind::Command {
                 ast:
                     ast @ (ast::Statement::Insert { .. }

@@ -67,7 +67,6 @@
 //! validation, which the `dvs_validation` harness and property tests run
 //! at scale.
 
-mod compat;
 pub mod database;
 mod dml;
 mod durability;
@@ -84,15 +83,6 @@ pub mod transaction;
 pub use database::{DbConfig, EngineState, ExecResult, QueryResult};
 pub use dt_common::DurabilityMode;
 pub use dt_wal::WalStatsSnapshot;
-/// The pre-`Engine` single-connection façade. The deprecation lives on
-/// this alias — the only public path to the shim — so `dt-core` itself
-/// compiles without any internal `#[allow(deprecated)]`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Engine::new(config)` and `engine.session()` — see the \
-            README migration table"
-)]
-pub type Database = compat::Database;
 pub use engine::{CommitStats, Engine, Session, Statement, DEFAULT_ROLE};
 pub use locking::{AdaptiveConfig, AdaptivePolicy};
 pub use parallel_refresh::{

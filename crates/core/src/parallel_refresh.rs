@@ -1,23 +1,22 @@
-//! Parallel DAG refresh (PR 8): refresh a whole dependency DAG of dynamic
-//! tables concurrently, level by level.
+//! The round driver: refresh a whole dependency DAG of dynamic tables
+//! concurrently, level by level.
 //!
 //! The paper's scheduler (§5.2) aligns every DT in a DAG to shared grid
-//! timestamps; this module supplies the execution engine that exploits the
-//! alignment. A round works in three phases:
+//! timestamps; this module exploits the alignment. It adds no refresh
+//! logic of its own — each DT goes through the one pin → compute →
+//! install path of [`crate::refresh`] — only *where* the steps run:
 //!
 //! 1. **Level** — one topological level order over the due set
 //!    ([`dt_scheduler::Scheduler::level_order`]); every DT in a level
 //!    depends only on levels already installed.
-//! 2. **Pin + delta** — each worker admits its DT (per-DT transaction
-//!    lock, §5.3), pins the refresh environment (upstream store handles +
-//!    frontier) under a brief engine **read** lock, then computes its
-//!    delta completely lock-free, staging the result as a
-//!    [`dt_storage::PreparedChange`] against the DT's pinned base version.
+//! 2. **Pin + compute** — each worker pins its DT under a brief engine
+//!    **read** lock, then computes its delta completely lock-free.
 //! 3. **Group install** — the O(metadata) install rides a dedicated
 //!    [`dt_txn::CommitQueue`]: one leader drains every staged refresh of
-//!    the level under a single engine write lock acquisition, validates
-//!    each under its table's [`dt_storage::CommitGuard`], and installs —
-//!    so a whole level lands in one or two lock acquisitions instead of N.
+//!    the level under a single engine write lock acquisition, installs
+//!    each, reports each to the scheduler at the current time, and
+//!    appends the whole batch to the WAL with one fsync — so a level lands
+//!    in one or two lock acquisitions instead of N.
 //!
 //! A DT that fails, conflicts, or is suspended prunes its downstream cone
 //! for the round (§3.3.3): descendants cannot produce a consistent result
@@ -26,31 +25,24 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-use dt_catalog::DtState;
 use dt_common::{DtError, DtResult, EntityId, Timestamp};
-use dt_plan::LogicalPlan;
 use dt_scheduler::{RefreshAction, RefreshOutcome};
-use dt_storage::{PreparedChange, TableStore};
-use dt_txn::{CommitQueue, Frontier, Txn};
+use dt_txn::CommitQueue;
 
-use crate::database::EngineState;
-use crate::durability::{SideEffect, WalRecord};
-use crate::providers::VersionSemantics;
-use crate::refresh::{action_label, compute_refresh, RefreshLogEntry};
+use crate::refresh::{action_label, install_one, RefreshInstall};
 use crate::Engine;
 
-/// Refresh-pipeline telemetry: how the parallel refresh path has used the
-/// engine write lock so far. Captured with [`Engine::refresh_stats`].
+/// Refresh-pipeline telemetry: how the round driver has used the engine
+/// write lock so far. Captured with [`Engine::refresh_stats`].
 ///
 /// The load-bearing relation mirrors [`crate::CommitStats`]: with group
 /// install, a level of N refreshes completes under fewer than N engine
 /// write lock acquisitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RefreshStats {
-    /// Refreshes recorded in the refresh log (serial and parallel alike).
+    /// Refreshes recorded in the refresh log (inline and round alike).
     pub refreshes: u64,
     /// Times the refresh install path acquired the engine write lock —
     /// one per group-install batch.
@@ -65,8 +57,8 @@ pub struct RefreshStats {
     pub workers: u64,
 }
 
-/// State shared by every handle of one engine that serves the parallel
-/// refresh path *outside* the engine lock: the group-install queue
+/// State shared by every handle of one engine that serves the round
+/// driver *outside* the engine lock: the group-install queue
 /// (submitters hold no engine lock while enqueueing) and the telemetry
 /// counters. The dedicated queue keeps refresh installs from interleaving
 /// into DML group-commit batches — the two paths contend only on the
@@ -100,41 +92,6 @@ impl RefreshShared {
     }
 }
 
-/// A fully staged refresh awaiting its O(metadata) install — the queue
-/// request type. Built by [`Engine::prepare_refresh`].
-pub(crate) struct RefreshInstall {
-    dt: EntityId,
-    refresh_ts: Timestamp,
-    txn: Txn,
-    started: Instant,
-    fixed_units: f64,
-    kind: InstallKind,
-}
-
-enum InstallKind {
-    /// The delta computed and staged; install validates and publishes it.
-    Staged {
-        store: Arc<TableStore>,
-        /// `None` for NO_DATA: only the data timestamp advances. Boxed
-        /// to keep the `Failed` variant small.
-        prep: Option<Box<PreparedChange>>,
-        outcome: RefreshOutcome,
-        source_rows: usize,
-        new_frontier: Frontier,
-        upstream: Vec<EntityId>,
-        /// Query evolution detected at prepare: the new fingerprint and
-        /// upstream set, applied to the catalog at install (§5.4).
-        evolved: Option<(u64, Vec<EntityId>)>,
-        /// The bound plan, carried only when DVS validation is on.
-        /// Boxed to keep the `Failed` variant small.
-        validate_plan: Option<Box<LogicalPlan>>,
-    },
-    /// The refresh failed with a user error at prepare time; install
-    /// records the failure (error counter, suspension policy, log) so
-    /// failure bookkeeping serializes with everything else.
-    Failed { error: String },
-}
-
 /// The result of one installed (or recorded-failed) refresh.
 #[derive(Debug, Clone)]
 pub struct InstalledRefresh {
@@ -142,7 +99,9 @@ pub struct InstalledRefresh {
     pub dt: EntityId,
     /// The data timestamp refreshed to.
     pub refresh_ts: Timestamp,
-    /// The storage commit timestamp (= `refresh_ts` for NO_DATA/failed).
+    /// The commit timestamp stamped on the storage version and the
+    /// refresh-map entry (`refresh_ts` for a failed refresh, which has
+    /// neither).
     pub commit_ts: Timestamp,
     /// Action label ("no_data", "full", "incremental", "reinitialize",
     /// "failed").
@@ -153,6 +112,28 @@ pub struct InstalledRefresh {
     pub dt_rows: usize,
     /// The user error, when `action == "failed"`.
     pub error: Option<String>,
+}
+
+impl InstalledRefresh {
+    fn new(
+        dt: EntityId,
+        refresh_ts: Timestamp,
+        commit_ts: Timestamp,
+        outcome: RefreshOutcome,
+    ) -> InstalledRefresh {
+        InstalledRefresh {
+            dt,
+            refresh_ts,
+            commit_ts,
+            action: action_label(&outcome.action),
+            changed_rows: outcome.changed_rows,
+            dt_rows: outcome.dt_rows,
+            error: match outcome.action {
+                RefreshAction::Failed(error) => Some(error),
+                _ => None,
+            },
+        }
+    }
 }
 
 /// A refresh whose row work is done and staged, holding the DT's refresh
@@ -173,10 +154,7 @@ impl PreparedRefresh {
     /// True when the prepare phase classified this refresh as failed (a
     /// user error); install will record the failure rather than publish.
     pub fn is_failed(&self) -> bool {
-        matches!(
-            self.request.as_ref().expect("not yet installed").kind,
-            InstallKind::Failed { .. }
-        )
+        self.request.as_ref().expect("not yet installed").is_failed()
     }
 
     /// Install through the group-install queue. Blocks until a leader (this
@@ -294,150 +272,20 @@ impl Engine {
         self.refresh.queue.pending()
     }
 
-    /// Prepare one refresh of `dt` to `refresh_ts`: admit (per-DT lock),
-    /// pin a refresh environment under a brief engine **read** lock, and
-    /// compute + stage the delta lock-free. Returns `Err` on admission
-    /// conflicts (another round holds the DT) and internal errors; user
-    /// errors (binding/evaluation) return a failed [`PreparedRefresh`]
-    /// whose install records the failure.
+    /// Prepare one refresh of `dt` to `refresh_ts`: pin it under a brief
+    /// engine **read** lock, then compute + stage the delta lock-free.
+    /// Returns `Err` on admission conflicts (the DT was dropped, another
+    /// refresh holds it, or it is already at or past `refresh_ts`) and
+    /// internal errors; user errors (binding/evaluation) return a failed
+    /// [`PreparedRefresh`] whose install records the failure.
     pub fn prepare_refresh(&self, dt: EntityId, refresh_ts: Timestamp) -> DtResult<PreparedRefresh> {
-        let started = Instant::now();
-        // Phase 1 — under the engine read lock: resolve, admit, bind, pin.
-        let st = self.state.read();
-        let fixed_units = st.config.cost_model.fixed_units;
-        let entity = st
-            .catalog()
-            .get(dt)
-            .map_err(|_| DtError::Conflict(format!("refresh target {dt} was dropped")))?;
-        if !entity.is_live() {
-            return Err(DtError::Conflict(format!(
-                "refresh target {dt} was dropped"
-            )));
-        }
-        let meta = entity
-            .as_dt()
-            .ok_or_else(|| DtError::internal(format!("{dt} is not a DT")))?
-            .clone();
-
-        // Admit: the per-DT refresh lock (§5.3) — overlapping rounds
-        // serialize here, conflict-fast.
-        let txn = st.txn_manager().begin_at(refresh_ts);
-        if let Err(e) = st.txn_manager().try_lock(&txn, dt) {
-            let _ = st.txn_manager().abort(&txn);
-            return Err(e);
-        }
-        // Staleness: an overlapping round with a newer timestamp may have
-        // already refreshed this DT past `refresh_ts` (frontiers only move
-        // forward). Conflict out; the DT needs nothing from this round.
-        // The per-DT lock held from here through install keeps the
-        // frontier frozen, so this check cannot race.
-        if let Some(prev) = st.frontiers.get(&dt) {
-            if prev.refresh_ts >= refresh_ts {
-                let _ = st.txn_manager().abort(&txn);
-                return Err(DtError::Conflict(format!(
-                    "a newer refresh of {dt} (ts {}) already installed at or past {refresh_ts}",
-                    prev.refresh_ts
-                )));
-            }
-        }
-        let failed = |error: DtError| {
-            Ok(PreparedRefresh {
+        let pinned = self.state.read().pin_refresh(dt, refresh_ts, false)?;
+        let txn = pinned.txn.clone();
+        match pinned.compute() {
+            Ok(request) => Ok(PreparedRefresh {
                 engine: self.clone(),
-                request: Some(RefreshInstall {
-                    dt,
-                    refresh_ts,
-                    txn: txn.clone(),
-                    started,
-                    fixed_units,
-                    kind: InstallKind::Failed {
-                        error: error.to_string(),
-                    },
-                }),
-            })
-        };
-        let abort = |e: DtError| {
-            let _ = st.txn_manager().abort(&txn);
-            Err(e)
-        };
-
-        // Bind the defining query against the live catalog (§5.4); a
-        // dropped upstream surfaces here as a user error that fails the
-        // refresh without poisoning the round.
-        let bound = (|| {
-            let parsed = dt_sql::parse(&meta.definition_sql)?;
-            let dt_sql::ast::Statement::Query(q) = parsed else {
-                return Err(DtError::internal("DT definition is not a query"));
-            };
-            st.bind_query(&q)
-        })();
-        let bound = match bound {
-            Ok(b) => b,
-            // A `Catalog` error here means an upstream no longer resolves
-            // (dropped since the last round) — user-fixable (§3.3.3), so
-            // it fails this DT's refresh instead of poisoning the round.
-            Err(e) if e.is_user_error() || matches!(e, DtError::Catalog(_)) => return failed(e),
-            Err(e) => return abort(e),
-        };
-        let plan = bound.plan;
-        let upstream_now = plan.scanned_entities();
-        let fingerprint_now = st.catalog().fingerprint(&upstream_now);
-        let evolved = fingerprint_now != meta.definition_fingerprint;
-        let prev = st.frontiers.get(&dt).cloned();
-        let env = match st.refresh_env(dt, &upstream_now) {
-            Ok(env) => env,
-            Err(e) => return abort(e),
-        };
-        let validate = st.config.validate_dvs && st.config.semantics == VersionSemantics::Dvs;
-        drop(st);
-
-        // Phase 2 — no lock: compute the delta against the pinned env and
-        // stage it against the DT's pinned base version.
-        match compute_refresh(
-            &env,
-            dt,
-            refresh_ts,
-            false,
-            evolved,
-            meta.refresh_mode,
-            &plan,
-            prev.as_ref(),
-        ) {
-            Ok(computed) => Ok(PreparedRefresh {
-                engine: self.clone(),
-                request: Some(RefreshInstall {
-                    dt,
-                    refresh_ts,
-                    txn,
-                    started,
-                    fixed_units,
-                    kind: InstallKind::Staged {
-                        store: Arc::clone(&env.tables[&dt]),
-                        prep: computed.prep.map(Box::new),
-                        outcome: computed.outcome,
-                        source_rows: computed.source_rows,
-                        new_frontier: computed.new_frontier,
-                        upstream: upstream_now,
-                        evolved: evolved.then_some((fingerprint_now, plan.scanned_entities())),
-                        validate_plan: validate.then(|| Box::new(plan)),
-                    },
-                }),
+                request: Some(request),
             }),
-            Err(e) if e.is_user_error() => {
-                let engine = self.clone();
-                Ok(PreparedRefresh {
-                    engine,
-                    request: Some(RefreshInstall {
-                        dt,
-                        refresh_ts,
-                        txn,
-                        started,
-                        fixed_units,
-                        kind: InstallKind::Failed {
-                            error: e.to_string(),
-                        },
-                    }),
-                })
-            }
             Err(e) => {
                 let _ = self.inspect(|st| st.txn_manager().abort(&txn));
                 Err(e)
@@ -618,7 +466,8 @@ impl Engine {
 }
 
 /// Leader body of the group-install queue: one engine write lock
-/// acquisition lands the whole batch.
+/// acquisition installs the whole batch, reports each refresh to the
+/// scheduler as of now, and makes the batch durable.
 fn install_refresh_batch(
     engine: &Engine,
     batch: Vec<RefreshInstall>,
@@ -628,11 +477,18 @@ fn install_refresh_batch(
     let mut wal_records = Vec::new();
     let mut outcomes: Vec<DtResult<InstalledRefresh>> = batch
         .into_iter()
-        .map(|req| install_one(&mut st, req, &mut wal_records))
+        .map(|req| {
+            let dt = req.dt;
+            let refresh_ts = req.refresh_ts;
+            let (commit_ts, outcome) = install_one(&mut st, req, &mut wal_records)?;
+            let ended = st.now();
+            st.report_refresh(dt, refresh_ts, &outcome, ended, &mut wal_records)?;
+            Ok(InstalledRefresh::new(dt, refresh_ts, commit_ts, outcome))
+        })
         .collect();
-    // One append + fsync for the whole round's installs, before the write
-    // lock drops (same discipline as the DML leader). On failure the
-    // installs are already in the chains — fail every acknowledgement.
+    // One append + fsync for the whole batch, before the write lock drops
+    // (same discipline as the DML leader). On failure the installs are
+    // already in the chains — fail every acknowledgement.
     if let Err(e) = st.wal_append(&wal_records) {
         for outcome in &mut outcomes {
             if outcome.is_ok() {
@@ -641,216 +497,4 @@ fn install_refresh_batch(
         }
     }
     outcomes
-}
-
-/// Install one staged refresh under the engine write lock the leader
-/// already holds. Mirrors the §5.3 commit rules of the serial path and the
-/// PR-5 liveness guard: every entity the refresh read must still be live,
-/// else the refresh aborts with a typed [`DtError::Conflict`] — its cone
-/// prunes, the round survives.
-fn install_one(
-    st: &mut EngineState,
-    req: RefreshInstall,
-    wal_records: &mut Vec<WalRecord>,
-) -> DtResult<InstalledRefresh> {
-    let RefreshInstall {
-        dt,
-        refresh_ts,
-        txn,
-        started,
-        fixed_units,
-        kind,
-    } = req;
-
-    let (store, prep, outcome, source_rows, new_frontier, upstream, evolved, validate_plan) =
-        match kind {
-            InstallKind::Staged {
-                store,
-                prep,
-                outcome,
-                source_rows,
-                new_frontier,
-                upstream,
-                evolved,
-                validate_plan,
-            } => (
-                store,
-                prep,
-                outcome,
-                source_rows,
-                new_frontier,
-                upstream,
-                evolved,
-                validate_plan,
-            ),
-            InstallKind::Failed { error } => {
-                // Record the user failure with the engine serialized, like
-                // the serial path does: error counter, suspension policy,
-                // log. The transaction installs nothing.
-                st.txn.abort(&txn)?;
-                let _ = st.catalog.record_dt_error(dt);
-                let outcome = RefreshOutcome {
-                    action: RefreshAction::Failed(error.clone()),
-                    changed_rows: 0,
-                    dt_rows: 0,
-                    work_units: fixed_units,
-                };
-                let ended = st.now();
-                if let Ok(true) = st.scheduler.report(dt, refresh_ts, &outcome, ended) {
-                    let _ = st
-                        .catalog
-                        .set_dt_state(dt, DtState::SuspendedOnErrors, ended);
-                }
-                // The failure mutated the catalog (error counter, possibly
-                // SuspendedOnErrors) — log it with the rest of the batch.
-                if st.wal_enabled() {
-                    wal_records.push(WalRecord::Catalog {
-                        stamp: st.txn.hlc().tick(),
-                        catalog: st.catalog.to_bytes(),
-                        meta: st.engine_meta(),
-                        side_effect: SideEffect::None,
-                    });
-                }
-                st.refresh_log.push(RefreshLogEntry {
-                    dt,
-                    refresh_ts,
-                    action: "failed",
-                    changed_rows: 0,
-                    dt_rows: 0,
-                    initial: false,
-                    duration_micros: started.elapsed().as_micros() as u64,
-                    source_rows: 0,
-                });
-                return Ok(InstalledRefresh {
-                    dt,
-                    refresh_ts,
-                    commit_ts: refresh_ts,
-                    action: "failed",
-                    changed_rows: 0,
-                    dt_rows: 0,
-                    error: Some(error),
-                });
-            }
-        };
-
-    let abort = |st: &EngineState, e: DtError| {
-        let _ = st.txn_manager().abort(&txn);
-        Err(e)
-    };
-
-    // 0. The refresh transaction must still be active.
-    if !st.txn_manager().is_active(&txn) {
-        return Err(DtError::Txn(format!(
-            "refresh transaction {} is not active",
-            txn.id
-        )));
-    }
-
-    // 1. Liveness — the PR-5 commit guard: the DT and everything it read
-    //    must still exist. A base table dropped mid-round aborts this
-    //    refresh (and, via the round driver, its cone) with a typed
-    //    conflict instead of poisoning the round.
-    for id in std::iter::once(dt).chain(upstream.iter().copied()) {
-        let live = st
-            .catalog
-            .get(id)
-            .map(|e| e.is_live())
-            .unwrap_or(false);
-        if !live {
-            return abort(
-                st,
-                DtError::Conflict(format!(
-                    "entity {id} read by the refresh of {dt} was dropped mid-round"
-                )),
-            );
-        }
-    }
-
-    // 2. Validate + install under the table's commit guard (first
-    //    committer wins), commit timestamp floored past both the table's
-    //    chain and the refresh timestamp.
-    let mut wal_install = None;
-    let commit_ts = match prep {
-        Some(prep) => {
-            let guard = store.commit_guard();
-            if let Err(e) = guard.validate_prepared(&prep) {
-                drop(guard);
-                return abort(st, e);
-            }
-            let floor = guard.latest_commit_ts().max(refresh_ts);
-            let commit_ts = st.txn_manager().hlc().tick_after(floor);
-            if st.wal_enabled() {
-                wal_install = Some(prep.install_record());
-            }
-            guard.install_validated(*prep, commit_ts, txn.id);
-            commit_ts
-        }
-        // NO_DATA: nothing to install, only metadata advances.
-        None => st.txn_manager().hlc().tick_after(refresh_ts),
-    };
-    st.txn.commit_at(&txn, commit_ts)?;
-
-    // 3. Metadata, exactly as the serial path records it.
-    if let Some((fingerprint, upstream_now)) = evolved {
-        if let Ok(m) = st.catalog.get_mut(dt) {
-            if let Some(m) = m.as_dt_mut() {
-                m.definition_fingerprint = fingerprint;
-                m.upstream = upstream_now;
-            }
-        }
-    }
-    let version = store.latest_version();
-    st.refresh_map.record(dt, refresh_ts, version, commit_ts);
-    if let Some(prev) = st.frontiers.get(&dt) {
-        debug_assert!(
-            new_frontier.refresh_ts >= prev.refresh_ts,
-            "frontier moved backwards"
-        );
-    }
-    let frontier_pairs: Vec<_> = new_frontier.iter().collect();
-    st.frontiers.insert(dt, new_frontier);
-    st.catalog.record_dt_success(dt)?;
-    let ended = st.now();
-    let _ = st.scheduler.report(dt, refresh_ts, &outcome, ended);
-    // Catalog bytes are captured *after* the success bookkeeping so the
-    // record carries the error-counter reset and any evolution update.
-    if st.wal_enabled() {
-        wal_records.push(WalRecord::Refresh {
-            dt,
-            txn: txn.id,
-            refresh_ts,
-            commit_ts,
-            install: wal_install.map(|rec| (commit_ts, rec)),
-            version,
-            frontier: frontier_pairs,
-            catalog: st.catalog.to_bytes(),
-        });
-    }
-
-    // 4. DVS validation (§6.1 level 4), when configured.
-    if let Some(plan) = &validate_plan {
-        if !matches!(outcome.action, RefreshAction::Failed(_)) {
-            st.validate_dvs_invariant(dt, refresh_ts, plan)?;
-        }
-    }
-
-    st.refresh_log.push(RefreshLogEntry {
-        dt,
-        refresh_ts,
-        action: action_label(&outcome.action),
-        changed_rows: outcome.changed_rows,
-        dt_rows: outcome.dt_rows,
-        initial: false,
-        duration_micros: started.elapsed().as_micros() as u64,
-        source_rows,
-    });
-    Ok(InstalledRefresh {
-        dt,
-        refresh_ts,
-        commit_ts,
-        action: action_label(&outcome.action),
-        changed_rows: outcome.changed_rows,
-        dt_rows: outcome.dt_rows,
-        error: None,
-    })
 }

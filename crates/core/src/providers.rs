@@ -1,13 +1,12 @@
-//! Write-path providers: resolving table versions for refreshes and DML.
+//! Refresh-side providers: resolving table versions for refresh
+//! evaluation.
 //!
-//! Interactive queries no longer come through here — they run lock-free
-//! against a [`crate::ReadSnapshot`] (which implements
-//! [`TableProvider`] itself). These borrowed providers serve refresh
-//! evaluation with DVS or persisted semantics ([`SnapshotProvider`]) and
-//! DML subqueries over the latest state ([`LatestProvider`]). Every
-//! provider, the read snapshot included, turns a resolved table version
-//! into rows or zero-copy batches through one crate-private type,
-//! `PinnedVersion`.
+//! Queries and DML do not come through here — they run lock-free against
+//! a [`crate::ReadSnapshot`] (which implements [`TableProvider`] itself).
+//! [`SnapshotProvider`] serves refresh evaluation at a data timestamp
+//! with DVS or persisted semantics. Every provider, the read snapshot
+//! included, turns a resolved table version into rows or zero-copy
+//! batches through one crate-private type, `PinnedVersion`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -91,9 +90,8 @@ impl PinnedVersion<'_> {
     }
 }
 
-/// Write-path scans run one partition after another: the round driver
-/// already spreads a level's DTs over the refresh workers, and a DML
-/// subquery over the latest state runs under the engine lock.
+/// Refresh scans run one partition after another: the round driver
+/// already spreads a level's DTs over the refresh workers.
 pub(crate) const WRITE_SCAN_THREADS: usize = 1;
 
 /// A provider that resolves every entity as of a data timestamp, applying
@@ -178,57 +176,4 @@ pub(crate) fn evaluate_at(
     }
     let rows = dt_exec::execute(&dt_plan::push_down_filters(plan), &provider)?;
     Ok((rows, input_rows))
-}
-
-/// A provider for interactive queries: every entity at its latest committed
-/// version ("our implementation simply reads the current data", §4). DTs
-/// that are not yet initialized error (§3.1).
-pub struct LatestProvider<'a> {
-    view: StorageView<'a>,
-    /// Entities known to be uninitialized DTs.
-    pub uninitialized: &'a dyn Fn(EntityId) -> bool,
-}
-
-impl<'a> LatestProvider<'a> {
-    /// Build a latest-version provider.
-    pub fn new(view: StorageView<'a>, uninitialized: &'a dyn Fn(EntityId) -> bool) -> Self {
-        LatestProvider {
-            view,
-            uninitialized,
-        }
-    }
-}
-
-impl LatestProvider<'_> {
-    fn pinned(&self, entity: EntityId) -> DtResult<PinnedVersion<'_>> {
-        if (self.uninitialized)(entity) {
-            return Err(DtError::NotInitialized(format!(
-                "dynamic table {entity} has not been initialized yet"
-            )));
-        }
-        let store = self
-            .view
-            .tables
-            .get(&entity)
-            .ok_or_else(|| DtError::Storage(format!("no storage for {entity}")))?;
-        Ok(PinnedVersion {
-            store,
-            version: store.latest_version(),
-            is_dt: (self.view.dt_entities)(entity),
-        })
-    }
-}
-
-impl TableProvider for LatestProvider<'_> {
-    fn scan(&self, entity: EntityId) -> DtResult<Vec<Row>> {
-        self.pinned(entity)?.rows()
-    }
-
-    fn scan_batches(
-        &self,
-        entity: EntityId,
-        filter: Option<&PredicateSet>,
-    ) -> DtResult<Vec<Batch>> {
-        self.pinned(entity)?.batches(filter, WRITE_SCAN_THREADS)
-    }
 }

@@ -1,19 +1,35 @@
-//! The refresh engine (§5.3–§5.5): action selection, differentiation,
-//! merge, commit, and the production validations.
+//! The refresh path (§5.3–§5.5). Every refresh of every DT — the initial
+//! one behind `CREATE DYNAMIC TABLE`, `ALTER … REFRESH`, a tick of the
+//! simulated scheduler, a DT in a parallel round — is the same three
+//! steps, and this module is the only implementation of each:
 //!
-//! Since PR 8 the row work of a refresh is split from its installation,
-//! mirroring the optimistic transaction commit
-//! ([`dt_storage::TableStore::prepare_change_at`] /
-//! [`dt_storage::CommitGuard`]): `compute_refresh` runs against a pinned
-//! `RefreshEnv` holding **no engine lock** and returns a
-//! [`dt_storage::PreparedChange`]; only the O(metadata) install serializes.
-//! The serial path ([`EngineState::run_refresh`]) and the parallel round
-//! driver ([`crate::Engine::refresh_all_parallel`]) share this core.
+//! 1. **Pin** (`EngineState::pin_refresh`, under whatever engine lock
+//!    the caller holds): take the DT's refresh lock (§5.3), reject a
+//!    timestamp the DT is already at or past, rebind the defining query
+//!    against the live catalog (§5.4), and pin by `Arc` the stores and
+//!    frontier the row work reads.
+//! 2. **Compute** (`PinnedRefresh::compute`, needs **no engine lock**):
+//!    choose the action (§5.4), evaluate or differentiate (§5.5), and
+//!    stage the result as a [`dt_storage::PreparedChange`] against the
+//!    DT's pinned base version.
+//! 3. **Install** (`install_one`, under the engine write lock): validate,
+//!    publish, stamp, and record the refresh in the refresh map, frontier,
+//!    catalog, WAL batch and refresh log — or, for a refresh that failed
+//!    with a user error, record the failure.
+//!
+//! Callers differ only in which timestamp they refresh to, where the
+//! compute step runs, and on which clock they report the outcome to the
+//! scheduler (`EngineState::report_refresh`):
+//! [`EngineState::run_refresh`] runs all three steps inline under the
+//! write lock its caller already holds; the round driver in
+//! [`crate::parallel_refresh`] spreads step 2 over a worker pool and
+//! batches step 3 behind one lock acquisition.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
+use std::time::Instant;
 
-use dt_catalog::RefreshMode;
+use dt_catalog::{DtState, DynamicTableMeta, RefreshMode};
 use dt_common::{Batch, DtError, DtResult, EntityId, PredicateSet, Row, Timestamp, VersionId};
 use dt_exec::TableProvider;
 use dt_ivm::{
@@ -23,9 +39,10 @@ use dt_ivm::{
 use dt_plan::LogicalPlan;
 use dt_scheduler::{CostModel, RefreshAction, RefreshOutcome};
 use dt_storage::{ChangeSet, PreparedChange, TableStore};
-use dt_txn::{Frontier, RefreshTsMap};
+use dt_txn::{Frontier, RefreshTsMap, Txn};
 
 use crate::database::EngineState;
+use crate::durability::{SideEffect, WalRecord};
 use crate::providers::{
     evaluate_at, strip_row_ids, PinnedVersion, SnapshotProvider, StorageView, VersionSemantics,
     WRITE_SCAN_THREADS,
@@ -136,19 +153,19 @@ impl ChangeProvider for IntervalChanges {
 /// the write-side analogue of [`crate::ReadSnapshot`]. Versioned stores
 /// never mutate in place, so a worker reading through these handles sees a
 /// stable world no matter what commits land meanwhile.
-pub(crate) struct RefreshEnv {
+struct RefreshEnv {
     /// Storage handles for the DT and every scanned source.
-    pub(crate) tables: HashMap<EntityId, Arc<TableStore>>,
+    tables: HashMap<EntityId, Arc<TableStore>>,
     /// Which of those entities are DTs (their storage carries `$ROW_ID`).
-    pub(crate) dt_ids: BTreeSet<EntityId>,
+    dt_ids: BTreeSet<EntityId>,
     /// The refresh-timestamp → version map (interior-mutable, `&self`).
-    pub(crate) refresh_map: Arc<RefreshTsMap>,
+    refresh_map: Arc<RefreshTsMap>,
     /// DT version resolution semantics (§3.1.1).
-    pub(crate) semantics: VersionSemantics,
+    semantics: VersionSemantics,
     /// Outer-join differentiation strategy (§5.5.1).
-    pub(crate) outer_join: OuterJoinStrategy,
+    outer_join: OuterJoinStrategy,
     /// The §3.3.2 cost model.
-    pub(crate) cost_model: CostModel,
+    cost_model: CostModel,
 }
 
 impl RefreshEnv {
@@ -187,15 +204,15 @@ impl RefreshEnv {
 /// The output of [`compute_refresh`]: the staged storage change (if any),
 /// the outcome for the scheduler, and the frontier the DT will advance to
 /// once the change installs.
-pub(crate) struct ComputedRefresh {
+struct ComputedRefresh {
     /// Action + row/cost accounting, as the scheduler wants it reported.
-    pub(crate) outcome: RefreshOutcome,
+    outcome: RefreshOutcome,
     /// The staged storage change; `None` for NO_DATA (only metadata moves).
-    pub(crate) prep: Option<PreparedChange>,
+    prep: Option<PreparedChange>,
     /// Source rows scanned (see [`RefreshLogEntry::source_rows`]).
-    pub(crate) source_rows: usize,
+    source_rows: usize,
     /// The frontier the DT advances to at install.
-    pub(crate) new_frontier: Frontier,
+    new_frontier: Frontier,
 }
 
 /// The row work of one refresh, runnable with no engine lock held: decide
@@ -203,18 +220,22 @@ pub(crate) struct ComputedRefresh {
 /// result against the DT's pinned latest version. User errors (binding
 /// losses surface earlier; evaluation errors surface here) propagate as
 /// `Err` for the caller to classify.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compute_refresh(
-    env: &RefreshEnv,
+fn compute_refresh(
+    work: &PinnedWork,
     dt: EntityId,
     refresh_ts: Timestamp,
     initial: bool,
-    evolved: bool,
-    refresh_mode: RefreshMode,
-    plan: &LogicalPlan,
-    prev: Option<&Frontier>,
 ) -> DtResult<ComputedRefresh> {
-    let upstream = plan.scanned_entities();
+    let PinnedWork {
+        env,
+        plan,
+        upstream,
+        refresh_mode,
+        prev,
+        ..
+    } = work;
+    let (prev, refresh_mode) = (prev.as_ref(), *refresh_mode);
+    let evolved = work.evolved.is_some();
     let store = Arc::clone(env.store(dt)?);
     // Pin the base version every staged change validates against at
     // install time (first committer wins, like transactional DML).
@@ -226,7 +247,7 @@ pub(crate) fn compute_refresh(
     // frontier can be computed here, before the install.
     let mut new_frontier = Frontier::at(refresh_ts);
     let mut to_versions = Vec::with_capacity(upstream.len());
-    for up in &upstream {
+    for up in upstream {
         let to = env.source_version_at(*up, refresh_ts)?;
         new_frontier.set(*up, to);
         to_versions.push((*up, to));
@@ -375,12 +396,372 @@ pub(crate) fn compute_refresh(
     })
 }
 
+/// A refresh between steps 1 and 2: it holds its DT's refresh lock and
+/// has everything its row work reads pinned. Whoever drops one without
+/// installing it must abort `txn` to release the lock.
+pub(crate) struct PinnedRefresh {
+    dt: EntityId,
+    refresh_ts: Timestamp,
+    initial: bool,
+    pub(crate) txn: Txn,
+    started: Instant,
+    /// `Err` when the defining query no longer binds (a user-fixable
+    /// error, §3.3.3): there is no row work, and install records a failed
+    /// refresh.
+    work: Result<PinnedWork, String>,
+}
+
+struct PinnedWork {
+    env: RefreshEnv,
+    plan: LogicalPlan,
+    /// The entities the bound plan scans.
+    upstream: Vec<EntityId>,
+    refresh_mode: RefreshMode,
+    /// The frontier of the DT's previous refresh; `None` before the first.
+    prev: Option<Frontier>,
+    /// Query evolution (§5.4): the upstream set or a source schema changed
+    /// since the stored contents were computed. Carries the fingerprint
+    /// the catalog takes once the reinitialization has installed.
+    evolved: Option<u64>,
+    /// Re-check the DVS guarantee after install (§6.1 level 4).
+    validate: bool,
+}
+
+impl PinnedRefresh {
+    /// Step 2: the row work, against the pinned environment only. A user
+    /// error (§3.3.3) yields a request whose install records the failure;
+    /// any other error is returned, and the caller aborts `txn`.
+    pub(crate) fn compute(self) -> DtResult<RefreshInstall> {
+        let kind = match self.work {
+            Err(error) => InstallKind::Failed { error },
+            Ok(work) => {
+                match compute_refresh(&work, self.dt, self.refresh_ts, self.initial) {
+                    Ok(computed) => InstallKind::Staged {
+                        store: Arc::clone(&work.env.tables[&self.dt]),
+                        prep: computed.prep.map(Box::new),
+                        outcome: computed.outcome,
+                        source_rows: computed.source_rows,
+                        new_frontier: computed.new_frontier,
+                        upstream: work.upstream,
+                        evolved: work.evolved,
+                        validate_plan: work.validate.then(|| Box::new(work.plan)),
+                    },
+                    Err(e) if e.is_user_error() => InstallKind::Failed {
+                        error: e.to_string(),
+                    },
+                    Err(e) => return Err(e),
+                }
+            }
+        };
+        Ok(RefreshInstall {
+            dt: self.dt,
+            refresh_ts: self.refresh_ts,
+            initial: self.initial,
+            txn: self.txn,
+            started: self.started,
+            kind,
+        })
+    }
+}
+
+/// A refresh between steps 2 and 3: its row work is done and staged, and
+/// it still holds the DT's refresh lock. This is what travels through the
+/// round driver's group-install queue.
+pub(crate) struct RefreshInstall {
+    pub(crate) dt: EntityId,
+    pub(crate) refresh_ts: Timestamp,
+    initial: bool,
+    pub(crate) txn: Txn,
+    started: Instant,
+    kind: InstallKind,
+}
+
+impl RefreshInstall {
+    /// True when the refresh failed with a user error before install.
+    pub(crate) fn is_failed(&self) -> bool {
+        matches!(self.kind, InstallKind::Failed { .. })
+    }
+}
+
+enum InstallKind {
+    /// The delta computed and staged; install validates and publishes it.
+    Staged {
+        store: Arc<TableStore>,
+        /// `None` for NO_DATA: only the data timestamp advances. Boxed
+        /// to keep the `Failed` variant small.
+        prep: Option<Box<PreparedChange>>,
+        outcome: RefreshOutcome,
+        source_rows: usize,
+        new_frontier: Frontier,
+        /// Every entity the refresh read.
+        upstream: Vec<EntityId>,
+        /// See [`PinnedWork::evolved`].
+        evolved: Option<u64>,
+        /// The bound plan, carried only when DVS validation is on.
+        validate_plan: Option<Box<LogicalPlan>>,
+    },
+    /// The refresh failed with a user error; install records the failure
+    /// (error counter, log) so the bookkeeping serializes with everything
+    /// else.
+    Failed { error: String },
+}
+
+/// Step 3: install one refresh under the engine write lock the caller
+/// holds — the only place a refresh is validated, published, stamped and
+/// recorded. Returns the storage commit timestamp (`refresh_ts` for a
+/// failed refresh) and the outcome for the caller to report to the
+/// scheduler. The WAL records the install produced are pushed onto
+/// `wal_records`; the caller appends them before its write lock drops.
+///
+/// `Err(DtError::Conflict)` means validation lost — the DT's version moved
+/// past the prepared base, or the DT or a table it read was dropped since
+/// the pin; the refresh transaction is aborted and nothing was installed.
+pub(crate) fn install_one(
+    st: &mut EngineState,
+    req: RefreshInstall,
+    wal_records: &mut Vec<WalRecord>,
+) -> DtResult<(Timestamp, RefreshOutcome)> {
+    let RefreshInstall {
+        dt,
+        refresh_ts,
+        initial,
+        txn,
+        started,
+        kind,
+    } = req;
+    let abort = |st: &EngineState, e: DtError| {
+        let _ = st.txn.abort(&txn);
+        Err(e)
+    };
+
+    // 0. The refresh transaction must still be active.
+    if !st.txn.is_active(&txn) {
+        return Err(DtError::Txn(format!(
+            "refresh transaction {} is not active",
+            txn.id
+        )));
+    }
+
+    // 1. Liveness: the DT and everything the refresh read must still
+    //    exist. A drop since the pin aborts this refresh (and, via the
+    //    round driver, its cone) with a typed conflict.
+    let read: &[EntityId] = match &kind {
+        InstallKind::Staged { upstream, .. } => upstream,
+        InstallKind::Failed { .. } => &[],
+    };
+    for id in std::iter::once(dt).chain(read.iter().copied()) {
+        if !st.catalog.get(id).map(|e| e.is_live()).unwrap_or(false) {
+            return abort(
+                st,
+                DtError::Conflict(format!(
+                    "entity {id} read by the refresh of {dt} was dropped before its install"
+                )),
+            );
+        }
+    }
+
+    let (commit_ts, outcome, source_rows) = match kind {
+        InstallKind::Failed { error } => {
+            // §3.3.3: the refresh installs nothing and counts against the
+            // DT; the next one (a later data timestamp) tries again.
+            st.txn.abort(&txn)?;
+            st.catalog.record_dt_error(dt)?;
+            if st.wal_enabled() {
+                wal_records.push(st.catalog_record(SideEffect::None));
+            }
+            let outcome = RefreshOutcome {
+                action: RefreshAction::Failed(error),
+                changed_rows: 0,
+                dt_rows: 0,
+                work_units: st.config.cost_model.fixed_units,
+            };
+            (refresh_ts, outcome, 0)
+        }
+        InstallKind::Staged {
+            store,
+            prep,
+            outcome,
+            source_rows,
+            new_frontier,
+            upstream,
+            evolved,
+            validate_plan,
+        } => {
+            // 2. Validate + install under the table's commit guard (first
+            //    committer wins), commit timestamp floored past both the
+            //    table's chain and the refresh timestamp.
+            let mut wal_install = None;
+            let commit_ts = match prep {
+                Some(prep) => {
+                    let guard = store.commit_guard();
+                    if let Err(e) = guard.validate_prepared(&prep) {
+                        drop(guard);
+                        return abort(st, e);
+                    }
+                    let floor = guard.latest_commit_ts().max(refresh_ts);
+                    let commit_ts = st.txn.hlc().tick_after(floor);
+                    if st.wal_enabled() {
+                        wal_install = Some((commit_ts, prep.install_record()));
+                    }
+                    guard.install_validated(*prep, commit_ts, txn.id);
+                    commit_ts
+                }
+                // NO_DATA: nothing to install, only metadata advances.
+                None => st.txn.hlc().tick_after(refresh_ts),
+            };
+            st.txn.commit_at(&txn, commit_ts)?;
+
+            // 3. Metadata: the refresh-ts → version entry (§5.3), the new
+            //    frontier, and — only now that the reinitialization is in —
+            //    the evolved fingerprint and upstream set (§5.4).
+            if let Some(fingerprint) = evolved {
+                if let Some(m) = st.catalog.get_mut(dt)?.as_dt_mut() {
+                    m.definition_fingerprint = fingerprint;
+                    m.upstream = upstream;
+                }
+            }
+            let version = store.latest_version();
+            st.refresh_map.record(dt, refresh_ts, version, commit_ts);
+            let frontier: Vec<_> = new_frontier.iter().collect();
+            st.frontiers.insert(dt, new_frontier);
+            st.catalog.record_dt_success(dt)?;
+            // The catalog image is captured after the success bookkeeping
+            // so the record carries the error-counter reset and any
+            // evolution update.
+            if st.wal_enabled() {
+                wal_records.push(WalRecord::Refresh {
+                    dt,
+                    txn: txn.id,
+                    refresh_ts,
+                    commit_ts,
+                    install: wal_install,
+                    version,
+                    frontier,
+                    catalog: st.catalog.to_bytes(),
+                });
+            }
+
+            // 4. DVS validation (§6.1 level 4), when configured: the
+            //    stored contents must equal the defining query at the data
+            //    timestamp.
+            if let Some(plan) = &validate_plan {
+                st.validate_dvs_invariant(dt, refresh_ts, plan)?;
+            }
+            (commit_ts, outcome, source_rows)
+        }
+    };
+
+    st.refresh_log.push(RefreshLogEntry {
+        dt,
+        refresh_ts,
+        action: action_label(&outcome.action),
+        changed_rows: outcome.changed_rows,
+        dt_rows: outcome.dt_rows,
+        initial,
+        duration_micros: started.elapsed().as_micros() as u64,
+        source_rows,
+    });
+    Ok((commit_ts, outcome))
+}
+
 impl EngineState {
+    /// Step 1: admit a refresh of `dt` to `refresh_ts` and pin what its
+    /// row work reads. Takes only `&self`, so it runs under the engine
+    /// read lock as well as the write lock. Returns `Err` — holding
+    /// nothing — when the DT is gone, another refresh holds its lock, or
+    /// it is already at or past `refresh_ts` (all typed
+    /// [`DtError::Conflict`]), and on internal errors.
+    pub(crate) fn pin_refresh(
+        &self,
+        dt: EntityId,
+        refresh_ts: Timestamp,
+        initial: bool,
+    ) -> DtResult<PinnedRefresh> {
+        let started = Instant::now();
+        let dropped = || DtError::Conflict(format!("refresh target {dt} was dropped"));
+        let entity = self.catalog.get(dt).map_err(|_| dropped())?;
+        if !entity.is_live() {
+            return Err(dropped());
+        }
+        let meta = entity
+            .as_dt()
+            .ok_or_else(|| DtError::internal(format!("{dt} is not a DT")))?;
+
+        // The per-DT refresh lock (§5.3), conflict-fast. Held from here
+        // through install, it keeps the DT's frontier frozen.
+        let txn = self.txn.begin_at(refresh_ts);
+        let work = self
+            .txn
+            .try_lock(&txn, dt)
+            .and_then(|()| self.pin_work(dt, refresh_ts, meta));
+        match work {
+            Ok(work) => Ok(PinnedRefresh {
+                dt,
+                refresh_ts,
+                initial,
+                txn,
+                started,
+                work,
+            }),
+            Err(e) => {
+                let _ = self.txn.abort(&txn);
+                Err(e)
+            }
+        }
+    }
+
+    /// The part of the pin step that runs with the refresh lock held. The
+    /// inner `Err` is a defining query that no longer binds.
+    fn pin_work(
+        &self,
+        dt: EntityId,
+        refresh_ts: Timestamp,
+        meta: &DynamicTableMeta,
+    ) -> DtResult<Result<PinnedWork, String>> {
+        // Staleness: a frontier never moves backwards. An overlapping
+        // round with a newer timestamp may already have refreshed this DT
+        // past `refresh_ts`; it needs nothing from this one.
+        let prev = self.frontiers.get(&dt);
+        if let Some(prev) = prev.filter(|prev| prev.refresh_ts >= refresh_ts) {
+            return Err(DtError::Conflict(format!(
+                "a newer refresh of {dt} (ts {}) already installed at or past {refresh_ts}",
+                prev.refresh_ts
+            )));
+        }
+
+        // Rebind the defining query against the live catalog (§5.4).
+        let bound = dt_sql::parse(&meta.definition_sql).and_then(|parsed| match parsed {
+            dt_sql::ast::Statement::Query(q) => self.bind_query(&q),
+            _ => Err(DtError::internal("DT definition is not a query")),
+        });
+        let plan = match bound {
+            Ok(bound) => bound.plan,
+            // A `Catalog` error here means an upstream no longer resolves
+            // (dropped) — as user-fixable as a binding error (§3.3.3), so
+            // it fails this refresh; once the upstream is back, refreshes
+            // resume.
+            Err(e) if e.is_user_error() || matches!(e, DtError::Catalog(_)) => {
+                return Ok(Err(e.to_string()))
+            }
+            Err(e) => return Err(e),
+        };
+        let upstream = plan.scanned_entities();
+        let fingerprint = self.catalog.fingerprint(&upstream);
+        Ok(Ok(PinnedWork {
+            env: self.refresh_env(dt, &upstream)?,
+            plan,
+            upstream,
+            refresh_mode: meta.refresh_mode,
+            prev: prev.cloned(),
+            evolved: (fingerprint != meta.definition_fingerprint).then_some(fingerprint),
+            validate: self.config.validate_dvs && self.config.semantics == VersionSemantics::Dvs,
+        }))
+    }
+
     /// Pin a [`RefreshEnv`] for `dt` and its scanned sources: `Arc` clones
     /// of the storage handles and refresh map plus the config the delta
-    /// computation needs. O(#sources); taken under whatever engine lock
-    /// the caller already holds.
-    pub(crate) fn refresh_env(&self, dt: EntityId, upstream: &[EntityId]) -> DtResult<RefreshEnv> {
+    /// computation needs. O(#sources).
+    fn refresh_env(&self, dt: EntityId, upstream: &[EntityId]) -> DtResult<RefreshEnv> {
         let mut tables = HashMap::with_capacity(upstream.len() + 1);
         let mut dt_ids = BTreeSet::new();
         for id in upstream.iter().copied().chain(std::iter::once(dt)) {
@@ -403,193 +784,64 @@ impl EngineState {
         })
     }
 
-    /// Execute one refresh of `dt` to data timestamp `refresh_ts`.
-    /// User errors become a `Failed` outcome (and bump the DT's error
-    /// counter); internal invariant violations propagate as `Err`.
+    /// Execute one refresh of `dt` to data timestamp `refresh_ts`: pin,
+    /// compute and install inline, durable before returning (the caller
+    /// holds the engine write lock). A user error becomes a `Failed`
+    /// outcome, recorded against the DT; conflicts and internal errors
+    /// propagate as `Err`. Reporting the outcome to the scheduler is the
+    /// caller's job (`EngineState::report_refresh`).
     pub fn run_refresh(
         &mut self,
         dt: EntityId,
         refresh_ts: Timestamp,
         initial: bool,
     ) -> DtResult<RefreshOutcome> {
-        let started = std::time::Instant::now();
-        match self.try_refresh(dt, refresh_ts, initial) {
-            Ok((outcome, source_rows, pending_wal)) => {
-                self.catalog.record_dt_success(dt)?;
-                // Logged after `record_dt_success` so the record's catalog
-                // image carries the error-counter reset (and any evolution
-                // fingerprint update from step 2).
-                if let Some(pending) = pending_wal {
-                    let record = pending.into_record(self.catalog.to_bytes());
-                    self.wal_append(&[record])?;
-                }
-                self.log_refresh(dt, refresh_ts, &outcome, initial, started, source_rows);
-                Ok(outcome)
+        let pinned = self.pin_refresh(dt, refresh_ts, initial)?;
+        let txn = pinned.txn.clone();
+        let request = match pinned.compute() {
+            Ok(request) => request,
+            Err(e) => {
+                let _ = self.txn.abort(&txn);
+                return Err(e);
             }
-            Err(e) if e.is_user_error() => {
-                self.catalog.record_dt_error(dt)?;
-                self.wal_log_catalog(crate::durability::SideEffect::None)?;
-                let outcome = RefreshOutcome {
-                    action: RefreshAction::Failed(e.to_string()),
-                    changed_rows: 0,
-                    dt_rows: 0,
-                    work_units: self.config.cost_model.fixed_units,
-                };
-                self.log_refresh(dt, refresh_ts, &outcome, initial, started, 0);
-                Ok(outcome)
-            }
-            Err(e) => Err(e),
-        }
+        };
+        let mut wal_records = Vec::new();
+        let installed = install_one(self, request, &mut wal_records);
+        // Appended whatever the install returned: a failed refresh logged
+        // its error counter, and an install that then failed DVS
+        // validation is in the version chain all the same.
+        self.wal_append(&wal_records)?;
+        installed.map(|(_, outcome)| outcome)
     }
 
-    fn log_refresh(
+    /// Report a finished refresh to the scheduler as of `ended` — the
+    /// caller's clock: now for the round driver, the virtual completion
+    /// time (after the warehouse duration) for manual refreshes and the
+    /// simulated scheduler — and suspend the DT in the catalog when its
+    /// consecutive failures reached the threshold (§3.3.3). The catalog
+    /// record a suspension needs is pushed onto `wal_records` for the
+    /// caller to append.
+    pub(crate) fn report_refresh(
         &mut self,
         dt: EntityId,
         refresh_ts: Timestamp,
         outcome: &RefreshOutcome,
-        initial: bool,
-        started: std::time::Instant,
-        source_rows: usize,
-    ) {
-        self.refresh_log.push(RefreshLogEntry {
-            dt,
-            refresh_ts,
-            action: action_label(&outcome.action),
-            changed_rows: outcome.changed_rows,
-            dt_rows: outcome.dt_rows,
-            initial,
-            duration_micros: started.elapsed().as_micros() as u64,
-            source_rows,
-        });
-    }
-
-    fn try_refresh(
-        &mut self,
-        dt: EntityId,
-        refresh_ts: Timestamp,
-        initial: bool,
-    ) -> DtResult<(RefreshOutcome, usize, Option<crate::durability::PendingRefreshWal>)> {
-        // 1. Rebind the defining query against the live catalog (§5.4).
-        //    Binding failures (dropped upstream) are user errors that fail
-        //    this refresh; once the upstream is restored, refreshes resume.
-        let meta = self
-            .catalog
-            .get(dt)?
-            .as_dt()
-            .ok_or_else(|| DtError::internal(format!("{dt} is not a DT")))?
-            .clone();
-        let parsed = dt_sql::parse(&meta.definition_sql)?;
-        let dt_sql::ast::Statement::Query(q) = parsed else {
-            return Err(DtError::internal("DT definition is not a query"));
-        };
-        let bound = self.bind_query(&q)?;
-        let plan = bound.plan;
-        let upstream_now = plan.scanned_entities();
-
-        // 2. Query evolution (§5.4): if the bound upstream set or any
-        //    upstream schema changed, the stored results may be invalid —
-        //    REINITIALIZE conservatively.
-        let fingerprint_now = self.catalog.fingerprint(&upstream_now);
-        let evolved = fingerprint_now != meta.definition_fingerprint;
-        if evolved {
-            let m = self.catalog.get_mut(dt)?.as_dt_mut().unwrap();
-            m.definition_fingerprint = fingerprint_now;
-            m.upstream = upstream_now.clone();
-        }
-
-        // 3. Lock the DT (§5.3: no concurrent refreshes of one DT).
-        let txn = self.txn.begin_at(refresh_ts);
-        self.txn.try_lock(&txn, dt)?;
-
-        // 4. Compute: the shared prepare core, against a pinned env. The
-        //    serial path holds the engine write lock throughout, so the
-        //    staged change cannot conflict at install.
-        let prev = self.frontiers.get(&dt).cloned();
-        let mut wal_install = None;
-        let result = self
-            .refresh_env(dt, &upstream_now)
-            .and_then(|env| {
-                compute_refresh(
-                    &env,
-                    dt,
-                    refresh_ts,
-                    initial,
-                    evolved,
-                    meta.refresh_mode,
-                    &plan,
-                    prev.as_ref(),
-                )
-            })
-            .and_then(|computed| {
-                if let Some(prep) = computed.prep {
-                    let store = &self.tables[&dt];
-                    let install_ts = self.txn_commit_stamp(refresh_ts);
-                    if self.wal_enabled() {
-                        wal_install = Some((install_ts, prep.install_record()));
-                    }
-                    store.install_prepared(prep, install_ts, txn.id)?;
-                    Ok(ComputedRefresh {
-                        prep: None,
-                        ..computed
-                    })
-                } else {
-                    Ok(computed)
-                }
-            });
-        match result {
-            Ok(computed) => {
-                let commit_ts = self.txn.commit(&txn)?;
-                // Record the refresh-ts → version mapping (§5.3) and the
-                // new frontier.
-                let version = self.tables[&dt].latest_version();
-                self.refresh_map.record(dt, refresh_ts, version, commit_ts);
-                // Refreshes only move frontiers forward.
-                if let Some(prev) = self.frontiers.get(&dt) {
-                    debug_assert!(
-                        computed.new_frontier.refresh_ts >= prev.refresh_ts,
-                        "frontier moved backwards"
-                    );
-                }
-                let pending_wal =
-                    self.wal_enabled()
-                        .then(|| crate::durability::PendingRefreshWal {
-                            dt,
-                            txn: txn.id,
-                            refresh_ts,
-                            commit_ts,
-                            install: wal_install.take(),
-                            version,
-                            frontier: computed.new_frontier.clone(),
-                        });
-                self.frontiers.insert(dt, computed.new_frontier);
-
-                // 5. DVS validation (§6.1 level 4): the stored contents
-                //    must equal the defining query at the data timestamp.
-                if self.config.validate_dvs
-                    && self.config.semantics == VersionSemantics::Dvs
-                    && !matches!(computed.outcome.action, RefreshAction::Failed(_))
-                {
-                    self.validate_dvs_invariant(dt, refresh_ts, &plan)?;
-                }
-                Ok((computed.outcome, computed.source_rows, pending_wal))
-            }
-            Err(e) => {
-                self.txn.abort(&txn)?;
-                Err(e)
+        ended: Timestamp,
+        wal_records: &mut Vec<WalRecord>,
+    ) -> DtResult<()> {
+        if self.scheduler.report(dt, refresh_ts, outcome, ended)? {
+            self.catalog
+                .set_dt_state(dt, DtState::SuspendedOnErrors, ended)?;
+            if self.wal_enabled() {
+                wal_records.push(self.catalog_record(SideEffect::None));
             }
         }
-    }
-
-    /// Commit stamp for storage versions created by a refresh: strictly
-    /// monotonic per table, at or after both the refresh timestamp and now.
-    fn txn_commit_stamp(&self, refresh_ts: Timestamp) -> Timestamp {
-        let hlc_now = self.txn.hlc().tick();
-        hlc_now.max(refresh_ts)
+        Ok(())
     }
 
     /// §6.1 level-4 validation: "if you run the defining query as of the
     /// data timestamp, you should get the same result as in the DT."
-    pub(crate) fn validate_dvs_invariant(
+    fn validate_dvs_invariant(
         &self,
         dt: EntityId,
         refresh_ts: Timestamp,

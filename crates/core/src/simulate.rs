@@ -68,14 +68,9 @@ impl EngineState {
             .unwrap_or(false)
         {
             let p = self.pending_completions.remove(0);
-            let suspended = self
-                .scheduler
-                .report(p.dt, p.refresh_ts, &p.outcome, p.ended)?;
-            if suspended {
-                self.catalog
-                    .set_dt_state(p.dt, DtState::SuspendedOnErrors, p.ended)?;
-                self.wal_log_catalog(crate::durability::SideEffect::None)?;
-            }
+            let mut wal_records = Vec::new();
+            self.report_refresh(p.dt, p.refresh_ts, &p.outcome, p.ended, &mut wal_records)?;
+            self.wal_append(&wal_records)?;
         }
         Ok(())
     }

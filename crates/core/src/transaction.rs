@@ -53,25 +53,18 @@ use dt_storage::{PreparedChange, TableStore};
 use dt_txn::Txn;
 
 use crate::database::{EngineState, ExecResult, QueryResult};
-use crate::dml::{self, DmlChange, DmlSource};
+use crate::dml::{self, DmlChange};
 use crate::durability::WalRecord;
 use crate::engine::Engine;
 use crate::snapshot::ReadSnapshot;
 
-/// True when an error is a serialization conflict: another transaction
-/// committed (or is committing) a touched table first. Auto-commit
-/// statements retry on these; explicit transactions surface them so the
-/// application can re-run its logic against fresh data.
-///
-/// This is a compatibility shim over the typed check,
-/// [`DtError::is_conflict`]: the engine now emits the structured
-/// [`DtError::Conflict`] variant everywhere, and the legacy substring
-/// match survives only for callers that still construct `DtError::Txn`
-/// conflict strings by hand.
+/// True when an error is a serialization conflict — another transaction
+/// committed (or is committing) a touched table first — or a deadlock
+/// abort. Auto-commit statements retry on these; explicit transactions
+/// surface them so the application can re-run its logic against fresh
+/// data.
 pub fn is_serialization_conflict(e: &DtError) -> bool {
-    e.is_conflict()
-        || e.is_deadlock()
-        || matches!(e, DtError::Txn(m) if m.contains("conflict") || m.contains("is locked by"))
+    e.is_conflict() || e.is_deadlock()
 }
 
 /// The buffered effect of a transaction on one table.
@@ -155,9 +148,10 @@ fn remove_counted(rows: &mut Vec<Row>, pending: &mut HashMap<&Row, usize>) {
     });
 }
 
-/// The [`DmlSource`] of a transaction: names resolve in the frozen
-/// catalog, queries bind against the snapshot, and scans see the overlay.
-struct TxnDmlSource<'a> {
+/// The view a transaction's DML statements are planned against: names
+/// resolve in the frozen catalog, queries bind against the snapshot, and
+/// scans see the overlay.
+pub(crate) struct TxnDmlSource<'a> {
     snap: &'a ReadSnapshot,
     writes: &'a BTreeMap<EntityId, TableWrites>,
 }
@@ -169,10 +163,9 @@ impl TxnDmlSource<'_> {
             writes: self.writes,
         }
     }
-}
 
-impl DmlSource for TxnDmlSource<'_> {
-    fn target_table(&self, name: &str) -> DtResult<(EntityId, Schema)> {
+    /// Resolve a DML target to a base table (errors for views and DTs).
+    pub(crate) fn target_table(&self, name: &str) -> DtResult<(EntityId, Schema)> {
         let e = self.snap.catalog().resolve(name)?;
         match &e.kind {
             dt_catalog::EntityKind::Table { schema } => Ok((e.id, schema.clone())),
@@ -183,19 +176,24 @@ impl DmlSource for TxnDmlSource<'_> {
         }
     }
 
-    fn entity_name(&self, id: EntityId) -> DtResult<String> {
+    /// The catalog name of an entity (used to bind predicates and
+    /// assignment expressions in the table's scope).
+    pub(crate) fn entity_name(&self, id: EntityId) -> DtResult<String> {
         Ok(self.snap.catalog().get(id)?.name.clone())
     }
 
-    fn bind_query(&self, q: &ast::Query) -> DtResult<BindOutput> {
+    /// Bind a query in the snapshot's catalog.
+    pub(crate) fn bind_query(&self, q: &ast::Query) -> DtResult<BindOutput> {
         self.snap.bind_query(q)
     }
 
-    fn execute_plan(&self, plan: &LogicalPlan) -> DtResult<Vec<Row>> {
+    /// Execute a bound plan against the overlay.
+    pub(crate) fn execute_plan(&self, plan: &LogicalPlan) -> DtResult<Vec<Row>> {
         dt_exec::execute(&dt_plan::push_down_filters(plan), &self.overlay())
     }
 
-    fn scan_base(&self, id: EntityId) -> DtResult<Vec<Row>> {
+    /// The rows of a base table this transaction currently sees.
+    pub(crate) fn scan_base(&self, id: EntityId) -> DtResult<Vec<Row>> {
         self.overlay().scan(id)
     }
 }
@@ -917,24 +915,16 @@ mod tests {
     }
 
     #[test]
-    fn conflict_classifier_matches_typed_and_legacy_errors() {
-        // The typed variant is the source of truth...
-        assert!(is_serialization_conflict(&DtError::Conflict(
-            "entity e3 is locked by t7".into()
-        )));
+    fn conflict_classifier_is_typed() {
         assert!(is_serialization_conflict(&DtError::conflict(
             "first committer wins"
         )));
-        // ...and the legacy substring shim still recognizes hand-built
-        // `Txn` conflict strings.
-        assert!(is_serialization_conflict(&DtError::Txn(
-            "entity e3 is locked by t7".into()
+        assert!(is_serialization_conflict(&DtError::deadlock(
+            "t1 waits on entity e2 held by t2"
         )));
-        assert!(is_serialization_conflict(&DtError::Txn(
-            "write-write conflict: ...".into()
-        )));
+        // Only the variant counts, never the message.
         assert!(!is_serialization_conflict(&DtError::Txn(
-            "transaction t9 is not active".into()
+            "entity e3 is locked by t7".into()
         )));
         assert!(!is_serialization_conflict(&DtError::Unsupported("x".into())));
     }

@@ -9,8 +9,8 @@
 //! recovered engine answer change scans and time-travel queries
 //! byte-identically to the engine that crashed.
 
+use dt_common::codec::{get_row, get_schema, put_row, put_schema, Reader, Writer};
 use dt_common::{DtError, DtResult, PartitionId, Row, Schema, Timestamp, TxnId, VersionId};
-use dt_wal::codec::{get_row, get_schema, put_row, put_schema, Reader, Writer};
 
 use crate::table::TableStore;
 use crate::version::TableVersion;

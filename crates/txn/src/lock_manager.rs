@@ -266,9 +266,9 @@ impl LockManager {
     // -- acquisition --------------------------------------------------------
 
     /// Non-blocking single-entity claim, regardless of the table's mode.
-    /// Used by the refresh scheduler ("previous refresh still running" →
-    /// skip) and the legacy engine-lock DML path, which must never park
-    /// while holding the engine write lock. Queued waiters count as
+    /// Used by the refresh path ("previous refresh still running" →
+    /// skip), which may hold the engine write lock and so must never
+    /// park. Queued waiters count as
     /// contention so a barger cannot starve the FIFO queue.
     pub fn try_lock(&self, txn: TxnId, entity: EntityId) -> DtResult<()> {
         let mut st = self.state.lock();

@@ -1,12 +1,9 @@
 //! Write-ahead logging and checkpointing for the Dynamic Tables engine.
 //!
-//! This crate owns the *durable byte formats* and the *file discipline* —
-//! what the higher layers put in those bytes is their business:
+//! This crate owns the *file formats* (segment, record frame, checkpoint
+//! file) and the *file discipline* — what the higher layers put in a
+//! record's bytes is their business:
 //!
-//! * [`codec`] — the explicit little-endian binary codec (in the
-//!   `dt-wire` style) that WAL records and checkpoint payloads are
-//!   written in, including `Value`/`Row`/`Schema` encoders the storage
-//!   and catalog layers share.
 //! * [`crc32`] — hand-rolled IEEE CRC-32, the integrity check under
 //!   every record frame and checkpoint file.
 //! * [`log`] — the append-only segmented WAL: one `write_all` + one
@@ -16,18 +13,18 @@
 //!   of the single checkpoint snapshot file.
 //! * [`stats`] — the atomic telemetry counters `SHOW STATS` reports.
 //!
-//! `dt-wal` sits directly above `dt-common` so that `dt-catalog`,
-//! `dt-storage`, and `dt-core` can all serialize themselves with one
-//! codec without a dependency cycle.
+//! The bytes inside a record or checkpoint are written with the
+//! workspace's one codec, [`dt_common::codec`] (its [`Reader`] and
+//! [`Writer`] are re-exported here); this crate only frames, checksums
+//! and syncs them.
 
 pub mod checkpoint;
-pub mod codec;
 pub mod crc32;
 pub mod log;
 pub mod stats;
 
 pub use checkpoint::{read_checkpoint, write_checkpoint, CHECKPOINT_FILE};
-pub use codec::{Reader, Writer};
+pub use dt_common::codec::{Reader, Writer};
 pub use log::{Recovered, Wal, DEFAULT_SEGMENT_BYTES, MAX_RECORD_BYTES};
 pub use stats::{WalStats, WalStatsSnapshot};
 

@@ -8,12 +8,12 @@
 //! 1. **Framing** ([`frame`]): every message is a length-prefixed frame
 //!    (`u32` little-endian payload length, then the payload), with the
 //!    length validated against a cap before any allocation.
-//! 2. **Encoding** ([`codec`]): an explicit little-endian binary layout
-//!    for the engine's data vocabulary — [`dt_common::Value`],
-//!    [`dt_common::Schema`], [`dt_common::Row`], and every
-//!    [`dt_common::DtError`] variant. Hand-rolled because the vendored
-//!    `serde` is a no-op stand-in; the layout is documented for foreign
-//!    clients in `docs/PROTOCOL.md`.
+//! 2. **Encoding** ([`dt_common::codec`], the workspace's one byte
+//!    codec, shared with the WAL): an explicit little-endian binary
+//!    layout for the engine's data vocabulary — [`dt_common::Value`],
+//!    [`dt_common::Schema`], [`dt_common::Row`] — plus, in [`message`],
+//!    every [`dt_common::DtError`] variant. The layout is documented for
+//!    foreign clients in `docs/PROTOCOL.md`.
 //! 3. **Messages** ([`message`]): a version-tagged handshake
 //!    ([`Hello`]), request kinds ([`Request`]) covering the whole engine
 //!    surface (queries, time travel, prepared statements with `?`
@@ -30,11 +30,10 @@
 //!
 //! [`DtError::is_conflict`]: dt_common::DtError::is_conflict
 
-pub mod codec;
 pub mod frame;
 pub mod message;
 
-pub use codec::{DecodeError, DecodeResult, Reader, Writer};
+pub use dt_common::codec::{DecodeError, DecodeResult, Reader, Writer};
 pub use frame::{
     read_frame, write_frame, FrameError, FrameReader, Poll, DEFAULT_MAX_FRAME_LEN,
 };

@@ -1,17 +1,16 @@
 //! The protocol messages: handshake, requests, responses, typed errors.
 //!
-//! Layouts follow the [`crate::codec`] conventions (little-endian
+//! Layouts follow the [`dt_common::codec`] conventions (little-endian
 //! scalars, length-prefixed strings/sequences, one-byte enum tags) and
 //! are documented byte-for-byte in `docs/PROTOCOL.md`.
 
 use std::sync::Arc;
 
-use dt_common::{DtError, Row, Schema, Timestamp, Value};
-
-use crate::codec::{
+use dt_common::codec::{
     get_row, get_rows, get_schema, get_values, put_row, put_rows, put_schema, put_values,
-    DecodeResult, Reader, Writer,
+    DecodeError, DecodeResult, Reader, Writer,
 };
+use dt_common::{DtError, Row, Schema, Timestamp, Value};
 
 /// The protocol version this crate speaks. Bumped on any layout change;
 /// the handshake rejects mismatches with a typed error so old clients
@@ -49,7 +48,7 @@ impl Hello {
             *b = r.get_u8()?;
         }
         if magic != HELLO_MAGIC {
-            return Err(crate::codec::DecodeError(format!(
+            return Err(DecodeError(format!(
                 "bad hello magic {magic:02x?} (expected {HELLO_MAGIC:02x?})"
             )));
         }
@@ -147,7 +146,7 @@ impl Request {
             REQ_STATS => Request::Stats,
             REQ_CLOSE => Request::Close,
             tag => {
-                return Err(crate::codec::DecodeError(format!(
+                return Err(DecodeError(format!(
                     "unknown request tag {tag:#04x}"
                 )))
             }
@@ -432,7 +431,7 @@ impl WireError {
             ERR_PROTOCOL => WireError::Protocol(r.get_str()?),
             ERR_SHUTTING_DOWN => WireError::ShuttingDown,
             tag => {
-                return Err(crate::codec::DecodeError(format!(
+                return Err(DecodeError(format!(
                     "unknown error tag {tag:#04x}"
                 )))
             }
@@ -541,7 +540,7 @@ impl Response {
                 let rows = get_rows(&mut r)?;
                 for (i, row) in rows.iter().enumerate() {
                     if row.len() != schema.len() {
-                        return Err(crate::codec::DecodeError(format!(
+                        return Err(DecodeError(format!(
                             "row {i} has {} value(s), schema has {} column(s)",
                             row.len(),
                             schema.len()
@@ -558,7 +557,7 @@ impl Response {
             RESP_ERR => Response::Err(WireError::get(&mut r)?),
             RESP_GOODBYE => Response::Goodbye,
             tag => {
-                return Err(crate::codec::DecodeError(format!(
+                return Err(DecodeError(format!(
                     "unknown response tag {tag:#04x}"
                 )))
             }
@@ -714,7 +713,7 @@ pub fn get_dt_error(r: &mut Reader<'_>) -> DecodeResult<DtError> {
         DTERR_CORRUPTION => DtError::Corruption(r.get_str()?),
         DTERR_DEADLOCK => DtError::Deadlock(r.get_str()?),
         tag => {
-            return Err(crate::codec::DecodeError(format!(
+            return Err(DecodeError(format!(
                 "unknown DtError tag {tag:#04x}"
             )))
         }

@@ -286,10 +286,11 @@ fn drop_undrop_upstream_recovers_automatically() {
     )
     .unwrap();
     // Upstream DDL takes precedence over downstream (§3.4): the drop
-    // succeeds and the DT's refreshes fail afterwards.
+    // succeeds and the DT's refreshes fail afterwards — as logged failed
+    // refreshes, not as errors of the statement that asked for one.
     db.execute("DROP TABLE t").unwrap();
-    let err = db.execute("ALTER DYNAMIC TABLE d REFRESH");
-    assert!(err.is_err() || eng.refresh_log().last().unwrap().action == "failed");
+    db.execute("ALTER DYNAMIC TABLE d REFRESH").unwrap();
+    assert_eq!(eng.refresh_log().last().unwrap().action, "failed");
     // UNDROP: refreshes resume without issue.
     db.execute("UNDROP TABLE t").unwrap();
     db.execute("INSERT INTO t VALUES (2)").unwrap();
