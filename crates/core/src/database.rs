@@ -50,14 +50,6 @@ pub struct DbConfig {
     /// Automatic checkpoint threshold: checkpoint after this many WAL
     /// payload bytes since the last one. Ignored when not durable.
     pub wal_checkpoint_bytes: u64,
-    /// Group-commit gather window for durable engines: how long a new
-    /// batch leader waits for concurrent committers to join its first
-    /// batch before draining and paying the batch's single fsync (the
-    /// `binlog_group_commit_sync_delay` / `commit_delay` trade — a
-    /// bounded latency add buys fewer, larger flushes). Ignored when not
-    /// durable; in-memory batches cost nothing to form, so they always
-    /// drain immediately.
-    pub wal_group_window: std::time::Duration,
     /// Bound on how long a committer parks on a pessimistic table's
     /// wait-queue before surfacing a typed conflict (timeout).
     pub lock_wait_timeout: std::time::Duration,
@@ -83,10 +75,6 @@ impl Default for DbConfig {
             cost_model: CostModel::default(),
             durability: DurabilityMode::None,
             wal_checkpoint_bytes: 8 * 1024 * 1024,
-            // Well below one fsync (~half a millisecond on common disks
-            // at commit cadence) and above the arrival spread of
-            // concurrent committers finishing their statements.
-            wal_group_window: std::time::Duration::from_micros(200),
             lock_wait_timeout: dt_txn::lock_manager::DEFAULT_WAIT_TIMEOUT,
             adaptive_lock_window: 32,
             adaptive_abort_threshold: 0.5,
@@ -237,20 +225,7 @@ pub(crate) struct DbResolver<'a> {
 impl Resolver for DbResolver<'_> {
     fn resolve_relation(&self, name: &str) -> DtResult<ResolvedRelation> {
         let e = self.db.catalog.resolve(name)?;
-        match &e.kind {
-            dt_catalog::EntityKind::Table { schema } => Ok(ResolvedRelation::Table {
-                entity: e.id,
-                schema: schema.clone(),
-            }),
-            dt_catalog::EntityKind::View { sql } => Ok(ResolvedRelation::View { sql: sql.clone() }),
-            dt_catalog::EntityKind::DynamicTable(_) => {
-                let schema = self.db.dt_payload_schema(e.id)?;
-                Ok(ResolvedRelation::Table {
-                    entity: e.id,
-                    schema,
-                })
-            }
-        }
+        crate::providers::resolved_relation(e, self.db.tables.get(&e.id).map(|s| &**s))
     }
 }
 
@@ -350,16 +325,6 @@ impl EngineState {
         self.wal_log_catalog(SideEffect::None)
     }
 
-    /// The payload schema of a DT (stored schema minus `$ROW_ID`).
-    pub(crate) fn dt_payload_schema(&self, id: EntityId) -> DtResult<Schema> {
-        let store = self
-            .tables
-            .get(&id)
-            .ok_or_else(|| DtError::Storage(format!("no storage for {id}")))?;
-        let cols = store.schema().columns()[1..].to_vec();
-        Ok(Schema::new(cols))
-    }
-
     pub(crate) fn is_dt(&self, id: EntityId) -> bool {
         self.catalog
             .get(id)
@@ -405,21 +370,7 @@ impl EngineState {
         role: &str,
         params: &[Value],
     ) -> DtResult<ExecResult> {
-        if stmt.placeholder_count() > 0
-            && !matches!(
-                stmt,
-                ast::Statement::Query(_)
-                    | ast::Statement::Insert { .. }
-                    | ast::Statement::Delete { .. }
-                    | ast::Statement::Update { .. }
-            )
-        {
-            return Err(DtError::Unsupported(
-                "`?` placeholders are only supported in queries and DML \
-                 (INSERT/UPDATE/DELETE)"
-                    .into(),
-            ));
-        }
+        check_placeholder_support(&stmt, stmt.placeholder_count())?;
         match stmt {
             ast::Statement::Query(_)
             | ast::Statement::Explain(_)
@@ -878,6 +829,28 @@ impl EngineState {
         }
         Ok(executed)
     }
+}
+
+/// INSERT, UPDATE or DELETE.
+pub(crate) fn is_dml(stmt: &ast::Statement) -> bool {
+    matches!(
+        stmt,
+        ast::Statement::Insert { .. } | ast::Statement::Delete { .. } | ast::Statement::Update { .. }
+    )
+}
+
+/// `?` placeholders bind only in queries and DML; any other statement
+/// carrying one (`placeholders` counts them) is refused outright, prepared
+/// or not.
+pub(crate) fn check_placeholder_support(stmt: &ast::Statement, placeholders: usize) -> DtResult<()> {
+    if placeholders > 0 && !matches!(stmt, ast::Statement::Query(_)) && !is_dml(stmt) {
+        return Err(DtError::Unsupported(
+            "`?` placeholders are only supported in queries and DML \
+             (INSERT/UPDATE/DELETE), not DDL"
+                .into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Reject `?` placeholders in contexts that take no bindings (time travel,

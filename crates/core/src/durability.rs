@@ -23,7 +23,7 @@
 //! refresh install queue) append their whole batch with **one** `fsync`
 //! while still holding the engine write lock: durable strictly before
 //! acknowledged *and* before visible, at ≤ 1 fsync per batch. An inline
-//! refresh ([`EngineState::run_refresh`]) is a batch of one.
+//! refresh (`EngineState::run_refresh`) is a batch of one.
 //!
 //! The bytes of every record and of the checkpoint image are written with
 //! [`dt_common::codec`]; the file formats around them belong to `dt-wal`.

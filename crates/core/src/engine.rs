@@ -36,7 +36,9 @@ use dt_common::{DtError, DtResult, Row, SimClock, Timestamp, Value};
 use dt_plan::LogicalPlan;
 use dt_sql::ast;
 
-use crate::database::{DbConfig, EngineState, ExecResult, QueryResult};
+use crate::database::{
+    check_placeholder_support, is_dml, DbConfig, EngineState, ExecResult, QueryResult,
+};
 use crate::refresh::{RefreshLog, RefreshLogEntry};
 use crate::simulate::SimStats;
 use crate::snapshot::ReadSnapshot;
@@ -175,12 +177,15 @@ impl Engine {
         let refresh_log = state.refresh_log().clone();
         let commit = Arc::new(CommitShared::new());
         let refresh = Arc::new(crate::parallel_refresh::RefreshShared::new());
-        // Durable batches pay one fsync each, so let a new leader gather
-        // company before draining (see [`DbConfig::wal_group_window`]).
-        // In-memory batches are free to form — leave the window at zero.
+        // Durable batches pay one fsync each, so a new leader waits this
+        // long for company before draining: well below one fsync and above
+        // the arrival spread of concurrent committers (why it is a constant:
+        // docs/DURABILITY.md). In-memory batches are free to form — their
+        // window stays zero.
+        const WAL_GATHER_WINDOW: std::time::Duration = std::time::Duration::from_micros(200);
         if !matches!(state.config.durability, dt_common::DurabilityMode::None) {
-            commit.queue.set_gather(state.config.wal_group_window);
-            refresh.queue.set_gather(state.config.wal_group_window);
+            commit.queue.set_gather(WAL_GATHER_WINDOW);
+            refresh.queue.set_gather(WAL_GATHER_WINDOW);
         }
         let locks = Arc::clone(state.txn.locks());
         locks.set_wait_timeout(state.config.lock_wait_timeout);
@@ -470,20 +475,8 @@ impl Session {
         let placeholders = stmt.placeholder_count();
         if placeholders > 0 {
             // Point at prepare only where prepare would actually accept
-            // the statement; placeholders in DDL are unsupported outright.
-            if !matches!(
-                stmt,
-                ast::Statement::Query(_)
-                    | ast::Statement::Insert { .. }
-                    | ast::Statement::Delete { .. }
-                    | ast::Statement::Update { .. }
-            ) {
-                return Err(DtError::Unsupported(
-                    "`?` placeholders are only supported in queries and DML \
-                     (INSERT/UPDATE/DELETE), not DDL"
-                        .into(),
-                ));
-            }
+            // the statement.
+            check_placeholder_support(&stmt, placeholders)?;
             return Err(DtError::Binding(format!(
                 "statement has {placeholders} `?` placeholder(s); prepare it \
                  with Session::prepare and bind values at execute time"
@@ -525,40 +518,8 @@ impl Session {
             // Engine-global telemetry, not snapshot state: answered from
             // the lock-free counters even inside an open transaction.
             ast::Statement::ShowStats => Ok(ExecResult::Rows(self.engine.show_stats())),
-            stmt => {
-                // Inside an open transaction every statement routes into
-                // it: reads come from the pinned snapshot, DML buffers.
-                {
-                    let mut cur = self.inner.txn.lock();
-                    if let Some(txn) = cur.as_mut() {
-                        return txn.execute_parsed(stmt, &[]);
-                    }
-                }
-                if EngineState::is_read_statement(&stmt) {
-                    // Capture a snapshot under a brief read lock, then
-                    // bind, plan, and execute with no engine lock at all.
-                    self.engine.snapshot().read_statement(&stmt, &[])
-                } else if matches!(
-                    stmt,
-                    ast::Statement::Insert { .. }
-                        | ast::Statement::Delete { .. }
-                        | ast::Statement::Update { .. }
-                ) {
-                    self.autocommit_dml(stmt, &[])
-                } else {
-                    self.engine
-                        .state
-                        .write()
-                        .execute_parsed(stmt, sql, &self.role(), &[])
-                }
-            }
+            stmt => route_statement(&self.engine, Some(&self.inner), stmt, sql, &[]),
         }
-    }
-
-    /// Auto-commit DML: the degenerate one-statement transaction. See
-    /// [`autocommit_dml`].
-    fn autocommit_dml(&self, stmt: ast::Statement, params: &[Value]) -> DtResult<ExecResult> {
-        autocommit_dml(&self.engine, stmt, params)
     }
 
     /// Open an explicit transaction: every read inside it sees one
@@ -624,6 +585,7 @@ impl Session {
         }
         let parsed = dt_sql::parse(sql)?;
         let params = parsed.placeholder_count();
+        check_placeholder_support(&parsed, params)?;
         let kind = match parsed {
             ast::Statement::Query(q) => {
                 // Bind now against a snapshot (validates the query and
@@ -637,19 +599,7 @@ impl Session {
                     plan: Mutex::new((generation, Arc::new(plan))),
                 }
             }
-            dml @ (ast::Statement::Insert { .. }
-            | ast::Statement::Delete { .. }
-            | ast::Statement::Update { .. }) => PreparedKind::Command { ast: dml },
-            other => {
-                if params > 0 {
-                    return Err(DtError::Unsupported(
-                        "`?` placeholders are only supported in queries and \
-                         DML (INSERT/UPDATE/DELETE), not DDL"
-                            .into(),
-                    ));
-                }
-                PreparedKind::Command { ast: other }
-            }
+            other => PreparedKind::Command { ast: other },
         };
         let stmt = Statement {
             session: Arc::new(SessionRef {
@@ -698,13 +648,45 @@ impl std::fmt::Debug for Session {
     }
 }
 
+/// The one statement router behind `Session::execute` and
+/// `Statement::execute`: inside the session's open SQL-level transaction
+/// every statement routes into it (reads come from its pinned snapshot,
+/// DML buffers); otherwise reads bind, plan and execute off a fresh
+/// snapshot with no engine lock, DML auto-commits, and everything else
+/// runs under the engine write lock as the session's role. `session` is
+/// `None` when a prepared statement outlived its session: reads still
+/// run, but nothing may execute under a role other than its session's.
+fn route_statement(
+    engine: &Engine,
+    session: Option<&SessionInner>,
+    stmt: ast::Statement,
+    sql: &str,
+    params: &[Value],
+) -> DtResult<ExecResult> {
+    if let Some(session) = session {
+        if let Some(txn) = session.txn.lock().as_mut() {
+            return txn.execute_parsed(stmt, params);
+        }
+    }
+    if EngineState::is_read_statement(&stmt) {
+        return engine.snapshot().read_statement(&stmt, params);
+    }
+    let session = session.ok_or_else(|| {
+        DtError::Unsupported("the session owning this prepared statement was closed".into())
+    })?;
+    if is_dml(&stmt) {
+        autocommit_dml(engine, stmt, params)
+    } else {
+        let role = session.role.lock().clone();
+        engine.state.write().execute_parsed(stmt, sql, &role, params)
+    }
+}
+
 /// Auto-commit DML: the degenerate one-statement transaction. Plans the
 /// statement against a fresh snapshot, buffers, and commits
 /// optimistically; on a write-write conflict (another writer landed on
 /// the same table first) it retries against the new state, so a single
-/// statement behaves as if it had serialized after the winner. Used by
-/// `Session::execute` and by prepared DML statements executed outside a
-/// transaction.
+/// statement behaves as if it had serialized after the winner.
 fn autocommit_dml(engine: &Engine, stmt: ast::Statement, params: &[Value]) -> DtResult<ExecResult> {
     // Conflicts require a concurrent committer per attempt; a bounded
     // retry only gives up under pathological sustained contention, where
@@ -733,7 +715,7 @@ fn autocommit_dml(engine: &Engine, stmt: ast::Statement, params: &[Value]) -> Dt
         // tables — and batching only pays off on disjoint workloads,
         // where the unbatched path never aborts to begin with. Explicit
         // transactions (whose callers own their retry policy) batch.
-        match txn.commit_unbatched() {
+        match txn.prepare_commit().and_then(|prepared| prepared.commit_unbatched()) {
             Ok(_) => return Ok(result),
             Err(e) if is_serialization_conflict(&e) => {
                 last_conflict = Some(e);
@@ -775,23 +757,6 @@ fn autocommit_dml(engine: &Engine, stmt: ast::Statement, params: &[Value]) -> Dt
 struct SessionRef {
     engine: Engine,
     inner: std::sync::Weak<SessionInner>,
-}
-
-impl SessionRef {
-    /// The owning session's current role. Errors (fails closed) when the
-    /// session has been dropped — a statement must never execute under a
-    /// different role than its session's.
-    fn role(&self) -> DtResult<String> {
-        self.inner
-            .upgrade()
-            .map(|s| s.role.lock().clone())
-            .ok_or_else(|| {
-                DtError::Unsupported(
-                    "the session owning this prepared statement was closed"
-                        .into(),
-                )
-            })
-    }
 }
 
 enum PreparedKind {
@@ -851,58 +816,18 @@ impl Statement {
         Ok(())
     }
 
-    /// Route this statement into the owning session's open SQL-level
-    /// transaction, if there is one: reads then come from the
-    /// transaction's pinned snapshot (plus its buffered writes) and DML
-    /// buffers into its write set, exactly as if the SQL had gone through
-    /// `Session::execute`. Returns `None` when no transaction is open (or
-    /// the session is gone — the ordinary paths fail closed on that).
-    fn execute_in_session_txn(&self, params: &[Value]) -> Option<DtResult<ExecResult>> {
-        let inner = self.session.inner.upgrade()?;
-        let mut cur = inner.txn.lock();
-        let txn = cur.as_mut()?;
-        let stmt = match &self.inner.kind {
-            PreparedKind::Query { ast, .. } => ast::Statement::Query(ast.clone()),
-            PreparedKind::Command { ast } => ast.clone(),
-        };
-        Some(txn.execute_parsed(stmt, params))
-    }
-
     /// Execute with `params` bound to the `?` placeholders in order.
     pub fn execute(&self, params: &[Value]) -> DtResult<ExecResult> {
         self.check_arity(params)?;
-        if let Some(result) = self.execute_in_session_txn(params) {
-            return result;
-        }
         match &self.inner.kind {
             PreparedKind::Query { .. } => Ok(ExecResult::Rows(self.query(params)?)),
-            // EXPLAIN / SHOW are read-only: serve them off a snapshot with
-            // no engine lock, like Session::execute does.
-            PreparedKind::Command { ast } if EngineState::is_read_statement(ast) => {
-                self.session.engine.snapshot().read_statement(ast, params)
-            }
-            // DML auto-commits as a one-statement transaction, exactly as
-            // through `Session::execute`. The role lookup stays first so
-            // statements still fail closed when their owning session is
-            // gone.
-            PreparedKind::Command {
-                ast:
-                    ast @ (ast::Statement::Insert { .. }
-                    | ast::Statement::Delete { .. }
-                    | ast::Statement::Update { .. }),
-            } => {
-                let _role = self.session.role()?;
-                autocommit_dml(&self.session.engine, ast.clone(), params)
-            }
-            PreparedKind::Command { ast } => {
-                let role = self.session.role()?;
-                self.session.engine.state.write().execute_parsed(
-                    ast.clone(),
-                    &self.inner.sql,
-                    &role,
-                    params,
-                )
-            }
+            PreparedKind::Command { ast } => route_statement(
+                &self.session.engine,
+                self.session.inner.upgrade().as_deref(),
+                ast.clone(),
+                &self.inner.sql,
+                params,
+            ),
         }
     }
 
@@ -916,10 +841,15 @@ impl Statement {
         let PreparedKind::Query { ast, plan } = &self.inner.kind else {
             return Err(DtError::Unsupported("not a query".into()));
         };
-        if let Some(result) = self.execute_in_session_txn(params) {
-            return result?
-                .try_rows()
-                .ok_or_else(|| DtError::internal("prepared query produced no rows result"));
+        // Inside the owning session's open SQL-level transaction the query
+        // reads that transaction's pinned snapshot plus its buffered writes.
+        if let Some(session) = self.session.inner.upgrade() {
+            if let Some(txn) = session.txn.lock().as_mut() {
+                return txn
+                    .execute_parsed(ast::Statement::Query(ast.clone()), params)?
+                    .try_rows()
+                    .ok_or_else(|| DtError::internal("prepared query produced no rows result"));
+            }
         }
         if ast.for_update {
             // Outside a transaction there is nothing to hold the lock for:

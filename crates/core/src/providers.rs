@@ -11,9 +11,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dt_common::{Batch, DtError, DtResult, EntityId, PredicateSet, Row, Timestamp, VersionId};
+use dt_catalog::{Entity, EntityKind};
+use dt_common::{
+    Batch, DtError, DtResult, EntityId, PredicateSet, Row, Schema, Timestamp, VersionId,
+};
 use dt_exec::TableProvider;
-use dt_plan::LogicalPlan;
+use dt_plan::{LogicalPlan, ResolvedRelation};
 use dt_storage::TableStore;
 use dt_txn::RefreshTsMap;
 
@@ -47,6 +50,36 @@ pub fn strip_row_ids(rows: Vec<Row>) -> Vec<Row> {
     rows.into_iter()
         .map(|r| Row::new(r.values()[1..].to_vec()))
         .collect()
+}
+
+/// The payload schema of a DT: its stored schema minus the leading
+/// `$ROW_ID` column.
+fn dt_payload_schema(store: &TableStore) -> Schema {
+    Schema::new(store.schema().columns()[1..].to_vec())
+}
+
+/// What a catalog entity binds to, for the live catalog and for frozen
+/// snapshots alike: table → schema, view → SQL, DT → payload schema of its
+/// storage (`store`, looked up by the caller).
+pub(crate) fn resolved_relation(
+    entity: &Entity,
+    store: Option<&TableStore>,
+) -> DtResult<ResolvedRelation> {
+    match &entity.kind {
+        EntityKind::Table { schema } => Ok(ResolvedRelation::Table {
+            entity: entity.id,
+            schema: schema.clone(),
+        }),
+        EntityKind::View { sql } => Ok(ResolvedRelation::View { sql: sql.clone() }),
+        EntityKind::DynamicTable(_) => {
+            let store =
+                store.ok_or_else(|| DtError::Storage(format!("no storage for {}", entity.id)))?;
+            Ok(ResolvedRelation::Table {
+                entity: entity.id,
+                schema: dt_payload_schema(store),
+            })
+        }
+    }
 }
 
 /// One table version a provider resolved an entity to — the one place that

@@ -20,7 +20,7 @@
 //! Callers differ only in which timestamp they refresh to, where the
 //! compute step runs, and on which clock they report the outcome to the
 //! scheduler (`EngineState::report_refresh`):
-//! [`EngineState::run_refresh`] runs all three steps inline under the
+//! `EngineState::run_refresh` runs all three steps inline under the
 //! write lock its caller already holds; the round driver in
 //! [`crate::parallel_refresh`] spreads step 2 over a worker pool and
 //! batches step 3 behind one lock acquisition.
@@ -790,7 +790,7 @@ impl EngineState {
     /// outcome, recorded against the DT; conflicts and internal errors
     /// propagate as `Err`. Reporting the outcome to the scheduler is the
     /// caller's job (`EngineState::report_refresh`).
-    pub fn run_refresh(
+    pub(crate) fn run_refresh(
         &mut self,
         dt: EntityId,
         refresh_ts: Timestamp,

@@ -73,20 +73,7 @@ struct SnapshotResolver<'a> {
 impl Resolver for SnapshotResolver<'_> {
     fn resolve_relation(&self, name: &str) -> DtResult<ResolvedRelation> {
         let e = self.snap.catalog.resolve(name)?;
-        match &e.kind {
-            dt_catalog::EntityKind::Table { schema } => Ok(ResolvedRelation::Table {
-                entity: e.id,
-                schema: schema.clone(),
-            }),
-            dt_catalog::EntityKind::View { sql } => Ok(ResolvedRelation::View { sql: sql.clone() }),
-            dt_catalog::EntityKind::DynamicTable(_) => {
-                let schema = self.snap.dt_payload_schema(e.id)?;
-                Ok(ResolvedRelation::Table {
-                    entity: e.id,
-                    schema,
-                })
-            }
-        }
+        crate::providers::resolved_relation(e, self.snap.tables.get(&e.id).map(|h| &*h.store))
     }
 }
 
@@ -205,16 +192,6 @@ impl ReadSnapshot {
     /// against without going back through the engine lock.
     pub(crate) fn table_store(&self, entity: EntityId) -> Option<Arc<TableStore>> {
         self.tables.get(&entity).map(|h| Arc::clone(&h.store))
-    }
-
-    /// The payload schema of a DT (stored schema minus `$ROW_ID`).
-    fn dt_payload_schema(&self, id: EntityId) -> DtResult<Schema> {
-        let handle = self
-            .tables
-            .get(&id)
-            .ok_or_else(|| DtError::Storage(format!("no storage for {id}")))?;
-        let cols = handle.store.schema().columns()[1..].to_vec();
-        Ok(Schema::new(cols))
     }
 
     /// Cap (or expand) the worker-thread budget for morsel-parallel

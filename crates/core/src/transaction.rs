@@ -472,19 +472,9 @@ impl Transaction {
     /// committers batch behind one leader, which takes the engine write
     /// lock once per batch and installs every transaction inside it (each
     /// at its own commit timestamp). See [`Transaction::prepare_commit`]
-    /// for the staged form and [`Transaction::commit_unbatched`] for the
-    /// one-lock-acquisition-per-commit path this replaces.
+    /// for the staged form.
     pub fn commit(self) -> DtResult<Timestamp> {
         self.prepare_commit()?.commit()
-    }
-
-    /// Commit without group-commit batching: identical admission, row
-    /// work, and all-or-nothing validate+install, but this committer takes
-    /// the engine write lock itself instead of riding a leader's batch.
-    /// Retained for comparison — `txn_commit_contention` benches it
-    /// against the grouped path.
-    pub fn commit_unbatched(self) -> DtResult<Timestamp> {
-        self.prepare_commit()?.commit_unbatched()
     }
 
     /// Run the local phases of a commit — admission and row work — and

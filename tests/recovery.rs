@@ -159,6 +159,61 @@ fn multi_table_transaction_is_atomic_across_a_crash() {
 }
 
 #[test]
+fn concurrent_group_commits_are_all_durable_at_one_fsync_per_batch() {
+    const WRITERS: usize = 4;
+    const TXNS: usize = 25;
+    const ROWS: usize = 8;
+    let dir = TestDir::new("group");
+    // Every commit below is acknowledged (unwrapped), so every row is owed.
+    let assert_all_rows_present = |eng: &Engine, when: &str| {
+        for w in 0..WRITERS {
+            let owed: Vec<Row> = (0..TXNS * ROWS).map(|k| row!(k as i64, w as i64)).collect();
+            let found = eng.session().query_sorted(&format!("SELECT * FROM t{w}")).unwrap();
+            assert_eq!(found, owed, "t{w} {when}");
+        }
+    };
+    {
+        let eng = durable(dir.path());
+        let s = eng.session();
+        for w in 0..WRITERS {
+            s.execute(&format!("CREATE TABLE t{w} (k INT, v INT)")).unwrap();
+            if w % 2 == 0 {
+                s.execute(&format!("ALTER TABLE t{w} SET LOCKING PESSIMISTIC")).unwrap();
+            }
+        }
+        // Deltas over the commit window: set-up appends are excluded.
+        let (commits_before, wal_before) = (eng.commit_stats().commits, eng.wal_stats());
+        // Explicit transactions on disjoint tables ride the group-commit
+        // queue; adaptive or pinned pessimistic, they never conflict and
+        // never park.
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let s = eng.session();
+                scope.spawn(move || {
+                    for i in 0..TXNS {
+                        let values: Vec<String> =
+                            (i * ROWS..(i + 1) * ROWS).map(|k| format!("({k}, {w})")).collect();
+                        let mut txn = s.begin();
+                        txn.execute(&format!("INSERT INTO t{w} VALUES {}", values.join(", ")))
+                            .unwrap();
+                        txn.commit().unwrap();
+                    }
+                });
+            }
+        });
+        assert_all_rows_present(&eng, "before the crash");
+        assert_eq!(eng.commit_stats().commits - commits_before, (WRITERS * TXNS) as u64);
+        assert_eq!(eng.commit_stats().conflicts, 0);
+        assert_eq!(eng.lock_stats().waits, 0, "disjoint writers parked");
+        let wal = eng.wal_stats();
+        let (batches, fsyncs) = (wal.batches - wal_before.batches, wal.fsyncs - wal_before.fsyncs);
+        assert!(batches > 0);
+        assert!(fsyncs <= batches, "{fsyncs} fsyncs for {batches} WAL batches");
+    }
+    assert_all_rows_present(&durable(dir.path()), "after recovery");
+}
+
+#[test]
 fn refresh_rounds_time_travel_and_dag_survive_restart() {
     let dir = TestDir::new("refresh");
     let (after_init, after_second, final_now);
