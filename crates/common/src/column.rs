@@ -160,6 +160,16 @@ impl ColumnVec {
         }
     }
 
+    /// `parts` end to end as one column, typed as [`ColumnVec::from_values`]
+    /// types it: mixed parts end up generic, so values keep their variants.
+    pub fn concat(parts: &[&ColumnVec]) -> ColumnVec {
+        ColumnVec::from_values(
+            (parts.iter())
+                .flat_map(|p| (0..p.len()).map(move |i| p.get(i)))
+                .collect(),
+        )
+    }
+
     /// Compute this column's [`ZoneMap`] (min/max over non-NULL values
     /// under the exact total order, plus null accounting).
     pub fn zone_map(&self) -> ZoneMap {
@@ -682,6 +692,23 @@ impl Batch {
         }
     }
 
+    /// The selected rows of `batches`, in order, as one dense batch of
+    /// `arity` columns. A single batch with nothing deselected is shared,
+    /// not copied.
+    pub fn concat(batches: &[Batch], arity: usize) -> Batch {
+        if let [only] = batches {
+            return only.compact();
+        }
+        let dense: Vec<Batch> = batches.iter().map(Batch::compact).collect();
+        let columns = (0..arity)
+            .map(|c| {
+                let parts: Vec<&ColumnVec> = dense.iter().map(|b| &*b.columns[c]).collect();
+                Arc::new(ColumnVec::concat(&parts))
+            })
+            .collect();
+        Batch::new(columns, dense.iter().map(Batch::len).sum())
+    }
+
     /// Drop the leading column (strips DT storage's `$ROW_ID`).
     pub fn drop_first_column(mut self) -> Batch {
         if !self.columns.is_empty() {
@@ -719,6 +746,27 @@ mod tests {
         assert_eq!(b.to_rows(), rows);
         assert_eq!(b.arity(), 2);
         assert_eq!(b.live_count(), 2);
+    }
+
+    #[test]
+    fn concat_keeps_typing_only_when_every_part_agrees() {
+        let ints = Batch::from_rows(1, &[row!(1i64), Row::new(vec![Value::Null])]);
+        let mut more = Batch::from_rows(1, &[row!(2i64), row!(3i64)]);
+        more.retain(&[false, true]);
+        let all = Batch::concat(&[ints.clone(), more], 1);
+        assert!(matches!(&**all.column(0), ColumnVec::Int { .. }));
+        assert_eq!(
+            all.to_rows(),
+            vec![row!(1i64), Row::new(vec![Value::Null]), row!(3i64)]
+        );
+        let mixed = Batch::concat(&[ints.clone(), Batch::from_rows(1, &[row!(1.0f64)])], 1);
+        assert!(matches!(&**mixed.column(0), ColumnVec::Generic(_)));
+        assert!(matches!(mixed.row(2).get(0), Value::Float(_)));
+        // One fully selected batch is shared; none is an empty batch.
+        let alone = Batch::concat(std::slice::from_ref(&ints), 1);
+        assert!(Arc::ptr_eq(alone.column(0), ints.column(0)));
+        assert_eq!(Batch::concat(&[], 2).arity(), 2);
+        assert!(Batch::concat(&[], 2).is_empty());
     }
 
     #[test]

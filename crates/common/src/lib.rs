@@ -33,4 +33,4 @@ pub use ids::{EntityId, PartitionId, RefreshId, TxnId, VersionId};
 pub use row::Row;
 pub use schema::{Column, DataType, Schema};
 pub use time::{Clock, Duration, SimClock, Timestamp};
-pub use value::Value;
+pub use value::{numeric_hash_bits, Value};

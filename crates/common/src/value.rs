@@ -246,9 +246,13 @@ fn total_f64_cmp(a: f64, b: f64) -> Ordering {
     a.total_cmp(&b)
 }
 
-fn normalize_f64(f: f64) -> u64 {
-    // Collapse all NaNs to one bit pattern, and -0.0 to +0.0, so that
-    // Hash is consistent with Eq.
+/// The bits a numeric value hashes as: all NaNs collapse to one pattern and
+/// `-0.0` to `+0.0`, and an `Int` goes through its `f64` image — so values
+/// that are equal under `Value`'s `Eq` (`Int(1)` and `Float(1.0)`) have
+/// equal bits. `Value`'s `Hash` feeds these to the hasher; a hash table
+/// over typed `i64`/`f64` columns can feed them directly and stay
+/// consistent with it.
+pub fn numeric_hash_bits(f: f64) -> u64 {
     if f.is_nan() {
         f64::NAN.to_bits()
     } else if f == 0.0 {
@@ -314,11 +318,11 @@ impl Hash for Value {
             // because Eq treats Int(1) == Float(1.0).
             Int(i) => {
                 2u8.hash(state);
-                normalize_f64(*i as f64).hash(state);
+                numeric_hash_bits(*i as f64).hash(state);
             }
             Float(f) => {
                 2u8.hash(state);
-                normalize_f64(*f).hash(state);
+                numeric_hash_bits(*f).hash(state);
             }
             Str(s) => {
                 3u8.hash(state);

@@ -286,7 +286,12 @@ impl ReadSnapshot {
                 } else {
                     "full refresh only"
                 };
-                Ok(ExecResult::Ok(format!("{}({mode})", out.plan.explain())))
+                // Render what `execute_plan` runs: filters already sunk
+                // through joins and into the scans. (EXPLAIN takes no `?`
+                // placeholders, so every comparison it shows is against a
+                // literal, as it is once a prepared statement is bound.)
+                let plan = dt_plan::push_down_filters(&out.plan);
+                Ok(ExecResult::Ok(format!("{}({mode})", plan.explain())))
             }
             ast::Statement::ShowDynamicTables => {
                 let rows = self.dynamic_tables_status()?;

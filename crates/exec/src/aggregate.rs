@@ -1,9 +1,23 @@
 //! Grouped aggregation.
+//!
+//! Two implementations of one contract (one output row per group, group
+//! keys then aggregate values, groups in key-tuple order; a group-less
+//! aggregation over no rows yields one row of identities):
+//!
+//! * [`execute_aggregate_batches`] — the hash aggregate every query and
+//!   refresh runs. Group keys are hashed column-wise into dense group ids
+//!   by a [`KeyTable`]; each aggregate keeps its per-group states in typed
+//!   vectors for as long as its argument arrives as a typed column, and
+//!   falls back to one [`Accumulator`] per group when it does not.
+//! * [`execute_aggregate`] — the row-at-a-time form over a `BTreeMap`,
+//!   kept as the differential oracle.
 
 use std::collections::{BTreeMap, HashSet};
 
-use dt_common::{Batch, DtError, DtResult, Row, Value};
+use dt_common::{Batch, ColumnVec, DtError, DtResult, Row, Value};
 use dt_plan::{AggExpr, AggFunc, ScalarExpr};
+
+use crate::keys::{eval_column, eval_columns, FirstError, KeyTable, ABSENT};
 
 /// One aggregate's running state.
 enum AccState {
@@ -207,24 +221,359 @@ pub fn execute_aggregate(
     finish_groups(groups, group_exprs, aggregates)
 }
 
-/// The batch-consuming form of [`execute_aggregate`]: accumulators fold
-/// directly off the selected rows of each batch, without materializing an
-/// intermediate row vector. Output is identical (group order is the key
-/// tuple's total order either way).
+/// One aggregate's running state for every group, indexed by group id.
+///
+/// Typed while the argument column's representation allows it: the typed
+/// variants hold exactly what the matching [`Accumulator`] would, so a
+/// column that stops fitting (an `Int` partition followed by a `Float` or
+/// mixed one) demotes the states to accumulators mid-stream and carries on
+/// with the row path's own arithmetic.
+enum GroupStates {
+    /// `sum`/`min`/`max` before their first batch: its column picks.
+    Unset,
+    /// `count(*)`, `count(x)`, `count_if(p)`.
+    Count(Vec<i64>),
+    SumInt { sum: Vec<i64>, any: Vec<bool> },
+    SumFloat { sum: Vec<f64>, any: Vec<bool> },
+    /// `min`/`max` over an `Int` column.
+    BestInt { best: Vec<i64>, any: Vec<bool> },
+    /// `min`/`max` over a `Float` column.
+    BestFloat { best: Vec<f64>, any: Vec<bool> },
+    Avg { sum: Vec<f64>, n: Vec<i64> },
+    /// DISTINCT aggregates, generic or mixed columns.
+    Accumulators(Vec<Accumulator>),
+}
+
+impl GroupStates {
+    fn new(a: &AggExpr) -> GroupStates {
+        match a.func {
+            _ if a.distinct => GroupStates::Accumulators(Vec::new()),
+            AggFunc::Count | AggFunc::CountIf => GroupStates::Count(Vec::new()),
+            AggFunc::Avg => GroupStates::Avg {
+                sum: Vec::new(),
+                n: Vec::new(),
+            },
+            AggFunc::Sum | AggFunc::Min | AggFunc::Max => GroupStates::Unset,
+        }
+    }
+
+    /// Get ready for a batch whose argument column is `col`: settle on a
+    /// representation that can take it and make room for `groups` groups.
+    fn prepare(&mut self, a: &AggExpr, col: Option<&ColumnVec>, groups: usize) {
+        let is_sum = a.func == AggFunc::Sum;
+        let fits = match (&*self, col) {
+            (GroupStates::Unset, Some(ColumnVec::Int { .. })) => {
+                let (v, any) = (Vec::new(), Vec::new());
+                *self = match is_sum {
+                    true => GroupStates::SumInt { sum: v, any },
+                    false => GroupStates::BestInt { best: v, any },
+                };
+                true
+            }
+            (GroupStates::Unset, Some(ColumnVec::Float { .. })) => {
+                let (v, any) = (Vec::new(), Vec::new());
+                *self = match is_sum {
+                    true => GroupStates::SumFloat { sum: v, any },
+                    false => GroupStates::BestFloat { best: v, any },
+                };
+                true
+            }
+            (GroupStates::Unset, _) => false,
+            (GroupStates::Count(_) | GroupStates::Accumulators(_), _) => true,
+            (GroupStates::SumInt { .. } | GroupStates::BestInt { .. }, col) => {
+                matches!(col, Some(ColumnVec::Int { .. }))
+            }
+            (GroupStates::SumFloat { .. } | GroupStates::BestFloat { .. }, col) => {
+                matches!(col, Some(ColumnVec::Float { .. }))
+            }
+            (GroupStates::Avg { .. }, col) => {
+                matches!(col, Some(ColumnVec::Int { .. } | ColumnVec::Float { .. }))
+            }
+        };
+        if !fits {
+            self.demote(a);
+        }
+        match self {
+            GroupStates::Unset => unreachable!("settled above"),
+            GroupStates::Count(n) => n.resize(groups, 0),
+            GroupStates::SumInt { sum: v, any } | GroupStates::BestInt { best: v, any } => {
+                v.resize(groups, 0);
+                any.resize(groups, false);
+            }
+            GroupStates::SumFloat { sum: v, any } | GroupStates::BestFloat { best: v, any } => {
+                v.resize(groups, 0.0);
+                any.resize(groups, false);
+            }
+            GroupStates::Avg { sum, n } => {
+                sum.resize(groups, 0.0);
+                n.resize(groups, 0);
+            }
+            GroupStates::Accumulators(accs) => accs.resize_with(groups, || Accumulator::new(a)),
+        }
+    }
+
+    /// Re-express typed states as the accumulators holding the same values.
+    fn demote(&mut self, a: &AggExpr) {
+        let is_min = a.func == AggFunc::Min;
+        let states: Vec<AccState> = match std::mem::replace(self, GroupStates::Unset) {
+            GroupStates::Unset => Vec::new(),
+            GroupStates::Count(n) => n.into_iter().map(AccState::Count).collect(),
+            GroupStates::SumInt { sum, any } => (sum.into_iter().zip(any))
+                .map(|(s, any)| AccState::Sum {
+                    sum: Value::Int(s),
+                    any,
+                })
+                .collect(),
+            GroupStates::SumFloat { sum, any } => (sum.into_iter().zip(any))
+                .map(|(s, any)| AccState::Sum {
+                    sum: Value::Float(s),
+                    any,
+                })
+                .collect(),
+            GroupStates::BestInt { best, any } => (best.into_iter().zip(any))
+                .map(|(b, any)| AccState::MinMax {
+                    best: any.then_some(Value::Int(b)),
+                    is_min,
+                })
+                .collect(),
+            GroupStates::BestFloat { best, any } => (best.into_iter().zip(any))
+                .map(|(b, any)| AccState::MinMax {
+                    best: any.then_some(Value::Float(b)),
+                    is_min,
+                })
+                .collect(),
+            GroupStates::Avg { sum, n } => (sum.into_iter().zip(n))
+                .map(|(sum, n)| AccState::Avg { sum, n })
+                .collect(),
+            GroupStates::Accumulators(accs) => {
+                *self = GroupStates::Accumulators(accs);
+                return;
+            }
+        };
+        let func = a.func;
+        *self = GroupStates::Accumulators(
+            (states.into_iter())
+                .map(|state| Accumulator { func, state })
+                .collect(),
+        );
+    }
+
+    /// Fold slot `rows[p]` of `col` into group `ids[p]`, for every `p` in
+    /// order. An error comes back with the position it happened at.
+    fn update(
+        &mut self,
+        a: &AggExpr,
+        col: Option<&ColumnVec>,
+        rows: &[usize],
+        ids: &[u32],
+    ) -> Result<(), (usize, DtError)> {
+        let slots = || rows.iter().zip(ids).map(|(&i, &g)| (i, g as usize));
+        match (self, col) {
+            (GroupStates::Count(n), None) => {
+                if a.func == AggFunc::Count {
+                    ids.iter().for_each(|&g| n[g as usize] += 1);
+                }
+            }
+            (GroupStates::Count(n), Some(col)) if a.func == AggFunc::Count => {
+                slots().for_each(|(i, g)| n[g] += i64::from(!col.is_null(i)));
+            }
+            (GroupStates::Count(n), Some(col)) => {
+                // count_if: only a generic column can hold a TRUE.
+                if let ColumnVec::Generic(values) = col {
+                    slots().for_each(|(i, g)| n[g] += i64::from(values[i].is_true()));
+                }
+            }
+            (GroupStates::SumInt { sum, any }, Some(col @ ColumnVec::Int { data, .. })) => {
+                for (pos, (i, g)) in slots().enumerate() {
+                    if col.is_null(i) {
+                        continue;
+                    }
+                    sum[g] = if any[g] {
+                        match sum[g].checked_add(data[i]) {
+                            Some(s) => s,
+                            // The row path's own overflow error.
+                            None => {
+                                let e = Value::Int(sum[g]).add(&Value::Int(data[i]));
+                                return Err((pos, e.expect_err("checked_add overflowed")));
+                            }
+                        }
+                    } else {
+                        data[i]
+                    };
+                    any[g] = true;
+                }
+            }
+            (GroupStates::SumFloat { sum, any }, Some(col @ ColumnVec::Float { data, .. })) => {
+                for (i, g) in slots() {
+                    if !col.is_null(i) {
+                        sum[g] = if any[g] { sum[g] + data[i] } else { data[i] };
+                        any[g] = true;
+                    }
+                }
+            }
+            (GroupStates::BestInt { best, any }, Some(col @ ColumnVec::Int { data, .. })) => {
+                let is_min = a.func == AggFunc::Min;
+                for (i, g) in slots() {
+                    let x = data[i];
+                    if !col.is_null(i) && (!any[g] || if is_min { x < best[g] } else { x > best[g] })
+                    {
+                        best[g] = x;
+                        any[g] = true;
+                    }
+                }
+            }
+            (GroupStates::BestFloat { best, any }, Some(col @ ColumnVec::Float { data, .. })) => {
+                let is_min = a.func == AggFunc::Min;
+                for (i, g) in slots() {
+                    // `Value`'s float order (total, NaN-normalising), not f64's.
+                    let (x, b) = (Value::Float(data[i]), Value::Float(best[g]));
+                    if !col.is_null(i) && (!any[g] || if is_min { x < b } else { x > b }) {
+                        best[g] = data[i];
+                        any[g] = true;
+                    }
+                }
+            }
+            (GroupStates::Avg { sum, n }, Some(col @ ColumnVec::Int { data, .. })) => {
+                for (i, g) in slots() {
+                    if !col.is_null(i) {
+                        sum[g] += data[i] as f64;
+                        n[g] += 1;
+                    }
+                }
+            }
+            (GroupStates::Avg { sum, n }, Some(col @ ColumnVec::Float { data, .. })) => {
+                for (i, g) in slots() {
+                    if !col.is_null(i) {
+                        sum[g] += data[i];
+                        n[g] += 1;
+                    }
+                }
+            }
+            (GroupStates::Accumulators(accs), col) => {
+                for (pos, (i, g)) in slots().enumerate() {
+                    let v = col.map(|c| c.get(i));
+                    accs[g].update(v.as_ref()).map_err(|e| (pos, e))?;
+                }
+            }
+            _ => unreachable!("prepare() matched the states to the column"),
+        }
+        Ok(())
+    }
+
+    /// Group `g`'s final value (call once per group).
+    fn finish(&mut self, g: usize) -> DtResult<Value> {
+        let some = |any: bool, v: Value| if any { v } else { Value::Null };
+        Ok(match self {
+            GroupStates::Unset => unreachable!("a group implies a prepared batch"),
+            GroupStates::Count(n) => Value::Int(n[g]),
+            GroupStates::SumInt { sum: v, any } | GroupStates::BestInt { best: v, any } => {
+                some(any[g], Value::Int(v[g]))
+            }
+            GroupStates::SumFloat { sum: v, any } | GroupStates::BestFloat { best: v, any } => {
+                some(any[g], Value::Float(v[g]))
+            }
+            GroupStates::Avg { sum, n } => some(n[g] != 0, Value::Float(sum[g] / n[g] as f64)),
+            GroupStates::Accumulators(accs) => {
+                let spent = Accumulator {
+                    func: AggFunc::Count,
+                    state: AccState::Count(0),
+                };
+                std::mem::replace(&mut accs[g], spent).finish()?
+            }
+        })
+    }
+}
+
+/// The hash aggregate: fold the selected rows of `batches` into one output
+/// row per group, without materialising an input row.
+///
+/// Group expressions that are not bare columns are evaluated once per
+/// batch into a column; key columns are hashed into dense group ids;
+/// each aggregate then runs one loop per batch over its argument column.
+/// Output, order and errors are [`execute_aggregate`]'s: rows within a
+/// group are folded in scan order (float sums are bit-identical), the
+/// group key returned is the first one seen, and the error reported is the
+/// one at the earliest failing row.
+///
+/// With `only = Some(keys)` the aggregation is restricted to those group
+/// keys: rows of any other group are dropped before any aggregate sees
+/// them, and a key no row carries yields no group — the IVM rule's
+/// "recompute the affected groups".
 pub fn execute_aggregate_batches(
     batches: &[Batch],
     group_exprs: &[ScalarExpr],
     aggregates: &[AggExpr],
+    only: Option<KeyTable>,
 ) -> DtResult<Vec<Row>> {
-    let mut groups: BTreeMap<Vec<Value>, Vec<Accumulator>> = BTreeMap::new();
+    let restricted = only.is_some();
+    let mut table = only.unwrap_or_else(|| KeyTable::new(group_exprs.len()));
+    // Restricted runs only: which of the given keys some row has carried.
+    let mut seen = vec![false; table.len()];
+    let mut states: Vec<GroupStates> = aggregates.iter().map(GroupStates::new).collect();
+    let mut ids = Vec::new();
     for b in batches {
-        for i in 0..b.len() {
-            if b.is_selected(i) {
-                fold_row(&mut groups, &b.row(i), group_exprs, aggregates)?;
+        let mut rows = b.live_indices();
+        let mut first = FirstError::new(rows.len());
+        let key_cols = eval_columns(group_exprs, b, &rows, &mut first);
+        rows.truncate(first.live());
+        if restricted {
+            table.find(&key_cols, &rows, &mut ids);
+            let mut kept = 0;
+            for p in 0..rows.len() {
+                if ids[p] == ABSENT {
+                    continue;
+                }
+                let g = ids[p] as usize;
+                if !seen[g] {
+                    // Report the key as this relation spells it, not as
+                    // the delta that seeded the table did.
+                    seen[g] = true;
+                    table.restate(g, &key_cols, rows[p]);
+                }
+                (rows[kept], ids[kept]) = (rows[p], ids[p]);
+                kept += 1;
+            }
+            rows.truncate(kept);
+            first.shorten(kept);
+        } else {
+            table.intern(&key_cols, &rows, &mut ids);
+        }
+        for (a, state) in aggregates.iter().zip(&mut states) {
+            let col = a.arg.as_ref().map(|e| eval_column(e, b, &rows, &mut first));
+            let n = first.live();
+            state.prepare(a, col.as_deref(), table.len());
+            if let Err((pos, e)) = state.update(a, col.as_deref(), &rows[..n], &ids[..n]) {
+                first.fail(pos, e);
             }
         }
+        first.finish()?;
     }
-    finish_groups(groups, group_exprs, aggregates)
+
+    if table.is_empty() && group_exprs.is_empty() && !restricted {
+        return Ok(vec![identity_row(aggregates)?]);
+    }
+    let mut order: Vec<usize> = (0..table.len())
+        .filter(|g| !restricted || seen[*g])
+        .collect();
+    order.sort_by(|a, b| table.key(*a).cmp(table.key(*b)));
+    let mut out = Vec::with_capacity(order.len());
+    for g in order {
+        let mut vals = table.key(g).to_vec();
+        for state in &mut states {
+            vals.push(state.finish(g)?);
+        }
+        out.push(Row::new(vals));
+    }
+    Ok(out)
+}
+
+/// Scalar aggregation over the empty bag: one row of identities.
+fn identity_row(aggregates: &[AggExpr]) -> DtResult<Row> {
+    let vals: DtResult<Vec<Value>> = aggregates
+        .iter()
+        .map(|a| Accumulator::new(a).finish())
+        .collect();
+    Ok(Row::new(vals?))
 }
 
 fn fold_row(
@@ -256,13 +605,7 @@ fn finish_groups(
     aggregates: &[AggExpr],
 ) -> DtResult<Vec<Row>> {
     if groups.is_empty() && group_exprs.is_empty() {
-        // Scalar aggregation over the empty bag yields one row of identities.
-        let accs: Vec<Accumulator> = aggregates.iter().map(Accumulator::new).collect();
-        let mut vals = Vec::with_capacity(aggregates.len());
-        for acc in accs {
-            vals.push(acc.finish()?);
-        }
-        return Ok(vec![Row::new(vals)]);
+        return Ok(vec![identity_row(aggregates)?]);
     }
     let mut out = Vec::with_capacity(groups.len());
     for (key, accs) in groups {
@@ -359,5 +702,51 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out, vec![row!(1i64, 2i64, 5i64, 7i64)]);
+    }
+
+    fn batches(parts: &[&[Row]]) -> Vec<Batch> {
+        parts.iter().map(|rows| Batch::from_rows(2, rows)).collect()
+    }
+
+    #[test]
+    fn hash_aggregate_matches_the_row_form_across_typed_and_mixed_batches() {
+        // Int partition, then a Float one (sum and max demote mid-stream),
+        // with a deselected row and a NULL argument.
+        let mut parts = batches(&[
+            &[row!(1i64, 5i64), row!(2i64, 7i64), row!(1i64, 9i64)],
+            &[row!(1.0f64, 0.5f64), Row::new(vec![Value::Int(2), Value::Null])],
+        ]);
+        parts[0].retain(&[true, true, false]);
+        let rows: Vec<Row> = parts.iter().flat_map(Batch::to_rows).collect();
+        let aggs = [
+            agg(AggFunc::Count, None, false),
+            agg(AggFunc::Count, Some(ScalarExpr::col(1)), false),
+            agg(AggFunc::Sum, Some(ScalarExpr::col(1)), false),
+            agg(AggFunc::Max, Some(ScalarExpr::col(1)), false),
+            agg(AggFunc::Avg, Some(ScalarExpr::col(1)), false),
+        ];
+        let keys = [ScalarExpr::col(0)];
+        let got = execute_aggregate_batches(&parts, &keys, &aggs, None).unwrap();
+        assert_eq!(got, execute_aggregate(&rows, &keys, &aggs).unwrap());
+        assert_eq!(
+            got,
+            vec![row!(1i64, 2i64, 2i64, 5.5f64, 5i64, 2.75f64), row!(2i64, 2i64, 1i64, 7i64, 7i64, 7.0f64)]
+        );
+        // The group key is the first spelling seen: Int(1), not Float(1.0).
+        assert!(matches!(got[0].get(0), Value::Int(1)));
+    }
+
+    #[test]
+    fn restricted_aggregate_keeps_only_the_given_groups_spelled_as_the_input_spells_them() {
+        let parts = batches(&[&[row!(1i64, 5i64), row!(2i64, 7i64), row!(3i64, 1i64), row!(1i64, 2i64)]]);
+        // Affected keys as a delta spelled them: 1.0 (present as Int 1), 3,
+        // and 9 (carried by no row).
+        let delta = Batch::from_rows(1, &[row!(1.0f64), row!(3i64), row!(9i64)]);
+        let mut only = KeyTable::new(1);
+        only.intern(delta.columns(), &delta.live_indices(), &mut Vec::new());
+        let aggs = [agg(AggFunc::Sum, Some(ScalarExpr::col(1)), false)];
+        let got = execute_aggregate_batches(&parts, &[ScalarExpr::col(0)], &aggs, Some(only)).unwrap();
+        assert_eq!(got, vec![row!(1i64, 7i64), row!(3i64, 1i64)]);
+        assert!(matches!(got[0].get(0), Value::Int(1)));
     }
 }

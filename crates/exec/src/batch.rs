@@ -1,7 +1,7 @@
 //! The batch-at-a-time pipeline: operators consume and produce columnar
 //! [`Batch`]es; rows are materialized only at operator boundaries that are
-//! inherently row-shaped (joins, window functions, sorting) and at the top
-//! of the plan, so `ExecResult` and the SQL surface are unchanged.
+//! still row-shaped (window functions, sorting) and at the top of the
+//! plan, so `ExecResult` and the SQL surface are unchanged.
 //!
 //! Filters evaluate vectorized wherever the predicate (or a prefix of its
 //! conjunction) is provably error-free — comparisons of columns and
@@ -23,6 +23,7 @@ use dt_plan::{LogicalPlan, ScalarExpr};
 use crate::aggregate::execute_aggregate_batches;
 use crate::executor::{project_rows, sort_rows, TableProvider};
 use crate::join::execute_join_batches;
+use crate::keys::KeyTable;
 use crate::window::execute_window;
 
 /// Execute a plan as a batch pipeline, returning its result batches (batch
@@ -57,15 +58,14 @@ pub fn execute_batches(
         } => {
             let l = execute_batches(left, provider)?;
             let r = execute_batches(right, provider)?;
-            let rows = execute_join_batches(
+            execute_join_batches(
                 &l,
                 &r,
                 left.schema().len(),
                 right.schema().len(),
                 *join_type,
                 on,
-            )?;
-            Ok(rows_to_batches(rows))
+            )
         }
         LogicalPlan::UnionAll { inputs, .. } => {
             let mut out = Vec::new();
@@ -81,21 +81,29 @@ pub fn execute_batches(
             ..
         } => {
             let batches = execute_batches(input, provider)?;
-            let rows = execute_aggregate_batches(&batches, group_exprs, aggregates)?;
+            let rows = execute_aggregate_batches(&batches, group_exprs, aggregates, None)?;
             Ok(rows_to_batches(rows))
         }
         LogicalPlan::Distinct { input } => {
-            let batches = execute_batches(input, provider)?;
-            let mut seen = std::collections::HashSet::new();
-            let mut out = Vec::new();
-            for b in &batches {
-                for r in b.to_rows() {
-                    if seen.insert(r.clone()) {
-                        out.push(r);
+            // Whole rows are the keys; ids are handed out in first-seen
+            // order, so a row is new exactly when its id is the next one.
+            let mut batches = execute_batches(input, provider)?;
+            let mut seen = KeyTable::new(input.schema().len());
+            let mut ids = Vec::new();
+            for b in &mut batches {
+                let rows = b.live_indices();
+                let mut next = seen.len() as u32;
+                seen.intern(b.columns(), &rows, &mut ids);
+                let mut keep = vec![false; b.len()];
+                for (&slot, &id) in rows.iter().zip(&ids) {
+                    if id == next {
+                        keep[slot] = true;
+                        next += 1;
                     }
                 }
+                b.set_selection(Some(keep));
             }
-            Ok(rows_to_batches(out))
+            Ok(batches)
         }
         LogicalPlan::Window { input, exprs, .. } => {
             let rows = flatten(execute_batches(input, provider)?);
@@ -203,8 +211,16 @@ impl Mask {
 /// Narrow `batch`'s selection to rows where `predicate` is true, with the
 /// row interpreter's exact result *and error* semantics.
 fn filter_batch(batch: &mut Batch, predicate: &ScalarExpr) -> DtResult<()> {
-    let mut conjuncts = Vec::new();
-    split_conjuncts(predicate, &mut conjuncts);
+    filter_rows(batch, predicate).map_err(|(_, e)| e)
+}
+
+/// [`filter_batch`], reporting an error together with the physical slot it
+/// was raised at (the selection is left as it was).
+pub(crate) fn filter_rows(
+    batch: &mut Batch,
+    predicate: &ScalarExpr,
+) -> Result<(), (usize, dt_common::DtError)> {
+    let conjuncts = predicate.conjuncts();
 
     // Longest prefix of conjuncts that evaluates vectorized. The split is a
     // prefix (not an arbitrary subset) so the residual is only skipped for
@@ -224,7 +240,7 @@ fn filter_batch(batch: &mut Batch, predicate: &ScalarExpr) -> DtResult<()> {
             None => break,
         }
     }
-    let residual = rejoin_conjuncts(&conjuncts[vectorized..]);
+    let residual = ScalarExpr::and_all(conjuncts[vectorized..].iter().copied());
 
     let mut keep = vec![false; batch.len()];
     match (prefix, residual) {
@@ -242,7 +258,7 @@ fn filter_batch(batch: &mut Batch, predicate: &ScalarExpr) -> DtResult<()> {
                 // residual in the row path (NULL AND x still evaluates x),
                 // so evaluate it here too — for its errors — and keep the
                 // row only when the whole conjunction is true.
-                let ok = rest.eval(&batch.row(i))?.is_true();
+                let ok = rest.eval(&batch.row(i)).map_err(|e| (i, e))?.is_true();
                 *k = mask.t[i] && ok;
             }
         }
@@ -250,34 +266,13 @@ fn filter_batch(batch: &mut Batch, predicate: &ScalarExpr) -> DtResult<()> {
             let rest = residual.unwrap_or(ScalarExpr::Literal(Value::Bool(true)));
             for (i, k) in keep.iter_mut().enumerate() {
                 if batch.is_selected(i) {
-                    *k = rest.eval(&batch.row(i))?.is_true();
+                    *k = rest.eval(&batch.row(i)).map_err(|e| (i, e))?.is_true();
                 }
             }
         }
     }
     batch.set_selection(Some(keep));
     Ok(())
-}
-
-fn split_conjuncts(e: &ScalarExpr, out: &mut Vec<ScalarExpr>) {
-    if let ScalarExpr::Binary { left, op, right } = e {
-        if *op == BinOp::And {
-            split_conjuncts(left, out);
-            split_conjuncts(right, out);
-            return;
-        }
-    }
-    out.push(e.clone());
-}
-
-fn rejoin_conjuncts(conjuncts: &[ScalarExpr]) -> Option<ScalarExpr> {
-    let mut it = conjuncts.iter().cloned();
-    let first = it.next()?;
-    Some(it.fold(first, |acc, c| ScalarExpr::Binary {
-        left: Box::new(acc),
-        op: BinOp::And,
-        right: Box::new(c),
-    }))
 }
 
 fn cmp_of(op: BinOp) -> Option<CmpOp> {

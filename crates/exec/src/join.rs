@@ -1,83 +1,28 @@
-//! Join execution: hash join on extracted equi-keys with a nested-loop
-//! fallback; all four join types.
+//! Join execution: hash join on the `ON` condition's equi-keys with a
+//! nested-loop fallback; all four join types.
+//!
+//! Two implementations of one contract (output order: matches in probe
+//! (left) order, each probe row's partners in build (right) order; then
+//! unmatched left rows NULL-padded, in probe order; then unmatched right
+//! rows NULL-padded, in build order):
+//!
+//! * [`execute_join_batches`] — the columnar join every query runs: keys
+//!   hashed column-wise by a [`KeyTable`], output assembled as gathered
+//!   columns, residual conjuncts applied as batch filters.
+//! * [`execute_join`] — the row-at-a-time form, kept as the differential
+//!   oracle and for the small signed joins the IVM rules run over delta
+//!   slices.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use dt_common::{Batch, DtResult, Row, Value};
-use dt_plan::expr::BinOp;
-use dt_plan::{JoinType, ScalarExpr};
+use dt_common::{Batch, ColumnVec, DtResult, Row, Value};
+use dt_plan::{equi_join_keys, JoinType, ScalarExpr};
 
-/// Equi-key pairs extracted from an ON condition: expressions over the left
-/// row and the corresponding expressions over the right row.
-struct EquiKeys {
-    left: Vec<ScalarExpr>,
-    /// Right-side expressions, rebased to the right row's own indices.
-    right: Vec<ScalarExpr>,
-    /// Conjuncts that are not simple equi-comparisons (evaluated on the
-    /// concatenated row as a residual filter).
-    residual: Vec<ScalarExpr>,
-}
-
-fn split_conjuncts(e: &ScalarExpr, out: &mut Vec<ScalarExpr>) {
-    if let ScalarExpr::Binary { left, op, right } = e {
-        if *op == BinOp::And {
-            split_conjuncts(left, out);
-            split_conjuncts(right, out);
-            return;
-        }
-    }
-    out.push(e.clone());
-}
-
-fn side_of(e: &ScalarExpr, left_arity: usize) -> Option<bool> {
-    // Some(true) = refs only left columns; Some(false) = only right;
-    // None = mixed or no columns (no-column exprs treated as left-safe).
-    let mut cols = Vec::new();
-    e.referenced_columns(&mut cols);
-    if cols.is_empty() {
-        return Some(true);
-    }
-    let all_left = cols.iter().all(|c| *c < left_arity);
-    let all_right = cols.iter().all(|c| *c >= left_arity);
-    if all_left {
-        Some(true)
-    } else if all_right {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-fn extract_equi_keys(on: &ScalarExpr, left_arity: usize) -> EquiKeys {
-    let mut conjuncts = Vec::new();
-    split_conjuncts(on, &mut conjuncts);
-    let mut keys = EquiKeys {
-        left: vec![],
-        right: vec![],
-        residual: vec![],
-    };
-    for c in conjuncts {
-        if let ScalarExpr::Binary { left, op, right } = &c {
-            if *op == BinOp::Eq {
-                match (side_of(left, left_arity), side_of(right, left_arity)) {
-                    (Some(true), Some(false)) => {
-                        keys.left.push((**left).clone());
-                        keys.right.push(right.map_columns(&|i| i - left_arity));
-                        continue;
-                    }
-                    (Some(false), Some(true)) => {
-                        keys.left.push((**right).clone());
-                        keys.right.push(left.map_columns(&|i| i - left_arity));
-                        continue;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        keys.residual.push(c);
-    }
-    keys
-}
+use crate::batch::filter_rows;
+use crate::keys::{
+    eval_columns, try_eval_columns, without_null_keys, FirstError, KeyTable, ABSENT,
+};
 
 fn eval_key(exprs: &[ScalarExpr], row: &Row) -> DtResult<Option<Vec<Value>>> {
     // SQL equi-join keys never match on NULL; a NULL key joins nothing.
@@ -101,7 +46,7 @@ pub fn execute_join(
     join_type: JoinType,
     on: &ScalarExpr,
 ) -> DtResult<Vec<Row>> {
-    let keys = extract_equi_keys(on, left_arity);
+    let keys = equi_join_keys(on, left_arity);
     let mut out = Vec::new();
     let mut left_matched = vec![false; left.len()];
     let mut right_matched = vec![false; right.len()];
@@ -160,13 +105,17 @@ pub fn execute_join(
     Ok(out)
 }
 
-/// The batch-consuming form of [`execute_join`]: the build side (right) is
-/// materialized into the hash table as rows, but the probe side streams
-/// batch by batch — each left batch's selected rows probe and emit without
-/// the probe input ever being collected into one row vector. Output rows
-/// and their order are identical to [`execute_join`]: matches in probe
-/// order, then unmatched-left padding in probe order, then unmatched-right
-/// padding in build order.
+/// Candidate pairs are assembled and filtered this many at a time, so a
+/// nested-loop or heavily duplicated join never holds more than a chunk of
+/// its cross product.
+const PAIR_CHUNK: usize = 1 << 16;
+
+/// The columnar join. The build side (right) is made one dense batch and
+/// its key columns hashed into a [`KeyTable`]; each probe (left) batch has
+/// its key columns looked up in one pass, the matching (probe slot, build
+/// slot) pairs gathered into an output batch column by column, and the
+/// residual `ON` conjuncts applied to that batch as filters. No row is
+/// materialised. Output, order and errors are [`execute_join`]'s.
 pub fn execute_join_batches(
     left: &[Batch],
     right: &[Batch],
@@ -174,75 +123,147 @@ pub fn execute_join_batches(
     right_arity: usize,
     join_type: JoinType,
     on: &ScalarExpr,
-) -> DtResult<Vec<Row>> {
-    let keys = extract_equi_keys(on, left_arity);
-    let right_rows: Vec<Row> = right.iter().flat_map(|b| b.to_rows()).collect();
-    let mut right_matched = vec![false; right_rows.len()];
+) -> DtResult<Vec<Batch>> {
+    let keys = equi_join_keys(on, left_arity);
     let pad_left = matches!(join_type, JoinType::Left | JoinType::Full);
-    let mut out = Vec::new();
-    let mut unmatched_left: Vec<Row> = Vec::new();
+    let pad_right = matches!(join_type, JoinType::Right | JoinType::Full);
+    let build = Batch::concat(right, right_arity);
+    let build_rows: Vec<usize> = (0..build.len()).collect();
 
-    let table: Option<HashMap<Vec<Value>, Vec<usize>>> = if keys.left.is_empty() {
+    // Hash path: `partners[starts[id]..starts[id + 1]]` are the build
+    // slots holding key `id`, ascending. Nested-loop path: every build
+    // slot partners every probe row.
+    let hashed = if keys.left.is_empty() {
         None
     } else {
-        let mut t: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for (j, r) in right_rows.iter().enumerate() {
-            if let Some(k) = eval_key(&keys.right, r)? {
-                t.entry(k).or_default().push(j);
-            }
+        let cols = try_eval_columns(&keys.right, &build, &build_rows)?;
+        let keyed = without_null_keys(&cols, &build_rows);
+        let mut table = KeyTable::new(cols.len());
+        let mut ids = Vec::new();
+        table.intern(&cols, &keyed, &mut ids);
+        let mut starts = vec![0usize; table.len() + 1];
+        for &id in &ids {
+            starts[id as usize + 1] += 1;
         }
-        Some(t)
+        for id in 0..table.len() {
+            starts[id + 1] += starts[id];
+        }
+        let mut fill = starts.clone();
+        let mut partners = vec![0usize; keyed.len()];
+        for (&slot, &id) in keyed.iter().zip(&ids) {
+            partners[fill[id as usize]] = slot;
+            fill[id as usize] += 1;
+        }
+        Some((table, starts, partners))
     };
 
+    let mut out = Vec::new();
+    let mut build_matched = vec![false; build.len()];
+    let mut unmatched_left = Vec::new();
+    let mut ids = Vec::new();
     for b in left {
-        for i in 0..b.len() {
-            if !b.is_selected(i) {
+        let rows = b.live_indices();
+        let mut first = FirstError::new(rows.len());
+        // Per live probe row, the id of its key (hash path only).
+        if let Some((table, ..)) = &hashed {
+            let cols = eval_columns(&keys.left, b, &rows, &mut first);
+            let live = &rows[..first.live()];
+            let keyed = without_null_keys(&cols, live);
+            let mut found = Vec::new();
+            table.find(&cols, &keyed, &mut found);
+            ids.clear();
+            ids.resize(b.len(), ABSENT);
+            for (&slot, &id) in keyed.iter().zip(&found) {
+                ids[slot] = id;
+            }
+        }
+        let mut probe_matched = vec![false; b.len()];
+        let (mut probe_slots, mut build_slots) = (Vec::new(), Vec::new());
+        let mut pos = 0;
+        while pos < first.live() {
+            // Collect one chunk of candidate pairs, whole probe rows at a
+            // time, remembering where each probe row's pairs begin.
+            probe_slots.clear();
+            build_slots.clear();
+            let chunk_start = pos;
+            let mut pair_starts = Vec::new();
+            while pos < first.live() && probe_slots.len() < PAIR_CHUNK {
+                let slot = rows[pos];
+                pair_starts.push(probe_slots.len());
+                let candidates = match &hashed {
+                    None => &build_rows[..],
+                    Some(_) if ids[slot] == ABSENT => &[],
+                    Some((_, starts, partners)) => {
+                        let id = ids[slot] as usize;
+                        &partners[starts[id]..starts[id + 1]]
+                    }
+                };
+                probe_slots.extend(std::iter::repeat_n(slot, candidates.len()));
+                build_slots.extend_from_slice(candidates);
+                pos += 1;
+            }
+            if probe_slots.is_empty() {
                 continue;
             }
-            let l = b.row(i);
-            let mut matched = false;
-            match &table {
-                None => {
-                    // Nested loop (no equi-keys).
-                    for (j, r) in right_rows.iter().enumerate() {
-                        let joined = l.concat(r);
-                        if residual_ok(&keys.residual, &joined)? {
-                            matched = true;
-                            right_matched[j] = true;
-                            out.push(joined);
-                        }
-                    }
-                }
-                Some(t) => {
-                    if let Some(candidates) = eval_key(&keys.left, &l)?.and_then(|k| t.get(&k)) {
-                        for &j in candidates {
-                            let joined = l.concat(&right_rows[j]);
-                            if residual_ok(&keys.residual, &joined)? {
-                                matched = true;
-                                right_matched[j] = true;
-                                out.push(joined);
-                            }
-                        }
-                    }
+            let columns = (b.columns().iter())
+                .map(|c| Arc::new(c.gather(&probe_slots)))
+                .chain(build.columns().iter().map(|c| Arc::new(c.gather(&build_slots))))
+                .collect();
+            let mut pairs = Batch::new(columns, probe_slots.len());
+            // Residual conjuncts in ON order, each over the pairs the
+            // earlier ones kept. The row path stops at the earliest failing
+            // pair, so after a failure later conjuncts only see the pairs
+            // before it.
+            let mut failed = None;
+            for conjunct in &keys.residual {
+                if let Err((p, e)) = filter_rows(&mut pairs, conjunct) {
+                    failed = Some((p, e));
+                    let mut keep = vec![false; pairs.len()];
+                    keep[..p].fill(true);
+                    pairs.retain(&keep);
                 }
             }
-            if pad_left && !matched {
-                unmatched_left.push(l);
+            if let Some((p, e)) = failed {
+                let probe_row = pair_starts.partition_point(|&start| start <= p) - 1;
+                first.fail(chunk_start + probe_row, e);
             }
+            if pad_left || pad_right {
+                for p in pairs.live_indices() {
+                    probe_matched[probe_slots[p]] = true;
+                    build_matched[build_slots[p]] = true;
+                }
+            }
+            out.push(pairs);
+        }
+        first.finish()?;
+        if pad_left {
+            let unmatched: Vec<usize> = (rows.into_iter())
+                .filter(|&slot| !probe_matched[slot])
+                .collect();
+            unmatched_left.push(padded(b, &unmatched, right_arity, true));
         }
     }
 
-    for l in unmatched_left {
-        out.push(l.concat(&Row::nulls(right_arity)));
-    }
-    if matches!(join_type, JoinType::Right | JoinType::Full) {
-        for (j, r) in right_rows.iter().enumerate() {
-            if !right_matched[j] {
-                out.push(Row::nulls(left_arity).concat(r));
-            }
-        }
+    out.extend(unmatched_left);
+    if pad_right {
+        let unmatched: Vec<usize> = (0..build.len()).filter(|&j| !build_matched[j]).collect();
+        out.push(padded(&build, &unmatched, left_arity, false));
     }
     Ok(out)
+}
+
+/// The listed slots of `side` with `pad` NULL columns after them
+/// (`pad_after`) or before them.
+fn padded(side: &Batch, slots: &[usize], pad: usize, pad_after: bool) -> Batch {
+    let nulls = Arc::new(ColumnVec::Generic(vec![Value::Null; slots.len()]));
+    let own = side.columns().iter().map(|c| Arc::new(c.gather(slots)));
+    let padding = std::iter::repeat_n(nulls, pad);
+    let columns = if pad_after {
+        own.chain(padding).collect()
+    } else {
+        padding.chain(own).collect()
+    };
+    Batch::new(columns, slots.len())
 }
 
 fn residual_ok(residual: &[ScalarExpr], joined: &Row) -> DtResult<bool> {
@@ -258,19 +279,10 @@ fn residual_ok(residual: &[ScalarExpr], joined: &Row) -> DtResult<bool> {
 mod tests {
     use super::*;
     use dt_common::row;
+    use dt_plan::BinOp;
 
     fn eq(l: usize, r: usize) -> ScalarExpr {
         ScalarExpr::eq(ScalarExpr::col(l), ScalarExpr::col(r))
-    }
-
-    #[test]
-    fn equi_key_extraction_orients_sides() {
-        // ON right.col = left.col (reversed order) still extracts.
-        let on = eq(2, 0); // col2 (right, arity 2) = col0 (left)
-        let keys = extract_equi_keys(&on, 2);
-        assert_eq!(keys.left, vec![ScalarExpr::col(0)]);
-        assert_eq!(keys.right, vec![ScalarExpr::col(0)]);
-        assert!(keys.residual.is_empty());
     }
 
     #[test]

@@ -5,8 +5,9 @@ use std::collections::{HashMap, HashSet};
 use dt_common::{Batch, DtResult, EntityId, Row, Value};
 use dt_exec::aggregate::execute_aggregate_batches;
 use dt_exec::batch::flatten;
+use dt_exec::keys::{try_eval_columns, KeyTable, ABSENT};
 use dt_exec::{execute_batches, TableProvider};
-use dt_plan::{push_down_filters, JoinType, LogicalPlan, ScalarExpr};
+use dt_plan::{equi_join_keys, push_down_filters, BinOp, JoinType, LogicalPlan, ScalarExpr};
 use dt_storage::ChangeSet;
 
 use crate::merge::project_delta;
@@ -138,10 +139,16 @@ fn delta_inner(plan: &LogicalPlan, ctx: &DeltaContext<'_>) -> DtResult<ChangeSet
             if d.is_empty() {
                 return Ok(ChangeSet::empty());
             }
+            // One pass per snapshot end: rows of unaffected groups are
+            // dropped by the aggregate's own key lookup. (No key-range
+            // filter here, unlike `restricted`: a group's rows lie all over
+            // the input, so the range rarely rules a partition out, and
+            // checking it against thousands of small partitions cost a
+            // `txn_contention` round 3–4 ms of its 18.)
             let affected = affected_keys(&d, group_exprs)?;
             let side = |provider| -> DtResult<Vec<Row>> {
-                let batches = restricted(input, provider, group_exprs, &affected)?;
-                execute_aggregate_batches(&batches, group_exprs, aggregates)
+                let batches = evaluate_batches(input, provider)?;
+                execute_aggregate_batches(&batches, group_exprs, aggregates, Some(affected.clone()))
             };
             let old_out = side(ctx.old)?;
             let new_out = side(ctx.new)?;
@@ -212,8 +219,22 @@ fn inner_join_delta(
     let la = left.schema().len();
     let ra = right.schema().len();
     let mut out = ChangeSet::empty();
+    // Each delta only meets the opposite side's rows that carry one of its
+    // join keys; without equi keys, all of them.
+    let keys = equi_join_keys(on, la);
+    let opposite = |side: &LogicalPlan, provider, side_keys: &[ScalarExpr], d: &ChangeSet, d_keys| {
+        if side_keys.is_empty() {
+            return evaluate(side, provider);
+        }
+        Ok(flatten(restricted(
+            side,
+            provider,
+            side_keys,
+            &affected_keys(d, d_keys)?,
+        )?))
+    };
     if !dl.is_empty() {
-        let r1 = evaluate(right, ctx.new)?;
+        let r1 = opposite(right, ctx.new, &keys.right, &dl, &keys.left)?;
         signed_join_into(
             &mut out,
             (dl.inserts(), dl.deletes()),
@@ -224,7 +245,7 @@ fn inner_join_delta(
         )?;
     }
     if !dr.is_empty() {
-        let q0 = evaluate(left, ctx.old)?;
+        let q0 = opposite(left, ctx.old, &keys.left, &dr, &keys.right)?;
         signed_join_into(
             &mut out,
             (&q0, &[]),
@@ -270,64 +291,6 @@ fn signed_join_into(
     Ok(())
 }
 
-/// Equi-key expressions of the ON condition, as (left exprs, right exprs
-/// rebased to the right schema). Returns None when no equi conjunct exists.
-fn join_keys(on: &ScalarExpr, la: usize) -> Option<(Vec<ScalarExpr>, Vec<ScalarExpr>)> {
-    // Reuse the executor's extraction logic indirectly: re-derive here.
-    fn split(e: &ScalarExpr, out: &mut Vec<ScalarExpr>) {
-        if let ScalarExpr::Binary { left, op, right } = e {
-            if *op == dt_plan::expr::BinOp::And {
-                split(left, out);
-                split(right, out);
-                return;
-            }
-        }
-        out.push(e.clone());
-    }
-    fn side(e: &ScalarExpr, la: usize) -> Option<bool> {
-        let mut cols = Vec::new();
-        e.referenced_columns(&mut cols);
-        if cols.is_empty() {
-            return None;
-        }
-        if cols.iter().all(|c| *c < la) {
-            Some(true)
-        } else if cols.iter().all(|c| *c >= la) {
-            Some(false)
-        } else {
-            None
-        }
-    }
-    let mut conjuncts = Vec::new();
-    split(on, &mut conjuncts);
-    let mut lk = Vec::new();
-    let mut rk = Vec::new();
-    for c in &conjuncts {
-        if let ScalarExpr::Binary { left, op, right } = c {
-            if *op == dt_plan::expr::BinOp::Eq {
-                match (side(left, la), side(right, la)) {
-                    (Some(true), Some(false)) => {
-                        lk.push((**left).clone());
-                        rk.push(right.map_columns(&|i| i - la));
-                        continue;
-                    }
-                    (Some(false), Some(true)) => {
-                        lk.push((**right).clone());
-                        rk.push(left.map_columns(&|i| i - la));
-                        continue;
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    if lk.is_empty() {
-        None
-    } else {
-        Some((lk, rk))
-    }
-}
-
 /// Direct outer-join derivative: restrict both inputs to the join keys that
 /// appear in either delta, recompute the outer join over the restrictions
 /// at both ends of the interval, and emit the difference. Unaffected keys
@@ -346,7 +309,9 @@ fn outer_join_delta_direct(
     }
     let la = left.schema().len();
     let ra = right.schema().len();
-    let Some((lk, rk)) = join_keys(on, la) else {
+    let keys = equi_join_keys(on, la);
+    let (lk, rk) = (&keys.left, &keys.right);
+    if lk.is_empty() {
         // No equi keys: every row is potentially affected; fall back to a
         // full recompute diff.
         let old = dt_exec::join::execute_join(
@@ -366,16 +331,16 @@ fn outer_join_delta_direct(
             on,
         )?;
         return Ok(ChangeSet::new(new, old));
-    };
+    }
     // Affected key set: keys of changed rows on either side.
-    let mut affected: HashSet<Vec<Value>> = HashSet::new();
-    collect_keys(&dl, &lk, &mut affected)?;
-    collect_keys(&dr, &rk, &mut affected)?;
+    let mut affected = KeyTable::new(lk.len());
+    collect_keys(&dl, lk, &mut affected)?;
+    collect_keys(&dr, rk, &mut affected)?;
 
-    let l0 = flatten(restricted(left, ctx.old, &lk, &affected)?);
-    let r0 = flatten(restricted(right, ctx.old, &rk, &affected)?);
-    let l1 = flatten(restricted(left, ctx.new, &lk, &affected)?);
-    let r1 = flatten(restricted(right, ctx.new, &rk, &affected)?);
+    let l0 = flatten(restricted(left, ctx.old, lk, &affected)?);
+    let r0 = flatten(restricted(right, ctx.old, rk, &affected)?);
+    let l1 = flatten(restricted(left, ctx.new, lk, &affected)?);
+    let r1 = flatten(restricted(right, ctx.new, rk, &affected)?);
 
     let old = dt_exec::join::execute_join(&l0, &r0, la, ra, join_type, on)?;
     let new = dt_exec::join::execute_join(&l1, &r1, la, ra, join_type, on)?;
@@ -439,23 +404,21 @@ fn anti_join_padded(
     Ok(out)
 }
 
-fn collect_keys(
-    d: &ChangeSet,
-    key_exprs: &[ScalarExpr],
-    out: &mut HashSet<Vec<Value>>,
-) -> DtResult<()> {
-    for r in d.inserts().iter().chain(d.deletes().iter()) {
-        let mut k = Vec::with_capacity(key_exprs.len());
-        for e in key_exprs {
-            k.push(e.eval(r)?);
-        }
-        out.insert(k);
+/// Add the key tuple of every changed row of `d` to `out`.
+fn collect_keys(d: &ChangeSet, key_exprs: &[ScalarExpr], out: &mut KeyTable) -> DtResult<()> {
+    let mut ids = Vec::new();
+    for rows in [d.inserts(), d.deletes()] {
+        let Some(r) = rows.first() else { continue };
+        let b = Batch::from_rows(r.len(), rows);
+        let slots = b.live_indices();
+        let cols = try_eval_columns(key_exprs, &b, &slots)?;
+        out.intern(&cols, &slots, &mut ids);
     }
     Ok(())
 }
 
-fn affected_keys(d: &ChangeSet, key_exprs: &[ScalarExpr]) -> DtResult<HashSet<Vec<Value>>> {
-    let mut out = HashSet::new();
+fn affected_keys(d: &ChangeSet, key_exprs: &[ScalarExpr]) -> DtResult<KeyTable> {
+    let mut out = KeyTable::new(key_exprs.len());
     collect_keys(d, key_exprs, &mut out)?;
     Ok(out)
 }
@@ -474,42 +437,57 @@ fn evaluate(plan: &LogicalPlan, provider: &dyn TableProvider) -> DtResult<Vec<Ro
     Ok(flatten(evaluate_batches(plan, provider)?))
 }
 
+/// `[min, max]` over `keys` of every key that is a bare column, as one
+/// conjunction — a filter that keeps every row whose key tuple is in
+/// `keys`, and lets zone maps rule out partitions that lie outside them.
+fn key_range(key_exprs: &[ScalarExpr], keys: &KeyTable) -> Option<ScalarExpr> {
+    let mut bounds = Vec::new();
+    for (k, e) in key_exprs.iter().enumerate() {
+        let values = || (0..keys.len()).map(|id| &keys.key(id)[k]);
+        // A NULL key is matched by NULL rows, which no comparison keeps.
+        if !matches!(e, ScalarExpr::Column(_)) || values().any(Value::is_null) {
+            continue;
+        }
+        for (op, bound) in [(BinOp::GtEq, values().min()), (BinOp::LtEq, values().max())] {
+            bounds.push(ScalarExpr::Binary {
+                left: Box::new(e.clone()),
+                op,
+                right: Box::new(ScalarExpr::Literal(bound?.clone())),
+            });
+        }
+    }
+    ScalarExpr::and_all(&bounds)
+}
+
 /// Evaluate a sub-plan and narrow each batch's selection to the rows whose
-/// key tuple is in `keys`, so only those rows are ever materialized. Keys
-/// that are plain columns are read straight off the column vectors; other
-/// key expressions are evaluated on the materialized row.
+/// key tuple is in `keys`, so only those rows are ever materialized. The
+/// keys' range goes in as a filter above the plan first, which the pushdown
+/// carries into the scans: partitions whose zone maps lie outside the
+/// affected keys are never read.
 fn restricted(
     plan: &LogicalPlan,
     provider: &dyn TableProvider,
     key_exprs: &[ScalarExpr],
-    keys: &HashSet<Vec<Value>>,
+    keys: &KeyTable,
 ) -> DtResult<Vec<Batch>> {
-    let mut batches = evaluate_batches(plan, provider)?;
-    let mut key = Vec::with_capacity(key_exprs.len());
+    if keys.is_empty() {
+        return Ok(Vec::new());
+    }
+    let mut batches = match key_range(key_exprs, keys) {
+        None => evaluate_batches(plan, provider)?,
+        Some(predicate) => {
+            let input = Box::new(plan.clone());
+            evaluate_batches(&LogicalPlan::Filter { input, predicate }, provider)?
+        }
+    };
+    let mut ids = Vec::new();
     for b in &mut batches {
-        let key_columns: Option<Vec<usize>> = key_exprs
-            .iter()
-            .map(|e| match e {
-                ScalarExpr::Column(c) if *c < b.arity() => Some(*c),
-                _ => None,
-            })
-            .collect();
+        let slots = b.live_indices();
+        let cols = try_eval_columns(key_exprs, b, &slots)?;
+        keys.find(&cols, &slots, &mut ids);
         let mut keep = vec![false; b.len()];
-        for (i, k) in keep.iter_mut().enumerate() {
-            if !b.is_selected(i) {
-                continue;
-            }
-            key.clear();
-            match &key_columns {
-                Some(cols) => key.extend(cols.iter().map(|&c| b.column(c).get(i))),
-                None => {
-                    let row = b.row(i);
-                    for e in key_exprs {
-                        key.push(e.eval(&row)?);
-                    }
-                }
-            }
-            *k = keys.contains(key.as_slice());
+        for (&slot, &id) in slots.iter().zip(&ids) {
+            keep[slot] = id != ABSENT;
         }
         b.set_selection(Some(keep));
     }

@@ -247,6 +247,67 @@ impl ScalarExpr {
         }
     }
 
+    /// The conjuncts of this predicate: its top-level `AND` tree flattened,
+    /// left to right. A predicate that is not a conjunction is its own
+    /// single conjunct.
+    pub fn conjuncts(&self) -> Vec<&ScalarExpr> {
+        fn go<'a>(e: &'a ScalarExpr, out: &mut Vec<&'a ScalarExpr>) {
+            match e {
+                ScalarExpr::Binary {
+                    left,
+                    op: BinOp::And,
+                    right,
+                } => {
+                    go(left, out);
+                    go(right, out);
+                }
+                other => out.push(other),
+            }
+        }
+        let mut out = Vec::new();
+        go(self, &mut out);
+        out
+    }
+
+    /// Reassemble conjuncts into one left-deep `AND` (evaluation order
+    /// preserved), or `None` when there are none.
+    pub fn and_all<'a>(conjuncts: impl IntoIterator<Item = &'a ScalarExpr>) -> Option<ScalarExpr> {
+        let mut it = conjuncts.into_iter();
+        let first = it.next()?.clone();
+        Some(it.fold(first, |acc, c| ScalarExpr::Binary {
+            left: Box::new(acc),
+            op: BinOp::And,
+            right: Box::new(c.clone()),
+        }))
+    }
+
+    /// True when this predicate can never raise, whatever row it sees:
+    /// comparisons, `IS NULL` and `IN (literals)` over columns and
+    /// literals, composed with `AND`/`OR`/`NOT`. Only such a predicate may
+    /// be evaluated on rows the original plan would not have shown it
+    /// (e.g. below a join, on rows that find no partner).
+    pub fn is_infallible_predicate(&self) -> bool {
+        let atom = |e: &ScalarExpr| matches!(e, ScalarExpr::Column(_) | ScalarExpr::Literal(_));
+        match self {
+            ScalarExpr::Literal(Value::Bool(_) | Value::Null) => true,
+            ScalarExpr::Not(e) => e.is_infallible_predicate(),
+            ScalarExpr::IsNull { expr, .. } => atom(expr),
+            ScalarExpr::InList { expr, list, .. } => {
+                atom(expr) && list.iter().all(|c| matches!(c, ScalarExpr::Literal(_)))
+            }
+            ScalarExpr::Binary { left, op, right } => match op {
+                BinOp::And | BinOp::Or => {
+                    left.is_infallible_predicate() && right.is_infallible_predicate()
+                }
+                BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
+                    atom(left) && atom(right)
+                }
+                _ => false,
+            },
+            _ => false,
+        }
+    }
+
     /// Evaluate against an input row.
     pub fn eval(&self, row: &Row) -> DtResult<Value> {
         match self {

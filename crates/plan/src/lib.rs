@@ -11,10 +11,12 @@
 
 pub mod binder;
 pub mod expr;
+mod join_keys;
 pub mod plan;
 pub mod pushdown;
 
 pub use binder::{BindOutput, Binder, Resolver, ResolvedRelation};
 pub use expr::{AggExpr, AggFunc, BinOp, ScalarExpr, ScalarFunc, WindowExpr, WindowFunc};
+pub use join_keys::{equi_join_keys, EquiJoinKeys};
 pub use plan::{operator_census, JoinType, LogicalPlan, OperatorKind};
 pub use pushdown::{push_down_filters, scan_pushdown};

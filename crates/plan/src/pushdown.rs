@@ -1,13 +1,25 @@
-//! Filter pushdown: move column-vs-constant conjuncts below table scans.
+//! Filter pushdown: move conjuncts below joins and into table scans.
 //!
-//! [`push_down_filters`] rewrites `Filter(TableScan)` shapes: the
-//! predicate is split at its top-level `AND`s, conjuncts of the form
-//! `column OP literal` (either orientation) become a
-//! [`PredicateSet`] on the scan, and whatever remains stays behind as the
-//! residual filter — which the executor still evaluates, so a conjunct the
-//! scan already applied is never re-derived wrongly and a conjunct the
-//! scan *can't* apply is never lost. With everything pushed, the filter
-//! node disappears entirely.
+//! [`push_down_filters`] rewrites `Filter` nodes. The predicate is split
+//! at its top-level `AND`s and each conjunct sinks as far as it can:
+//!
+//! * **Through a join.** A conjunct that reads one input only moves to
+//!   that input when the join cannot re-introduce the rows it rejects:
+//!   either input of an `INNER` join, the preserved (left) input of a
+//!   `LEFT` join, the preserved (right) input of a `RIGHT` join, nothing
+//!   below a `FULL` join. A conjunct on the NULL-padded side stays above
+//!   the join — `WHERE r.x IS NULL` over a `LEFT` join selects exactly the
+//!   padded rows. Only conjuncts that can never raise
+//!   ([`ScalarExpr::is_infallible_predicate`]) move: below the join a
+//!   predicate also sees the rows that find no partner, and an expression
+//!   that errors on one of those would fail a query that succeeds today.
+//! * **Into a scan.** Conjuncts of the form `column OP literal` (either
+//!   orientation) become a [`PredicateSet`] on the scan, which storage
+//!   evaluates vectorized and prunes partitions with.
+//!
+//! Whatever cannot sink stays behind as the residual filter, in its
+//! original order — so a conjunct a scan *can't* apply is never lost.
+//! With everything pushed, the filter node disappears entirely.
 //!
 //! Only comparisons against literals are pushable — run the rewrite
 //! *after* [`LogicalPlan::bind_params`], so prepared-statement parameters
@@ -18,64 +30,25 @@
 //! unspecified. Pushing a conjunct means rows it rejects never reach the
 //! residual, so a residual that would *error* on such a row (e.g.
 //! `1/x = 1 AND x > 0` at `x = 0`) no longer does. Result rows are always
-//! identical; only error surfacing on rejected rows can differ, exactly as
-//! in any engine with scan-level filtering.
+//! identical, and in identical order; only error surfacing on rejected
+//! rows can differ, exactly as in any engine with scan-level filtering.
 
 use std::sync::Arc;
 
 use dt_common::{CmpOp, ColumnPredicate, PredicateSet};
 
 use crate::expr::{BinOp, ScalarExpr};
-use crate::plan::LogicalPlan;
+use crate::join_keys::{join_side, JoinSide};
+use crate::plan::{JoinType, LogicalPlan};
 
-/// Rewrite the plan bottom-up, attaching pushable conjuncts of
-/// `Filter`-over-`TableScan` nodes to the scan. Pure function: returns the
-/// rewritten plan.
+/// Rewrite the plan bottom-up, sinking the conjuncts of every `Filter`
+/// through joins and into scans. Pure function: returns the rewritten
+/// plan.
 pub fn push_down_filters(plan: &LogicalPlan) -> LogicalPlan {
     match plan {
         LogicalPlan::Filter { input, predicate } => {
-            let input = push_down_filters(input);
-            if let LogicalPlan::TableScan {
-                entity,
-                name,
-                schema,
-                pushdown,
-            } = &input
-            {
-                let mut pushed = pushdown.clone().unwrap_or_default().preds;
-                let mut residual: Vec<&ScalarExpr> = Vec::new();
-                for conjunct in split_conjuncts(predicate) {
-                    match as_column_predicate(conjunct) {
-                        Some(p) => pushed.push(p),
-                        None => residual.push(conjunct),
-                    }
-                }
-                if pushed.is_empty() {
-                    return LogicalPlan::Filter {
-                        input: Box::new(input),
-                        predicate: predicate.clone(),
-                    };
-                }
-                let scan = LogicalPlan::TableScan {
-                    entity: *entity,
-                    name: name.clone(),
-                    schema: Arc::clone(schema),
-                    pushdown: Some(PredicateSet::new(pushed)),
-                };
-                return match rejoin_conjuncts(&residual) {
-                    // Everything pushed: the filter node dissolves (its
-                    // schema equals its input's, so shapes are unchanged).
-                    None => scan,
-                    Some(residual) => LogicalPlan::Filter {
-                        input: Box::new(scan),
-                        predicate: residual,
-                    },
-                };
-            }
-            LogicalPlan::Filter {
-                input: Box::new(input),
-                predicate: predicate.clone(),
-            }
+            let conjuncts: Vec<ScalarExpr> = predicate.conjuncts().into_iter().cloned().collect();
+            push_filter(input, conjuncts)
         }
         LogicalPlan::TableScan { .. } | LogicalPlan::SingleRow => plan.clone(),
         LogicalPlan::Project {
@@ -138,36 +111,87 @@ pub fn push_down_filters(plan: &LogicalPlan) -> LogicalPlan {
     }
 }
 
-/// Flatten a predicate's top-level AND tree into conjuncts.
-fn split_conjuncts(e: &ScalarExpr) -> Vec<&ScalarExpr> {
-    let mut out = Vec::new();
-    fn go<'a>(e: &'a ScalarExpr, out: &mut Vec<&'a ScalarExpr>) {
-        match e {
-            ScalarExpr::Binary {
-                left,
-                op: BinOp::And,
-                right,
-            } => {
-                go(left, out);
-                go(right, out);
+/// The rewritten form of `Filter(input, AND(conjuncts))`, `input` not yet
+/// rewritten.
+fn push_filter(input: &LogicalPlan, conjuncts: Vec<ScalarExpr>) -> LogicalPlan {
+    let (rewritten, residual) = match input {
+        LogicalPlan::TableScan {
+            entity,
+            name,
+            schema,
+            pushdown,
+        } => {
+            let mut pushed = pushdown.clone().unwrap_or_default().preds;
+            let mut residual = Vec::new();
+            for c in conjuncts {
+                match as_column_predicate(&c) {
+                    Some(p) => pushed.push(p),
+                    None => residual.push(c),
+                }
             }
-            other => out.push(other),
+            let scan = LogicalPlan::TableScan {
+                entity: *entity,
+                name: name.clone(),
+                schema: Arc::clone(schema),
+                pushdown: (!pushed.is_empty()).then(|| PredicateSet::new(pushed)),
+            };
+            (scan, residual)
         }
+        LogicalPlan::Join {
+            left,
+            right,
+            join_type,
+            on,
+            schema,
+        } => {
+            let left_arity = left.schema().len();
+            let (mut to_left, mut to_right, mut residual) = (Vec::new(), Vec::new(), Vec::new());
+            for c in conjuncts {
+                let side = if c.is_infallible_predicate() {
+                    join_side(&c, left_arity)
+                } else {
+                    JoinSide::Both
+                };
+                match (side, join_type) {
+                    (JoinSide::Left, JoinType::Inner | JoinType::Left) => to_left.push(c),
+                    (JoinSide::Right, JoinType::Inner | JoinType::Right) => {
+                        to_right.push(c.map_columns(&|i| i - left_arity))
+                    }
+                    _ => residual.push(c),
+                }
+            }
+            let join = LogicalPlan::Join {
+                left: Box::new(push_filter(left, to_left)),
+                right: Box::new(push_filter(right, to_right)),
+                join_type: *join_type,
+                on: on.clone(),
+                schema: Arc::clone(schema),
+            };
+            (join, residual)
+        }
+        // Conjuncts arriving from above a join meet a filter that was
+        // already on that input: sink them together. They go first, which
+        // is safe because they cannot raise and only narrows the rows the
+        // older conjuncts see.
+        LogicalPlan::Filter {
+            input: inner,
+            predicate,
+        } if conjuncts.iter().all(ScalarExpr::is_infallible_predicate) => {
+            let mut all = conjuncts;
+            all.extend(predicate.conjuncts().into_iter().cloned());
+            return push_filter(inner, all);
+        }
+        other => (push_down_filters(other), conjuncts),
+    };
+    match ScalarExpr::and_all(&residual) {
+        // Everything pushed: the filter node dissolves (its schema equals
+        // its input's, so shapes are unchanged).
+        None => rewritten,
+        Some(predicate) => LogicalPlan::Filter {
+            input: Box::new(rewritten),
+            predicate,
+        },
     }
-    go(e, &mut out);
-    out
-}
-
-/// Reassemble residual conjuncts into one left-deep AND (evaluation order
-/// preserved), or `None` when nothing is left.
-fn rejoin_conjuncts(conjuncts: &[&ScalarExpr]) -> Option<ScalarExpr> {
-    let mut it = conjuncts.iter();
-    let first = (*it.next()?).clone();
-    Some(it.fold(first, |acc, c| ScalarExpr::Binary {
-        left: Box::new(acc),
-        op: BinOp::And,
-        right: Box::new((*c).clone()),
-    }))
 }
 
 /// `col OP literal` / `literal OP col` → a pushable [`ColumnPredicate`].
@@ -326,6 +350,137 @@ mod tests {
             predicate: bin(ScalarExpr::col(0), BinOp::Gt, ScalarExpr::lit(5i64)),
         };
         assert_eq!(push_down_filters(&p), p);
+    }
+
+    fn join(join_type: JoinType) -> LogicalPlan {
+        let other = LogicalPlan::TableScan {
+            entity: EntityId(2),
+            name: "u".into(),
+            schema: Arc::new(Schema::new(vec![Column::new("z", DataType::Int)])),
+            pushdown: None,
+        };
+        let mut columns = scan().schema().columns().to_vec();
+        columns.extend(other.schema().columns().iter().cloned());
+        LogicalPlan::Join {
+            left: Box::new(scan()),
+            right: Box::new(other),
+            join_type,
+            on: bin(ScalarExpr::col(0), BinOp::Eq, ScalarExpr::col(2)),
+            schema: Arc::new(Schema::new(columns)),
+        }
+    }
+
+    /// Push `WHERE x > 1 AND z < 9 AND x + z = 4` over a join of `join_type`
+    /// and report (left scan's pushdown, right scan's pushdown, residual).
+    fn pushed_over(join_type: JoinType) -> (Option<String>, Option<String>, Option<String>) {
+        let on_left = bin(ScalarExpr::col(0), BinOp::Gt, ScalarExpr::lit(1i64));
+        let on_right = bin(ScalarExpr::col(2), BinOp::Lt, ScalarExpr::lit(9i64));
+        let on_both = bin(
+            bin(ScalarExpr::col(0), BinOp::Add, ScalarExpr::col(2)),
+            BinOp::Eq,
+            ScalarExpr::lit(4i64),
+        );
+        let p = LogicalPlan::Filter {
+            input: Box::new(join(join_type)),
+            predicate: ScalarExpr::and_all([&on_left, &on_right, &on_both]).unwrap(),
+        };
+        let out = push_down_filters(&p);
+        assert_eq!(out.schema(), p.schema());
+        let (join, residual) = match &out {
+            LogicalPlan::Filter { input, predicate } => (input.as_ref(), Some(predicate.to_string())),
+            other => (other, None),
+        };
+        let LogicalPlan::Join { left, right, .. } = join else {
+            panic!("join must stay in place: {out:?}");
+        };
+        let text = |p: &LogicalPlan| scan_pushdown(p).map(|ps| ps.to_string());
+        (text(left), text(right), residual)
+    }
+
+    #[test]
+    fn one_sided_conjuncts_sink_through_an_inner_join_into_the_scans() {
+        let (left, right, residual) = pushed_over(JoinType::Inner);
+        assert_eq!(left.as_deref(), Some("#0 > 1"));
+        // Rebased to the right input's own column numbering.
+        assert_eq!(right.as_deref(), Some("#0 < 9"));
+        assert_eq!(residual.as_deref(), Some("((#0 Add #2) Eq 4)"));
+    }
+
+    #[test]
+    fn outer_joins_only_let_the_preserved_side_through() {
+        let (left, right, residual) = pushed_over(JoinType::Left);
+        assert_eq!((left.as_deref(), right), (Some("#0 > 1"), None));
+        assert_eq!(
+            residual.as_deref(),
+            Some("((#2 Lt 9) And ((#0 Add #2) Eq 4))")
+        );
+        let (left, right, _) = pushed_over(JoinType::Right);
+        assert_eq!((left, right.as_deref()), (None, Some("#0 < 9")));
+        let (left, right, _) = pushed_over(JoinType::Full);
+        assert_eq!((left, right), (None, None));
+    }
+
+    #[test]
+    fn a_conjunct_that_can_raise_stays_above_the_join() {
+        // 10 / x > 1 reads the left input only, but below the join it
+        // would also divide by the x of rows that find no partner.
+        let fallible = bin(
+            bin(ScalarExpr::lit(10i64), BinOp::Div, ScalarExpr::col(0)),
+            BinOp::Gt,
+            ScalarExpr::lit(1i64),
+        );
+        let p = LogicalPlan::Filter {
+            input: Box::new(join(JoinType::Inner)),
+            predicate: fallible,
+        };
+        assert_eq!(push_down_filters(&p), p);
+    }
+
+    #[test]
+    fn pushed_conjuncts_merge_with_a_filter_already_on_that_input() {
+        // Filter(Join(Filter(scan, y = 3 AND x + y > 0), u), x > 1): both
+        // pushable conjuncts reach the scan, the arithmetic one stays.
+        let LogicalPlan::Join {
+            left,
+            right,
+            join_type,
+            on,
+            schema,
+        } = join(JoinType::Inner)
+        else {
+            panic!()
+        };
+        let arithmetic = bin(
+            bin(ScalarExpr::col(0), BinOp::Add, ScalarExpr::col(1)),
+            BinOp::Gt,
+            ScalarExpr::lit(0i64),
+        );
+        let filtered_left = LogicalPlan::Filter {
+            input: left,
+            predicate: bin(
+                bin(ScalarExpr::col(1), BinOp::Eq, ScalarExpr::lit(3i64)),
+                BinOp::And,
+                arithmetic.clone(),
+            ),
+        };
+        let p = LogicalPlan::Filter {
+            input: Box::new(LogicalPlan::Join {
+                left: Box::new(filtered_left),
+                right,
+                join_type,
+                on,
+                schema,
+            }),
+            predicate: bin(ScalarExpr::col(0), BinOp::Gt, ScalarExpr::lit(1i64)),
+        };
+        let LogicalPlan::Join { left, .. } = push_down_filters(&p) else {
+            panic!("outer filter must dissolve")
+        };
+        let LogicalPlan::Filter { input, predicate } = *left else {
+            panic!("arithmetic conjunct must stay on the left input")
+        };
+        assert_eq!(predicate, arithmetic);
+        assert_eq!(scan_pushdown(&input).unwrap().to_string(), "#0 > 1 AND #1 = 3");
     }
 
     #[test]

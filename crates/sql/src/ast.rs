@@ -69,7 +69,10 @@ pub enum Statement {
         /// Entity to clone.
         source: String,
     },
-    /// `EXPLAIN <query>` — print the bound logical plan.
+    /// `EXPLAIN <query>` — print the logical plan as it will run: bound,
+    /// with filters pushed through joins and into the scans. Takes no `?`
+    /// placeholders (a parameter is only pushed once a value is bound); to
+    /// see a prepared statement's plan, EXPLAIN it with literals.
     Explain(Query),
     /// `SHOW DYNAMIC TABLES` — status of every DT.
     ShowDynamicTables,

@@ -94,30 +94,39 @@ impl TableSnapshot {
         out
     }
 
-    /// The pinned partition handles (morsel-parallel scans pull individual
-    /// partitions through [`TableSnapshot::partition_batch`]).
+    /// The pinned partition handles.
     pub fn partitions(&self) -> &[Arc<Partition>] {
         &self.partitions
     }
 
-    /// Scan one partition as a columnar batch, or `None` when `filter`'s
-    /// zone-map check proves no row can match — in which case the
-    /// partition's column data is never touched (its data-read counter
-    /// does not move). Surviving batches have the filter applied as a
-    /// selection bitmap.
-    pub fn partition_batch(&self, idx: usize, filter: Option<&PredicateSet>) -> Option<Batch> {
-        let p = &self.partitions[idx];
-        if let (Some(f), Some(zone_maps)) = (filter, p.zone_maps()) {
-            if f.prunes(zone_maps) {
+    /// The partitions a scan under `filter` has to read, in scan order:
+    /// every partition whose zone maps do not prove that no row can match.
+    /// Each partition ruled out is counted once as a zone-map prune; its
+    /// column data is never touched (its data-read counter does not move).
+    pub fn surviving_partitions(&self, filter: Option<&PredicateSet>) -> Vec<usize> {
+        let Some(f) = filter else {
+            return (0..self.partitions.len()).collect();
+        };
+        let mut survivors = Vec::new();
+        for (idx, p) in self.partitions.iter().enumerate() {
+            if p.zone_maps().is_some_and(|z| f.prunes(z)) {
                 crate::telemetry::record_zone_map_prune();
-                return None;
+            } else {
+                survivors.push(idx);
             }
         }
-        let mut batch = p.batch();
+        survivors
+    }
+
+    /// Read one partition (normally one of
+    /// [`TableSnapshot::surviving_partitions`]) as a columnar batch with
+    /// `filter` applied as a selection bitmap. No zone-map check.
+    pub fn partition_batch(&self, idx: usize, filter: Option<&PredicateSet>) -> Batch {
+        let mut batch = self.partitions[idx].batch();
         if let Some(f) = filter {
             f.apply(&mut batch);
         }
-        Some(batch)
+        batch
     }
 
     /// Scan the pinned version as columnar batches (one per surviving
@@ -125,8 +134,8 @@ impl TableSnapshot {
     /// can't match. Zero-copy: batches share the partitions' column
     /// vectors. Lock-free, like [`TableSnapshot::scan`].
     pub fn scan_batches(&self, filter: Option<&PredicateSet>) -> Vec<Batch> {
-        (0..self.partitions.len())
-            .filter_map(|i| self.partition_batch(i, filter))
+        (self.surviving_partitions(filter).into_iter())
+            .map(|i| self.partition_batch(i, filter))
             .collect()
     }
 
