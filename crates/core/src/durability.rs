@@ -19,11 +19,12 @@
 //!   the refresh-ts → version mapping entry, the new frontier, and a
 //!   catalog image (error counters, evolution fingerprints).
 //!
-//! Both group-commit leaders (the DML [`dt_txn::CommitQueue`] and the
-//! refresh install queue) append their whole batch with **one** `fsync`
-//! while still holding the engine write lock: durable strictly before
-//! acknowledged *and* before visible, at ≤ 1 fsync per batch. An inline
-//! refresh (`EngineState::run_refresh`) is a batch of one.
+//! The install pipeline's leader (the `install` module; transaction
+//! commits and refreshes share its [`dt_txn::CommitQueue`]) appends its
+//! whole batch with **one** `fsync` while still holding the engine write
+//! lock: durable strictly before acknowledged *and* before visible, at
+//! ≤ 1 fsync per batch. An inline refresh (`EngineState::run_refresh`)
+//! and an auto-commit statement are batches of one.
 //!
 //! The bytes of every record and of the checkpoint image are written with
 //! [`dt_common::codec`]; the file formats around them belong to `dt-wal`.
@@ -494,18 +495,13 @@ impl CheckpointImage {
 }
 
 impl EngineState {
-    /// The durable half, when configured.
-    pub(crate) fn wal_shared(&self) -> Option<&Arc<WalShared>> {
-        self.wal.as_ref()
-    }
-
     /// True when mutations must produce WAL records.
     pub(crate) fn wal_enabled(&self) -> bool {
         self.wal.is_some()
     }
 
     /// Append `records` as one framed, CRC'd, fsynced batch — called by
-    /// group-commit leaders and the serial mutation paths, always while the
+    /// `EngineState::install_batch` and the DDL paths, always while the
     /// engine write lock is held, so durability strictly precedes
     /// visibility. Crosses the auto-checkpoint threshold afterwards when
     /// enough bytes accumulated.
@@ -563,8 +559,8 @@ impl EngineState {
     /// Write a checkpoint: the complete engine image, then roll the WAL
     /// and remove sealed segments behind it. Returns `false` (and does
     /// nothing) when the engine is not durable. Must be called with the
-    /// engine write lock held (all callers are `&mut self` paths or
-    /// group-commit leaders).
+    /// engine write lock held (all callers are `&mut self` paths or the
+    /// install leader).
     pub(crate) fn write_checkpoint(&self) -> DtResult<bool> {
         let Some(shared) = &self.wal else {
             return Ok(false);

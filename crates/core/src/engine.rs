@@ -24,7 +24,8 @@
 //! against the snapshot. Readers therefore never wait behind an in-flight
 //! refresh. DML commits through [`Transaction`] (auto-commit is the
 //! one-statement kind); DDL and inline refreshes run under the write lock,
-//! and every install — DML or refresh — takes it briefly.
+//! and every install — DML or refresh, through the one pipeline of the
+//! `install` module — takes it briefly.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,21 +40,23 @@ use dt_sql::ast;
 use crate::database::{
     check_placeholder_support, is_dml, DbConfig, EngineState, ExecResult, QueryResult,
 };
+use crate::install::InstallShared;
 use crate::refresh::{RefreshLog, RefreshLogEntry};
 use crate::simulate::SimStats;
 use crate::snapshot::ReadSnapshot;
-use crate::transaction::{is_serialization_conflict, CommitRequest, Transaction};
+use crate::transaction::{is_serialization_conflict, Transaction};
 
 /// The role sessions run as unless [`Engine::session_as`] says otherwise.
 pub const DEFAULT_ROLE: &str = "sysadmin";
 
-/// Commit-pipeline telemetry: how the optimistic commit path has used the
-/// engine write lock so far. Captured with [`Engine::commit_stats`].
+/// Commit-pipeline telemetry: how transaction commits have used the
+/// install pipeline and the engine write lock so far. Captured with
+/// [`Engine::commit_stats`].
 ///
 /// The load-bearing relation is `install_lock_acquisitions` vs `commits`:
-/// with writer group-commit, N concurrent committers can complete under
-/// *fewer* than N engine-write-lock acquisitions, because one leader
-/// installs a whole batch per acquisition.
+/// N concurrent committers can complete under *fewer* than N
+/// engine-write-lock acquisitions, because one leader installs a whole
+/// batch per acquisition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommitStats {
     /// Transactions committed through the optimistic install path
@@ -63,53 +66,13 @@ pub struct CommitStats {
     /// Transactions aborted by the install path with a serialization
     /// conflict (version moved, table dropped).
     pub conflicts: u64,
-    /// Times the install path acquired the engine write lock — one per
-    /// batch for group commit, one per commit for the unbatched path.
+    /// Times the install path acquired the engine write lock for a batch
+    /// holding at least one commit — one per commit on the unbatched path.
     pub install_lock_acquisitions: u64,
-    /// Largest group-commit batch installed under one acquisition.
+    /// Most commits installed under one acquisition.
     pub max_batch: u64,
-    /// Requests that went through the group-commit queue.
+    /// Commits that went through the install queue.
     pub group_submitted: u64,
-}
-
-/// State shared by every handle of one engine that lives *outside* the
-/// engine lock: the group-commit queue (submitters must hold no engine
-/// lock while enqueueing) and the commit telemetry counters.
-pub(crate) struct CommitShared {
-    pub(crate) queue: dt_txn::CommitQueue<CommitRequest, dt_common::DtResult<Timestamp>>,
-    commits: AtomicU64,
-    conflicts: AtomicU64,
-    install_lock_acquisitions: AtomicU64,
-    max_batch: AtomicU64,
-}
-
-impl CommitShared {
-    fn new() -> Self {
-        CommitShared {
-            queue: dt_txn::CommitQueue::new(),
-            commits: AtomicU64::new(0),
-            conflicts: AtomicU64::new(0),
-            install_lock_acquisitions: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
-        }
-    }
-
-    /// Record one engine-write-lock acquisition installing `batch` txns.
-    pub(crate) fn record_batch(&self, batch: usize) {
-        self.install_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-        self.max_batch.fetch_max(batch as u64, Ordering::Relaxed);
-    }
-
-    /// Record one transaction's install outcome.
-    pub(crate) fn record_outcome(&self, outcome: &dt_common::DtResult<Timestamp>) {
-        match outcome {
-            Ok(_) => self.commits.fetch_add(1, Ordering::Relaxed),
-            Err(e) if is_serialization_conflict(e) => {
-                self.conflicts.fetch_add(1, Ordering::Relaxed)
-            }
-            Err(_) => 0,
-        };
-    }
 }
 
 /// A shared handle to one engine. Clones are cheap and refer to the same
@@ -123,13 +86,12 @@ pub struct Engine {
     /// The refresh log, shared with the state (it has its own lock, so
     /// telemetry reads need no engine lock).
     refresh_log: RefreshLog,
-    /// Group-commit queue + commit telemetry (own synchronization; lives
-    /// outside the engine lock so committers enqueue lock-free).
-    pub(crate) commit: Arc<CommitShared>,
-    /// Group-install queue + telemetry for the parallel refresh path
-    /// (PR 8) — a sibling of `commit` so refresh installs never
-    /// interleave into DML commit batches.
-    pub(crate) refresh: Arc<crate::parallel_refresh::RefreshShared>,
+    /// The install queue + pipeline telemetry (own synchronization; lives
+    /// outside the engine lock so submitters enqueue lock-free).
+    pub(crate) installs: Arc<InstallShared>,
+    /// The durable half, shared with the state, so WAL telemetry needs no
+    /// engine lock. `None` for an in-memory engine.
+    wal: Option<Arc<crate::durability::WalShared>>,
     /// The admission lock table, shared with the state's `TxnManager`.
     /// Held directly on the handle so committers can acquire (and park on
     /// pessimistic wait-queues) **without any engine lock**: the current
@@ -175,18 +137,8 @@ impl Engine {
     fn from_state(state: EngineState) -> Engine {
         let clock = state.clock().clone();
         let refresh_log = state.refresh_log().clone();
-        let commit = Arc::new(CommitShared::new());
-        let refresh = Arc::new(crate::parallel_refresh::RefreshShared::new());
-        // Durable batches pay one fsync each, so a new leader waits this
-        // long for company before draining: well below one fsync and above
-        // the arrival spread of concurrent committers (why it is a constant:
-        // docs/DURABILITY.md). In-memory batches are free to form — their
-        // window stays zero.
-        const WAL_GATHER_WINDOW: std::time::Duration = std::time::Duration::from_micros(200);
-        if !matches!(state.config.durability, dt_common::DurabilityMode::None) {
-            commit.queue.set_gather(WAL_GATHER_WINDOW);
-            refresh.queue.set_gather(WAL_GATHER_WINDOW);
-        }
+        let wal = state.wal.clone();
+        let installs = Arc::new(InstallShared::new(wal.is_some()));
         let locks = Arc::clone(state.txn.locks());
         locks.set_wait_timeout(state.config.lock_wait_timeout);
         let locking = Arc::new(crate::locking::AdaptivePolicy::new(
@@ -201,8 +153,8 @@ impl Engine {
             state: Arc::new(RwLock::new(state)),
             clock,
             refresh_log,
-            commit,
-            refresh,
+            installs,
+            wal,
             locks,
             locking,
         }
@@ -217,37 +169,23 @@ impl Engine {
 
     /// WAL telemetry (appends, batches, fsyncs, bytes, checkpoints,
     /// records replayed at recovery). All zeros for an in-memory engine.
-    /// Takes the engine read lock only long enough to reach the shared
-    /// counters.
+    /// No engine lock is taken.
     pub fn wal_stats(&self) -> dt_wal::WalStatsSnapshot {
-        self.state
-            .read()
-            .wal_shared()
-            .map(|w| w.stats())
-            .unwrap_or_default()
+        self.wal.as_ref().map(|w| w.stats()).unwrap_or_default()
     }
 
     /// Commit-pipeline telemetry: commits, conflict aborts, and — the
     /// group-commit effect — how many engine-write-lock acquisitions those
     /// installs cost. No engine lock is taken.
     pub fn commit_stats(&self) -> CommitStats {
-        let q = self.commit.queue.stats();
+        let shared = &self.installs;
         CommitStats {
-            commits: self.commit.commits.load(Ordering::Relaxed),
-            conflicts: self.commit.conflicts.load(Ordering::Relaxed),
-            install_lock_acquisitions: self
-                .commit
-                .install_lock_acquisitions
-                .load(Ordering::Relaxed),
-            max_batch: self.commit.max_batch.load(Ordering::Relaxed),
-            group_submitted: q.submitted,
+            commits: shared.commits.load(Ordering::Relaxed),
+            conflicts: shared.conflicts.load(Ordering::Relaxed),
+            install_lock_acquisitions: shared.commit.lock_acquisitions.load(Ordering::Relaxed),
+            max_batch: shared.commit.max_batch.load(Ordering::Relaxed),
+            group_submitted: shared.commit.submitted.load(Ordering::Relaxed),
         }
-    }
-
-    /// Commit requests currently enqueued behind the in-flight
-    /// group-commit batch (telemetry; tests use it to observe batching).
-    pub fn pending_commits(&self) -> usize {
-        self.commit.queue.pending()
     }
 
     /// Admission-lock telemetry: wait episodes and parked time, timeouts,

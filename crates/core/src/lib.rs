@@ -71,6 +71,7 @@ pub mod database;
 mod dml;
 mod durability;
 pub mod engine;
+mod install;
 pub mod locking;
 pub mod morsel;
 pub mod parallel_refresh;

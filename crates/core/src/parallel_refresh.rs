@@ -11,85 +11,50 @@
 //!    depends only on levels already installed.
 //! 2. **Pin + compute** — each worker pins its DT under a brief engine
 //!    **read** lock, then computes its delta completely lock-free.
-//! 3. **Group install** — the O(metadata) install rides a dedicated
-//!    [`dt_txn::CommitQueue`]: one leader drains every staged refresh of
-//!    the level under a single engine write lock acquisition, installs
-//!    each, reports each to the scheduler at the current time, and
-//!    appends the whole batch to the WAL with one fsync — so a level lands
-//!    in one or two lock acquisitions instead of N.
+//! 3. **Group install** — the O(metadata) install rides the engine's
+//!    install queue, beside transaction commits: one leader drains every
+//!    staged refresh of the level under a single engine write lock
+//!    acquisition, installs each, reports each to the scheduler at the
+//!    current time, and appends the whole batch to the WAL with one
+//!    fsync — so a level lands in one or two lock acquisitions instead
+//!    of N.
 //!
 //! A DT that fails, conflicts, or is suspended prunes its downstream cone
 //! for the round (§3.3.3): descendants cannot produce a consistent result
 //! at the round timestamp without it, and they retry next round.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use dt_common::{DtError, DtResult, EntityId, Timestamp};
 use dt_scheduler::{RefreshAction, RefreshOutcome};
-use dt_txn::CommitQueue;
 
-use crate::refresh::{action_label, install_one, RefreshInstall};
+use crate::install::Install;
+use crate::refresh::{action_label, RefreshInstall};
 use crate::Engine;
 
-/// Refresh-pipeline telemetry: how the round driver has used the engine
-/// write lock so far. Captured with [`Engine::refresh_stats`].
+/// Refresh-pipeline telemetry: how refreshes have used the install
+/// pipeline and the engine write lock so far. Captured with
+/// [`Engine::refresh_stats`].
 ///
-/// The load-bearing relation mirrors [`crate::CommitStats`]: with group
-/// install, a level of N refreshes completes under fewer than N engine
-/// write lock acquisitions.
+/// The load-bearing relation mirrors [`crate::CommitStats`]: a level of N
+/// refreshes completes under fewer than N engine write lock acquisitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RefreshStats {
     /// Refreshes recorded in the refresh log (inline and round alike).
     pub refreshes: u64,
-    /// Times the refresh install path acquired the engine write lock —
-    /// one per group-install batch.
+    /// Times the install path acquired the engine write lock for a queued
+    /// batch holding at least one refresh.
     pub install_lock_acquisitions: u64,
-    /// Largest group-install batch landed under one acquisition.
+    /// Most refreshes installed under one acquisition.
     pub max_batch: u64,
-    /// Refresh installs that went through the group-install queue.
+    /// Refresh installs that went through the install queue.
     pub group_submitted: u64,
     /// Parallel rounds driven by [`Engine::refresh_all_parallel`].
     pub parallel_rounds: u64,
     /// Current worker-pool size for parallel rounds.
     pub workers: u64,
-}
-
-/// State shared by every handle of one engine that serves the round
-/// driver *outside* the engine lock: the group-install queue
-/// (submitters hold no engine lock while enqueueing) and the telemetry
-/// counters. The dedicated queue keeps refresh installs from interleaving
-/// into DML group-commit batches — the two paths contend only on the
-/// engine write lock itself.
-pub(crate) struct RefreshShared {
-    pub(crate) queue: CommitQueue<RefreshInstall, DtResult<InstalledRefresh>>,
-    install_lock_acquisitions: AtomicU64,
-    max_batch: AtomicU64,
-    rounds: AtomicU64,
-    threads: AtomicUsize,
-}
-
-impl RefreshShared {
-    pub(crate) fn new() -> Self {
-        let default_threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        RefreshShared {
-            queue: CommitQueue::new(),
-            install_lock_acquisitions: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
-            rounds: AtomicU64::new(0),
-            threads: AtomicUsize::new(default_threads),
-        }
-    }
-
-    /// Record one engine-write-lock acquisition installing `batch` refreshes.
-    fn record_batch(&self, batch: usize) {
-        self.install_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-        self.max_batch.fetch_max(batch as u64, Ordering::Relaxed);
-    }
 }
 
 /// The result of one installed (or recorded-failed) refresh.
@@ -137,8 +102,8 @@ impl InstalledRefresh {
 }
 
 /// A refresh whose row work is done and staged, holding the DT's refresh
-/// lock. [`PreparedRefresh::install`] publishes it through the
-/// group-install queue; dropping without installing aborts the refresh
+/// lock. [`PreparedRefresh::install`] publishes it through the engine's
+/// install queue; dropping without installing aborts the refresh
 /// transaction and releases the lock, installing nothing.
 pub struct PreparedRefresh {
     engine: Engine,
@@ -157,31 +122,23 @@ impl PreparedRefresh {
         self.request.as_ref().expect("not yet installed").is_failed()
     }
 
-    /// Install through the group-install queue. Blocks until a leader (this
-    /// thread or another) lands the batch containing this refresh. Returns
-    /// `Err(DtError::Conflict)` when validation lost — the DT's version
-    /// moved past the prepared base, or a table read by the refresh was
-    /// dropped mid-round; the refresh transaction is aborted and nothing
+    /// Install through the engine's install queue. Blocks until a leader
+    /// (this thread or another) lands the batch containing this refresh.
+    /// Returns `Err(DtError::Conflict)` when validation lost — the DT's
+    /// version moved past the prepared base, or a table read by the refresh
+    /// was dropped mid-round; the refresh transaction is aborted and nothing
     /// was installed.
     pub fn install(mut self) -> DtResult<InstalledRefresh> {
         let request = self.request.take().expect("already installed");
-        let txn = request.txn.clone();
-        let engine = self.engine.clone();
-        let inner = self.engine.clone();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            engine.refresh.queue.submit(request, move |batch| {
-                install_refresh_batch(&inner, batch)
-            })
-        }));
-        match result {
-            Ok(outcome) => outcome,
-            Err(panic) => {
-                // A poisoned queue (a leader panicked mid-batch) leaves the
-                // refresh unpublished; release the DT lock before unwinding.
-                let _ = self.engine.inspect(|st| st.txn_manager().abort(&txn));
-                std::panic::resume_unwind(panic)
-            }
-        }
+        let (dt, refresh_ts) = (request.dt, request.refresh_ts);
+        let installed = self.engine.install(Install::Refresh {
+            request,
+            report_now: true,
+        })?;
+        let outcome = installed
+            .refresh
+            .expect("a refresh install carries its outcome");
+        Ok(InstalledRefresh::new(dt, refresh_ts, installed.commit_ts, outcome))
     }
 }
 
@@ -242,34 +199,25 @@ impl Engine {
     /// (clamped to at least 1; defaults to the host's available
     /// parallelism).
     pub fn set_refresh_threads(&self, n: usize) {
-        self.refresh.threads.store(n.max(1), Ordering::Relaxed);
+        self.installs.threads.store(n.max(1), Ordering::Relaxed);
     }
 
     /// Current worker-pool size for parallel refresh rounds.
     pub fn refresh_threads(&self) -> usize {
-        self.refresh.threads.load(Ordering::Relaxed).max(1)
+        self.installs.threads.load(Ordering::Relaxed).max(1)
     }
 
     /// Refresh-pipeline telemetry. No engine lock is taken.
     pub fn refresh_stats(&self) -> RefreshStats {
-        let q = self.refresh.queue.stats();
+        let shared = &self.installs;
         RefreshStats {
             refreshes: self.refresh_log().len() as u64,
-            install_lock_acquisitions: self
-                .refresh
-                .install_lock_acquisitions
-                .load(Ordering::Relaxed),
-            max_batch: self.refresh.max_batch.load(Ordering::Relaxed),
-            group_submitted: q.submitted,
-            parallel_rounds: self.refresh.rounds.load(Ordering::Relaxed),
+            install_lock_acquisitions: shared.refresh.lock_acquisitions.load(Ordering::Relaxed),
+            max_batch: shared.refresh.max_batch.load(Ordering::Relaxed),
+            group_submitted: shared.refresh.submitted.load(Ordering::Relaxed),
+            parallel_rounds: shared.rounds.load(Ordering::Relaxed),
             workers: self.refresh_threads() as u64,
         }
-    }
-
-    /// Refresh installs currently enqueued behind the in-flight
-    /// group-install batch (telemetry; tests use it to observe batching).
-    pub fn pending_refresh_installs(&self) -> usize {
-        self.refresh.queue.pending()
     }
 
     /// Prepare one refresh of `dt` to `refresh_ts`: pin it under a brief
@@ -343,7 +291,7 @@ impl Engine {
                 .collect();
             (refresh_ts, levels, upstream_of, pre_pruned)
         };
-        self.refresh.rounds.fetch_add(1, Ordering::Relaxed);
+        self.installs.rounds.fetch_add(1, Ordering::Relaxed);
 
         let round_started = Instant::now();
         let mut report = RefreshRoundReport {
@@ -386,8 +334,8 @@ impl Engine {
 
             // Execute the level on the worker pool: each worker claims DTs
             // off a shared cursor, prepares lock-free, and submits to the
-            // group-install queue — so an entire level gravitates into one
-            // or two install batches.
+            // install queue — so an entire level gravitates into one or
+            // two install batches.
             let workers = self.refresh_threads().min(runnable.len()).max(1);
             let cursor = AtomicUsize::new(0);
             let results: parking_lot::Mutex<Vec<(EntityId, DtResult<RoundStatus>)>> =
@@ -463,38 +411,4 @@ impl Engine {
             Err(e) => Err(e),
         }
     }
-}
-
-/// Leader body of the group-install queue: one engine write lock
-/// acquisition installs the whole batch, reports each refresh to the
-/// scheduler as of now, and makes the batch durable.
-fn install_refresh_batch(
-    engine: &Engine,
-    batch: Vec<RefreshInstall>,
-) -> Vec<DtResult<InstalledRefresh>> {
-    let mut st = engine.state.write();
-    engine.refresh.record_batch(batch.len());
-    let mut wal_records = Vec::new();
-    let mut outcomes: Vec<DtResult<InstalledRefresh>> = batch
-        .into_iter()
-        .map(|req| {
-            let dt = req.dt;
-            let refresh_ts = req.refresh_ts;
-            let (commit_ts, outcome) = install_one(&mut st, req, &mut wal_records)?;
-            let ended = st.now();
-            st.report_refresh(dt, refresh_ts, &outcome, ended, &mut wal_records)?;
-            Ok(InstalledRefresh::new(dt, refresh_ts, commit_ts, outcome))
-        })
-        .collect();
-    // One append + fsync for the whole batch, before the write lock drops
-    // (same discipline as the DML leader). On failure the installs are
-    // already in the chains — fail every acknowledgement.
-    if let Err(e) = st.wal_append(&wal_records) {
-        for outcome in &mut outcomes {
-            if outcome.is_ok() {
-                *outcome = Err(e.clone());
-            }
-        }
-    }
-    outcomes
 }

@@ -12,18 +12,21 @@
 //!    choose the action (§5.4), evaluate or differentiate (§5.5), and
 //!    stage the result as a [`dt_storage::PreparedChange`] against the
 //!    DT's pinned base version.
-//! 3. **Install** (`install_one`, under the engine write lock): validate,
-//!    publish, stamp, and record the refresh in the refresh map, frontier,
-//!    catalog, WAL batch and refresh log — or, for a refresh that failed
-//!    with a user error, record the failure.
+//! 3. **Install** (`install_refresh`, under the engine write lock): the
+//!    staged change goes through the engine's one install pipeline — the
+//!    `install` module's validate → stamp → log → install core, shared
+//!    with transaction commits — and the refresh then records itself in
+//!    the refresh map, frontier, catalog, WAL batch and refresh log; a
+//!    refresh that failed with a user error records the failure instead.
 //!
 //! Callers differ only in which timestamp they refresh to, where the
 //! compute step runs, and on which clock they report the outcome to the
 //! scheduler (`EngineState::report_refresh`):
 //! `EngineState::run_refresh` runs all three steps inline under the
-//! write lock its caller already holds; the round driver in
-//! [`crate::parallel_refresh`] spreads step 2 over a worker pool and
-//! batches step 3 behind one lock acquisition.
+//! write lock its caller already holds, as an install batch of one; the
+//! round driver in [`crate::parallel_refresh`] spreads step 2 over a
+//! worker pool and submits step 3 to the install queue, where a leader
+//! lands whatever queued together behind one lock acquisition.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -43,6 +46,7 @@ use dt_txn::{Frontier, RefreshTsMap, Txn};
 
 use crate::database::EngineState;
 use crate::durability::{SideEffect, WalRecord};
+use crate::install::{check_admitted, validate_and_install, Install, Installed};
 use crate::providers::{
     evaluate_at, strip_row_ids, PinnedVersion, SnapshotProvider, StorageView, VersionSemantics,
     WRITE_SCAN_THREADS,
@@ -466,7 +470,7 @@ impl PinnedRefresh {
 
 /// A refresh between steps 2 and 3: its row work is done and staged, and
 /// it still holds the DT's refresh lock. This is what travels through the
-/// round driver's group-install queue.
+/// engine's install queue.
 pub(crate) struct RefreshInstall {
     pub(crate) dt: EntityId,
     pub(crate) refresh_ts: Timestamp,
@@ -506,21 +510,22 @@ enum InstallKind {
     Failed { error: String },
 }
 
-/// Step 3: install one refresh under the engine write lock the caller
-/// holds — the only place a refresh is validated, published, stamped and
-/// recorded. Returns the storage commit timestamp (`refresh_ts` for a
-/// failed refresh) and the outcome for the caller to report to the
-/// scheduler. The WAL records the install produced are pushed onto
-/// `wal_records`; the caller appends them before its write lock drops.
+/// Step 3, the refresh's part of `EngineState::install_batch` (under the
+/// engine write lock): run the staged change through the shared core,
+/// then record the refresh — refresh map, frontier, catalog, refresh log
+/// and, with `report_now`, the scheduler — or, for a refresh that failed
+/// with a user error, record the failure. The WAL records this produces
+/// are pushed onto `wal_records` for the batch's one append.
 ///
 /// `Err(DtError::Conflict)` means validation lost — the DT's version moved
 /// past the prepared base, or the DT or a table it read was dropped since
 /// the pin; the refresh transaction is aborted and nothing was installed.
-pub(crate) fn install_one(
+pub(crate) fn install_refresh(
     st: &mut EngineState,
     req: RefreshInstall,
+    report_now: bool,
     wal_records: &mut Vec<WalRecord>,
-) -> DtResult<(Timestamp, RefreshOutcome)> {
+) -> DtResult<Installed> {
     let RefreshInstall {
         dt,
         refresh_ts,
@@ -529,41 +534,17 @@ pub(crate) fn install_one(
         started,
         kind,
     } = req;
-    let abort = |st: &EngineState, e: DtError| {
-        let _ = st.txn.abort(&txn);
-        Err(e)
+    // A drop since the pin aborts this refresh (and, via the round driver,
+    // its cone) with a typed conflict.
+    let dropped = |id: EntityId| {
+        format!("entity {id} read by the refresh of {dt} was dropped before its install")
     };
-
-    // 0. The refresh transaction must still be active.
-    if !st.txn.is_active(&txn) {
-        return Err(DtError::Txn(format!(
-            "refresh transaction {} is not active",
-            txn.id
-        )));
-    }
-
-    // 1. Liveness: the DT and everything the refresh read must still
-    //    exist. A drop since the pin aborts this refresh (and, via the
-    //    round driver, its cone) with a typed conflict.
-    let read: &[EntityId] = match &kind {
-        InstallKind::Staged { upstream, .. } => upstream,
-        InstallKind::Failed { .. } => &[],
-    };
-    for id in std::iter::once(dt).chain(read.iter().copied()) {
-        if !st.catalog.get(id).map(|e| e.is_live()).unwrap_or(false) {
-            return abort(
-                st,
-                DtError::Conflict(format!(
-                    "entity {id} read by the refresh of {dt} was dropped before its install"
-                )),
-            );
-        }
-    }
 
     let (commit_ts, outcome, source_rows) = match kind {
         InstallKind::Failed { error } => {
             // §3.3.3: the refresh installs nothing and counts against the
             // DT; the next one (a later data timestamp) tries again.
+            check_admitted(st, &txn, [dt], dropped)?;
             st.txn.abort(&txn)?;
             st.catalog.record_dt_error(dt)?;
             if st.wal_enabled() {
@@ -587,33 +568,22 @@ pub(crate) fn install_one(
             evolved,
             validate_plan,
         } => {
-            // 2. Validate + install under the table's commit guard (first
-            //    committer wins), commit timestamp floored past both the
-            //    table's chain and the refresh timestamp.
-            let mut wal_install = None;
-            let commit_ts = match prep {
-                Some(prep) => {
-                    let guard = store.commit_guard();
-                    if let Err(e) = guard.validate_prepared(&prep) {
-                        drop(guard);
-                        return abort(st, e);
-                    }
-                    let floor = guard.latest_commit_ts().max(refresh_ts);
-                    let commit_ts = st.txn.hlc().tick_after(floor);
-                    if st.wal_enabled() {
-                        wal_install = Some((commit_ts, prep.install_record()));
-                    }
-                    guard.install_validated(*prep, commit_ts, txn.id);
-                    commit_ts
-                }
-                // NO_DATA: nothing to install, only metadata advances.
-                None => st.txn.hlc().tick_after(refresh_ts),
-            };
-            st.txn.commit_at(&txn, commit_ts)?;
+            // One stamp for the storage version and the refresh-map
+            // entry; NO_DATA stages nothing and only takes the stamp.
+            let live = std::iter::once(dt).chain(upstream.iter().copied());
+            let staged = prep.map(|p| (dt, Arc::clone(&store), *p));
+            let (commit_ts, mut installed) = validate_and_install(
+                st,
+                &txn,
+                live,
+                dropped,
+                staged.into_iter().collect(),
+                Some(refresh_ts),
+            )?;
 
-            // 3. Metadata: the refresh-ts → version entry (§5.3), the new
-            //    frontier, and — only now that the reinitialization is in —
-            //    the evolved fingerprint and upstream set (§5.4).
+            // Metadata: the refresh-ts → version entry (§5.3), the new
+            // frontier, and — only now that the reinitialization is in —
+            // the evolved fingerprint and upstream set (§5.4).
             if let Some(fingerprint) = evolved {
                 if let Some(m) = st.catalog.get_mut(dt)?.as_dt_mut() {
                     m.definition_fingerprint = fingerprint;
@@ -634,16 +604,16 @@ pub(crate) fn install_one(
                     txn: txn.id,
                     refresh_ts,
                     commit_ts,
-                    install: wal_install,
+                    install: installed.pop().map(|(_, record)| (commit_ts, record)),
                     version,
                     frontier,
                     catalog: st.catalog.to_bytes(),
                 });
             }
 
-            // 4. DVS validation (§6.1 level 4), when configured: the
-            //    stored contents must equal the defining query at the data
-            //    timestamp.
+            // DVS validation (§6.1 level 4), when configured: the stored
+            // contents must equal the defining query at the data
+            // timestamp.
             if let Some(plan) = &validate_plan {
                 st.validate_dvs_invariant(dt, refresh_ts, plan)?;
             }
@@ -661,7 +631,14 @@ pub(crate) fn install_one(
         duration_micros: started.elapsed().as_micros() as u64,
         source_rows,
     });
-    Ok((commit_ts, outcome))
+    if report_now {
+        let ended = st.now();
+        st.report_refresh(dt, refresh_ts, &outcome, ended, wal_records)?;
+    }
+    Ok(Installed {
+        commit_ts,
+        refresh: Some(outcome),
+    })
 }
 
 impl EngineState {
@@ -805,13 +782,17 @@ impl EngineState {
                 return Err(e);
             }
         };
-        let mut wal_records = Vec::new();
-        let installed = install_one(self, request, &mut wal_records);
-        // Appended whatever the install returned: a failed refresh logged
-        // its error counter, and an install that then failed DVS
-        // validation is in the version chain all the same.
-        self.wal_append(&wal_records)?;
-        installed.map(|(_, outcome)| outcome)
+        let install = Install::Refresh {
+            request,
+            report_now: false,
+        };
+        let installed = self
+            .install_batch(vec![install])
+            .pop()
+            .expect("one outcome per request")?;
+        Ok(installed
+            .refresh
+            .expect("a refresh install carries its outcome"))
     }
 
     /// Report a finished refresh to the scheduler as of `ended` — the

@@ -22,19 +22,16 @@
 //!    pinned base ([`dt_storage::TableStore::prepare_change_at`]) holding
 //!    no lock at all: COW delete rewrites and partition minting happen
 //!    while readers and other committers proceed.
-//! 3. **Group-committed validation + install** — the prepared request
-//!    enters the engine's [`dt_txn::CommitQueue`]; one **leader** drains
-//!    the queue and takes the engine write lock *once for the whole
-//!    batch* (admission guarantees batch-mates touch disjoint tables).
-//!    Per transaction it validates **everything first** — all touched
-//!    tables live in the catalog, every prepared base still the latest
-//!    version, each check pinned by a per-table
-//!    [`dt_storage::CommitGuard`] — then mints a commit timestamp past
-//!    every touched version chain ([`dt_txn::Hlc::tick_after`]) and only
-//!    then installs. Past validation nothing can fail, so a multi-table
-//!    commit is all-or-nothing: no reader, time-travel query, or crash
-//!    can ever surface half of it. Followers are woken with their
-//!    individual commit/conflict outcomes.
+//! 3. **Validation + install** — the prepared request enters the
+//!    engine's install queue, the one refreshes install through too (the
+//!    `install` module has the pipeline step by step). One **leader**
+//!    takes the engine write lock *once for the whole batch* and, per
+//!    transaction, validates **everything first** under per-table
+//!    [`dt_storage::CommitGuard`]s, then mints one commit timestamp and
+//!    only then installs. Past validation nothing can fail, so a
+//!    multi-table commit is all-or-nothing: no reader, time-travel query,
+//!    or crash can ever surface half of it. Followers are woken with
+//!    their individual commit/conflict outcomes.
 //!
 //! `ROLLBACK` (or dropping the handle) discards the write set and aborts
 //! the transaction; locks are only ever held from `prepare_commit` on,
@@ -43,19 +40,17 @@
 //! lock.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 use dt_common::{DtError, DtResult, EntityId, Row, Schema, Timestamp, TxnId, Value};
 use dt_exec::TableProvider;
 use dt_plan::{BindOutput, LogicalPlan};
 use dt_sql::ast;
-use dt_storage::{PreparedChange, TableStore};
 use dt_txn::Txn;
 
-use crate::database::{EngineState, ExecResult, QueryResult};
+use crate::database::{ExecResult, QueryResult};
 use crate::dml::{self, DmlChange};
-use crate::durability::WalRecord;
 use crate::engine::Engine;
+use crate::install::{install_batch, CommitRequest, Install, StagedChange};
 use crate::snapshot::ReadSnapshot;
 
 /// True when an error is a serialization conflict — another transaction
@@ -468,11 +463,11 @@ impl Transaction {
     /// transaction aborts, the write set is discarded, and the error
     /// satisfies [`is_serialization_conflict`].
     ///
-    /// The install rides the engine's **group-commit queue**: concurrent
-    /// committers batch behind one leader, which takes the engine write
-    /// lock once per batch and installs every transaction inside it (each
-    /// at its own commit timestamp). See [`Transaction::prepare_commit`]
-    /// for the staged form.
+    /// The install rides the engine's **install queue**: concurrent
+    /// committers (and refreshes) batch behind one leader, which takes the
+    /// engine write lock once per batch and installs every request inside
+    /// it, each at its own commit timestamp. See
+    /// [`Transaction::prepare_commit`] for the staged form.
     pub fn commit(self) -> DtResult<Timestamp> {
         self.prepare_commit()?.commit()
     }
@@ -526,8 +521,7 @@ impl Transaction {
         // prepared list comes out in ascending entity order — the order
         // the install phase acquires per-table commit guards in.
         let writes = std::mem::take(&mut self.writes);
-        let mut prepared: Vec<(EntityId, Arc<TableStore>, PreparedChange)> =
-            Vec::with_capacity(touched.len());
+        let mut prepared: Vec<StagedChange> = Vec::with_capacity(touched.len());
         for (id, w) in writes {
             let prep = (|| {
                 let store = self.snapshot.table_store(id).ok_or_else(|| {
@@ -639,50 +633,32 @@ impl PreparedCommit {
         self.request.as_ref().expect("present until consumed").prepared.len()
     }
 
-    /// Finish the commit through the engine's group-commit queue: enqueue
-    /// the request and block until a leader — possibly this thread —
-    /// installs the batch containing it. Returns this transaction's
-    /// commit timestamp, or its individual conflict outcome.
+    /// Finish the commit through the engine's install queue: enqueue the
+    /// request and block until a leader — possibly this thread — installs
+    /// the batch containing it. Returns this transaction's commit
+    /// timestamp, or its individual conflict outcome.
     pub fn commit(mut self) -> DtResult<Timestamp> {
         let request = self.request.take().expect("present until consumed");
         if request.prepared.is_empty() {
             // Read-only transaction: nothing to validate or install.
             return self.engine.state.read().txn.commit(&request.txn);
         }
-        let txn = request.txn.clone();
-        let engine = self.engine.clone();
-        let submitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.engine
-                .commit
-                .queue
-                .submit(request, move |batch| install_batch(&engine, batch))
-        }));
-        match submitted {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                // The queue poisoned this request (a leader panicked with
-                // it in the doomed batch, or this thread led and its own
-                // processing panicked). The panic propagates — but first
-                // the transaction must abort, or its per-table admission
-                // locks would stay held forever and every future commit
-                // on those tables would conflict.
-                let _ = self.engine.state.read().txn.abort(&txn);
-                std::panic::resume_unwind(payload);
-            }
-        }
+        Ok(self.engine.install(Install::Commit(request))?.commit_ts)
     }
 
-    /// Finish the commit alone: take the engine write lock for this one
-    /// transaction instead of riding a batch. Same validation and
-    /// atomicity guarantees; one lock acquisition per commit.
+    /// Finish the commit alone, as a batch of one: take the engine write
+    /// lock for this transaction instead of riding the queue. Same
+    /// validation and atomicity guarantees; one lock acquisition per
+    /// commit.
     pub fn commit_unbatched(mut self) -> DtResult<Timestamp> {
         let request = self.request.take().expect("present until consumed");
         if request.prepared.is_empty() {
             return self.engine.state.read().txn.commit(&request.txn);
         }
-        install_batch(&self.engine, vec![request])
+        let installed = install_batch(&self.engine, vec![Install::Commit(request)])
             .pop()
-            .expect("one outcome per request")
+            .expect("one outcome per request")?;
+        Ok(installed.commit_ts)
     }
 
     /// Abandon the prepared commit: abort the transaction and release its
@@ -708,175 +684,6 @@ impl std::fmt::Debug for PreparedCommit {
             .field("consumed", &self.request.is_none())
             .finish()
     }
-}
-
-/// One transaction's install-ready state, as it travels through the
-/// group-commit queue: the manager handle plus each touched table's store
-/// and prepared (row work done) change, in ascending entity order.
-pub(crate) struct CommitRequest {
-    txn: Txn,
-    prepared: Vec<(EntityId, Arc<TableStore>, PreparedChange)>,
-}
-
-/// The group-commit leader's batch install: take the engine write lock
-/// **once**, then validate+install every transaction in the batch — each
-/// at its own HLC commit timestamp — returning one outcome per request in
-/// order. Admission guarantees the batch's transactions touch disjoint
-/// table sets, so outcomes are independent: one transaction's conflict
-/// abort never disturbs its batch-mates.
-fn install_batch(engine: &Engine, batch: Vec<CommitRequest>) -> Vec<DtResult<Timestamp>> {
-    let st = engine.state.write();
-    engine.commit.record_batch(batch.len());
-    // Each request's touched tables, captured before the requests are
-    // consumed — the adaptive policy is fed per-table outcomes below.
-    let table_sets: Vec<Vec<EntityId>> = batch
-        .iter()
-        .map(|r| r.prepared.iter().map(|(id, _, _)| *id).collect())
-        .collect();
-    let mut wal_records = Vec::new();
-    let mut outcomes: Vec<DtResult<Timestamp>> = batch
-        .into_iter()
-        .map(|request| {
-            let outcome = validate_and_install(&st, request, &mut wal_records);
-            engine.commit.record_outcome(&outcome);
-            outcome
-        })
-        .collect();
-    // Feed the adaptive policy from the validation outcomes (not the WAL
-    // result below: an fsync failure is a durability problem, not
-    // contention, and must not flip tables pessimistic).
-    for (tables, outcome) in table_sets.iter().zip(&outcomes) {
-        for id in tables {
-            match outcome {
-                Ok(_) => engine.locking.record_commit(*id),
-                Err(e) if is_serialization_conflict(e) => engine.locking.record_abort(*id),
-                Err(_) => {}
-            }
-        }
-    }
-    // WAL the whole batch with one fsync *before* the write lock drops:
-    // the installs above are invisible until then, so durable strictly
-    // precedes both acknowledged and visible. If the append fails, the
-    // versions are already in the chains — fail every acknowledgement so
-    // no caller treats a possibly-lost commit as durable.
-    if let Err(e) = st.wal_append(&wal_records) {
-        for outcome in &mut outcomes {
-            if outcome.is_ok() {
-                *outcome = Err(e.clone());
-            }
-        }
-    }
-    outcomes
-}
-
-/// Validate one transaction completely, then install it infallibly —
-/// the all-or-nothing core of the commit path. Under the engine write
-/// lock (held by the caller for the whole batch):
-///
-/// 1. Every touched table must still exist in the catalog. A concurrent
-///    DROP leaves the store behind for UNDROP, so the version check alone
-///    would "commit" writes into an orphaned store and silently lose
-///    them.
-/// 2. Every table's [`dt_storage::CommitGuard`] is acquired (ascending
-///    entity order) and every prepared change validated against it: the
-///    base must still be the latest version (first committer wins). The
-///    guards also exclude writers that drive stores directly, bypassing
-///    the engine lock.
-/// 3. The commit timestamp is minted **after** validation with
-///    [`dt_txn::Hlc::tick_after`], floored past every guarded table's
-///    latest commit timestamp — so it can never regress behind a version
-///    chain it extends.
-/// 4. Only then does anything install — and by construction nothing can
-///    fail from here on, so a multi-table commit is either fully
-///    installed or not at all. No reader can capture a snapshot between
-///    two installs (the engine write lock is held), so no half-applied
-///    state is ever observable *or* persistable.
-fn validate_and_install(
-    st: &EngineState,
-    request: CommitRequest,
-    wal_records: &mut Vec<WalRecord>,
-) -> DtResult<Timestamp> {
-    let CommitRequest { txn, prepared } = request;
-    let mut ids = Vec::with_capacity(prepared.len());
-    let mut stores = Vec::with_capacity(prepared.len());
-    let mut preps = Vec::with_capacity(prepared.len());
-    for (id, store, prep) in prepared {
-        ids.push(id);
-        stores.push(store);
-        preps.push(prep);
-    }
-    let abort = |e: DtError| {
-        let _ = st.txn_manager().abort(&txn);
-        Err(e)
-    };
-
-    // 0. The transaction itself must still be active. It can be retired
-    //    out from under a queued commit only by driving the manager
-    //    directly, but the check belongs in the validation phase all the
-    //    same: it is what lets the final `commit_at` below run after the
-    //    installs without any realistic way to fail — an inversion that
-    //    would publish versions while reporting the commit failed.
-    if !st.txn_manager().is_active(&txn) {
-        return Err(DtError::Txn(format!(
-            "transaction {} is not active",
-            txn.id
-        )));
-    }
-
-    // 1. Catalog: all touched tables live.
-    for id in &ids {
-        let live = st
-            .catalog()
-            .get(*id)
-            .map(|e| e.dropped_at.is_none())
-            .unwrap_or(false);
-        if !live {
-            return abort(DtError::Conflict(format!(
-                "touched table {id} was dropped after this transaction began"
-            )));
-        }
-    }
-
-    // 2. Guard every store (ascending entity order), validate every
-    //    prepared change — *before* installing anything.
-    let guards: Vec<dt_storage::CommitGuard<'_>> =
-        stores.iter().map(|s| s.commit_guard()).collect();
-    for (prep, guard) in preps.iter().zip(&guards) {
-        if let Err(e) = guard.validate_prepared(prep) {
-            drop(guards);
-            return abort(e);
-        }
-    }
-
-    // 3. Commit timestamp, floored past every touched chain.
-    let floor = guards
-        .iter()
-        .map(|g| g.latest_commit_ts())
-        .max()
-        .expect("non-empty prepared set");
-    let commit_ts = st.txn_manager().hlc().tick_after(floor);
-
-    // 4. Install — infallible post-validation. The physical install
-    //    records are extracted first; the leader WALs the whole batch
-    //    before the engine write lock drops.
-    if st.wal_enabled() {
-        wal_records.push(WalRecord::DmlCommit {
-            commit_ts,
-            txn: txn.id,
-            tables: ids
-                .iter()
-                .zip(&preps)
-                .map(|(id, prep)| (*id, prep.install_record()))
-                .collect(),
-        });
-    }
-    for (prep, guard) in preps.into_iter().zip(&guards) {
-        guard.install_validated(prep, commit_ts, txn.id);
-    }
-    drop(guards);
-
-    st.txn_manager().commit_at(&txn, commit_ts)?;
-    Ok(commit_ts)
 }
 
 fn statement_label(stmt: &ast::Statement) -> &'static str {

@@ -30,6 +30,9 @@ struct ChangeBuild {
     partitions: Vec<PartitionId>,
     added: Vec<PartitionId>,
     removed: Vec<PartitionId>,
+    /// The version holds the same rows as its base, repartitioned; change
+    /// scans skip it (§5.5.2).
+    data_equivalent: bool,
     row_count: usize,
 }
 
@@ -160,10 +163,28 @@ impl CommitGuard<'_> {
                 b.partitions,
                 b.added,
                 b.removed,
-                false,
+                b.data_equivalent,
                 b.row_count,
             )
             .expect("validated prepared change cannot fail to install")
+    }
+
+    /// Validate `prep` and `commit_ts` under this guard, then install:
+    /// the whole install phase of a single-table writer.
+    fn install_checked(
+        &self,
+        prep: PreparedChange,
+        commit_ts: Timestamp,
+        txn: TxnId,
+    ) -> DtResult<VersionId> {
+        self.validate_prepared(&prep)?;
+        if commit_ts < self.latest_commit_ts() {
+            return Err(DtError::Storage(format!(
+                "commit timestamp {commit_ts} precedes latest version at {}",
+                self.latest_commit_ts()
+            )));
+        }
+        Ok(self.install_validated(prep, commit_ts, txn))
     }
 }
 
@@ -356,20 +377,6 @@ impl TableStore {
         out
     }
 
-    /// Pin the latest version's metadata and partition handles under a
-    /// brief read lock (writers call this while holding `commit_lock`, so
-    /// the result stays the latest for the duration of their commit).
-    fn pin_latest(&self) -> (TableVersion, Vec<Arc<Partition>>) {
-        let inner = self.inner.read();
-        let prev = inner.versions.last().expect("chain never empty").clone();
-        let parts = prev
-            .partitions
-            .iter()
-            .map(|pid| Arc::clone(&inner.partitions[pid]))
-            .collect();
-        (prev, parts)
-    }
-
     /// Install a fully built version — the only write-path step that takes
     /// the inner write lock, and it is O(metadata): insert the new
     /// partition handles and append the version record.
@@ -426,10 +433,8 @@ impl TableStore {
 
     /// The row work of a change commit: apply `deletes` to `prev_parts`
     /// copy-on-write and mint partitions for `inserts`. Takes **no lock**
-    /// at all — callers either hold `commit_lock` (the classic
-    /// [`TableStore::commit_change`]) or run against a pinned base version
-    /// whose stability is validated at install time (the optimistic
-    /// transaction path, [`TableStore::prepare_change_at`]).
+    /// at all: it runs against a pinned base version whose stability is
+    /// validated at install time ([`TableStore::prepare_change_at`]).
     fn build_change(
         &self,
         prev_parts: &[Arc<Partition>],
@@ -504,6 +509,7 @@ impl TableStore {
             partitions: kept,
             added,
             removed,
+            data_equivalent: false,
             row_count,
         })
     }
@@ -519,24 +525,9 @@ impl TableStore {
         commit_ts: Timestamp,
         txn: TxnId,
     ) -> DtResult<VersionId> {
-        self.check_rows(&inserts)?;
-        self.check_rows(&deletes)?;
-        let _commit = self.commit_lock.lock();
-        let (_prev, prev_parts) = self.pin_latest();
-
-        // All row work happens here, outside the inner lock: readers keep
-        // scanning (and pinning snapshots of) existing versions meanwhile.
-        let b = self.build_change(&prev_parts, inserts, &deletes)?;
-        self.install_version(
-            b.new_parts,
-            commit_ts,
-            txn,
-            b.partitions,
-            b.added,
-            b.removed,
-            false,
-            b.row_count,
-        )
+        let guard = self.commit_guard();
+        let prep = self.prepare_change_at(guard.latest_version(), inserts, deletes)?;
+        guard.install_checked(prep, commit_ts, txn)
     }
 
     /// Phase one of an optimistic (transactional) commit: do **all** the
@@ -601,6 +592,7 @@ impl TableStore {
                 partitions,
                 added,
                 removed,
+                data_equivalent: false,
                 row_count,
             },
         })
@@ -621,15 +613,7 @@ impl TableStore {
         commit_ts: Timestamp,
         txn: TxnId,
     ) -> DtResult<VersionId> {
-        let guard = self.commit_guard();
-        guard.validate_prepared(&prep)?;
-        if commit_ts < guard.latest_commit_ts() {
-            return Err(DtError::Storage(format!(
-                "commit timestamp {commit_ts} precedes latest version at {}",
-                guard.latest_commit_ts()
-            )));
-        }
-        Ok(guard.install_validated(prep, commit_ts, txn))
+        self.commit_guard().install_checked(prep, commit_ts, txn)
     }
 
     /// Acquire this table's writer commit lock as a [`CommitGuard`]. While
@@ -649,33 +633,20 @@ impl TableStore {
     /// Replace the entire contents (`INSERT OVERWRITE`, the FULL refresh
     /// action of §3.3.2).
     pub fn overwrite(&self, rows: Vec<Row>, commit_ts: Timestamp, txn: TxnId) -> DtResult<VersionId> {
-        self.check_rows(&rows)?;
-        let _commit = self.commit_lock.lock();
-        let (prev, _) = self.pin_latest();
-        let removed = prev.partitions.clone();
-        let row_count = rows.len();
-        let new_parts = self.mint_partitions(rows);
-        let added: Vec<PartitionId> = new_parts.iter().map(|p| p.id()).collect();
-        let partitions = added.clone();
-        self.install_version(new_parts, commit_ts, txn, partitions, added, removed, false, row_count)
+        let guard = self.commit_guard();
+        let prep = self.prepare_overwrite_at(guard.latest_version(), rows)?;
+        guard.install_checked(prep, commit_ts, txn)
     }
 
     /// Background maintenance: rewrite all partitions into optimally sized
     /// ones without changing logical contents. Produces a *data-equivalent*
     /// version that change scans skip (§5.5.2).
     pub fn recluster(&self, commit_ts: Timestamp, txn: TxnId) -> DtResult<VersionId> {
-        let _commit = self.commit_lock.lock();
-        let (prev, prev_parts) = self.pin_latest();
-        let mut all_rows = Vec::with_capacity(prev.row_count);
-        for part in &prev_parts {
-            all_rows.extend(part.rows().iter().cloned());
-        }
-        let removed = prev.partitions.clone();
-        let row_count = all_rows.len();
-        let new_parts = self.mint_partitions(all_rows);
-        let added: Vec<PartitionId> = new_parts.iter().map(|p| p.id()).collect();
-        let partitions = added.clone();
-        self.install_version(new_parts, commit_ts, txn, partitions, added, removed, true, row_count)
+        let guard = self.commit_guard();
+        let latest = guard.latest_version();
+        let mut prep = self.prepare_overwrite_at(latest, self.scan(latest)?)?;
+        prep.build.data_equivalent = true;
+        guard.install_checked(prep, commit_ts, txn)
     }
 
     /// Compute the changes between two versions (exclusive `from`,

@@ -259,3 +259,52 @@ fn sessions_share_one_engine_but_keep_their_own_roles() {
     let analyst = engine.session_as("analyst");
     assert!(analyst.manual_refresh("d").is_ok());
 }
+
+/// `SHOW STATS` and the four stats accessors read only the engine's
+/// lock-free telemetry — WAL counters included — so they answer while
+/// another thread sits inside the engine **write** lock: the statement
+/// that says what the install pipeline is doing never waits for it.
+#[test]
+fn stats_answer_while_the_engine_write_lock_is_held() {
+    let dir = std::env::temp_dir().join(format!("dt-stats-lock-free-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine = Engine::open(&dir).unwrap();
+    let session = engine.session();
+    session.execute("CREATE TABLE t (k INT)").unwrap();
+    session.execute("INSERT INTO t VALUES (1)").unwrap();
+
+    let (held_tx, held_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let (stats_tx, stats_rx) = mpsc::channel();
+    let answered = std::thread::scope(|scope| {
+        let engine = &engine;
+        scope.spawn(move || {
+            engine.inspect_mut(|_| {
+                held_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            })
+        });
+        held_rx.recv().unwrap();
+        scope.spawn(|| {
+            let shown = session.execute("SHOW STATS").unwrap().into_rows().unwrap();
+            let stats = (
+                shown.len(),
+                engine.wal_stats(),
+                engine.commit_stats(),
+                engine.refresh_stats(),
+                engine.lock_stats(),
+            );
+            stats_tx.send(stats).unwrap();
+        });
+        // Release before judging, so a blocked probe fails the test
+        // instead of hanging the scope.
+        let answered = stats_rx.recv_timeout(std::time::Duration::from_secs(10));
+        release_tx.send(()).unwrap();
+        answered
+    });
+    let (shown, wal, commits, _, _) = answered.expect("stats waited for the engine write lock");
+    assert_eq!(shown, 23);
+    assert_eq!((wal.appends, commits.commits), (2, 1));
+    drop((session, engine));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -116,3 +116,65 @@ fn wal_record_and_wire_frame_bytes_are_stable() {
         vec![row!(1i64, "a"), row![Value::Int(2), Value::Null]]
     );
 }
+
+/// Record count and `crc32` of the concatenated WAL records of the
+/// scripted history in [`refresh_history_logs_the_same_records_in_the_same_order`].
+const REFRESH_HISTORY_RECORDS: usize = 24;
+const REFRESH_HISTORY_CRC32: u32 = 45_290_034;
+
+/// Every kind of install the engine logs, in one single-threaded durable
+/// history: DDL, the initial refreshes behind `CREATE DYNAMIC TABLE`, an
+/// auto-commit and an explicit-transaction commit, an inline refresh
+/// (`ALTER … REFRESH`), a round through the install queue (two levels,
+/// two DTs in the first), and a refresh that fails with a user error
+/// through both. Ids, the virtual clock and — with one refresh thread —
+/// the order of installs are deterministic, so the log is too: the same
+/// records, the same bytes, in the same order.
+#[test]
+fn refresh_history_logs_the_same_records_in_the_same_order() {
+    let dir = TestDir::new("refresh-history");
+    {
+        let engine = Engine::open(&dir.0).unwrap();
+        engine.set_refresh_threads(1);
+        engine.create_warehouse("wh", 2).unwrap();
+        let session = engine.session();
+        for sql in [
+            "CREATE TABLE t (k INT, v INT)",
+            "INSERT INTO t VALUES (1, 10), (2, 20)",
+            "CREATE DYNAMIC TABLE d1 TARGET_LAG = '1 minute' WAREHOUSE = wh \
+             AS SELECT k, 100 / v q FROM t",
+            "CREATE DYNAMIC TABLE d2 TARGET_LAG = '1 minute' WAREHOUSE = wh \
+             AS SELECT k, q + 1 r FROM d1",
+            "CREATE DYNAMIC TABLE d3 TARGET_LAG = '1 minute' WAREHOUSE = wh \
+             AS SELECT v, count(*) n FROM t GROUP BY v",
+            "INSERT INTO t VALUES (3, 25)",
+        ] {
+            session.execute(sql).unwrap();
+        }
+        let mut txn = session.begin();
+        txn.execute("UPDATE t SET v = 50 WHERE k = 1").unwrap();
+        txn.execute("INSERT INTO t VALUES (4, 20)").unwrap();
+        txn.commit().unwrap();
+        session.execute("ALTER DYNAMIC TABLE d2 REFRESH").unwrap();
+
+        session.execute("DELETE FROM t WHERE k = 2").unwrap();
+        let round = engine.refresh_all_parallel().unwrap();
+        assert_eq!((round.levels, round.refreshed, round.failed), (2, 3, 0));
+
+        // `100 / v` cannot evaluate the new row: d1 fails, inline and then
+        // in a round (where d2 is pruned and d3 still installs).
+        session.execute("INSERT INTO t VALUES (5, 0)").unwrap();
+        session.execute("ALTER DYNAMIC TABLE d1 REFRESH").unwrap();
+        assert_eq!(engine.refresh_log().last().unwrap().action, "failed");
+        let round = engine.refresh_all_parallel().unwrap();
+        assert_eq!((round.refreshed, round.failed, round.pruned), (1, 1, 1));
+    }
+    let records = wal_records(&dir.0);
+    assert_eq!(records.len(), REFRESH_HISTORY_RECORDS);
+    assert_eq!(
+        dt_wal::crc32::crc32(&records.concat()),
+        REFRESH_HISTORY_CRC32,
+        "record tags in order: {:?}",
+        records.iter().map(|r| r[0]).collect::<Vec<_>>()
+    );
+}

@@ -158,7 +158,7 @@ fn level_of_disjoint_refreshes_installs_in_at_most_two_lock_acquisitions() {
         .map(|p| thread::spawn(move || p.install().unwrap()))
         .collect();
     wait_until(
-        || engine.pending_refresh_installs() == N - 1,
+        || engine.pending_installs() == N - 1,
         "all remaining installers to enqueue",
     );
     drop(gate);
@@ -188,6 +188,113 @@ fn level_of_disjoint_refreshes_installs_in_at_most_two_lock_acquisitions() {
             s.query_sorted(&format!("SELECT k FROM g{i}")).unwrap(),
         );
     }
+}
+
+/// One pipeline: transaction commits and refresh installs queued behind
+/// the same stalled leader land together — one engine-write-lock
+/// acquisition, one WAL batch, one fsync — and still get one outcome
+/// each. Staged like the test above; the leader is a commit on `lead`.
+/// Behind it queue a commit on `a`, a commit on `b` prepared against a
+/// version `b` has since left (it must lose first-committer-wins and take
+/// nobody with it), and the refreshes of `d1` and `d2`. Everything
+/// acknowledged survives a crash, with both DTs equal to their queries.
+#[test]
+fn commits_and_refreshes_share_one_batch_with_individual_outcomes() {
+    let dir = std::env::temp_dir().join(format!("dt-mixed-batch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let rows = |s: &dynamic_tables::core::Session, sql: &str| s.query_sorted(sql).unwrap();
+    {
+        let engine = Engine::open(&dir).unwrap();
+        engine.create_warehouse("wh", 4).unwrap();
+        let s = engine.session();
+        for t in ["lead", "a", "b"] {
+            s.execute(&format!("CREATE TABLE {t} (k INT)")).unwrap();
+        }
+        for i in 1..=2 {
+            s.execute(&format!("CREATE TABLE g{i} (k INT)")).unwrap();
+            s.execute(&format!(
+                "CREATE DYNAMIC TABLE d{i} TARGET_LAG = '1 minute' WAREHOUSE = wh \
+                 AS SELECT k FROM g{i}"
+            ))
+            .unwrap();
+            s.execute(&format!("INSERT INTO g{i} VALUES ({i})")).unwrap();
+        }
+
+        let stage = |table: &str, at: Option<dt_common::Timestamp>| {
+            let mut txn = at.map_or_else(|| s.begin(), |at| s.begin_at(at));
+            txn.execute(&format!("INSERT INTO {table} VALUES (7)")).unwrap();
+            txn.prepare_commit().unwrap()
+        };
+        let before_b_moved = engine.inspect(|st| st.txn_manager().hlc().tick());
+        s.execute("INSERT INTO b VALUES (0)").unwrap();
+        let (on_lead, on_a) = (stage("lead", None), stage("a", None));
+        let stale_on_b = stage("b", Some(before_b_moved));
+        let refresh_ts = engine.inspect(|st| st.txn_manager().hlc().tick());
+        let refreshes: Vec<_> = ["d1", "d2"]
+            .map(|d| engine.prepare_refresh(id_of(&engine, d), refresh_ts).unwrap())
+            .into();
+        let (commits, refreshed, wal) =
+            (engine.commit_stats(), engine.refresh_stats(), engine.wal_stats());
+
+        // Stall the leader inside its install, on `lead`'s commit guard.
+        let (_, lead_store) = store_of(&engine, "lead");
+        let gate = lead_store.commit_guard();
+        let leader = thread::spawn(move || on_lead.commit());
+        wait_until(
+            || {
+                engine.commit_stats().install_lock_acquisitions
+                    == commits.install_lock_acquisitions + 1
+            },
+            "the commit on `lead` to lead its batch",
+        );
+        let followers: Vec<_> = [on_a, stale_on_b]
+            .map(|p| thread::spawn(move || p.commit()))
+            .into();
+        let installers: Vec<_> = refreshes
+            .into_iter()
+            .map(|p| thread::spawn(move || p.install()))
+            .collect();
+        wait_until(|| engine.pending_installs() == 4, "all four to enqueue");
+        drop(gate);
+
+        leader.join().unwrap().expect("the leader commits");
+        let mut outcomes = followers.into_iter().map(|f| f.join().unwrap());
+        outcomes.next().unwrap().expect("the commit on `a` is independent of the loser");
+        let lost = outcomes.next().unwrap().unwrap_err();
+        assert!(lost.is_conflict() && lost.to_string().contains("first committer wins"), "{lost}");
+        for installer in installers {
+            let installed = installer.join().unwrap().expect("refreshes install beside the loser");
+            assert_eq!((installed.action, installed.refresh_ts), ("incremental", refresh_ts));
+        }
+
+        // Two acquisitions in all: the stalled leader's, then one for the
+        // mixed four — which counts once toward each kind it contains.
+        let (c, r, w) = (engine.commit_stats(), engine.refresh_stats(), engine.wal_stats());
+        assert_eq!(c.install_lock_acquisitions - commits.install_lock_acquisitions, 2);
+        assert_eq!(r.install_lock_acquisitions - refreshed.install_lock_acquisitions, 1);
+        assert_eq!((c.commits - commits.commits, c.conflicts - commits.conflicts), (2, 1));
+        assert!(c.max_batch >= 2 && r.max_batch >= 2, "{c:?} {r:?}");
+        assert_eq!(c.group_submitted - commits.group_submitted, 3);
+        assert_eq!(r.group_submitted - refreshed.group_submitted, 2);
+        // One append and one fsync per acquisition; the loser logs nothing.
+        assert_eq!(
+            (w.appends - wal.appends, w.batches - wal.batches, w.fsyncs - wal.fsyncs),
+            (4, 2, 2),
+            "the mixed batch must reach the WAL in one append"
+        );
+    }
+
+    let s = Engine::open(&dir).unwrap().session();
+    assert_eq!(rows(&s, "SELECT * FROM lead"), rows(&s, "SELECT * FROM a"));
+    assert_eq!(rows(&s, "SELECT * FROM a").len(), 1);
+    assert_eq!(rows(&s, "SELECT * FROM b").len(), 1, "the loser's row must not be there");
+    for i in 1..=2 {
+        let stored = rows(&s, &format!("SELECT * FROM d{i}"));
+        assert_eq!(stored, rows(&s, &format!("SELECT k FROM g{i}")), "d{i} after recovery");
+        assert_eq!(stored.len(), 1);
+    }
+    drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Satellite 2: a base table dropped between a refresh's prepare and its

@@ -366,6 +366,123 @@ fn automatic_checkpoints_fire_on_wal_growth() {
     assert_eq!(eng.session().query("SELECT k FROM t").unwrap().len(), 40);
 }
 
+/// Checkpoints fire from inside install batches — under the engine write
+/// lock, between a round's levels and between writers' commits — while
+/// two explicit-transaction writers and a round driver with two refresh
+/// threads keep the pipeline busy. No round may lose a DT to it, and the
+/// image plus the WAL behind it must recover everything: base tables, each
+/// DT equal to its defining query at its own data timestamp, and time
+/// travel to an instant before the first checkpoint.
+#[test]
+fn auto_checkpoints_under_concurrent_rounds_and_writers_recover_everything() {
+    const WRITERS: usize = 2;
+    const TXNS: usize = 40;
+    const ROUNDS: usize = 25;
+    // Each DT's defining query, and the same query over base tables only:
+    // `query_at` resolves a DT by commit time, a refresh by data timestamp.
+    const DTS: [(&str, &str, &str); 3] = [
+        ("sums", "SELECT k, sum(v) s FROM t0 GROUP BY k", "SELECT k, sum(v) s FROM t0 GROUP BY k"),
+        ("evens", "SELECT k, v FROM t1 WHERE v % 2 = 0", "SELECT k, v FROM t1 WHERE v % 2 = 0"),
+        (
+            "low",
+            "SELECT k, s FROM sums WHERE k < 2",
+            "SELECT k, sum(v) s FROM t0 WHERE k < 2 GROUP BY k",
+        ),
+    ];
+    let dir = TestDir::new("ckpt-rounds");
+    let owed = |w: usize| -> Vec<Row> {
+        let mut rows: Vec<Row> = (0..=TXNS as i64)
+            .flat_map(|i| [row!(i % 4, 2 * i + w as i64), row!(i % 4 + 4, -i)])
+            .collect();
+        rows.sort();
+        rows
+    };
+    let (early, t0_early, sums_early);
+    {
+        let eng = durable_with(dir.path(), |cfg| cfg.wal_checkpoint_bytes = 16 * 1024);
+        eng.set_refresh_threads(2);
+        eng.create_warehouse("wh", 2).unwrap();
+        let s = eng.session();
+        for w in 0..WRITERS {
+            s.execute(&format!("CREATE TABLE t{w} (k INT, v INT)")).unwrap();
+            s.execute(&format!("INSERT INTO t{w} VALUES (0, {w}), (4, 0)")).unwrap();
+        }
+        for (name, definition, _) in DTS {
+            s.execute(&format!(
+                "CREATE DYNAMIC TABLE {name} TARGET_LAG = '1 minute' WAREHOUSE = wh AS {definition}"
+            ))
+            .unwrap();
+        }
+        assert_eq!(eng.wal_stats().checkpoints, 0, "set-up alone must not checkpoint");
+        early = eng.inspect(|st| st.txn_manager().hlc().tick());
+        t0_early = s.query_sorted("SELECT * FROM t0").unwrap();
+        sums_early = s.query_sorted("SELECT * FROM sums").unwrap();
+
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let s = eng.session();
+                scope.spawn(move || {
+                    for i in 1..=TXNS as i64 {
+                        let mut txn = s.begin();
+                        txn.execute(&format!(
+                            "INSERT INTO t{w} VALUES ({}, {}), ({}, {})",
+                            i % 4,
+                            2 * i + w as i64,
+                            i % 4 + 4,
+                            -i
+                        ))
+                        .unwrap();
+                        txn.commit().unwrap();
+                    }
+                });
+            }
+            scope.spawn(|| {
+                for _ in 0..ROUNDS {
+                    let round = eng.refresh_all_parallel().unwrap();
+                    assert_eq!(
+                        (round.refreshed, round.failed, round.conflicts, round.pruned),
+                        (DTS.len(), 0, 0, 0),
+                        "{round:?}"
+                    );
+                }
+            });
+        });
+        let checkpoints = eng.wal_stats().checkpoints;
+        assert!(checkpoints >= 2, "{checkpoints} automatic checkpoint(s)");
+    }
+
+    let eng = durable(dir.path());
+    let s = eng.session();
+    for w in 0..WRITERS {
+        assert_eq!(s.query_sorted(&format!("SELECT * FROM t{w}")).unwrap(), owed(w), "t{w}");
+    }
+    let check_dvs = |when: &str| {
+        for (name, _, over_base_tables) in DTS {
+            let data_ts = eng.inspect(|st| {
+                let id = st.catalog().resolve(name).unwrap().id;
+                st.scheduler().state(id).unwrap().last_data_ts.unwrap()
+            });
+            assert_eq!(
+                s.query_sorted(&format!("SELECT * FROM {name}")).unwrap(),
+                s.query_at(over_base_tables, data_ts).unwrap().into_sorted_rows(),
+                "{name} at its data timestamp {data_ts}, {when}"
+            );
+        }
+    };
+    check_dvs("after recovery");
+    assert_eq!(s.query_at("SELECT * FROM t0", early).unwrap().into_sorted_rows(), t0_early);
+    assert_eq!(s.query_at("SELECT * FROM sums", early).unwrap().into_sorted_rows(), sums_early);
+    // The recovered engine carries on from there.
+    let round = eng.refresh_all_parallel().unwrap();
+    assert_eq!((round.refreshed, round.failed, round.conflicts), (DTS.len(), 0, 0), "{round:?}");
+    check_dvs("after a further round");
+    assert_eq!(
+        s.query_sorted("SELECT * FROM sums").unwrap(),
+        s.query_sorted(DTS[0].1).unwrap(),
+        "the further round caught `sums` up"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Crash-point sweep: kill at every byte of the live segment.
 // ---------------------------------------------------------------------------

@@ -586,7 +586,7 @@ fn group_commit_installs_disjoint_committers_under_fewer_lock_acquisitions() {
         .map(|p| thread::spawn(move || p.commit().unwrap()))
         .collect();
     wait_until(
-        || engine.pending_commits() == N - 1,
+        || engine.pending_installs() == N - 1,
         "all remaining committers to enqueue",
     );
     drop(gate);
@@ -803,7 +803,7 @@ fn concurrent_drop_during_group_commit_conflicts_only_the_dropped_table() {
         "the checking committer to lead",
     );
     let follower = thread::spawn(move || on_savings.commit());
-    wait_until(|| engine.pending_commits() == 1, "the savings committer to enqueue");
+    wait_until(|| engine.pending_installs() == 1, "the savings committer to enqueue");
     drop(gate);
 
     leader.join().unwrap().expect("surviving table commits");
