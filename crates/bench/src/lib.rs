@@ -1,13 +1,20 @@
-//! Workload generation for the paper's evaluation figures.
+//! The reproduction of the paper's evaluation: a synthetic workload and
+//! the claims checked over it.
 //!
 //! The paper's §6.3 measurements come from Snowflake's production fleet,
-//! which we cannot have. The substitution (documented in DESIGN.md): a
-//! **synthetic fleet generator** that creates a population of Dynamic
-//! Tables inside our engine — with target lags drawn from a distribution
-//! shaped like the paper reports, definitions drawn from weighted query
-//! templates, and update traffic applied to base tables — and a harness
-//! that then *measures* the live system the same way the paper measures
-//! production (catalog census, refresh logs, scheduler telemetry).
+//! which we cannot have. The substitution: a **synthetic fleet generator**
+//! (this module) that creates a population of Dynamic Tables inside our
+//! engine — with target lags drawn from a distribution shaped like the
+//! paper reports, definitions drawn from weighted query templates, and
+//! update traffic applied to base tables — and [`reproduce`], which
+//! *measures* the live system the same way the paper measures production
+//! (catalog census, refresh logs, scheduler telemetry) and holds each of
+//! the paper's claims as a predicate over the measurement. Two consumers:
+//! `tests/reproduction.rs` asserts every claim, the `reproduce` bin prints
+//! them and writes `REPRODUCTION.json`. Performance numbers come from
+//! `benchmark/`, never from here.
+
+pub mod reproduce;
 
 use dt_common::{DtResult, Duration};
 use dt_core::Session;
@@ -176,12 +183,6 @@ pub fn apply_bulk_change(db: &Session, rng: &mut StdRng) -> DtResult<()> {
         "UPDATE events SET v = v + 1 WHERE k >= {lo} AND k < {hi}"
     ))?;
     Ok(())
-}
-
-/// Render an ASCII bar chart line.
-pub fn bar(frac: f64, width: usize) -> String {
-    let n = (frac * width as f64).round() as usize;
-    "█".repeat(n.min(width))
 }
 
 #[cfg(test)]

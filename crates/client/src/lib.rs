@@ -338,7 +338,7 @@ impl Client {
         mut body: impl FnMut(&mut Client) -> ClientResult<T>,
     ) -> ClientResult<T> {
         let mut last_conflict: Option<ClientError> = None;
-        for _ in 0..max_attempts {
+        for attempt in 0..max_attempts {
             self.begin()?;
             match body(self).and_then(|value| self.commit().map(|_| value)) {
                 Ok(value) => return Ok(value),
@@ -347,6 +347,9 @@ impl Client {
                     // mid-body conflict may leave the session txn open.
                     self.rollback().ok();
                     last_conflict = Some(e);
+                    // Without a wait the loser re-enters one round trip
+                    // behind the winner every time and keeps losing.
+                    dt_common::retry_backoff(attempt);
                 }
                 Err(e) => {
                     self.rollback().ok();

@@ -15,12 +15,16 @@
 //! * [`ids`] — strongly typed identifiers.
 //! * [`codec`] — the one binary codec every durable and wire format in the
 //!   workspace is written in.
+//! * [`retry_backoff`] — the one wait between retries of a transaction that
+//!   lost a write-write conflict (the engine's auto-commit loop and the
+//!   client's `run_txn` both call it).
 
 pub mod codec;
 pub mod column;
 pub mod durability;
 pub mod error;
 pub mod ids;
+mod retry;
 pub mod row;
 pub mod schema;
 pub mod time;
@@ -30,6 +34,7 @@ pub use column::{Batch, CmpOp, ColumnPredicate, ColumnVec, PredicateSet, ZoneMap
 pub use durability::DurabilityMode;
 pub use error::{DtError, DtResult};
 pub use ids::{EntityId, PartitionId, RefreshId, TxnId, VersionId};
+pub use retry::retry_backoff;
 pub use row::Row;
 pub use schema::{Column, DataType, Schema};
 pub use time::{Clock, Duration, SimClock, Timestamp};

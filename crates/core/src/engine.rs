@@ -661,27 +661,7 @@ fn autocommit_dml(engine: &Engine, stmt: ast::Statement, params: &[Value]) -> Dt
                     .into_iter()
                     .filter(|e| engine.locks.mode(*e) == dt_txn::LockMode::Pessimistic)
                     .collect();
-                // Back off briefly: the winning committer holds its
-                // per-table locks only for a short, bounded window.
-                // Exponential with deterministic per-thread jitter so a
-                // herd of losers doesn't re-collide in lockstep; capped at
-                // 2ms to keep worst-case statement latency bounded.
-                if attempt < 4 {
-                    std::thread::yield_now();
-                } else {
-                    let exp = (attempt - 4).min(6) as u32;
-                    let base_us = (25u64 << exp).min(2000);
-                    let jitter = {
-                        use std::hash::{Hash, Hasher};
-                        let mut h = std::collections::hash_map::DefaultHasher::new();
-                        std::thread::current().id().hash(&mut h);
-                        attempt.hash(&mut h);
-                        h.finish() % (base_us / 2 + 1)
-                    };
-                    std::thread::sleep(std::time::Duration::from_micros(
-                        base_us / 2 + jitter,
-                    ));
-                }
+                dt_common::retry_backoff(attempt);
             }
             Err(e) => return Err(e),
         }

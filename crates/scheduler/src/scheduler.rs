@@ -609,6 +609,52 @@ mod tests {
         assert_eq!(due[0].refresh_ts, ts(96));
     }
 
+    /// The two topologies §5.2 calls out, at fleet size: many independent
+    /// DTs, and one deep chain (where every DT waits for its upstream's
+    /// data at the same timestamp, which limits responsiveness).
+    #[test]
+    fn due_refreshes_over_a_flat_fleet_and_a_deep_chain() {
+        const N: u64 = 1000;
+        let now = ts(3600);
+
+        // Independent DTs, lags of 1..=60 minutes, never refreshed since
+        // the epoch: all due at once, each at its own period's grid point,
+        // the grid points passed meanwhile counted as skipped.
+        let mut flat = Scheduler::new(SchedulerConfig::default());
+        for i in 0..N {
+            flat.register(EntityId(i), TargetLag::Duration(mins(1 + (i % 60) as i64)), vec![]);
+            flat.mark_initialized(EntityId(i), ts(0)).unwrap();
+        }
+        let due = flat.due_refreshes(now);
+        let ids: BTreeSet<EntityId> = due.iter().map(|c| c.dt).collect();
+        assert_eq!((due.len(), ids.len()), (N as usize, N as usize));
+        for cmd in &due {
+            let p = canonical_period(mins(1 + (cmd.dt.0 % 60) as i64)).as_secs();
+            assert_eq!(cmd.refresh_ts, ts(3600 / p * p), "{cmd:?}");
+            assert_eq!(cmd.skipped, (3600 / p - 1) as u64, "{cmd:?}");
+        }
+        assert!(flat.due_refreshes(now).is_empty(), "all in flight");
+
+        // A chain: one wave drains head first, one DT per call (the next
+        // is not ready until its upstream reported), and every link gets
+        // the same data timestamp. (200 links: a call walks each DT's
+        // whole upstream path, so draining 1000 takes minutes.)
+        const DEPTH: u64 = 200;
+        let mut chain = Scheduler::new(SchedulerConfig::default());
+        for i in 0..DEPTH {
+            let upstream = if i == 0 { vec![] } else { vec![EntityId(i - 1)] };
+            chain.register(EntityId(i), TargetLag::Duration(mins(5)), upstream);
+            chain.mark_initialized(EntityId(i), ts(0)).unwrap();
+        }
+        for i in 0..DEPTH {
+            let due = chain.due_refreshes(now);
+            let expected = RefreshCommand { dt: EntityId(i), refresh_ts: ts(3552), skipped: 36 };
+            assert_eq!(due, [expected]);
+            chain.report(EntityId(i), ts(3552), &ok_outcome(), now).unwrap();
+        }
+        assert!(chain.due_refreshes(now).is_empty());
+    }
+
     #[test]
     fn no_duplicate_issue_while_in_flight_and_skips_counted() {
         let mut s = Scheduler::new(SchedulerConfig::default());
