@@ -604,9 +604,13 @@ impl Crossover {
     /// cost model's credits follow (incremental rises with the fraction
     /// and stays below full). Wall time is not asserted, and today it does
     /// not reproduce the claim: at 4 000 rows the two-sided incremental
-    /// aggregate (≈ 250 µs at 0.1 % changed against ≈ 270 µs full) is
-    /// already no cheaper than a full refresh from 0.5 % changed and 2–3x
-    /// dearer from 5 % (ROADMAP item 8(c)).
+    /// aggregate (≈ 190–250 µs at 0.1 % changed against ≈ 230–300 µs
+    /// full) is already no cheaper than a full refresh from 0.5 % changed
+    /// (≈ 240–270 µs against ≈ 250 µs) and 2.3–3x dearer from 5 %
+    /// (ROADMAP item 8(c)). Re-measured after PR 22, which stopped an
+    /// incremental refresh walking its DT: the crossover did not move,
+    /// because this DT holds 200 rows — what the incremental side pays for
+    /// is reading the 4 000-row source at both ends of the interval.
     pub fn check(&self) -> Result<(), String> {
         let points = &self.points;
         ensure(

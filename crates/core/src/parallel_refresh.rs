@@ -1,30 +1,35 @@
 //! The round driver: refresh a whole dependency DAG of dynamic tables
-//! concurrently, level by level.
+//! concurrently, each DT as soon as the DTs it reads have landed.
 //!
 //! The paper's scheduler (§5.2) aligns every DT in a DAG to shared grid
 //! timestamps; this module exploits the alignment. It adds no refresh
 //! logic of its own — each DT goes through the one pin → compute →
-//! install path of [`crate::refresh`] — only *where* the steps run:
+//! install path of [`crate::refresh`] — only *where* and *when* the steps
+//! run:
 //!
-//! 1. **Level** — one topological level order over the due set
-//!    ([`dt_scheduler::Scheduler::level_order`]); every DT in a level
-//!    depends only on levels already installed.
+//! 1. **Order** — one topological level order over the due set
+//!    ([`dt_scheduler::Scheduler::level_order`]) ranks the DTs; a DT is
+//!    *ready* once every in-round DT it reads has installed (`RoundPlan`),
+//!    and the workers of the round's one pool always start the
+//!    lowest-ranked ready DT. There is no barrier between levels: a round
+//!    takes as long as its critical path, not the sum of each level's
+//!    slowest refresh, and one worker starts the DTs in exactly the level
+//!    order.
 //! 2. **Pin + compute** — each worker pins its DT under a brief engine
 //!    **read** lock, then computes its delta completely lock-free.
 //! 3. **Group install** — the O(metadata) install rides the engine's
 //!    install queue, beside transaction commits: one leader drains every
-//!    staged refresh of the level under a single engine write lock
+//!    refresh staged at that moment under a single engine write lock
 //!    acquisition, installs each, reports each to the scheduler at the
 //!    current time, and appends the whole batch to the WAL with one
-//!    fsync — so a level lands in one or two lock acquisitions instead
-//!    of N.
+//!    fsync — so N refreshes land in fewer than N lock acquisitions.
 //!
 //! A DT that fails, conflicts, or is suspended prunes its downstream cone
 //! for the round (§3.3.3): descendants cannot produce a consistent result
 //! at the round timestamp without it, and they retry next round.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use dt_common::{DtError, DtResult, EntityId, Timestamp};
@@ -38,8 +43,9 @@ use crate::Engine;
 /// pipeline and the engine write lock so far. Captured with
 /// [`Engine::refresh_stats`].
 ///
-/// The load-bearing relation mirrors [`crate::CommitStats`]: a level of N
-/// refreshes completes under fewer than N engine write lock acquisitions.
+/// The load-bearing relation mirrors [`crate::CommitStats`]: N refreshes
+/// that stage together complete under fewer than N engine write lock
+/// acquisitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RefreshStats {
     /// Refreshes recorded in the refresh log (inline and round alike).
@@ -190,8 +196,135 @@ pub struct RefreshRoundReport {
     pub conflicts: usize,
     /// DTs pruned because an ancestor was unavailable.
     pub pruned: usize,
-    /// Per-DT status, in completion order within each level.
+    /// Per-DT status: the DTs pruned before the round started, then every
+    /// other DT in completion order — a pruned DT at the completion that
+    /// resolved the last DT it reads.
     pub outcomes: Vec<(EntityId, RoundStatus)>,
+}
+
+impl RefreshRoundReport {
+    fn record(&mut self, dt: EntityId, status: RoundStatus) {
+        match &status {
+            RoundStatus::Installed { action, .. } => {
+                self.refreshed += 1;
+                self.no_data += usize::from(*action == "no_data");
+            }
+            RoundStatus::Failed(_) => self.failed += 1,
+            RoundStatus::Conflict(_) => self.conflicts += 1,
+            RoundStatus::Pruned => self.pruned += 1,
+        }
+        self.outcomes.push((dt, status));
+    }
+}
+
+/// The dependency bookkeeping of one round, free of threads and clocks:
+/// which DT may start next, and what a finished one unblocks or prunes.
+/// DTs are handled by *rank*, their position in the flattened level order.
+struct RoundPlan {
+    /// Rank → DT.
+    order: Vec<EntityId>,
+    /// Rank → the in-round DTs it reads that have not finished yet.
+    waiting_on: Vec<usize>,
+    /// Rank → an in-round DT it reads did not land.
+    blocked: Vec<bool>,
+    /// Rank → ranks of the in-round DTs that read it.
+    dependents: Vec<Vec<usize>>,
+    /// Ranks that may start, lowest first.
+    ready: BTreeSet<usize>,
+    /// DTs handed out by `start` and not yet `finish`ed.
+    running: usize,
+    /// The round was abandoned: nothing more starts.
+    abandoned: bool,
+}
+
+impl RoundPlan {
+    /// Plan a round over `levels` (a topological level order); a DT's
+    /// in-round upstreams are the entries of `upstream_of` that are in
+    /// `levels` themselves.
+    fn new(levels: &[Vec<EntityId>], upstream_of: &BTreeMap<EntityId, Vec<EntityId>>) -> Self {
+        let order: Vec<EntityId> = levels.iter().flatten().copied().collect();
+        let rank: BTreeMap<EntityId, usize> =
+            order.iter().enumerate().map(|(r, dt)| (*dt, r)).collect();
+        let mut plan = RoundPlan {
+            waiting_on: vec![0; order.len()],
+            blocked: vec![false; order.len()],
+            dependents: vec![Vec::new(); order.len()],
+            ready: BTreeSet::new(),
+            running: 0,
+            abandoned: false,
+            order,
+        };
+        for (r, dt) in plan.order.iter().enumerate() {
+            let ups = upstream_of.get(dt).map_or(&[][..], Vec::as_slice);
+            for up in ups.iter().filter_map(|up| rank.get(up)) {
+                plan.waiting_on[r] += 1;
+                plan.dependents[*up].push(r);
+            }
+            if plan.waiting_on[r] == 0 {
+                plan.ready.insert(r);
+            }
+        }
+        plan
+    }
+
+    /// Hand out the lowest-ranked ready DT, if any.
+    fn start(&mut self) -> Option<EntityId> {
+        if self.abandoned {
+            return None;
+        }
+        let r = self.ready.pop_first()?;
+        self.running += 1;
+        Some(self.order[r])
+    }
+
+    /// Nothing will start: nothing is ready (or the round was abandoned)
+    /// and nothing running can make anything ready.
+    fn is_drained(&self) -> bool {
+        (self.abandoned || self.ready.is_empty()) && self.running == 0
+    }
+
+    /// Stop handing out DTs, whatever becomes ready; the ones running
+    /// finish.
+    fn abandon(&mut self) {
+        self.abandoned = true;
+    }
+
+    /// Record that a started `dt` finished, having `landed` (installed) or
+    /// not. Every DT for which it was the last unfinished upstream becomes
+    /// ready — or, if any of its upstreams did not land, is pruned, which
+    /// in turn resolves the DTs reading it. Returns the DTs pruned, each
+    /// exactly once per round.
+    fn finish(&mut self, dt: EntityId, landed: bool) -> Vec<EntityId> {
+        self.running -= 1;
+        let r = (self.order.iter())
+            .position(|d| *d == dt)
+            .expect("finished a DT of this round");
+        let mut pruned = Vec::new();
+        let mut resolved = vec![(r, landed)];
+        while let Some((r, landed)) = resolved.pop() {
+            for d in std::mem::take(&mut self.dependents[r]) {
+                self.blocked[d] |= !landed;
+                self.waiting_on[d] -= 1;
+                if self.waiting_on[d] > 0 {
+                    continue;
+                }
+                if self.blocked[d] {
+                    pruned.push(self.order[d]);
+                    resolved.push((d, false));
+                } else {
+                    self.ready.insert(d);
+                }
+            }
+        }
+        pruned
+    }
+}
+
+/// What the workers of one round share.
+struct RoundState {
+    plan: RoundPlan,
+    report: RefreshRoundReport,
+    internal_error: Option<DtError>,
 }
 
 impl Engine {
@@ -242,12 +375,13 @@ impl Engine {
     }
 
     /// Refresh every active, initialized dynamic table to one shared data
-    /// timestamp, level-parallel (§5.2's whole-DAG alignment: unchanged
-    /// cones land as free NO_DATA refreshes). Suspended or uninitialized
+    /// timestamp, each as soon as the DTs it reads have landed (§5.2's
+    /// whole-DAG alignment: unchanged cones land as free NO_DATA
+    /// refreshes). Suspended or uninitialized
     /// DTs — and their downstream cones — sit the round out. Returns the
     /// per-DT report; `Err` only on internal invariant violations.
     pub fn refresh_all_parallel(&self) -> DtResult<RefreshRoundReport> {
-        // Choose the round timestamp and level the due set under a brief
+        // Choose the round timestamp and rank the due set under a brief
         // read lock. The HLC tick orders the round after every commit that
         // has already landed; base rows committing after it surface in the
         // next round.
@@ -305,84 +439,93 @@ impl Engine {
             outcomes: Vec::new(),
         };
         for dt in pre_pruned {
-            report.pruned += 1;
-            report.outcomes.push((dt, RoundStatus::Pruned));
+            report.record(dt, RoundStatus::Pruned);
         }
 
-        // DTs that did not land this round; their descendants prune.
-        let mut unavailable: BTreeSet<EntityId> = BTreeSet::new();
-        let mut internal_error: Option<DtError> = None;
-        for level in levels {
-            // Prune descendants of anything that failed an earlier level.
-            let mut runnable = Vec::with_capacity(level.len());
-            for dt in level {
-                let blocked = upstream_of
-                    .get(&dt)
-                    .map(|ups| ups.iter().any(|u| unavailable.contains(u)))
-                    .unwrap_or(false);
-                if blocked {
-                    unavailable.insert(dt);
-                    report.pruned += 1;
-                    report.outcomes.push((dt, RoundStatus::Pruned));
-                } else {
-                    runnable.push(dt);
-                }
+        // One pool for the whole round: each worker starts the
+        // lowest-ranked DT whose in-round upstreams have all installed,
+        // prepares lock-free and submits to the install queue, where
+        // refreshes that finish together share one install batch.
+        let workers = self
+            .refresh_threads()
+            .min(levels.iter().map(Vec::len).max().unwrap_or(0));
+        let shared = parking_lot::Mutex::new(RoundState {
+            plan: RoundPlan::new(&levels, &upstream_of),
+            report,
+            internal_error: None,
+        });
+        let wake = parking_lot::Condvar::new();
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(|| self.round_worker(&shared, &wake, refresh_ts, round_started));
             }
-            if runnable.is_empty() {
-                continue;
-            }
+        });
+        let RoundState {
+            report,
+            internal_error,
+            ..
+        } = shared.into_inner();
+        match internal_error {
+            Some(e) => Err(e),
+            None => Ok(report),
+        }
+    }
 
-            // Execute the level on the worker pool: each worker claims DTs
-            // off a shared cursor, prepares lock-free, and submits to the
-            // install queue — so an entire level gravitates into one or
-            // two install batches.
-            let workers = self.refresh_threads().min(runnable.len()).max(1);
-            let cursor = AtomicUsize::new(0);
-            let results: parking_lot::Mutex<Vec<(EntityId, DtResult<RoundStatus>)>> =
-                parking_lot::Mutex::new(Vec::with_capacity(runnable.len()));
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&dt) = runnable.get(i) else { break };
-                        let status = self.round_step(dt, refresh_ts, round_started);
-                        results.lock().push((dt, status));
-                    });
+    /// One worker of a round: start ready DTs until the round is drained.
+    fn round_worker(
+        &self,
+        shared: &parking_lot::Mutex<RoundState>,
+        wake: &parking_lot::Condvar,
+        refresh_ts: Timestamp,
+        round_started: Instant,
+    ) {
+        loop {
+            let dt = {
+                let mut st = shared.lock();
+                loop {
+                    if let Some(dt) = st.plan.start() {
+                        break dt;
+                    }
+                    if st.plan.is_drained() {
+                        return;
+                    }
+                    wake.wait(&mut st);
                 }
-            });
-
-            for (dt, status) in results.into_inner() {
-                match status {
-                    Ok(st @ RoundStatus::Installed { action, .. }) => {
-                        report.refreshed += 1;
-                        if action == "no_data" {
-                            report.no_data += 1;
-                        }
-                        report.outcomes.push((dt, st));
+            };
+            // A panicking refresh must still finish its DT, or the other
+            // workers would wait for it forever instead of draining and
+            // letting the scope propagate the panic.
+            let step = || self.round_step(dt, refresh_ts, round_started);
+            let status = std::panic::catch_unwind(std::panic::AssertUnwindSafe(step));
+            let mut st = shared.lock();
+            let landed = matches!(status, Ok(Ok(RoundStatus::Installed { .. })));
+            let pruned = st.plan.finish(dt, landed);
+            let panic = match status {
+                Ok(Ok(status)) => {
+                    st.report.record(dt, status);
+                    for dt in pruned {
+                        st.report.record(dt, RoundStatus::Pruned);
                     }
-                    Ok(st @ RoundStatus::Failed(_)) => {
-                        report.failed += 1;
-                        unavailable.insert(dt);
-                        report.outcomes.push((dt, st));
-                    }
-                    Ok(st @ RoundStatus::Conflict(_)) => {
-                        report.conflicts += 1;
-                        unavailable.insert(dt);
-                        report.outcomes.push((dt, st));
-                    }
-                    Ok(RoundStatus::Pruned) => unreachable!("workers never prune"),
-                    Err(e) => {
-                        if internal_error.is_none() {
-                            internal_error = Some(e);
-                        }
-                    }
+                    None
                 }
-            }
-            if let Some(e) = internal_error {
-                return Err(e);
+                // An internal error (or a panic) ends the round: what is
+                // running finishes, nothing else starts.
+                Ok(Err(e)) => {
+                    st.plan.abandon();
+                    st.internal_error.get_or_insert(e);
+                    None
+                }
+                Err(panic) => {
+                    st.plan.abandon();
+                    Some(panic)
+                }
+            };
+            drop(st);
+            wake.notify_all();
+            if let Some(panic) = panic {
+                std::panic::resume_unwind(panic);
             }
         }
-        Ok(report)
     }
 
     /// One worker step of a round: prepare + install one DT, classifying
@@ -410,5 +553,126 @@ impl Engine {
             Err(e) if e.is_conflict() => Ok(RoundStatus::Conflict(e.to_string())),
             Err(e) => Err(e),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn dt(n: u64) -> EntityId {
+        EntityId(n)
+    }
+
+    /// A plan over `levels`, where `reads` lists each DT's upstreams (a
+    /// number in no level is a base table).
+    fn plan(levels: &[&[u64]], reads: &[(u64, &[u64])]) -> RoundPlan {
+        let levels: Vec<Vec<EntityId>> = (levels.iter())
+            .map(|l| l.iter().copied().map(dt).collect())
+            .collect();
+        let upstream_of = (reads.iter())
+            .map(|(d, ups)| (dt(*d), ups.iter().copied().map(dt).collect()))
+            .collect();
+        RoundPlan::new(&levels, &upstream_of)
+    }
+
+    /// Everything `plan` will start right now, in the order it hands it out.
+    fn start_all(plan: &mut RoundPlan) -> Vec<u64> {
+        std::iter::from_fn(|| plan.start()).map(|d| d.0).collect()
+    }
+
+    fn pruned(plan: &mut RoundPlan, finished: u64, landed: bool) -> Vec<u64> {
+        plan.finish(dt(finished), landed).into_iter().map(|d| d.0).collect()
+    }
+
+    #[test]
+    fn a_diamond_joins_at_the_completion_of_its_second_arm() {
+        // 1 → {2, 3} → 4, over base table 100.
+        let mut p = plan(
+            &[&[1], &[2, 3], &[4]],
+            &[(1, &[100]), (2, &[1]), (3, &[1]), (4, &[2, 3])],
+        );
+        assert_eq!(start_all(&mut p), [1], "nothing starts before 1 has landed");
+        assert!(!p.is_drained());
+        assert!(pruned(&mut p, 1, true).is_empty());
+        assert_eq!(start_all(&mut p), [2, 3]);
+        assert!(pruned(&mut p, 3, true).is_empty());
+        assert!(start_all(&mut p).is_empty(), "4 still waits for 2");
+        assert!(pruned(&mut p, 2, true).is_empty());
+        assert_eq!(start_all(&mut p), [4]);
+        assert!(pruned(&mut p, 4, true).is_empty());
+        assert!(p.is_drained());
+    }
+
+    #[test]
+    fn an_uneven_forest_has_no_barrier_between_levels() {
+        // A chain 1 → 2 → 3 → 4 beside a short tree 5 → 6.
+        let mut p = plan(
+            &[&[1, 5], &[2, 6], &[3], &[4]],
+            &[(2, &[1]), (3, &[2]), (4, &[3]), (6, &[5])],
+        );
+        assert_eq!(start_all(&mut p), [1, 5]);
+        // 6 reads only 5: it starts while 1, its level's other root, runs.
+        assert!(pruned(&mut p, 5, true).is_empty());
+        assert_eq!(start_all(&mut p), [6]);
+        assert!(pruned(&mut p, 6, true).is_empty());
+        assert!(start_all(&mut p).is_empty());
+        for (done, next) in [(1, vec![2]), (2, vec![3]), (3, vec![4]), (4, vec![])] {
+            assert!(pruned(&mut p, done, true).is_empty());
+            assert_eq!(start_all(&mut p), next);
+        }
+        assert!(p.is_drained());
+    }
+
+    #[test]
+    fn a_failing_root_prunes_its_cone_once_as_each_last_upstream_resolves() {
+        // 3 reads 1; 4 reads 1 and 2; 5 reads 3 and 4; 6 reads 2 only.
+        let mut p = plan(
+            &[&[1, 2], &[3, 4, 6], &[5]],
+            &[(3, &[1]), (4, &[1, 2]), (6, &[2]), (5, &[3, 4])],
+        );
+        assert_eq!(start_all(&mut p), [1, 2]);
+        // 1 fails while 2 runs: 3 is resolved (its only upstream), 4 and
+        // therefore 5 still wait for 2.
+        assert_eq!(pruned(&mut p, 1, false), [3]);
+        assert!(start_all(&mut p).is_empty());
+        assert!(!p.is_drained());
+        // 2 lands: 4's last upstream is in and one of them failed, which
+        // resolves 5 in turn; 6 never read the failed root.
+        assert_eq!(pruned(&mut p, 2, true), [4, 5]);
+        assert_eq!(start_all(&mut p), [6]);
+        assert!(pruned(&mut p, 6, true).is_empty());
+        assert!(p.is_drained());
+    }
+
+    #[test]
+    fn one_worker_starts_the_round_in_level_order() {
+        // 4 reads 3 and 5 reads 1: a first-come queue would run 5 before 4.
+        let levels: [&[u64]; 3] = [&[1, 2, 3], &[4, 5], &[6]];
+        let mut p = plan(&levels, &[(4, &[3]), (5, &[1]), (6, &[4, 5])]);
+        let mut started = Vec::new();
+        while let Some(d) = p.start() {
+            started.push(d.0);
+            assert!(p.finish(d, true).is_empty());
+        }
+        assert_eq!(started, levels.concat());
+        assert!(p.is_drained());
+    }
+
+    #[test]
+    fn an_abandoned_round_drains_once_its_running_dts_finish() {
+        let mut p = plan(&[&[1, 2, 3], &[4]], &[(4, &[1])]);
+        assert_eq!(p.start(), Some(dt(1)));
+        assert_eq!(p.start(), Some(dt(2)));
+        p.abandon();
+        assert!(p.start().is_none());
+        assert!(!p.is_drained(), "1 and 2 are still running");
+        // 1 lands and would have made 4 ready.
+        p.finish(dt(1), true);
+        assert!(p.start().is_none());
+        assert!(!p.is_drained());
+        p.finish(dt(2), true);
+        assert!(p.start().is_none());
+        assert!(p.is_drained());
     }
 }

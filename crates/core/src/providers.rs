@@ -124,7 +124,7 @@ impl PinnedVersion<'_> {
 }
 
 /// Refresh scans run one partition after another: the round driver
-/// already spreads a level's DTs over the refresh workers.
+/// already spreads the round's ready DTs over the refresh workers.
 pub(crate) const WRITE_SCAN_THREADS: usize = 1;
 
 /// A provider that resolves every entity as of a data timestamp, applying

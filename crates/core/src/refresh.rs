@@ -28,6 +28,7 @@
 //! worker pool and submits step 3 to the install queue, where a leader
 //! lands whatever queued together behind one lock acquisition.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -144,10 +145,10 @@ struct IntervalChanges {
 }
 
 impl ChangeProvider for IntervalChanges {
-    fn changes(&self, entity: EntityId) -> DtResult<ChangeSet> {
+    fn changes(&self, entity: EntityId) -> DtResult<Cow<'_, ChangeSet>> {
         self.per_entity
             .get(&entity)
-            .cloned()
+            .map(Cow::Borrowed)
             .ok_or_else(|| DtError::internal(format!("no change set gathered for {entity}")))
     }
 }
@@ -257,21 +258,29 @@ fn compute_refresh(
         to_versions.push((*up, to));
     }
 
-    // Decide the refresh action (§5.4).
+    // Decide the refresh action (§5.4). Each source's change scan over
+    // the interval since the previous frontier is read once, here: it
+    // answers the NO_DATA test and, if there is data, is the source delta
+    // the INCREMENTAL path differentiates.
+    let mut source_changes = Vec::with_capacity(to_versions.len());
     if !initial && !evolved {
-        // NO_DATA: no source changed since the previous frontier.
         let prev = prev.ok_or_else(|| DtError::internal("refresh of uninitialized DT"))?;
-        let mut unchanged = true;
         for (up, to) in &to_versions {
             let from = prev
                 .get(*up)
                 .ok_or_else(|| DtError::internal(format!("no frontier entry for {up}")))?;
-            if !env.store(*up)?.unchanged_between(from.min(*to), *to)? {
-                unchanged = false;
-                break;
-            }
+            // A source behind its frontier entry has nothing new to show;
+            // only differentiating across it is an error (below).
+            let regressed = *to < from;
+            let cs = if regressed {
+                ChangeSet::empty()
+            } else {
+                env.store(*up)?.changes_between(from, *to)?
+            };
+            source_changes.push((*up, cs, regressed));
         }
-        if unchanged {
+        // NO_DATA: no source changed since the previous frontier.
+        if source_changes.iter().all(|(_, cs, _)| cs.is_empty()) {
             // §3.3.2: uses negligible resources and no warehouse
             // compute; only the data timestamp advances.
             let dt_rows = store.row_count_at(base)?;
@@ -315,20 +324,16 @@ fn compute_refresh(
         });
     }
 
-    // INCREMENTAL (§5.5).
+    // INCREMENTAL (§5.5): neither initial nor evolved, so the source
+    // changes were gathered above.
     let prev = prev.ok_or_else(|| DtError::internal("refresh of uninitialized DT"))?;
     let mut per_entity = HashMap::new();
     let mut change_volume = 0usize;
-    for (up, to) in &to_versions {
-        let from = prev
-            .get(*up)
-            .ok_or_else(|| DtError::internal(format!("no frontier entry for {up}")))?;
-        let mut cs = if *to >= from {
-            env.store(*up)?.changes_between(from, *to)?
-        } else {
+    for (up, mut cs, regressed) in source_changes {
+        if regressed {
             return Err(DtError::internal("source version regressed"));
-        };
-        if env.is_dt(*up) {
+        }
+        if env.is_dt(up) {
             // DT storage carries the $ROW_ID column; the defining query
             // sees only the payload. Strip ids and re-consolidate (a
             // row whose id churned but whose payload did not is not a
@@ -340,7 +345,7 @@ fn compute_refresh(
             .consolidate();
         }
         change_volume += cs.len();
-        per_entity.insert(*up, cs);
+        per_entity.insert(up, cs);
     }
     // §5.5.2 insert-only specialization: when the plan structure
     // guarantees differentiation introduces no redundant actions and
@@ -372,13 +377,14 @@ fn compute_refresh(
         }
     };
 
-    // Merge: assign $ROW_IDs against the pinned base version (walked by
-    // reference; only payloads the delta names are indexed), validate the
-    // §6.1 invariants, stage.
-    let stored = store.snapshot(base)?;
+    // Merge: assign $ROW_IDs against the pinned base version (through the
+    // store's row index: no stored row is walked), validate the §6.1
+    // invariants, stage. The lookup lives for this one statement: it has
+    // let go of the index when `prepare_change_at` asks for it.
+    let changes = assign_change_rows(&store.row_lookup(base)?, &d)?;
     let mut inserts = Vec::new();
     let mut deletes = Vec::new();
-    for c in assign_change_rows(stored.iter_rows(), &d)? {
+    for c in changes {
         match c.action {
             MergeAction::Insert => inserts.push(c.into_stored_row()),
             MergeAction::Delete => deletes.push(c.into_stored_row()),

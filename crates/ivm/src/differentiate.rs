@@ -1,5 +1,6 @@
 //! The differentiation rules.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 use dt_common::{Batch, DtResult, EntityId, Row, Value};
@@ -14,8 +15,10 @@ use crate::merge::project_delta;
 
 /// Supplies per-entity change sets over the refresh interval.
 pub trait ChangeProvider {
-    /// The changes to `entity` over the interval being differentiated.
-    fn changes(&self, entity: EntityId) -> DtResult<ChangeSet>;
+    /// The changes to `entity` over the interval being differentiated —
+    /// borrowed where the provider holds them, so a plan that scans one
+    /// source several times copies its change set for none of them.
+    fn changes(&self, entity: EntityId) -> DtResult<Cow<'_, ChangeSet>>;
 }
 
 /// An in-memory change provider (tests, benches).
@@ -37,8 +40,8 @@ impl MapChanges {
 }
 
 impl ChangeProvider for MapChanges {
-    fn changes(&self, entity: EntityId) -> DtResult<ChangeSet> {
-        Ok(self.changes.get(&entity).cloned().unwrap_or_default())
+    fn changes(&self, entity: EntityId) -> DtResult<Cow<'_, ChangeSet>> {
+        Ok(self.changes.get(&entity).map_or_else(Cow::default, Cow::Borrowed))
     }
 }
 
@@ -72,7 +75,7 @@ pub struct DeltaContext<'a> {
 
 /// Compute `Δ_I plan`: the consolidated change set over the interval.
 pub fn delta(plan: &LogicalPlan, ctx: &DeltaContext<'_>) -> DtResult<ChangeSet> {
-    Ok(delta_inner(plan, ctx)?.consolidate())
+    Ok(delta_inner(plan, ctx)?.into_owned().consolidate())
 }
 
 /// As [`delta`] but without the final change-consolidation pass — the
@@ -81,12 +84,17 @@ pub fn delta(plan: &LogicalPlan, ctx: &DeltaContext<'_>) -> DtResult<ChangeSet> 
 /// source change set is insert-only; the differentiated output is then
 /// guaranteed to contain no cancelling pairs.
 pub fn delta_unconsolidated(plan: &LogicalPlan, ctx: &DeltaContext<'_>) -> DtResult<ChangeSet> {
-    delta_inner(plan, ctx)
+    Ok(delta_inner(plan, ctx)?.into_owned())
 }
 
-fn delta_inner(plan: &LogicalPlan, ctx: &DeltaContext<'_>) -> DtResult<ChangeSet> {
-    match plan {
-        LogicalPlan::TableScan { entity, .. } => ctx.changes.changes(*entity),
+/// `Δ plan`, unconsolidated. Only a bare scan borrows (the source's own
+/// change set); every operator above it builds a new one.
+fn delta_inner<'a>(
+    plan: &LogicalPlan,
+    ctx: &DeltaContext<'a>,
+) -> DtResult<Cow<'a, ChangeSet>> {
+    let built: DtResult<ChangeSet> = match plan {
+        LogicalPlan::TableScan { entity, .. } => return ctx.changes.changes(*entity),
         LogicalPlan::SingleRow => Ok(ChangeSet::empty()),
         LogicalPlan::Filter { input, predicate } => {
             let d = delta_inner(input, ctx)?;
@@ -108,7 +116,7 @@ fn delta_inner(plan: &LogicalPlan, ctx: &DeltaContext<'_>) -> DtResult<ChangeSet
         LogicalPlan::UnionAll { inputs, .. } => {
             let mut out = ChangeSet::empty();
             for i in inputs {
-                out.extend(delta_inner(i, ctx)?);
+                out.extend(delta_inner(i, ctx)?.into_owned());
             }
             Ok(out)
         }
@@ -137,7 +145,7 @@ fn delta_inner(plan: &LogicalPlan, ctx: &DeltaContext<'_>) -> DtResult<ChangeSet
         } => {
             let d = delta_inner(input, ctx)?;
             if d.is_empty() {
-                return Ok(ChangeSet::empty());
+                return Ok(Cow::default());
             }
             // One pass per snapshot end: rows of unaffected groups are
             // dropped by the aggregate's own key lookup. (No key-range
@@ -161,7 +169,7 @@ fn delta_inner(plan: &LogicalPlan, ctx: &DeltaContext<'_>) -> DtResult<ChangeSet
         LogicalPlan::Distinct { input } => {
             let d = delta_inner(input, ctx)?;
             if d.is_empty() {
-                return Ok(ChangeSet::empty());
+                return Ok(Cow::default());
             }
             // Affected "keys" are the changed rows themselves.
             let all_columns: Vec<ScalarExpr> =
@@ -180,7 +188,7 @@ fn delta_inner(plan: &LogicalPlan, ctx: &DeltaContext<'_>) -> DtResult<ChangeSet
         LogicalPlan::Window { input, exprs, .. } => {
             let d = delta_inner(input, ctx)?;
             if d.is_empty() {
-                return Ok(ChangeSet::empty());
+                return Ok(Cow::default());
             }
             // The paper's rule: recompute every changed partition at both
             // snapshot ends. Partition keys are the union of all window
@@ -203,7 +211,8 @@ fn delta_inner(plan: &LogicalPlan, ctx: &DeltaContext<'_>) -> DtResult<ChangeSet
         LogicalPlan::Sort { .. } | LogicalPlan::Limit { .. } => Err(dt_common::DtError::Unsupported(
             "ORDER BY / LIMIT plans are not differentiable; use FULL refresh mode".into(),
         )),
-    }
+    };
+    built.map(Cow::Owned)
 }
 
 /// `Δ(Q ⋈ R) = ΔQ ⋈ R₁ + Q₀ ⋈ ΔR` — signed join where insert × insert =

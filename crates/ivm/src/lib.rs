@@ -29,4 +29,4 @@ pub mod differentiate;
 pub mod merge;
 
 pub use differentiate::{delta, delta_unconsolidated, ChangeProvider, DeltaContext, MapChanges, OuterJoinStrategy};
-pub use merge::{assign_change_rows, with_initial_row_ids, ChangeRow, MergeAction};
+pub use merge::{assign_change_rows, with_initial_row_ids, ChangeRow, MergeAction, StoredRows};

@@ -19,13 +19,13 @@
 //!
 //! Both fail the refresh rather than corrupt the table.
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
-use dt_common::{DtError, DtResult, Row, Value};
+use dt_common::{DtResult, DtError, Row, Value};
 use dt_plan::ScalarExpr;
-use dt_storage::ChangeSet;
+use dt_storage::{ChangeSet, RowLookup};
 
 /// The action of a change row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,7 +57,11 @@ fn content_hash(row: &Row) -> u64 {
 /// Build the row id for the `occurrence`-th copy of `row`. The plaintext
 /// prefix carries the low bits of the hash for pruning-friendly sorting.
 pub fn make_row_id(row: &Row, occurrence: usize) -> String {
-    let h = content_hash(row);
+    row_id_of(content_hash(row), occurrence)
+}
+
+fn row_id_of(content_hash: u64, occurrence: usize) -> String {
+    let h = content_hash;
     format!("{:04x}-{:016x}-{}", h & 0xffff, h, occurrence)
 }
 
@@ -91,40 +95,72 @@ impl ChangeRow {
     }
 }
 
+/// A DT's stored rows (`$ROW_ID` first, then the payload), looked up by
+/// value. The merge reads them through this and nothing else.
+pub trait StoredRows {
+    /// How many stored rows carry `row_id` and `payload`, every column.
+    fn copies(&self, row_id: &Value, payload: &Row) -> usize;
+}
+
+impl StoredRows for RowLookup<'_> {
+    fn copies(&self, row_id: &Value, payload: &Row) -> usize {
+        RowLookup::copies(self, std::iter::once(row_id).chain(payload.values()))
+    }
+}
+
 /// The stored copies of one payload the delta names, and how many of them
 /// (and of the ids minted after them) this merge has used up.
 #[derive(Default)]
-struct Occurrences<'a> {
+struct Occurrences {
+    /// The payload's [`content_hash`].
+    hash: u64,
     /// `$ROW_ID`s of the stored copies, in scan order.
-    ids: Vec<&'a str>,
+    ids: Vec<Value>,
     claimed: usize,
     minted: usize,
 }
 
+impl Occurrences {
+    /// Find the stored copies of `payload`. They carry the occurrence
+    /// indices 0, 1, 2 … in scan order — initialization numbers them so,
+    /// deletes claim from the back and inserts append — so the ids are
+    /// probed in that order until one is absent. A stored id held by
+    /// several rows (a corrupt table) is listed once per row, which the
+    /// §6.1 check on the change rows then refuses.
+    fn probe(stored: &impl StoredRows, payload: &Row) -> Occurrences {
+        let hash = content_hash(payload);
+        let mut ids = Vec::new();
+        for occurrence in 0.. {
+            let id = Value::Str(row_id_of(hash, occurrence));
+            let copies = stored.copies(&id, payload);
+            if copies == 0 {
+                break;
+            }
+            ids.extend(std::iter::repeat_n(id, copies));
+        }
+        Occurrences {
+            hash,
+            ids,
+            ..Occurrences::default()
+        }
+    }
+}
+
 /// Assign `$ROW_ID`s to a consolidated change set against the DT's stored
-/// rows (`$ROW_ID` first, then the payload; walked once, by reference):
-/// deletes claim the ids of existing copies of their payload; inserts mint
-/// ids at the next free occurrence index. Only payloads the delta names
-/// are indexed, so the per-row work on unchanged data is one hash probe.
-/// Fails with the §6.1 invariant errors when a delete cannot be matched
-/// or two change rows share a `($ROW_ID, $ACTION)` pair.
-pub fn assign_change_rows<'a>(
-    stored: impl IntoIterator<Item = &'a Row>,
-    delta: &'a ChangeSet,
+/// rows: deletes claim the ids of existing copies of their payload;
+/// inserts mint ids at the next free occurrence index. The stored rows are
+/// never walked: each payload the delta names costs one lookup per stored
+/// copy of it, plus one. Fails with the §6.1 invariant errors when a
+/// delete cannot be matched or two change rows share a
+/// `($ROW_ID, $ACTION)` pair.
+pub fn assign_change_rows(
+    stored: &impl StoredRows,
+    delta: &ChangeSet,
 ) -> DtResult<Vec<ChangeRow>> {
-    let mut by_content: HashMap<&[Value], Occurrences<'a>> = delta
-        .inserts()
-        .iter()
-        .chain(delta.deletes())
-        .map(|r| (r.values(), Occurrences::default()))
-        .collect();
-    for r in stored {
-        let (id, payload) = r
-            .values()
-            .split_first()
-            .ok_or_else(|| DtError::internal("stored DT row without a $ROW_ID column"))?;
-        if let Some(occ) = by_content.get_mut(payload) {
-            occ.ids.push(id.expect_str()?);
+    let mut by_content: HashMap<&[Value], Occurrences> = HashMap::new();
+    for r in delta.inserts().iter().chain(delta.deletes()) {
+        if let Entry::Vacant(e) = by_content.entry(r.values()) {
+            e.insert(Occurrences::probe(stored, r));
         }
     }
     let mut out = Vec::with_capacity(delta.len());
@@ -142,7 +178,7 @@ pub fn assign_change_rows<'a>(
         occ.claimed += 1;
         out.push(ChangeRow {
             action: MergeAction::Delete,
-            row_id: occ.ids[occ.ids.len() - occ.claimed].to_string(),
+            row_id: occ.ids[occ.ids.len() - occ.claimed].expect_str()?.to_owned(),
             row: d.clone(),
         });
     }
@@ -157,7 +193,7 @@ pub fn assign_change_rows<'a>(
         occ.minted += 1;
         out.push(ChangeRow {
             action: MergeAction::Insert,
-            row_id: make_row_id(i, occurrence),
+            row_id: row_id_of(occ.hash, occurrence),
             row: i.clone(),
         });
     }
@@ -220,6 +256,86 @@ pub fn is_insert_only_safe(plan: &dt_plan::LogicalPlan) -> bool {
 mod tests {
     use super::*;
     use dt_common::row;
+
+    /// A DT held in a `Vec`, for the merge's own tests.
+    impl StoredRows for Vec<Row> {
+        fn copies(&self, row_id: &Value, payload: &Row) -> usize {
+            self.iter()
+                .filter(|r| r.values().split_first() == Some((row_id, payload.values())))
+                .count()
+        }
+    }
+
+    /// The stored copies of one payload the delta names, as the walk below
+    /// finds them.
+    #[derive(Default)]
+    struct WalkedOccurrences<'a> {
+        /// `$ROW_ID`s of the stored copies, in scan order.
+        ids: Vec<&'a str>,
+        claimed: usize,
+        minted: usize,
+    }
+
+    /// The implementation [`assign_change_rows`] replaced, kept as its
+    /// oracle: it walks every stored row once, one hash probe each, against
+    /// an index of the payloads the delta names.
+    fn assign_change_rows_by_walk<'a>(
+        stored: impl IntoIterator<Item = &'a Row>,
+        delta: &'a ChangeSet,
+    ) -> DtResult<Vec<ChangeRow>> {
+        let mut by_content: HashMap<&[Value], WalkedOccurrences<'a>> = delta
+            .inserts()
+            .iter()
+            .chain(delta.deletes())
+            .map(|r| (r.values(), WalkedOccurrences::default()))
+            .collect();
+        for r in stored {
+            let (id, payload) = r
+                .values()
+                .split_first()
+                .ok_or_else(|| DtError::internal("stored DT row without a $ROW_ID column"))?;
+            if let Some(occ) = by_content.get_mut(payload) {
+                occ.ids.push(id.expect_str()?);
+            }
+        }
+        let mut out = Vec::with_capacity(delta.len());
+        // Deletes claim ids from the back (highest occurrence first keeps the
+        // lowest-occurrence ids stable across refreshes).
+        for d in delta.deletes() {
+            let occ = by_content
+                .get_mut(d.values())
+                .expect("seeded from the delta");
+            if occ.claimed >= occ.ids.len() {
+                return Err(DtError::IvmInvariant(format!(
+                    "delete of nonexistent row {d}"
+                )));
+            }
+            occ.claimed += 1;
+            out.push(ChangeRow {
+                action: MergeAction::Delete,
+                row_id: occ.ids[occ.ids.len() - occ.claimed].to_string(),
+                row: d.clone(),
+            });
+        }
+        // Inserts mint fresh occurrence indices: existing copies − claimed
+        // deletes + already-minted inserts of the same content, so slots freed
+        // by this merge's deletes are reused first.
+        for i in delta.inserts() {
+            let occ = by_content
+                .get_mut(i.values())
+                .expect("seeded from the delta");
+            let occurrence = occ.ids.len() - occ.claimed + occ.minted;
+            occ.minted += 1;
+            out.push(ChangeRow {
+                action: MergeAction::Insert,
+                row_id: make_row_id(i, occurrence),
+                row: i.clone(),
+            });
+        }
+        check_unique_actions(&out)?;
+        Ok(out)
+    }
+
 
     /// Apply assigned change rows to stored rows the way the storage
     /// install does: deletes remove the exact stored row, inserts append.
@@ -431,5 +547,146 @@ mod tests {
             input: Box::new(scan.clone()),
         };
         assert!(!is_insert_only_safe(&agg));
+    }
+    mod oracle {
+        use super::*;
+        use dt_common::{Column, DataType, Schema, Timestamp, TxnId};
+        use dt_storage::TableStore;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// An incremental merge: delete the payloads stored at these
+            /// positions (mod the DT size), insert these.
+            Merge(Vec<usize>, Vec<(i64, i64)>),
+            /// Delete one more copy of a payload than the DT holds.
+            DeleteTooMany(usize),
+            /// A FULL refresh: new contents, fresh ids.
+            Full(Vec<(i64, i64)>),
+            Recluster,
+            /// Corrupt the DT — store a second row under an id in use —
+            /// and delete every copy of that payload.
+            ShareAnId(usize),
+        }
+
+        fn payloads_strategy(max: usize) -> impl Strategy<Value = Vec<(i64, i64)>> {
+            prop::collection::vec((0..3i64, 0..2i64), 0..max)
+        }
+
+        fn op_strategy() -> impl Strategy<Value = Op> {
+            let merge = || {
+                (prop::collection::vec(0..1000usize, 0..5), payloads_strategy(5))
+                    .prop_map(|(at, ins)| Op::Merge(at, ins))
+            };
+            prop_oneof![
+                merge(),
+                merge(),
+                merge(),
+                merge(),
+                (0..1000usize).prop_map(Op::DeleteTooMany),
+                payloads_strategy(8).prop_map(Op::Full),
+                Just(Op::Recluster),
+                (0..1000usize).prop_map(Op::ShareAnId),
+            ]
+        }
+
+        fn payloads(vals: &[(i64, i64)]) -> Vec<Row> {
+            vals.iter().map(|(a, b)| row!(*a, *b)).collect()
+        }
+
+        fn payload_of(stored: &Row) -> Row {
+            Row::new(stored.values()[1..].to_vec())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
+
+            /// Random refresh histories of a DT full of duplicate payloads,
+            /// in partitions of 1–8 rows: probing the store's row index
+            /// assigns the change rows — ids, actions, order — the walk
+            /// over every stored row assigned, and refuses the same deltas
+            /// with the same §6.1 error.
+            #[test]
+            fn probing_the_index_assigns_the_ids_the_walk_did(
+                initial in payloads_strategy(10),
+                ops in prop::collection::vec(op_strategy(), 1..25),
+                capacity in 1..9usize,
+            ) {
+                let store = TableStore::with_partition_capacity(
+                    Schema::new(vec![
+                        Column::new("$ROW_ID", DataType::Str),
+                        Column::new("a", DataType::Int),
+                        Column::new("b", DataType::Int),
+                    ]),
+                    Timestamp::EPOCH,
+                    TxnId(0),
+                    capacity,
+                );
+                let at = |i: usize| Timestamp::from_secs(i as i64 + 1);
+                store
+                    .overwrite(with_initial_row_ids(payloads(&initial)), at(0), TxnId(1))
+                    .unwrap();
+                for (i, op) in ops.iter().enumerate() {
+                    let (at, txn) = (at(i + 1), TxnId(i as u64 + 2));
+                    let base = store.latest_version();
+                    let stored = store.scan(base).unwrap();
+                    let pick = |p: &usize| payload_of(&stored[p % stored.len()]);
+                    let delta = match op {
+                        Op::Merge(picks, ins) => {
+                            let mut slots: Vec<usize> = picks
+                                .iter()
+                                .filter(|_| !stored.is_empty())
+                                .map(|p| p % stored.len())
+                                .collect();
+                            slots.sort_unstable();
+                            slots.dedup();
+                            let doomed = slots.iter().map(pick).collect();
+                            ChangeSet::new(payloads(ins), doomed)
+                        }
+                        Op::DeleteTooMany(p) if !stored.is_empty() => {
+                            let held = stored.iter().filter(|r| payload_of(r) == pick(p)).count();
+                            ChangeSet::new(vec![], vec![pick(p); held + 1])
+                        }
+                        Op::ShareAnId(p) if !stored.is_empty() => {
+                            let twin = stored[p % stored.len()].clone();
+                            store.commit_change(vec![twin], vec![], at, txn).unwrap();
+                            let held = stored.iter().filter(|r| payload_of(r) == pick(p)).count();
+                            ChangeSet::new(vec![], vec![pick(p); held + 1])
+                        }
+                        Op::DeleteTooMany(_) | Op::ShareAnId(_) => continue,
+                        Op::Full(vals) => {
+                            store
+                                .overwrite(with_initial_row_ids(payloads(vals)), at, txn)
+                                .unwrap();
+                            continue;
+                        }
+                        Op::Recluster => {
+                            store.recluster(at, txn).unwrap();
+                            continue;
+                        }
+                    };
+                    let base = store.latest_version();
+                    let want = assign_change_rows_by_walk(store.snapshot(base).unwrap().iter_rows(), &delta);
+                    let got = assign_change_rows(&store.row_lookup(base).unwrap(), &delta);
+                    prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                    let Ok(changes) = got else {
+                        prop_assert!(matches!(want, Err(DtError::IvmInvariant(_))));
+                        if matches!(op, Op::ShareAnId(_)) {
+                            break;
+                        }
+                        continue;
+                    };
+                    prop_assert!(!matches!(op, Op::DeleteTooMany(_) | Op::ShareAnId(_)));
+                    let (mut inserts, mut deletes) = (Vec::new(), Vec::new());
+                    for c in changes {
+                        match c.action {
+                            MergeAction::Insert => inserts.push(c.into_stored_row()),
+                            MergeAction::Delete => deletes.push(c.into_stored_row()),
+                        }
+                    }
+                    store.commit_change(inserts, deletes, at, txn).unwrap();
+                }
+            }
+        }
     }
 }

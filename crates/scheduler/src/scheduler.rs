@@ -389,9 +389,10 @@ impl Scheduler {
     /// DT in level *k* depends (directly or transitively, **within the
     /// given set**) only on DTs in levels < *k*. All DTs in one level can
     /// therefore refresh concurrently once the previous levels have
-    /// installed — the schedule a parallel refresh round executes level by
-    /// level. DTs in `dts` that are not registered are ignored; ordering
-    /// within a level is deterministic (ascending entity id).
+    /// installed; a parallel refresh round ranks its DTs by this order
+    /// and starts each when the DTs it reads have landed. DTs in `dts`
+    /// that are not registered are ignored; ordering within a level is
+    /// deterministic (ascending entity id).
     pub fn level_order(&self, dts: &[EntityId]) -> Vec<Vec<EntityId>> {
         let set: BTreeSet<EntityId> = dts
             .iter()

@@ -96,27 +96,31 @@ impl ChangeSet {
     /// a logical change. Returns the consolidated set, in which any given
     /// row appears only as net inserts or net deletes.
     pub fn consolidate(self) -> ChangeSet {
-        let mut weights: HashMap<Row, i64> = HashMap::new();
-        for r in self.inserts {
+        ChangeSet::consolidated(&self.inserts, &self.deletes)
+    }
+
+    /// The consolidated change set of `inserts` and `deletes`, read in
+    /// place: only the rows that survive the cancellation are cloned —
+    /// what lets a change scan over rewritten partitions pay for the rows
+    /// that changed, not for the ones copy-on-write carried along.
+    pub fn consolidated<'a>(
+        inserts: impl IntoIterator<Item = &'a Row>,
+        deletes: impl IntoIterator<Item = &'a Row>,
+    ) -> ChangeSet {
+        let mut weights: HashMap<&Row, i64> = HashMap::new();
+        for r in inserts {
             *weights.entry(r).or_insert(0) += 1;
         }
-        for r in self.deletes {
+        for r in deletes {
             *weights.entry(r).or_insert(0) -= 1;
         }
-        let mut out = ChangeSet::empty();
         // Deterministic output order for tests: sort by row.
-        let mut entries: Vec<(Row, i64)> = weights.into_iter().filter(|(_, w)| *w != 0).collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut entries: Vec<(&Row, i64)> = weights.into_iter().filter(|(_, w)| *w != 0).collect();
+        entries.sort_unstable();
+        let mut out = ChangeSet::empty();
         for (row, w) in entries {
-            if w > 0 {
-                for _ in 0..w {
-                    out.inserts.push(row.clone());
-                }
-            } else {
-                for _ in 0..(-w) {
-                    out.deletes.push(row.clone());
-                }
-            }
+            let side = if w > 0 { &mut out.inserts } else { &mut out.deletes };
+            side.extend(std::iter::repeat_n(row, w.unsigned_abs() as usize).cloned());
         }
         out
     }

@@ -29,10 +29,16 @@
 //!   first-committer-wins substrate of the engine's transaction commits,
 //!   which lets a multi-table transaction install every touched table's
 //!   version at one commit timestamp.
+//! * **Rows found by value** ([`table::TableStore::row_lookup`], the
+//!   [`row_index`]): a change locates its delete victims, and a merge the
+//!   stored copies of a row, through a per-store index that is built
+//!   lazily and advanced from the version chain — work proportional to
+//!   the change, not to the table.
 
 pub mod change;
 pub mod durable;
 pub mod partition;
+pub mod row_index;
 pub mod snapshot;
 pub mod table;
 pub mod telemetry;
@@ -41,7 +47,10 @@ pub mod version;
 pub use change::{ChangeSet, RowDelta};
 pub use durable::{StoreCheckpoint, VersionInstallRecord};
 pub use partition::{ColumnarPartition, Partition};
+pub use row_index::RowLookup;
 pub use snapshot::TableSnapshot;
-pub use table::{CommitGuard, PreparedChange, TableStore, DEFAULT_PARTITION_CAPACITY};
+pub use table::{
+    CommitGuard, PreparedChange, RowIndexStats, TableStore, DEFAULT_PARTITION_CAPACITY,
+};
 pub use telemetry::zone_map_pruned_total;
 pub use version::TableVersion;

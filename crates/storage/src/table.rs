@@ -12,6 +12,7 @@ use dt_common::{
 
 use crate::change::ChangeSet;
 use crate::partition::Partition;
+use crate::row_index::{Held, RowIndex, RowLookup};
 use crate::snapshot::TableSnapshot;
 use crate::version::TableVersion;
 
@@ -21,6 +22,53 @@ pub const DEFAULT_PARTITION_CAPACITY: usize = 4096;
 struct Inner {
     partitions: HashMap<PartitionId, Arc<Partition>>,
     versions: Vec<TableVersion>,
+}
+
+impl Inner {
+    fn version(&self, v: VersionId) -> DtResult<&TableVersion> {
+        self.versions
+            .get(v.raw() as usize)
+            .ok_or_else(|| DtError::Storage(format!("unknown version {v}")))
+    }
+
+    fn partition(&self, pid: PartitionId) -> DtResult<Arc<Partition>> {
+        self.partitions
+            .get(&pid)
+            .map(Arc::clone)
+            .ok_or_else(|| DtError::Storage(format!("missing partition {pid}")))
+    }
+}
+
+/// The net partition movement over a version interval, as handles: what
+/// a change scan reads and what the row index advances by. A partition
+/// added and then removed inside the interval appears in neither list.
+struct PartitionDelta {
+    added: Vec<Arc<Partition>>,
+    removed: Vec<Arc<Partition>>,
+    /// Every version in the interval either moved no partition or is
+    /// data-equivalent (§5.5.2: the partitions moved, the logical
+    /// contents did not) — known from metadata alone.
+    logically_empty: bool,
+}
+
+impl PartitionDelta {
+    fn rows(&self) -> usize {
+        let rows = |parts: &[Arc<Partition>]| parts.iter().map(|p| p.len()).sum::<usize>();
+        rows(&self.added) + rows(&self.removed)
+    }
+}
+
+/// Work the row-location index of one store has done, by count
+/// ([`TableStore::row_index_stats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RowIndexStats {
+    /// Times an index was built by hashing a whole version: the first
+    /// lookup, a lookup at a version older than the cached one, or one
+    /// across an interval that moved more rows than the table holds.
+    pub builds: u64,
+    /// Rows hashed to bring the cached index to a later version: the rows
+    /// of the partitions the versions in between added or removed.
+    pub advanced_rows: u64,
 }
 
 /// The output of the (lock-free) row work of a change: freshly minted
@@ -207,9 +255,33 @@ pub struct TableStore {
     /// serializes refreshes per DT with transaction locks, §5.3).
     commit_lock: Mutex<()>,
     inner: RwLock<Inner>,
+    /// The row-location index of at most one version — derived data that
+    /// only [`TableStore::row_lookup`] reads, builds and advances. Locked
+    /// before `inner`, never while holding it.
+    row_index: Mutex<Option<RowIndex>>,
+    index_builds: AtomicU64,
+    index_advanced_rows: AtomicU64,
 }
 
 impl TableStore {
+    fn from_parts(
+        schema: Arc<Schema>,
+        partition_capacity: usize,
+        next_partition: u64,
+        inner: Inner,
+    ) -> TableStore {
+        TableStore {
+            schema,
+            partition_capacity,
+            next_partition: AtomicU64::new(next_partition),
+            commit_lock: Mutex::new(()),
+            inner: RwLock::new(inner),
+            row_index: Mutex::new(None),
+            index_builds: AtomicU64::new(0),
+            index_advanced_rows: AtomicU64::new(0),
+        }
+    }
+
     /// Create an empty table. An initial empty version is committed at
     /// `created_ts` so that time-travel reads before any DML see an empty
     /// table rather than an error.
@@ -235,16 +307,15 @@ impl TableStore {
             data_equivalent: false,
             row_count: 0,
         };
-        TableStore {
-            schema: Arc::new(schema),
+        TableStore::from_parts(
+            Arc::new(schema),
             partition_capacity,
-            next_partition: AtomicU64::new(0),
-            commit_lock: Mutex::new(()),
-            inner: RwLock::new(Inner {
+            0,
+            Inner {
                 partitions: HashMap::new(),
                 versions: vec![v0],
-            }),
-        }
+            },
+        )
     }
 
     /// The table's schema.
@@ -265,22 +336,12 @@ impl TableStore {
 
     /// The commit timestamp of a version.
     pub fn commit_ts_of(&self, v: VersionId) -> DtResult<Timestamp> {
-        let inner = self.inner.read();
-        inner
-            .versions
-            .get(v.raw() as usize)
-            .map(|tv| tv.commit_ts)
-            .ok_or_else(|| DtError::Storage(format!("unknown version {v}")))
+        Ok(self.inner.read().version(v)?.commit_ts)
     }
 
     /// Row count at a version.
     pub fn row_count_at(&self, v: VersionId) -> DtResult<usize> {
-        let inner = self.inner.read();
-        inner
-            .versions
-            .get(v.raw() as usize)
-            .map(|tv| tv.row_count)
-            .ok_or_else(|| DtError::Storage(format!("unknown version {v}")))
+        Ok(self.inner.read().version(v)?.row_count)
     }
 
     /// Resolve the version visible at time `ts`: the version with the
@@ -313,16 +374,10 @@ impl TableStore {
     /// disturb an outstanding snapshot.
     pub fn snapshot(&self, v: VersionId) -> DtResult<TableSnapshot> {
         let inner = self.inner.read();
-        let tv = inner
-            .versions
-            .get(v.raw() as usize)
-            .ok_or_else(|| DtError::Storage(format!("unknown version {v}")))?;
-        let mut partitions = Vec::with_capacity(tv.partitions.len());
-        for pid in &tv.partitions {
-            partitions.push(Arc::clone(inner.partitions.get(pid).ok_or_else(
-                || DtError::Storage(format!("missing partition {pid}")),
-            )?));
-        }
+        let tv = inner.version(v)?;
+        let partitions = (tv.partitions.iter())
+            .map(|pid| inner.partition(*pid))
+            .collect::<DtResult<Vec<_>>>()?;
         Ok(TableSnapshot::new(
             Arc::clone(&self.schema),
             tv.id,
@@ -338,22 +393,10 @@ impl TableStore {
             .expect("latest version always resolvable")
     }
 
-    /// Full scan of the table at a version.
+    /// Full scan of the table at a version. The store's lock is held only
+    /// while the version is pinned, not while its rows are cloned.
     pub fn scan(&self, v: VersionId) -> DtResult<Vec<Row>> {
-        let inner = self.inner.read();
-        let tv = inner
-            .versions
-            .get(v.raw() as usize)
-            .ok_or_else(|| DtError::Storage(format!("unknown version {v}")))?;
-        let mut out = Vec::with_capacity(tv.row_count);
-        for pid in &tv.partitions {
-            let p = inner
-                .partitions
-                .get(pid)
-                .ok_or_else(|| DtError::Storage(format!("missing partition {pid}")))?;
-            out.extend(p.rows().iter().cloned());
-        }
-        Ok(out)
+        Ok(self.snapshot(v)?.scan())
     }
 
     /// Slice rows into capacity-sized immutable partitions with freshly
@@ -431,11 +474,121 @@ impl TableStore {
         Ok(())
     }
 
-    /// The row work of a change commit: apply `deletes` to `prev_parts`
-    /// copy-on-write and mint partitions for `inserts`. Takes **no lock**
-    /// at all: it runs against a pinned base version whose stability is
-    /// validated at install time ([`TableStore::prepare_change_at`]).
+    /// The stored rows a change deletes, as ascending slots per partition:
+    /// of each distinct row in `deletes`, the first copies in the scan
+    /// order of `prev_parts`, as many as `deletes` names it. `lookup` must
+    /// be pinned at the version `prev_parts` belong to. O(`deletes`) plus
+    /// one map probe per partition — no stored row is visited.
+    fn find_victims(
+        lookup: &RowLookup<'_>,
+        prev_parts: &[Arc<Partition>],
+        deletes: &[Row],
+    ) -> DtResult<HashMap<PartitionId, Vec<u32>>> {
+        let mut wanted: HashMap<&Row, usize> = HashMap::new();
+        for r in deletes {
+            *wanted.entry(r).or_insert(0) += 1;
+        }
+        // Copies still to delete of each distinct row, and every stored
+        // copy of one as `(slot, index into remaining)` by partition.
+        let mut remaining = Vec::with_capacity(wanted.len());
+        let mut candidates: HashMap<PartitionId, Vec<(u32, usize)>> = HashMap::new();
+        for (row, copies) in wanted {
+            for loc in lookup.index().locations(row.values().iter()) {
+                let found = candidates.entry(loc.part).or_default();
+                found.push((loc.slot, remaining.len()));
+            }
+            remaining.push(copies);
+        }
+
+        let mut victims = HashMap::new();
+        let mut missing = deletes.len();
+        for part in prev_parts {
+            if missing == 0 {
+                break;
+            }
+            let Some(found) = candidates.get_mut(&part.id()) else {
+                continue;
+            };
+            found.sort_unstable();
+            let mut doomed = Vec::new();
+            for (slot, row) in found {
+                if remaining[*row] > 0 {
+                    remaining[*row] -= 1;
+                    doomed.push(*slot);
+                }
+            }
+            if !doomed.is_empty() {
+                missing -= doomed.len();
+                victims.insert(part.id(), doomed);
+            }
+        }
+        if missing > 0 {
+            return Err(DtError::Storage(format!(
+                "{missing} row(s) to delete were not found"
+            )));
+        }
+        Ok(victims)
+    }
+
+    /// The row work of a change commit: rewrite the partitions of
+    /// `prev_parts` that hold `victims` copy-on-write and mint partitions
+    /// for `inserts`. Takes **no lock** at all: it runs against a pinned
+    /// base version whose stability is validated at install time
+    /// ([`TableStore::prepare_change_at`]).
     fn build_change(
+        &self,
+        prev_parts: &[Arc<Partition>],
+        inserts: Vec<Row>,
+        victims: &HashMap<PartitionId, Vec<u32>>,
+    ) -> ChangeBuild {
+        let mut kept: Vec<PartitionId> = Vec::with_capacity(prev_parts.len() + 1);
+        let mut added: Vec<PartitionId> = Vec::new();
+        let mut removed: Vec<PartitionId> = Vec::new();
+        let mut new_parts: Vec<Arc<Partition>> = Vec::new();
+        let mut row_count = 0usize;
+        let mut carried_rows = 0usize;
+        let mut mint = |rows: Vec<Row>, kept: &mut Vec<PartitionId>| {
+            for p in self.mint_partitions(rows) {
+                added.push(p.id());
+                kept.push(p.id());
+                row_count += p.len();
+                new_parts.push(p);
+            }
+        };
+
+        for part in prev_parts {
+            let Some(doomed) = victims.get(&part.id()) else {
+                kept.push(part.id());
+                carried_rows += part.len();
+                continue;
+            };
+            // Copy-on-write rewrite of this partition.
+            let mut doomed = doomed.iter().peekable();
+            let survivors: Vec<Row> = (part.rows().iter().enumerate())
+                .filter(|(slot, _)| doomed.next_if(|d| **d as usize == *slot).is_none())
+                .map(|(_, r)| r.clone())
+                .collect();
+            removed.push(part.id());
+            mint(survivors, &mut kept);
+        }
+        mint(inserts, &mut kept);
+
+        ChangeBuild {
+            new_parts,
+            partitions: kept,
+            added,
+            removed,
+            data_equivalent: false,
+            row_count: row_count + carried_rows,
+        }
+    }
+
+    /// The implementation [`TableStore::find_victims`] +
+    /// [`TableStore::build_change`] replaced, kept as the oracle of
+    /// `the_index_changes_a_table_exactly_as_the_scan_did`: it hashes every
+    /// stored row once to find the delete victims.
+    #[cfg(test)]
+    fn build_change_by_scan(
         &self,
         prev_parts: &[Arc<Partition>],
         inserts: Vec<Row>,
@@ -545,21 +698,31 @@ impl TableStore {
     ) -> DtResult<PreparedChange> {
         self.check_rows(&inserts)?;
         self.check_rows(&deletes)?;
-        let base_parts = {
-            let inner = self.inner.read();
-            let tv = inner
-                .versions
-                .get(base.raw() as usize)
-                .ok_or_else(|| DtError::Storage(format!("unknown version {base}")))?;
-            let mut parts = Vec::with_capacity(tv.partitions.len());
-            for pid in &tv.partitions {
-                parts.push(Arc::clone(inner.partitions.get(pid).ok_or_else(
-                    || DtError::Storage(format!("missing partition {pid}")),
-                )?));
-            }
-            parts
+        let pinned = self.snapshot(base)?;
+        // An insert-only change needs no row located (and never makes the
+        // store build its index).
+        let victims = if deletes.is_empty() {
+            HashMap::new()
+        } else {
+            Self::find_victims(&self.row_lookup(base)?, pinned.partitions(), &deletes)?
         };
-        let build = self.build_change(&base_parts, inserts, &deletes)?;
+        let build = self.build_change(pinned.partitions(), inserts, &victims);
+        Ok(PreparedChange { base, build })
+    }
+
+    /// [`TableStore::prepare_change_at`] through
+    /// [`TableStore::build_change_by_scan`].
+    #[cfg(test)]
+    fn prepare_change_at_by_scan(
+        &self,
+        base: VersionId,
+        inserts: Vec<Row>,
+        deletes: Vec<Row>,
+    ) -> DtResult<PreparedChange> {
+        self.check_rows(&inserts)?;
+        self.check_rows(&deletes)?;
+        let pinned = self.snapshot(base)?;
+        let build = self.build_change_by_scan(pinned.partitions(), inserts, &deletes)?;
         Ok(PreparedChange { base, build })
     }
 
@@ -572,15 +735,7 @@ impl TableStore {
     /// in the meantime, validation fails and the refresh aborts.
     pub fn prepare_overwrite_at(&self, base: VersionId, rows: Vec<Row>) -> DtResult<PreparedChange> {
         self.check_rows(&rows)?;
-        let removed = {
-            let inner = self.inner.read();
-            inner
-                .versions
-                .get(base.raw() as usize)
-                .ok_or_else(|| DtError::Storage(format!("unknown version {base}")))?
-                .partitions
-                .clone()
-        };
+        let removed = self.inner.read().version(base)?.partitions.clone();
         let row_count = rows.len();
         let new_parts = self.mint_partitions(rows);
         let added: Vec<PartitionId> = new_parts.iter().map(|p| p.id()).collect();
@@ -649,36 +804,22 @@ impl TableStore {
         guard.install_checked(prep, commit_ts, txn)
     }
 
-    /// Compute the changes between two versions (exclusive `from`,
-    /// inclusive `to`). Data-equivalent versions contribute nothing. The
-    /// result is consolidated: rows copied between partitions by
-    /// copy-on-write rewrites cancel out, so only logical changes remain.
-    pub fn changes_between(&self, from: VersionId, to: VersionId) -> DtResult<ChangeSet> {
-        if from == to {
-            return Ok(ChangeSet::empty());
-        }
+    /// The net partition movement over (`from`, `to`], resolved to handles
+    /// under a brief read lock so that whoever reads their rows holds no
+    /// lock the install path needs.
+    fn partition_delta(&self, from: VersionId, to: VersionId) -> DtResult<PartitionDelta> {
         if from > to {
             return Err(DtError::Storage(format!(
                 "change interval runs backwards: {from} > {to}"
             )));
         }
         let inner = self.inner.read();
-        if to.raw() as usize >= inner.versions.len() {
-            return Err(DtError::Storage(format!("unknown version {to}")));
-        }
-        // Net added/removed partition ids over the interval. A partition
-        // added then removed inside the interval cancels.
+        inner.version(to)?;
+        // A partition added then removed inside the interval cancels.
         let mut net: HashMap<PartitionId, i32> = HashMap::new();
-        let mut all_data_equivalent = true;
-        for v in inner
-            .versions
-            .iter()
-            .skip(from.raw() as usize + 1)
-            .take((to.raw() - from.raw()) as usize)
-        {
-            if !v.data_equivalent {
-                all_data_equivalent = false;
-            }
+        let mut logically_empty = true;
+        for v in &inner.versions[from.raw() as usize + 1..=to.raw() as usize] {
+            logically_empty &= v.data_equivalent || v.is_empty_delta();
             for pid in &v.added {
                 *net.entry(*pid).or_insert(0) += 1;
             }
@@ -686,58 +827,91 @@ impl TableStore {
                 *net.entry(*pid).or_insert(0) -= 1;
             }
         }
-        // Fast path: an interval consisting solely of data-equivalent
-        // operations is logically empty — skip reading any partitions.
-        if all_data_equivalent {
-            return Ok(ChangeSet::empty());
+        let mut moved: Vec<(PartitionId, i32)> = net.into_iter().filter(|(_, w)| *w != 0).collect();
+        moved.sort_unstable();
+        let mut delta = PartitionDelta {
+            added: Vec::new(),
+            removed: Vec::new(),
+            logically_empty,
+        };
+        for (pid, w) in moved {
+            let side = if w > 0 { &mut delta.added } else { &mut delta.removed };
+            side.push(inner.partition(pid)?);
         }
-        let mut cs = ChangeSet::empty();
-        let mut ids: Vec<(PartitionId, i32)> = net.into_iter().filter(|(_, w)| *w != 0).collect();
-        ids.sort_by_key(|(pid, _)| *pid);
-        for (pid, w) in ids {
-            let part = inner
-                .partitions
-                .get(&pid)
-                .ok_or_else(|| DtError::Storage(format!("missing partition {pid}")))?;
-            if w > 0 {
-                for r in part.rows() {
-                    cs.push_insert(r.clone());
-                }
-            } else {
-                for r in part.rows() {
-                    cs.push_delete(r.clone());
-                }
-            }
-        }
-        Ok(cs.consolidate())
+        Ok(delta)
     }
 
-    /// True when the interval (`from`, `to`] contains no logical change —
-    /// the test that drives NO_DATA refreshes (§3.3.2). Cheap: inspects
-    /// version metadata only, never row data, unless a non-data-equivalent
-    /// version is present in the interval.
+    /// Compute the changes between two versions (exclusive `from`,
+    /// inclusive `to`). Data-equivalent versions contribute nothing. The
+    /// result is consolidated: rows copied between partitions by
+    /// copy-on-write rewrites cancel out, so only logical changes remain.
+    /// An interval whose versions each moved no partition, or moved them
+    /// data-equivalently (§5.5.2), is answered from version metadata; no
+    /// row is read, and none is ever read while the store's lock is held.
+    pub fn changes_between(&self, from: VersionId, to: VersionId) -> DtResult<ChangeSet> {
+        let delta = self.partition_delta(from, to)?;
+        if delta.logically_empty {
+            return Ok(ChangeSet::empty());
+        }
+        Ok(ChangeSet::consolidated(
+            delta.added.iter().flat_map(|p| p.rows()),
+            delta.removed.iter().flat_map(|p| p.rows()),
+        ))
+    }
+
+    /// True when the interval (`from`, `to`] contains no logical change
+    /// (a change could still net to zero, so this is the change scan).
     pub fn unchanged_between(&self, from: VersionId, to: VersionId) -> DtResult<bool> {
-        if from == to {
-            return Ok(true);
-        }
-        let inner = self.inner.read();
-        if to.raw() as usize >= inner.versions.len() || from > to {
-            return Err(DtError::Storage(format!(
-                "bad version interval ({from}, {to}]"
-            )));
-        }
-        let all_trivial = inner
-            .versions
-            .iter()
-            .skip(from.raw() as usize + 1)
-            .take((to.raw() - from.raw()) as usize)
-            .all(|v| v.data_equivalent || v.is_empty_delta());
-        if all_trivial {
-            return Ok(true);
-        }
-        drop(inner);
-        // Fall back to the precise check (a change could still net to zero).
         Ok(self.changes_between(from, to)?.is_empty())
+    }
+
+    /// Pin the row-location index at `base` — the way to find stored rows
+    /// **by value** without walking the table. The store keeps the index
+    /// of one version: the first lookup builds it (one hash per stored
+    /// row), a lookup at a later version advances it by the rows of the
+    /// partitions the versions in between added or removed, and a lookup
+    /// at an older version (a transaction pinned before later commits,
+    /// time travel) gets an index of its own and leaves the cached one
+    /// where it is.
+    pub fn row_lookup(&self, base: VersionId) -> DtResult<RowLookup<'_>> {
+        let build = || -> DtResult<RowIndex> {
+            let index = RowIndex::build(base, self.snapshot(base)?.partitions());
+            self.index_builds.fetch_add(1, Ordering::Relaxed);
+            Ok(index)
+        };
+        let mut cached = self.row_index.lock();
+        match cached.as_ref().map(RowIndex::version) {
+            Some(at) if at == base => {}
+            Some(at) if at > base => {
+                drop(cached);
+                return Ok(RowLookup(Held::ThrowAway(build()?)));
+            }
+            Some(at) => {
+                let delta = self.partition_delta(at, base)?;
+                let moved = delta.rows();
+                // An interval that replaced the table (overwrite,
+                // recluster) moved every row twice; indexing `base`
+                // afresh hashes each once.
+                if moved > self.row_count_at(base)? {
+                    *cached = Some(build()?);
+                } else {
+                    let index = cached.as_mut().expect("matched Some");
+                    index.advance(base, &delta.removed, &delta.added);
+                    self.index_advanced_rows
+                        .fetch_add(moved as u64, Ordering::Relaxed);
+                }
+            }
+            None => *cached = Some(build()?),
+        }
+        Ok(RowLookup(Held::Cached(cached)))
+    }
+
+    /// What the row-location index has cost this store so far, by count.
+    pub fn row_index_stats(&self) -> RowIndexStats {
+        RowIndexStats {
+            builds: self.index_builds.load(Ordering::Relaxed),
+            advanced_rows: self.index_advanced_rows.load(Ordering::Relaxed),
+        }
     }
 
     /// Number of versions in the chain (for telemetry / time travel tests).
@@ -753,16 +927,15 @@ impl TableStore {
         // writer's pin/install window.
         let _commit = self.commit_lock.lock();
         let inner = self.inner.read();
-        TableStore {
-            schema: Arc::clone(&self.schema),
-            partition_capacity: self.partition_capacity,
-            next_partition: AtomicU64::new(self.next_partition.load(Ordering::Relaxed)),
-            commit_lock: Mutex::new(()),
-            inner: RwLock::new(Inner {
+        TableStore::from_parts(
+            Arc::clone(&self.schema),
+            self.partition_capacity,
+            self.next_partition.load(Ordering::Relaxed),
+            Inner {
                 partitions: inner.partitions.clone(),
                 versions: inner.versions.clone(),
-            }),
-        }
+            },
+        )
     }
 
     /// Number of live partitions at the latest version.
@@ -856,16 +1029,15 @@ impl TableStore {
                 }
             }
         }
-        Ok(TableStore {
-            schema: Arc::new(ck.schema),
-            partition_capacity: ck.partition_capacity,
-            next_partition: AtomicU64::new(ck.next_partition),
-            commit_lock: Mutex::new(()),
-            inner: RwLock::new(Inner {
+        Ok(TableStore::from_parts(
+            Arc::new(ck.schema),
+            ck.partition_capacity,
+            ck.next_partition,
+            Inner {
                 partitions,
                 versions: ck.versions,
-            }),
-        })
+            },
+        ))
     }
 }
 
@@ -1168,5 +1340,183 @@ mod tests {
         let v3 = t.commit_change(vec![], vec![row!(5i64)], ts(3), TxnId(3)).unwrap();
         assert!(t.changes_between(v1, v3).unwrap().is_empty());
         assert!(t.unchanged_between(v1, v3).unwrap());
+    }
+    fn stats(t: &TableStore) -> (u64, u64) {
+        let s = t.row_index_stats();
+        (s.builds, s.advanced_rows)
+    }
+
+    #[test]
+    fn the_row_index_is_built_by_the_first_delete_and_advanced_by_the_next() {
+        let t = int_table(4);
+        let v1 = t
+            .commit_change((0..10i64).map(|i| row!(i)).collect(), vec![], ts(1), TxnId(1))
+            .unwrap();
+        assert_eq!(stats(&t), (0, 0), "inserts locate no row");
+        // [0..4) [4..8) [8, 9]: deleting 5 rewrites the middle partition.
+        let v2 = t.commit_change(vec![], vec![row!(5i64)], ts(2), TxnId(2)).unwrap();
+        assert_eq!(stats(&t), (1, 0));
+        // The next delete crosses v2: one partition of 4 rows removed, one
+        // of 3 survivors added.
+        t.commit_change(vec![], vec![row!(9i64)], ts(3), TxnId(3)).unwrap();
+        assert_eq!(stats(&t), (1, 7));
+        // A writer pinned before those commits gets an index of its own;
+        // the cached one stays where it was.
+        assert_eq!(t.row_lookup(v1).unwrap().copies(row!(5i64).values()), 1);
+        assert_eq!(stats(&t), (2, 7));
+        // (which is v2, the base of the last writer).
+        assert_eq!(t.row_lookup(v2).unwrap().copies(row!(5i64).values()), 0);
+        assert_eq!(stats(&t), (2, 7));
+        t.commit_change(vec![], vec![row!(0i64)], ts(4), TxnId(4)).unwrap();
+        assert_eq!(stats(&t), (2, 7 + 2 + 1), "advanced across v3 only");
+        assert!(t.row_lookup(VersionId(99)).is_err());
+    }
+
+    #[test]
+    fn an_interval_that_replaced_the_table_rebuilds_the_row_index() {
+        let t = int_table(2);
+        t.commit_change((0..6i64).map(|i| row!(i)).collect(), vec![], ts(1), TxnId(1))
+            .unwrap();
+        t.commit_change(vec![], vec![row!(0i64)], ts(2), TxnId(2)).unwrap();
+        t.recluster(ts(3), TxnId(3)).unwrap();
+        let before = stats(&t);
+        let v = t.commit_change(vec![], vec![row!(3i64)], ts(4), TxnId(4)).unwrap();
+        assert_eq!(stats(&t), (before.0 + 1, before.1));
+        let mut rows = t.scan(v).unwrap();
+        rows.sort();
+        assert_eq!(rows, vec![row!(1i64), row!(2i64), row!(4i64), row!(5i64)]);
+    }
+
+    #[test]
+    fn a_fork_starts_without_the_row_index_and_diverges() {
+        let t = int_table(2);
+        t.commit_change((0..5i64).map(|i| row!(i)).collect(), vec![], ts(1), TxnId(1))
+            .unwrap();
+        t.commit_change(vec![], vec![row!(1i64)], ts(2), TxnId(2)).unwrap();
+        let f = t.fork();
+        assert_eq!(stats(&f), (0, 0));
+        f.commit_change(vec![], vec![row!(2i64)], ts(3), TxnId(3)).unwrap();
+        t.commit_change(vec![], vec![row!(3i64)], ts(3), TxnId(3)).unwrap();
+        assert_eq!(f.row_lookup(f.latest_version()).unwrap().copies(row!(3i64).values()), 1);
+        assert_eq!(t.row_lookup(t.latest_version()).unwrap().copies(row!(3i64).values()), 0);
+        assert_eq!(t.row_lookup(t.latest_version()).unwrap().copies(row!(2i64).values()), 1);
+    }
+
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Insert(Vec<(i64, i64)>),
+            /// Delete the stored rows at these positions (mod the table
+            /// size) — duplicates of one value included.
+            Delete(Vec<usize>, Vec<(i64, i64)>),
+            /// Delete one more copy of a row than the table holds.
+            DeleteTooMany(usize),
+            Recluster,
+            Overwrite(Vec<(i64, i64)>),
+        }
+
+        fn rows_strategy(max: usize) -> impl Strategy<Value = Vec<(i64, i64)>> {
+            prop::collection::vec((0..4i64, 0..3i64), 0..max)
+        }
+
+        fn op_strategy() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                rows_strategy(7).prop_map(Op::Insert),
+                rows_strategy(7).prop_map(Op::Insert),
+                (prop::collection::vec(0..1000usize, 1..6), rows_strategy(3))
+                    .prop_map(|(at, ins)| Op::Delete(at, ins)),
+                (prop::collection::vec(0..1000usize, 1..6), rows_strategy(3))
+                    .prop_map(|(at, ins)| Op::Delete(at, ins)),
+                (0..1000usize).prop_map(Op::DeleteTooMany),
+                Just(Op::Recluster),
+                rows_strategy(5).prop_map(Op::Overwrite),
+            ]
+        }
+
+        fn two_column_table(cap: usize) -> TableStore {
+            TableStore::with_partition_capacity(
+                Schema::new(vec![
+                    Column::new("x", DataType::Int),
+                    Column::new("y", DataType::Int),
+                ]),
+                Timestamp::EPOCH,
+                TxnId(0),
+                cap,
+            )
+        }
+
+        fn rows(vals: &[(i64, i64)]) -> Vec<Row> {
+            vals.iter().map(|(x, y)| row!(*x, *y)).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
+
+            /// Random histories over a bag with many duplicate full rows:
+            /// the store that locates victims through the index and a
+            /// mirror that finds them by scanning every row mint the same
+            /// partitions — ids, row order, `added` / `removed`, version
+            /// chain — and fail the same commits with the same error.
+            #[test]
+            fn the_index_changes_a_table_exactly_as_the_scan_did(
+                ops in prop::collection::vec(op_strategy(), 1..30),
+                capacity in 1..9usize,
+            ) {
+                let indexed = two_column_table(capacity);
+                let scanned = two_column_table(capacity);
+                for (i, op) in ops.iter().enumerate() {
+                    let (at, txn) = (ts(i as i64 + 1), TxnId(i as u64 + 1));
+                    let stored = indexed.scan(indexed.latest_version()).unwrap();
+                    let change = match op {
+                        Op::Insert(vals) => Some((rows(vals), vec![])),
+                        Op::Delete(picks, ins) if !stored.is_empty() => {
+                            let mut slots: Vec<usize> =
+                                picks.iter().map(|p| p % stored.len()).collect();
+                            slots.sort_unstable();
+                            slots.dedup();
+                            let doomed = slots.iter().map(|s| stored[*s].clone()).collect();
+                            Some((rows(ins), doomed))
+                        }
+                        Op::DeleteTooMany(pick) if !stored.is_empty() => {
+                            let row = &stored[pick % stored.len()];
+                            let held = stored.iter().filter(|r| *r == row).count();
+                            Some((vec![], vec![row.clone(); held + 1]))
+                        }
+                        Op::Delete(..) | Op::DeleteTooMany(_) => None,
+                        Op::Recluster => {
+                            indexed.recluster(at, txn).unwrap();
+                            scanned.recluster(at, txn).unwrap();
+                            None
+                        }
+                        Op::Overwrite(vals) => {
+                            indexed.overwrite(rows(vals), at, txn).unwrap();
+                            scanned.overwrite(rows(vals), at, txn).unwrap();
+                            None
+                        }
+                    };
+                    if let Some((inserts, deletes)) = change {
+                        let got = indexed.commit_change(inserts.clone(), deletes.clone(), at, txn);
+                        let guard = scanned.commit_guard();
+                        let want = scanned
+                            .prepare_change_at_by_scan(guard.latest_version(), inserts, deletes)
+                            .and_then(|prep| guard.install_checked(prep, at, txn));
+                        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                        if got.is_err() {
+                            // The scan minted the survivors' partitions
+                            // before it noticed the missing victim; the
+                            // index fails first and burns no id.
+                            break;
+                        }
+                    }
+                    prop_assert_eq!(
+                        format!("{:?}", indexed.checkpoint_dump()),
+                        format!("{:?}", scanned.checkpoint_dump())
+                    );
+                }
+            }
+        }
     }
 }
