@@ -602,15 +602,22 @@ impl Crossover {
     /// Asserted by count: the incremental refresh reads exactly the
     /// change, the full one the whole input at every fraction, and the
     /// cost model's credits follow (incremental rises with the fraction
-    /// and stays below full). Wall time is not asserted, and today it does
-    /// not reproduce the claim: at 4 000 rows the two-sided incremental
-    /// aggregate (≈ 190–250 µs at 0.1 % changed against ≈ 230–300 µs
-    /// full) is already no cheaper than a full refresh from 0.5 % changed
-    /// (≈ 240–270 µs against ≈ 250 µs) and 2.3–3x dearer from 5 %
-    /// (ROADMAP item 8(c)). Re-measured after PR 22, which stopped an
-    /// incremental refresh walking its DT: the crossover did not move,
-    /// because this DT holds 200 rows — what the incremental side pays for
-    /// is reading the 4 000-row source at both ends of the interval.
+    /// and stays below full). Wall time is not asserted. Since the aggregate
+    /// rule maintains groups from the DT's stored rows and the delta
+    /// (PR 23) it reproduces the claim's shape at the small end: at 4 000
+    /// rows an incremental refresh takes ≈ 80–170 µs at 0.1 % changed and
+    /// ≈ 120–160 µs at 0.5 % against ≈ 185–240 µs full, and is level with
+    /// it at 1 % (≈ 185–225 µs either way). From 5 % — 200 changed rows,
+    /// one in each of the 200 groups — it is 2–3x dearer (≈ 530–870 µs
+    /// against ≈ 230–300 µs) and stays 1.4–1.8x dearer up to 100 %: every
+    /// group changes, so the incremental side locates, deletes and
+    /// re-inserts all 200 DT rows through the merge where a full refresh
+    /// overwrites them (not profiled further). (While the rule read the
+    /// source at both ends, PR 21–22: ≈ 190–250 µs against ≈ 230–300 µs at
+    /// 0.1 %, level at 0.5 %, 2.3–3x dearer from 5 %.) The crossover sits near
+    /// 1 % of the source, far below the 10 % the remark suggests, because
+    /// this DT is 5 % of its source: what matters is the share of *groups*
+    /// a change touches (ROADMAP item 8(c)).
     pub fn check(&self) -> Result<(), String> {
         let points = &self.points;
         ensure(

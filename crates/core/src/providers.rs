@@ -45,8 +45,8 @@ pub struct StorageView<'a> {
     pub refresh_map: &'a RefreshTsMap,
 }
 
-/// Strip the leading `$ROW_ID` column from stored DT rows.
-pub fn strip_row_ids(rows: Vec<Row>) -> Vec<Row> {
+/// The payload of stored DT rows: each without its leading `$ROW_ID`.
+pub fn strip_row_ids<'a>(rows: impl IntoIterator<Item = &'a Row>) -> Vec<Row> {
     rows.into_iter()
         .map(|r| Row::new(r.values()[1..].to_vec()))
         .collect()
@@ -97,11 +97,11 @@ impl PinnedVersion<'_> {
     /// The relation's rows, cloned out of the pinned partitions (the
     /// store's lock is held only while the version is pinned).
     pub(crate) fn rows(&self) -> DtResult<Vec<Row>> {
-        let rows = self.store.snapshot(self.version)?.scan();
+        let snap = self.store.snapshot(self.version)?;
         Ok(if self.is_dt {
-            strip_row_ids(rows)
+            strip_row_ids(snap.iter_rows())
         } else {
-            rows
+            snap.scan()
         })
     }
 

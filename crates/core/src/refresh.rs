@@ -37,8 +37,8 @@ use dt_catalog::{DtState, DynamicTableMeta, RefreshMode};
 use dt_common::{Batch, DtError, DtResult, EntityId, PredicateSet, Row, Timestamp, VersionId};
 use dt_exec::TableProvider;
 use dt_ivm::{
-    assign_change_rows, delta, delta_unconsolidated, with_initial_row_ids, ChangeProvider,
-    DeltaContext, MergeAction, OuterJoinStrategy,
+    assign_change_rows, delta_over_stored, delta_unconsolidated, with_initial_row_ids,
+    ChangeProvider, DeltaContext, MergeAction, OuterJoinStrategy, StoredOutput,
 };
 use dt_plan::LogicalPlan;
 use dt_scheduler::{CostModel, RefreshAction, RefreshOutcome};
@@ -338,11 +338,8 @@ fn compute_refresh(
             // sees only the payload. Strip ids and re-consolidate (a
             // row whose id churned but whose payload did not is not a
             // logical change).
-            cs = ChangeSet::new(
-                strip_row_ids(cs.inserts().to_vec()),
-                strip_row_ids(cs.deletes().to_vec()),
-            )
-            .consolidate();
+            cs = ChangeSet::new(strip_row_ids(cs.inserts()), strip_row_ids(cs.deletes()))
+                .consolidate();
         }
         change_volume += cs.len();
         per_entity.insert(up, cs);
@@ -373,7 +370,20 @@ fn compute_refresh(
         if insert_only {
             delta_unconsolidated(plan, &ctx)?
         } else {
-            delta(plan, &ctx)?
+            // The DT's own rows at `base` are the plan's output at the
+            // previous frontier (§6.1): only refreshes write a DT, and
+            // this one holds its refresh lock.
+            let mut dt_at = Frontier::at(prev.refresh_ts);
+            dt_at.set(dt, base);
+            let provider = FrontierProvider {
+                env,
+                frontier: &dt_at,
+            };
+            let stored = StoredOutput {
+                provider: &provider,
+                entity: dt,
+            };
+            delta_over_stored(plan, &ctx, stored)?
         }
     };
 
@@ -835,7 +845,7 @@ impl EngineState {
         plan: &LogicalPlan,
     ) -> DtResult<()> {
         let store = &self.tables[&dt];
-        let mut stored = strip_row_ids(store.scan(store.latest_version())?);
+        let mut stored = strip_row_ids(store.snapshot_latest().iter_rows());
         stored.sort();
         let is_dt = |id: EntityId| self.is_dt(id);
         let view = StorageView {

@@ -281,17 +281,26 @@ impl ReadSnapshot {
             }
             ast::Statement::Explain(q) => {
                 let out = self.bind_query(q)?;
+                // What an incremental refresh of a DT defined by this query
+                // would read for each `Aggregate`, from the plan the rules
+                // differentiate (pushdown moves filters, never aggregates,
+                // so the notes meet their nodes in printing order).
                 let mode = if out.plan.is_differentiable() {
                     "incrementally maintainable"
                 } else {
                     "full refresh only"
                 };
+                let mut notes = dt_ivm::aggregate_maintenance(&out.plan).into_iter();
                 // Render what `execute_plan` runs: filters already sunk
                 // through joins and into the scans. (EXPLAIN takes no `?`
                 // placeholders, so every comparison it shows is against a
                 // literal, as it is once a prepared statement is bound.)
                 let plan = dt_plan::push_down_filters(&out.plan);
-                Ok(ExecResult::Ok(format!("{}({mode})", plan.explain())))
+                let text = plan.explain_with(&mut |node| match node {
+                    LogicalPlan::Aggregate { .. } => notes.next(),
+                    _ => None,
+                });
+                Ok(ExecResult::Ok(format!("{text}({mode})")))
             }
             ast::Statement::ShowDynamicTables => {
                 let rows = self.dynamic_tables_status()?;

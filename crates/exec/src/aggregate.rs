@@ -11,10 +11,17 @@
 //!   falls back to one [`Accumulator`] per group when it does not.
 //! * [`execute_aggregate`] — the row-at-a-time form over a `BTreeMap`,
 //!   kept as the differential oracle.
+//!
+//! An `INT` `sum` is order-independent in both: it accumulates in 128 bits
+//! and checks the range once, when the group finishes, so the total either
+//! fits or it does not — whatever order the rows arrived in. That is what
+//! lets [`fold_aggregate_delta`] maintain a stored sum by adding a delta's
+//! inserts and subtracting its deletes and still land on the value (or the
+//! error) a scan of the whole group would.
 
 use std::collections::{BTreeMap, HashSet};
 
-use dt_common::{Batch, ColumnVec, DtError, DtResult, Row, Value};
+use dt_common::{Batch, ColumnVec, DataType, DtError, DtResult, Row, Schema, Value};
 use dt_plan::{AggExpr, AggFunc, ScalarExpr};
 
 use crate::keys::{eval_column, eval_columns, FirstError, KeyTable, ABSENT};
@@ -22,10 +29,48 @@ use crate::keys::{eval_column, eval_columns, FirstError, KeyTable, ABSENT};
 /// One aggregate's running state.
 enum AccState {
     Count(i64),
-    Sum { sum: Value, any: bool },
+    Sum(SumState),
     MinMax { best: Option<Value>, is_min: bool },
     Avg { sum: f64, n: i64 },
     Distinct(HashSet<Value>),
+}
+
+/// A running `sum`: nothing yet, integers only so far (wide, so the order
+/// they came in cannot overflow it), or whatever [`Value::add`] made of a
+/// first non-integer and everything after it.
+enum SumState {
+    Empty,
+    Int(i128),
+    Other(Value),
+}
+
+/// A wide integer total as the `INT` it must fit.
+fn narrow(total: i128) -> DtResult<Value> {
+    i64::try_from(total)
+        .map(Value::Int)
+        .map_err(|_| DtError::Evaluation("integer overflow".into()))
+}
+
+impl SumState {
+    fn add(&mut self, x: &Value) -> DtResult<()> {
+        *self = match (&*self, x) {
+            (_, Value::Null) => return Ok(()),
+            (SumState::Empty, Value::Int(i)) => SumState::Int(i128::from(*i)),
+            (SumState::Empty, x) => SumState::Other(x.clone()),
+            (SumState::Int(s), Value::Int(i)) => SumState::Int(s + i128::from(*i)),
+            (SumState::Int(s), x) => SumState::Other(narrow(*s)?.add(x)?),
+            (SumState::Other(s), x) => SumState::Other(s.add(x)?),
+        };
+        Ok(())
+    }
+
+    fn finish(self) -> DtResult<Value> {
+        match self {
+            SumState::Empty => Ok(Value::Null),
+            SumState::Int(s) => narrow(s),
+            SumState::Other(v) => Ok(v),
+        }
+    }
 }
 
 /// A running accumulator for one aggregate expression.
@@ -42,10 +87,7 @@ impl Accumulator {
         } else {
             match a.func {
                 AggFunc::Count | AggFunc::CountIf => AccState::Count(0),
-                AggFunc::Sum => AccState::Sum {
-                    sum: Value::Int(0),
-                    any: false,
-                },
+                AggFunc::Sum => AccState::Sum(SumState::Empty),
                 AggFunc::Min => AccState::MinMax {
                     best: None,
                     is_min: true,
@@ -83,12 +125,9 @@ impl Accumulator {
                 }
                 _ => return Err(DtError::internal("count state for non-count func")),
             },
-            AccState::Sum { sum, any } => {
+            AccState::Sum(sum) => {
                 if let Some(x) = v {
-                    if !x.is_null() {
-                        *sum = if *any { sum.add(x)? } else { x.clone() };
-                        *any = true;
-                    }
+                    sum.add(x)?;
                 }
             }
             AccState::MinMax { best, is_min } => {
@@ -143,13 +182,7 @@ impl Accumulator {
     pub fn finish(self) -> DtResult<Value> {
         Ok(match self.state {
             AccState::Count(n) => Value::Int(n),
-            AccState::Sum { sum, any } => {
-                if any {
-                    sum
-                } else {
-                    Value::Null
-                }
-            }
+            AccState::Sum(sum) => sum.finish()?,
             AccState::MinMax { best, .. } => best.unwrap_or(Value::Null),
             AccState::Avg { sum, n } => {
                 if n == 0 {
@@ -161,17 +194,11 @@ impl Accumulator {
             AccState::Distinct(set) => match self.func {
                 AggFunc::Count => Value::Int(set.len() as i64),
                 AggFunc::Sum => {
-                    let mut acc = Value::Int(0);
-                    let mut any = false;
-                    for v in set {
-                        acc = if any { acc.add(&v)? } else { v };
-                        any = true;
+                    let mut sum = SumState::Empty;
+                    for v in &set {
+                        sum.add(v)?;
                     }
-                    if any {
-                        acc
-                    } else {
-                        Value::Null
-                    }
+                    sum.finish()?
                 }
                 AggFunc::Avg => {
                     let mut sum = 0.0;
@@ -233,7 +260,8 @@ enum GroupStates {
     Unset,
     /// `count(*)`, `count(x)`, `count_if(p)`.
     Count(Vec<i64>),
-    SumInt { sum: Vec<i64>, any: Vec<bool> },
+    /// Wide, like [`SumState::Int`]: the range is checked at `finish`.
+    SumInt { sum: Vec<i128>, any: Vec<bool> },
     SumFloat { sum: Vec<f64>, any: Vec<bool> },
     /// `min`/`max` over an `Int` column.
     BestInt { best: Vec<i64>, any: Vec<bool> },
@@ -263,10 +291,10 @@ impl GroupStates {
         let is_sum = a.func == AggFunc::Sum;
         let fits = match (&*self, col) {
             (GroupStates::Unset, Some(ColumnVec::Int { .. })) => {
-                let (v, any) = (Vec::new(), Vec::new());
+                let any = Vec::new();
                 *self = match is_sum {
-                    true => GroupStates::SumInt { sum: v, any },
-                    false => GroupStates::BestInt { best: v, any },
+                    true => GroupStates::SumInt { sum: Vec::new(), any },
+                    false => GroupStates::BestInt { best: Vec::new(), any },
                 };
                 true
             }
@@ -296,8 +324,12 @@ impl GroupStates {
         match self {
             GroupStates::Unset => unreachable!("settled above"),
             GroupStates::Count(n) => n.resize(groups, 0),
-            GroupStates::SumInt { sum: v, any } | GroupStates::BestInt { best: v, any } => {
-                v.resize(groups, 0);
+            GroupStates::SumInt { sum, any } => {
+                sum.resize(groups, 0);
+                any.resize(groups, false);
+            }
+            GroupStates::BestInt { best, any } => {
+                best.resize(groups, 0);
                 any.resize(groups, false);
             }
             GroupStates::SumFloat { sum: v, any } | GroupStates::BestFloat { best: v, any } => {
@@ -319,15 +351,11 @@ impl GroupStates {
             GroupStates::Unset => Vec::new(),
             GroupStates::Count(n) => n.into_iter().map(AccState::Count).collect(),
             GroupStates::SumInt { sum, any } => (sum.into_iter().zip(any))
-                .map(|(s, any)| AccState::Sum {
-                    sum: Value::Int(s),
-                    any,
-                })
+                .map(|(s, any)| AccState::Sum(if any { SumState::Int(s) } else { SumState::Empty }))
                 .collect(),
             GroupStates::SumFloat { sum, any } => (sum.into_iter().zip(any))
-                .map(|(s, any)| AccState::Sum {
-                    sum: Value::Float(s),
-                    any,
+                .map(|(s, any)| {
+                    AccState::Sum(if any { SumState::Other(Value::Float(s)) } else { SumState::Empty })
                 })
                 .collect(),
             GroupStates::BestInt { best, any } => (best.into_iter().zip(any))
@@ -384,23 +412,12 @@ impl GroupStates {
                 }
             }
             (GroupStates::SumInt { sum, any }, Some(col @ ColumnVec::Int { data, .. })) => {
-                for (pos, (i, g)) in slots().enumerate() {
-                    if col.is_null(i) {
-                        continue;
+                // 2^64 addends of 64 bits fit in 128.
+                for (i, g) in slots() {
+                    if !col.is_null(i) {
+                        sum[g] += i128::from(data[i]);
+                        any[g] = true;
                     }
-                    sum[g] = if any[g] {
-                        match sum[g].checked_add(data[i]) {
-                            Some(s) => s,
-                            // The row path's own overflow error.
-                            None => {
-                                let e = Value::Int(sum[g]).add(&Value::Int(data[i]));
-                                return Err((pos, e.expect_err("checked_add overflowed")));
-                            }
-                        }
-                    } else {
-                        data[i]
-                    };
-                    any[g] = true;
                 }
             }
             (GroupStates::SumFloat { sum, any }, Some(col @ ColumnVec::Float { data, .. })) => {
@@ -466,9 +483,8 @@ impl GroupStates {
         Ok(match self {
             GroupStates::Unset => unreachable!("a group implies a prepared batch"),
             GroupStates::Count(n) => Value::Int(n[g]),
-            GroupStates::SumInt { sum: v, any } | GroupStates::BestInt { best: v, any } => {
-                some(any[g], Value::Int(v[g]))
-            }
+            GroupStates::SumInt { sum, any } => some(any[g], narrow(sum[g])?),
+            GroupStates::BestInt { best, any } => some(any[g], Value::Int(best[g])),
             GroupStates::SumFloat { sum: v, any } | GroupStates::BestFloat { best: v, any } => {
                 some(any[g], Value::Float(v[g]))
             }
@@ -565,6 +581,196 @@ pub fn execute_aggregate_batches(
         out.push(Row::new(vals));
     }
     Ok(out)
+}
+
+/// Which of an `Aggregate` node's aggregates [`fold_aggregate_delta`] can
+/// maintain from a delta, in order; `schema` is the node's output schema
+/// (group keys, then aggregates). The others force a recompute of every
+/// group a delta touches, and so does a `FLOAT` group key (all `false`).
+pub fn folds_from_delta(aggregates: &[AggExpr], schema: &Schema) -> Vec<bool> {
+    let (keys, values) = schema.columns().split_at(schema.len() - aggregates.len());
+    // Two spellings of one FLOAT key are one group, reported as the scan
+    // first met it — which a delta cannot know.
+    let keys_fold = keys.iter().all(|k| k.ty != DataType::Float);
+    (aggregates.iter().zip(values))
+        .map(|(a, column)| {
+            keys_fold
+                && !a.distinct
+                && match a.func {
+                    AggFunc::Count | AggFunc::CountIf | AggFunc::Min | AggFunc::Max => true,
+                    // A FLOAT sum's bits depend on the order of its addends.
+                    AggFunc::Sum => column.ty == DataType::Int,
+                    AggFunc::Avg => false,
+                }
+        })
+        .collect()
+}
+
+/// Maintain an aggregation across an interval from what it held at the old
+/// end and the change to its input, reading none of the input itself.
+///
+/// `affected` holds the group keys the change touches, `old` the
+/// aggregation's output rows for them at the old end, `inserts` / `deletes`
+/// the input rows the interval added and removed. Per group, each
+/// aggregate's new value follows from its old one and the same aggregate
+/// taken over the group's inserts and over its deletes: counts add and
+/// subtract, so do `INT` sums, `min` / `max` take in an inserted extreme
+/// and outlive deletes strictly inside the stored one, and a group whose
+/// `count(*)` reaches zero is gone.
+///
+/// Returns the new rows of the groups this decides, and the keys of those
+/// it cannot, to be recomputed from the input by
+/// [`execute_aggregate_batches`] restricted to them. Undecided is anything
+/// whose value, spelling or error would depend on rows outside the delta:
+/// an aggregate [`folds_from_delta`] rules out; a deleted value that ties
+/// (or beats) the stored `min` / `max`; deletes without a `count(*)` to say
+/// whether the group survives them; a sum that deletes bring to exactly
+/// zero with no `count` of the same argument to tell zero from NULL; totals
+/// that leave the `INT` range; an argument or key that fails to evaluate on
+/// a delta row (the recompute then reports it in scan order).
+///
+/// What it decides is then what that recompute would return, bit for bit,
+/// given that values are spelled as their column types say (an `INT`
+/// column holds no `1.0`, as stored tables guarantee): two spellings of
+/// one value are equal, and which of them a scan reports depends on rows
+/// a delta does not show. An expression that mixes them (`iff(p, 1, 1.0)`
+/// as a key) can make a folded row differ from a scanned one in spelling,
+/// never in value.
+pub fn fold_aggregate_delta(
+    group_exprs: &[ScalarExpr],
+    aggregates: &[AggExpr],
+    schema: &Schema,
+    affected: KeyTable,
+    old: &[Row],
+    inserts: &[Row],
+    deletes: &[Row],
+) -> (Vec<Row>, KeyTable) {
+    let keys = group_exprs.len();
+    let over = |delta: &[Row]| match delta.first() {
+        None => Ok(Vec::new()),
+        Some(r) => {
+            let batch = Batch::from_rows(r.len(), delta);
+            execute_aggregate_batches(&[batch], group_exprs, aggregates, None)
+        }
+    };
+    // Every side's row for each affected group, by the group's id.
+    fn by_group<'a>(affected: &KeyTable, keys: usize, rows: &'a [Row]) -> Option<Vec<Option<&'a Row>>> {
+        let mut at = vec![None; affected.len()];
+        let key_columns = Batch::from_rows(keys, rows);
+        let mut ids = Vec::new();
+        affected.find(key_columns.columns(), &key_columns.live_indices(), &mut ids);
+        for (row, id) in rows.iter().zip(ids) {
+            *at.get_mut(id as usize)? = Some(row);
+        }
+        Some(at)
+    }
+    let fold = || {
+        if !folds_from_delta(aggregates, schema).iter().all(|folds| *folds) {
+            return None;
+        }
+        let (ins, del) = (over(inserts).ok()?, over(deletes).ok()?);
+        let old = by_group(&affected, keys, old)?;
+        let (ins, del) = (by_group(&affected, keys, &ins)?, by_group(&affected, keys, &del)?);
+        let (mut rows, mut undecided) = (Vec::new(), Vec::new());
+        for g in 0..affected.len() {
+            match fold_group(aggregates, keys, old[g], ins[g], del[g]) {
+                Some(row) => rows.extend(row),
+                None => undecided.push(Row::new(affected.key(g).to_vec())),
+            }
+        }
+        Some((rows, undecided))
+    };
+    let Some((rows, undecided)) = fold() else {
+        return (Vec::new(), affected);
+    };
+    let mut recompute = KeyTable::new(keys);
+    let key_columns = Batch::from_rows(keys, &undecided);
+    recompute.intern(key_columns.columns(), &key_columns.live_indices(), &mut Vec::new());
+    (rows, recompute)
+}
+
+/// One group of [`fold_aggregate_delta`], every aggregate one that
+/// [`folds_from_delta`]: its row at the old end and the aggregation of its
+/// inserted and of its deleted input rows, each `None` when there is none.
+/// `Some(None)`: the group is gone; `None`: undecided.
+fn fold_group(
+    aggregates: &[AggExpr],
+    keys: usize,
+    old: Option<&Row>,
+    ins: Option<&Row>,
+    del: Option<&Row>,
+) -> Option<Option<Row>> {
+    // A surviving group keeps its spelling; a new one takes the delta's.
+    let key = &old.or(ins)?.values()[..keys];
+    fn value_of(side: Option<&Row>, column: usize) -> &Value {
+        side.map_or(&Value::Null, |r| r.get(column))
+    }
+    let value = |side, j: usize| value_of(side, keys + j);
+    // Count-like aggregate `j` after the change.
+    let count = |j: usize| -> Option<i64> {
+        let n = |side| match value(side, j) {
+            Value::Null => Some(0),
+            Value::Int(n) => Some(*n),
+            _ => None,
+        };
+        let after = n(old)?.checked_add(n(ins)?)?.checked_sub(n(del)?)?;
+        (after >= 0).then_some(after)
+    };
+    let is_count = |a: &AggExpr| a.func == AggFunc::Count;
+    match aggregates.iter().position(|a| is_count(a) && a.arg.is_none()) {
+        Some(star) if count(star)? == 0 => return Some(None),
+        // Without count(*), deletes may have emptied the group.
+        None if del.is_some() => return None,
+        _ => {}
+    }
+    let mut values = key.to_vec();
+    for (j, a) in aggregates.iter().enumerate() {
+        let (o, i, d) = (value(old, j), value(ins, j), value(del, j));
+        values.push(match a.func {
+            AggFunc::Avg => return None,
+            AggFunc::Count | AggFunc::CountIf => Value::Int(count(j)?),
+            AggFunc::Sum => {
+                let int = |v: &Value| match v {
+                    Value::Null => Some(None),
+                    Value::Int(x) => Some(Some(i128::from(*x))),
+                    _ => None,
+                };
+                match (int(o)?, int(i)?, int(d)?) {
+                    (None, None, None) => Value::Null,
+                    (o, i, None) => narrow(o.unwrap_or(0) + i.unwrap_or(0)).ok()?,
+                    (None, _, Some(_)) => return None,
+                    (Some(o), i, Some(d)) => {
+                        let total = narrow(o + i.unwrap_or(0) - d).ok()?;
+                        // Non-NULL arguments went: is any left? A count
+                        // of the same argument says; failing that, only
+                        // a total other than zero does.
+                        let same = |b: &AggExpr| is_count(b) && b.arg.is_some() && b.arg == a.arg;
+                        match aggregates.iter().position(same) {
+                            Some(c) if count(c)? == 0 => Value::Null,
+                            None if total == Value::Int(0) => return None,
+                            _ => total,
+                        }
+                    }
+                }
+            }
+            AggFunc::Min | AggFunc::Max => {
+                let beats = |x: &Value, y: &Value| match a.func {
+                    AggFunc::Min => x < y,
+                    _ => x > y,
+                };
+                // Deleting a copy of the extreme may or may not leave one.
+                if !d.is_null() && (o.is_null() || !beats(o, d)) {
+                    return None;
+                }
+                match (o, i) {
+                    (Value::Null, i) => i.clone(),
+                    (o, i) if !i.is_null() && beats(i, o) => i.clone(),
+                    (o, _) => o.clone(),
+                }
+            }
+        });
+    }
+    Some(Some(Row::new(values)))
 }
 
 /// Scalar aggregation over the empty bag: one row of identities.
@@ -748,5 +954,110 @@ mod tests {
         let got = execute_aggregate_batches(&parts, &[ScalarExpr::col(0)], &aggs, Some(only)).unwrap();
         assert_eq!(got, vec![row!(1i64, 7i64), row!(3i64, 1i64)]);
         assert!(matches!(got[0].get(0), Value::Int(1)));
+    }
+
+    #[test]
+    fn int_sums_do_not_depend_on_the_order_of_their_addends() {
+        let sum = [agg(AggFunc::Sum, Some(ScalarExpr::col(1)), false)];
+        let keys = [ScalarExpr::col(0)];
+        let both = |values: &[Value]| {
+            let rows: Vec<Row> = values.iter().map(|v| Row::new(vec![Value::Int(1), v.clone()])).collect();
+            let by_row = execute_aggregate(&rows, &keys, &sum);
+            let by_batch = execute_aggregate_batches(&batches(&[&rows]), &keys, &sum, None);
+            assert_eq!(by_row, by_batch, "{values:?}");
+            by_row.map(|out| out[0].get(1).clone())
+        };
+        let (max, one) = (Value::Int(i64::MAX), Value::Int(1));
+        // A running sum may pass through values no INT holds ...
+        assert_eq!(both(&[max.clone(), one.clone(), Value::Int(-1)]), Ok(max.clone()));
+        // ... the total may not,
+        let overflow = Err(DtError::Evaluation("integer overflow".into()));
+        assert_eq!(both(&[max.clone(), one.clone()]), overflow);
+        // and neither may the integers a FLOAT is first added to.
+        assert_eq!(both(&[max, one, Value::Float(0.5), Value::Int(-1)]), overflow);
+    }
+
+    /// `k, count(*), count(v), sum(v), max(v)` folded over one group.
+    fn fold_one(star: bool, old: Option<Row>, inserts: &[Row], deletes: &[Row]) -> Result<Vec<Row>, usize> {
+        let v = || Some(ScalarExpr::col(1));
+        let mut aggs = vec![
+            agg(AggFunc::Count, v(), false),
+            agg(AggFunc::Sum, v(), false),
+            agg(AggFunc::Max, v(), false),
+        ];
+        if star {
+            aggs.insert(0, agg(AggFunc::Count, None, false));
+        }
+        let schema = Schema::new(vec![dt_common::Column::new("c", DataType::Int); aggs.len() + 1]);
+        let delta = Batch::from_rows(1, &[inserts, deletes].concat());
+        let mut affected = KeyTable::new(1);
+        affected.intern(delta.columns(), &delta.live_indices(), &mut Vec::new());
+        let old: Vec<Row> = old.into_iter().collect();
+        let (rows, undecided) =
+            fold_aggregate_delta(&[ScalarExpr::col(0)], &aggs, &schema, affected, &old, inserts, deletes);
+        if undecided.is_empty() { Ok(rows) } else { Err(undecided.len()) }
+    }
+
+    #[test]
+    fn a_group_folds_from_its_old_row_and_the_delta() {
+        let null = || Row::new(vec![Value::Int(1), Value::Null]);
+        // count(*) 3, count(v) 2, sum 7, max 5 takes in 9 and NULL, loses 2.
+        let old = || Some(row!(1i64, 3i64, 2i64, 7i64, 5i64));
+        let got = fold_one(true, old(), &[row!(1i64, 9i64), null()], &[row!(1i64, 2i64)]);
+        assert_eq!(got, Ok(vec![row!(1i64, 4i64, 2i64, 14i64, 9i64)]));
+        // A new group; a group whose last row goes.
+        assert_eq!(fold_one(true, None, &[row!(1i64, 4i64)], &[]), Ok(vec![row!(1i64, 1i64, 1i64, 4i64, 4i64)]));
+        let last = Some(row!(1i64, 1i64, 1i64, 5i64, 5i64));
+        assert_eq!(fold_one(true, last, &[], &[row!(1i64, 5i64)]), Ok(vec![]));
+        // A delete strictly inside the max, of a value that adds nothing.
+        let old = Some(row!(1i64, 3i64, 2i64, 5i64, 5i64));
+        let got = fold_one(true, old, &[], &[row!(1i64, 0i64)]);
+        assert_eq!(got, Ok(vec![row!(1i64, 2i64, 1i64, 5i64, 5i64)]));
+    }
+
+    #[test]
+    fn what_the_delta_cannot_decide_is_left_to_a_recompute() {
+        let old = || Some(row!(1i64, 3i64, 3i64, 7i64, 5i64));
+        // Deleting a copy of the max; deleting without a count(*).
+        assert_eq!(fold_one(true, old(), &[], &[row!(1i64, 5i64)]), Err(1));
+        let no_star = || Some(row!(1i64, 3i64, 7i64, 5i64));
+        assert_eq!(fold_one(false, no_star(), &[], &[row!(1i64, 2i64)]), Err(1));
+        assert_eq!(fold_one(false, no_star(), &[row!(1i64, 2i64)], &[]), Ok(vec![row!(1i64, 4i64, 9i64, 5i64)]));
+        // A total outside INT, with and without deletes.
+        let big = || Some(row!(1i64, 1i64, 1i64, i64::MAX, i64::MAX));
+        assert_eq!(fold_one(true, big(), &[row!(1i64, 1i64)], &[]), Err(1));
+        assert_eq!(fold_one(true, big(), &[row!(1i64, 9i64)], &[row!(1i64, 2i64)]), Err(1));
+        // An argument that fails on a delta row: the scan reports it.
+        assert_eq!(fold_one(true, old(), &[row!(1i64, "x")], &[]), Err(1));
+        // A key the old rows do not know under the delta's id.
+        assert_eq!(fold_one(true, Some(row!(2i64, 1i64, 1i64, 1i64, 1i64)), &[row!(1i64, 1i64)], &[]), Err(1));
+    }
+
+    #[test]
+    fn a_sum_brought_to_zero_needs_a_count_of_its_argument() {
+        // `k, count(*), sum(v)`: 4 - 4 is 0 if a 0 remains, NULL if only NULLs do.
+        let v = || Some(ScalarExpr::col(1));
+        let mut aggs = vec![agg(AggFunc::Count, None, false), agg(AggFunc::Sum, v(), false)];
+        let schema = Schema::new(vec![dt_common::Column::new("c", DataType::Int); 4]);
+        let fold = |aggs: &[AggExpr], old: Row, deletes: &[Row]| {
+            let delta = Batch::from_rows(1, deletes);
+            let mut affected = KeyTable::new(1);
+            affected.intern(delta.columns(), &delta.live_indices(), &mut Vec::new());
+            let (rows, undecided) =
+                fold_aggregate_delta(&[ScalarExpr::col(0)], aggs, &schema, affected, &[old], &[], deletes);
+            (rows, undecided.len())
+        };
+        assert_eq!(fold(&aggs, row!(1i64, 2i64, 4i64), &[row!(1i64, 4i64)]), (vec![], 1));
+        assert_eq!(fold(&aggs, row!(1i64, 2i64, 4i64), &[row!(1i64, 3i64)]), (vec![row!(1i64, 1i64, 1i64)], 0));
+        // With `count(v)` beside it the count decides: one 0 left, or none.
+        aggs.push(agg(AggFunc::Count, v(), false));
+        let got = fold(&aggs, row!(1i64, 2i64, 4i64, 2i64), &[row!(1i64, 4i64)]);
+        assert_eq!(got, (vec![row!(1i64, 1i64, 0i64, 1i64)], 0));
+        let got = fold(&aggs, row!(1i64, 2i64, 4i64, 1i64), &[row!(1i64, 4i64)]);
+        assert_eq!(got, (vec![Row::new(vec![Value::Int(1), Value::Int(1), Value::Null, Value::Int(0)])], 0));
+        // A FLOAT sum is never folded; nor is anything beside it.
+        let mut float = schema.columns().to_vec();
+        float[2] = dt_common::Column::new("s", DataType::Float);
+        assert_eq!(folds_from_delta(&aggs, &Schema::new(float)), vec![true, false, true]);
     }
 }

@@ -2,13 +2,16 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-use dt_common::{Batch, DtResult, EntityId, Row, Value};
-use dt_exec::aggregate::execute_aggregate_batches;
+use dt_common::{Batch, DtResult, EntityId, Row, Schema, Value};
+use dt_exec::aggregate::{execute_aggregate_batches, fold_aggregate_delta, folds_from_delta};
 use dt_exec::batch::flatten;
 use dt_exec::keys::{try_eval_columns, KeyTable, ABSENT};
 use dt_exec::{execute_batches, TableProvider};
-use dt_plan::{equi_join_keys, push_down_filters, BinOp, JoinType, LogicalPlan, ScalarExpr};
+use dt_plan::{
+    equi_join_keys, push_down_filters, AggExpr, BinOp, JoinType, LogicalPlan, ScalarExpr,
+};
 use dt_storage::ChangeSet;
 
 use crate::merge::project_delta;
@@ -73,9 +76,143 @@ pub struct DeltaContext<'a> {
     pub outer_join: OuterJoinStrategy,
 }
 
+/// A DT's own rows at the version a delta will be merged into. Under
+/// delayed view semantics (§6.1) they *are* its defining plan's output at
+/// the interval start, so a rule that needs the old output of the affected
+/// groups can look it up here — as the merge finds old rows in the DT, by
+/// row id, not in the sources.
+#[derive(Clone, Copy)]
+pub struct StoredOutput<'a> {
+    /// Resolves [`StoredOutput::entity`] to the DT's rows — the plan's
+    /// output columns, no `$ROW_ID` — at that version.
+    pub provider: &'a dyn TableProvider,
+    /// The DT.
+    pub entity: EntityId,
+}
+
+/// Where the node being differentiated finds its own output at the
+/// interval start: in the DT's stored rows, column `j` of the node being
+/// their column `columns[j]`.
+#[derive(Clone)]
+struct Stored<'a> {
+    rows: StoredOutput<'a>,
+    schema: Arc<Schema>,
+    columns: Vec<usize>,
+}
+
+impl Stored<'_> {
+    /// The node's output rows for the groups of `affected` (keyed on the
+    /// node's first `keys` columns), in key order. Zone maps keep the scan
+    /// to the DT partitions whose key range meets the affected keys.
+    fn read(&self, keys: usize, affected: &KeyTable) -> DtResult<Vec<Row>> {
+        let scan = LogicalPlan::TableScan {
+            entity: self.rows.entity,
+            name: String::new(),
+            schema: Arc::clone(&self.schema),
+            pushdown: None,
+        };
+        let key_columns: Vec<_> = self.columns[..keys].iter().map(|c| ScalarExpr::col(*c)).collect();
+        let stored = flatten(restricted(&scan, self.rows.provider, &key_columns, affected)?);
+        let pick = |r: &Row| Row::new(self.columns.iter().map(|c| r.get(*c).clone()).collect());
+        let mut rows: Vec<Row> = stored.iter().map(pick).collect();
+        sort_by_key(&mut rows, keys);
+        Ok(rows)
+    }
+}
+
+fn sort_by_key(rows: &mut [Row], keys: usize) {
+    rows.sort_by(|a, b| a.values()[..keys].cmp(&b.values()[..keys]));
+}
+
+/// Carry a stored column mapping through a projection: where each input
+/// column sits in the stored rows, when `exprs` keeps every one of them as
+/// a bare column.
+fn columns_below(columns: &[usize], exprs: &[ScalarExpr], arity: usize) -> Option<Vec<usize>> {
+    (0..arity)
+        .map(|j| {
+            let at = exprs.iter().position(|e| matches!(e, ScalarExpr::Column(c) if *c == j))?;
+            Some(columns[at])
+        })
+        .collect()
+}
+
+/// The `Aggregate` whose output a DT defined by `plan` stores: the root,
+/// or the node under projections that keep all of its columns.
+fn stored_aggregate(plan: &LogicalPlan) -> Option<&LogicalPlan> {
+    let mut columns: Vec<usize> = (0..plan.schema().len()).collect();
+    let mut node = plan;
+    loop {
+        match node {
+            LogicalPlan::Project { input, exprs, .. } => {
+                columns = columns_below(&columns, exprs, input.schema().len())?;
+                node = input;
+            }
+            LogicalPlan::Aggregate { .. } => return Some(node),
+            _ => return None,
+        }
+    }
+}
+
+/// One line per `Aggregate` of `plan`, in the order `EXPLAIN` prints them,
+/// saying what an incremental refresh of a DT defined by `plan` reads for
+/// it: which aggregates are maintained from the delta, which force a
+/// recompute of every affected group (so a refresh reads the node's whole
+/// input), and where the groups' old rows come from. Empty for a plan no
+/// refresh differentiates.
+pub fn aggregate_maintenance(plan: &LogicalPlan) -> Vec<String> {
+    let mut notes = Vec::new();
+    if !plan.is_differentiable() {
+        return notes;
+    }
+    let stored = stored_aggregate(plan);
+    plan.walk(&mut |node| {
+        let LogicalPlan::Aggregate { aggregates, schema, .. } = node else {
+            return;
+        };
+        let (mut folded, mut recomputed) = (Vec::new(), Vec::new());
+        for (a, folds) in aggregates.iter().zip(folds_from_delta(aggregates, schema)) {
+            let func = a.func.name();
+            let distinct = if a.distinct { "DISTINCT " } else { "" };
+            let arg = a.arg.as_ref().map_or("*".to_string(), ScalarExpr::to_string);
+            if folds { &mut folded } else { &mut recomputed }.push(format!("{func}({distinct}{arg})"));
+        }
+        let list = |names: Vec<String>| match names.is_empty() {
+            true => "none".to_string(),
+            false => names.join(", "),
+        };
+        let old = match stored.is_some_and(|s| std::ptr::eq(s, node)) {
+            true => "the stored DT",
+            false => "the source at the old end",
+        };
+        notes.push(format!(
+            "maintained from the delta: {}; recompute their group from the source: {}; old rows from {old}",
+            list(folded),
+            list(recomputed),
+        ));
+    });
+    notes
+}
+
 /// Compute `Δ_I plan`: the consolidated change set over the interval.
 pub fn delta(plan: &LogicalPlan, ctx: &DeltaContext<'_>) -> DtResult<ChangeSet> {
     Ok(delta_inner(plan, ctx)?.into_owned().consolidate())
+}
+
+/// [`delta`] for the refresh of a DT whose rows are `stored`: the same
+/// change set, with the old output of an aggregation read back from the DT
+/// instead of recomputed from the sources wherever the DT holds it.
+pub fn delta_over_stored(
+    plan: &LogicalPlan,
+    ctx: &DeltaContext<'_>,
+    stored: StoredOutput<'_>,
+) -> DtResult<ChangeSet> {
+    let schema = plan.schema();
+    let stored = Stored {
+        rows: stored,
+        columns: (0..schema.len()).collect(),
+        schema,
+    };
+    Ok(delta_node(plan, ctx, Some(stored))?.into_owned().consolidate())
 }
 
 /// As [`delta`] but without the final change-consolidation pass — the
@@ -87,11 +224,17 @@ pub fn delta_unconsolidated(plan: &LogicalPlan, ctx: &DeltaContext<'_>) -> DtRes
     Ok(delta_inner(plan, ctx)?.into_owned())
 }
 
+/// `Δ plan` of a node whose output no DT stores.
+fn delta_inner<'a>(plan: &LogicalPlan, ctx: &DeltaContext<'a>) -> DtResult<Cow<'a, ChangeSet>> {
+    delta_node(plan, ctx, None)
+}
+
 /// `Δ plan`, unconsolidated. Only a bare scan borrows (the source's own
 /// change set); every operator above it builds a new one.
-fn delta_inner<'a>(
+fn delta_node<'a>(
     plan: &LogicalPlan,
     ctx: &DeltaContext<'a>,
+    stored: Option<Stored<'_>>,
 ) -> DtResult<Cow<'a, ChangeSet>> {
     let built: DtResult<ChangeSet> = match plan {
         LogicalPlan::TableScan { entity, .. } => return ctx.changes.changes(*entity),
@@ -110,7 +253,11 @@ fn delta_inner<'a>(
             Ok(ChangeSet::new(keep(d.inserts())?, keep(d.deletes())?))
         }
         LogicalPlan::Project { input, exprs, .. } => {
-            let d = delta_inner(input, ctx)?;
+            let below = stored.and_then(|s| {
+                let columns = columns_below(&s.columns, exprs, input.schema().len())?;
+                Some(Stored { columns, ..s })
+            });
+            let d = delta_node(input, ctx, below)?;
             project_delta(&d, exprs)
         }
         LogicalPlan::UnionAll { inputs, .. } => {
@@ -141,30 +288,14 @@ fn delta_inner<'a>(
             input,
             group_exprs,
             aggregates,
-            ..
+            schema,
         } => {
-            let d = delta_inner(input, ctx)?;
-            if d.is_empty() {
-                return Ok(Cow::default());
+            #[cfg(test)]
+            if tests::oracle::TWO_SIDED.get() {
+                return tests::oracle::aggregate_delta(input, group_exprs, aggregates, ctx)
+                    .map(Cow::Owned);
             }
-            // One pass per snapshot end: rows of unaffected groups are
-            // dropped by the aggregate's own key lookup. (No key-range
-            // filter here, unlike `restricted`: a group's rows lie all over
-            // the input, so the range rarely rules a partition out, and
-            // checking it against thousands of small partitions cost a
-            // `txn_contention` round 3–4 ms of its 18.)
-            let affected = affected_keys(&d, group_exprs)?;
-            let side = |provider| -> DtResult<Vec<Row>> {
-                let batches = evaluate_batches(input, provider)?;
-                execute_aggregate_batches(&batches, group_exprs, aggregates, Some(affected.clone()))
-            };
-            let old_out = side(ctx.old)?;
-            let new_out = side(ctx.new)?;
-            // Groups that vanished entirely produce deletes; empty restricted
-            // input yields no groups (grouped aggregation over zero rows is
-            // the empty set, since group_exprs is non-empty for
-            // differentiable plans).
-            Ok(ChangeSet::new(new_out, old_out))
+            aggregate_delta(input, group_exprs, aggregates, schema, stored, ctx)
         }
         LogicalPlan::Distinct { input } => {
             let d = delta_inner(input, ctx)?;
@@ -213,6 +344,56 @@ fn delta_inner<'a>(
         )),
     };
     built.map(Cow::Owned)
+}
+
+/// `Δ γ(Q)`: the groups `ΔQ` touches, as they were (deletes) and as they
+/// are (inserts). As they were is read back from the DT when it stores
+/// this node's output, else recomputed from `Q` at the old end. As they
+/// are is folded from those old rows and `ΔQ`; `Q` is read, at the new end
+/// only, for the groups the fold cannot decide — and not at all when
+/// there are none.
+fn aggregate_delta(
+    input: &LogicalPlan,
+    group_exprs: &[ScalarExpr],
+    aggregates: &[AggExpr],
+    schema: &Schema,
+    stored: Option<Stored<'_>>,
+    ctx: &DeltaContext<'_>,
+) -> DtResult<ChangeSet> {
+    let d = delta_inner(input, ctx)?;
+    if d.is_empty() {
+        return Ok(ChangeSet::empty());
+    }
+    let affected = affected_keys(&d, group_exprs)?;
+    // One pass over `Q`: rows of other groups are dropped by the
+    // aggregate's own key lookup. (No key-range filter here, unlike
+    // `restricted`: a group's rows lie all over the input, so the range
+    // rarely rules a partition out, and checking it against thousands of
+    // small partitions cost a `txn_contention` round 3–4 ms of its 18.)
+    let recompute = |provider, only: KeyTable| -> DtResult<Vec<Row>> {
+        let batches = evaluate_batches(input, provider)?;
+        execute_aggregate_batches(&batches, group_exprs, aggregates, Some(only))
+    };
+    let keys = group_exprs.len();
+    let old_out = match stored {
+        Some(stored) => stored.read(keys, &affected)?,
+        None => recompute(ctx.old, affected.clone())?,
+    };
+    let (mut new_out, undecided) = fold_aggregate_delta(
+        group_exprs,
+        aggregates,
+        schema,
+        affected,
+        &old_out,
+        d.inserts(),
+        d.deletes(),
+    );
+    if !undecided.is_empty() {
+        new_out.extend(recompute(ctx.new, undecided)?);
+    }
+    sort_by_key(&mut new_out, keys);
+    // A group that vanished is only a delete, a new one only an insert.
+    Ok(ChangeSet::new(new_out, old_out))
 }
 
 /// `Δ(Q ⋈ R) = ΔQ ⋈ R₁ + Q₀ ⋈ ΔR` — signed join where insert × insert =
@@ -816,5 +997,267 @@ mod tests {
             delta(&plan, &ctx),
             Err(DtError::Unsupported(_))
         ));
+    }
+
+    /// The `Aggregate` rule [`aggregate_delta`] replaced, verbatim, as its
+    /// oracle: aggregate the input's affected groups at both ends of the
+    /// interval. While [`oracle::TWO_SIDED`] is set on this thread,
+    /// [`delta_node`] runs it instead.
+    pub(super) mod oracle {
+        use super::super::*;
+        use std::cell::Cell;
+
+        thread_local! {
+            pub static TWO_SIDED: Cell<bool> = const { Cell::new(false) };
+        }
+
+        pub fn aggregate_delta(
+            input: &LogicalPlan,
+            group_exprs: &[ScalarExpr],
+            aggregates: &[AggExpr],
+            ctx: &DeltaContext<'_>,
+        ) -> DtResult<ChangeSet> {
+            let d = delta_inner(input, ctx)?;
+            if d.is_empty() {
+                return Ok(ChangeSet::empty());
+            }
+            // One pass per snapshot end: rows of unaffected groups are
+            // dropped by the aggregate's own key lookup.
+            let affected = affected_keys(&d, group_exprs)?;
+            let side = |provider| -> DtResult<Vec<Row>> {
+                let batches = evaluate_batches(input, provider)?;
+                execute_aggregate_batches(&batches, group_exprs, aggregates, Some(affected.clone()))
+            };
+            let old_out = side(ctx.old)?;
+            let new_out = side(ctx.new)?;
+            // Groups that vanished entirely produce deletes; empty restricted
+            // input yields no groups (grouped aggregation over zero rows is
+            // the empty set, since group_exprs is non-empty for
+            // differentiable plans).
+            Ok(ChangeSet::new(new_out, old_out))
+        }
+
+        /// `delta(plan, ctx)` as the two-sided rule computed it.
+        pub fn delta(plan: &LogicalPlan, ctx: &DeltaContext<'_>) -> DtResult<ChangeSet> {
+            TWO_SIDED.set(true);
+            let d = super::super::delta(plan, ctx);
+            TWO_SIDED.set(false);
+            d
+        }
+    }
+
+    mod histories {
+        use super::*;
+        use crate::merge::{assign_change_rows, with_initial_row_ids, MergeAction};
+        use dt_common::{PredicateSet, Timestamp, TxnId, VersionId};
+        use dt_plan::{Binder, ResolvedRelation, Resolver};
+        use dt_storage::TableStore;
+        use proptest::prelude::*;
+
+        const T: EntityId = EntityId(1);
+        const U: EntityId = EntityId(2);
+        const DT: EntityId = EntityId(9);
+
+        /// `t (k INT, v INT, f FLOAT)` and `u (k INT, w INT)`.
+        struct Tables;
+
+        impl Resolver for Tables {
+            fn resolve_relation(&self, name: &str) -> DtResult<ResolvedRelation> {
+                let (entity, cols): (_, &[(&str, DataType)]) = match name {
+                    "t" => (T, &[("k", DataType::Int), ("v", DataType::Int), ("f", DataType::Float)]),
+                    "u" => (U, &[("k", DataType::Int), ("w", DataType::Int)]),
+                    _ => return Err(DtError::Catalog(format!("unknown relation '{name}'"))),
+                };
+                let schema = Schema::new(cols.iter().map(|(n, t)| Column::new(*n, *t)).collect());
+                Ok(ResolvedRelation::Table { entity, schema })
+            }
+        }
+
+        /// What the fold decides, what it cannot, and where no DT holds the
+        /// aggregation's output.
+        const DEFINITIONS: &[&str] = &[
+            "SELECT k, count(*) n, sum(v) s, min(v) lo, max(v) hi FROM t GROUP BY k",
+            // No count(*): deletes leave every group undecided.
+            "SELECT k, sum(v) s, max(v) hi FROM t GROUP BY k",
+            // count(v) tells a sum of zero from a sum of nothing.
+            "SELECT k, count(*) n, count(v) c, sum(v) s, count_if(v > 1) big FROM t GROUP BY k",
+            "SELECT k, count(*) n, sum(v) s FROM t GROUP BY k",
+            // A projection that permutes; FLOAT extremes.
+            "SELECT max(v) hi, k, count(*) n, min(f) flo, max(f) fhi FROM t GROUP BY k",
+            "SELECT k, count(*) n, avg(v) a, count(DISTINCT v) d FROM t GROUP BY k",
+            "SELECT f, count(*) n, sum(v) s FROM t GROUP BY f",
+            "SELECT k, count(*) n, sum(f) sf FROM t GROUP BY k",
+            // The DT does not hold these aggregations' output.
+            "SELECT k, count(*) n, sum(v) s FROM t GROUP BY k HAVING count(*) > 1",
+            "SELECT k, sum(v) * 2 d, count(*) + 1 m FROM t GROUP BY k",
+            "SELECT a.k, a.n, a.hi, u.w FROM \
+             (SELECT k, count(*) n, max(v) hi FROM t GROUP BY k) a JOIN u ON a.k = u.k",
+            // An argument that can fail, an expression key over a filter.
+            "SELECT k, count(*) n, sum(100 / v) q FROM t GROUP BY k",
+            "SELECT k + 1 k1, count(*) n, min(v) lo FROM t WHERE v < 6 GROUP BY k + 1",
+        ];
+
+        fn plan_of(sql: &str) -> LogicalPlan {
+            let dt_sql::ast::Statement::Query(q) = dt_sql::parse(sql).unwrap() else {
+                panic!("not a query: {sql}")
+            };
+            Binder::new(&Tables).bind_query(&q).unwrap().plan
+        }
+
+        /// Stores pinned at a version each; `DT`'s rows lose their `$ROW_ID`.
+        struct At<'a>(Vec<(EntityId, &'a TableStore, VersionId)>);
+
+        impl At<'_> {
+            fn pinned(&self, entity: EntityId) -> (&TableStore, VersionId) {
+                let (_, store, version) = self.0.iter().find(|(e, ..)| *e == entity).unwrap();
+                (store, *version)
+            }
+        }
+
+        impl TableProvider for At<'_> {
+            fn scan(&self, entity: EntityId) -> DtResult<Vec<Row>> {
+                let (store, version) = self.pinned(entity);
+                let rows = store.scan(version)?;
+                Ok(match entity {
+                    DT => rows.iter().map(|r| Row::new(r.values()[1..].to_vec())).collect(),
+                    _ => rows,
+                })
+            }
+
+            fn scan_batches(&self, entity: EntityId, filter: Option<&PredicateSet>) -> DtResult<Vec<Batch>> {
+                let (store, version) = self.pinned(entity);
+                let snap = store.snapshot(version)?;
+                if entity != DT {
+                    return Ok(snap.scan_batches(filter));
+                }
+                let shifted = filter.map(|f| f.shift_columns(1));
+                let batches = snap.scan_batches(shifted.as_ref());
+                Ok(batches.into_iter().map(Batch::drop_first_column).collect())
+            }
+        }
+
+        /// A `t` row from three small draws: NULLs, duplicates, a zero,
+        /// values whose sums leave the `INT` range, exact FLOATs.
+        fn t_row((k, v, f): (u8, u8, u8)) -> Row {
+            const BIG: i64 = 4_000_000_000_000_000_000;
+            let int = |x: Option<i64>| x.map_or(Value::Null, Value::Int);
+            let k = int((k > 0).then_some(i64::from(k)));
+            let v = int(match v {
+                0..=5 => None,
+                6 | 7 => Some(BIG),
+                8 | 9 => Some(-BIG),
+                10 => Some(i64::MAX),
+                v => Some(i64::from(v % 7) - 3),
+            });
+            let f = [None, Some(-1.5), Some(0.0), Some(0.25), Some(1.0), Some(2.5)][usize::from(f)];
+            Row::new(vec![k, v, f.map_or(Value::Null, Value::Float)])
+        }
+
+        fn store(columns: Vec<Column>, capacity: usize) -> TableStore {
+            TableStore::with_partition_capacity(Schema::new(columns), Timestamp::EPOCH, TxnId(0), capacity)
+        }
+
+        /// `Debug` tells `Int(1)` from `Float(1.0)`: deltas must agree in
+        /// spelling, not only in value.
+        fn spelled(d: &DtResult<ChangeSet>) -> String {
+            format!("{d:?}")
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
+
+            /// Random histories of inserts and deletes on a multi-partition
+            /// `t`, refreshing a DT of each definition after every step:
+            /// the rule gives the consolidated delta — or the error — the
+            /// two-sided recompute gives, with the old rows read from the
+            /// DT's own store and with them recomputed from the source,
+            /// and the DT it maintains equals its defining query.
+            #[test]
+            fn the_rule_matches_the_two_sided_recompute(
+                definition in 0..DEFINITIONS.len(),
+                initial in prop::collection::vec((0..5u8, 0..40u8, 0..6u8), 0..12),
+                steps in prop::collection::vec(
+                    (
+                        prop::collection::vec((0..5u8, 0..40u8, 0..6u8), 0..5),
+                        prop::collection::vec(0..1000usize, 0..4),
+                        0..8u8,
+                    ),
+                    1..14,
+                ),
+                capacity in 1..6usize,
+            ) {
+                let plan = plan_of(DEFINITIONS[definition]);
+                let t = store(
+                    vec![
+                        Column::new("k", DataType::Int),
+                        Column::new("v", DataType::Int),
+                        Column::new("f", DataType::Float),
+                    ],
+                    capacity,
+                );
+                let u = store(vec![Column::new("k", DataType::Int), Column::new("w", DataType::Int)], capacity);
+                let at = |i: usize| (Timestamp::from_secs(i as i64 + 1), TxnId(i as u64 + 1));
+                let (ts, txn) = at(0);
+                t.commit_change(initial.into_iter().map(t_row).collect(), vec![], ts, txn).unwrap();
+                u.commit_change((1..4i64).map(|k| row!(k, k * 10)).collect(), vec![], ts, txn).unwrap();
+                let u_at = u.latest_version();
+
+                // Initialize the DT; a definition that fails on the initial
+                // rows has no DT to maintain.
+                let mut columns = vec![Column::new("$ROW_ID", DataType::Str)];
+                columns.extend(plan.schema().columns().iter().cloned());
+                let dt = store(columns, capacity);
+                let mut frontier = t.latest_version();
+                let Ok(rows) = execute(&plan, &At(vec![(T, &t, frontier), (U, &u, u_at)])) else {
+                    return Ok(());
+                };
+                dt.overwrite(with_initial_row_ids(rows), ts, txn).unwrap();
+
+                for (i, (inserts, deletes, shuffle)) in steps.into_iter().enumerate() {
+                    let (ts, txn) = at(i + 1);
+                    let rows = t.scan(t.latest_version()).unwrap();
+                    let mut doomed: Vec<usize> = deletes.iter().filter(|_| !rows.is_empty()).map(|p| p % rows.len()).collect();
+                    doomed.sort_unstable();
+                    doomed.dedup();
+                    let doomed = doomed.into_iter().map(|p| rows[p].clone()).collect();
+                    t.commit_change(inserts.into_iter().map(t_row).collect(), doomed, ts, txn).unwrap();
+                    if shuffle == 0 {
+                        t.recluster(ts, txn).unwrap();
+                    }
+
+                    let to = t.latest_version();
+                    let mut changes = MapChanges::new();
+                    changes.insert(T, t.changes_between(frontier, to).unwrap());
+                    let old = At(vec![(T, &t, frontier), (U, &u, u_at)]);
+                    let new = At(vec![(T, &t, to), (U, &u, u_at)]);
+                    let ctx = DeltaContext { old: &old, new: &new, changes: &changes, outer_join: OuterJoinStrategy::Direct };
+                    let base = dt.latest_version();
+                    let stored = At(vec![(DT, &dt, base)]);
+
+                    let want = oracle::delta(&plan, &ctx);
+                    let got = delta_over_stored(&plan, &ctx, StoredOutput { provider: &stored, entity: DT });
+                    prop_assert_eq!(spelled(&got), spelled(&want), "step {} of {}", i, DEFINITIONS[definition]);
+                    prop_assert_eq!(spelled(&delta(&plan, &ctx)), spelled(&want), "step {}, no stored output", i);
+
+                    // A failed refresh installs nothing: the next one
+                    // covers its interval too.
+                    let Ok(d) = got else { continue };
+                    let (mut inserts, mut deletes) = (Vec::new(), Vec::new());
+                    for c in assign_change_rows(&dt.row_lookup(base).unwrap(), &d).unwrap() {
+                        match c.action {
+                            MergeAction::Insert => inserts.push(c.into_stored_row()),
+                            MergeAction::Delete => deletes.push(c.into_stored_row()),
+                        }
+                    }
+                    dt.commit_change(inserts, deletes, ts, txn).unwrap();
+                    frontier = to;
+                    let mut held = At(vec![(DT, &dt, dt.latest_version())]).scan(DT).unwrap();
+                    let mut query = execute(&plan, &new).unwrap();
+                    held.sort();
+                    query.sort();
+                    prop_assert_eq!(format!("{held:?}"), format!("{query:?}"), "DVS after step {}", i);
+                }
+            }
+        }
     }
 }

@@ -21,6 +21,7 @@
 
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write;
 use std::hash::{Hash, Hasher};
 
 use dt_common::{DtResult, DtError, Row, Value};
@@ -60,9 +61,22 @@ pub fn make_row_id(row: &Row, occurrence: usize) -> String {
     row_id_of(content_hash(row), occurrence)
 }
 
+/// `{:04x}-{:016x}-{}` of the hash's low 16 bits, the hash and the
+/// occurrence, digit by digit: an id is minted per probe of the merge, and
+/// `format!`'s padded hex was a sixth of a probe.
 fn row_id_of(content_hash: u64, occurrence: usize) -> String {
-    let h = content_hash;
-    format!("{:04x}-{:016x}-{}", h & 0xffff, h, occurrence)
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut id = String::with_capacity(24);
+    let mut hex = |value: u64, digits: u32| {
+        for shift in (0..digits).rev() {
+            id.push(HEX[(value >> (4 * shift)) as usize & 0xf] as char);
+        }
+        id.push('-');
+    };
+    hex(content_hash & 0xffff, 4);
+    hex(content_hash, 16);
+    write!(id, "{occurrence}").expect("writing to a String");
+    id
 }
 
 /// Prefix every row of a full query result with a fresh `$ROW_ID` — the
@@ -385,6 +399,16 @@ mod tests {
         // prefix-hash-occurrence format.
         assert_eq!(a.split('-').count(), 3);
         assert_ne!(a, make_row_id(&row!(1i64, "x"), 1));
+    }
+
+    #[test]
+    fn row_ids_are_spelled_as_padded_hex_and_decimal() {
+        for hash in [0, 1, 0xabc, 0xf692_beba_65b0_0e27, u64::MAX] {
+            for occurrence in [0, 9, 10, 12_345] {
+                let want = format!("{:04x}-{:016x}-{}", hash & 0xffff, hash, occurrence);
+                assert_eq!(row_id_of(hash, occurrence), want);
+            }
+        }
     }
 
     #[test]

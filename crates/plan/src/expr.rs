@@ -79,6 +79,18 @@ impl AggFunc {
         })
     }
 
+    /// The SQL name [`AggFunc::from_name`] reads.
+    pub fn name(self) -> &'static str {
+        match self {
+            AggFunc::Count => "count",
+            AggFunc::CountIf => "count_if",
+            AggFunc::Sum => "sum",
+            AggFunc::Min => "min",
+            AggFunc::Max => "max",
+            AggFunc::Avg => "avg",
+        }
+    }
+
     /// Result type given the argument type.
     pub fn result_type(self, arg: Option<DataType>) -> DataType {
         match self {

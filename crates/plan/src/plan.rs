@@ -371,7 +371,18 @@ impl LogicalPlan {
 
     /// A one-line-per-node EXPLAIN rendering.
     pub fn explain(&self) -> String {
-        fn go(p: &LogicalPlan, depth: usize, out: &mut String) {
+        self.explain_with(&mut |_| None)
+    }
+
+    /// [`LogicalPlan::explain`] with a line of `note`'s under each node it
+    /// has one for (nodes are asked in the order they print).
+    pub fn explain_with(&self, note: &mut dyn FnMut(&LogicalPlan) -> Option<String>) -> String {
+        fn go(
+            p: &LogicalPlan,
+            depth: usize,
+            out: &mut String,
+            note: &mut dyn FnMut(&LogicalPlan) -> Option<String>,
+        ) {
             let pad = "  ".repeat(depth);
             let line = match p {
                 LogicalPlan::TableScan { name, pushdown, .. } => match pushdown {
@@ -402,12 +413,15 @@ impl LogicalPlan {
             out.push_str(&pad);
             out.push_str(&line);
             out.push('\n');
+            if let Some(note) = note(p) {
+                out.push_str(&format!("{pad}  · {note}\n"));
+            }
             for c in p.children() {
-                go(c, depth + 1, out);
+                go(c, depth + 1, out, note);
             }
         }
         let mut s = String::new();
-        go(self, 0, &mut s);
+        go(self, 0, &mut s, note);
         s
     }
 }

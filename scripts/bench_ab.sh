@@ -5,6 +5,7 @@
 # pairs HEAD first), then `benchmark/run.sh compare` over both sets.
 #
 #   scripts/bench_ab.sh <base-rev> [--workload W] [--pairs N]
+#                       [--claim METRIC@WORKLOAD]
 #
 #   <base-rev>     side A: any commit-ish. Side B is HEAD — commit what
 #                  you want measured; the working tree is not read.
@@ -15,11 +16,19 @@
 #                  about four minutes.
 #   --pairs N      runs a side, seeds 21 … 20 + N (default 5; `compare`
 #                  calls a row only with four or more a side).
+#   --claim M@W    the one row a perf PR rests on — an end-to-end metric of
+#                  BENCHMARK.json on one workload (the one --workload names,
+#                  if given). After `compare`, print it pair by pair: seed,
+#                  base, HEAD, HEAD / base, and how many pairs HEAD won —
+#                  the within-pair reading a claim needs (nine tenths of
+#                  ten or more pairs), which two medians do not give.
+#                  Needs python3.
 #
 # Worktrees, target directories and result files live under
 # target/bench-ab/ of this checkout; the worktrees are removed on exit, the
 # target directories are kept so that the next run builds incrementally.
-# Exits with `compare`'s status: non-zero when a row is `worse`.
+# Exits with `compare`'s status: non-zero when a row is `worse`; the
+# `--claim` table is printed either way and decides nothing.
 set -euo pipefail
 
 usage() {
@@ -34,6 +43,7 @@ die() {
 
 base=""
 workload=""
+claim=""
 pairs=5
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -49,6 +59,11 @@ while [ $# -gt 0 ]; do
         --pairs)
             [ $# -ge 2 ] || die "--pairs takes a number"
             pairs="$2"
+            shift 2
+            ;;
+        --claim)
+            [ $# -ge 2 ] || die "--claim takes METRIC@WORKLOAD"
+            claim="$2"
             shift 2
             ;;
         -*)
@@ -72,6 +87,23 @@ esac
 
 root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 cd "$root"
+if [ -n "$claim" ]; then
+    claim_metric="${claim%%@*}"
+    claim_workload="${claim#*@}"
+    case "$claim" in
+        ?*@?*) ;;
+        *) die "--claim takes METRIC@WORKLOAD, not '$claim'" ;;
+    esac
+    case "$claim_workload" in
+        ingest_fresh | dag_refresh | query_mix | txn_contention) ;;
+        *) die "--claim names an unknown workload '$claim_workload'" ;;
+    esac
+    [ -z "$workload" ] || [ "$workload" = "$claim_workload" ] ||
+        die "--claim is on $claim_workload but only $workload is run"
+    sed -n '/"end_to_end"/,/\]/p' BENCHMARK.json | grep -q "\"name\": \"$claim_metric\"" ||
+        die "--claim names '$claim_metric', not an end-to-end metric of BENCHMARK.json"
+    command -v python3 >/dev/null || die "--claim needs python3"
+fi
 a_rev="$(git rev-parse --verify --quiet "$base^{commit}")" || die "'$base' is not a commit"
 b_rev="$(git rev-parse --verify HEAD)"
 if [ -n "$workload" ]; then
@@ -129,4 +161,29 @@ for i in $(seq 1 "$pairs"); do
 done
 
 cd "$work/b"
-CARGO_TARGET_DIR="$work/target-b" bash benchmark/run.sh compare "$a_files" "$b_files"
+status=0
+CARGO_TARGET_DIR="$work/target-b" bash benchmark/run.sh compare "$a_files" "$b_files" || status=$?
+
+if [ -n "$claim" ]; then
+    python3 - "$root/BENCHMARK.json" "$claim_metric" "$claim_workload" "$a_files" "$b_files" <<'PY'
+import json, statistics, sys
+spec, metric, workload, a_files, b_files = sys.argv[1:]
+better = next(m["better"] for m in json.load(open(spec))["end_to_end"] if m["name"] == metric)
+def read(path):
+    return json.load(open(path))["workloads"][workload]["end_to_end"][metric]["value"]
+print(f"\nclaim: {metric} on {workload} ({better} is better), pair by pair")
+print(f"  {'seed':>4}  {'base':>12}  {'HEAD':>12}  {'HEAD/base':>9}")
+wins = ties = 0
+ratios = []
+for a_path, b_path in zip(a_files.split(","), b_files.split(",")):
+    seed = a_path.rsplit("-", 1)[1].removesuffix(".json")
+    a, b = read(a_path), read(b_path)
+    won = b < a if better == "lower" else b > a
+    wins += won
+    ties += a == b
+    ratios.append(b / a if a else float("nan"))
+    print(f"  {seed:>4}  {a:12.4f}  {b:12.4f}  {ratios[-1]:9.3f}  {'win' if won else 'tie' if a == b else 'loss'}")
+print(f"  HEAD wins {wins} of {len(ratios)} pairs ({ties} tied); median HEAD/base {statistics.median(ratios):.3f}")
+PY
+fi
+exit "$status"

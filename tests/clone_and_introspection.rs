@@ -116,6 +116,66 @@ fn explain_renders_plan_and_mode() {
     assert!(text.contains("full refresh only"), "{text}");
 }
 
+/// `EXPLAIN` answers "why does this DT's refresh read its whole input?":
+/// under each `Aggregate` of a maintainable plan, what a refresh maintains
+/// from the delta, what makes it recompute a group from the source, and
+/// where it finds the groups' old rows.
+#[test]
+fn explain_says_what_an_aggregate_refresh_reads() {
+    let (_eng, db) = setup();
+    db.execute("CREATE TABLE t (k INT, v INT, f FLOAT)").unwrap();
+    let explain = |sql: &str| {
+        let ExecResult::Ok(text) = db.execute(&format!("EXPLAIN {sql}")).unwrap() else {
+            panic!()
+        };
+        text
+    };
+    /// The line under the `n`-th `Aggregate` line.
+    fn note(text: &str, n: usize) -> &str {
+        let lines: Vec<&str> = text.lines().map(str::trim_start).collect();
+        let at = (0..lines.len()).filter(|i| lines[*i].starts_with("Aggregate")).nth(n).expect(text);
+        lines[at + 1]
+    }
+
+    // The benchmark's rollup shape: all of it folds, and the projection
+    // above keeps every column, so the DT itself holds the old rows.
+    let text = explain("SELECT k, count(*) n, sum(v) total, max(v) hi FROM t WHERE v > 0 GROUP BY k");
+    assert_eq!(
+        note(&text, 0),
+        "· maintained from the delta: count(*), sum(#1), max(#1); \
+         recompute their group from the source: none; old rows from the stored DT",
+        "{text}"
+    );
+
+    // avg, DISTINCT and a FLOAT sum each force the recompute.
+    let text = explain("SELECT k, count(*), avg(v), count(DISTINCT v), sum(f), min(f) FROM t GROUP BY k");
+    assert_eq!(
+        note(&text, 0),
+        "· maintained from the delta: count(*), min(#2); recompute their group from the source: \
+         avg(#1), count(DISTINCT #1), sum(#2); old rows from the stored DT",
+        "{text}"
+    );
+    // A FLOAT group key leaves nothing to the delta.
+    let text = explain("SELECT f, count(*) FROM t GROUP BY f");
+    assert!(note(&text, 0).starts_with("· maintained from the delta: none; recompute their group from the source: count(*);"), "{text}");
+
+    // HAVING, an expression over an aggregate, or a join above it: the DT
+    // does not hold the aggregation's output, so the old end is read.
+    for sql in [
+        "SELECT k, count(*) n FROM t GROUP BY k HAVING count(*) > 1",
+        "SELECT k, sum(v) * 2 FROM t GROUP BY k",
+        "SELECT a.k, a.n, t.v FROM (SELECT k, count(*) n FROM t GROUP BY k) a JOIN t ON a.k = t.k",
+    ] {
+        let text = explain(sql);
+        assert!(note(&text, 0).ends_with("old rows from the source at the old end"), "{text}");
+    }
+
+    // Nothing to say about a plan no refresh differentiates.
+    let text = explain("SELECT k, count(*) FROM t GROUP BY k ORDER BY k LIMIT 3");
+    assert!(!text.contains("maintained from the delta"), "{text}");
+    assert!(text.contains("full refresh only"), "{text}");
+}
+
 #[test]
 fn show_dynamic_tables_reports_status() {
     let (_eng, db) = setup();
