@@ -254,6 +254,7 @@ impl Engine {
                 variables: Mutex::new(BTreeMap::new()),
                 statements: Mutex::new(HashMap::new()),
                 txn: Mutex::new(None),
+                prelock: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -354,6 +355,16 @@ struct SessionInner {
     /// closed with `COMMIT`/`ROLLBACK`). Statements executed while this is
     /// `Some` — including prepared statements — run inside it.
     txn: Mutex<Option<Transaction>>,
+    /// The tables written by the transaction whose `COMMIT` this session
+    /// last lost. The next `BEGIN` locks them *before* pinning its
+    /// snapshot, so a client re-running that transaction plans against
+    /// their latest versions and cannot lose on them again: one lost
+    /// attempt per transaction instead of a race the winner, one round
+    /// trip ahead, keeps winning. Unlike the auto-commit retry's
+    /// `prelock`, every written table is taken, in the canonical order
+    /// commits take them, since locking only the pessimistic ones would
+    /// let two such sessions each hold what the other's commit waits for.
+    prelock: Mutex<Vec<dt_common::EntityId>>,
 }
 
 /// A per-connection handle: current role, session variables, and a
@@ -430,7 +441,15 @@ impl Session {
                             .into(),
                     ));
                 }
-                let txn = self.begin();
+                let prelock = std::mem::take(&mut *self.inner.prelock.lock());
+                // A lock that cannot be had (timeout, deadlock) leaves the
+                // ordinary optimistic start.
+                let txn = if prelock.is_empty() {
+                    self.begin()
+                } else {
+                    Transaction::start_locked(self.engine.clone(), &prelock)
+                        .unwrap_or_else(|_| self.begin())
+                };
                 let msg = format!("transaction {} started", txn.id());
                 *cur = Some(txn);
                 Ok(ExecResult::Ok(msg))
@@ -439,7 +458,12 @@ impl Session {
                 let txn = self.inner.txn.lock().take().ok_or_else(|| {
                     DtError::Txn("COMMIT outside a transaction (no BEGIN in effect)".into())
                 })?;
-                let commit_ts = txn.commit()?;
+                let touched = txn.touched_tables();
+                let commit_ts = txn.commit().inspect_err(|e| {
+                    if is_serialization_conflict(e) {
+                        *self.inner.prelock.lock() = touched;
+                    }
+                })?;
                 Ok(ExecResult::Ok(format!(
                     "transaction committed at {commit_ts}"
                 )))
@@ -862,5 +886,50 @@ mod tests {
         session.execute("INSERT INTO t VALUES (3)").unwrap();
         assert_eq!(snap.query("SELECT * FROM t").unwrap().len(), 2);
         assert_eq!(session.query("SELECT * FROM t").unwrap().len(), 3);
+    }
+
+    #[test]
+    fn a_session_that_lost_a_commit_cannot_lose_its_retry() {
+        for mode in ["OPTIMISTIC", "PESSIMISTIC"] {
+            let engine = Engine::new(DbConfig::default());
+            let (a, b) = (engine.session(), engine.session());
+            a.execute("CREATE TABLE hot (id INT, v INT)").unwrap();
+            a.execute("INSERT INTO hot VALUES (1, 0)").unwrap();
+            a.execute(&format!("ALTER TABLE hot SET LOCKING {mode}"))
+                .unwrap();
+            let bump = |s: &Session, by: i64| {
+                s.execute("BEGIN").unwrap();
+                s.execute(&format!("UPDATE hot SET v = v + {by} WHERE id = 1"))
+                    .unwrap();
+            };
+
+            // `b` loses: its snapshot predates `a`'s commit.
+            bump(&a, 1);
+            bump(&b, 10);
+            a.execute("COMMIT").unwrap();
+            assert!(is_serialization_conflict(&b.execute("COMMIT").unwrap_err()));
+
+            // `b`'s retry locks `hot` before pinning its snapshot, so `a`'s
+            // next transaction, begun after it, loses at COMMIT instead
+            // (waiting for `b` first when `hot` is pessimistic) — and its
+            // own retry then wins in turn.
+            b.execute("BEGIN").unwrap();
+            bump(&a, 1);
+            let waiter = {
+                let a = a.clone();
+                std::thread::spawn(move || a.execute("COMMIT"))
+            };
+            b.execute("UPDATE hot SET v = v + 10 WHERE id = 1").unwrap();
+            b.execute("COMMIT").unwrap();
+            let lost = waiter.join().unwrap().unwrap_err();
+            assert!(is_serialization_conflict(&lost), "{mode}: {lost:?}");
+            bump(&a, 1);
+            a.execute("COMMIT").unwrap();
+            assert_eq!(
+                a.query_sorted("SELECT v FROM hot").unwrap(),
+                [dt_common::row!(12i64)],
+                "{mode}"
+            );
+        }
     }
 }

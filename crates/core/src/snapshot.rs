@@ -24,7 +24,7 @@ use dt_common::{
     Value, VersionId,
 };
 use dt_exec::TableProvider;
-use dt_plan::{BindOutput, Binder, LogicalPlan, ResolvedRelation, Resolver};
+use dt_plan::{BindOutput, Binder, LogicalPlan, ResolvedRelation, Resolver, ScalarExpr};
 use dt_sql::ast;
 use dt_storage::TableStore;
 use dt_txn::Frontier;
@@ -209,6 +209,11 @@ impl ReadSnapshot {
     /// Bind a query against the frozen catalog. No lock.
     pub fn bind_query(&self, q: &ast::Query) -> DtResult<BindOutput> {
         Binder::new(&SnapshotResolver { snap: self }).bind_query(q)
+    }
+
+    /// Bind an expression over the empty scope (an `INSERT … VALUES` cell).
+    pub(crate) fn bind_constant(&self, e: &ast::Expr) -> DtResult<ScalarExpr> {
+        Binder::new(&SnapshotResolver { snap: self }).bind_constant(e)
     }
 
     /// Execute a bound plan against the pinned table versions. No lock.

@@ -41,9 +41,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use dt_common::{DtError, DtResult, EntityId, Row, Schema, Timestamp, TxnId, Value};
+use dt_common::{
+    Batch, DtError, DtResult, EntityId, PredicateSet, Row, Schema, Timestamp, TxnId, Value,
+};
 use dt_exec::TableProvider;
-use dt_plan::{BindOutput, LogicalPlan};
+use dt_plan::{BindOutput, LogicalPlan, ScalarExpr};
 use dt_sql::ast;
 use dt_txn::Txn;
 
@@ -92,35 +94,79 @@ impl TableWrites {
     }
 }
 
-/// A [`dt_exec::TableProvider`] view of "the pinned snapshot plus this
-/// transaction's buffered writes": base rows minus buffered deletes plus
-/// buffered inserts. This is what gives DML statements inside a
-/// transaction read-your-own-writes without publishing anything.
-struct OverlayProvider<'a> {
+/// What a transaction's statements run against: a
+/// [`dt_exec::TableProvider`] view of "the pinned snapshot plus this
+/// transaction's buffered writes" (base rows minus buffered deletes plus
+/// buffered inserts), which gives them read-your-own-writes without
+/// publishing anything; names resolve in the frozen catalog and queries
+/// bind against the snapshot.
+pub(crate) struct OverlayProvider<'a> {
     snap: &'a ReadSnapshot,
     writes: &'a BTreeMap<EntityId, TableWrites>,
 }
 
 impl TableProvider for OverlayProvider<'_> {
     fn scan(&self, entity: EntityId) -> DtResult<Vec<Row>> {
-        let mut rows = self.snap.scan(entity)?;
-        if let Some(w) = self.writes.get(&entity) {
-            let mut pending = delete_counts(&w.deletes);
-            remove_counted(&mut rows, &mut pending);
-            if pending.values().any(|n| *n > 0) {
-                return Err(DtError::internal(
-                    "buffered delete not present in the pinned base version",
-                ));
+        Ok(dt_exec::batch::flatten(self.scan_batches(entity, None)?))
+    }
+
+    /// The pinned snapshot's columnar scan (zone-map pruned, zero-copy
+    /// partition slices) with the buffered deletes cleared from the
+    /// batches' selections, then the buffered inserts as one batch with
+    /// `filter` applied. `filter` keeps or drops every copy of a row
+    /// alike, and zone maps never prune a partition holding a row it
+    /// keeps, so only the deletes it keeps can be, and must be, found.
+    fn scan_batches(
+        &self,
+        entity: EntityId,
+        filter: Option<&PredicateSet>,
+    ) -> DtResult<Vec<Batch>> {
+        let mut batches = self.snap.scan_batches(entity, filter)?;
+        let Some(w) = self.writes.get(&entity) else {
+            return Ok(batches);
+        };
+        let kept = |r: &&Row| filter.is_none_or(|f| f.matches_row(r));
+        let mut pending = delete_counts(w.deletes.iter().filter(kept));
+        // Each delete clears the first still-selected copy of its row in
+        // scan order.
+        let mut left: usize = pending.values().sum();
+        for batch in &mut batches {
+            if left == 0 {
+                break;
             }
-            rows.extend(w.inserts.iter().cloned());
+            let mut keep = vec![true; batch.len()];
+            for (i, k) in keep.iter_mut().enumerate() {
+                if left > 0 && batch.is_selected(i) {
+                    if let Some(n) = pending.get_mut(&batch.row(i)).filter(|n| **n > 0) {
+                        *n -= 1;
+                        left -= 1;
+                        *k = false;
+                    }
+                }
+            }
+            if keep.contains(&false) {
+                batch.retain(&keep);
+            }
         }
-        Ok(rows)
+        if left > 0 {
+            return Err(DtError::internal(
+                "buffered delete not present in the pinned base version",
+            ));
+        }
+        if let Some(first) = w.inserts.first() {
+            let mut batch = Batch::from_rows(first.len(), &w.inserts);
+            if let Some(f) = filter {
+                f.apply(&mut batch);
+            }
+            batches.push(batch);
+        }
+        Ok(batches)
     }
 }
 
 /// `deletes` as a counted multiset.
-fn delete_counts(deletes: &[Row]) -> HashMap<&Row, usize> {
-    let mut counts = HashMap::with_capacity(deletes.len());
+fn delete_counts<'a>(deletes: impl IntoIterator<Item = &'a Row>) -> HashMap<&'a Row, usize> {
+    let mut counts = HashMap::new();
     for d in deletes {
         *counts.entry(d).or_insert(0) += 1;
     }
@@ -143,22 +189,7 @@ fn remove_counted(rows: &mut Vec<Row>, pending: &mut HashMap<&Row, usize>) {
     });
 }
 
-/// The view a transaction's DML statements are planned against: names
-/// resolve in the frozen catalog, queries bind against the snapshot, and
-/// scans see the overlay.
-pub(crate) struct TxnDmlSource<'a> {
-    snap: &'a ReadSnapshot,
-    writes: &'a BTreeMap<EntityId, TableWrites>,
-}
-
-impl TxnDmlSource<'_> {
-    fn overlay(&self) -> OverlayProvider<'_> {
-        OverlayProvider {
-            snap: self.snap,
-            writes: self.writes,
-        }
-    }
-
+impl OverlayProvider<'_> {
     /// Resolve a DML target to a base table (errors for views and DTs).
     pub(crate) fn target_table(&self, name: &str) -> DtResult<(EntityId, Schema)> {
         let e = self.snap.catalog().resolve(name)?;
@@ -182,14 +213,35 @@ impl TxnDmlSource<'_> {
         self.snap.bind_query(q)
     }
 
-    /// Execute a bound plan against the overlay.
-    pub(crate) fn execute_plan(&self, plan: &LogicalPlan) -> DtResult<Vec<Row>> {
-        dt_exec::execute(&dt_plan::push_down_filters(plan), &self.overlay())
+    /// Bind an `INSERT … VALUES` cell over the empty scope.
+    pub(crate) fn bind_constant(&self, e: &ast::Expr) -> DtResult<ScalarExpr> {
+        self.snap.bind_constant(e)
     }
 
-    /// The rows of a base table this transaction currently sees.
-    pub(crate) fn scan_base(&self, id: EntityId) -> DtResult<Vec<Row>> {
-        self.overlay().scan(id)
+    /// Execute a bound plan against the overlay, filters pushed into the
+    /// scans first: the path every query inside the transaction takes.
+    pub(crate) fn execute_plan(&self, plan: &LogicalPlan) -> DtResult<Vec<Row>> {
+        dt_exec::execute(&dt_plan::push_down_filters(plan), self)
+    }
+
+    /// The overlay as a row scan: every base row cloned, the buffered
+    /// deletes removed as first copies in scan order, the buffered
+    /// inserts appended. The reference `dml`'s tests hold
+    /// [`OverlayProvider::scan_batches`] to.
+    #[cfg(test)]
+    pub(crate) fn scan_by_rows(&self, entity: EntityId) -> DtResult<Vec<Row>> {
+        let mut rows = self.snap.scan(entity)?;
+        if let Some(w) = self.writes.get(&entity) {
+            let mut pending = delete_counts(&w.deletes);
+            remove_counted(&mut rows, &mut pending);
+            if pending.values().any(|n| *n > 0) {
+                return Err(DtError::internal(
+                    "buffered delete not present in the pinned base version",
+                ));
+            }
+            rows.extend(w.inserts.iter().cloned());
+        }
+        Ok(rows)
     }
 }
 
@@ -231,8 +283,9 @@ impl Transaction {
     /// The locks are taken *before* the snapshot is pinned, so the
     /// snapshot is guaranteed to see each locked table's latest version —
     /// no committer can move it while the locks are held. This is what
-    /// autocommit retries use after losing to a pessimistic table: the
-    /// retry plans against current state and cannot lose admission again.
+    /// autocommit retries use after losing to a pessimistic table, and a
+    /// session's `BEGIN` after its `COMMIT` lost: the retry plans against
+    /// current state and cannot lose admission again.
     pub(crate) fn start_locked(engine: Engine, entities: &[EntityId]) -> DtResult<Transaction> {
         let txn = engine.state.read().txn.begin();
         if let Err(e) = engine.locks.lock_pessimistic(txn.id, entities.iter().copied()) {
@@ -334,12 +387,11 @@ impl Transaction {
                 values,
                 query,
             } => {
-                let change =
-                    dml::plan_insert(&self.dml_source(), &table, values, query, params)?;
+                let change = dml::plan_insert(&self.overlay(), &table, values, query, params)?;
                 Ok(self.buffer(change))
             }
             ast::Statement::Delete { table, predicate } => {
-                let change = dml::plan_delete(&self.dml_source(), &table, predicate, params)?;
+                let change = dml::plan_delete(&self.overlay(), &table, predicate, params)?;
                 Ok(self.buffer(change))
             }
             ast::Statement::Update {
@@ -347,13 +399,8 @@ impl Transaction {
                 assignments,
                 predicate,
             } => {
-                let change = dml::plan_update(
-                    &self.dml_source(),
-                    &table,
-                    assignments,
-                    predicate,
-                    params,
-                )?;
+                let change =
+                    dml::plan_update(&self.overlay(), &table, assignments, predicate, params)?;
                 Ok(self.buffer(change))
             }
             ast::Statement::Begin => Err(DtError::Txn(
@@ -373,8 +420,8 @@ impl Transaction {
         }
     }
 
-    fn dml_source(&self) -> TxnDmlSource<'_> {
-        TxnDmlSource {
+    pub(crate) fn overlay(&self) -> OverlayProvider<'_> {
+        OverlayProvider {
             snap: &self.snapshot,
             writes: &self.writes,
         }
@@ -390,11 +437,7 @@ impl Transaction {
         } else {
             out.plan.bind_params(params)?
         };
-        let provider = OverlayProvider {
-            snap: &self.snapshot,
-            writes: &self.writes,
-        };
-        let rows = dt_exec::execute(&dt_plan::push_down_filters(&plan), &provider)?;
+        let rows = self.overlay().execute_plan(&plan)?;
         Ok(QueryResult::new(plan.schema(), rows))
     }
 

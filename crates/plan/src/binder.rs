@@ -143,6 +143,14 @@ impl<'a> Binder<'a> {
         }
     }
 
+    /// Bind a scalar expression over the empty scope (an `INSERT … VALUES`
+    /// cell): literals, `?` placeholders, operators, casts and scalar
+    /// functions. A column reference, an aggregate or a window function
+    /// has nothing to range over there and is a binding error.
+    pub fn bind_constant(mut self, e: &ast::Expr) -> DtResult<ScalarExpr> {
+        self.bind_scalar(e, &Scope::default())
+    }
+
     /// Bind a full query.
     pub fn bind_query(mut self, q: &ast::Query) -> DtResult<BindOutput> {
         let plan = self.bind_query_inner(q)?;

@@ -101,20 +101,21 @@ impl TableSnapshot {
 
     /// The partitions a scan under `filter` has to read, in scan order:
     /// every partition whose zone maps do not prove that no row can match.
-    /// Each partition ruled out is counted once as a zone-map prune; its
-    /// column data is never touched (its data-read counter does not move).
+    /// Each partition ruled out is counted once as a zone-map prune (added
+    /// to the process-wide counter once per scan); its column data is
+    /// never touched (its data-read counter does not move).
     pub fn surviving_partitions(&self, filter: Option<&PredicateSet>) -> Vec<usize> {
         let Some(f) = filter else {
             return (0..self.partitions.len()).collect();
         };
-        let mut survivors = Vec::new();
-        for (idx, p) in self.partitions.iter().enumerate() {
-            if p.zone_maps().is_some_and(|z| f.prunes(z)) {
-                crate::telemetry::record_zone_map_prune();
-            } else {
-                survivors.push(idx);
-            }
-        }
+        let survivors: Vec<usize> = (0..self.partitions.len())
+            .filter(|&idx| {
+                !self.partitions[idx]
+                    .zone_maps()
+                    .is_some_and(|z| f.prunes(z))
+            })
+            .collect();
+        crate::telemetry::record_zone_map_prunes(self.partitions.len() - survivors.len());
         survivors
     }
 

@@ -17,9 +17,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static ZONE_MAP_PRUNED: AtomicU64 = AtomicU64::new(0);
 
-/// Record one partition skipped by a zone-map prune during a scan.
-pub(crate) fn record_zone_map_prune() {
-    ZONE_MAP_PRUNED.fetch_add(1, Ordering::Relaxed);
+/// Record the `n` partitions one scan skipped by zone-map pruning: one
+/// atomic add per scan, none when nothing was pruned.
+pub(crate) fn record_zone_map_prunes(n: usize) {
+    if n > 0 {
+        ZONE_MAP_PRUNED.fetch_add(n as u64, Ordering::Relaxed);
+    }
 }
 
 /// Total partitions skipped by zone-map pruning since process start.
@@ -38,8 +41,9 @@ mod tests {
     #[test]
     fn counter_is_monotone() {
         let before = zone_map_pruned_total();
-        record_zone_map_prune();
-        record_zone_map_prune();
+        record_zone_map_prunes(1);
+        record_zone_map_prunes(0);
+        record_zone_map_prunes(1);
         // Other tests scan concurrently; assert monotone growth, not an
         // exact delta.
         assert!(zone_map_pruned_total() >= before + 2);

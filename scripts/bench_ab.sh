@@ -5,13 +5,13 @@
 # pairs HEAD first), then `benchmark/run.sh compare` over both sets.
 #
 #   scripts/bench_ab.sh <base-rev> [--workload W] [--pairs N]
-#                       [--claim METRIC@WORKLOAD]
+#                       [--claim METRIC@WORKLOAD] [--failures FILE]
 #
 #   <base-rev>     side A: any commit-ish. Side B is HEAD — commit what
 #                  you want measured; the working tree is not read.
 #   --workload W   only this workload, untraced, 20 s a run (ingest_fresh,
-#                  dag_refresh, query_mix, txn_contention; needs python3 to
-#                  put each run into the suite's result format). Without
+#                  dag_refresh, query_mix, txn_contention; each run is put
+#                  into the suite's result format). Without
 #                  it every run is the whole suite, untraced then traced,
 #                  about four minutes.
 #   --pairs N      runs a side, seeds 21 … 20 + N (default 5; `compare`
@@ -22,13 +22,20 @@
 #                  base, HEAD, HEAD / base, and how many pairs HEAD won —
 #                  the within-pair reading a claim needs (nine tenths of
 #                  ten or more pairs), which two medians do not give.
-#                  Needs python3.
+#   --failures F   also write the failure summary below to F as JSON
+#                  (its directory must exist).
+#
+# After `compare` (and the claim), the script prints failed / attempted
+# client operations per side per workload, summed over the runs: a side
+# that is faster because more of its operations fail has not won.
 #
 # Worktrees, target directories and result files live under
 # target/bench-ab/ of this checkout; the worktrees are removed on exit, the
 # target directories are kept so that the next run builds incrementally.
-# Exits with `compare`'s status: non-zero when a row is `worse`; the
-# `--claim` table is printed either way and decides nothing.
+# Exits non-zero when `compare` does (a row is `worse`) or when HEAD's
+# share of failed operations exceeds the base's on any workload; the
+# `--claim` table is printed either way and decides nothing. Needs
+# python3.
 set -euo pipefail
 
 usage() {
@@ -44,6 +51,7 @@ die() {
 base=""
 workload=""
 claim=""
+failures=""
 pairs=5
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -66,6 +74,11 @@ while [ $# -gt 0 ]; do
             claim="$2"
             shift 2
             ;;
+        --failures)
+            [ $# -ge 2 ] || die "--failures takes a file name"
+            failures="$2"
+            shift 2
+            ;;
         -*)
             die "unknown option $1"
             ;;
@@ -85,6 +98,13 @@ case "$workload" in
     *) die "unknown workload '$workload'" ;;
 esac
 
+if [ -n "$failures" ]; then
+    [ -d "$(dirname "$failures")" ] || die "--failures: no directory $(dirname "$failures")"
+    [ ! -d "$failures" ] || die "--failures: $failures is a directory"
+    failures="$(cd "$(dirname "$failures")" && pwd)/$(basename "$failures")"
+fi
+command -v python3 >/dev/null || die "needs python3 (the failure summary)"
+
 root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 cd "$root"
 if [ -n "$claim" ]; then
@@ -102,13 +122,9 @@ if [ -n "$claim" ]; then
         die "--claim is on $claim_workload but only $workload is run"
     sed -n '/"end_to_end"/,/\]/p' BENCHMARK.json | grep -q "\"name\": \"$claim_metric\"" ||
         die "--claim names '$claim_metric', not an end-to-end metric of BENCHMARK.json"
-    command -v python3 >/dev/null || die "--claim needs python3"
 fi
 a_rev="$(git rev-parse --verify --quiet "$base^{commit}")" || die "'$base' is not a commit"
 b_rev="$(git rev-parse --verify HEAD)"
-if [ -n "$workload" ]; then
-    command -v python3 >/dev/null || die "--workload needs python3"
-fi
 
 work="$root/target/bench-ab"
 mkdir -p "$work/results"
@@ -140,7 +156,9 @@ run() {
 import json, sys
 detail, workload, out = sys.argv[1:]
 doc = json.load(open(detail))
-suite = {"host": doc["host"], "workloads": {workload: {"end_to_end": doc["result"]["metrics"]}}}
+result = doc["result"]
+run = {k: result[k] for k in ("correct", "attempted", "failed")}
+suite = {"host": doc["host"], "workloads": {workload: {**run, "end_to_end": result["metrics"]}}}
 json.dump(suite, open(out, "w"))
 PY
         fi
@@ -186,4 +204,36 @@ for a_path, b_path in zip(a_files.split(","), b_files.split(",")):
 print(f"  HEAD wins {wins} of {len(ratios)} pairs ({ties} tied); median HEAD/base {statistics.median(ratios):.3f}")
 PY
 fi
+python3 - "$a_files" "$b_files" "$failures" <<'PY' || status=$((status ? status : 1))
+import json, sys
+a_files, b_files, out = sys.argv[1:]
+def totals(files):
+    sums = {}
+    for path in files.split(","):
+        for workload, doc in json.load(open(path))["workloads"].items():
+            s = sums.setdefault(workload, {"attempted": 0, "failed": 0})
+            s["attempted"] += doc.get("attempted", 0)
+            s["failed"] += doc.get("failed", 0)
+    return sums
+def share(s):
+    return s["failed"] / s["attempted"] if s["attempted"] else 0.0
+base, head = totals(a_files), totals(b_files)
+print("\nfailed / attempted operations, summed over each side's runs")
+print(f"  {'workload':<16} {'base':>20} {'HEAD':>20}")
+summary, more = {}, []
+for w in sorted(set(base) | set(head)):
+    a = base.get(w, {"attempted": 0, "failed": 0})
+    b = head.get(w, {"attempted": 0, "failed": 0})
+    cell = lambda s: f"{s['failed']:.0f} / {s['attempted']:.0f}"
+    flag = share(b) > share(a)
+    print(f"  {w:<16} {cell(a):>20} {cell(b):>20}{'  HEAD fails more' if flag else ''}")
+    summary[w] = {"base": a, "head": b, "head_fails_more": flag}
+    if flag:
+        more.append(w)
+if out:
+    json.dump(summary, open(out, "w"), indent=1)
+if more:
+    print(f"bench_ab.sh: HEAD's share of failed operations exceeds the base's on {', '.join(more)}")
+    sys.exit(1)
+PY
 exit "$status"
