@@ -28,8 +28,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use dt_common::{DtError, Timestamp, Value};
 use dt_wire::{
-    read_frame, write_frame, FrameError, Hello, RemoteRows, Request, Response, ServerStats,
-    WireError, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
+    read_frame, write_frame, FrameError, Hello, RemoteRows, Request, Response, Stats, WireError,
+    DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 /// Everything that can go wrong on the client side of the wire.
@@ -362,9 +362,10 @@ impl Client {
         }))
     }
 
-    /// Fetch the server's telemetry snapshot (connections, requests,
-    /// commit pipeline, zone-map pruning).
-    pub fn stats(&mut self) -> ClientResult<ServerStats> {
+    /// Fetch the server's telemetry: the `(name, value)` list `SHOW STATS`
+    /// returns as rows (`dt_core::Engine::stats` says what each name
+    /// counts). Look a counter up with [`Stats::get`].
+    pub fn stats(&mut self) -> ClientResult<Stats> {
         match self.round_trip(&Request::Stats)? {
             Response::Stats(stats) => Ok(stats),
             other => Err(ClientError::Protocol(format!(

@@ -192,7 +192,9 @@ impl ExecResult {
 /// through [`crate::Session`] handles or [`crate::Engine::inspect`].
 pub struct EngineState {
     pub(crate) clock: SimClock,
-    pub(crate) txn: TxnManager,
+    /// `Arc`'d so the [`crate::Engine`] handle reads `active_txns` with no
+    /// engine lock (all methods take `&self`).
+    pub(crate) txn: Arc<TxnManager>,
     pub(crate) catalog: Catalog,
     pub(crate) tables: HashMap<EntityId, Arc<TableStore>>,
     /// `Arc`'d so parallel refresh workers can resolve DT versions
@@ -233,7 +235,7 @@ impl EngineState {
     /// Create an empty database at the simulation epoch.
     pub fn new(config: DbConfig) -> Self {
         let clock = SimClock::new();
-        let txn = TxnManager::new(Arc::new(clock.clone()));
+        let txn = Arc::new(TxnManager::new(Arc::new(clock.clone())));
         EngineState {
             clock,
             txn,
@@ -375,14 +377,6 @@ impl EngineState {
             ast::Statement::Query(_)
             | ast::Statement::Explain(_)
             | ast::Statement::ShowDynamicTables => self.read_statement(&stmt, params),
-            // The counters SHOW STATS reports live on the `Engine` handle
-            // (lock-free atomics outside this state), so the session
-            // answers it before ever routing here.
-            ast::Statement::ShowStats => Err(DtError::Unsupported(
-                "SHOW STATS is answered by the engine handle; execute it \
-                 through a Session"
-                    .into(),
-            )),
             ast::Statement::CreateTable {
                 name,
                 columns,
@@ -460,15 +454,18 @@ impl EngineState {
                 Ok(ExecResult::Ok(format!("{name} undropped")))
             }
             // Every write is a transaction (auto-commit DML is the
-            // one-statement kind), and transactions belong to sessions.
+            // one-statement kind), and transactions belong to sessions. The
+            // counters SHOW STATS reports live on the `Engine` handle, and
+            // sessions answer it before routing here.
             ast::Statement::Insert { .. }
             | ast::Statement::Delete { .. }
             | ast::Statement::Update { .. }
             | ast::Statement::Begin
             | ast::Statement::Commit
-            | ast::Statement::Rollback => Err(DtError::Unsupported(
-                "DML and transaction control (BEGIN/COMMIT/ROLLBACK) are \
-                 session-scoped; execute them through a Session"
+            | ast::Statement::Rollback
+            | ast::Statement::ShowStats => Err(DtError::Unsupported(
+                "DML, transaction control (BEGIN/COMMIT/ROLLBACK) and SHOW \
+                 STATS are session-scoped; execute them through a Session"
                     .into(),
             )),
             ast::Statement::AlterTableLocking { name, policy } => {

@@ -28,7 +28,7 @@
 //! `install` module — takes it briefly.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -75,6 +75,37 @@ pub struct CommitStats {
     pub group_submitted: u64,
 }
 
+/// The connection counters of the network server serving an engine. They
+/// live on the [`Engine`] handle so that [`Engine::stats`] lists them with
+/// every other counter; the server increments them, and they stay 0 while
+/// no server serves the engine. Servers sharing one engine share them,
+/// admission limit included.
+#[derive(Debug, Default)]
+pub struct ConnectionCounters {
+    /// Connections currently admitted: the server's admission count,
+    /// claimed against its connection limit.
+    pub active: AtomicUsize,
+    /// Connections admitted since the engine opened.
+    pub total: AtomicU64,
+    /// Connections turned away at the connection limit.
+    pub rejected: AtomicU64,
+    /// Requests served across all connections.
+    pub requests_served: AtomicU64,
+}
+
+/// [`ConnectionCounters`] read at one instant, with [`Engine::connection_stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ConnectionStats {
+    /// Connections currently admitted.
+    pub active_connections: u64,
+    /// Connections admitted so far.
+    pub total_connections: u64,
+    /// Connections turned away at the connection limit.
+    pub rejected_connections: u64,
+    /// Requests served across all connections.
+    pub requests_served: u64,
+}
+
 /// A shared handle to one engine. Clones are cheap and refer to the same
 /// underlying state; the handle is `Send + Sync`.
 #[derive(Clone)]
@@ -101,6 +132,11 @@ pub struct Engine {
     /// The adaptive per-table concurrency-control policy, fed by commit
     /// outcomes and steering `locks` (no engine lock either).
     pub(crate) locking: Arc<crate::locking::AdaptivePolicy>,
+    /// The transaction manager, shared with the state, so `active_txns`
+    /// needs no engine lock.
+    txns: Arc<dt_txn::TxnManager>,
+    /// Kept by the server that serves this engine, if any.
+    connections: Arc<ConnectionCounters>,
 }
 
 impl Engine {
@@ -139,7 +175,8 @@ impl Engine {
         let refresh_log = state.refresh_log().clone();
         let wal = state.wal.clone();
         let installs = Arc::new(InstallShared::new(wal.is_some()));
-        let locks = Arc::clone(state.txn.locks());
+        let txns = Arc::clone(&state.txn);
+        let locks = Arc::clone(txns.locks());
         locks.set_wait_timeout(state.config.lock_wait_timeout);
         let locking = Arc::new(crate::locking::AdaptivePolicy::new(
             Arc::clone(&locks),
@@ -157,6 +194,8 @@ impl Engine {
             wal,
             locks,
             locking,
+            txns,
+            connections: Arc::default(),
         }
     }
 
@@ -195,21 +234,78 @@ impl Engine {
         self.locks.stats()
     }
 
-    /// The `SHOW STATS` result: commit- and refresh-pipeline counters as
-    /// `name`/`value` rows. Served from the engine's lock-free telemetry,
-    /// so it answers even while a refresh round holds the write lock.
-    pub fn show_stats(&self) -> QueryResult {
-        use dt_common::{Column, DataType, Schema};
+    /// The connection counters, for the server that serves this engine to
+    /// keep.
+    pub fn connections(&self) -> &ConnectionCounters {
+        &self.connections
+    }
+
+    /// Connection telemetry: all zeros while no server serves this engine.
+    /// No engine lock is taken.
+    pub fn connection_stats(&self) -> ConnectionStats {
+        let c = &self.connections;
+        ConnectionStats {
+            active_connections: c.active.load(Ordering::Relaxed) as u64,
+            total_connections: c.total.load(Ordering::Relaxed),
+            rejected_connections: c.rejected.load(Ordering::Relaxed),
+            requests_served: c.requests_served.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Every telemetry counter, as `(name, value)` pairs in a fixed order:
+    /// the one list `SHOW STATS` (on every session, statement, transaction
+    /// and wire path) and the wire `Stats` request return. No engine lock
+    /// is taken, so it answers while a refresh round holds the write lock.
+    ///
+    /// | name | what it counts |
+    /// |---|---|
+    /// | `active_connections` | connections a server has admitted and not yet closed |
+    /// | `total_connections` | connections a server has admitted |
+    /// | `rejected_connections` | connections turned away at the server's connection limit |
+    /// | `requests_served` | wire requests served across all connections |
+    /// | `active_txns` | transactions open in the transaction manager |
+    /// | `commits` | transactions committed through the install pipeline (read-only commits excluded) |
+    /// | `conflicts` | commits aborted with a serialization conflict |
+    /// | `install_lock_acquisitions` | engine-write-lock acquisitions that installed at least one commit |
+    /// | `max_batch` | most commits installed under one acquisition |
+    /// | `group_submitted` | commits that went through the install queue |
+    /// | `zone_map_pruned` | partitions skipped by zone-map pruning, in every engine of the process |
+    /// | `refreshes` | refreshes recorded in the refresh log |
+    /// | `refresh_batches` | engine-write-lock acquisitions that installed at least one refresh |
+    /// | `refresh_max_batch` | most refreshes installed under one acquisition |
+    /// | `refresh_group_submitted` | refreshes that went through the install queue |
+    /// | `parallel_refresh_rounds` | parallel refresh rounds run |
+    /// | `refresh_workers` | worker-pool size of a parallel refresh round |
+    /// | `wal_appends` | WAL records appended (0 in memory) |
+    /// | `wal_batches` | WAL batches appended |
+    /// | `wal_fsyncs` | WAL fsync calls |
+    /// | `wal_bytes` | WAL payload bytes appended |
+    /// | `checkpoints` | checkpoints installed |
+    /// | `recovery_replayed` | WAL records replayed by the last recovery |
+    /// | `lock_waits` | times a transaction parked on a pessimistic table lock |
+    /// | `lock_wait_time_us` | microseconds spent parked on table locks |
+    /// | `lock_timeouts` | lock waits that gave up at the wait timeout |
+    /// | `deadlocks` | deadlock victims aborted |
+    /// | `tables_pessimistic` | tables currently in pessimistic locking mode |
+    /// | `adaptive_flips` | adaptive optimistic/pessimistic mode flips |
+    pub fn stats(&self) -> Vec<(&'static str, u64)> {
+        let n = self.connection_stats();
         let c = self.commit_stats();
         let r = self.refresh_stats();
         let w = self.wal_stats();
         let l = self.lock_stats();
-        let fields: [(&str, u64); 23] = [
+        vec![
+            ("active_connections", n.active_connections),
+            ("total_connections", n.total_connections),
+            ("rejected_connections", n.rejected_connections),
+            ("requests_served", n.requests_served),
+            ("active_txns", self.txns.active_txns() as u64),
             ("commits", c.commits),
             ("conflicts", c.conflicts),
             ("install_lock_acquisitions", c.install_lock_acquisitions),
             ("max_batch", c.max_batch),
             ("group_submitted", c.group_submitted),
+            ("zone_map_pruned", dt_storage::zone_map_pruned_total()),
             ("refreshes", r.refreshes),
             ("refresh_batches", r.install_lock_acquisitions),
             ("refresh_max_batch", r.max_batch),
@@ -228,12 +324,18 @@ impl Engine {
             ("deadlocks", l.deadlocks),
             ("tables_pessimistic", l.tables_pessimistic),
             ("adaptive_flips", l.adaptive_flips),
-        ];
+        ]
+    }
+
+    /// The `SHOW STATS` result: [`Engine::stats`] as `name`/`value` rows.
+    pub fn show_stats(&self) -> QueryResult {
+        use dt_common::{Column, DataType, Schema};
         let schema = Arc::new(Schema::new(vec![
             Column::new("name", DataType::Str),
             Column::new("value", DataType::Int),
         ]));
-        let rows = fields
+        let rows = self
+            .stats()
             .into_iter()
             .map(|(name, v)| Row::new(vec![Value::Str(name.into()), Value::Int(v as i64)]))
             .collect();
@@ -477,9 +579,6 @@ impl Session {
                 txn.rollback()?;
                 Ok(ExecResult::Ok("transaction rolled back".into()))
             }
-            // Engine-global telemetry, not snapshot state: answered from
-            // the lock-free counters even inside an open transaction.
-            ast::Statement::ShowStats => Ok(ExecResult::Rows(self.engine.show_stats())),
             stmt => route_statement(&self.engine, Some(&self.inner), stmt, sql, &[]),
         }
     }
@@ -611,11 +710,13 @@ impl std::fmt::Debug for Session {
 }
 
 /// The one statement router behind `Session::execute` and
-/// `Statement::execute`: inside the session's open SQL-level transaction
-/// every statement routes into it (reads come from its pinned snapshot,
-/// DML buffers); otherwise reads bind, plan and execute off a fresh
-/// snapshot with no engine lock, DML auto-commits, and everything else
-/// runs under the engine write lock as the session's role. `session` is
+/// `Statement::execute`: `SHOW STATS` is answered from the engine's
+/// counters wherever it comes from; inside the session's open SQL-level
+/// transaction every other statement routes into it (reads come from its
+/// pinned snapshot, DML buffers); otherwise reads bind, plan and execute
+/// off a fresh snapshot with no engine lock, DML auto-commits, and
+/// everything else runs under the engine write lock as the session's
+/// role. `session` is
 /// `None` when a prepared statement outlived its session: reads still
 /// run, but nothing may execute under a role other than its session's.
 fn route_statement(
@@ -625,6 +726,11 @@ fn route_statement(
     sql: &str,
     params: &[Value],
 ) -> DtResult<ExecResult> {
+    // Engine-global telemetry, not snapshot state: answered from the
+    // lock-free counters, inside an open transaction too.
+    if let ast::Statement::ShowStats = stmt {
+        return Ok(ExecResult::Rows(engine.show_stats()));
+    }
     if let Some(session) = session {
         if let Some(txn) = session.txn.lock().as_mut() {
             return txn.execute_parsed(stmt, params);

@@ -84,7 +84,9 @@ pub mod transaction;
 pub use database::{DbConfig, EngineState, ExecResult, QueryResult};
 pub use dt_common::DurabilityMode;
 pub use dt_wal::WalStatsSnapshot;
-pub use engine::{CommitStats, Engine, Session, Statement, DEFAULT_ROLE};
+pub use engine::{
+    CommitStats, ConnectionCounters, ConnectionStats, Engine, Session, Statement, DEFAULT_ROLE,
+};
 pub use locking::{AdaptiveConfig, AdaptivePolicy};
 pub use parallel_refresh::{
     InstalledRefresh, PreparedRefresh, RefreshRoundReport, RefreshStats, RoundStatus,

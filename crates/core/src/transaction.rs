@@ -382,6 +382,7 @@ impl Transaction {
             ast::Statement::Explain(_) | ast::Statement::ShowDynamicTables => {
                 self.snapshot.read_statement(&stmt, params)
             }
+            ast::Statement::ShowStats => Ok(ExecResult::Rows(self.engine.show_stats())),
             ast::Statement::Insert {
                 table,
                 values,

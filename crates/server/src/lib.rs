@@ -45,15 +45,15 @@
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dt_core::{Engine, ExecResult, Session, Statement};
+use dt_core::{ConnectionStats, Engine, ExecResult, Session, Statement};
 use dt_wire::{
-    write_frame, FrameError, FrameReader, Hello, Poll, RemoteRows, Request, Response, ServerStats,
-    WireError, PROTOCOL_VERSION,
+    write_frame, FrameError, FrameReader, Hello, Poll, RemoteRows, Request, Response, WireError,
+    PROTOCOL_VERSION,
 };
 
 /// Tuning knobs for a [`Server`].
@@ -86,56 +86,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// State shared between the accept loop, connections, and telemetry.
+/// State shared between the accept loop and connections. The connection
+/// counters live on the engine ([`Engine::connections`]), so `SHOW STATS`
+/// lists them with the engine's own.
 struct Shared {
     engine: Engine,
     config: ServerConfig,
     shutdown: AtomicBool,
-    active: AtomicUsize,
-    total_connections: AtomicU64,
-    rejected_connections: AtomicU64,
-    requests_served: AtomicU64,
-}
-
-impl Shared {
-    /// Assemble the telemetry snapshot `SHOW STATS` / [`Request::Stats`]
-    /// reports: server counters + engine commit pipeline + storage scan
-    /// pruning.
-    fn stats(&self) -> ServerStats {
-        let commit = self.engine.commit_stats();
-        let refresh = self.engine.refresh_stats();
-        let wal = self.engine.wal_stats();
-        let lock = self.engine.lock_stats();
-        let active_txns = self.engine.inspect(|s| s.txn_manager().active_txns());
-        ServerStats {
-            active_connections: self.active.load(Ordering::Relaxed) as u64,
-            total_connections: self.total_connections.load(Ordering::Relaxed),
-            rejected_connections: self.rejected_connections.load(Ordering::Relaxed),
-            requests_served: self.requests_served.load(Ordering::Relaxed),
-            active_txns: active_txns as u64,
-            commits: commit.commits,
-            conflicts: commit.conflicts,
-            install_lock_acquisitions: commit.install_lock_acquisitions,
-            max_batch: commit.max_batch,
-            group_submitted: commit.group_submitted,
-            zone_map_pruned: dt_storage::zone_map_pruned_total(),
-            refreshes: refresh.refreshes,
-            refresh_batches: refresh.install_lock_acquisitions,
-            refresh_workers: refresh.workers,
-            wal_appends: wal.appends,
-            wal_batches: wal.batches,
-            wal_fsyncs: wal.fsyncs,
-            wal_bytes: wal.bytes,
-            checkpoints: wal.checkpoints,
-            recovery_replayed: wal.recovery_replayed,
-            lock_waits: lock.waits,
-            lock_wait_time_us: lock.wait_time_us,
-            lock_timeouts: lock.timeouts,
-            deadlocks: lock.deadlocks,
-            tables_pessimistic: lock.tables_pessimistic,
-            adaptive_flips: lock.adaptive_flips,
-        }
-    }
 }
 
 /// A running wire-protocol server. Dropping it (or calling
@@ -161,10 +118,6 @@ impl Server {
             engine,
             config,
             shutdown: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            total_connections: AtomicU64::new(0),
-            rejected_connections: AtomicU64::new(0),
-            requests_served: AtomicU64::new(0),
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
@@ -185,12 +138,13 @@ impl Server {
 
     /// Connections currently admitted.
     pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::Relaxed)
+        self.shared.engine.connections().active.load(Ordering::Relaxed)
     }
 
-    /// The telemetry snapshot remote peers get from `SHOW STATS`.
-    pub fn stats(&self) -> ServerStats {
-        self.shared.stats()
+    /// The connection counters, as the engine keeps them; `SHOW STATS`
+    /// lists them with every other counter.
+    pub fn stats(&self) -> ConnectionStats {
+        self.shared.engine.connection_stats()
     }
 
     /// Graceful shutdown: stop admitting, let every connection finish
@@ -224,7 +178,7 @@ impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("local_addr", &self.local_addr)
-            .field("active_connections", &self.active_connections())
+            .field("connections", &self.stats())
             .finish()
     }
 }
@@ -235,7 +189,7 @@ struct ConnGuard(Arc<Shared>);
 
 impl Drop for ConnGuard {
     fn drop(&mut self) {
-        self.0.active.fetch_sub(1, Ordering::SeqCst);
+        self.0.engine.connections().active.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -257,13 +211,14 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         }
         // Admission control: claim a slot or reject with a typed frame.
         let limit = shared.config.max_connections;
+        let conns = shared.engine.connections();
         let mut admitted = false;
         loop {
-            let cur = shared.active.load(Ordering::SeqCst);
+            let cur = conns.active.load(Ordering::SeqCst);
             if cur >= limit {
                 break;
             }
-            if shared
+            if conns
                 .active
                 .compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
@@ -273,8 +228,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             }
         }
         if !admitted {
-            shared.rejected_connections.fetch_add(1, Ordering::Relaxed);
-            let active = shared.active.load(Ordering::SeqCst) as u32;
+            conns.rejected.fetch_add(1, Ordering::Relaxed);
+            let active = conns.active.load(Ordering::SeqCst) as u32;
             let busy = WireError::ServerBusy {
                 active,
                 limit: limit as u32,
@@ -285,7 +240,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 .spawn(move || answer_and_close(stream, &busy));
             continue;
         }
-        shared.total_connections.fetch_add(1, Ordering::Relaxed);
+        conns.total.fetch_add(1, Ordering::Relaxed);
         let conn_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("dt-server-conn".into())
@@ -297,7 +252,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             Ok(h) => conn_threads.push(h),
             // Spawn failed: the guard never ran, release the slot here.
             Err(_) => {
-                shared.active.fetch_sub(1, Ordering::SeqCst);
+                conns.active.fetch_sub(1, Ordering::SeqCst);
             }
         }
         // Reap finished threads so a long-lived server doesn't
@@ -370,12 +325,7 @@ impl Connection {
 
     fn handle(&mut self, request: Request) -> Handled {
         match request {
-            Request::Query { sql } => {
-                if is_show_stats(&sql) {
-                    return Handled::reply(stats_as_rows(&self.shared.stats()));
-                }
-                Handled::reply(exec_to_response(self.session.execute(&sql)))
-            }
+            Request::Query { sql } => Handled::reply(exec_to_response(self.session.execute(&sql))),
             Request::QueryAt { sql, at } => {
                 Handled::reply(match self.session.query_at(&sql, at) {
                     Ok(rows) => rows_response(rows),
@@ -407,35 +357,12 @@ impl Connection {
             Request::Rollback => {
                 Handled::reply(exec_to_response(self.session.execute("ROLLBACK")))
             }
-            Request::Stats => Handled::reply(Response::Stats(self.shared.stats())),
+            Request::Stats => {
+                Handled::reply(Response::Stats(self.shared.engine.stats().into_iter().collect()))
+            }
             Request::Close => Handled::last(Response::Goodbye),
         }
     }
-}
-
-/// `SHOW STATS` is served by the *server*, not the engine: the engine
-/// has no notion of connections. Recognized here so plain SQL clients
-/// can observe the service without the typed [`Request::Stats`].
-fn is_show_stats(sql: &str) -> bool {
-    sql.trim()
-        .trim_end_matches(';')
-        .trim()
-        .eq_ignore_ascii_case("SHOW STATS")
-}
-
-/// Render the stats as `(name, value)` rows for SQL-shaped consumers.
-fn stats_as_rows(stats: &ServerStats) -> Response {
-    use dt_common::{Column, DataType, Row, Schema, Value};
-    let schema = Arc::new(Schema::new(vec![
-        Column::new("name", DataType::Str),
-        Column::new("value", DataType::Int),
-    ]));
-    let rows = stats
-        .fields()
-        .into_iter()
-        .map(|(name, v)| Row::new(vec![Value::Str(name.into()), Value::Int(v as i64)]))
-        .collect();
-    Response::Rows(RemoteRows::new(schema, rows))
 }
 
 fn rows_response(rows: dt_core::QueryResult) -> Response {
@@ -605,7 +532,7 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<Shared>) {
             }
             Gather::Closed | Gather::Io => return,
         };
-        shared.requests_served.fetch_add(1, Ordering::Relaxed);
+        shared.engine.connections().requests_served.fetch_add(1, Ordering::Relaxed);
         let handled = match Request::decode(&payload) {
             Ok(request) => conn.handle(request),
             // Framing was intact — only the payload was malformed — so
@@ -635,14 +562,6 @@ fn serve_connection(mut stream: TcpStream, shared: Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn show_stats_recognizer() {
-        assert!(is_show_stats("SHOW STATS"));
-        assert!(is_show_stats("  show stats ; "));
-        assert!(!is_show_stats("SHOW DYNAMIC TABLES"));
-        assert!(!is_show_stats("SELECT 'SHOW STATS'"));
-    }
 
     #[test]
     fn default_config_is_sane() {

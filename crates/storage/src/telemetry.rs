@@ -6,9 +6,10 @@
 //! [`Partition::data_reads`](crate::partition::Partition::data_reads)
 //! and per-call counts through
 //! [`TableSnapshot::count_pruned`](crate::snapshot::TableSnapshot::count_pruned);
-//! this aggregate exists for operational surfaces — `SHOW STATS` over
-//! the wire protocol reports it — where walking every table's partitions
-//! under a lock would be the wrong trade.
+//! this aggregate exists for operational surfaces — `SHOW STATS` and the
+//! wire `Stats` request report it through `dt_core::Engine::stats`, whose
+//! rustdoc is the one table of counter names — where walking every
+//! table's partitions under a lock would be the wrong trade.
 //!
 //! The counter is monotone and process-global (the engine is a single
 //! process; a served "fleet" of engines would shard it per engine).

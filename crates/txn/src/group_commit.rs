@@ -84,18 +84,6 @@ struct QueueState<T, R> {
     leader: bool,
 }
 
-/// Counters describing the batching the queue has achieved so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QueueStats {
-    /// Requests submitted in total.
-    pub submitted: u64,
-    /// Batches processed — each batch is one leader round, i.e. one
-    /// engine-write-lock acquisition on the commit path.
-    pub batches: u64,
-    /// Largest batch processed in one round.
-    pub max_batch: u64,
-}
-
 /// A group-commit queue: concurrent [`CommitQueue::submit`] calls are
 /// batched, one submitter leads, everyone gets their own outcome. See the
 /// module docs for the protocol.
@@ -107,9 +95,6 @@ pub struct CommitQueue<T, R> {
     /// Nanoseconds a new leader waits before draining a batch that would
     /// contain only itself (see the module docs). Zero = drain at once.
     gather_ns: AtomicU64,
-    submitted: AtomicU64,
-    batches: AtomicU64,
-    max_batch: AtomicU64,
 }
 
 impl<T, R> Default for CommitQueue<T, R> {
@@ -128,9 +113,6 @@ impl<T, R> CommitQueue<T, R> {
             }),
             wake: Condvar::new(),
             gather_ns: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
         }
     }
 
@@ -151,15 +133,6 @@ impl<T, R> CommitQueue<T, R> {
             .store(window.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Batching counters so far.
-    pub fn stats(&self) -> QueueStats {
-        QueueStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
-        }
-    }
-
     /// Submit one request and block until a leader (possibly this thread)
     /// processes it; returns this request's outcome. `process` maps a
     /// batch of requests to their outcomes, one each, in order — it runs
@@ -175,7 +148,6 @@ impl<T, R> CommitQueue<T, R> {
     where
         F: FnMut(Vec<T>) -> Vec<R>,
     {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
         let slot = Arc::new(Slot {
             result: Mutex::new(None),
             poisoned: AtomicBool::new(false),
@@ -260,8 +232,6 @@ impl<T, R> CommitQueue<T, R> {
     where
         F: FnMut(Vec<T>) -> Vec<R>,
     {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.max_batch.fetch_max(batch.len() as u64, Ordering::Relaxed);
         let mut requests = Vec::with_capacity(batch.len());
         let mut slots = Vec::with_capacity(batch.len());
         for e in batch {
@@ -324,13 +294,38 @@ mod tests {
         panic!("timed out waiting for {what}");
     }
 
+    /// The sizes of the batches every `process` closure that records
+    /// into it was handed, in order: one entry per leader round.
+    #[derive(Clone, Default)]
+    struct Batches(Arc<Mutex<Vec<usize>>>);
+
+    impl Batches {
+        fn record(&self, n: usize) {
+            self.0.lock().push(n);
+        }
+
+        fn count(&self) -> usize {
+            self.0.lock().len()
+        }
+
+        /// (requests processed, batches, largest batch).
+        fn summary(&self) -> (usize, usize, usize) {
+            let sizes = self.0.lock();
+            let max = sizes.iter().copied().max().unwrap_or(0);
+            (sizes.iter().sum(), sizes.len(), max)
+        }
+    }
+
     #[test]
     fn single_submit_is_a_batch_of_one() {
         let q: CommitQueue<u32, u32> = CommitQueue::new();
-        let r = q.submit(41, |reqs| reqs.into_iter().map(|x| x + 1).collect());
+        let batches = Batches::default();
+        let r = q.submit(41, |reqs| {
+            batches.record(reqs.len());
+            reqs.into_iter().map(|x| x + 1).collect()
+        });
         assert_eq!(r, 42);
-        let s = q.stats();
-        assert_eq!((s.submitted, s.batches, s.max_batch), (1, 1, 1));
+        assert_eq!(batches.summary(), (1, 1, 1));
         assert_eq!(q.pending(), 0);
     }
 
@@ -340,14 +335,17 @@ mod tests {
         // three more submitters pile up, and the leader's SECOND round
         // processes all of them at once: 4 commits, 2 batches.
         let q: Arc<CommitQueue<u32, u32>> = Arc::new(CommitQueue::new());
+        let batches = Batches::default();
         let (entered_tx, entered_rx) = mpsc::channel::<()>();
         let (release_tx, release_rx) = mpsc::channel::<()>();
 
         let leader = {
             let q = Arc::clone(&q);
+            let batches = batches.clone();
             thread::spawn(move || {
                 let mut first = true;
                 q.submit(0, move |reqs| {
+                    batches.record(reqs.len());
                     if first {
                         first = false;
                         entered_tx.send(()).unwrap();
@@ -362,7 +360,13 @@ mod tests {
         let followers: Vec<_> = (1..4u32)
             .map(|i| {
                 let q = Arc::clone(&q);
-                thread::spawn(move || q.submit(i, |reqs| reqs.into_iter().map(|x| x * 10).collect()))
+                let batches = batches.clone();
+                thread::spawn(move || {
+                    q.submit(i, |reqs| {
+                        batches.record(reqs.len());
+                        reqs.into_iter().map(|x| x * 10).collect()
+                    })
+                })
             })
             .collect();
         wait_for(|| q.pending() == 3, "three followers to enqueue");
@@ -373,10 +377,10 @@ mod tests {
         results.sort_unstable();
         assert_eq!(results, vec![10, 20, 30]);
 
-        let s = q.stats();
-        assert_eq!(s.submitted, 4);
-        assert_eq!(s.batches, 2, "one stalled round + one batched round");
-        assert_eq!(s.max_batch, 3);
+        let (submitted, rounds, max_batch) = batches.summary();
+        assert_eq!(submitted, 4);
+        assert_eq!(rounds, 2, "one stalled round + one batched round");
+        assert_eq!(max_batch, 3);
     }
 
     #[test]
@@ -387,24 +391,29 @@ mod tests {
         // sleep joins the first batch: 2 commits, 1 batch, max_batch 2.
         let q: Arc<CommitQueue<u32, u32>> = Arc::new(CommitQueue::new());
         q.set_gather(Duration::from_millis(200));
+        let batches = Batches::default();
+        let submit = |x: u32| {
+            let q = Arc::clone(&q);
+            let batches = batches.clone();
+            thread::spawn(move || {
+                q.submit(x, |reqs| {
+                    batches.record(reqs.len());
+                    reqs.into_iter().map(|x| x * 10).collect()
+                })
+            })
+        };
 
-        let first = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || q.submit(1, |reqs| reqs.into_iter().map(|x| x * 10).collect()))
-        };
+        let first = submit(1);
         // Wait until the first submitter has enqueued (it is now inside
-        // its gather sleep, holding leadership), then submit the second.
-        wait_for(|| q.stats().submitted == 1, "the first submitter to enqueue");
-        let second = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || q.submit(2, |reqs| reqs.into_iter().map(|x| x * 10).collect()))
-        };
+        // its gather sleep, holding leadership, its own entry still
+        // pending), then submit the second.
+        wait_for(|| q.pending() == 1, "the first submitter to enqueue");
+        let second = submit(2);
 
         assert_eq!(first.join().unwrap(), 10);
         assert_eq!(second.join().unwrap(), 20);
-        let s = q.stats();
         assert_eq!(
-            (s.submitted, s.batches, s.max_batch),
+            batches.summary(),
             (2, 1, 2),
             "the second submitter must ride the gathered first batch"
         );
@@ -465,10 +474,13 @@ mod tests {
         let (entered_tx, entered_rx) = mpsc::channel::<()>();
         let (release_tx, release_rx) = mpsc::channel::<()>();
 
+        let batches = Batches::default();
         let leader = {
             let q = Arc::clone(&q);
+            let batches = batches.clone();
             thread::spawn(move || {
-                q.submit(0, move |_reqs: Vec<u32>| -> Vec<u32> {
+                q.submit(0, move |reqs: Vec<u32>| -> Vec<u32> {
+                    batches.record(reqs.len());
                     entered_tx.send(()).unwrap();
                     release_rx.recv().unwrap();
                     panic!("injected leader failure");
@@ -478,14 +490,20 @@ mod tests {
         entered_rx.recv().unwrap();
         let follower = {
             let q = Arc::clone(&q);
-            thread::spawn(move || q.submit(9, |reqs| reqs.into_iter().map(|x| x * 2).collect()))
+            let batches = batches.clone();
+            thread::spawn(move || {
+                q.submit(9, |reqs| {
+                    batches.record(reqs.len());
+                    reqs.into_iter().map(|x| x * 2).collect()
+                })
+            })
         };
         wait_for(|| q.pending() == 1, "the follower to enqueue");
         release_tx.send(()).unwrap();
 
         assert!(leader.join().is_err());
         assert_eq!(follower.join().unwrap(), 18, "unclaimed follower self-promotes");
-        assert_eq!(q.stats().batches, 2, "doomed leader round, then the follower's own");
+        assert_eq!(batches.count(), 2, "doomed leader round, then the follower's own");
     }
 
     #[test]
@@ -500,10 +518,13 @@ mod tests {
         let (entered_tx, entered_rx) = mpsc::channel::<()>();
         let (release_tx, release_rx) = mpsc::channel::<()>();
 
+        let batches = Batches::default();
         let leader = {
             let q = Arc::clone(&q);
+            let batches = batches.clone();
             thread::spawn(move || {
                 q.submit(0, move |reqs| {
+                    batches.record(reqs.len());
                     entered_tx.send(()).unwrap();
                     release_rx.recv().unwrap();
                     // Leader's closure marks outcomes +1000.
@@ -520,10 +541,14 @@ mod tests {
         for i in 1..=3u32 {
             entered_rx.recv().unwrap();
             let q2 = Arc::clone(&q);
+            let batches = batches.clone();
             followers.push(thread::spawn(move || {
                 // Follower closures mark outcomes +2000 — only the
                 // self-promoted survivor's closure ever runs.
-                q2.submit(i, |reqs| reqs.into_iter().map(|x| x + 2000).collect())
+                q2.submit(i, |reqs| {
+                    batches.record(reqs.len());
+                    reqs.into_iter().map(|x| x + 2000).collect()
+                })
             }));
             wait_for(|| q.pending() == 1, "the next submitter to enqueue");
             release_tx.send(()).unwrap();
@@ -535,6 +560,6 @@ mod tests {
         // Submitters 1 and 2 were served by the leader (+1000); submitter
         // 3 outlived the bound and served itself (+2000).
         assert_eq!(results, vec![1001, 1002, 2003]);
-        assert_eq!(q.stats().batches, 4, "three leader rounds + the survivor's own");
+        assert_eq!(batches.count(), 4, "three leader rounds + the survivor's own");
     }
 }

@@ -34,7 +34,7 @@ pub mod manager;
 pub mod refresh_map;
 
 pub use frontier::Frontier;
-pub use group_commit::{CommitQueue, QueueStats};
+pub use group_commit::CommitQueue;
 pub use hlc::{Hlc, HlcTimestamp};
 pub use lock_manager::{LockManager, LockMode, LockPolicy, LockStats};
 pub use manager::{Txn, TxnManager};

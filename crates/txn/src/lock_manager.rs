@@ -109,8 +109,9 @@ struct LockState {
     next_ticket: u64,
 }
 
-/// A point-in-time snapshot of the manager's counters, surfaced through
-/// `SHOW STATS` and the wire `ServerStats`.
+/// A point-in-time snapshot of the manager's counters. `SHOW STATS` and
+/// the wire `Stats` request report them through `dt_core::Engine::stats`,
+/// whose rustdoc is the one table of counter names.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LockStats {
     /// Wait episodes: times a transaction parked on a wait-queue.

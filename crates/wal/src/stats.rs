@@ -1,5 +1,6 @@
-//! WAL telemetry counters, surfaced through `SHOW STATS` and the wire
-//! protocol's `ServerStats`.
+//! WAL telemetry counters. `SHOW STATS` and the wire `Stats` request
+//! report them through `dt_core::Engine::stats`, whose rustdoc is the one
+//! table of counter names.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

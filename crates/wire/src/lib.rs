@@ -38,5 +38,5 @@ pub use frame::{
     read_frame, write_frame, FrameError, FrameReader, Poll, DEFAULT_MAX_FRAME_LEN,
 };
 pub use message::{
-    Hello, RemoteRows, Request, Response, ServerStats, WireError, HELLO_MAGIC, PROTOCOL_VERSION,
+    Hello, RemoteRows, Request, Response, Stats, WireError, HELLO_MAGIC, PROTOCOL_VERSION,
 };

@@ -77,7 +77,7 @@ pub enum Request {
     Commit,
     /// Roll back the connection's open transaction.
     Rollback,
-    /// Engine + server telemetry (the typed twin of `SHOW STATS`).
+    /// Telemetry: the same list `SHOW STATS` returns as rows.
     Stats,
     /// Orderly goodbye: the server answers [`Response::Goodbye`] and
     /// closes. Any open transaction rolls back.
@@ -212,157 +212,46 @@ impl<'a> IntoIterator for &'a RemoteRows {
     }
 }
 
-/// Engine + server telemetry, answered to [`Request::Stats`] (and, as
-/// `name`/`value` rows, to the SQL text `SHOW STATS`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServerStats {
-    /// Connections currently open (including the one asking).
-    pub active_connections: u64,
-    /// Connections accepted since the server started.
-    pub total_connections: u64,
-    /// Connections rejected by admission control ([`WireError::ServerBusy`]).
-    pub rejected_connections: u64,
-    /// Requests served across all connections.
-    pub requests_served: u64,
-    /// Transactions currently active in the engine's transaction manager.
-    pub active_txns: u64,
-    /// Committed transactions (engine commit pipeline).
-    pub commits: u64,
-    /// Serialization-conflict aborts (engine commit pipeline).
-    pub conflicts: u64,
-    /// Engine-write-lock acquisitions spent installing commits.
-    pub install_lock_acquisitions: u64,
-    /// Largest group-commit batch installed under one acquisition.
-    pub max_batch: u64,
-    /// Commits that rode the group-commit queue.
-    pub group_submitted: u64,
-    /// Partitions skipped by zone-map pruning across all scans.
-    pub zone_map_pruned: u64,
-    /// Refreshes recorded by the engine (serial and parallel alike).
-    pub refreshes: u64,
-    /// Engine-write-lock acquisitions spent group-installing refreshes.
-    pub refresh_batches: u64,
-    /// Worker-pool size for parallel refresh rounds.
-    pub refresh_workers: u64,
-    /// WAL records appended (zero when running in memory).
-    pub wal_appends: u64,
-    /// WAL group-commit batches appended.
-    pub wal_batches: u64,
-    /// WAL fsync calls issued (at most one per batch).
-    pub wal_fsyncs: u64,
-    /// WAL payload bytes appended.
-    pub wal_bytes: u64,
-    /// Checkpoints installed (manual and automatic).
-    pub checkpoints: u64,
-    /// WAL records replayed by the most recent recovery.
-    pub recovery_replayed: u64,
-    /// Times a transaction blocked on a pessimistic table-lock wait-queue.
-    pub lock_waits: u64,
-    /// Total microseconds spent blocked on pessimistic lock waits.
-    pub lock_wait_time_us: u64,
-    /// Lock waits that gave up after the configured timeout.
-    pub lock_timeouts: u64,
-    /// Deadlocks detected (victim aborted with `DtError::Deadlock`).
-    pub deadlocks: u64,
-    /// Tables currently running in pessimistic locking mode.
-    pub tables_pessimistic: u64,
-    /// Adaptive optimistic↔pessimistic mode flips since startup.
-    pub adaptive_flips: u64,
-}
+/// Telemetry as `(name, value)` pairs, in the order the server listed
+/// them: the answer to [`Request::Stats`]. The server sends
+/// `dt_core::Engine::stats`, whose rustdoc says what each name counts.
+/// Decoding keeps every pair, names this build does not know included.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Stats(Vec<(String, u64)>);
 
-impl ServerStats {
-    /// The stats as `(name, value)` pairs — the row form `SHOW STATS`
-    /// returns, and the single source of truth for its field order.
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("active_connections", self.active_connections),
-            ("total_connections", self.total_connections),
-            ("rejected_connections", self.rejected_connections),
-            ("requests_served", self.requests_served),
-            ("active_txns", self.active_txns),
-            ("commits", self.commits),
-            ("conflicts", self.conflicts),
-            ("install_lock_acquisitions", self.install_lock_acquisitions),
-            ("max_batch", self.max_batch),
-            ("group_submitted", self.group_submitted),
-            ("zone_map_pruned", self.zone_map_pruned),
-            ("refreshes", self.refreshes),
-            ("refresh_batches", self.refresh_batches),
-            ("refresh_workers", self.refresh_workers),
-            ("wal_appends", self.wal_appends),
-            ("wal_batches", self.wal_batches),
-            ("wal_fsyncs", self.wal_fsyncs),
-            ("wal_bytes", self.wal_bytes),
-            ("checkpoints", self.checkpoints),
-            ("recovery_replayed", self.recovery_replayed),
-            ("lock_waits", self.lock_waits),
-            ("lock_wait_time_us", self.lock_wait_time_us),
-            ("lock_timeouts", self.lock_timeouts),
-            ("deadlocks", self.deadlocks),
-            ("tables_pessimistic", self.tables_pessimistic),
-            ("adaptive_flips", self.adaptive_flips),
-        ]
+impl Stats {
+    /// The value of the counter `name`, if the server reported one.
+    pub fn get(&self, name: &str) -> Option<u64> {
+        self.0.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
-    /// Rebuild from `(name, value)` pairs; unknown names are ignored so
-    /// newer servers can add fields without breaking older clients.
-    pub fn from_fields<'a>(fields: impl IntoIterator<Item = (&'a str, u64)>) -> ServerStats {
-        let mut s = ServerStats::default();
-        for (name, v) in fields {
-            match name {
-                "active_connections" => s.active_connections = v,
-                "total_connections" => s.total_connections = v,
-                "rejected_connections" => s.rejected_connections = v,
-                "requests_served" => s.requests_served = v,
-                "active_txns" => s.active_txns = v,
-                "commits" => s.commits = v,
-                "conflicts" => s.conflicts = v,
-                "install_lock_acquisitions" => s.install_lock_acquisitions = v,
-                "max_batch" => s.max_batch = v,
-                "group_submitted" => s.group_submitted = v,
-                "zone_map_pruned" => s.zone_map_pruned = v,
-                "refreshes" => s.refreshes = v,
-                "refresh_batches" => s.refresh_batches = v,
-                "refresh_workers" => s.refresh_workers = v,
-                "wal_appends" => s.wal_appends = v,
-                "wal_batches" => s.wal_batches = v,
-                "wal_fsyncs" => s.wal_fsyncs = v,
-                "wal_bytes" => s.wal_bytes = v,
-                "checkpoints" => s.checkpoints = v,
-                "recovery_replayed" => s.recovery_replayed = v,
-                "lock_waits" => s.lock_waits = v,
-                "lock_wait_time_us" => s.lock_wait_time_us = v,
-                "lock_timeouts" => s.lock_timeouts = v,
-                "deadlocks" => s.deadlocks = v,
-                "tables_pessimistic" => s.tables_pessimistic = v,
-                "adaptive_flips" => s.adaptive_flips = v,
-                _ => {}
-            }
-        }
-        s
+    /// The pairs, in the server's order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.0.iter().map(|(n, v)| (n.as_str(), *v))
     }
 
     fn put(&self, w: &mut Writer) {
-        let fields = self.fields();
-        w.put_len(fields.len());
-        for (name, v) in fields {
+        w.put_len(self.0.len());
+        for (name, v) in self.iter() {
             w.put_str(name);
             w.put_u64(v);
         }
     }
 
-    fn get(r: &mut Reader<'_>) -> DecodeResult<ServerStats> {
-        // Each field is at least a 4-byte name length + 8-byte value.
+    fn read(r: &mut Reader<'_>) -> DecodeResult<Stats> {
+        // Each pair is at least a 4-byte name length + 8-byte value.
         let n = r.get_len(12)?;
-        let mut fields = Vec::with_capacity(n);
+        let mut pairs = Vec::with_capacity(n);
         for _ in 0..n {
-            let name = r.get_str()?;
-            let v = r.get_u64()?;
-            fields.push((name, v));
+            pairs.push((r.get_str()?, r.get_u64()?));
         }
-        Ok(ServerStats::from_fields(
-            fields.iter().map(|(n, v)| (n.as_str(), *v)),
-        ))
+        Ok(Stats(pairs))
+    }
+}
+
+impl<N: Into<String>> FromIterator<(N, u64)> for Stats {
+    fn from_iter<I: IntoIterator<Item = (N, u64)>>(pairs: I) -> Self {
+        Stats(pairs.into_iter().map(|(n, v)| (n.into(), v)).collect())
     }
 }
 
@@ -469,8 +358,8 @@ pub enum Response {
     /// A prepared statement handle: connection-scoped id plus the number
     /// of `?` parameters the statement expects.
     Prepared { id: u64, params: u16 },
-    /// Telemetry snapshot.
-    Stats(ServerStats),
+    /// Telemetry: `(name, value)` pairs.
+    Stats(Stats),
     /// The request failed. Engine errors leave the connection usable.
     Err(WireError),
     /// Orderly close acknowledgment; the server closes after sending.
@@ -553,7 +442,7 @@ impl Response {
                 id: r.get_u64()?,
                 params: r.get_u16()?,
             },
-            RESP_STATS => Response::Stats(ServerStats::get(&mut r)?),
+            RESP_STATS => Response::Stats(Stats::read(&mut r)?),
             RESP_ERR => Response::Err(WireError::get(&mut r)?),
             RESP_GOODBYE => Response::Goodbye,
             tag => {
@@ -802,34 +691,11 @@ mod tests {
             ],
         )));
         round_trip_response(Response::Prepared { id: 3, params: 2 });
-        round_trip_response(Response::Stats(ServerStats {
-            active_connections: 4,
-            total_connections: 10,
-            rejected_connections: 1,
-            requests_served: 1234,
-            active_txns: 2,
-            commits: 55,
-            conflicts: 3,
-            install_lock_acquisitions: 20,
-            max_batch: 4,
-            group_submitted: 40,
-            zone_map_pruned: 17,
-            refreshes: 9,
-            refresh_batches: 5,
-            refresh_workers: 8,
-            wal_appends: 120,
-            wal_batches: 60,
-            wal_fsyncs: 60,
-            wal_bytes: 65536,
-            checkpoints: 2,
-            recovery_replayed: 11,
-            lock_waits: 31,
-            lock_wait_time_us: 420_000,
-            lock_timeouts: 2,
-            deadlocks: 1,
-            tables_pessimistic: 3,
-            adaptive_flips: 6,
-        }));
+        round_trip_response(Response::Stats(Stats::from_iter([
+            ("active_connections", 4),
+            ("commits", 55),
+            ("wal_bytes", 65536),
+        ])));
         round_trip_response(Response::Goodbye);
     }
 
@@ -910,13 +776,26 @@ mod tests {
 
     #[test]
     fn stats_tolerate_unknown_fields() {
-        let s = ServerStats {
-            commits: 7,
-            ..Default::default()
+        // A name this build has never heard of decodes intact, in place.
+        let stats = Stats::from_iter([("commits", 7), ("a_future_counter", 123), ("deadlocks", 0)]);
+        let bytes = Response::Stats(stats.clone()).encode();
+        // The layout: tag, pair count, then (name: str, value: u64) pairs.
+        let mut w = Writer::new();
+        w.put_u8(RESP_STATS);
+        w.put_len(3);
+        for (name, v) in [("commits", 7), ("a_future_counter", 123), ("deadlocks", 0)] {
+            w.put_str(name);
+            w.put_u64(v);
+        }
+        assert_eq!(bytes, w.into_bytes());
+        let Response::Stats(back) = Response::decode(&bytes).unwrap() else {
+            panic!("wrong response shape");
         };
-        let mut fields: Vec<(&str, u64)> = s.fields();
-        fields.push(("a_future_counter", 123));
-        let back = ServerStats::from_fields(fields);
-        assert_eq!(back, s);
+        assert_eq!(back, stats);
+        assert_eq!(back.get("a_future_counter"), Some(123));
+        assert_eq!(back.get("commits"), Some(7));
+        assert_eq!(back.get("no_such_counter"), None);
+        let names: Vec<&str> = back.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["commits", "a_future_counter", "deadlocks"]);
     }
 }

@@ -260,10 +260,11 @@ fn sessions_share_one_engine_but_keep_their_own_roles() {
     assert!(analyst.manual_refresh("d").is_ok());
 }
 
-/// `SHOW STATS` and the four stats accessors read only the engine's
-/// lock-free telemetry — WAL counters included — so they answer while
-/// another thread sits inside the engine **write** lock: the statement
-/// that says what the install pipeline is doing never waits for it.
+/// `SHOW STATS` (executed, prepared, and over the wire) and the four
+/// stats accessors read only the engine's lock-free telemetry — WAL
+/// counters and `active_txns` included — so they answer while another
+/// thread sits inside the engine **write** lock: the statement that says
+/// what the install pipeline is doing never waits for it.
 #[test]
 fn stats_answer_while_the_engine_write_lock_is_held() {
     let dir = std::env::temp_dir().join(format!("dt-stats-lock-free-{}", std::process::id()));
@@ -272,6 +273,10 @@ fn stats_answer_while_the_engine_write_lock_is_held() {
     let session = engine.session();
     session.execute("CREATE TABLE t (k INT)").unwrap();
     session.execute("INSERT INTO t VALUES (1)").unwrap();
+    let server =
+        dt_server::Server::bind(engine.clone(), "127.0.0.1:0", dt_server::ServerConfig::default())
+            .unwrap();
+    let mut client = dt_client::Client::connect(server.local_addr()).unwrap();
 
     let (held_tx, held_rx) = mpsc::channel();
     let (release_tx, release_rx) = mpsc::channel::<()>();
@@ -287,12 +292,18 @@ fn stats_answer_while_the_engine_write_lock_is_held() {
         held_rx.recv().unwrap();
         scope.spawn(|| {
             let shown = session.execute("SHOW STATS").unwrap().into_rows().unwrap();
+            let prepared = session.prepare("SHOW STATS").unwrap().execute(&[]).unwrap();
+            let remote = client.stats().unwrap();
+            let remote_shown = client.query("SHOW STATS").unwrap();
             let stats = (
                 shown.len(),
                 engine.wal_stats(),
                 engine.commit_stats(),
                 engine.refresh_stats(),
                 engine.lock_stats(),
+                prepared.into_rows().unwrap().len(),
+                remote,
+                remote_shown.len(),
             );
             stats_tx.send(stats).unwrap();
         });
@@ -302,9 +313,15 @@ fn stats_answer_while_the_engine_write_lock_is_held() {
         release_tx.send(()).unwrap();
         answered
     });
-    let (shown, wal, commits, _, _) = answered.expect("stats waited for the engine write lock");
-    assert_eq!(shown, 23);
+    let (shown, wal, commits, _, _, prepared, remote, remote_shown) =
+        answered.expect("stats waited for the engine write lock");
+    assert_eq!(shown, 29);
     assert_eq!((wal.appends, commits.commits), (2, 1));
+    assert_eq!((prepared, remote.iter().count(), remote_shown), (29, 29, 29));
+    assert_eq!(remote.get("active_connections"), Some(1));
+    assert_eq!(remote.get("wal_appends"), Some(2));
+    drop(client);
+    server.shutdown();
     drop((session, engine));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -277,7 +277,7 @@ fn remote_transfers(clients: usize, transfers_each: usize, pessimistic: bool) ->
 
     // The commit pipeline was actually exercised remotely.
     let stats = setup.stats().unwrap();
-    assert!(stats.commits >= total.committed as u64);
+    assert!(stats.get("commits").unwrap() >= total.committed as u64);
     server.shutdown();
     total
 }
@@ -321,12 +321,20 @@ fn show_stats_over_the_wire() {
 
     // Typed surface.
     let stats = client.stats().unwrap();
-    assert!(stats.active_connections >= 1);
-    assert!(stats.total_connections >= 1);
-    assert!(stats.requests_served >= 3);
-    assert!(stats.commits >= 1, "expected commits, got {}", stats.commits);
-    assert!(stats.refreshes >= 1, "expected refreshes, got {}", stats.refreshes);
-    assert!(stats.refresh_workers >= 1);
+    assert!(stats.get("active_connections").unwrap() >= 1);
+    assert!(stats.get("total_connections").unwrap() >= 1);
+    assert!(stats.get("requests_served").unwrap() >= 3);
+    assert!(
+        stats.get("commits").unwrap() >= 1,
+        "expected commits, got {}",
+        stats.get("commits").unwrap()
+    );
+    assert!(
+        stats.get("refreshes").unwrap() >= 1,
+        "expected refreshes, got {}",
+        stats.get("refreshes").unwrap()
+    );
+    assert!(stats.get("refresh_workers").unwrap() >= 1);
 
     // SQL surface: `SHOW STATS` as (name, value) rows, same numbers.
     let rows = client.query("SHOW STATS").unwrap();
@@ -371,6 +379,81 @@ fn show_stats_over_the_wire() {
     server.shutdown();
 }
 
+/// The names of a `SHOW STATS` result, in order, with their values.
+fn stat_rows(rows: &[dt_common::Row]) -> Vec<(String, u64)> {
+    rows.iter()
+        .map(|row| match (&row.values()[0], &row.values()[1]) {
+            (Value::Str(name), Value::Int(v)) => (name.clone(), *v as u64),
+            other => panic!("expected (Str, Int), got {other:?}"),
+        })
+        .collect()
+}
+
+/// `SHOW STATS` has one answer: a session, a prepared statement, SQL
+/// `BEGIN … COMMIT`, a `Transaction` handle, a wire `Query`, a wire
+/// prepared statement and the typed `Client::stats` all list the same
+/// names in the same order.
+#[test]
+fn show_stats_is_one_list_on_every_path() {
+    let engine = Engine::new(DbConfig::default());
+    engine.create_warehouse("wh", 1).unwrap();
+    let s = engine.session();
+    s.execute("CREATE TABLE t (x INT)").unwrap();
+    s.execute("INSERT INTO t VALUES (1)").unwrap();
+    s.execute("CREATE DYNAMIC TABLE d TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT x FROM t")
+        .unwrap();
+
+    // In process, with no server serving the engine.
+    let session = stat_rows(s.query("SHOW STATS").unwrap().rows());
+    let prepared = s.prepare("SHOW STATS").unwrap().execute(&[]).unwrap();
+    let prepared = stat_rows(&prepared.into_rows().unwrap());
+    s.execute("BEGIN").unwrap();
+    let in_sql_txn = stat_rows(s.query("SHOW STATS").unwrap().rows());
+    s.execute("COMMIT").unwrap();
+    let mut txn = s.begin();
+    let in_handle = stat_rows(&txn.execute("SHOW STATS").unwrap().into_rows().unwrap());
+    txn.rollback().unwrap();
+
+    let value = |list: &[(String, u64)], name: &str| {
+        list.iter().find(|(n, _)| n == name).unwrap_or_else(|| panic!("no {name}")).1
+    };
+    let connection_counters =
+        ["active_connections", "total_connections", "rejected_connections", "requests_served"];
+    for name in connection_counters {
+        assert_eq!(value(&session, name), 0, "{name} with no server");
+    }
+    assert!(value(&session, "commits") >= 1);
+    assert!(value(&session, "refreshes") >= 1);
+
+    // Over the wire.
+    let server = Server::bind(engine.clone(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let wire = stat_rows(client.query("SHOW STATS").unwrap().rows());
+    let stmt = client.prepare("SHOW STATS").unwrap();
+    let wire_prepared = stat_rows(client.query_prepared(stmt, &[]).unwrap().rows());
+    let typed: Vec<(String, u64)> =
+        client.stats().unwrap().iter().map(|(n, v)| (n.to_string(), v)).collect();
+    assert!(value(&typed, "active_connections") >= 1);
+    assert!(value(&typed, "requests_served") >= 3);
+
+    let names = |list: &[(String, u64)]| list.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+    let expected = names(&session);
+    for (path, list) in [
+        ("prepared statement", &prepared),
+        ("SQL BEGIN … COMMIT", &in_sql_txn),
+        ("Transaction handle", &in_handle),
+        ("wire Query", &wire),
+        ("wire Prepare / ExecutePrepared", &wire_prepared),
+        ("Client::stats", &typed),
+    ] {
+        assert_eq!(names(list), expected, "{path} lists other names than Session::execute");
+    }
+    let unique: std::collections::HashSet<_> = expected.iter().collect();
+    assert_eq!((expected.len(), unique.len()), (29, 29), "{expected:?}");
+    client.close().unwrap();
+    server.shutdown();
+}
+
 #[test]
 fn durable_server_reports_wal_stats_and_survives_restart() {
     let dir = std::env::temp_dir()
@@ -387,16 +470,21 @@ fn durable_server_reports_wal_stats_and_survives_restart() {
     client.execute("INSERT INTO t VALUES (1), (2)").unwrap();
     client.execute("INSERT INTO t VALUES (3)").unwrap();
     let stats = client.stats().unwrap();
-    assert!(stats.wal_appends >= 3, "expected WAL appends, got {}", stats.wal_appends);
-    assert!(stats.wal_batches >= 3);
-    assert!(stats.wal_bytes > 0);
+    assert!(
+        stats.get("wal_appends").unwrap() >= 3,
+        "expected WAL appends, got {}",
+        stats.get("wal_appends").unwrap()
+    );
+    assert!(stats.get("wal_batches").unwrap() >= 3);
+    assert!(stats.get("wal_bytes").unwrap() > 0);
     // Steady state is one fsync per group-commit batch (segment creation
     // and directory syncs at open time are excluded by the delta).
     assert!(
-        stats.wal_fsyncs - before.wal_fsyncs <= stats.wal_batches - before.wal_batches,
+        stats.get("wal_fsyncs").unwrap() - before.get("wal_fsyncs").unwrap()
+            <= stats.get("wal_batches").unwrap() - before.get("wal_batches").unwrap(),
         "more than one fsync per batch: {} fsyncs for {} batches",
-        stats.wal_fsyncs - before.wal_fsyncs,
-        stats.wal_batches - before.wal_batches
+        stats.get("wal_fsyncs").unwrap() - before.get("wal_fsyncs").unwrap(),
+        stats.get("wal_batches").unwrap() - before.get("wal_batches").unwrap()
     );
     drop(client);
     server.shutdown();
@@ -412,7 +500,7 @@ fn durable_server_reports_wal_stats_and_survives_restart() {
         vec![1, 2, 3]
     );
     let stats = client.stats().unwrap();
-    assert!(stats.recovery_replayed > 0, "recovery_replayed not reported");
+    assert!(stats.get("recovery_replayed").unwrap() > 0, "recovery_replayed not reported");
     drop(client);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
