@@ -24,6 +24,7 @@ use dt_storage::TableStore;
 use dt_txn::{Frontier, RefreshTsMap, TxnManager};
 
 use crate::durability::{SideEffect, WalRecord, WalShared};
+use crate::engine::Engine;
 use crate::providers::VersionSemantics;
 use crate::refresh::RefreshLog;
 
@@ -422,9 +423,10 @@ impl EngineState {
                 self.wal_log_catalog(SideEffect::None)?;
                 Ok(ExecResult::Ok(format!("view {name} created")))
             }
-            ast::Statement::CreateDynamicTable(cdt) => {
-                self.create_dynamic_table(sql, cdt, role)
-            }
+            // Its initialization computes with no engine lock held.
+            ast::Statement::CreateDynamicTable(_) => Err(DtError::Unsupported(
+                "CREATE DYNAMIC TABLE runs through a Session".into(),
+            )),
             ast::Statement::Clone { name, source } => self.clone_entity(&name, &source, role),
             ast::Statement::Drop { name } => {
                 let now = self.now();
@@ -499,17 +501,19 @@ impl EngineState {
                     }
                     ast::AlterDtAction::Resume => {
                         let now = self.now();
-                        self.catalog.set_dt_state(id, DtState::Active, now)?;
+                        // Never initialized (its initialization failed until
+                        // it was suspended): it waits for one again.
+                        let data = self.scheduler.state(id).and_then(|s| s.last_data_ts);
+                        let state = data.map_or(DtState::Initializing, |_| DtState::Active);
+                        self.catalog.set_dt_state(id, state, now)?;
                         self.scheduler.set_suspended(id, false)?;
                         self.wal_log_catalog(SideEffect::None)?;
                         Ok(ExecResult::Ok(format!("{name} resumed")))
                     }
-                    ast::AlterDtAction::Refresh => {
-                        let n = self.manual_refresh(&name, role)?;
-                        Ok(ExecResult::Ok(format!(
-                            "{name} refreshed ({n} refreshes executed)"
-                        )))
-                    }
+                    // A refresh computes with no engine lock held.
+                    ast::AlterDtAction::Refresh => Err(DtError::Unsupported(
+                        "ALTER DYNAMIC TABLE … REFRESH runs through a Session".into(),
+                    )),
                 }
             }
         }
@@ -638,12 +642,15 @@ impl EngineState {
     // Dynamic tables
     // ------------------------------------------------------------------
 
-    fn create_dynamic_table(
+    /// The catalog part of `CREATE DYNAMIC TABLE`: the DT, its store and
+    /// its schedule, left `Initializing`. A session initializes it once the
+    /// write lock has dropped (`INITIALIZE = ON_SCHEDULE`: the scheduler).
+    pub(crate) fn create_dynamic_table(
         &mut self,
         original_sql: &str,
         cdt: ast::CreateDynamicTable,
         role: &str,
-    ) -> DtResult<ExecResult> {
+    ) -> DtResult<EntityId> {
         // The warehouse must exist (§3.3.1).
         self.warehouses.get(&cdt.warehouse)?;
         let out = self.bind_query(&cdt.query)?;
@@ -726,62 +733,66 @@ impl EngineState {
             partition_capacity: self.config.partition_capacity,
             created_ts: now,
         })?;
-        if cdt.initialize_on_create {
-            self.initialize_dt(id)?;
-        }
-        Ok(ExecResult::Ok(format!("dynamic table {} created", cdt.name)))
+        Ok(id)
     }
+}
 
+impl Engine {
     /// Initialize a DT (§3.1.2): pick an initialization data timestamp that
     /// reuses recent upstream data where possible, ensure the upstream
-    /// chain has data at that timestamp, then run the initial refresh.
-    pub fn initialize_dt(&mut self, id: EntityId) -> DtResult<()> {
-        // Take "now" from the HLC: strictly after every commit so far, so
-        // the initialization sees all previously committed data.
-        let now = self.txn.hlc().tick();
-        let mut ts = self.scheduler.choose_init_ts(id, now);
-        // If any upstream DT is already ahead of the chosen timestamp, we
-        // cannot rewind it; fall forward to now.
-        for up in self.catalog.upstream_of(id) {
-            if self.is_dt(up) {
-                if let Some(st) = self.scheduler.state(up) {
-                    if st.last_data_ts.map(|t| t > ts).unwrap_or(false) {
-                        ts = now;
-                    }
+    /// chain has data at that timestamp, then run the initial refresh,
+    /// whose install marks the DT initialized and `Active`.
+    pub(crate) fn initialize_dt(&self, id: EntityId) -> DtResult<()> {
+        let mut attempt = 0;
+        loop {
+            let ts = {
+                let st = self.state.read();
+                // Dropped, suspended, or initialized by a concurrent caller.
+                let dt = st.catalog.get(id).ok().filter(|e| e.is_live());
+                if dt.and_then(|e| e.as_dt()).map(|m| m.state) != Some(DtState::Initializing) {
+                    return Ok(());
                 }
+                // Take "now" from the HLC: strictly after every commit so
+                // far, so the initialization sees all committed data.
+                let now = st.txn.hlc().tick();
+                let chosen = st.scheduler.choose_init_ts(id, now);
+                // If any upstream DT is already ahead of the chosen
+                // timestamp, we cannot rewind it; fall forward to now.
+                let data_ts = |up| st.scheduler.state(up).and_then(|s| s.last_data_ts);
+                let ahead = |up| st.is_dt(up) && data_ts(up) > Some(chosen);
+                if st.catalog.upstream_of(id).into_iter().any(ahead) { now } else { chosen }
+            };
+            let outcome = match self.ensure_upstream_at(id, ts).and_then(|()| self.refresh(id, ts, true)) {
+                // A concurrent refresh holds a DT of the chain or moved it past
+                // `ts`: back off (1 ms, doubling, ~1 s in all), choose again.
+                Err(DtError::Conflict(_)) if attempt < 10 => {
+                    std::thread::sleep(std::time::Duration::from_millis(1 << attempt));
+                    attempt += 1;
+                    continue;
+                }
+                run => run?,
+            };
+            if let RefreshAction::Failed(msg) = outcome.action {
+                return Err(DtError::Evaluation(format!("initialization failed: {msg}")));
             }
+            return Ok(());
         }
-        self.ensure_upstream_at(id, ts)?;
-        let outcome = self.run_refresh(id, ts, true)?;
-        if let RefreshAction::Failed(msg) = &outcome.action {
-            return Err(DtError::Evaluation(format!(
-                "initialization failed: {msg}"
-            )));
-        }
-        self.scheduler.mark_initialized(id, ts)?;
-        self.catalog.set_dt_state(id, DtState::Active, now)?;
-        self.wal_log_catalog(SideEffect::None)?;
-        Ok(())
     }
 
     /// Ensure every upstream DT of `id` has data at exactly `ts`,
     /// refreshing the chain in dependency order where needed.
-    fn ensure_upstream_at(&mut self, id: EntityId, ts: Timestamp) -> DtResult<()> {
-        for up in self.catalog.upstream_of(id) {
-            if !self.is_dt(up) {
-                continue;
-            }
-            if self.refresh_map.exact_version_for(up, ts).is_ok() {
+    fn ensure_upstream_at(&self, id: EntityId, ts: Timestamp) -> DtResult<()> {
+        for up in self.inspect(|st| st.catalog.upstream_of(id)) {
+            if self.inspect(|st| !st.is_dt(up) || st.refresh_map.exact_version_for(up, ts).is_ok()) {
                 continue;
             }
             self.ensure_upstream_at(up, ts)?;
-            let outcome = self.run_refresh(up, ts, false)?;
-            if let RefreshAction::Failed(msg) = &outcome.action {
+            if let RefreshAction::Failed(msg) = self.refresh(up, ts, false)?.action {
                 return Err(DtError::Evaluation(format!(
                     "upstream refresh of {up} failed: {msg}"
                 )));
             }
-            self.scheduler.mark_initialized(up, ts)?;
+            self.state.write().scheduler.mark_initialized(up, ts)?;
         }
         Ok(())
     }
@@ -789,42 +800,48 @@ impl EngineState {
     /// Manual refresh (§3.2): data timestamp after the command was issued;
     /// refreshes the whole upstream chain. Returns the number of refreshes
     /// executed. The clock advances by each refresh's duration (the command
-    /// blocks).
-    pub fn manual_refresh(&mut self, name: &str, role: &str) -> DtResult<usize> {
-        let id = self.catalog.resolve(name)?.id;
-        let meta = self
-            .catalog
-            .get(id)?
-            .as_dt()
-            .ok_or_else(|| DtError::Unsupported(format!("'{name}' is not a dynamic table")))?;
-        // OPERATE or OWNERSHIP required (§3.4), checked against the
-        // *session* role the command arrived on.
-        self.catalog
-            .check_privilege(role, name, dt_catalog::Privilege::Operate)?;
-        let _ = meta;
-        // §3.2: a manual refresh chooses a data timestamp after the command
-        // was issued (the HLC guarantees it is after every prior commit).
-        let now = self.txn.hlc().tick();
-        let plan = self.scheduler.manual_refresh_plan(id, now);
-        let mut executed = 0;
-        for cmd in plan {
-            let outcome = self.run_refresh(cmd.dt, cmd.refresh_ts, false)?;
-            let wh_name = self.dt_warehouse[&cmd.dt].clone();
-            let units = outcome.work_units;
-            let start = self.now();
-            let duration = if units > 0.0 {
-                self.warehouses.get_mut(&wh_name)?.execute(start, units)
+    /// blocks). The write lock is held to plan and, after each install, to
+    /// charge the warehouse and report — never across a compute.
+    pub(crate) fn manual_refresh(&self, name: &str, role: &str) -> DtResult<usize> {
+        let plan = {
+            let mut st = self.state.write();
+            let e = st.catalog.resolve(name)?;
+            let not_dt = || DtError::Unsupported(format!("'{name}' is not a dynamic table"));
+            let id = e.as_dt().map(|_| e.id).ok_or_else(not_dt)?;
+            // OPERATE or OWNERSHIP required (§3.4), checked against the
+            // *session* role the command arrived on.
+            st.catalog
+                .check_privilege(role, name, dt_catalog::Privilege::Operate)?;
+            // §3.2: a data timestamp after the command was issued (the HLC
+            // guarantees it is after every prior commit).
+            let now = st.txn.hlc().tick();
+            st.scheduler.manual_refresh_plan(id, now)
+        };
+        let mut reported = 0;
+        let run = plan.iter().try_for_each(|cmd| {
+            let outcome = self.refresh(cmd.dt, cmd.refresh_ts, false)?;
+            let st = &mut *self.state.write();
+            let start = st.now();
+            let duration = if outcome.work_units > 0.0 {
+                let wh = &st.dt_warehouse[&cmd.dt];
+                st.warehouses.get_mut(wh)?.execute(start, outcome.work_units)
             } else {
                 Duration::ZERO
             };
-            self.clock.advance(duration);
-            let ended = self.now();
+            st.clock.advance(duration);
+            let ended = st.now();
             let mut wal_records = Vec::new();
-            self.report_refresh(cmd.dt, cmd.refresh_ts, &outcome, ended, &mut wal_records)?;
-            self.wal_append(&wal_records)?;
-            executed += 1;
+            st.report_refresh(cmd.dt, cmd.refresh_ts, &outcome, ended, &mut wal_records)?;
+            reported += 1;
+            st.wal_append(&wal_records)
+        });
+        // An issued refresh that did not run must not stay in flight.
+        if let Err(e) = run {
+            let mut st = self.state.write();
+            plan[reported..].iter().for_each(|cmd| st.scheduler.abandon(cmd.dt));
+            return Err(e);
         }
-        Ok(executed)
+        Ok(plan.len())
     }
 }
 

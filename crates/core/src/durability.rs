@@ -23,8 +23,9 @@
 //! commits and refreshes share its [`dt_txn::CommitQueue`]) appends its
 //! whole batch with **one** `fsync` while still holding the engine write
 //! lock: durable strictly before acknowledged *and* before visible, at
-//! ≤ 1 fsync per batch. An inline refresh (`EngineState::run_refresh`)
-//! and an auto-commit statement are batches of one.
+//! ≤ 1 fsync per batch. Every refresh rides that queue; only an
+//! auto-commit statement (`commit_unbatched`) installs inline, as a batch
+//! of one.
 //!
 //! The bytes of every record and of the checkpoint image are written with
 //! [`dt_common::codec`]; the file formats around them belong to `dt-wal`.
@@ -501,7 +502,7 @@ impl EngineState {
     }
 
     /// Append `records` as one framed, CRC'd, fsynced batch — called by
-    /// `EngineState::install_batch` and the DDL paths, always while the
+    /// the install leader (`install_batch`) and the DDL paths, always while the
     /// engine write lock is held, so durability strictly precedes
     /// visibility. Crosses the auto-checkpoint threshold afterwards when
     /// enough bytes accumulated.

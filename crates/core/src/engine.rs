@@ -23,9 +23,9 @@
 //! pinned versions — then release it and bind, plan, and execute entirely
 //! against the snapshot. Readers therefore never wait behind an in-flight
 //! refresh. DML commits through [`Transaction`] (auto-commit is the
-//! one-statement kind); DDL and inline refreshes run under the write lock,
-//! and every install — DML or refresh, through the one pipeline of the
-//! `install` module — takes it briefly.
+//! one-statement kind); DDL runs under the write lock; a refresh computes
+//! with no engine lock held, and every install — DML or refresh, through
+//! the one pipeline of the `install` module — takes it briefly.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -42,7 +42,6 @@ use crate::database::{
 };
 use crate::install::InstallShared;
 use crate::refresh::{RefreshLog, RefreshLogEntry};
-use crate::simulate::SimStats;
 use crate::snapshot::ReadSnapshot;
 use crate::transaction::{is_serialization_conflict, Transaction};
 
@@ -370,8 +369,10 @@ impl Engine {
 
     /// Run a closure over the engine state under the **write** lock — the
     /// mutable counterpart of [`Engine::inspect`], for maintenance tasks
-    /// and tests that need exclusive access (e.g. driving refreshes by
-    /// hand while asserting readers stay unblocked).
+    /// and tests that need exclusive access (e.g. holding the lock while
+    /// asserting readers stay unblocked). No refresh can run inside it:
+    /// its pin takes the read lock and its install the queue leader's
+    /// write lock.
     pub fn inspect_mut<R>(&self, f: impl FnOnce(&mut EngineState) -> R) -> R {
         f(&mut self.state.write())
     }
@@ -407,13 +408,6 @@ impl Engine {
     /// Create a virtual warehouse with `nodes` nodes (§3.3.1).
     pub fn create_warehouse(&self, name: &str, nodes: u32) -> DtResult<()> {
         self.state.write().create_warehouse(name, nodes)
-    }
-
-    /// Run the scheduler until the virtual clock reaches `end`. Holds the
-    /// write lock, so call it in short slices when readers should
-    /// interleave.
-    pub fn run_scheduler_until(&self, end: Timestamp) -> DtResult<SimStats> {
-        self.state.write().run_scheduler_until(end)
     }
 
     /// A handle to the refresh log (every refresh executed so far). O(1):
@@ -684,7 +678,7 @@ impl Session {
 
     /// Trigger a manual refresh of a DT and its upstream chain (§3.2).
     pub fn manual_refresh(&self, name: &str) -> DtResult<usize> {
-        self.engine.state.write().manual_refresh(name, &self.role())
+        self.engine.manual_refresh(name, &self.role())
     }
 
     /// Grant a privilege on a named entity to a role (§3.4).
@@ -714,9 +708,10 @@ impl std::fmt::Debug for Session {
 /// counters wherever it comes from; inside the session's open SQL-level
 /// transaction every other statement routes into it (reads come from its
 /// pinned snapshot, DML buffers); otherwise reads bind, plan and execute
-/// off a fresh snapshot with no engine lock, DML auto-commits, and
-/// everything else runs under the engine write lock as the session's
-/// role. `session` is
+/// off a fresh snapshot with no engine lock, DML auto-commits, a refresh
+/// (`ALTER … REFRESH`, `CREATE DYNAMIC TABLE`'s initialization) computes
+/// with no engine lock, and everything else runs under the engine write
+/// lock as the session's role. `session` is
 /// `None` when a prepared statement outlived its session: reads still
 /// run, but nothing may execute under a role other than its session's.
 fn route_statement(
@@ -743,10 +738,27 @@ fn route_statement(
         DtError::Unsupported("the session owning this prepared statement was closed".into())
     })?;
     if is_dml(&stmt) {
-        autocommit_dml(engine, stmt, params)
-    } else {
-        let role = session.role.lock().clone();
-        engine.state.write().execute_parsed(stmt, sql, &role, params)
+        return autocommit_dml(engine, stmt, params);
+    }
+    let role = session.role.lock().clone();
+    match stmt {
+        // The catalog part under the write lock, the refreshes after it.
+        ast::Statement::CreateDynamicTable(cdt) => {
+            let (name, initialize) = (cdt.name.clone(), cdt.initialize_on_create);
+            let id = engine.state.write().create_dynamic_table(sql, cdt, &role)?;
+            if initialize {
+                engine.initialize_dt(id)?;
+            }
+            Ok(ExecResult::Ok(format!("dynamic table {name} created")))
+        }
+        ast::Statement::AlterDynamicTable {
+            name,
+            action: ast::AlterDtAction::Refresh,
+        } => {
+            let n = engine.manual_refresh(&name, &role)?;
+            Ok(ExecResult::Ok(format!("{name} refreshed ({n} refreshes executed)")))
+        }
+        stmt => engine.state.write().execute_parsed(stmt, sql, &role, params),
     }
 }
 

@@ -1,15 +1,15 @@
 //! The install pipeline: the one place a staged change becomes part of the
 //! database, whether it is a transaction's write set
-//! ([`crate::PreparedCommit`]) or a refresh ([`crate::PreparedRefresh`],
-//! the inline `EngineState::run_refresh`). A refresh *is* a transaction
-//! (§5.3): both arrive with their row work done against pinned versions
-//! and need the same thing — validate, stamp, log, publish, all or
-//! nothing, durable before visible (§6.1).
+//! ([`crate::PreparedCommit`]) or a refresh — every refresh, whoever runs
+//! it: `CREATE DYNAMIC TABLE`'s initialization, `ALTER … REFRESH`, the
+//! simulated scheduler and the round driver all submit here. A refresh
+//! *is* a transaction (§5.3): both arrive with their row work done
+//! against pinned versions and need the same thing — validate, stamp,
+//! log, publish, all or nothing, durable before visible (§6.1).
 //!
 //! Requests ride one [`dt_txn::CommitQueue`] as a tagged [`Install`]. The
 //! **leader** (`install_batch`) takes the engine write lock once per batch
-//! and hands the batch to `EngineState::install_batch`, which runs every
-//! request through one core (`validate_and_install`):
+//! and runs every request through one core (`validate_and_install`):
 //!
 //! 1. the request's transaction is still active;
 //! 2. every entity it writes — and, for a refresh, reads — is live in the
@@ -72,8 +72,9 @@ pub(crate) enum Install {
     /// A transaction's write set.
     Commit(CommitRequest),
     /// A refresh. With `report_now` the install also reports the outcome
-    /// to the scheduler, as of the install instant; an inline caller
-    /// reports later, on its own (virtual) clock.
+    /// to the scheduler, as of the install instant; a manual or simulated
+    /// refresh reports later, on the virtual clock, and an initialization
+    /// not at all.
     Refresh {
         request: RefreshInstall,
         report_now: bool,
@@ -202,7 +203,26 @@ pub(crate) fn install_batch(engine: &Engine, batch: Vec<Install>) -> Vec<DtResul
     engine.installs.commit.record_batch(commits);
     engine.installs.refresh.record_batch(batch.len() - commits);
 
-    let outcomes = st.install_batch(batch);
+    let mut wal_records = Vec::new();
+    let mut outcomes: Vec<DtResult<Installed>> = batch
+        .into_iter()
+        .map(|request| match request {
+            Install::Commit(request) => install_commit(&st, request, &mut wal_records),
+            Install::Refresh {
+                request,
+                report_now,
+            } => install_refresh(&mut st, request, report_now, &mut wal_records),
+        })
+        .collect();
+    // The batch is durable before the write lock drops: one append, one
+    // fsync, of whatever each install returned — a failed refresh logged
+    // its error counter, and an install that then failed DVS validation
+    // is in the version chain all the same.
+    if let Err(e) = st.wal_append(&wal_records) {
+        for outcome in outcomes.iter_mut().filter(|o| o.is_ok()) {
+            *outcome = Err(e.clone());
+        }
+    }
 
     // A failed append is a durability problem, not contention: it counts
     // as neither commit nor conflict and must not flip tables pessimistic.
@@ -221,33 +241,6 @@ pub(crate) fn install_batch(engine: &Engine, batch: Vec<Install>) -> Vec<DtResul
         }
     }
     outcomes
-}
-
-impl EngineState {
-    /// Install `batch` under the engine write lock the caller holds, and
-    /// make it durable before returning (one append, one fsync).
-    pub(crate) fn install_batch(&mut self, batch: Vec<Install>) -> Vec<DtResult<Installed>> {
-        let mut wal_records = Vec::new();
-        let mut outcomes: Vec<DtResult<Installed>> = batch
-            .into_iter()
-            .map(|request| match request {
-                Install::Commit(request) => install_commit(self, request, &mut wal_records),
-                Install::Refresh {
-                    request,
-                    report_now,
-                } => install_refresh(self, request, report_now, &mut wal_records),
-            })
-            .collect();
-        // Appended whatever each install returned: a failed refresh logged
-        // its error counter, and an install that then failed DVS
-        // validation is in the version chain all the same.
-        if let Err(e) = self.wal_append(&wal_records) {
-            for outcome in outcomes.iter_mut().filter(|o| o.is_ok()) {
-                *outcome = Err(e.clone());
-            }
-        }
-        outcomes
-    }
 }
 
 fn install_commit(

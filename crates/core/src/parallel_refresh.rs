@@ -48,7 +48,7 @@ use crate::Engine;
 /// acquisitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RefreshStats {
-    /// Refreshes recorded in the refresh log (inline and round alike).
+    /// Refreshes recorded in the refresh log, whoever ran them.
     pub refreshes: u64,
     /// Times the install path acquired the engine write lock for a queued
     /// batch holding at least one refresh.
@@ -134,17 +134,19 @@ impl PreparedRefresh {
     /// version moved past the prepared base, or a table read by the refresh
     /// was dropped mid-round; the refresh transaction is aborted and nothing
     /// was installed.
-    pub fn install(mut self) -> DtResult<InstalledRefresh> {
-        let request = self.request.take().expect("already installed");
+    pub fn install(self) -> DtResult<InstalledRefresh> {
+        let request = self.request.as_ref().expect("already installed");
         let (dt, refresh_ts) = (request.dt, request.refresh_ts);
-        let installed = self.engine.install(Install::Refresh {
-            request,
-            report_now: true,
-        })?;
-        let outcome = installed
-            .refresh
-            .expect("a refresh install carries its outcome");
-        Ok(InstalledRefresh::new(dt, refresh_ts, installed.commit_ts, outcome))
+        let (commit_ts, outcome) = self.submit(true)?;
+        Ok(InstalledRefresh::new(dt, refresh_ts, commit_ts, outcome))
+    }
+
+    /// Submit to the install queue; with `report_now` the install reports
+    /// the outcome to the scheduler, else the caller does, on its clock.
+    fn submit(mut self, report_now: bool) -> DtResult<(Timestamp, RefreshOutcome)> {
+        let request = self.request.take().expect("already installed");
+        let installed = self.engine.install(Install::Refresh { request, report_now })?;
+        Ok((installed.commit_ts, installed.refresh.expect("a refresh install carries its outcome")))
     }
 }
 
@@ -360,7 +362,19 @@ impl Engine {
     /// internal errors; user errors (binding/evaluation) return a failed
     /// [`PreparedRefresh`] whose install records the failure.
     pub fn prepare_refresh(&self, dt: EntityId, refresh_ts: Timestamp) -> DtResult<PreparedRefresh> {
-        let pinned = self.state.read().pin_refresh(dt, refresh_ts, false)?;
+        self.prepare(dt, refresh_ts, false)
+    }
+
+    /// Run one refresh the one way — pin under the read lock, compute with
+    /// no engine lock, install through the queue — and return its outcome
+    /// for the caller to report on its own (virtual) clock. `initial` marks
+    /// a DT's first refresh (§3.1.2). Callers must hold no engine guard.
+    pub(crate) fn refresh(&self, dt: EntityId, ts: Timestamp, initial: bool) -> DtResult<RefreshOutcome> {
+        Ok(self.prepare(dt, ts, initial)?.submit(false)?.1)
+    }
+
+    fn prepare(&self, dt: EntityId, refresh_ts: Timestamp, initial: bool) -> DtResult<PreparedRefresh> {
+        let pinned = self.state.read().pin_refresh(dt, refresh_ts, initial)?;
         let txn = pinned.txn.clone();
         match pinned.compute() {
             Ok(request) => Ok(PreparedRefresh {

@@ -3,30 +3,32 @@
 //! simulated scheduler, a DT in a parallel round — is the same three
 //! steps, and this module is the only implementation of each:
 //!
-//! 1. **Pin** (`EngineState::pin_refresh`, under whatever engine lock
-//!    the caller holds): take the DT's refresh lock (§5.3), reject a
-//!    timestamp the DT is already at or past, rebind the defining query
-//!    against the live catalog (§5.4), and pin by `Arc` the stores and
-//!    frontier the row work reads.
+//! 1. **Pin** (`EngineState::pin_refresh`, under the engine read lock):
+//!    take the DT's refresh lock (§5.3), reject a timestamp the DT is
+//!    already at or past, rebind the defining query against the live
+//!    catalog (§5.4), and pin by `Arc` the stores and frontier the row
+//!    work reads.
 //! 2. **Compute** (`PinnedRefresh::compute`, needs **no engine lock**):
 //!    choose the action (§5.4), evaluate or differentiate (§5.5), and
 //!    stage the result as a [`dt_storage::PreparedChange`] against the
 //!    DT's pinned base version.
-//! 3. **Install** (`install_refresh`, under the engine write lock): the
-//!    staged change goes through the engine's one install pipeline — the
-//!    `install` module's validate → stamp → log → install core, shared
-//!    with transaction commits — and the refresh then records itself in
-//!    the refresh map, frontier, catalog, WAL batch and refresh log; a
-//!    refresh that failed with a user error records the failure instead.
+//! 3. **Install** (`install_refresh`, under the queue leader's engine
+//!    write lock): the staged change goes through the engine's one
+//!    install pipeline — the `install` module's validate → stamp → log →
+//!    install core, shared with transaction commits — and the refresh
+//!    then records itself in the refresh map, frontier, catalog, WAL
+//!    batch and refresh log (an initial refresh also marks its DT
+//!    initialized and `Active`); a refresh that failed with a user error
+//!    records the failure instead.
 //!
-//! Callers differ only in which timestamp they refresh to, where the
-//! compute step runs, and on which clock they report the outcome to the
-//! scheduler (`EngineState::report_refresh`):
-//! `EngineState::run_refresh` runs all three steps inline under the
-//! write lock its caller already holds, as an install batch of one; the
-//! round driver in [`crate::parallel_refresh`] spreads step 2 over a
-//! worker pool and submits step 3 to the install queue, where a leader
-//! lands whatever queued together behind one lock acquisition.
+//! Every caller pins under a brief engine read lock, computes with no
+//! engine lock held and submits step 3 to the install queue, where a
+//! leader lands whatever queued together behind one lock acquisition
+//! (`Engine::prepare_refresh` + `PreparedRefresh::install`). Callers
+//! differ only in which timestamp they refresh to, where the compute step
+//! runs — the round driver in [`crate::parallel_refresh`] spreads it over
+//! a worker pool — and on which clock they report the outcome to the
+//! scheduler (`EngineState::report_refresh`).
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
@@ -47,7 +49,7 @@ use dt_txn::{Frontier, RefreshTsMap, Txn};
 
 use crate::database::EngineState;
 use crate::durability::{SideEffect, WalRecord};
-use crate::install::{check_admitted, validate_and_install, Install, Installed};
+use crate::install::{check_admitted, validate_and_install, Installed};
 use crate::providers::{
     evaluate_at, strip_row_ids, PinnedVersion, SnapshotProvider, StorageView, VersionSemantics,
     WRITE_SCAN_THREADS,
@@ -526,12 +528,13 @@ enum InstallKind {
     Failed { error: String },
 }
 
-/// Step 3, the refresh's part of `EngineState::install_batch` (under the
+/// Step 3, the refresh's part of the install leader's batch (under the
 /// engine write lock): run the staged change through the shared core,
-/// then record the refresh — refresh map, frontier, catalog, refresh log
-/// and, with `report_now`, the scheduler — or, for a refresh that failed
-/// with a user error, record the failure. The WAL records this produces
-/// are pushed onto `wal_records` for the batch's one append.
+/// then record the refresh — refresh map, frontier, catalog, refresh log,
+/// an initial refresh's `Active` state and, with `report_now`, the
+/// scheduler — or, for a refresh that failed with a user error, record
+/// the failure. The WAL records this produces are pushed onto
+/// `wal_records` for the batch's one append.
 ///
 /// `Err(DtError::Conflict)` means validation lost — the DT's version moved
 /// past the prepared base, or the DT or a table it read was dropped since
@@ -633,6 +636,17 @@ pub(crate) fn install_refresh(
             if let Some(plan) = &validate_plan {
                 st.validate_dvs_invariant(dt, refresh_ts, plan)?;
             }
+            // §3.1.2: marked under the install's lock, so nothing sees a
+            // DT with a frontier that is still initializing.
+            if initial {
+                st.scheduler.mark_initialized(dt, refresh_ts)?;
+                if st.catalog.get(dt)?.as_dt().map(|m| m.state) == Some(DtState::Initializing) {
+                    st.catalog.set_dt_state(dt, DtState::Active, refresh_ts)?;
+                }
+                if st.wal_enabled() {
+                    wal_records.push(st.catalog_record(SideEffect::None));
+                }
+            }
             (commit_ts, outcome, source_rows)
         }
     };
@@ -659,8 +673,7 @@ pub(crate) fn install_refresh(
 
 impl EngineState {
     /// Step 1: admit a refresh of `dt` to `refresh_ts` and pin what its
-    /// row work reads. Takes only `&self`, so it runs under the engine
-    /// read lock as well as the write lock. Returns `Err` — holding
+    /// row work reads, under the engine read lock. Returns `Err` — holding
     /// nothing — when the DT is gone, another refresh holds its lock, or
     /// it is already at or past `refresh_ts` (all typed
     /// [`DtError::Conflict`]), and on internal errors.
@@ -775,40 +788,6 @@ impl EngineState {
             outer_join: self.config.outer_join,
             cost_model: self.config.cost_model,
         })
-    }
-
-    /// Execute one refresh of `dt` to data timestamp `refresh_ts`: pin,
-    /// compute and install inline, durable before returning (the caller
-    /// holds the engine write lock). A user error becomes a `Failed`
-    /// outcome, recorded against the DT; conflicts and internal errors
-    /// propagate as `Err`. Reporting the outcome to the scheduler is the
-    /// caller's job (`EngineState::report_refresh`).
-    pub(crate) fn run_refresh(
-        &mut self,
-        dt: EntityId,
-        refresh_ts: Timestamp,
-        initial: bool,
-    ) -> DtResult<RefreshOutcome> {
-        let pinned = self.pin_refresh(dt, refresh_ts, initial)?;
-        let txn = pinned.txn.clone();
-        let request = match pinned.compute() {
-            Ok(request) => request,
-            Err(e) => {
-                let _ = self.txn.abort(&txn);
-                return Err(e);
-            }
-        };
-        let install = Install::Refresh {
-            request,
-            report_now: false,
-        };
-        let installed = self
-            .install_batch(vec![install])
-            .pop()
-            .expect("one outcome per request")?;
-        Ok(installed
-            .refresh
-            .expect("a refresh install carries its outcome"))
     }
 
     /// Report a finished refresh to the scheduler as of `ended` — the

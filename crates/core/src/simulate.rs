@@ -6,6 +6,7 @@ use dt_common::{DtResult, Duration, EntityId, Timestamp};
 use dt_scheduler::{RefreshAction, RefreshOutcome};
 
 use crate::database::EngineState;
+use crate::engine::Engine;
 
 /// A refresh whose computation ran but whose virtual end time (warehouse
 /// duration) lies in the future. Held in [`EngineState`] so it survives across
@@ -74,39 +75,59 @@ impl EngineState {
         }
         Ok(())
     }
+}
 
+impl Engine {
     /// Run the scheduler until the virtual clock reaches `end`. May be
     /// called repeatedly; refreshes still executing at `end` remain pending
-    /// and complete during later calls.
-    pub fn run_scheduler_until(&mut self, end: Timestamp) -> DtResult<SimStats> {
+    /// and complete during later calls. Each refresh — an initialization
+    /// too — computes with no engine lock held and installs through the
+    /// queue; the write lock is held only for the scheduler's bookkeeping,
+    /// so readers and writers interleave with the whole run.
+    pub fn run_scheduler_until(&self, end: Timestamp) -> DtResult<SimStats> {
         let mut stats = SimStats::default();
         loop {
-            let now = self.now();
-
             // 1. Complete refreshes whose virtual end time has passed.
-            self.settle_completions(now)?;
+            let (now, to_init) = {
+                let mut st = self.state.write();
+                let now = st.now();
+                st.settle_completions(now)?;
+                let state = |id: &EntityId| st.catalog.get(*id).ok()?.as_dt().map(|m| m.state);
+                let initializing = |id: &EntityId| state(id) == Some(DtState::Initializing);
+                let to_init = st.catalog.dynamic_tables().into_iter().filter(initializing);
+                (now, to_init.collect::<Vec<_>>())
+            };
 
-            // 2. Initialize any DTs awaiting initialization.
-            let to_init: Vec<EntityId> = self
-                .catalog
-                .dynamic_tables()
-                .into_iter()
-                .filter(|id| {
-                    self.catalog
-                        .get(*id)
-                        .ok()
-                        .and_then(|e| e.as_dt().map(|m| m.state == DtState::Initializing))
-                        .unwrap_or(false)
-                })
-                .collect();
+            // 2. Initialize any DTs awaiting initialization. A failed one
+            // is a failed refresh of that DT (§3.3.3): counted, reported
+            // towards suspension, and the fleet goes on.
             for id in to_init {
-                self.initialize_dt(id)?;
+                match self.initialize_dt(id) {
+                    Err(e) if e.is_user_error() => {
+                        stats.failed += 1;
+                        let action = RefreshAction::Failed(e.to_string());
+                        let failed = RefreshOutcome { action, changed_rows: 0, dt_rows: 0, work_units: 0.0 };
+                        let (st, mut wal_records) = (&mut *self.state.write(), Vec::new());
+                        st.report_refresh(id, now, &failed, now, &mut wal_records)?;
+                        st.wal_append(&wal_records)?;
+                    }
+                    other => other?,
+                }
             }
 
-            // 3. Issue due refreshes.
-            for cmd in self.scheduler.due_refreshes(now) {
+            // 3. Issue due refreshes. One that does not run is abandoned,
+            // and so is every one issued after it.
+            let due = self.state.write().scheduler.due_refreshes(now);
+            for (i, cmd) in due.iter().enumerate() {
                 stats.skipped += cmd.skipped;
-                let outcome = self.run_refresh(cmd.dt, cmd.refresh_ts, false)?;
+                let outcome = match self.refresh(cmd.dt, cmd.refresh_ts, false) {
+                    Ok(outcome) => outcome,
+                    Err(e) => {
+                        let mut st = self.state.write();
+                        due[i..].iter().for_each(|cmd| st.scheduler.abandon(cmd.dt));
+                        return Err(e);
+                    }
+                };
                 stats.refreshes += 1;
                 match &outcome.action {
                     RefreshAction::NoData => stats.no_data += 1,
@@ -115,13 +136,14 @@ impl EngineState {
                     RefreshAction::Reinitialize => stats.reinitialize += 1,
                     RefreshAction::Failed(_) => stats.failed += 1,
                 }
+                let st = &mut *self.state.write();
                 let duration = if outcome.work_units > 0.0 {
-                    let wh = self.dt_warehouse[&cmd.dt].clone();
-                    self.warehouses.get_mut(&wh)?.execute(now, outcome.work_units)
+                    let wh = &st.dt_warehouse[&cmd.dt];
+                    st.warehouses.get_mut(wh)?.execute(now, outcome.work_units)
                 } else {
                     Duration::ZERO
                 };
-                self.pending_completions.push(PendingCompletion {
+                st.pending_completions.push(PendingCompletion {
                     ended: now.add(duration),
                     dt: cmd.dt,
                     refresh_ts: cmd.refresh_ts,
@@ -133,17 +155,18 @@ impl EngineState {
             if now >= end {
                 break;
             }
+            let st = self.state.write();
             let mut next = end;
-            if let Some(p) = self.pending_completions.iter().map(|p| p.ended).min() {
+            if let Some(p) = st.pending_completions.iter().map(|p| p.ended).min() {
                 if p > now {
                     next = next.min(p);
                 }
             }
-            for id in self.scheduler.registered() {
-                if let (Some(period), Some(st)) =
-                    (self.scheduler.period_of(id), self.scheduler.state(id))
+            for id in st.scheduler.registered() {
+                if let (Some(period), Some(sched)) =
+                    (st.scheduler.period_of(id), st.scheduler.state(id))
                 {
-                    if st.suspended || st.last_data_ts.is_none() {
+                    if sched.suspended || sched.last_data_ts.is_none() {
                         continue;
                     }
                     let phase = Duration::ZERO;
@@ -157,9 +180,9 @@ impl EngineState {
             if next <= now {
                 next = now.add(Duration::from_secs(1));
             }
-            self.clock.advance_to(next.min(end).max(now));
+            st.clock.advance_to(next.min(end).max(now));
         }
-        stats.credits = self.warehouses.total_credits();
+        stats.credits = self.state.read().warehouses.total_credits();
         Ok(stats)
     }
 }

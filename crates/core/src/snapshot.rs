@@ -105,10 +105,11 @@ impl EngineState {
                 None => Some(store.latest_version()),
                 Some(t) => store.version_at(t),
             };
-            let (is_dt, uninitialized) = match catalog.get(id).ok().and_then(|e| e.as_dt()) {
-                Some(meta) => (true, at.is_none() && meta.state == DtState::Initializing),
-                None => (false, false),
-            };
+            // Uninitialized: no data timestamp yet, whatever its state (a
+            // DT whose initialization failed can be suspended on errors).
+            let is_dt = catalog.get(id).ok().and_then(|e| e.as_dt()).is_some();
+            let data_ts = self.scheduler.state(id).and_then(|s| s.last_data_ts);
+            let uninitialized = is_dt && at.is_none() && data_ts.is_none();
             tables.insert(
                 id,
                 TableHandle {

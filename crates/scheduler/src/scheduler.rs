@@ -254,14 +254,25 @@ impl Scheduler {
         best.unwrap_or(now)
     }
 
-    /// Mark a DT initialized at a data timestamp.
+    /// Mark a DT initialized at a data timestamp. Like a late
+    /// [`Scheduler::report`], it never moves the data timestamp backwards.
     pub fn mark_initialized(&mut self, id: EntityId, data_ts: Timestamp) -> DtResult<()> {
         let st = self
             .dts
             .get_mut(&id)
             .ok_or_else(|| DtError::Catalog(format!("unknown DT {id}")))?;
-        st.last_data_ts = Some(data_ts);
+        st.last_data_ts = st.last_data_ts.max(Some(data_ts));
         Ok(())
+    }
+
+    /// Withdraw an issued refresh of `id` that will not run: clear its
+    /// in-flight mark without counting a refresh. Every command
+    /// [`Scheduler::due_refreshes`] or [`Scheduler::manual_refresh_plan`]
+    /// issues is either reported or abandoned.
+    pub fn abandon(&mut self, id: EntityId) {
+        if let Some(st) = self.dts.get_mut(&id) {
+            st.in_flight = None;
+        }
     }
 
     /// Compute the refreshes due at `now`, in dependency order. A DT is due
@@ -675,6 +686,42 @@ mod tests {
         // Grid point 96 was skipped.
         assert_eq!(due[0].skipped, 1);
         assert_eq!(s.state(a).unwrap().skipped_total, 1);
+    }
+
+    #[test]
+    fn mark_initialized_never_rewinds_the_data_timestamp() {
+        let mut s = Scheduler::new(SchedulerConfig::default());
+        let a = EntityId(1);
+        s.register(a, TargetLag::Duration(mins(1)), vec![]);
+        s.mark_initialized(a, ts(10)).unwrap();
+        // A round moved the DT to 48 before a forced refresh at 10 was
+        // marked: the mark must not take it back.
+        let due = s.due_refreshes(ts(50));
+        s.report(a, due[0].refresh_ts, &ok_outcome(), ts(51)).unwrap();
+        s.mark_initialized(a, ts(10)).unwrap();
+        assert_eq!(s.state(a).unwrap().last_data_ts, Some(ts(48)));
+        s.mark_initialized(a, ts(60)).unwrap();
+        assert_eq!(s.state(a).unwrap().last_data_ts, Some(ts(60)));
+    }
+
+    #[test]
+    fn an_abandoned_refresh_is_issued_again_and_counts_nothing() {
+        let mut s = Scheduler::new(SchedulerConfig::default());
+        let (a, b) = (EntityId(1), EntityId(2));
+        s.register(a, TargetLag::Duration(mins(1)), vec![]);
+        s.register(b, TargetLag::Duration(mins(1)), vec![a]);
+        s.mark_initialized(a, ts(0)).unwrap();
+        s.mark_initialized(b, ts(0)).unwrap();
+        let plan = s.manual_refresh_plan(b, ts(30));
+        assert_eq!(plan.len(), 2);
+        assert!(s.due_refreshes(ts(50)).is_empty(), "both in flight");
+        for cmd in &plan {
+            s.abandon(cmd.dt);
+        }
+        assert_eq!(s.due_refreshes(ts(50)).len(), 1, "a is due again");
+        assert!(s.state(a).unwrap().action_counts.is_empty());
+        assert_eq!(s.state(a).unwrap().last_data_ts, Some(ts(0)));
+        s.abandon(EntityId(99)); // unknown ids are ignored
     }
 
     #[test]

@@ -171,12 +171,12 @@ fn pinned_snapshot_rereads_identically_under_concurrent_writes() {
 }
 
 /// The acceptance check for the MVCC read path: a long-running reader
-/// that overlaps an in-flight refresh completes without ever waiting for
-/// the write lock. A writer thread takes the engine write lock, runs a
-/// real refresh inside it, and then *keeps holding the lock* until the
-/// reader has finished a full bind+plan+execute cycle against its pinned
-/// snapshot — under the pre-MVCC read path (reads under the engine read
-/// lock) this test would deadlock.
+/// that overlaps a refresh completes without ever waiting for the write
+/// lock. A real refresh lands, then a writer thread takes the engine
+/// write lock and *keeps holding it* until the reader has finished full
+/// bind+plan+execute cycles against a snapshot pinned before the refresh
+/// — under the pre-MVCC read path (reads under the engine read lock) this
+/// test would deadlock.
 #[test]
 fn long_reader_overlapping_a_refresh_never_waits_for_the_write_lock() {
     let engine = Engine::new(DbConfig::default());
@@ -192,24 +192,25 @@ fn long_reader_overlapping_a_refresh_never_waits_for_the_write_lock() {
              AS SELECT k, sum(v) s FROM t GROUP BY k",
         )
         .unwrap();
-    // Stage new data so the in-lock refresh below has real work to do.
+    // Stage new data so the refresh below has real work to do.
     session.execute("INSERT INTO t VALUES (1, 100)").unwrap();
 
     let snap = session.snapshot();
     let expected = snap.query_sorted("SELECT * FROM d").unwrap();
     let stale_t = snap.query_sorted("SELECT * FROM t").unwrap();
 
+    // A real refresh lands...
+    session.manual_refresh("d").unwrap();
     let (locked_tx, locked_rx) = mpsc::channel::<()>();
     let (done_tx, done_rx) = mpsc::channel::<()>();
     std::thread::scope(|scope| {
         let writer_engine = engine.clone();
         scope.spawn(move || {
-            writer_engine.inspect_mut(|state| {
-                // A real refresh runs inside the write lock...
-                state.manual_refresh("d", "sysadmin").unwrap();
+            writer_engine.inspect_mut(|_| {
+                // ...then the write lock is taken, and it stays held until
+                // the reader reports in (bounded wait so a reader failure
+                // can't hang the test).
                 locked_tx.send(()).unwrap();
-                // ...and the lock stays held until the reader reports in
-                // (bounded wait so a reader failure can't hang the test).
                 let _ = done_rx.recv_timeout(std::time::Duration::from_secs(60));
             });
         });
@@ -324,4 +325,68 @@ fn stats_answer_while_the_engine_write_lock_is_held() {
     server.shutdown();
     drop((session, engine));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Run `refresh` on one thread. On another, once a refresh transaction is
+/// open, commit an auto-commit INSERT into the unrelated `other` and read
+/// `f` through a fresh snapshot, then check that the refresh has not
+/// finished. Returns `f`'s row count as the read saw it.
+fn beside_a_refresh(engine: &Engine, refresh: impl FnOnce() + Send) -> dt_common::DtResult<usize> {
+    let finished = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            refresh();
+            finished.store(true, Ordering::SeqCst);
+        });
+        let refreshing = || (engine.stats().iter()).any(|&(n, v)| n == "active_txns" && v >= 1);
+        while !refreshing() {
+            assert!(!finished.load(Ordering::SeqCst), "no refresh transaction was seen");
+            std::thread::yield_now();
+        }
+        engine.session().execute("INSERT INTO other VALUES (1)").unwrap();
+        let read = engine.snapshot().query("SELECT * FROM f").map(|r| r.len());
+        assert!(!finished.load(Ordering::SeqCst), "the INSERT and the read waited for the refresh");
+        read
+    })
+}
+
+/// A refresh is a transaction on its own warehouse (§3.3.1, §5.3): whoever
+/// runs it — `CREATE DYNAMIC TABLE`'s initialization, `ALTER … REFRESH`,
+/// the simulated scheduler — it computes with no engine lock held, so an
+/// unrelated writer and a reader finish while a FULL refresh of a
+/// 200 000-row source is still computing, and the reader sees the DT as it
+/// was before the refresh.
+#[test]
+fn refreshes_compute_beside_readers_and_writers() {
+    let engine = Engine::new(DbConfig::default());
+    engine.create_warehouse("wh", 1).unwrap();
+    let s = engine.session();
+    s.execute("CREATE TABLE src (k INT, v INT)").unwrap();
+    s.execute("CREATE TABLE other (x INT)").unwrap();
+    for chunk in 0..20 {
+        let rows: Vec<String> = (0..10_000)
+            .map(|i| format!("({}, {})", chunk * 10_000 + i, i % 7))
+            .collect();
+        s.execute(&format!("INSERT INTO src VALUES {}", rows.join(", "))).unwrap();
+    }
+
+    let create = "CREATE DYNAMIC TABLE f TARGET_LAG = '1 minute' WAREHOUSE = wh \
+                  REFRESH_MODE = FULL AS SELECT k, v FROM src";
+    let read = beside_a_refresh(&engine, || {
+        s.execute(create).unwrap();
+    });
+    assert!(matches!(read, Err(dt_common::DtError::NotInitialized(_))), "{read:?}");
+
+    s.execute("INSERT INTO src VALUES (-1, 0)").unwrap();
+    let read = beside_a_refresh(&engine, || {
+        s.execute("ALTER DYNAMIC TABLE f REFRESH").unwrap();
+    });
+    assert_eq!(read.unwrap(), 200_000);
+
+    s.execute("INSERT INTO src VALUES (-2, 0)").unwrap();
+    let read = beside_a_refresh(&engine, || {
+        engine.run_scheduler_until(engine.now().add(Duration::from_secs(60))).unwrap();
+    });
+    assert_eq!(read.unwrap(), 200_001);
+    assert_eq!(s.query("SELECT * FROM f").unwrap().len(), 200_002);
 }

@@ -2,7 +2,7 @@
 //! catalog, storage, transactions, planning, execution, IVM, and
 //! scheduling.
 
-use dt_common::{row, Duration, Row, Timestamp, Value};
+use dt_common::{row, DtError, Duration, Row, Timestamp, Value};
 use dt_core::{DbConfig, Engine, Session};
 
 fn setup() -> (Engine, Session) {
@@ -512,4 +512,142 @@ fn null_handling_in_dt_payloads() {
     db.execute("ALTER DYNAMIC TABLE d REFRESH").unwrap();
     let rows = db.query_sorted("SELECT * FROM d").unwrap();
     assert_eq!(rows, vec![Row::new(vec![Value::Int(1), Value::Null])]);
+}
+
+/// A refresh the scheduler issued but nobody ran must not leave its DT in
+/// flight: with `u`'s refresh lock held elsewhere, `ALTER … REFRESH` of
+/// `d` (which reads `u`) conflicts, and afterwards both DTs still refresh
+/// on schedule.
+#[test]
+fn a_refresh_issued_but_never_run_does_not_stay_in_flight() {
+    let (eng, db) = setup();
+    db.execute("CREATE TABLE t (k INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    for (name, from) in [("u", "t"), ("d", "u")] {
+        db.execute(&format!(
+            "CREATE DYNAMIC TABLE {name} TARGET_LAG = '1 minute' WAREHOUSE = wh \
+             AS SELECT k FROM {from}"
+        ))
+        .unwrap();
+    }
+    let (u, ts) = eng.inspect(|s| (s.catalog().resolve("u").unwrap().id, s.txn_manager().hlc().tick()));
+    let held = eng.prepare_refresh(u, ts).unwrap();
+    let err = db.manual_refresh("d").unwrap_err();
+    assert!(err.is_conflict(), "{err:?}");
+    drop(held);
+
+    db.execute("INSERT INTO t VALUES (2)").unwrap();
+    let stats = eng.run_scheduler_until(Timestamp::from_secs(600)).unwrap();
+    assert!(stats.refreshes >= 2, "{stats:?}");
+    assert_eq!(db.query_sorted("SELECT k FROM d").unwrap(), vec![row!(1i64), row!(2i64)]);
+}
+
+/// One DT whose initialization fails must not wedge the simulated
+/// scheduler for the fleet: each failed initialization is a failed
+/// refresh of that DT, counted and reported until it is suspended on
+/// errors (§3.3.3), while a healthy DT keeps refreshing.
+#[test]
+fn a_failed_initialization_does_not_wedge_the_scheduler() {
+    let (eng, db) = setup();
+    db.execute("CREATE TABLE t (k INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    db.execute("CREATE TABLE z (k INT)").unwrap();
+    db.execute("INSERT INTO z VALUES (0)").unwrap();
+    db.execute(
+        "CREATE DYNAMIC TABLE good TARGET_LAG = '1 minute' WAREHOUSE = wh \
+         AS SELECT k FROM t",
+    )
+    .unwrap();
+    let err = db
+        .execute(
+            "CREATE DYNAMIC TABLE bad TARGET_LAG = '1 minute' WAREHOUSE = wh \
+             AS SELECT 10 / k q FROM z",
+        )
+        .unwrap_err();
+    assert!(err.is_user_error(), "{err:?}");
+
+    db.execute("INSERT INTO t VALUES (2)").unwrap();
+    let stats = eng.run_scheduler_until(Timestamp::from_secs(600)).unwrap();
+    assert_eq!(db.query_sorted("SELECT k FROM good").unwrap(), vec![row!(1i64), row!(2i64)]);
+    // The default threshold is five consecutive failures.
+    assert_eq!(stats.failed, 5, "{stats:?}");
+    eng.inspect(|s| {
+        let id = s.catalog().resolve("bad").unwrap().id;
+        assert!(s.scheduler().state(id).unwrap().suspended);
+        assert_eq!(
+            s.catalog().get(id).unwrap().as_dt().unwrap().state,
+            dt_catalog::DtState::SuspendedOnErrors
+        );
+    });
+    // Suspended, it is still uninitialized: reads say so, and RESUME puts
+    // it back in line for an initialization.
+    let err = db.query("SELECT q FROM bad").unwrap_err();
+    assert!(matches!(err, DtError::NotInitialized(_)), "{err:?}");
+    db.execute("UPDATE z SET k = 2").unwrap();
+    db.execute("ALTER DYNAMIC TABLE bad RESUME").unwrap();
+    eng.run_scheduler_until(Timestamp::from_secs(660)).unwrap();
+    assert_eq!(db.query_sorted("SELECT q FROM bad").unwrap(), vec![row!(5i64)]);
+    eng.inspect(|s| {
+        let id = s.catalog().resolve("bad").unwrap().id;
+        let state = s.catalog().get(id).unwrap().as_dt().unwrap().state;
+        assert_eq!(state, dt_catalog::DtState::Active);
+    });
+}
+
+/// `CREATE DYNAMIC TABLE` beside other refreshes of its upstream DT: an
+/// initialization whose forced refresh of `u` loses (`u`'s refresh lock
+/// is held, or a round moved `u` past the chosen timestamp) backs off and
+/// chooses again, so every CREATE succeeds and initializes.
+#[test]
+fn creating_a_dt_over_a_dt_beside_refresh_rounds_initializes_it() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    let (eng, db) = setup();
+    db.execute("CREATE TABLE t (k INT)").unwrap();
+    let values: Vec<String> = (0..2000).map(|k| format!("({k})")).collect();
+    db.execute(&format!("INSERT INTO t VALUES {}", values.join(", "))).unwrap();
+    db.execute(
+        "CREATE DYNAMIC TABLE u TARGET_LAG = '1 minute' WAREHOUSE = wh REFRESH_MODE = FULL \
+         AS SELECT k FROM t",
+    )
+    .unwrap();
+    // DOWNSTREAM lag: the initialization timestamp is "now", so each
+    // CREATE forces a refresh of `u`.
+    let create = |name: &str| {
+        format!("CREATE DYNAMIC TABLE {name} TARGET_LAG = DOWNSTREAM WAREHOUSE = wh AS SELECT k FROM u")
+    };
+
+    // A refresh of `u` in flight elsewhere: the CREATE waits it out.
+    let (u, ts) = eng.inspect(|s| (s.catalog().resolve("u").unwrap().id, s.txn_manager().hlc().tick()));
+    let held = eng.prepare_refresh(u, ts).unwrap();
+    let creator = {
+        let (sql, session) = (create("d"), eng.session());
+        std::thread::spawn(move || session.execute(&sql))
+    };
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    held.install().unwrap();
+    creator.join().unwrap().unwrap();
+    assert_eq!(db.query("SELECT k FROM d").unwrap().rows().len(), 2000);
+
+    // Rounds on another thread, refreshing `u` (and every `d…`) again and
+    // again while the CREATEs run.
+    let stop = Arc::new(AtomicBool::new(false));
+    let rounds = {
+        let (eng, stop, writer) = (eng.clone(), Arc::clone(&stop), eng.session());
+        std::thread::spawn(move || {
+            let mut n = 2000;
+            while !stop.load(Ordering::Relaxed) {
+                writer.execute(&format!("INSERT INTO t VALUES ({n})")).unwrap();
+                eng.refresh_all_parallel().unwrap();
+                n += 1;
+            }
+            n - 2000
+        })
+    };
+    for i in 0..20 {
+        db.execute(&create(&format!("d{i}"))).unwrap();
+        assert!(db.query(&format!("SELECT k FROM d{i}")).unwrap().rows().len() >= 2000);
+    }
+    stop.store(true, Ordering::Relaxed);
+    assert!(rounds.join().unwrap() > 0);
 }

@@ -102,7 +102,8 @@ fn parallel_round_refreshes_whole_dag_to_one_timestamp() {
 
     let stats = engine.refresh_stats();
     assert_eq!(stats.parallel_rounds, 2);
-    assert_eq!(stats.group_submitted, 6, "all six installs rode the queue");
+    assert_eq!(stats.group_submitted, 9, "all nine installs rode the queue");
+    assert_eq!(stats.group_submitted, stats.refreshes);
     assert!(stats.refreshes >= 6, "{stats:?}");
 }
 
