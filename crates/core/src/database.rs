@@ -1,10 +1,12 @@
 //! The engine state: catalog, storage, transactions, scheduler, and the
 //! statement execution paths over them.
 //!
-//! [`EngineState`] is the single-writer core that the public
-//! [`crate::Engine`] wraps in a reader/writer lock. Connections never touch
-//! it directly — they go through [`crate::Session`], which carries the
-//! per-connection role and passes it into every call that needs one.
+//! [`EngineState`] is the core that the public [`crate::Engine`] wraps in
+//! a reader/writer lock. It has one writer: the install leader (the
+//! `install` module), which applies every commit, refresh and other change
+//! — the DDL below included — under the write lock. Connections never
+//! touch it directly — they go through [`crate::Session`], which carries
+//! the per-connection role and passes it into every call that needs one.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -12,7 +14,7 @@ use std::sync::Arc;
 use dt_catalog::{Catalog, DtState, DynamicTableMeta, RefreshMode, TargetLagSpec};
 use dt_common::{
     Column, DataType, DtError, DtResult, Duration, DurabilityMode, EntityId, Row, Schema,
-    SimClock, Timestamp, Value,
+    SimClock, Timestamp, TxnId,
 };
 use dt_ivm::OuterJoinStrategy;
 use dt_plan::{BindOutput, Binder, LogicalPlan, ResolvedRelation, Resolver};
@@ -25,7 +27,6 @@ use dt_txn::{Frontier, RefreshTsMap, TxnManager};
 
 use crate::durability::{SideEffect, WalRecord, WalShared};
 use crate::engine::Engine;
-use crate::providers::VersionSemantics;
 use crate::refresh::RefreshLog;
 
 /// EngineState configuration.
@@ -35,9 +36,6 @@ pub struct DbConfig {
     pub partition_capacity: usize,
     /// Outer-join differentiation strategy (§5.5.1 ablation).
     pub outer_join: OuterJoinStrategy,
-    /// DT version resolution semantics for refreshes (DVS vs the persisted
-    /// baseline of §4).
-    pub semantics: VersionSemantics,
     /// Re-check the DVS guarantee after every refresh (§6.1 level 4).
     pub validate_dvs: bool,
     /// Consecutive failures before automatic suspension (§3.3.3).
@@ -70,7 +68,6 @@ impl Default for DbConfig {
         DbConfig {
             partition_capacity: 4096,
             outer_join: OuterJoinStrategy::Direct,
-            semantics: VersionSemantics::Dvs,
             validate_dvs: false,
             error_suspend_threshold: 5,
             cost_model: CostModel::default(),
@@ -311,21 +308,29 @@ impl EngineState {
     }
 
     /// Grant a privilege on a named entity to a role (§3.4).
-    pub fn grant(
+    pub(crate) fn grant(
         &mut self,
         role: &str,
         entity: &str,
         privilege: dt_catalog::Privilege,
+        wal: &mut Vec<WalRecord>,
     ) -> DtResult<()> {
         self.catalog.grant_on(role, entity, privilege)?;
-        self.wal_log_catalog(SideEffect::None)
+        self.push_catalog_record(SideEffect::None, wal);
+        Ok(())
     }
 
     /// Create a virtual warehouse with `nodes` nodes and a 5-minute
     /// auto-suspend (§3.3.1).
-    pub fn create_warehouse(&mut self, name: &str, nodes: u32) -> DtResult<()> {
+    pub(crate) fn create_warehouse(
+        &mut self,
+        name: &str,
+        nodes: u32,
+        wal: &mut Vec<WalRecord>,
+    ) -> DtResult<()> {
         self.warehouses.create(name, nodes, Duration::from_mins(5))?;
-        self.wal_log_catalog(SideEffect::None)
+        self.push_catalog_record(SideEffect::None, wal);
+        Ok(())
     }
 
     pub(crate) fn is_dt(&self, id: EntityId) -> bool {
@@ -340,20 +345,6 @@ impl EngineState {
         Binder::new(&DbResolver { db: self }).bind_query(q)
     }
 
-    /// Execute a read-only statement (query / EXPLAIN / SHOW) with `params`
-    /// bound to its `?` placeholders. Sessions don't normally come through
-    /// here — they capture a [`crate::ReadSnapshot`] and run against it
-    /// with no engine lock at all; this entry point (reachable through
-    /// [`EngineState::execute_parsed`]) captures an equivalent snapshot of
-    /// the live state and delegates.
-    pub fn read_statement(
-        &self,
-        stmt: &ast::Statement,
-        params: &[Value],
-    ) -> DtResult<ExecResult> {
-        self.capture_snapshot(None).read_statement(stmt, params)
-    }
-
     /// True when a statement can be served under the engine's read lock.
     pub fn is_read_statement(stmt: &ast::Statement) -> bool {
         matches!(
@@ -364,20 +355,17 @@ impl EngineState {
         )
     }
 
-    /// Execute one parsed statement as `role`, with `params` bound to its
-    /// `?` placeholders (queries and DML only; DDL rejects placeholders).
-    pub fn execute_parsed(
+    /// Execute one DDL statement as `role`, pushing its WAL records onto
+    /// `wal`, in the install leader (`Engine::mutate`). Sessions refuse `?`
+    /// placeholders in DDL and route every other statement elsewhere.
+    pub(crate) fn execute_ddl(
         &mut self,
         stmt: ast::Statement,
         sql: &str,
         role: &str,
-        params: &[Value],
+        wal: &mut Vec<WalRecord>,
     ) -> DtResult<ExecResult> {
-        check_placeholder_support(&stmt, stmt.placeholder_count())?;
         match stmt {
-            ast::Statement::Query(_)
-            | ast::Statement::Explain(_)
-            | ast::Statement::ShowDynamicTables => self.read_statement(&stmt, params),
             ast::Statement::CreateTable {
                 name,
                 columns,
@@ -393,21 +381,7 @@ impl EngineState {
                 let id = self
                     .catalog
                     .create_table(&name, schema.clone(), now, role, or_replace)?;
-                self.tables.insert(
-                    id,
-                    Arc::new(TableStore::with_partition_capacity(
-                        schema.clone(),
-                        now,
-                        dt_common::TxnId(0),
-                        self.config.partition_capacity,
-                    )),
-                );
-                self.wal_log_catalog(SideEffect::CreateStore {
-                    entity: id,
-                    schema,
-                    partition_capacity: self.config.partition_capacity,
-                    created_ts: now,
-                })?;
+                self.create_store(id, schema, wal);
                 Ok(ExecResult::Ok(format!("table {name} created")))
             }
             ast::Statement::CreateView {
@@ -418,22 +392,22 @@ impl EngineState {
                 // Validate the view body binds before installing it.
                 self.bind_query(&query)?;
                 let now = self.now();
-                let body = render_query_validation_source(sql)?;
+                let body = extract_defining_query(sql)?;
                 self.catalog.create_view(&name, &body, now, role, or_replace)?;
-                self.wal_log_catalog(SideEffect::None)?;
+                self.push_catalog_record(SideEffect::None, wal);
                 Ok(ExecResult::Ok(format!("view {name} created")))
             }
             // Its initialization computes with no engine lock held.
             ast::Statement::CreateDynamicTable(_) => Err(DtError::Unsupported(
                 "CREATE DYNAMIC TABLE runs through a Session".into(),
             )),
-            ast::Statement::Clone { name, source } => self.clone_entity(&name, &source, role),
+            ast::Statement::Clone { name, source } => self.clone_entity(&name, &source, role, wal),
             ast::Statement::Drop { name } => {
                 let now = self.now();
                 let id = self.catalog.drop_entity(&name, now)?;
                 self.scheduler.unregister(id);
                 self.txn.locks().forget_table(id);
-                self.wal_log_catalog(SideEffect::None)?;
+                self.push_catalog_record(SideEffect::None, wal);
                 Ok(ExecResult::Ok(format!("{name} dropped")))
             }
             ast::Statement::Undrop { name } => {
@@ -452,22 +426,25 @@ impl EngineState {
                         self.scheduler.mark_initialized(id, ts)?;
                     }
                 }
-                self.wal_log_catalog(SideEffect::None)?;
+                self.push_catalog_record(SideEffect::None, wal);
                 Ok(ExecResult::Ok(format!("{name} undropped")))
             }
             // Every write is a transaction (auto-commit DML is the
             // one-statement kind), and transactions belong to sessions. The
             // counters SHOW STATS reports live on the `Engine` handle, and
-            // sessions answer it before routing here.
-            ast::Statement::Insert { .. }
+            // sessions answer it — and every read — before routing here.
+            ast::Statement::Query(_)
+            | ast::Statement::Explain(_)
+            | ast::Statement::ShowDynamicTables
+            | ast::Statement::Insert { .. }
             | ast::Statement::Delete { .. }
             | ast::Statement::Update { .. }
             | ast::Statement::Begin
             | ast::Statement::Commit
             | ast::Statement::Rollback
             | ast::Statement::ShowStats => Err(DtError::Unsupported(
-                "DML, transaction control (BEGIN/COMMIT/ROLLBACK) and SHOW \
-                 STATS are session-scoped; execute them through a Session"
+                "reads, DML, transaction control (BEGIN/COMMIT/ROLLBACK) and \
+                 SHOW STATS are session-scoped; execute them through a Session"
                     .into(),
             )),
             ast::Statement::AlterTableLocking { name, policy } => {
@@ -496,7 +473,7 @@ impl EngineState {
                         let now = self.now();
                         self.catalog.set_dt_state(id, DtState::Suspended, now)?;
                         self.scheduler.set_suspended(id, true)?;
-                        self.wal_log_catalog(SideEffect::None)?;
+                        self.push_catalog_record(SideEffect::None, wal);
                         Ok(ExecResult::Ok(format!("{name} suspended")))
                     }
                     ast::AlterDtAction::Resume => {
@@ -507,7 +484,7 @@ impl EngineState {
                         let state = data.map_or(DtState::Initializing, |_| DtState::Active);
                         self.catalog.set_dt_state(id, state, now)?;
                         self.scheduler.set_suspended(id, false)?;
-                        self.wal_log_catalog(SideEffect::None)?;
+                        self.push_catalog_record(SideEffect::None, wal);
                         Ok(ExecResult::Ok(format!("{name} resumed")))
                     }
                     // A refresh computes with no engine lock held.
@@ -523,7 +500,13 @@ impl EngineState {
     /// micro-partition is shared. A cloned DT keeps its source's data
     /// timestamp and contents, so it avoids reinitialization and is
     /// immediately queryable.
-    fn clone_entity(&mut self, name: &str, source: &str, role: &str) -> DtResult<ExecResult> {
+    fn clone_entity(
+        &mut self,
+        name: &str,
+        source: &str,
+        role: &str,
+        wal: &mut Vec<WalRecord>,
+    ) -> DtResult<ExecResult> {
         let src = self.catalog.resolve(source)?.clone();
         let now = self.now();
         match &src.kind {
@@ -533,10 +516,8 @@ impl EngineState {
                     .create_table(name, schema.clone(), now, role, false)?;
                 let fork = self.tables[&src.id].fork();
                 self.tables.insert(id, Arc::new(fork));
-                self.wal_log_catalog(SideEffect::CloneStore {
-                    source: src.id,
-                    target: id,
-                })?;
+                let cloned = SideEffect::CloneStore { source: src.id, target: id };
+                self.push_catalog_record(cloned, wal);
                 Ok(ExecResult::Ok(format!("table {name} cloned from {source}")))
             }
             dt_catalog::EntityKind::View { .. } => Err(DtError::Unsupported(
@@ -571,26 +552,22 @@ impl EngineState {
                     self.catalog.set_dt_state(id, DtState::Active, now)?;
                     carried = Some((ts, version, commit_ts, frontier));
                 }
-                if self.wal_enabled() {
-                    // One batch (one fsync): the clone's catalog record,
-                    // then the carried-over refresh-map/frontier entry.
-                    let mut records = vec![self.catalog_record(SideEffect::CloneStore {
-                        source: src.id,
-                        target: id,
-                    })];
-                    if let Some((ts, version, commit_ts, frontier)) = carried {
-                        records.push(WalRecord::Refresh {
-                            dt: id,
-                            txn: dt_common::TxnId(0),
-                            refresh_ts: ts,
-                            commit_ts,
-                            install: None,
-                            version,
-                            frontier: frontier.iter().collect(),
-                            catalog: Vec::new(),
-                        });
-                    }
-                    self.wal_append(&records)?;
+                // The clone's catalog record, then the carried-over
+                // refresh-map/frontier entry.
+                let cloned = SideEffect::CloneStore { source: src.id, target: id };
+                self.push_catalog_record(cloned, wal);
+                let carried = carried.filter(|_| self.wal_enabled());
+                if let Some((ts, version, commit_ts, frontier)) = carried {
+                    wal.push(WalRecord::Refresh {
+                        dt: id,
+                        txn: TxnId(0),
+                        refresh_ts: ts,
+                        commit_ts,
+                        install: None,
+                        version,
+                        frontier: frontier.iter().collect(),
+                        catalog: Vec::new(),
+                    });
                 }
                 Ok(ExecResult::Ok(format!(
                     "dynamic table {name} cloned from {source} (no reinitialization)"
@@ -642,14 +619,16 @@ impl EngineState {
     // Dynamic tables
     // ------------------------------------------------------------------
 
-    /// The catalog part of `CREATE DYNAMIC TABLE`: the DT, its store and
-    /// its schedule, left `Initializing`. A session initializes it once the
-    /// write lock has dropped (`INITIALIZE = ON_SCHEDULE`: the scheduler).
+    /// The catalog part of `CREATE DYNAMIC TABLE`, run by the install
+    /// leader: the DT, its store and its schedule, left `Initializing`. A
+    /// session initializes it afterwards (`INITIALIZE = ON_SCHEDULE`: the
+    /// scheduler).
     pub(crate) fn create_dynamic_table(
         &mut self,
         original_sql: &str,
         cdt: ast::CreateDynamicTable,
         role: &str,
+        wal: &mut Vec<WalRecord>,
     ) -> DtResult<EntityId> {
         // The warehouse must exist (§3.3.1).
         self.warehouses.get(&cdt.warehouse)?;
@@ -708,16 +687,6 @@ impl EngineState {
         // Stored schema: $ROW_ID then the payload columns.
         let mut cols = vec![Column::new("$row_id", DataType::Str)];
         cols.extend(out.plan.schema().columns().iter().cloned());
-        let stored_schema = Schema::new(cols);
-        self.tables.insert(
-            id,
-            Arc::new(TableStore::with_partition_capacity(
-                stored_schema.clone(),
-                now,
-                dt_common::TxnId(0),
-                self.config.partition_capacity,
-            )),
-        );
         self.dt_warehouse
             .insert(id, cdt.warehouse.to_ascii_lowercase());
         let sched_lag = match cdt.target_lag {
@@ -727,13 +696,19 @@ impl EngineState {
         self.scheduler.register(id, sched_lag, upstream);
         // Logged *before* the initial refresh so replay creates the DT's
         // store before it replays that refresh's install.
-        self.wal_log_catalog(SideEffect::CreateStore {
-            entity: id,
-            schema: stored_schema,
-            partition_capacity: self.config.partition_capacity,
-            created_ts: now,
-        })?;
+        self.create_store(id, Schema::new(cols), wal);
         Ok(id)
+    }
+
+    /// An empty store for the new entity `id`, and the catalog record that
+    /// creates it on replay.
+    fn create_store(&mut self, id: EntityId, schema: Schema, wal: &mut Vec<WalRecord>) {
+        let (partition_capacity, created_ts) = (self.config.partition_capacity, self.now());
+        let store =
+            TableStore::with_partition_capacity(schema.clone(), created_ts, TxnId(0), partition_capacity);
+        self.tables.insert(id, Arc::new(store));
+        let created = SideEffect::CreateStore { entity: id, schema, partition_capacity, created_ts };
+        self.push_catalog_record(created, wal);
     }
 }
 
@@ -792,7 +767,7 @@ impl Engine {
                     "upstream refresh of {up} failed: {msg}"
                 )));
             }
-            self.state.write().scheduler.mark_initialized(up, ts)?;
+            self.mutate(move |st, _| st.scheduler.mark_initialized(up, ts))?;
         }
         Ok(())
     }
@@ -800,45 +775,40 @@ impl Engine {
     /// Manual refresh (§3.2): data timestamp after the command was issued;
     /// refreshes the whole upstream chain. Returns the number of refreshes
     /// executed. The clock advances by each refresh's duration (the command
-    /// blocks). The write lock is held to plan and, after each install, to
-    /// charge the warehouse and report — never across a compute.
+    /// blocks). The install leader plans it and, after each install,
+    /// charges the warehouse and reports — nothing holds the engine lock
+    /// across a compute.
     pub(crate) fn manual_refresh(&self, name: &str, role: &str) -> DtResult<usize> {
-        let plan = {
-            let mut st = self.state.write();
-            let e = st.catalog.resolve(name)?;
+        let (name, role) = (name.to_string(), role.to_string());
+        let plan = self.mutate(move |st, _| {
+            let e = st.catalog.resolve(&name)?;
             let not_dt = || DtError::Unsupported(format!("'{name}' is not a dynamic table"));
             let id = e.as_dt().map(|_| e.id).ok_or_else(not_dt)?;
             // OPERATE or OWNERSHIP required (§3.4), checked against the
             // *session* role the command arrived on.
             st.catalog
-                .check_privilege(role, name, dt_catalog::Privilege::Operate)?;
+                .check_privilege(&role, &name, dt_catalog::Privilege::Operate)?;
             // §3.2: a data timestamp after the command was issued (the HLC
             // guarantees it is after every prior commit).
             let now = st.txn.hlc().tick();
-            st.scheduler.manual_refresh_plan(id, now)
-        };
+            Ok(st.scheduler.manual_refresh_plan(id, now))
+        })?;
         let mut reported = 0;
         let run = plan.iter().try_for_each(|cmd| {
             let outcome = self.refresh(cmd.dt, cmd.refresh_ts, false)?;
-            let st = &mut *self.state.write();
-            let start = st.now();
-            let duration = if outcome.work_units > 0.0 {
-                let wh = &st.dt_warehouse[&cmd.dt];
-                st.warehouses.get_mut(wh)?.execute(start, outcome.work_units)
-            } else {
-                Duration::ZERO
-            };
-            st.clock.advance(duration);
-            let ended = st.now();
-            let mut wal_records = Vec::new();
-            st.report_refresh(cmd.dt, cmd.refresh_ts, &outcome, ended, &mut wal_records)?;
+            let (dt, refresh_ts) = (cmd.dt, cmd.refresh_ts);
+            self.mutate(move |st, wal| {
+                let duration = st.charge(dt, st.now(), outcome.work_units)?;
+                st.clock.advance(duration);
+                let ended = st.now();
+                st.report_refresh(dt, refresh_ts, &outcome, ended, wal)
+            })?;
             reported += 1;
-            st.wal_append(&wal_records)
+            Ok(())
         });
         // An issued refresh that did not run must not stay in flight.
         if let Err(e) = run {
-            let mut st = self.state.write();
-            plan[reported..].iter().for_each(|cmd| st.scheduler.abandon(cmd.dt));
+            self.abandon(&plan[reported..]);
             return Err(e);
         }
         Ok(plan.len())
@@ -882,7 +852,7 @@ pub(crate) fn reject_placeholders(stmt: &ast::Statement) -> DtResult<()> {
 }
 
 /// Extract the defining query text (everything after the first top-level
-/// ` AS `) from a CREATE DYNAMIC TABLE statement.
+/// ` AS `) from a CREATE DYNAMIC TABLE or CREATE VIEW statement.
 fn extract_defining_query(sql: &str) -> DtResult<String> {
     let lower = sql.to_ascii_lowercase();
     let mut idx = None;
@@ -910,11 +880,6 @@ fn extract_defining_query(sql: &str) -> DtResult<String> {
     }
     let idx = idx.ok_or_else(|| DtError::internal("CREATE DYNAMIC TABLE without AS"))?;
     Ok(sql[idx..].trim().trim_end_matches(';').to_string())
-}
-
-/// Views store their body; for CREATE VIEW we extract it the same way.
-fn render_query_validation_source(sql: &str) -> DtResult<String> {
-    extract_defining_query(sql)
 }
 
 #[cfg(test)]

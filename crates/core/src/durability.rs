@@ -7,9 +7,10 @@
 //! * **Catalog records** carry a *full* catalog image (plus warehouse
 //!   definitions and the DT→warehouse map) after every DDL, grant, or
 //!   warehouse mutation — trivially idempotent to replay, and faithful to
-//!   the serialization order because every append happens under the engine
-//!   write lock. A side effect describes the storage action that rode
-//!   along (a new table store, a zero-copy clone).
+//!   the serialization order because the install leader is the state's one
+//!   writer and appends under the engine write lock. A side effect
+//!   describes the storage action that rode along (a new table store, a
+//!   zero-copy clone).
 //! * **DML commit records** carry each committed transaction's physical
 //!   install — exact partition ids, rows, and version metadata per touched
 //!   table — stamped with the real HLC commit timestamp, so replay
@@ -20,12 +21,12 @@
 //!   catalog image (error counters, evolution fingerprints).
 //!
 //! The install pipeline's leader (the `install` module; transaction
-//! commits and refreshes share its [`dt_txn::CommitQueue`]) appends its
-//! whole batch with **one** `fsync` while still holding the engine write
-//! lock: durable strictly before acknowledged *and* before visible, at
-//! ≤ 1 fsync per batch. Every refresh rides that queue; only an
-//! auto-commit statement (`commit_unbatched`) installs inline, as a batch
-//! of one.
+//! commits, refreshes and every other state change share its
+//! [`dt_txn::CommitQueue`]) appends its whole batch with **one** `fsync`
+//! while still holding the engine write lock — the WAL's only append
+//! site: durable strictly before acknowledged *and* before visible, at
+//! ≤ 1 fsync per batch. Only an auto-commit statement (`commit_unbatched`)
+//! installs inline, as a batch of one through the same leader body.
 //!
 //! The bytes of every record and of the checkpoint image are written with
 //! [`dt_common::codec`]; the file formats around them belong to `dt-wal`.
@@ -61,13 +62,13 @@ use crate::database::{DbConfig, EngineState};
 /// with stats readers) plus the auto-checkpoint accounting. The `Engine`
 /// handle keeps a clone for lock-free `SHOW STATS`.
 pub(crate) struct WalShared {
-    wal: Mutex<Wal>,
+    pub(crate) wal: Mutex<Wal>,
     stats: Arc<WalStats>,
     /// Payload bytes appended since the last checkpoint (auto-checkpoint
     /// trigger).
-    since_checkpoint: AtomicU64,
+    pub(crate) since_checkpoint: AtomicU64,
     /// Auto-checkpoint threshold, from [`DbConfig::wal_checkpoint_bytes`].
-    checkpoint_bytes: u64,
+    pub(crate) checkpoint_bytes: u64,
     dir: PathBuf,
 }
 
@@ -501,46 +502,18 @@ impl EngineState {
         self.wal.is_some()
     }
 
-    /// Append `records` as one framed, CRC'd, fsynced batch — called by
-    /// the install leader (`install_batch`) and the DDL paths, always while the
-    /// engine write lock is held, so durability strictly precedes
-    /// visibility. Crosses the auto-checkpoint threshold afterwards when
-    /// enough bytes accumulated.
-    pub(crate) fn wal_append(&self, records: &[WalRecord]) -> DtResult<()> {
-        let Some(shared) = &self.wal else {
-            return Ok(());
-        };
-        if records.is_empty() {
-            return Ok(());
-        }
-        let payloads: Vec<Vec<u8>> = records.iter().map(|r| r.to_bytes()).collect();
-        let bytes: u64 = payloads.iter().map(|p| p.len() as u64).sum();
-        shared.wal.lock().append_batch(&payloads)?;
-        let total = shared.since_checkpoint.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        if total >= shared.checkpoint_bytes {
-            self.write_checkpoint()?;
-        }
-        Ok(())
-    }
-
-    /// Log a catalog/warehouse/privilege mutation: a full catalog +
-    /// engine-meta image plus the storage side effect, stamped with a
-    /// fresh HLC tick.
-    pub(crate) fn wal_log_catalog(&self, side_effect: SideEffect) -> DtResult<()> {
-        if self.wal.is_none() {
-            return Ok(());
-        }
-        self.wal_append(&[self.catalog_record(side_effect)])
-    }
-
-    /// The catalog record for the state as it is now, for callers that
-    /// append it as part of a larger batch.
-    pub(crate) fn catalog_record(&self, side_effect: SideEffect) -> WalRecord {
-        WalRecord::Catalog {
-            stamp: self.txn.hlc().tick(),
-            catalog: self.catalog.to_bytes(),
-            meta: self.engine_meta(),
-            side_effect,
+    /// Push the catalog record for the state as it is now — a full
+    /// catalog + engine-meta image plus the storage side effect, stamped
+    /// with a fresh HLC tick — onto `wal`, for the install batch's one
+    /// append. Nothing (and no tick) when the engine is not durable.
+    pub(crate) fn push_catalog_record(&self, side_effect: SideEffect, wal: &mut Vec<WalRecord>) {
+        if self.wal_enabled() {
+            wal.push(WalRecord::Catalog {
+                stamp: self.txn.hlc().tick(),
+                catalog: self.catalog.to_bytes(),
+                meta: self.engine_meta(),
+                side_effect,
+            });
         }
     }
 
@@ -560,8 +533,8 @@ impl EngineState {
     /// Write a checkpoint: the complete engine image, then roll the WAL
     /// and remove sealed segments behind it. Returns `false` (and does
     /// nothing) when the engine is not durable. Must be called with the
-    /// engine write lock held (all callers are `&mut self` paths or the
-    /// install leader).
+    /// engine write lock held (the install leader's append and
+    /// `Engine::checkpoint`).
     pub(crate) fn write_checkpoint(&self) -> DtResult<bool> {
         let Some(shared) = &self.wal else {
             return Ok(false);

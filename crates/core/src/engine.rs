@@ -23,9 +23,11 @@
 //! pinned versions — then release it and bind, plan, and execute entirely
 //! against the snapshot. Readers therefore never wait behind an in-flight
 //! refresh. DML commits through [`Transaction`] (auto-commit is the
-//! one-statement kind); DDL runs under the write lock; a refresh computes
-//! with no engine lock held, and every install — DML or refresh, through
-//! the one pipeline of the `install` module — takes it briefly.
+//! one-statement kind); a refresh computes with no engine lock held; and
+//! every change to the engine state — a commit's or a refresh's install,
+//! DDL, a grant, a warehouse, the scheduler's bookkeeping — is made by
+//! the one writer, the install leader of the `install` module, which
+//! takes the write lock briefly per batch.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -407,7 +409,8 @@ impl Engine {
 
     /// Create a virtual warehouse with `nodes` nodes (§3.3.1).
     pub fn create_warehouse(&self, name: &str, nodes: u32) -> DtResult<()> {
-        self.state.write().create_warehouse(name, nodes)
+        let name = name.to_string();
+        self.mutate(move |st, wal| st.create_warehouse(&name, nodes, wal))
     }
 
     /// A handle to the refresh log (every refresh executed so far). O(1):
@@ -688,7 +691,8 @@ impl Session {
         entity: &str,
         privilege: dt_catalog::Privilege,
     ) -> DtResult<()> {
-        self.engine.state.write().grant(role, entity, privilege)
+        let (role, entity) = (role.to_string(), entity.to_string());
+        self.engine.mutate(move |st, wal| st.grant(&role, &entity, privilege, wal))
     }
 
     /// Number of statements in this session's prepared-statement cache.
@@ -710,8 +714,8 @@ impl std::fmt::Debug for Session {
 /// pinned snapshot, DML buffers); otherwise reads bind, plan and execute
 /// off a fresh snapshot with no engine lock, DML auto-commits, a refresh
 /// (`ALTER … REFRESH`, `CREATE DYNAMIC TABLE`'s initialization) computes
-/// with no engine lock, and everything else runs under the engine write
-/// lock as the session's role. `session` is
+/// with no engine lock, and every other change — DDL, as the session's
+/// role — is run by the install leader (`Engine::mutate`). `session` is
 /// `None` when a prepared statement outlived its session: reads still
 /// run, but nothing may execute under a role other than its session's.
 fn route_statement(
@@ -740,12 +744,12 @@ fn route_statement(
     if is_dml(&stmt) {
         return autocommit_dml(engine, stmt, params);
     }
-    let role = session.role.lock().clone();
+    let (role, sql) = (session.role.lock().clone(), sql.to_string());
     match stmt {
-        // The catalog part under the write lock, the refreshes after it.
+        // The catalog part through the install leader, the refreshes after.
         ast::Statement::CreateDynamicTable(cdt) => {
             let (name, initialize) = (cdt.name.clone(), cdt.initialize_on_create);
-            let id = engine.state.write().create_dynamic_table(sql, cdt, &role)?;
+            let id = engine.mutate(move |st, wal| st.create_dynamic_table(&sql, cdt, &role, wal))?;
             if initialize {
                 engine.initialize_dt(id)?;
             }
@@ -758,7 +762,7 @@ fn route_statement(
             let n = engine.manual_refresh(&name, &role)?;
             Ok(ExecResult::Ok(format!("{name} refreshed ({n} refreshes executed)")))
         }
-        stmt => engine.state.write().execute_parsed(stmt, sql, &role, params),
+        stmt => engine.mutate(move |st, wal| st.execute_ddl(stmt, &sql, &role, wal)),
     }
 }
 

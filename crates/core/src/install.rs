@@ -1,15 +1,18 @@
-//! The install pipeline: the one place a staged change becomes part of the
-//! database, whether it is a transaction's write set
-//! ([`crate::PreparedCommit`]) or a refresh — every refresh, whoever runs
-//! it: `CREATE DYNAMIC TABLE`'s initialization, `ALTER … REFRESH`, the
-//! simulated scheduler and the round driver all submit here. A refresh
-//! *is* a transaction (§5.3): both arrive with their row work done
-//! against pinned versions and need the same thing — validate, stamp,
-//! log, publish, all or nothing, durable before visible (§6.1).
+//! The install pipeline: the one writer of the engine state. A
+//! transaction's write set ([`crate::PreparedCommit`]), every refresh —
+//! whoever runs it: `CREATE DYNAMIC TABLE`'s initialization, `ALTER …
+//! REFRESH`, the simulated scheduler and the round driver all submit
+//! here — and every other change (DDL, grants, warehouses, the
+//! scheduler's bookkeeping: `Engine::mutate`) become part of the database
+//! only here. A refresh *is* a transaction (§5.3): both arrive with their
+//! row work done against pinned versions and need the same thing —
+//! validate, stamp, log, publish, all or nothing, durable before visible
+//! (§6.1).
 //!
 //! Requests ride one [`dt_txn::CommitQueue`] as a tagged [`Install`]. The
 //! **leader** (`install_batch`) takes the engine write lock once per batch
-//! and runs every request through one core (`validate_and_install`):
+//! and runs every commit and refresh through one core
+//! (`validate_and_install`):
 //!
 //! 1. the request's transaction is still active;
 //! 2. every entity it writes — and, for a refresh, reads — is live in the
@@ -31,11 +34,14 @@
 //!    the stamp.
 //!
 //! A refresh then records itself (refresh map, frontier, catalog,
-//! scheduler, refresh log: `crate::refresh::install_refresh`). The whole
-//! batch, commits and refreshes mixed, reaches the WAL in **one** append
-//! and one fsync before the write lock drops; if the append fails, every
-//! acknowledgement in the batch becomes that error, because the versions
-//! are already in the chains and none of them may pass for durable.
+//! scheduler, refresh log: `crate::refresh::install_refresh`). A mutation
+//! runs its closure over the state and contributes its WAL records only
+//! when it returns `Ok`. The whole batch, all three kinds mixed, reaches
+//! the WAL in **one** append and one fsync before the write lock drops —
+//! `wal_append`, private to this module, is the log's only append site;
+//! if the append fails, every acknowledgement in the batch becomes that
+//! error, because the changes are already in place and none of them may
+//! pass for durable.
 //!
 //! Admission guarantees batch-mates touch disjoint tables and DTs, so
 //! outcomes are independent: one request's conflict never disturbs
@@ -79,14 +85,24 @@ pub(crate) enum Install {
         request: RefreshInstall,
         report_now: bool,
     },
+    /// Any other change to the engine state (see [`Engine::mutate`]).
+    Mutate(Mutation),
 }
+
+/// A change to the engine state run by the install leader: it mutates the
+/// state and pushes the WAL records that make it durable onto the list it
+/// is given.
+pub(crate) type Mutation =
+    Box<dyn FnOnce(&mut EngineState, &mut Vec<WalRecord>) -> DtResult<()> + Send>;
 
 /// The acknowledgement of one installed request.
 pub(crate) struct Installed {
     /// The stamp on every version the request installed (`refresh_ts` for
-    /// a refresh that failed with a user error, which installs nothing).
+    /// a refresh that failed with a user error, which installs nothing;
+    /// `EPOCH` for a mutation, which stamps no version).
     pub(crate) commit_ts: Timestamp,
-    /// The refresh's outcome; `None` for a transaction commit.
+    /// The refresh's outcome; `None` for a transaction commit or a
+    /// mutation.
     pub(crate) refresh: Option<RefreshOutcome>,
 }
 
@@ -155,8 +171,9 @@ impl InstallShared {
 }
 
 impl Engine {
-    /// Installs — commits and refreshes — currently enqueued behind the
-    /// in-flight batch (telemetry; tests use it to observe batching).
+    /// Installs — commits, refreshes and other state changes — currently
+    /// enqueued behind the in-flight batch (telemetry; tests use it to
+    /// observe batching).
     pub fn pending_installs(&self) -> usize {
         self.installs.queue.pending()
     }
@@ -164,11 +181,15 @@ impl Engine {
     /// Submit `request` to the install queue and block until a leader —
     /// possibly this thread — has installed the batch containing it.
     pub(crate) fn install(&self, request: Install) -> DtResult<Installed> {
-        let (txn, counters) = match &request {
-            Install::Commit(c) => (c.txn.clone(), &self.installs.commit),
-            Install::Refresh { request, .. } => (request.txn.clone(), &self.installs.refresh),
+        // A mutation has no transaction and counts as neither kind.
+        let txn = match &request {
+            Install::Commit(c) => Some((c.txn.clone(), &self.installs.commit)),
+            Install::Refresh { request, .. } => Some((request.txn.clone(), &self.installs.refresh)),
+            Install::Mutate(_) => None,
         };
-        counters.submitted.fetch_add(1, Ordering::Relaxed);
+        if let Some((_, counters)) = &txn {
+            counters.submitted.fetch_add(1, Ordering::Relaxed);
+        }
         let submitted = catch_unwind(AssertUnwindSafe(|| {
             self.installs
                 .queue
@@ -180,9 +201,27 @@ impl Engine {
             // processing panicked). The panic propagates — but first the
             // transaction must abort, or the locks it holds (admission
             // locks, a DT's refresh lock) would stay held forever.
-            let _ = self.state.read().txn.abort(&txn);
+            if let Some((txn, _)) = txn {
+                let _ = self.state.read().txn.abort(&txn);
+            }
             resume_unwind(payload)
         })
+    }
+
+    /// Run `change` over the engine state as the install leader — the one
+    /// writer — and return its result. The WAL records `change` pushes
+    /// reach the log in its batch's one append, and only if it returns
+    /// `Ok`. `change` must not touch the engine: it runs under the write
+    /// lock, possibly on another submitter's thread.
+    pub(crate) fn mutate<R: Send + 'static>(
+        &self,
+        change: impl FnOnce(&mut EngineState, &mut Vec<WalRecord>) -> DtResult<R> + Send + 'static,
+    ) -> DtResult<R> {
+        let (result, received) = std::sync::mpsc::channel();
+        self.install(Install::Mutate(Box::new(move |st, wal_records| {
+            change(st, wal_records).map(|r| result.send(r).expect("the submitter is waiting"))
+        })))?;
+        Ok(received.try_recv().expect("an installed mutation sent its result"))
     }
 }
 
@@ -196,12 +235,12 @@ pub(crate) fn install_batch(engine: &Engine, batch: Vec<Install>) -> Vec<DtResul
         .iter()
         .map(|request| match request {
             Install::Commit(c) => Some(c.prepared.iter().map(|(id, _, _)| *id).collect()),
-            Install::Refresh { .. } => None,
+            Install::Refresh { .. } | Install::Mutate(_) => None,
         })
         .collect();
-    let commits = touched.iter().flatten().count();
-    engine.installs.commit.record_batch(commits);
-    engine.installs.refresh.record_batch(batch.len() - commits);
+    let refreshes = batch.iter().filter(|r| matches!(r, Install::Refresh { .. })).count();
+    engine.installs.commit.record_batch(touched.iter().flatten().count());
+    engine.installs.refresh.record_batch(refreshes);
 
     let mut wal_records = Vec::new();
     let mut outcomes: Vec<DtResult<Installed>> = batch
@@ -212,6 +251,15 @@ pub(crate) fn install_batch(engine: &Engine, batch: Vec<Install>) -> Vec<DtResul
                 request,
                 report_now,
             } => install_refresh(&mut st, request, report_now, &mut wal_records),
+            Install::Mutate(change) => {
+                let mut records = Vec::new();
+                change(&mut st, &mut records)?;
+                wal_records.append(&mut records);
+                Ok(Installed {
+                    commit_ts: Timestamp::EPOCH,
+                    refresh: None,
+                })
+            }
         })
         .collect();
     // The batch is durable before the write lock drops: one append, one
@@ -241,6 +289,26 @@ pub(crate) fn install_batch(engine: &Engine, batch: Vec<Install>) -> Vec<DtResul
         }
     }
     outcomes
+}
+
+impl EngineState {
+    /// Append `records` as one framed, CRC'd, fsynced batch — while the
+    /// leader holds the engine write lock, so durability strictly precedes
+    /// visibility. The WAL's only append site. Crosses the auto-checkpoint
+    /// threshold afterwards when enough bytes accumulated.
+    fn wal_append(&self, records: &[WalRecord]) -> DtResult<()> {
+        let Some(shared) = self.wal.as_ref().filter(|_| !records.is_empty()) else {
+            return Ok(());
+        };
+        let payloads: Vec<Vec<u8>> = records.iter().map(|r| r.to_bytes()).collect();
+        let bytes: u64 = payloads.iter().map(|p| p.len() as u64).sum();
+        shared.wal.lock().append_batch(&payloads)?;
+        let total = shared.since_checkpoint.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        if total >= shared.checkpoint_bytes {
+            self.write_checkpoint()?;
+        }
+        Ok(())
+    }
 }
 
 fn install_commit(

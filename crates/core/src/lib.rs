@@ -91,7 +91,6 @@ pub use locking::{AdaptiveConfig, AdaptivePolicy};
 pub use parallel_refresh::{
     InstalledRefresh, PreparedRefresh, RefreshRoundReport, RefreshStats, RoundStatus,
 };
-pub use providers::VersionSemantics;
 pub use refresh::{RefreshLog, RefreshLogEntry};
 pub use simulate::SimStats;
 pub use snapshot::ReadSnapshot;

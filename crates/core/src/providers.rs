@@ -4,7 +4,7 @@
 //! Queries and DML do not come through here — they run lock-free against
 //! a [`crate::ReadSnapshot`] (which implements [`TableProvider`] itself).
 //! [`SnapshotProvider`] serves refresh evaluation at a data timestamp
-//! with DVS or persisted semantics. Every provider, the read snapshot
+//! under delayed view semantics. Every provider, the read snapshot
 //! included, turns a resolved table version into rows or zero-copy
 //! batches through one crate-private type, `PinnedVersion`.
 
@@ -19,20 +19,6 @@ use dt_exec::TableProvider;
 use dt_plan::{LogicalPlan, ResolvedRelation};
 use dt_storage::TableStore;
 use dt_txn::RefreshTsMap;
-
-/// How DT versions are resolved when read by a refresh (§3.1.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VersionSemantics {
-    /// Delayed view semantics: a DT read by a refresh at data timestamp
-    /// `t` resolves to the version created by that DT's refresh at the
-    /// *same* `t` (exact lookup in the refresh-timestamp map; a miss fails
-    /// the refresh — production validation #1 of §6.1).
-    #[default]
-    Dvs,
-    /// Persisted table semantics (the baseline §4 argues against): read
-    /// whatever version is persisted as of the refresh's start.
-    Persisted,
-}
 
 /// Which entities are DTs and where every entity's storage lives.
 pub struct StorageView<'a> {
@@ -127,23 +113,21 @@ impl PinnedVersion<'_> {
 /// already spreads the round's ready DTs over the refresh workers.
 pub(crate) const WRITE_SCAN_THREADS: usize = 1;
 
-/// A provider that resolves every entity as of a data timestamp, applying
-/// the chosen semantics for DT reads.
+/// A provider that resolves every entity as of a data timestamp under
+/// delayed view semantics (§3.1.1): a base table by commit timestamp, a DT
+/// to the version its refresh at the *same* timestamp created (exact
+/// lookup in the refresh-timestamp map; a miss fails the refresh —
+/// production validation #1 of §6.1).
 pub struct SnapshotProvider<'a> {
     view: StorageView<'a>,
     /// The data timestamp to resolve at.
     pub at: Timestamp,
-    semantics: VersionSemantics,
 }
 
 impl<'a> SnapshotProvider<'a> {
     /// Build a provider at `at`.
-    pub fn new(view: StorageView<'a>, at: Timestamp, semantics: VersionSemantics) -> Self {
-        SnapshotProvider {
-            view,
-            at,
-            semantics,
-        }
+    pub fn new(view: StorageView<'a>, at: Timestamp) -> Self {
+        SnapshotProvider { view, at }
     }
 }
 
@@ -156,11 +140,10 @@ impl SnapshotProvider<'_> {
             .get(&entity)
             .ok_or_else(|| DtError::Storage(format!("no storage for {entity}")))?;
         let is_dt = (self.view.dt_entities)(entity);
-        let version = if is_dt && self.semantics == VersionSemantics::Dvs {
+        let version = if is_dt {
             self.view.refresh_map.exact_version_for(entity, self.at)?
         } else {
-            // Base tables (and DTs under persisted semantics) resolve by
-            // commit timestamp (§5.3).
+            // Base tables resolve by commit timestamp (§5.3).
             store
                 .version_at(self.at)
                 .ok_or_else(|| DtError::Storage(format!("no version of {entity} at {}", self.at)))?
@@ -187,17 +170,16 @@ impl TableProvider for SnapshotProvider<'_> {
     }
 }
 
-/// Evaluate a plan at a data timestamp under `semantics` (filters pushed
-/// into the scans first, like every interactive query); also returns the
-/// total input row count, read off version metadata, for the cost model
-/// and the source-row telemetry.
+/// Evaluate a plan at a data timestamp (filters pushed into the scans
+/// first, like every interactive query); also returns the total input row
+/// count, read off version metadata, for the cost model and the
+/// source-row telemetry.
 pub(crate) fn evaluate_at(
     view: StorageView<'_>,
-    semantics: VersionSemantics,
     plan: &LogicalPlan,
     ts: Timestamp,
 ) -> DtResult<(Vec<Row>, usize)> {
-    let provider = SnapshotProvider::new(view, ts, semantics);
+    let provider = SnapshotProvider::new(view, ts);
     let mut input_rows = 0usize;
     for e in plan.scanned_entities() {
         // An unresolvable source counts nothing here; executing the plan

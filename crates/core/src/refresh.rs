@@ -28,7 +28,9 @@
 //! differ only in which timestamp they refresh to, where the compute step
 //! runs — the round driver in [`crate::parallel_refresh`] spreads it over
 //! a worker pool — and on which clock they report the outcome to the
-//! scheduler (`EngineState::report_refresh`).
+//! scheduler (`EngineState::report_refresh`: inside the install for the
+//! round driver, else in a mutation the caller queues to the same leader
+//! afterwards, so no caller takes the engine write lock itself).
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
@@ -51,8 +53,7 @@ use crate::database::EngineState;
 use crate::durability::{SideEffect, WalRecord};
 use crate::install::{check_admitted, validate_and_install, Installed};
 use crate::providers::{
-    evaluate_at, strip_row_ids, PinnedVersion, SnapshotProvider, StorageView, VersionSemantics,
-    WRITE_SCAN_THREADS,
+    evaluate_at, strip_row_ids, PinnedVersion, SnapshotProvider, StorageView, WRITE_SCAN_THREADS,
 };
 
 /// One executed refresh, for telemetry and the §6.3 statistics. `Copy`:
@@ -167,8 +168,6 @@ struct RefreshEnv {
     dt_ids: BTreeSet<EntityId>,
     /// The refresh-timestamp → version map (interior-mutable, `&self`).
     refresh_map: Arc<RefreshTsMap>,
-    /// DT version resolution semantics (§3.1.1).
-    semantics: VersionSemantics,
     /// Outer-join differentiation strategy (§5.5.1).
     outer_join: OuterJoinStrategy,
     /// The §3.3.2 cost model.
@@ -189,7 +188,7 @@ impl RefreshEnv {
     /// The storage version of a source at a data timestamp (commit-time
     /// rule for base tables, exact refresh-timestamp rule for DTs — §5.3).
     fn source_version_at(&self, entity: EntityId, ts: Timestamp) -> DtResult<VersionId> {
-        if self.is_dt(entity) && self.semantics == VersionSemantics::Dvs {
+        if self.is_dt(entity) {
             self.refresh_map.exact_version_for(entity, ts)
         } else {
             self.store(entity)?
@@ -303,7 +302,7 @@ fn compute_refresh(
     let full = initial || evolved || refresh_mode == RefreshMode::Full;
     if full {
         let is_dt = |id: EntityId| env.is_dt(id);
-        let (rows, input_rows) = evaluate_at(env.view(&is_dt), env.semantics, plan, refresh_ts)?;
+        let (rows, input_rows) = evaluate_at(env.view(&is_dt), plan, refresh_ts)?;
         let out_rows = with_initial_row_ids(rows);
         let changed = out_rows.len();
         let dt_rows = out_rows.len();
@@ -362,7 +361,7 @@ fn compute_refresh(
             env,
             frontier: prev,
         };
-        let new = SnapshotProvider::new(env.view(&is_dt), refresh_ts, env.semantics);
+        let new = SnapshotProvider::new(env.view(&is_dt), refresh_ts);
         let ctx = DeltaContext {
             old: &old,
             new: &new,
@@ -566,9 +565,7 @@ pub(crate) fn install_refresh(
             check_admitted(st, &txn, [dt], dropped)?;
             st.txn.abort(&txn)?;
             st.catalog.record_dt_error(dt)?;
-            if st.wal_enabled() {
-                wal_records.push(st.catalog_record(SideEffect::None));
-            }
+            st.push_catalog_record(SideEffect::None, wal_records);
             let outcome = RefreshOutcome {
                 action: RefreshAction::Failed(error),
                 changed_rows: 0,
@@ -643,9 +640,7 @@ pub(crate) fn install_refresh(
                 if st.catalog.get(dt)?.as_dt().map(|m| m.state) == Some(DtState::Initializing) {
                     st.catalog.set_dt_state(dt, DtState::Active, refresh_ts)?;
                 }
-                if st.wal_enabled() {
-                    wal_records.push(st.catalog_record(SideEffect::None));
-                }
+                st.push_catalog_record(SideEffect::None, wal_records);
             }
             (commit_ts, outcome, source_rows)
         }
@@ -760,7 +755,7 @@ impl EngineState {
             refresh_mode: meta.refresh_mode,
             prev: prev.cloned(),
             evolved: (fingerprint != meta.definition_fingerprint).then_some(fingerprint),
-            validate: self.config.validate_dvs && self.config.semantics == VersionSemantics::Dvs,
+            validate: self.config.validate_dvs,
         }))
     }
 
@@ -784,7 +779,6 @@ impl EngineState {
             tables,
             dt_ids,
             refresh_map: Arc::clone(&self.refresh_map),
-            semantics: self.config.semantics,
             outer_join: self.config.outer_join,
             cost_model: self.config.cost_model,
         })
@@ -808,9 +802,7 @@ impl EngineState {
         if self.scheduler.report(dt, refresh_ts, outcome, ended)? {
             self.catalog
                 .set_dt_state(dt, DtState::SuspendedOnErrors, ended)?;
-            if self.wal_enabled() {
-                wal_records.push(self.catalog_record(SideEffect::None));
-            }
+            self.push_catalog_record(SideEffect::None, wal_records);
         }
         Ok(())
     }
@@ -832,7 +824,7 @@ impl EngineState {
             dt_entities: &is_dt,
             refresh_map: &self.refresh_map,
         };
-        let (mut expected, _) = evaluate_at(view, self.config.semantics, plan, refresh_ts)?;
+        let (mut expected, _) = evaluate_at(view, plan, refresh_ts)?;
         expected.sort();
         if stored != expected {
             return Err(DtError::internal(format!(

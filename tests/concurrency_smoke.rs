@@ -389,4 +389,28 @@ fn refreshes_compute_beside_readers_and_writers() {
     });
     assert_eq!(read.unwrap(), 200_001);
     assert_eq!(s.query("SELECT * FROM f").unwrap().len(), 200_002);
+
+    // DDL beside a refresh: a CREATE TABLE and a SUSPEND / RESUME of
+    // another DT finish while the refresh of `f` is still computing.
+    s.execute("CREATE DYNAMIC TABLE g TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT x FROM other")
+        .unwrap();
+    s.execute("INSERT INTO src VALUES (-3, 0)").unwrap();
+    let finished = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            s.execute("ALTER DYNAMIC TABLE f REFRESH").unwrap();
+            finished.store(true, Ordering::SeqCst);
+        });
+        let refreshing = || (engine.stats().iter()).any(|&(n, v)| n == "active_txns" && v >= 1);
+        while !refreshing() {
+            assert!(!finished.load(Ordering::SeqCst), "no refresh transaction was seen");
+            std::thread::yield_now();
+        }
+        let ddl = engine.session();
+        for sql in ["CREATE TABLE n (x INT)", "ALTER DYNAMIC TABLE g SUSPEND", "ALTER DYNAMIC TABLE g RESUME"] {
+            ddl.execute(sql).unwrap();
+        }
+        assert!(!finished.load(Ordering::SeqCst), "the DDL waited for the refresh");
+    });
+    assert_eq!(s.query("SELECT * FROM f").unwrap().len(), 200_003);
 }

@@ -651,3 +651,28 @@ fn creating_a_dt_over_a_dt_beside_refresh_rounds_initializes_it() {
     stop.store(true, Ordering::Relaxed);
     assert!(rounds.join().unwrap() > 0);
 }
+
+/// A DT dropped while its simulated refresh is still running on the
+/// warehouse: the refresh's completion is discarded when it comes due, so
+/// the scheduler keeps running, and after `UNDROP` the DT refreshes again.
+#[test]
+fn dropping_a_dt_with_a_pending_completion_does_not_fail_the_scheduler() {
+    let cost_model = dt_scheduler::CostModel { fixed_units: 100_000.0, unit_per_row: 1.0 };
+    let eng = Engine::new(DbConfig { cost_model, ..DbConfig::default() });
+    eng.create_warehouse("wh", 1).unwrap();
+    let db = eng.session();
+    db.execute("CREATE TABLE t (k INT)").unwrap();
+    db.execute("CREATE DYNAMIC TABLE d TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT k FROM t")
+        .unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    // The refresh issued at the 60 s grid point runs for 100 s.
+    eng.run_scheduler_until(eng.now().add(Duration::from_secs(80))).unwrap();
+    db.execute("DROP TABLE d").unwrap();
+    eng.run_scheduler_until(eng.now().add(Duration::from_secs(600))).unwrap();
+
+    db.execute("UNDROP TABLE d").unwrap();
+    db.execute("INSERT INTO t VALUES (2)").unwrap();
+    let stats = eng.run_scheduler_until(eng.now().add(Duration::from_secs(600))).unwrap();
+    assert!(stats.refreshes >= 1, "{stats:?}");
+    assert_eq!(db.query_sorted("SELECT k FROM d").unwrap(), vec![row!(1i64), row!(2i64)]);
+}

@@ -907,3 +907,82 @@ fn dsg_checker_certifies_group_committed_histories() {
         "history and telemetry agree"
     );
 }
+
+/// DDL, a warehouse and a commit share one install batch: behind a stalled
+/// leader (a commit on `g0`) queue `CREATE TABLE n`, a duplicate `CREATE
+/// TABLE g1`, `ALTER DYNAMIC TABLE d SUSPEND`, a new warehouse and a commit
+/// on `g1`. The duplicate fails exactly as it does alone and takes nobody
+/// with it; the other four land in one WAL batch and survive a restart.
+#[test]
+fn ddl_rides_the_install_queue_and_a_mixed_batch_replays() {
+    let dir = std::env::temp_dir().join(format!("dt-ddl-batch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let engine = Engine::open(&dir).unwrap();
+        engine.create_warehouse("wh", 1).unwrap();
+        let s = engine.session();
+        for t in ["g0", "g1"] {
+            s.execute(&format!("CREATE TABLE {t} (k INT)")).unwrap();
+        }
+        s.execute("CREATE DYNAMIC TABLE d TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT k FROM g0")
+            .unwrap();
+        let stage = |table: &str| {
+            let mut txn = s.begin();
+            txn.execute(&format!("INSERT INTO {table} VALUES (7)")).unwrap();
+            txn.prepare_commit().unwrap()
+        };
+        let (on_g0, on_g1) = (stage("g0"), stage("g1"));
+        let (commits, wal) = (engine.commit_stats(), engine.wal_stats());
+
+        // Stall the leader inside its install, on `g0`'s commit guard.
+        let (_, g0_store) = store_of(&engine, "g0");
+        let gate = g0_store.commit_guard();
+        let leader = thread::spawn(move || on_g0.commit());
+        wait_until(
+            || {
+                engine.commit_stats().install_lock_acquisitions
+                    == commits.install_lock_acquisitions + 1
+            },
+            "the commit on `g0` to lead its batch",
+        );
+        let ddl: Vec<_> = [
+            "CREATE TABLE n (x INT)",
+            "CREATE TABLE g1 (k INT)",
+            "ALTER DYNAMIC TABLE d SUSPEND",
+        ]
+        .map(|sql| {
+            let s = engine.session();
+            thread::spawn(move || s.execute(sql).map(|_| ()))
+        })
+        .into();
+        let warehouse = {
+            let engine = engine.clone();
+            thread::spawn(move || engine.create_warehouse("wh2", 1))
+        };
+        let follower = thread::spawn(move || on_g1.commit());
+        wait_until(|| engine.pending_installs() == 5, "all five to enqueue");
+        drop(gate);
+
+        leader.join().unwrap().expect("the leader commits");
+        let outcomes: Vec<_> = ddl.into_iter().map(|t| t.join().unwrap()).collect();
+        let alone = s.execute("CREATE TABLE g1 (k INT)").unwrap_err();
+        assert_eq!(format!("{:?}", outcomes[1]), format!("{:?}", Err::<(), _>(alone)));
+        outcomes[0].as_ref().expect("CREATE TABLE n");
+        outcomes[2].as_ref().expect("ALTER … SUSPEND");
+        warehouse.join().unwrap().expect("the warehouse");
+        follower.join().unwrap().expect("the commit on `g1`");
+        assert_eq!(engine.wal_stats().batches, wal.batches + 2, "the leader's batch, then one more");
+    }
+
+    let engine = Engine::open(&dir).unwrap();
+    let s = engine.session();
+    assert!(s.query("SELECT * FROM n").unwrap().is_empty());
+    assert_eq!(s.query_sorted("SELECT * FROM g1").unwrap(), vec![row!(7i64)]);
+    engine.inspect(|st| {
+        let d = st.catalog().resolve("d").unwrap().as_dt().unwrap();
+        assert_eq!(d.state, dt_catalog::DtState::Suspended);
+        assert!(st.warehouses().get("wh2").is_ok());
+    });
+    drop((s, engine));
+    let _ = std::fs::remove_dir_all(&dir);
+}
