@@ -202,8 +202,8 @@ pub(crate) fn plan_update(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::DbConfig;
     use crate::engine::Engine;
+    use crate::state::DbConfig;
 
     /// The row loop [`matching_rows`] replaced: every row the transaction
     /// sees cloned out of the overlay, then the bound predicate evaluated

@@ -55,7 +55,7 @@ use dt_storage::{TableStore, VersionInstallRecord};
 use dt_txn::Frontier;
 use dt_wal::{Wal, WalStats, WalStatsSnapshot};
 
-use crate::database::{DbConfig, EngineState};
+use crate::state::{DbConfig, EngineState};
 
 /// The durable half of an engine: the segmented WAL (behind its own lock,
 /// so appends from a leader holding the engine write lock never contend

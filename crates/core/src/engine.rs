@@ -39,12 +39,12 @@ use dt_common::{DtError, DtResult, Row, SimClock, Timestamp, Value};
 use dt_plan::LogicalPlan;
 use dt_sql::ast;
 
-use crate::database::{
-    check_placeholder_support, is_dml, DbConfig, EngineState, ExecResult, QueryResult,
-};
 use crate::install::InstallShared;
 use crate::refresh::{RefreshLog, RefreshLogEntry};
 use crate::snapshot::ReadSnapshot;
+use crate::state::{
+    check_placeholder_support, is_dml, DbConfig, EngineState, ExecResult, QueryResult,
+};
 use crate::transaction::{is_serialization_conflict, Transaction};
 
 /// The role sessions run as unless [`Engine::session_as`] says otherwise.

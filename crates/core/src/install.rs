@@ -56,10 +56,10 @@ use dt_scheduler::RefreshOutcome;
 use dt_storage::{CommitGuard, PreparedChange, TableStore, VersionInstallRecord};
 use dt_txn::{CommitQueue, Txn};
 
-use crate::database::EngineState;
 use crate::durability::WalRecord;
 use crate::engine::Engine;
 use crate::refresh::{install_refresh, RefreshInstall};
+use crate::state::EngineState;
 use crate::transaction::is_serialization_conflict;
 
 /// One table's share of a staged change: the entity, its store, and the

@@ -67,7 +67,6 @@
 //! validation, which the `dvs_validation` harness and property tests run
 //! at scale.
 
-pub mod database;
 mod dml;
 mod durability;
 pub mod engine;
@@ -79,9 +78,9 @@ pub mod providers;
 pub mod refresh;
 pub mod simulate;
 pub mod snapshot;
+pub mod state;
 pub mod transaction;
 
-pub use database::{DbConfig, EngineState, ExecResult, QueryResult};
 pub use dt_common::DurabilityMode;
 pub use dt_wal::WalStatsSnapshot;
 pub use engine::{
@@ -94,4 +93,5 @@ pub use parallel_refresh::{
 pub use refresh::{RefreshLog, RefreshLogEntry};
 pub use simulate::SimStats;
 pub use snapshot::ReadSnapshot;
+pub use state::{DbConfig, EngineState, ExecResult, QueryResult};
 pub use transaction::{is_serialization_conflict, PreparedCommit, Transaction};

@@ -49,12 +49,12 @@ use dt_scheduler::{CostModel, RefreshAction, RefreshOutcome};
 use dt_storage::{ChangeSet, PreparedChange, TableStore};
 use dt_txn::{Frontier, RefreshTsMap, Txn};
 
-use crate::database::EngineState;
 use crate::durability::{SideEffect, WalRecord};
 use crate::install::{check_admitted, validate_and_install, Installed};
 use crate::providers::{
     evaluate_at, strip_row_ids, PinnedVersion, SnapshotProvider, StorageView, WRITE_SCAN_THREADS,
 };
+use crate::state::EngineState;
 
 /// One executed refresh, for telemetry and the §6.3 statistics. `Copy`:
 /// entries are a few machine words, so handing them out by value is free.

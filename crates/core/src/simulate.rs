@@ -5,9 +5,9 @@ use dt_catalog::DtState;
 use dt_common::{DtResult, Duration, EntityId, Timestamp};
 use dt_scheduler::{RefreshAction, RefreshCommand, RefreshOutcome};
 
-use crate::database::EngineState;
 use crate::durability::WalRecord;
 use crate::engine::Engine;
+use crate::state::EngineState;
 
 /// A refresh whose computation ran but whose virtual end time (warehouse
 /// duration) lies in the future. Held in [`EngineState`] so it survives across

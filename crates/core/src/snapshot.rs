@@ -29,8 +29,8 @@ use dt_sql::ast;
 use dt_storage::TableStore;
 use dt_txn::Frontier;
 
-use crate::database::{reject_placeholders, EngineState, ExecResult, QueryResult};
 use crate::providers::PinnedVersion;
+use crate::state::{reject_placeholders, EngineState, ExecResult, QueryResult};
 
 /// One table pinned inside a [`ReadSnapshot`]: the shared store handle,
 /// the version the snapshot resolves it at, and what kind of relation it

@@ -49,11 +49,11 @@ use dt_plan::{BindOutput, LogicalPlan, ScalarExpr};
 use dt_sql::ast;
 use dt_txn::Txn;
 
-use crate::database::{ExecResult, QueryResult};
 use crate::dml::{self, DmlChange};
 use crate::engine::Engine;
 use crate::install::{install_batch, CommitRequest, Install, StagedChange};
 use crate::snapshot::ReadSnapshot;
+use crate::state::{ExecResult, QueryResult};
 
 /// True when an error is a serialization conflict — another transaction
 /// committed (or is committing) a touched table first — or a deadlock
@@ -356,7 +356,7 @@ impl Transaction {
     /// buffered writes) and return rows + schema.
     pub fn query(&self, sql: &str) -> DtResult<QueryResult> {
         let stmt = dt_sql::parse(sql)?;
-        crate::database::reject_placeholders(&stmt)?;
+        crate::state::reject_placeholders(&stmt)?;
         let ast::Statement::Query(q) = stmt else {
             return Err(DtError::Unsupported("not a query".into()));
         };
@@ -747,7 +747,7 @@ fn statement_label(stmt: &ast::Statement) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::DbConfig;
+    use crate::state::DbConfig;
 
     #[test]
     fn transaction_is_send() {
