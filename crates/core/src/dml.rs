@@ -73,14 +73,14 @@ fn scaffold_query(
 pub(crate) fn plan_insert(
     src: &OverlayProvider<'_>,
     table: &str,
-    values: Vec<Vec<ast::Expr>>,
-    query: Option<ast::Query>,
+    values: &[Vec<ast::Expr>],
+    query: Option<&ast::Query>,
     params: &[Value],
 ) -> DtResult<DmlChange> {
     let (id, schema) = src.target_table(table)?;
     let mut rows = Vec::new();
     if let Some(q) = query {
-        let out = src.bind_query(&q)?;
+        let out = src.bind_query(q)?;
         if out.plan.schema().len() != schema.len() {
             return Err(DtError::Type(format!(
                 "INSERT query arity {} does not match table arity {}",
@@ -97,7 +97,7 @@ pub(crate) fn plan_insert(
         // in place, so the first bad cell's error is the statement's.
         for row_exprs in values {
             let mut vals = Vec::with_capacity(row_exprs.len());
-            for e in &row_exprs {
+            for e in row_exprs {
                 let cell = src.bind_constant(e)?.bind_params(params)?;
                 vals.push(cell.eval(&Row::empty())?);
             }
@@ -120,13 +120,13 @@ pub(crate) fn plan_insert(
 fn matching_rows(
     src: &OverlayProvider<'_>,
     id: EntityId,
-    predicate: Option<ast::Expr>,
+    predicate: Option<&ast::Expr>,
     params: &[Value],
 ) -> DtResult<Vec<Row>> {
     let q = scaffold_query(
         vec![ast::SelectItem::Wildcard],
         Some(src.entity_name(id)?),
-        predicate,
+        predicate.cloned(),
     );
     src.execute_plan(&src.bind_query(&q)?.plan.bind_params(params)?)
 }
@@ -135,7 +135,7 @@ fn matching_rows(
 pub(crate) fn plan_delete(
     src: &OverlayProvider<'_>,
     table: &str,
-    predicate: Option<ast::Expr>,
+    predicate: Option<&ast::Expr>,
     params: &[Value],
 ) -> DtResult<DmlChange> {
     let (id, _schema) = src.target_table(table)?;
@@ -153,15 +153,15 @@ pub(crate) fn plan_delete(
 pub(crate) fn plan_update(
     src: &OverlayProvider<'_>,
     table: &str,
-    assignments: Vec<(String, ast::Expr)>,
-    predicate: Option<ast::Expr>,
+    assignments: &[(String, ast::Expr)],
+    predicate: Option<&ast::Expr>,
     params: &[Value],
 ) -> DtResult<DmlChange> {
     let (id, schema) = src.target_table(table)?;
     let old = matching_rows(src, id, predicate, params)?;
     // Bind assignment expressions against the table schema.
     let mut bound: Vec<(usize, dt_plan::ScalarExpr)> = Vec::new();
-    for (col, e) in &assignments {
+    for (col, e) in assignments {
         let idx = schema.index_of(col)?;
         let q = scaffold_query(
             vec![ast::SelectItem::Expr {
@@ -352,7 +352,7 @@ mod tests {
             };
             if let Some(predicate) = predicate {
                 let src = txn.overlay();
-                let new = matching_rows(&src, id, predicate.clone(), &[]);
+                let new = matching_rows(&src, id, predicate.as_ref(), &[]);
                 let old = matching_rows_by_scan(&src, id, &predicate, &[]);
                 match (&new, &old) {
                     (Ok(n), Ok(o)) => assert_eq!(n, o, "seed {seed}: {sql}"),

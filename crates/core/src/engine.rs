@@ -17,6 +17,12 @@
 //!   queries) bound once, then executed any number of times with different
 //!   positional `?` parameter bindings.
 //!
+//! Every SQL entry point parses, then hands the statement and the surface
+//! it arrived on (session, [`Transaction`], [`ReadSnapshot`]) to the one
+//! statement router, which alone decides what a surface runs, the `?` rule
+//! and the `FOR UPDATE` rule; a `query` refuses, before it runs, a
+//! statement that answers with no rows.
+//!
 //! Read statements (`SELECT`, `EXPLAIN`, `SHOW DYNAMIC TABLES`, prepared
 //! queries, time travel) take the engine's read lock only long enough to
 //! capture a [`ReadSnapshot`] — an `Arc`'d catalog view plus per-table
@@ -41,11 +47,10 @@ use dt_sql::ast;
 
 use crate::install::InstallShared;
 use crate::refresh::{RefreshLog, RefreshLogEntry};
+use crate::router::{self, Surface};
 use crate::snapshot::ReadSnapshot;
-use crate::state::{
-    check_placeholder_support, is_dml, DbConfig, EngineState, ExecResult, QueryResult,
-};
-use crate::transaction::{is_serialization_conflict, Transaction};
+use crate::state::{DbConfig, EngineState, ExecResult, QueryResult};
+use crate::transaction::Transaction;
 
 /// The role sessions run as unless [`Engine::session_as`] says otherwise.
 pub const DEFAULT_ROLE: &str = "sysadmin";
@@ -134,8 +139,9 @@ pub struct Engine {
     /// outcomes and steering `locks` (no engine lock either).
     pub(crate) locking: Arc<crate::locking::AdaptivePolicy>,
     /// The transaction manager, shared with the state, so `active_txns`
-    /// needs no engine lock.
-    txns: Arc<dt_txn::TxnManager>,
+    /// and a transaction's bookkeeping (abort, a read-only commit) need no
+    /// engine lock.
+    pub(crate) txns: Arc<dt_txn::TxnManager>,
     /// Kept by the server that serves this engine, if any.
     connections: Arc<ConnectionCounters>,
 }
@@ -445,15 +451,15 @@ impl std::fmt::Debug for Engine {
 /// SQL from growing without bound.
 const STATEMENT_CACHE_CAP: usize = 256;
 
-struct SessionInner {
-    role: Mutex<String>,
+pub(crate) struct SessionInner {
+    pub(crate) role: Mutex<String>,
     variables: Mutex<BTreeMap<String, String>>,
     /// Prepared statements by SQL text (per-connection statement cache).
     statements: Mutex<HashMap<String, Statement>>,
     /// The session's current SQL-level transaction (opened with `BEGIN`,
     /// closed with `COMMIT`/`ROLLBACK`). Statements executed while this is
     /// `Some` — including prepared statements — run inside it.
-    txn: Mutex<Option<Transaction>>,
+    pub(crate) txn: Mutex<Option<Transaction>>,
     /// The tables written by the transaction whose `COMMIT` this session
     /// last lost. The next `BEGIN` locks them *before* pinning its
     /// snapshot, so a client re-running that transaction plans against
@@ -463,7 +469,7 @@ struct SessionInner {
     /// `prelock`, every written table is taken, in the canonical order
     /// commits take them, since locking only the pessimistic ones would
     /// let two such sessions each hold what the other's commit waits for.
-    prelock: Mutex<Vec<dt_common::EntityId>>,
+    pub(crate) prelock: Mutex<Vec<dt_common::EntityId>>,
 }
 
 /// A per-connection handle: current role, session variables, and a
@@ -509,7 +515,8 @@ impl Session {
     }
 
     /// Execute one SQL statement. Statements containing `?` placeholders
-    /// must go through [`Session::prepare`] instead.
+    /// must go through [`Session::prepare`] instead (a `Binding` error; in
+    /// DDL, which takes none, `Unsupported`).
     ///
     /// Transaction lifecycle: `BEGIN` opens a session-scoped
     /// [`Transaction`]; while it is open, reads are served from its pinned
@@ -519,64 +526,14 @@ impl Session {
     /// — retried internally on write-write conflicts, so single statements
     /// keep their pre-transaction always-succeed behaviour).
     pub fn execute(&self, sql: &str) -> DtResult<ExecResult> {
-        let stmt = dt_sql::parse(sql)?;
-        let placeholders = stmt.placeholder_count();
-        if placeholders > 0 {
-            // Point at prepare only where prepare would actually accept
-            // the statement.
-            check_placeholder_support(&stmt, placeholders)?;
-            return Err(DtError::Binding(format!(
-                "statement has {placeholders} `?` placeholder(s); prepare it \
-                 with Session::prepare and bind values at execute time"
-            )));
-        }
-        match stmt {
-            ast::Statement::Begin => {
-                let mut cur = self.inner.txn.lock();
-                if cur.is_some() {
-                    return Err(DtError::Txn(
-                        "already in a transaction; nested BEGIN is not \
-                         supported"
-                            .into(),
-                    ));
-                }
-                let prelock = std::mem::take(&mut *self.inner.prelock.lock());
-                // A lock that cannot be had (timeout, deadlock) leaves the
-                // ordinary optimistic start.
-                let txn = if prelock.is_empty() {
-                    self.begin()
-                } else {
-                    Transaction::start_locked(self.engine.clone(), &prelock)
-                        .unwrap_or_else(|_| self.begin())
-                };
-                let msg = format!("transaction {} started", txn.id());
-                *cur = Some(txn);
-                Ok(ExecResult::Ok(msg))
-            }
-            ast::Statement::Commit => {
-                let txn = self.inner.txn.lock().take().ok_or_else(|| {
-                    DtError::Txn("COMMIT outside a transaction (no BEGIN in effect)".into())
-                })?;
-                let touched = txn.touched_tables();
-                let commit_ts = txn.commit().inspect_err(|e| {
-                    if is_serialization_conflict(e) {
-                        *self.inner.prelock.lock() = touched;
-                    }
-                })?;
-                Ok(ExecResult::Ok(format!(
-                    "transaction committed at {commit_ts}"
-                )))
-            }
-            ast::Statement::Rollback => {
-                let txn = self.inner.txn.lock().take().ok_or_else(|| {
-                    DtError::Txn(
-                        "ROLLBACK outside a transaction (no BEGIN in effect)".into(),
-                    )
-                })?;
-                txn.rollback()?;
-                Ok(ExecResult::Ok("transaction rolled back".into()))
-            }
-            stmt => route_statement(&self.engine, Some(&self.inner), stmt, sql, &[]),
+        router::route(self.surface(), &dt_sql::parse(sql)?, sql, None)
+    }
+
+    fn surface(&self) -> Surface<'_> {
+        Surface::Session {
+            engine: &self.engine,
+            session: Some(&self.inner),
+            plan: None,
         }
     }
 
@@ -610,11 +567,11 @@ impl Session {
         self.engine.snapshot()
     }
 
-    /// Run a query and return its result (rows + schema).
+    /// Run a query and return its result (rows + schema): the statement
+    /// runs as [`Session::execute`] runs it, and one that produces no rows
+    /// is `Unsupported` before it runs.
     pub fn query(&self, sql: &str) -> DtResult<QueryResult> {
-        self.execute(sql)?
-            .try_rows()
-            .ok_or_else(|| DtError::Unsupported("not a query".into()))
+        router::query(self.surface(), &dt_sql::parse(sql)?, sql, None)
     }
 
     /// Run a query and return sorted rows (deterministic comparisons).
@@ -641,23 +598,21 @@ impl Session {
         if let Some(stmt) = self.inner.statements.lock().get(sql) {
             return Ok(stmt.clone());
         }
-        let parsed = dt_sql::parse(sql)?;
-        let params = parsed.placeholder_count();
-        check_placeholder_support(&parsed, params)?;
-        let kind = match parsed {
+        let stmt = dt_sql::parse(sql)?;
+        let params = router::check_placeholders(&stmt, true)?;
+        let plan = match &stmt {
             ast::Statement::Query(q) => {
                 // Bind now against a snapshot (validates the query and
                 // caches the plan) — the engine lock is already released
                 // by the time binding runs.
                 let snap = self.engine.snapshot();
-                let plan = snap.bind_query(&q)?.plan;
-                let generation = snap.ddl_generation();
-                PreparedKind::Query {
-                    ast: q,
-                    plan: Mutex::new((generation, Arc::new(plan))),
-                }
+                let plan = snap.bind_query(q)?.plan;
+                Some(PlanCache {
+                    plan: Mutex::new((snap.ddl_generation(), Arc::new(plan))),
+                    binds: AtomicU64::new(1),
+                })
             }
-            other => PreparedKind::Command { ast: other },
+            _ => None,
         };
         let stmt = Statement {
             session: Arc::new(SessionRef {
@@ -666,9 +621,9 @@ impl Session {
             }),
             inner: Arc::new(PreparedInner {
                 sql: sql.to_string(),
+                stmt,
                 params,
-                binds: AtomicU64::new(1),
-                kind,
+                plan,
             }),
         };
         let mut cache = self.inner.statements.lock();
@@ -707,114 +662,6 @@ impl std::fmt::Debug for Session {
     }
 }
 
-/// The one statement router behind `Session::execute` and
-/// `Statement::execute`: `SHOW STATS` is answered from the engine's
-/// counters wherever it comes from; inside the session's open SQL-level
-/// transaction every other statement routes into it (reads come from its
-/// pinned snapshot, DML buffers); otherwise reads bind, plan and execute
-/// off a fresh snapshot with no engine lock, DML auto-commits, a refresh
-/// (`ALTER … REFRESH`, `CREATE DYNAMIC TABLE`'s initialization) computes
-/// with no engine lock, and every other change — DDL, as the session's
-/// role — is run by the install leader (`Engine::mutate`). `session` is
-/// `None` when a prepared statement outlived its session: reads still
-/// run, but nothing may execute under a role other than its session's.
-fn route_statement(
-    engine: &Engine,
-    session: Option<&SessionInner>,
-    stmt: ast::Statement,
-    sql: &str,
-    params: &[Value],
-) -> DtResult<ExecResult> {
-    // Engine-global telemetry, not snapshot state: answered from the
-    // lock-free counters, inside an open transaction too.
-    if let ast::Statement::ShowStats = stmt {
-        return Ok(ExecResult::Rows(engine.show_stats()));
-    }
-    if let Some(session) = session {
-        if let Some(txn) = session.txn.lock().as_mut() {
-            return txn.execute_parsed(stmt, params);
-        }
-    }
-    if EngineState::is_read_statement(&stmt) {
-        return engine.snapshot().read_statement(&stmt, params);
-    }
-    let session = session.ok_or_else(|| {
-        DtError::Unsupported("the session owning this prepared statement was closed".into())
-    })?;
-    if is_dml(&stmt) {
-        return autocommit_dml(engine, stmt, params);
-    }
-    let (role, sql) = (session.role.lock().clone(), sql.to_string());
-    match stmt {
-        // The catalog part through the install leader, the refreshes after.
-        ast::Statement::CreateDynamicTable(cdt) => {
-            let (name, initialize) = (cdt.name.clone(), cdt.initialize_on_create);
-            let id = engine.mutate(move |st, wal| st.create_dynamic_table(&sql, cdt, &role, wal))?;
-            if initialize {
-                engine.initialize_dt(id)?;
-            }
-            Ok(ExecResult::Ok(format!("dynamic table {name} created")))
-        }
-        ast::Statement::AlterDynamicTable {
-            name,
-            action: ast::AlterDtAction::Refresh,
-        } => {
-            let n = engine.manual_refresh(&name, &role)?;
-            Ok(ExecResult::Ok(format!("{name} refreshed ({n} refreshes executed)")))
-        }
-        stmt => engine.mutate(move |st, wal| st.execute_ddl(stmt, &sql, &role, wal)),
-    }
-}
-
-/// Auto-commit DML: the degenerate one-statement transaction. Plans the
-/// statement against a fresh snapshot, buffers, and commits
-/// optimistically; on a write-write conflict (another writer landed on
-/// the same table first) it retries against the new state, so a single
-/// statement behaves as if it had serialized after the winner.
-fn autocommit_dml(engine: &Engine, stmt: ast::Statement, params: &[Value]) -> DtResult<ExecResult> {
-    // Conflicts require a concurrent committer per attempt; a bounded
-    // retry only gives up under pathological sustained contention, where
-    // surfacing the conflict beats spinning forever.
-    const AUTOCOMMIT_RETRIES: usize = 64;
-    let mut last_conflict = None;
-    // Tables to lock pessimistically *before* replanning a retry. Filled
-    // after a conflict on a table whose admission mode is pessimistic:
-    // re-running the statement with those locks already held pins the
-    // table's latest version, so the retry plans against current state
-    // and cannot lose admission again — turning abort-retry churn into
-    // one bounded wait in the FIFO queue.
-    let mut prelock: Vec<dt_common::EntityId> = Vec::new();
-    for attempt in 0..AUTOCOMMIT_RETRIES {
-        let mut txn = if prelock.is_empty() {
-            Transaction::start(engine.clone(), None)
-        } else {
-            Transaction::start_locked(engine.clone(), &prelock)?
-        };
-        let result = txn.execute_parsed(stmt.clone(), params)?;
-        let touched = txn.touched_tables();
-        // Unbatched install: a single bounded-retry statement wants the
-        // shortest possible admission-lock hold. Riding the group-commit
-        // queue would hold this statement's per-table lock across a
-        // leader/follower handoff, inflating conflict aborts on hot
-        // tables — and batching only pays off on disjoint workloads,
-        // where the unbatched path never aborts to begin with. Explicit
-        // transactions (whose callers own their retry policy) batch.
-        match txn.prepare_commit().and_then(|prepared| prepared.commit_unbatched()) {
-            Ok(_) => return Ok(result),
-            Err(e) if is_serialization_conflict(&e) => {
-                last_conflict = Some(e);
-                prelock = touched
-                    .into_iter()
-                    .filter(|e| engine.locks.mode(*e) == dt_txn::LockMode::Pessimistic)
-                    .collect();
-                dt_common::retry_backoff(attempt);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last_conflict.expect("loop exits early unless a conflict occurred"))
-}
-
 /// A weak back-reference to the owning session: statements must not keep
 /// a session (and through it the cache that holds the statement) alive in
 /// a reference cycle.
@@ -823,25 +670,58 @@ struct SessionRef {
     inner: std::sync::Weak<SessionInner>,
 }
 
-enum PreparedKind {
-    /// A bound query: the plan is reused across executions and rebound
-    /// only when the catalog's DDL generation moves.
-    Query {
-        ast: ast::Query,
-        plan: Mutex<(u64, Arc<LogicalPlan>)>,
-    },
-    /// DML or parameter-free utility statements: re-executed from the
-    /// parsed AST.
-    Command { ast: ast::Statement },
+/// A prepared query's bound plan: reused across executions and rebound
+/// only when the catalog's DDL generation moves.
+pub(crate) struct PlanCache {
+    /// The DDL generation the plan was bound at, and the plan.
+    plan: Mutex<(u64, Arc<LogicalPlan>)>,
+    /// How many times the SQL was bound (1 at prepare; +1 per rebind after
+    /// DDL). Lets tests assert that re-execution reuses one bound plan.
+    binds: AtomicU64,
+}
+
+impl PlanCache {
+    /// A snapshot and the cached plan of `q` bound against it. The engine
+    /// lock is held only to capture the snapshot — scoped to the tables
+    /// the plan scans, so a point query pays O(scanned) capture, not
+    /// O(all tables) — and the rebind check and any rebinding run
+    /// lock-free against it.
+    pub(crate) fn pin(
+        &self,
+        engine: &Engine,
+        q: &ast::Query,
+    ) -> DtResult<(ReadSnapshot, Arc<LogicalPlan>)> {
+        let (generation, cached) = {
+            let slot = self.plan.lock();
+            (slot.0, Arc::clone(&slot.1))
+        };
+        let snap = engine
+            .state
+            .read()
+            .capture_snapshot_scoped(&cached.scanned_entities());
+        if snap.ddl_generation() == generation {
+            return Ok((snap, cached));
+        }
+        // DDL moved under us: take a full snapshot (the rebound plan may
+        // scan different tables) and rebind against its catalog.
+        let snap = engine.snapshot();
+        let mut slot = self.plan.lock();
+        if slot.0 != snap.ddl_generation() {
+            slot.1 = Arc::new(snap.bind_query(q)?.plan);
+            slot.0 = snap.ddl_generation();
+            self.binds.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok((snap, Arc::clone(&slot.1)))
+    }
 }
 
 struct PreparedInner {
     sql: String,
+    stmt: ast::Statement,
     params: usize,
-    /// How many times the SQL was bound (1 at prepare; +1 per rebind after
-    /// DDL). Lets tests assert that re-execution reuses one bound plan.
-    binds: AtomicU64,
-    kind: PreparedKind,
+    /// A query's bound plan; `None` for every other statement, which runs
+    /// from `stmt`.
+    plan: Option<PlanCache>,
 }
 
 /// A prepared statement: parse/bind once, execute many times with
@@ -866,10 +746,27 @@ impl Statement {
     /// How many times the statement's SQL has been bound (1 unless DDL
     /// invalidated the cached plan).
     pub fn times_bound(&self) -> u64 {
-        self.inner.binds.load(Ordering::Relaxed)
+        let plan = self.inner.plan.as_ref();
+        plan.map_or(1, |p| p.binds.load(Ordering::Relaxed))
     }
 
-    fn check_arity(&self, params: &[Value]) -> DtResult<()> {
+    /// Execute with `params` bound to the `?` placeholders in order —
+    /// inside the owning session's open SQL-level transaction, if any, like
+    /// [`Session::execute`].
+    pub fn execute(&self, params: &[Value]) -> DtResult<ExecResult> {
+        self.route(params, router::route)
+    }
+
+    /// Execute a prepared query with `params`, reusing the bound plan (see
+    /// [`Statement::execute`]). A statement that answers with no rows is
+    /// refused before it runs.
+    pub fn query(&self, params: &[Value]) -> DtResult<QueryResult> {
+        self.route(params, router::query)
+    }
+
+    /// Hand the statement and `params` (their number checked) to `entry`,
+    /// one of the router's two entry points.
+    fn route<T>(&self, params: &[Value], entry: router::Entry<T>) -> DtResult<T> {
         if params.len() != self.inner.params {
             return Err(DtError::Binding(format!(
                 "statement expects {} parameter(s), {} bound",
@@ -877,84 +774,13 @@ impl Statement {
                 params.len()
             )));
         }
-        Ok(())
-    }
-
-    /// Execute with `params` bound to the `?` placeholders in order.
-    pub fn execute(&self, params: &[Value]) -> DtResult<ExecResult> {
-        self.check_arity(params)?;
-        match &self.inner.kind {
-            PreparedKind::Query { .. } => Ok(ExecResult::Rows(self.query(params)?)),
-            PreparedKind::Command { ast } => route_statement(
-                &self.session.engine,
-                self.session.inner.upgrade().as_deref(),
-                ast.clone(),
-                &self.inner.sql,
-                params,
-            ),
-        }
-    }
-
-    /// Execute a prepared query with `params`, reusing the bound plan. The
-    /// engine lock is held only to capture a snapshot — scoped to the
-    /// tables the cached plan scans, so a point query pays O(scanned)
-    /// capture, not O(all tables) — and the rebind check, any rebinding,
-    /// and execution all run lock-free against it.
-    pub fn query(&self, params: &[Value]) -> DtResult<QueryResult> {
-        self.check_arity(params)?;
-        let PreparedKind::Query { ast, plan } = &self.inner.kind else {
-            return Err(DtError::Unsupported("not a query".into()));
+        let session = self.session.inner.upgrade();
+        let surface = Surface::Session {
+            engine: &self.session.engine,
+            session: session.as_deref(),
+            plan: self.inner.plan.as_ref(),
         };
-        // Inside the owning session's open SQL-level transaction the query
-        // reads that transaction's pinned snapshot plus its buffered writes.
-        if let Some(session) = self.session.inner.upgrade() {
-            if let Some(txn) = session.txn.lock().as_mut() {
-                return txn
-                    .execute_parsed(ast::Statement::Query(ast.clone()), params)?
-                    .try_rows()
-                    .ok_or_else(|| DtError::internal("prepared query produced no rows result"));
-            }
-        }
-        if ast.for_update {
-            // Outside a transaction there is nothing to hold the lock for:
-            // the statement's snapshot is retired as soon as it returns.
-            return Err(DtError::Unsupported(
-                "SELECT ... FOR UPDATE requires an explicit transaction".into(),
-            ));
-        }
-        let (generation, cached) = {
-            let slot = plan.lock();
-            (slot.0, Arc::clone(&slot.1))
-        };
-        let snap = {
-            let state = self.session.engine.state.read();
-            state.capture_snapshot_scoped(&cached.scanned_entities())
-        };
-        let (snap, bound) = if snap.ddl_generation() == generation {
-            (snap, cached)
-        } else {
-            // DDL moved under us: take a full snapshot (the rebound plan
-            // may scan different tables) and rebind against its catalog.
-            let snap = self.session.engine.snapshot();
-            let mut slot = plan.lock();
-            if slot.0 != snap.ddl_generation() {
-                slot.1 = Arc::new(snap.bind_query(ast)?.plan);
-                slot.0 = snap.ddl_generation();
-                self.inner.binds.fetch_add(1, Ordering::Relaxed);
-            }
-            let bound = Arc::clone(&slot.1);
-            drop(slot);
-            (snap, bound)
-        };
-        if params.is_empty() && bound.max_parameter().is_none() {
-            // Parameter-free: execute the cached plan directly, no copy.
-            let rows = snap.execute_plan(&bound)?;
-            Ok(QueryResult::new(bound.schema(), rows))
-        } else {
-            let plan = bound.bind_params(params)?;
-            let rows = snap.execute_plan(&plan)?;
-            Ok(QueryResult::new(plan.schema(), rows))
-        }
+        entry(surface, &self.inner.stmt, &self.inner.sql, Some(params))
     }
 
     /// Execute a prepared query and return sorted rows.
@@ -975,6 +801,7 @@ impl std::fmt::Debug for Statement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transaction::is_serialization_conflict;
 
     #[test]
     fn engine_is_send_sync_and_cheaply_cloneable() {

@@ -202,7 +202,7 @@ impl Engine {
             // transaction must abort, or the locks it holds (admission
             // locks, a DT's refresh lock) would stay held forever.
             if let Some((txn, _)) = txn {
-                let _ = self.state.read().txn.abort(&txn);
+                let _ = self.txns.abort(&txn);
             }
             resume_unwind(payload)
         })

@@ -76,6 +76,7 @@ pub mod morsel;
 pub mod parallel_refresh;
 pub mod providers;
 pub mod refresh;
+mod router;
 pub mod simulate;
 pub mod snapshot;
 pub mod state;

@@ -731,10 +731,7 @@ impl EngineState {
         }
 
         // Rebind the defining query against the live catalog (§5.4).
-        let bound = dt_sql::parse(&meta.definition_sql).and_then(|parsed| match parsed {
-            dt_sql::ast::Statement::Query(q) => self.bind_query(&q),
-            _ => Err(DtError::internal("DT definition is not a query")),
-        });
+        let bound = self.bind_definition(meta);
         let plan = match bound {
             Ok(bound) => bound.plan,
             // A `Catalog` error here means an upstream no longer resolves

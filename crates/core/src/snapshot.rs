@@ -14,6 +14,11 @@
 //! Time travel falls out for free: [`crate::Engine::snapshot_at`] pins the
 //! version each table had at a past instant (the snapshot-read rule of
 //! §5.3) instead of the latest one, and the same execution path runs.
+//!
+//! A snapshot's statements go through the one statement router: it serves
+//! `SELECT`, `EXPLAIN` and `SHOW DYNAMIC TABLES` with no `?` bindings, and
+//! refuses everything else — `SHOW STATS`, whose counters are engine-wide,
+//! included.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,7 +35,8 @@ use dt_storage::TableStore;
 use dt_txn::Frontier;
 
 use crate::providers::PinnedVersion;
-use crate::state::{reject_placeholders, EngineState, ExecResult, QueryResult};
+use crate::router::{self, Surface};
+use crate::state::{EngineState, ExecResult, QueryResult};
 
 /// One table pinned inside a [`ReadSnapshot`]: the shared store handle,
 /// the version the snapshot resolves it at, and what kind of relation it
@@ -225,36 +231,9 @@ impl ReadSnapshot {
         dt_exec::execute(&dt_plan::push_down_filters(plan), self)
     }
 
-    /// Bind and execute a query AST with `params` bound to its `?`
-    /// placeholders.
-    pub fn execute_query_ast(&self, q: &ast::Query, params: &[Value]) -> DtResult<QueryResult> {
-        if q.for_update {
-            // A snapshot read retires as soon as it returns — there is no
-            // transaction whose lifetime could hold the locks.
-            return Err(DtError::Unsupported(
-                "SELECT ... FOR UPDATE requires an explicit transaction".into(),
-            ));
-        }
-        let out = self.bind_query(q)?;
-        let plan = if params.is_empty() && out.plan.max_parameter().is_none() {
-            out.plan
-        } else {
-            out.plan.bind_params(params)?
-        };
-        let rows = self.execute_plan(&plan)?;
-        Ok(QueryResult::new(plan.schema(), rows))
-    }
-
-    /// Run a SELECT against the snapshot and return its rows + schema.
+    /// Run a query against the snapshot and return its rows + schema.
     pub fn query(&self, sql: &str) -> DtResult<QueryResult> {
-        let stmt = dt_sql::parse(sql)?;
-        reject_placeholders(&stmt)?;
-        let ast::Statement::Query(q) = stmt else {
-            return Err(DtError::Unsupported(
-                "snapshot reads take a SELECT".into(),
-            ));
-        };
-        self.execute_query_ast(&q, &[])
+        router::query(Surface::Snapshot(self), &dt_sql::parse(sql)?, sql, None)
     }
 
     /// Run a SELECT and return sorted rows (deterministic comparisons).
@@ -265,70 +244,36 @@ impl ReadSnapshot {
     /// Parse and run any read-only statement (SELECT / EXPLAIN / SHOW
     /// DYNAMIC TABLES) against the snapshot.
     pub fn execute_read(&self, sql: &str) -> DtResult<ExecResult> {
-        let stmt = dt_sql::parse(sql)?;
-        reject_placeholders(&stmt)?;
-        if !EngineState::is_read_statement(&stmt) {
-            return Err(DtError::Unsupported(
-                "snapshots serve read-only statements (SELECT / EXPLAIN / \
-                 SHOW DYNAMIC TABLES); writes need a session"
-                    .into(),
-            ));
-        }
-        self.read_statement(&stmt, &[])
+        router::route(Surface::Snapshot(self), &dt_sql::parse(sql)?, sql, None)
     }
 
-    /// Execute a read-only statement (query / EXPLAIN / SHOW) with `params`
-    /// bound to its `?` placeholders — the whole of bind, plan, and execute
-    /// runs against this snapshot, with no engine lock.
-    pub fn read_statement(&self, stmt: &ast::Statement, params: &[Value]) -> DtResult<ExecResult> {
-        match stmt {
-            ast::Statement::Query(q) => {
-                Ok(ExecResult::Rows(self.execute_query_ast(q, params)?))
-            }
-            ast::Statement::Explain(q) => {
-                let out = self.bind_query(q)?;
-                // What an incremental refresh of a DT defined by this query
-                // would read for each `Aggregate`, from the plan the rules
-                // differentiate (pushdown moves filters, never aggregates,
-                // so the notes meet their nodes in printing order).
-                let mode = if out.plan.is_differentiable() {
-                    "incrementally maintainable"
-                } else {
-                    "full refresh only"
-                };
-                let mut notes = dt_ivm::aggregate_maintenance(&out.plan).into_iter();
-                // Render what `execute_plan` runs: filters already sunk
-                // through joins and into the scans. (EXPLAIN takes no `?`
-                // placeholders, so every comparison it shows is against a
-                // literal, as it is once a prepared statement is bound.)
-                let plan = dt_plan::push_down_filters(&out.plan);
-                let text = plan.explain_with(&mut |node| match node {
-                    LogicalPlan::Aggregate { .. } => notes.next(),
-                    _ => None,
-                });
-                Ok(ExecResult::Ok(format!("{text}({mode})")))
-            }
-            ast::Statement::ShowDynamicTables => {
-                let rows = self.dynamic_tables_status()?;
-                let schema = Arc::new(Schema::new(vec![
-                    Column::new("name", DataType::Str),
-                    Column::new("target_lag", DataType::Str),
-                    Column::new("refresh_mode", DataType::Str),
-                    Column::new("state", DataType::Str),
-                    Column::new("warehouse", DataType::Str),
-                    Column::new("rows", DataType::Int),
-                    Column::new("errors", DataType::Int),
-                ]));
-                Ok(ExecResult::Rows(QueryResult::new(schema, rows)))
-            }
-            other => Err(DtError::internal(format!(
-                "read_statement over non-read statement {other:?}"
-            ))),
-        }
+    /// `EXPLAIN q`: the plan `execute_plan` runs, and what an incremental
+    /// refresh of a DT defined by `q` would read for each `Aggregate`.
+    pub(crate) fn explain(&self, q: &ast::Query) -> DtResult<ExecResult> {
+        let out = self.bind_query(q)?;
+        let mode = if out.plan.is_differentiable() {
+            "incrementally maintainable"
+        } else {
+            "full refresh only"
+        };
+        // The notes come from the plan the rules differentiate (pushdown
+        // moves filters, never aggregates, so they meet their nodes in
+        // printing order).
+        let mut notes = dt_ivm::aggregate_maintenance(&out.plan).into_iter();
+        // Render what `execute_plan` runs: filters already sunk through
+        // joins and into the scans. (EXPLAIN takes no `?` placeholders, so
+        // every comparison it shows is against a literal, as it is once a
+        // prepared statement is bound.)
+        let plan = dt_plan::push_down_filters(&out.plan);
+        let text = plan.explain_with(&mut |node| match node {
+            LogicalPlan::Aggregate { .. } => notes.next(),
+            _ => None,
+        });
+        Ok(ExecResult::Ok(format!("{text}({mode})")))
     }
 
-    /// Status rows for SHOW DYNAMIC TABLES, as of the snapshot.
-    fn dynamic_tables_status(&self) -> DtResult<Vec<Row>> {
+    /// `SHOW DYNAMIC TABLES` as of the snapshot: one status row per DT.
+    pub(crate) fn show_dynamic_tables(&self) -> DtResult<ExecResult> {
         let mut out = Vec::new();
         for &id in self.catalog.dynamic_tables() {
             let e = self.catalog.get(id)?;
@@ -365,19 +310,26 @@ impl ReadSnapshot {
                 Value::Int(meta.error_count as i64),
             ]));
         }
-        Ok(out)
+        let schema = Arc::new(Schema::new(vec![
+            Column::new("name", DataType::Str),
+            Column::new("target_lag", DataType::Str),
+            Column::new("refresh_mode", DataType::Str),
+            Column::new("state", DataType::Str),
+            Column::new("warehouse", DataType::Str),
+            Column::new("rows", DataType::Int),
+            Column::new("errors", DataType::Int),
+        ]));
+        Ok(ExecResult::Rows(QueryResult::new(schema, out)))
     }
 
     /// The isolation level guaranteed for a query (§4): PL-SI when it
     /// reads a single DT and nothing else; PL-2 (Read Committed) otherwise.
     pub fn query_isolation_level(&self, sql: &str) -> DtResult<dt_isolation::IsolationLevel> {
         let stmt = dt_sql::parse(sql)?;
-        reject_placeholders(&stmt)?;
-        let ast::Statement::Query(q) = stmt else {
-            return Err(DtError::Unsupported("not a query".into()));
-        };
-        let out = self.bind_query(&q)?;
-        let scanned = out.plan.scanned_entities();
+        let scanned = self
+            .bind_query(router::select(&stmt)?)?
+            .plan
+            .scanned_entities();
         let all_dts = scanned.iter().all(|e| self.catalog.is_dt(*e));
         Ok(if scanned.len() == 1 && all_dts {
             dt_isolation::IsolationLevel::Pl3

@@ -1,5 +1,5 @@
 //! The engine state: catalog, storage, transactions, scheduler, and the
-//! statement execution paths over them.
+//! DDL the statement router hands to the install leader.
 //!
 //! [`EngineState`] is the core that the public [`crate::Engine`] wraps in
 //! a reader/writer lock. It has one writer: the install leader (the
@@ -345,19 +345,10 @@ impl EngineState {
         Binder::new(&DbResolver { db: self }).bind_query(q)
     }
 
-    /// True when a statement can be served under the engine's read lock.
-    pub fn is_read_statement(stmt: &ast::Statement) -> bool {
-        matches!(
-            stmt,
-            ast::Statement::Query(_)
-                | ast::Statement::Explain(_)
-                | ast::Statement::ShowDynamicTables
-        )
-    }
-
     /// Execute one DDL statement as `role`, pushing its WAL records onto
-    /// `wal`, in the install leader (`Engine::mutate`). Sessions refuse `?`
-    /// placeholders in DDL and route every other statement elsewhere.
+    /// `wal`, in the install leader (`Engine::mutate`). The statement router
+    /// refuses `?` placeholders in DDL and runs every other statement kind
+    /// elsewhere.
     pub(crate) fn execute_ddl(
         &mut self,
         stmt: ast::Statement,
@@ -397,10 +388,6 @@ impl EngineState {
                 self.push_catalog_record(SideEffect::None, wal);
                 Ok(ExecResult::Ok(format!("view {name} created")))
             }
-            // Its initialization computes with no engine lock held.
-            ast::Statement::CreateDynamicTable(_) => Err(DtError::Unsupported(
-                "CREATE DYNAMIC TABLE runs through a Session".into(),
-            )),
             ast::Statement::Clone { name, source } => self.clone_entity(&name, &source, role, wal),
             ast::Statement::Drop { name } => {
                 let now = self.now();
@@ -429,29 +416,11 @@ impl EngineState {
                 self.push_catalog_record(SideEffect::None, wal);
                 Ok(ExecResult::Ok(format!("{name} undropped")))
             }
-            // Every write is a transaction (auto-commit DML is the
-            // one-statement kind), and transactions belong to sessions. The
-            // counters SHOW STATS reports live on the `Engine` handle, and
-            // sessions answer it — and every read — before routing here.
-            ast::Statement::Query(_)
-            | ast::Statement::Explain(_)
-            | ast::Statement::ShowDynamicTables
-            | ast::Statement::Insert { .. }
-            | ast::Statement::Delete { .. }
-            | ast::Statement::Update { .. }
-            | ast::Statement::Begin
-            | ast::Statement::Commit
-            | ast::Statement::Rollback
-            | ast::Statement::ShowStats => Err(DtError::Unsupported(
-                "reads, DML, transaction control (BEGIN/COMMIT/ROLLBACK) and \
-                 SHOW STATS are session-scoped; execute them through a Session"
-                    .into(),
-            )),
             ast::Statement::AlterTableLocking { name, policy } => {
                 // Resolve to a *base table*: DTs are written only by their
                 // refreshes (which must stay non-blocking under the engine
                 // write lock), and views have no storage to lock.
-                let (id, _) = self.base_table(&name)?;
+                let (id, _) = base_table(self.catalog.resolve(&name)?, &name)?;
                 let policy = match policy {
                     ast::LockingPolicyOption::Optimistic => dt_txn::LockPolicy::Optimistic,
                     ast::LockingPolicyOption::Pessimistic => dt_txn::LockPolicy::Pessimistic,
@@ -466,33 +435,30 @@ impl EngineState {
                     policy.as_str()
                 )))
             }
-            ast::Statement::AlterDynamicTable { name, action } => {
+            ast::Statement::AlterDynamicTable { name, action }
+                if action != ast::AlterDtAction::Refresh =>
+            {
                 let id = self.catalog.resolve(&name)?.id;
-                match action {
-                    ast::AlterDtAction::Suspend => {
-                        let now = self.now();
-                        self.catalog.set_dt_state(id, DtState::Suspended, now)?;
-                        self.scheduler.set_suspended(id, true)?;
-                        self.push_catalog_record(SideEffect::None, wal);
-                        Ok(ExecResult::Ok(format!("{name} suspended")))
-                    }
-                    ast::AlterDtAction::Resume => {
-                        let now = self.now();
-                        // Never initialized (its initialization failed until
-                        // it was suspended): it waits for one again.
-                        let data = self.scheduler.state(id).and_then(|s| s.last_data_ts);
-                        let state = data.map_or(DtState::Initializing, |_| DtState::Active);
-                        self.catalog.set_dt_state(id, state, now)?;
-                        self.scheduler.set_suspended(id, false)?;
-                        self.push_catalog_record(SideEffect::None, wal);
-                        Ok(ExecResult::Ok(format!("{name} resumed")))
-                    }
-                    // A refresh computes with no engine lock held.
-                    ast::AlterDtAction::Refresh => Err(DtError::Unsupported(
-                        "ALTER DYNAMIC TABLE … REFRESH runs through a Session".into(),
-                    )),
-                }
+                let now = self.now();
+                let (state, done) = if action == ast::AlterDtAction::Suspend {
+                    (DtState::Suspended, "suspended")
+                } else {
+                    // Never initialized (its initialization failed until it
+                    // was suspended): it waits for one again.
+                    let data = self.scheduler.state(id).and_then(|s| s.last_data_ts);
+                    let state = data.map_or(DtState::Initializing, |_| DtState::Active);
+                    (state, "resumed")
+                };
+                self.catalog.set_dt_state(id, state, now)?;
+                self.scheduler
+                    .set_suspended(id, state == DtState::Suspended)?;
+                self.push_catalog_record(SideEffect::None, wal);
+                Ok(ExecResult::Ok(format!("{name} {done}")))
             }
+            // The router runs every other statement elsewhere.
+            other => Err(DtError::internal(format!(
+                "not a catalog change: {other:?}"
+            ))),
         }
     }
 
@@ -583,35 +549,14 @@ impl EngineState {
         let meta = e
             .as_dt()
             .ok_or_else(|| DtError::Unsupported(format!("'{name}' is not a dynamic table")))?;
-        let parsed = dt_sql::parse(&meta.definition_sql)?;
-        let ast::Statement::Query(q) = parsed else {
-            return Err(DtError::internal("DT definition is not a query"));
-        };
-        Ok(self.bind_query(&q)?.plan)
+        Ok(self.bind_definition(meta)?.plan)
     }
 
-    /// Time-travel query: evaluate at a past instant by pinning the
-    /// version each table had at `at` (an older frontier) and running the
-    /// ordinary snapshot read path over it.
-    pub fn query_at(&self, sql: &str, at: Timestamp) -> DtResult<QueryResult> {
-        self.capture_snapshot(Some(at)).query(sql)
-    }
-
-    /// The isolation level guaranteed for a query (§4): PL-SI when the
-    /// query reads a single DT and nothing else; PL-2 (Read Committed)
-    /// otherwise.
-    pub fn query_isolation_level(&self, sql: &str) -> DtResult<dt_isolation::IsolationLevel> {
-        self.capture_snapshot(None).query_isolation_level(sql)
-    }
-
-    fn base_table(&self, name: &str) -> DtResult<(EntityId, Schema)> {
-        let e = self.catalog.resolve(name)?;
-        match &e.kind {
-            dt_catalog::EntityKind::Table { schema } => Ok((e.id, schema.clone())),
-            _ => Err(DtError::Unsupported(format!(
-                "DML targets must be base tables; '{name}' is a {}",
-                e.kind.label()
-            ))),
+    /// Bind a DT's stored defining query against the live catalog.
+    pub(crate) fn bind_definition(&self, meta: &DynamicTableMeta) -> DtResult<BindOutput> {
+        match dt_sql::parse(&meta.definition_sql)? {
+            ast::Statement::Query(q) => self.bind_query(&q),
+            _ => Err(DtError::internal("DT definition is not a query")),
         }
     }
 
@@ -633,13 +578,6 @@ impl EngineState {
         // The warehouse must exist (§3.3.1).
         self.warehouses.get(&cdt.warehouse)?;
         let out = self.bind_query(&cdt.query)?;
-        if out.plan.max_parameter().is_some() {
-            return Err(DtError::Unsupported(
-                "`?` placeholders are not allowed in a dynamic table's \
-                 defining query"
-                    .into(),
-            ));
-        }
         let differentiable = out.plan.is_differentiable();
         let refresh_mode = match cdt.refresh_mode {
             ast::RefreshModeOption::Auto => {
@@ -815,40 +753,16 @@ impl Engine {
     }
 }
 
-/// INSERT, UPDATE or DELETE.
-pub(crate) fn is_dml(stmt: &ast::Statement) -> bool {
-    matches!(
-        stmt,
-        ast::Statement::Insert { .. } | ast::Statement::Delete { .. } | ast::Statement::Update { .. }
-    )
-}
-
-/// `?` placeholders bind only in queries and DML; any other statement
-/// carrying one (`placeholders` counts them) is refused outright, prepared
-/// or not.
-pub(crate) fn check_placeholder_support(stmt: &ast::Statement, placeholders: usize) -> DtResult<()> {
-    if placeholders > 0 && !matches!(stmt, ast::Statement::Query(_)) && !is_dml(stmt) {
-        return Err(DtError::Unsupported(
-            "`?` placeholders are only supported in queries and DML \
-             (INSERT/UPDATE/DELETE), not DDL"
-                .into(),
-        ));
+/// `e`, resolved from `name`, as a base table: its id and schema. Views and
+/// DTs are refused.
+pub(crate) fn base_table(e: &dt_catalog::Entity, name: &str) -> DtResult<(EntityId, Schema)> {
+    match &e.kind {
+        dt_catalog::EntityKind::Table { schema } => Ok((e.id, schema.clone())),
+        _ => Err(DtError::Unsupported(format!(
+            "DML targets must be base tables; '{name}' is a {}",
+            e.kind.label()
+        ))),
     }
-    Ok(())
-}
-
-/// Reject `?` placeholders in contexts that take no bindings (time travel,
-/// isolation analysis, snapshot reads): an unbound parameter must error up
-/// front, not surface as a silently empty result.
-pub(crate) fn reject_placeholders(stmt: &ast::Statement) -> DtResult<()> {
-    let n = stmt.placeholder_count();
-    if n > 0 {
-        return Err(DtError::Binding(format!(
-            "statement has {n} `?` placeholder(s); this entry point takes \
-             no parameter bindings"
-        )));
-    }
-    Ok(())
 }
 
 /// Extract the defining query text (everything after the first top-level

@@ -10,6 +10,12 @@
 //! snapshot overlaid with the transaction's own buffered writes
 //! (read-your-own-writes), and buffered in a per-table write set.
 //!
+//! Statements reach a transaction through the one statement router — on
+//! the handle, or through the session while its `BEGIN` is open — which
+//! runs reads, `SHOW STATS` and DML and refuses DDL and refreshes. Abort
+//! and a read-only commit go to the transaction manager on the [`Engine`]
+//! handle and never wait for the engine lock.
+//!
 //! `COMMIT` applies the write set atomically under optimistic
 //! first-committer-wins validation:
 //!
@@ -41,17 +47,16 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use dt_common::{
-    Batch, DtError, DtResult, EntityId, PredicateSet, Row, Schema, Timestamp, TxnId, Value,
-};
+use dt_common::{Batch, DtError, DtResult, EntityId, PredicateSet, Row, Schema, Timestamp, TxnId};
 use dt_exec::TableProvider;
 use dt_plan::{BindOutput, LogicalPlan, ScalarExpr};
 use dt_sql::ast;
 use dt_txn::Txn;
 
-use crate::dml::{self, DmlChange};
+use crate::dml::DmlChange;
 use crate::engine::Engine;
 use crate::install::{install_batch, CommitRequest, Install, StagedChange};
+use crate::router::{self, Surface};
 use crate::snapshot::ReadSnapshot;
 use crate::state::{ExecResult, QueryResult};
 
@@ -192,14 +197,7 @@ fn remove_counted(rows: &mut Vec<Row>, pending: &mut HashMap<&Row, usize>) {
 impl OverlayProvider<'_> {
     /// Resolve a DML target to a base table (errors for views and DTs).
     pub(crate) fn target_table(&self, name: &str) -> DtResult<(EntityId, Schema)> {
-        let e = self.snap.catalog().resolve(name)?;
-        match &e.kind {
-            dt_catalog::EntityKind::Table { schema } => Ok((e.id, schema.clone())),
-            _ => Err(DtError::Unsupported(format!(
-                "DML targets must be base tables; '{name}' is a {}",
-                e.kind.label()
-            ))),
-        }
+        crate::state::base_table(self.snap.catalog().resolve(name)?, name)
     }
 
     /// The catalog name of an entity (used to bind predicates and
@@ -252,7 +250,7 @@ impl OverlayProvider<'_> {
 /// [`crate::Session::execute`]. Dropping the handle without committing
 /// rolls the transaction back.
 pub struct Transaction {
-    engine: Engine,
+    pub(crate) engine: Engine,
     snapshot: ReadSnapshot,
     txn: Txn,
     writes: BTreeMap<EntityId, TableWrites>,
@@ -270,13 +268,7 @@ impl Transaction {
             let txn = st.txn.begin_at(snap.read_ts());
             (snap, txn)
         };
-        Transaction {
-            engine,
-            snapshot,
-            txn,
-            writes: BTreeMap::new(),
-            done: false,
-        }
+        Transaction::new(engine, snapshot, txn)
     }
 
     /// Open a transaction with `entities` already locked pessimistically.
@@ -285,11 +277,15 @@ impl Transaction {
     /// no committer can move it while the locks are held. This is what
     /// autocommit retries use after losing to a pessimistic table, and a
     /// session's `BEGIN` after its `COMMIT` lost: the retry plans against
-    /// current state and cannot lose admission again.
+    /// current state and cannot lose admission again. With no entities it
+    /// is [`Transaction::start`].
     pub(crate) fn start_locked(engine: Engine, entities: &[EntityId]) -> DtResult<Transaction> {
-        let txn = engine.state.read().txn.begin();
+        if entities.is_empty() {
+            return Ok(Transaction::start(engine, None));
+        }
+        let txn = engine.txns.begin();
         if let Err(e) = engine.locks.lock_pessimistic(txn.id, entities.iter().copied()) {
-            let _ = engine.state.read().txn.abort(&txn);
+            let _ = engine.txns.abort(&txn);
             return Err(e);
         }
         // Snapshot *after* the locks are held (see above). The manager
@@ -297,13 +293,17 @@ impl Transaction {
         // snapshot's read timestamp — an older registration only makes
         // GC watermarks more conservative, never incorrect.
         let snapshot = engine.state.read().capture_snapshot(None);
-        Ok(Transaction {
+        Ok(Transaction::new(engine, snapshot, txn))
+    }
+
+    fn new(engine: Engine, snapshot: ReadSnapshot, txn: Txn) -> Transaction {
+        Transaction {
             engine,
             snapshot,
             txn,
             writes: BTreeMap::new(),
             done: false,
-        })
+        }
     }
 
     /// The transaction id.
@@ -341,26 +341,18 @@ impl Transaction {
     /// DML is buffered until [`Transaction::commit`]. DDL, refreshes, and
     /// nested transaction control are rejected.
     pub fn execute(&mut self, sql: &str) -> DtResult<ExecResult> {
-        let stmt = dt_sql::parse(sql)?;
-        let placeholders = stmt.placeholder_count();
-        if placeholders > 0 {
-            return Err(DtError::Binding(format!(
-                "statement has {placeholders} `?` placeholder(s); prepare it \
-                 with Session::prepare and bind values at execute time"
-            )));
-        }
-        self.execute_parsed(stmt, &[])
+        router::route(Surface::Transaction(self), &dt_sql::parse(sql)?, sql, None)
     }
 
     /// Run a query against the transaction's pinned snapshot (plus its own
     /// buffered writes) and return rows + schema.
     pub fn query(&self, sql: &str) -> DtResult<QueryResult> {
-        let stmt = dt_sql::parse(sql)?;
-        crate::state::reject_placeholders(&stmt)?;
-        let ast::Statement::Query(q) = stmt else {
-            return Err(DtError::Unsupported("not a query".into()));
-        };
-        self.run_query(&q, &[])
+        router::query(
+            Surface::TransactionQuery(self),
+            &dt_sql::parse(sql)?,
+            sql,
+            None,
+        )
     }
 
     /// Run a query and return sorted rows (deterministic comparisons).
@@ -368,78 +360,12 @@ impl Transaction {
         Ok(self.query(sql)?.into_sorted_rows())
     }
 
-    /// Execute an already-parsed statement with `params` bound to its `?`
-    /// placeholders. The session routes statements here while a SQL-level
-    /// transaction is open; prepared statements join through the same
-    /// door.
-    pub(crate) fn execute_parsed(
-        &mut self,
-        stmt: ast::Statement,
-        params: &[Value],
-    ) -> DtResult<ExecResult> {
-        match stmt {
-            ast::Statement::Query(q) => Ok(ExecResult::Rows(self.run_query(&q, params)?)),
-            ast::Statement::Explain(_) | ast::Statement::ShowDynamicTables => {
-                self.snapshot.read_statement(&stmt, params)
-            }
-            ast::Statement::ShowStats => Ok(ExecResult::Rows(self.engine.show_stats())),
-            ast::Statement::Insert {
-                table,
-                values,
-                query,
-            } => {
-                let change = dml::plan_insert(&self.overlay(), &table, values, query, params)?;
-                Ok(self.buffer(change))
-            }
-            ast::Statement::Delete { table, predicate } => {
-                let change = dml::plan_delete(&self.overlay(), &table, predicate, params)?;
-                Ok(self.buffer(change))
-            }
-            ast::Statement::Update {
-                table,
-                assignments,
-                predicate,
-            } => {
-                let change =
-                    dml::plan_update(&self.overlay(), &table, assignments, predicate, params)?;
-                Ok(self.buffer(change))
-            }
-            ast::Statement::Begin => Err(DtError::Txn(
-                "already in a transaction; nested BEGIN is not supported".into(),
-            )),
-            ast::Statement::Commit | ast::Statement::Rollback => Err(DtError::Unsupported(
-                "on a Transaction handle, use Transaction::commit() / \
-                 Transaction::rollback() (SQL COMMIT/ROLLBACK drive the \
-                 session-scoped transaction opened with BEGIN)"
-                    .into(),
-            )),
-            other => Err(DtError::Unsupported(format!(
-                "{} is not allowed inside a transaction; commit or roll back \
-                 first",
-                statement_label(&other)
-            ))),
-        }
-    }
-
+    /// The pinned snapshot overlaid with this transaction's writes.
     pub(crate) fn overlay(&self) -> OverlayProvider<'_> {
         OverlayProvider {
             snap: &self.snapshot,
             writes: &self.writes,
         }
-    }
-
-    fn run_query(&self, q: &ast::Query, params: &[Value]) -> DtResult<QueryResult> {
-        let out = self.snapshot.bind_query(q)?;
-        if q.for_update {
-            self.lock_for_update(&out.plan)?;
-        }
-        let plan = if params.is_empty() && out.plan.max_parameter().is_none() {
-            out.plan
-        } else {
-            out.plan.bind_params(params)?
-        };
-        let rows = self.overlay().execute_plan(&plan)?;
-        Ok(QueryResult::new(plan.schema(), rows))
     }
 
     /// `SELECT ... FOR UPDATE`: take the scanned base tables' admission
@@ -458,7 +384,7 @@ impl Transaction {
     /// * Lock acquisition mid-transaction is exactly the mixed-mode edge
     ///   that can close a wait-for cycle; the manager's deadlock backstop
     ///   picks this transaction as the victim if so.
-    fn lock_for_update(&self, plan: &LogicalPlan) -> DtResult<()> {
+    pub(crate) fn lock_for_update(&self, plan: &LogicalPlan) -> DtResult<()> {
         let entities = plan.scanned_entities();
         for e in &entities {
             let ent = self.snapshot.catalog().get(*e)?;
@@ -488,7 +414,12 @@ impl Transaction {
         Ok(())
     }
 
-    fn buffer(&mut self, change: DmlChange) -> ExecResult {
+    /// Plan one DML statement against the overlay and buffer its change.
+    pub(crate) fn buffer(
+        &mut self,
+        plan: impl FnOnce(&OverlayProvider<'_>) -> DtResult<DmlChange>,
+    ) -> DtResult<ExecResult> {
+        let change = plan(&self.overlay())?;
         let slot = self.writes.entry(change.entity).or_default();
         slot.fold(change.inserts, change.deletes);
         if slot.is_empty() {
@@ -498,7 +429,7 @@ impl Transaction {
             // commit).
             self.writes.remove(&change.entity);
         }
-        ExecResult::Count(change.count)
+        Ok(ExecResult::Count(change.count))
     }
 
     /// Commit: apply the whole write set atomically at one HLC commit
@@ -552,7 +483,7 @@ impl Transaction {
                     for id in &touched {
                         self.engine.locking.record_abort(*id);
                     }
-                    let _ = self.engine.state.read().txn.abort(&self.txn);
+                    let _ = self.engine.txns.abort(&self.txn);
                     return Err(e);
                 }
             }
@@ -610,7 +541,7 @@ impl Transaction {
                         }
                         self.engine.locking.record_abort(id);
                     }
-                    let _ = self.engine.state.read().txn.abort(&self.txn);
+                    let _ = self.engine.txns.abort(&self.txn);
                     return Err(e);
                 }
             }
@@ -629,7 +560,7 @@ impl Transaction {
     pub fn rollback(mut self) -> DtResult<()> {
         self.done = true;
         self.writes.clear();
-        self.engine.state.read().txn.abort(&self.txn)
+        self.engine.txns.abort(&self.txn)
     }
 }
 
@@ -640,7 +571,7 @@ impl Drop for Transaction {
     /// them on both outcomes.
     fn drop(&mut self) {
         if !self.done {
-            let _ = self.engine.state.read().txn.abort(&self.txn);
+            let _ = self.engine.txns.abort(&self.txn);
         }
     }
 }
@@ -685,7 +616,7 @@ impl PreparedCommit {
         let request = self.request.take().expect("present until consumed");
         if request.prepared.is_empty() {
             // Read-only transaction: nothing to validate or install.
-            return self.engine.state.read().txn.commit(&request.txn);
+            return self.engine.txns.commit(&request.txn);
         }
         Ok(self.engine.install(Install::Commit(request))?.commit_ts)
     }
@@ -697,7 +628,7 @@ impl PreparedCommit {
     pub fn commit_unbatched(mut self) -> DtResult<Timestamp> {
         let request = self.request.take().expect("present until consumed");
         if request.prepared.is_empty() {
-            return self.engine.state.read().txn.commit(&request.txn);
+            return self.engine.txns.commit(&request.txn);
         }
         let installed = install_batch(&self.engine, vec![Install::Commit(request)])
             .pop()
@@ -709,7 +640,7 @@ impl PreparedCommit {
     /// per-table locks (dropping the handle does the same).
     pub fn abort(mut self) {
         if let Some(request) = self.request.take() {
-            let _ = self.engine.state.read().txn.abort(&request.txn);
+            let _ = self.engine.txns.abort(&request.txn);
         }
     }
 }
@@ -717,7 +648,7 @@ impl PreparedCommit {
 impl Drop for PreparedCommit {
     fn drop(&mut self) {
         if let Some(request) = self.request.take() {
-            let _ = self.engine.state.read().txn.abort(&request.txn);
+            let _ = self.engine.txns.abort(&request.txn);
         }
     }
 }
@@ -727,20 +658,6 @@ impl std::fmt::Debug for PreparedCommit {
         f.debug_struct("PreparedCommit")
             .field("consumed", &self.request.is_none())
             .finish()
-    }
-}
-
-fn statement_label(stmt: &ast::Statement) -> &'static str {
-    match stmt {
-        ast::Statement::CreateTable { .. } => "CREATE TABLE",
-        ast::Statement::CreateView { .. } => "CREATE VIEW",
-        ast::Statement::CreateDynamicTable(_) => "CREATE DYNAMIC TABLE",
-        ast::Statement::Drop { .. } => "DROP",
-        ast::Statement::Undrop { .. } => "UNDROP",
-        ast::Statement::Clone { .. } => "CLONE",
-        ast::Statement::AlterDynamicTable { .. } => "ALTER DYNAMIC TABLE",
-        ast::Statement::AlterTableLocking { .. } => "ALTER TABLE ... SET LOCKING",
-        _ => "this statement",
     }
 }
 
@@ -810,5 +727,17 @@ mod tests {
         assert_eq!(txn.pending_changes(), 0);
         assert!(txn.touched_tables().is_empty());
         txn.commit().unwrap();
+    }
+
+    #[test]
+    fn debug_formats_a_transaction_with_buffered_writes() {
+        let engine = Engine::new(DbConfig::default());
+        let session = engine.session();
+        session.execute("CREATE TABLE t (k INT)").unwrap();
+        let mut txn = session.begin();
+        txn.execute("INSERT INTO t VALUES (1)").unwrap();
+        let text = format!("{txn:?}");
+        assert!(text.contains("touched_tables: 1"), "{text}");
+        assert!(text.contains("pending_changes: 1"), "{text}");
     }
 }

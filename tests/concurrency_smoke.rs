@@ -414,3 +414,51 @@ fn refreshes_compute_beside_readers_and_writers() {
     });
     assert_eq!(s.query("SELECT * FROM f").unwrap().len(), 200_003);
 }
+
+/// A transaction's bookkeeping — `rollback`, dropping the handle, a
+/// read-only `commit` — reaches the transaction manager on the engine
+/// handle, not through the engine lock: each finishes while another
+/// thread holds the engine **write** lock.
+#[test]
+fn transaction_bookkeeping_finishes_while_the_engine_write_lock_is_held() {
+    let engine = Engine::new(DbConfig::default());
+    let session = engine.session();
+    session.execute("CREATE TABLE t (k INT)").unwrap();
+    session.execute("INSERT INTO t VALUES (1)").unwrap();
+    let (rolled_back, dropped, read_only) = (session.begin(), session.begin(), session.begin());
+    assert_eq!(read_only.query("SELECT * FROM t").unwrap().len(), 1);
+
+    let released = AtomicBool::new(false);
+    let (held_tx, held_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    std::thread::scope(|scope| {
+        let (engine, released) = (&engine, &released);
+        scope.spawn(move || {
+            engine.inspect_mut(|_| {
+                held_tx.send(()).unwrap();
+                // Held until the probes are done, 2 s at most.
+                let _ = done_rx.recv_timeout(std::time::Duration::from_secs(2));
+                released.store(true, Ordering::SeqCst);
+            })
+        });
+        held_rx.recv().unwrap();
+        let still_held = |what: &str| {
+            assert!(
+                !released.load(Ordering::SeqCst),
+                "{what} waited for the engine write lock"
+            );
+        };
+        rolled_back.rollback().unwrap();
+        still_held("rollback");
+        drop(dropped);
+        still_held("dropping a transaction");
+        read_only.commit().unwrap();
+        still_held("a read-only commit");
+        done_tx.send(()).unwrap();
+    });
+    let active = engine
+        .stats()
+        .into_iter()
+        .find(|(name, _)| *name == "active_txns");
+    assert_eq!(active, Some(("active_txns", 0)));
+}

@@ -119,3 +119,251 @@ fn error_messages_are_structured_and_positioned() {
     };
     assert!(message.contains("TARGET_LAG"));
 }
+
+/// One table of entry points × statements: a statement gets the same
+/// answer wherever it arrives. Rows, `Ok` text, a row count, an isolation
+/// level, or the typed error; `SHOW STATS` reports engine-wide counters,
+/// so a snapshot refuses it; a `?` in DDL is `Unsupported` everywhere, and
+/// a `?` on an entry point that takes no bindings is a `Binding` error.
+/// A refused `INSERT` leaves the table as it was, even when the
+/// transaction it arrived in commits afterwards.
+#[test]
+fn every_entry_point_gives_a_statement_the_same_answer() {
+    use dt_common::{DtError, DtResult, Value};
+    use dt_core::{ExecResult, QueryResult};
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum A {
+        Rows,
+        Text,
+        Count,
+        Level,
+        Unsupported,
+        Binding,
+        Other(String),
+    }
+    use A::*;
+    fn error(e: DtError) -> A {
+        match e {
+            DtError::Unsupported(_) => Unsupported,
+            DtError::Binding(_) => Binding,
+            other => Other(format!("{other:?}")),
+        }
+    }
+    fn exec(r: DtResult<ExecResult>) -> A {
+        match r {
+            Ok(ExecResult::Rows(_)) => Rows,
+            Ok(ExecResult::Ok(_)) => Text,
+            Ok(ExecResult::Count(_)) => Count,
+            Err(e) => error(e),
+        }
+    }
+    fn rows(r: DtResult<QueryResult>) -> A {
+        r.map_or_else(error, |_| Rows)
+    }
+
+    let engine = dt_core::Engine::new(dt_core::DbConfig::default());
+    engine.create_warehouse("wh", 1).unwrap();
+    let session = engine.session();
+    session.execute("CREATE TABLE t (k INT)").unwrap();
+    session.execute("INSERT INTO t VALUES (1)").unwrap();
+    session
+        .execute("CREATE DYNAMIC TABLE d TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT k FROM t")
+        .unwrap();
+    let in_begin = engine.session();
+    // Each transaction commits after its statement, so a write it buffered
+    // lands.
+    let inside = |run: &dyn Fn() -> A| {
+        in_begin.execute("BEGIN").unwrap();
+        let answer = run();
+        in_begin.execute("COMMIT").unwrap();
+        answer
+    };
+    let handle = |run: &dyn Fn(&mut dt_core::Transaction) -> A| {
+        let mut txn = session.begin();
+        let answer = run(&mut txn);
+        txn.commit().unwrap();
+        answer
+    };
+    let params = |sql: &str| {
+        if sql.contains('?') {
+            vec![Value::Int(1)]
+        } else {
+            vec![]
+        }
+    };
+    let statements = [
+        "SELECT k FROM t",
+        "SHOW DYNAMIC TABLES",
+        "SHOW STATS",
+        "EXPLAIN SELECT k FROM t",
+        "CREATE DYNAMIC TABLE e TARGET_LAG = '1 minute' WAREHOUSE = wh \
+         AS SELECT k FROM t WHERE k = ?",
+        "SELECT k FROM t WHERE k = ?",
+        "INSERT INTO t VALUES (2)",
+    ];
+    // Per entry point, its answer to each of `statements`, in order.
+    type Entry<'a> = (&'static str, [A; 7], Box<dyn Fn(&str) -> A + 'a>);
+    let entries: Vec<Entry> = vec![
+        (
+            "Session::execute",
+            [Rows, Rows, Rows, Text, Unsupported, Binding, Count],
+            Box::new(|sql| exec(session.execute(sql))),
+        ),
+        (
+            "Session::query",
+            [
+                Rows,
+                Rows,
+                Rows,
+                Unsupported,
+                Unsupported,
+                Binding,
+                Unsupported,
+            ],
+            Box::new(|sql| rows(session.query(sql))),
+        ),
+        (
+            "Session::execute in BEGIN",
+            [Rows, Rows, Rows, Text, Unsupported, Binding, Count],
+            Box::new(|sql| inside(&|| exec(in_begin.execute(sql)))),
+        ),
+        (
+            "Session::query in BEGIN",
+            [
+                Rows,
+                Rows,
+                Rows,
+                Unsupported,
+                Unsupported,
+                Binding,
+                Unsupported,
+            ],
+            Box::new(|sql| inside(&|| rows(in_begin.query(sql)))),
+        ),
+        (
+            "Session::query_at",
+            [
+                Rows,
+                Rows,
+                Unsupported,
+                Unsupported,
+                Unsupported,
+                Binding,
+                Unsupported,
+            ],
+            Box::new(|sql| rows(session.query_at(sql, engine.now()))),
+        ),
+        (
+            "Session::query_isolation_level",
+            [
+                Level,
+                Unsupported,
+                Unsupported,
+                Unsupported,
+                Unsupported,
+                Binding,
+                Unsupported,
+            ],
+            Box::new(|sql| {
+                session
+                    .query_isolation_level(sql)
+                    .map_or_else(error, |_| Level)
+            }),
+        ),
+        (
+            "Statement::execute",
+            [Rows, Rows, Rows, Text, Unsupported, Rows, Count],
+            Box::new(|sql| match session.prepare(sql) {
+                Ok(stmt) => exec(stmt.execute(&params(sql))),
+                Err(e) => error(e),
+            }),
+        ),
+        (
+            "Statement::query",
+            [
+                Rows,
+                Rows,
+                Rows,
+                Unsupported,
+                Unsupported,
+                Rows,
+                Unsupported,
+            ],
+            Box::new(|sql| match session.prepare(sql) {
+                Ok(stmt) => rows(stmt.query(&params(sql))),
+                Err(e) => error(e),
+            }),
+        ),
+        (
+            "Transaction::execute",
+            [Rows, Rows, Rows, Text, Unsupported, Binding, Count],
+            Box::new(|sql| handle(&|txn| exec(txn.execute(sql)))),
+        ),
+        (
+            "Transaction::query",
+            [
+                Rows,
+                Rows,
+                Rows,
+                Unsupported,
+                Unsupported,
+                Binding,
+                Unsupported,
+            ],
+            Box::new(|sql| handle(&|txn| rows(txn.query(sql)))),
+        ),
+        (
+            "ReadSnapshot::execute_read",
+            [
+                Rows,
+                Rows,
+                Unsupported,
+                Text,
+                Unsupported,
+                Binding,
+                Unsupported,
+            ],
+            Box::new(|sql| exec(engine.snapshot().execute_read(sql))),
+        ),
+        (
+            "ReadSnapshot::query",
+            [
+                Rows,
+                Rows,
+                Unsupported,
+                Unsupported,
+                Unsupported,
+                Binding,
+                Unsupported,
+            ],
+            Box::new(|sql| rows(engine.snapshot().query(sql))),
+        ),
+    ];
+    let count = || session.query("SELECT k FROM t").unwrap().len();
+    let mut wrong = Vec::new();
+    for (entry, expected, run) in &entries {
+        for (sql, want) in statements.iter().zip(expected) {
+            let before = count();
+            let got = run(sql);
+            if got != *want {
+                wrong.push(format!("{entry} on `{sql}`: {got:?}, expected {want:?}"));
+            }
+            // Only an INSERT that answered with its count wrote a row.
+            let wrote = count() - before;
+            if wrote != usize::from(got == Count) {
+                wrong.push(format!(
+                    "{entry} on `{sql}`: {got:?}, but wrote {wrote} row(s)"
+                ));
+            }
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "{} cells differ:\n{}",
+        wrong.len(),
+        wrong.join("\n")
+    );
+    // Nothing refused above ran: the DDL with `?` created no table.
+    assert!(session.query("SELECT * FROM e").is_err());
+}
