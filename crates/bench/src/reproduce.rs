@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use dt_catalog::{RefreshMode, TargetLagSpec};
 use dt_common::{row, Column, DataType, DtResult, Duration, EntityId, Row, Schema, Timestamp};
-use dt_core::{DbConfig, Engine, Session};
+use dt_core::{DbConfig, Engine, Session, Simulation};
 use dt_exec::{MapProvider, TableProvider};
 use dt_isolation::{analyze, History, IsolationLevel};
 use dt_ivm::{delta, delta_unconsolidated, DeltaContext, MapChanges, OuterJoinStrategy};
@@ -53,7 +53,12 @@ fn share(part: usize, whole: usize) -> f64 {
 }
 
 fn engine(config: DbConfig, nodes: u32) -> (Engine, Session) {
-    let engine = Engine::new(config);
+    engine_on(config, Simulation::default(), nodes)
+}
+
+/// [`engine`] running `sim`.
+fn engine_on(config: DbConfig, sim: Simulation, nodes: u32) -> (Engine, Session) {
+    let engine = Engine::simulated(config, sim).expect("an in-memory engine opens");
     engine.create_warehouse("wh", nodes).expect("fresh engine has no warehouse 'wh'");
     let db = engine.session();
     (engine, db)
@@ -464,12 +469,10 @@ impl SkipBehavior {
 pub fn skip_behavior() -> SkipBehavior {
     const WINDOW_SECS: i64 = 1200;
     let run = |nodes: u32| {
-        let config = DbConfig {
-            validate_dvs: true,
-            cost_model: CostModel { fixed_units: 60_000.0, unit_per_row: 1.0 },
-            ..DbConfig::default()
-        };
-        let (engine, db) = engine(config, nodes);
+        let config = DbConfig { validate_dvs: true, ..DbConfig::default() };
+        let cost_model = CostModel { fixed_units: 60_000.0, unit_per_row: 1.0 };
+        let simulation = Simulation { cost_model, ..Simulation::default() };
+        let (engine, db) = engine_on(config, simulation, nodes);
         db.execute("CREATE TABLE t (k INT, v INT)").expect("create");
         db.execute("INSERT INTO t VALUES (1, 1)").expect("insert");
         db.execute(

@@ -8,9 +8,10 @@
 //!   totally so they can participate in group-by keys, mirroring the paper's
 //!   discussion of float nondeterminism in §3.4).
 //! * [`schema::Schema`] / [`schema::Column`] — relational schemas.
-//! * [`time`] — a *simulated* clock. All scheduling and lag experiments in
-//!   the paper (Figure 4, §5.2) are reproduced on virtual time so results
-//!   are deterministic.
+//! * [`time`] — instants, durations and clocks: the [`WallClock`] an
+//!   engine reads, and the [`SimClock`] a simulation injects so the
+//!   paper's scheduling and lag experiments (Figure 4, §5.2) are
+//!   deterministic.
 //! * [`error::DtError`] — the workspace-wide error type.
 //! * [`ids`] — strongly typed identifiers.
 //! * [`codec`] — the one binary codec every durable and wire format in the
@@ -37,5 +38,5 @@ pub use ids::{EntityId, PartitionId, RefreshId, TxnId, VersionId};
 pub use retry::retry_backoff;
 pub use row::Row;
 pub use schema::{Column, DataType, Schema};
-pub use time::{Clock, Duration, SimClock, Timestamp};
+pub use time::{Clock, Duration, SimClock, Timestamp, WallClock};
 pub use value::{numeric_hash_bits, Value};

@@ -1,25 +1,29 @@
-//! Simulated time.
+//! Time: instants, durations and the clocks that read them.
 //!
-//! All of the paper's scheduling behaviour — target lag, the lag sawtooth of
-//! Figure 4, canonical refresh periods, skips — is about *when* things
-//! happen. To reproduce those experiments deterministically we run the whole
-//! system on a virtual clock: a [`SimClock`] that only advances when the
-//! simulation driver tells it to. Timestamps are microseconds from the
-//! simulation epoch.
+//! The paper's contract — target lag (§3.2), actual lag (§3.3.2), commit
+//! timestamps close to physical time (§5.3) — is stated in wall time, so an
+//! engine reads a [`WallClock`]: microseconds since the Unix epoch. All of
+//! the paper's scheduling experiments — the lag sawtooth of Figure 4,
+//! canonical refresh periods, skips — are about *when* things happen, and
+//! to reproduce them deterministically a simulation injects a [`SimClock`]
+//! instead: virtual time that starts at 0 and only advances when the
+//! simulation driver tells it to.
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-/// Microsecond-precision instant on the simulation timeline.
+/// Microsecond-precision instant: since the Unix epoch on the wall clock,
+/// since t = 0 on a simulated one.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
 pub struct Timestamp(i64);
 
 impl Timestamp {
-    /// The simulation epoch (t = 0).
+    /// The epoch (t = 0).
     pub const EPOCH: Timestamp = Timestamp(0);
     /// The maximum representable instant.
     pub const MAX: Timestamp = Timestamp(i64::MAX);
@@ -190,12 +194,27 @@ impl std::ops::Sub for Duration {
     }
 }
 
-/// A source of "now". The production system reads a wall clock; the
-/// reproduction injects a [`SimClock`] everywhere so experiments are
-/// deterministic and fast.
+/// A source of "now". An engine reads a [`WallClock`]; a simulation
+/// injects a [`SimClock`] so experiments are deterministic and fast.
 pub trait Clock: Send + Sync {
     /// Current instant.
     fn now(&self) -> Timestamp;
+}
+
+/// System time in microseconds since the Unix epoch, never moving
+/// backwards: a reading is the maximum of every reading so far, so a step
+/// back of the system clock holds time still instead of reversing it.
+#[derive(Debug, Default)]
+pub struct WallClock {
+    last: AtomicI64,
+}
+
+impl Clock for WallClock {
+    fn now(&self) -> Timestamp {
+        let since_epoch = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
+        let wall = since_epoch.map_or(0, |d| d.as_micros() as i64);
+        Timestamp(self.last.fetch_max(wall, Ordering::Relaxed).max(wall))
+    }
 }
 
 /// Deterministic, manually advanced clock shared by the whole system.
@@ -287,6 +306,22 @@ mod tests {
     fn sim_clock_rejects_backwards() {
         let c = SimClock::starting_at(Timestamp::from_secs(100));
         c.advance_to(Timestamp::from_secs(50));
+    }
+
+    #[test]
+    fn wall_clock_reads_system_time_and_never_goes_back() {
+        let c = WallClock::default();
+        let system = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_micros() as i64;
+        let first = c.now();
+        assert!((first.as_micros() - system).abs() < 1_000_000, "{first} vs {system}");
+        // A reading ahead of the system clock holds until the system
+        // clock catches up.
+        let ahead = system + 3_600_000_000;
+        c.last.store(ahead, Ordering::Relaxed);
+        assert_eq!(c.now().as_micros(), ahead);
     }
 
     #[test]

@@ -45,16 +45,16 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dt_catalog::{Catalog, DtState, TargetLagSpec};
+use dt_catalog::{Catalog, DtState};
 use dt_common::codec::{get_schema, put_schema, Reader, Writer};
 use dt_common::{
     DtError, DtResult, Duration, EntityId, Schema, Timestamp, TxnId, VersionId,
 };
-use dt_scheduler::TargetLag;
 use dt_storage::{TableStore, VersionInstallRecord};
 use dt_txn::Frontier;
 use dt_wal::{Wal, WalStats, WalStatsSnapshot};
 
+use crate::simulate::Simulation;
 use crate::state::{DbConfig, EngineState};
 
 /// The durable half of an engine: the segmented WAL (behind its own lock,
@@ -404,7 +404,7 @@ struct CheckpointImage {
     /// Replay skips WAL records stamped at or below this (a fresh HLC tick,
     /// strictly above every record appended so far).
     watermark: Timestamp,
-    /// Simulated clock position.
+    /// The engine's clock; recovery restores it into a simulation's only.
     now: Timestamp,
     catalog: Vec<u8>,
     meta: EngineMeta,
@@ -576,16 +576,16 @@ impl EngineState {
 /// Open (or create) a durable engine state at `dir`: load the latest
 /// checkpoint, replay the WAL tail, rebuild the scheduler, and leave the
 /// WAL open for appending. The returned state has `wal` attached.
-pub(crate) fn open_durable(config: DbConfig, dir: &Path) -> DtResult<EngineState> {
+pub(crate) fn open_durable(config: DbConfig, sim: Option<Simulation>, dir: &Path) -> DtResult<EngineState> {
     std::fs::create_dir_all(dir)
         .map_err(|e| DtError::Io(format!("create WAL directory {}: {e}", dir.display())))?;
     let stats = Arc::new(WalStats::default());
-    let mut state = EngineState::new(config.clone());
+    let mut state = EngineState::new(config.clone(), sim);
     let mut watermark = Timestamp::EPOCH;
     if let Some(bytes) = dt_wal::read_checkpoint(dir)? {
         let image = CheckpointImage::from_bytes(&bytes)?;
         watermark = image.watermark;
-        state.clock.advance_to(image.now);
+        state.restore_clock(image.now);
         state.catalog = Catalog::from_bytes(&image.catalog)?;
         apply_meta(&mut state, &image.meta)?;
         for (id, ck) in image.stores {
@@ -617,10 +617,10 @@ pub(crate) fn open_durable(config: DbConfig, dir: &Path) -> DtResult<EngineState
     }
     stats.record_recovery(replayed);
 
-    // Push the clock and HLC past everything recovered, so the first
-    // post-recovery commit stamps strictly after the last pre-crash one.
+    // Push the HLC (and a simulation's clock) past everything recovered, so
+    // the first post-recovery commit stamps after the last pre-crash one.
     if max_stamp > Timestamp::EPOCH {
-        state.clock.advance_to(max_stamp);
+        state.restore_clock(max_stamp);
         state.txn.hlc().tick_after(max_stamp);
     }
     rebuild_scheduler(&mut state)?;
@@ -751,10 +751,7 @@ fn rebuild_scheduler(state: &mut EngineState) -> DtResult<()> {
             .as_dt()
             .ok_or_else(|| DtError::internal(format!("{id} is not a DT")))?
             .clone();
-        let target = match meta.target_lag {
-            TargetLagSpec::Duration(d) => TargetLag::Duration(d),
-            TargetLagSpec::Downstream => TargetLag::Downstream,
-        };
+        let target = crate::state::scheduled_lag(&meta.target_lag);
         state.scheduler.register(id, target, meta.upstream.clone());
         if let Some(ts) = state.refresh_map.latest_refresh(id) {
             state.scheduler.mark_initialized(id, ts)?;

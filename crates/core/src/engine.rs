@@ -5,9 +5,10 @@
 //! background. This module mirrors that split:
 //!
 //! - [`Engine`] owns the catalog, storage, transaction manager, scheduler,
-//!   warehouses, and refresh log behind a reader/writer lock. It is
-//!   cheaply cloneable (an `Arc` inside) and `Send + Sync`, so any number
-//!   of threads can hold handles to one engine.
+//!   warehouses, and refresh log behind a reader/writer lock, and reads
+//!   the wall clock unless built with [`Engine::simulated`]. It is cheaply
+//!   cloneable (an `Arc` inside) and `Send + Sync`, so any number of
+//!   threads can hold handles to one engine.
 //! - [`Session`] is a per-connection handle created by
 //!   [`Engine::session`]. It carries connection-local state — the current
 //!   role, session variables, and a prepared-statement cache — and takes
@@ -41,13 +42,14 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use dt_common::{DtError, DtResult, Row, SimClock, Timestamp, Value};
+use dt_common::{Clock, DtError, DtResult, DurabilityMode, Row, Timestamp, Value};
 use dt_plan::LogicalPlan;
 use dt_sql::ast;
 
 use crate::install::InstallShared;
-use crate::refresh::{RefreshLog, RefreshLogEntry};
+use crate::refresh::RefreshLog;
 use crate::router::{self, Surface};
+use crate::simulate::Simulation;
 use crate::snapshot::ReadSnapshot;
 use crate::state::{DbConfig, EngineState, ExecResult, QueryResult};
 use crate::transaction::Transaction;
@@ -117,9 +119,9 @@ pub struct ConnectionStats {
 #[derive(Clone)]
 pub struct Engine {
     pub(crate) state: Arc<RwLock<EngineState>>,
-    /// The simulated clock, shared with the state (it has interior
-    /// mutability, so advancing it needs no engine lock).
-    clock: SimClock,
+    /// The engine's clock, shared with the state, so reading the time
+    /// needs no engine lock.
+    clock: Arc<dyn Clock>,
     /// The refresh log, shared with the state (it has its own lock, so
     /// telemetry reads need no engine lock).
     refresh_log: RefreshLog,
@@ -147,19 +149,18 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Create an empty engine at the simulation epoch.
+    /// Create an empty in-memory engine on the wall clock.
     pub fn new(config: DbConfig) -> Self {
-        let state = EngineState::new(config);
-        Engine::from_state(state)
+        Engine::from_state(EngineState::new(config, None))
     }
 
     /// Open (or create) a **durable** engine at `dir`: load the latest
     /// checkpoint, replay the WAL tail (a torn final record is truncated),
     /// and leave the WAL open so every subsequent commit, refresh, and DDL
     /// is logged and fsynced before it is acknowledged.
-    pub fn open(dir: impl AsRef<std::path::Path>) -> dt_common::DtResult<Engine> {
+    pub fn open(dir: impl AsRef<std::path::Path>) -> DtResult<Engine> {
         Engine::open_with_config(DbConfig {
-            durability: dt_common::DurabilityMode::wal(dir.as_ref()),
+            durability: DurabilityMode::wal(dir.as_ref()),
             ..DbConfig::default()
         })
     }
@@ -167,18 +168,26 @@ impl Engine {
     /// [`Engine::open`] with an explicit configuration. The configuration's
     /// [`DbConfig::durability`] selects the mode: `None` behaves exactly
     /// like [`Engine::new`], `Wal { dir }` recovers from and logs to `dir`.
-    pub fn open_with_config(config: DbConfig) -> dt_common::DtResult<Engine> {
+    pub fn open_with_config(config: DbConfig) -> DtResult<Engine> {
+        Engine::build(config, None)
+    }
+
+    /// [`Engine::open_with_config`] running a simulation (see
+    /// [`crate::simulate`]): `sim.clock` instead of the wall clock.
+    pub fn simulated(config: DbConfig, sim: Simulation) -> DtResult<Engine> {
+        Engine::build(config, Some(sim))
+    }
+
+    fn build(config: DbConfig, sim: Option<Simulation>) -> DtResult<Engine> {
         let state = match config.durability.clone() {
-            dt_common::DurabilityMode::None => EngineState::new(config),
-            dt_common::DurabilityMode::Wal { dir } => {
-                crate::durability::open_durable(config, &dir)?
-            }
+            DurabilityMode::None => EngineState::new(config, sim),
+            DurabilityMode::Wal { dir } => crate::durability::open_durable(config, sim, &dir)?,
         };
         Ok(Engine::from_state(state))
     }
 
     fn from_state(state: EngineState) -> Engine {
-        let clock = state.clock().clone();
+        let clock = Arc::clone(&state.clock);
         let refresh_log = state.refresh_log().clone();
         let wal = state.wal.clone();
         let installs = Arc::new(InstallShared::new(wal.is_some()));
@@ -209,7 +218,7 @@ impl Engine {
     /// Force a checkpoint now: snapshot the whole engine image, then
     /// truncate the WAL behind it. Returns `false` (and does nothing) for
     /// an in-memory engine.
-    pub fn checkpoint(&self) -> dt_common::DtResult<bool> {
+    pub fn checkpoint(&self) -> DtResult<bool> {
         self.state.write().write_checkpoint()
     }
 
@@ -401,15 +410,10 @@ impl Engine {
         self.state.read().capture_snapshot(Some(at))
     }
 
-    /// The simulated clock (advance it to let the scheduler act). Takes no
-    /// engine lock.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
-    /// Current simulated time.
+    /// The engine's current time: microseconds since the Unix epoch on
+    /// the wall clock, or the injected clock's reading under a simulation.
+    /// Takes no engine lock.
     pub fn now(&self) -> Timestamp {
-        use dt_common::Clock;
         self.clock.now()
     }
 
@@ -424,12 +428,6 @@ impl Engine {
     /// with the engine lock — and this no longer clones the whole log.
     pub fn refresh_log(&self) -> RefreshLog {
         self.refresh_log.clone()
-    }
-
-    /// The last `n` refresh-log entries (cheapest way to check recent
-    /// refresh activity without copying the full history).
-    pub fn refresh_log_tail(&self, n: usize) -> Vec<RefreshLogEntry> {
-        self.refresh_log().tail(n)
     }
 
     /// The bound logical plan of a DT's stored definition (operator-census

@@ -79,8 +79,8 @@ pub(crate) enum Install {
     Commit(CommitRequest),
     /// A refresh. With `report_now` the install also reports the outcome
     /// to the scheduler, as of the install instant; a manual or simulated
-    /// refresh reports later, on the virtual clock, and an initialization
-    /// not at all.
+    /// refresh reports later, once it has ended (under a simulation, after
+    /// its warehouse time), and an initialization not at all.
     Refresh {
         request: RefreshInstall,
         report_now: bool,

@@ -92,7 +92,7 @@ pub use parallel_refresh::{
     InstalledRefresh, PreparedRefresh, RefreshRoundReport, RefreshStats, RoundStatus,
 };
 pub use refresh::{RefreshLog, RefreshLogEntry};
-pub use simulate::SimStats;
+pub use simulate::Simulation;
 pub use snapshot::ReadSnapshot;
 pub use state::{DbConfig, EngineState, ExecResult, QueryResult};
 pub use transaction::{is_serialization_conflict, PreparedCommit, Transaction};

@@ -36,7 +36,7 @@ use dt_common::{DtError, DtResult, EntityId, Timestamp};
 use dt_scheduler::{RefreshAction, RefreshOutcome};
 
 use crate::install::Install;
-use crate::refresh::{action_label, RefreshInstall};
+use crate::refresh::RefreshInstall;
 use crate::Engine;
 
 /// Refresh-pipeline telemetry: how refreshes have used the install
@@ -96,7 +96,7 @@ impl InstalledRefresh {
             dt,
             refresh_ts,
             commit_ts,
-            action: action_label(&outcome.action),
+            action: outcome.action.label(),
             changed_rows: outcome.changed_rows,
             dt_rows: outcome.dt_rows,
             error: match outcome.action {
@@ -367,7 +367,7 @@ impl Engine {
 
     /// Run one refresh the one way — pin under the read lock, compute with
     /// no engine lock, install through the queue — and return its outcome
-    /// for the caller to report on its own (virtual) clock. `initial` marks
+    /// for the caller to report when it has ended. `initial` marks
     /// a DT's first refresh (§3.1.2). Callers must hold no engine guard.
     pub(crate) fn refresh(&self, dt: EntityId, ts: Timestamp, initial: bool) -> DtResult<RefreshOutcome> {
         Ok(self.prepare(dt, ts, initial)?.submit(false)?.1)

@@ -27,8 +27,8 @@
 //! (`Engine::prepare_refresh` + `PreparedRefresh::install`). Callers
 //! differ only in which timestamp they refresh to, where the compute step
 //! runs — the round driver in [`crate::parallel_refresh`] spreads it over
-//! a worker pool — and on which clock they report the outcome to the
-//! scheduler (`EngineState::report_refresh`: inside the install for the
+//! a worker pool — and when they report the outcome to the scheduler
+//! (`EngineState::report_refresh`: inside the install for the
 //! round driver, else in a mutation the caller queues to the same leader
 //! afterwards, so no caller takes the engine write lock itself).
 
@@ -45,7 +45,7 @@ use dt_ivm::{
     ChangeProvider, DeltaContext, MergeAction, OuterJoinStrategy, StoredOutput,
 };
 use dt_plan::LogicalPlan;
-use dt_scheduler::{CostModel, RefreshAction, RefreshOutcome};
+use dt_scheduler::{RefreshAction, RefreshOutcome};
 use dt_storage::{ChangeSet, PreparedChange, TableStore};
 use dt_txn::{Frontier, RefreshTsMap, Txn};
 
@@ -168,10 +168,6 @@ struct RefreshEnv {
     dt_ids: BTreeSet<EntityId>,
     /// The refresh-timestamp → version map (interior-mutable, `&self`).
     refresh_map: Arc<RefreshTsMap>,
-    /// Outer-join differentiation strategy (§5.5.1).
-    outer_join: OuterJoinStrategy,
-    /// The §3.3.2 cost model.
-    cost_model: CostModel,
 }
 
 impl RefreshEnv {
@@ -211,12 +207,10 @@ impl RefreshEnv {
 /// the outcome for the scheduler, and the frontier the DT will advance to
 /// once the change installs.
 struct ComputedRefresh {
-    /// Action + row/cost accounting, as the scheduler wants it reported.
+    /// Action and row counts, as the scheduler wants them reported.
     outcome: RefreshOutcome,
     /// The staged storage change; `None` for NO_DATA (only metadata moves).
     prep: Option<PreparedChange>,
-    /// Source rows scanned (see [`RefreshLogEntry::source_rows`]).
-    source_rows: usize,
     /// The frontier the DT advances to at install.
     new_frontier: Frontier,
 }
@@ -290,10 +284,9 @@ fn compute_refresh(
                     action: RefreshAction::NoData,
                     changed_rows: 0,
                     dt_rows,
-                    work_units: 0.0,
+                    source_rows: 0,
                 },
                 prep: None,
-                source_rows: 0,
                 new_frontier,
             });
         }
@@ -317,10 +310,9 @@ fn compute_refresh(
                 action,
                 changed_rows: changed,
                 dt_rows,
-                work_units: env.cost_model.units(input_rows + changed),
+                source_rows: input_rows,
             },
             prep: Some(prep),
-            source_rows: input_rows,
             new_frontier,
         });
     }
@@ -366,7 +358,7 @@ fn compute_refresh(
             old: &old,
             new: &new,
             changes: &changes,
-            outer_join: env.outer_join,
+            outer_join: OuterJoinStrategy::Direct,
         };
         if insert_only {
             delta_unconsolidated(plan, &ctx)?
@@ -409,10 +401,9 @@ fn compute_refresh(
             action: RefreshAction::Incremental,
             changed_rows: changed,
             dt_rows,
-            work_units: env.cost_model.units(change_volume + changed),
+            source_rows: change_volume,
         },
         prep: Some(prep),
-        source_rows: change_volume,
         new_frontier,
     })
 }
@@ -461,7 +452,6 @@ impl PinnedRefresh {
                         store: Arc::clone(&work.env.tables[&self.dt]),
                         prep: computed.prep.map(Box::new),
                         outcome: computed.outcome,
-                        source_rows: computed.source_rows,
                         new_frontier: computed.new_frontier,
                         upstream: work.upstream,
                         evolved: work.evolved,
@@ -512,7 +502,6 @@ enum InstallKind {
         /// to keep the `Failed` variant small.
         prep: Option<Box<PreparedChange>>,
         outcome: RefreshOutcome,
-        source_rows: usize,
         new_frontier: Frontier,
         /// Every entity the refresh read.
         upstream: Vec<EntityId>,
@@ -558,7 +547,7 @@ pub(crate) fn install_refresh(
         format!("entity {id} read by the refresh of {dt} was dropped before its install")
     };
 
-    let (commit_ts, outcome, source_rows) = match kind {
+    let (commit_ts, outcome) = match kind {
         InstallKind::Failed { error } => {
             // §3.3.3: the refresh installs nothing and counts against the
             // DT; the next one (a later data timestamp) tries again.
@@ -570,15 +559,14 @@ pub(crate) fn install_refresh(
                 action: RefreshAction::Failed(error),
                 changed_rows: 0,
                 dt_rows: 0,
-                work_units: st.config.cost_model.fixed_units,
+                source_rows: 0,
             };
-            (refresh_ts, outcome, 0)
+            (refresh_ts, outcome)
         }
         InstallKind::Staged {
             store,
             prep,
             outcome,
-            source_rows,
             new_frontier,
             upstream,
             evolved,
@@ -642,19 +630,19 @@ pub(crate) fn install_refresh(
                 }
                 st.push_catalog_record(SideEffect::None, wal_records);
             }
-            (commit_ts, outcome, source_rows)
+            (commit_ts, outcome)
         }
     };
 
     st.refresh_log.push(RefreshLogEntry {
         dt,
         refresh_ts,
-        action: action_label(&outcome.action),
+        action: outcome.action.label(),
         changed_rows: outcome.changed_rows,
         dt_rows: outcome.dt_rows,
         initial,
         duration_micros: started.elapsed().as_micros() as u64,
-        source_rows,
+        source_rows: outcome.source_rows,
     });
     if report_now {
         let ended = st.now();
@@ -757,8 +745,7 @@ impl EngineState {
     }
 
     /// Pin a [`RefreshEnv`] for `dt` and its scanned sources: `Arc` clones
-    /// of the storage handles and refresh map plus the config the delta
-    /// computation needs. O(#sources).
+    /// of the storage handles and the refresh map. O(#sources).
     fn refresh_env(&self, dt: EntityId, upstream: &[EntityId]) -> DtResult<RefreshEnv> {
         let mut tables = HashMap::with_capacity(upstream.len() + 1);
         let mut dt_ids = BTreeSet::new();
@@ -776,15 +763,12 @@ impl EngineState {
             tables,
             dt_ids,
             refresh_map: Arc::clone(&self.refresh_map),
-            outer_join: self.config.outer_join,
-            cost_model: self.config.cost_model,
         })
     }
 
-    /// Report a finished refresh to the scheduler as of `ended` — the
-    /// caller's clock: now for the round driver, the virtual completion
-    /// time (after the warehouse duration) for manual refreshes and the
-    /// simulated scheduler — and suspend the DT in the catalog when its
+    /// Report a finished refresh to the scheduler as of `ended` — now,
+    /// except under a simulation, where a refresh ends after its warehouse
+    /// time (see [`crate::simulate`]) — and suspend the DT in the catalog when its
     /// consecutive failures reached the threshold (§3.3.3). The catalog
     /// record a suspension needs is pushed onto `wal_records` for the
     /// caller to append.
@@ -831,17 +815,6 @@ impl EngineState {
             )));
         }
         Ok(())
-    }
-}
-
-/// The log label for a refresh action.
-pub(crate) fn action_label(action: &RefreshAction) -> &'static str {
-    match action {
-        RefreshAction::NoData => "no_data",
-        RefreshAction::Full => "full",
-        RefreshAction::Incremental => "incremental",
-        RefreshAction::Reinitialize => "reinitialize",
-        RefreshAction::Failed(_) => "failed",
     }
 }
 

@@ -1,29 +1,67 @@
-//! The simulation driver: advances virtual time, lets the scheduler issue
-//! refreshes, executes them on warehouses, and collects fleet statistics.
+//! The simulator, the one module that knows of one: virtual time, the
+//! §3.3.2 cost model, warehouse charging and refreshes still running on
+//! their warehouses. An engine built with [`Engine::simulated`] reads the
+//! injected [`SimClock`] instead of the wall clock and charges each refresh
+//! its work units: `ALTER … REFRESH` advances the clock by their warehouse
+//! time before it reports, and [`Engine::run_scheduler_until`] keeps the DT
+//! in flight until the clock passes that time, so slow refreshes skip grid
+//! points (§3.3.3). On the wall clock a refresh charges nothing.
+
+use std::sync::Arc;
 
 use dt_catalog::DtState;
-use dt_common::{DtResult, Duration, EntityId, Timestamp};
-use dt_scheduler::{RefreshAction, RefreshCommand, RefreshOutcome};
+use dt_common::{Clock, DtError, DtResult, Duration, EntityId, SimClock, Timestamp};
+use dt_scheduler::{CostModel, RefreshAction, RefreshCommand, RefreshOutcome};
 
 use crate::durability::WalRecord;
 use crate::engine::Engine;
 use crate::state::EngineState;
 
+/// What [`Engine::simulated`] injects into an engine.
+#[derive(Debug, Clone, Default)]
+pub struct Simulation {
+    /// The virtual clock the engine reads. Clones share one timeline:
+    /// keep one to advance time.
+    pub clock: SimClock,
+    /// The §3.3.2 cost model every refresh is charged by.
+    pub cost_model: CostModel,
+}
+
+/// A simulated engine's part of the [`EngineState`].
+pub(crate) struct Simulator {
+    clock: SimClock,
+    cost_model: CostModel,
+    /// Refreshes issued by `run_scheduler_until` whose virtual end time
+    /// has not been reached yet (carried across calls so long refreshes
+    /// keep blocking their DT — the precondition for skips, §3.3.3).
+    pending_completions: Vec<PendingCompletion>,
+}
+
+impl From<Simulation> for Simulator {
+    fn from(sim: Simulation) -> Self {
+        Simulator { clock: sim.clock, cost_model: sim.cost_model, pending_completions: Vec::new() }
+    }
+}
+
+impl Simulator {
+    /// The clock the engine reads: a handle on the injected timeline.
+    pub(crate) fn clock(&self) -> Arc<dyn Clock> {
+        Arc::new(self.clock.clone())
+    }
+}
+
 /// A refresh whose computation ran but whose virtual end time (warehouse
-/// duration) lies in the future. Held in [`EngineState`] so it survives across
-/// `run_scheduler_until` calls: a DT stays in-flight until its refresh's
-/// virtual duration has elapsed, which is what makes slow refreshes skip
-/// grid points (§3.3.3).
+/// duration) lies in the future: a DT stays in flight until it has passed.
 #[derive(Debug, Clone)]
-pub struct PendingCompletion {
+struct PendingCompletion {
     /// Virtual completion time.
-    pub ended: Timestamp,
+    ended: Timestamp,
     /// The DT refreshed.
-    pub dt: EntityId,
+    dt: EntityId,
     /// Its data timestamp.
-    pub refresh_ts: Timestamp,
+    refresh_ts: Timestamp,
     /// The outcome to report to the scheduler at `ended`.
-    pub outcome: RefreshOutcome,
+    outcome: RefreshOutcome,
 }
 
 /// Aggregate statistics of a simulation run (the §6.3 measurements).
@@ -47,27 +85,36 @@ pub struct SimStats {
     pub credits: f64,
 }
 
-impl SimStats {
-    /// Fraction of refreshes that moved no data (paper: >90%).
-    pub fn no_data_fraction(&self) -> f64 {
-        if self.refreshes == 0 {
-            0.0
-        } else {
-            self.no_data as f64 / self.refreshes as f64
+impl EngineState {
+    /// When a refresh of `dt` that its caller waits for ends: now on the
+    /// wall clock; under a simulation, once its warehouse has run its work
+    /// units from now (§3.3.1) — the clock advances by that time.
+    pub(crate) fn blocking_refresh_end(&mut self, dt: EntityId, outcome: &RefreshOutcome) -> DtResult<Timestamp> {
+        let Some(clock) = self.sim.as_ref().map(|sim| sim.clock.clone()) else {
+            return Ok(self.now());
+        };
+        let duration = self.charge(dt, clock.now(), outcome)?;
+        Ok(clock.advance(duration))
+    }
+
+    /// Move a simulation's clock up to `t`, a time recovery read from the
+    /// log; the wall clock is not set.
+    pub(crate) fn restore_clock(&self, t: Timestamp) {
+        if let Some(sim) = self.sim.as_ref().filter(|sim| sim.clock.now() < t) {
+            sim.clock.advance_to(t);
         }
     }
-}
 
-impl EngineState {
     /// Report every pending completion whose virtual end time has passed.
     /// A completion whose DT the scheduler no longer knows (dropped since
     /// it was issued) is discarded; one dropped and undropped since is
     /// reported to its new schedule.
     fn settle_completions(&mut self, now: Timestamp, wal: &mut Vec<WalRecord>) -> DtResult<()> {
+        let Some(sim) = self.sim.as_mut() else { return Ok(()) };
         // Process in end-time order.
-        self.pending_completions.sort_by_key(|p| p.ended);
-        let due = self.pending_completions.partition_point(|p| p.ended <= now);
-        let settled: Vec<PendingCompletion> = self.pending_completions.drain(..due).collect();
+        sim.pending_completions.sort_by_key(|p| p.ended);
+        let due = sim.pending_completions.partition_point(|p| p.ended <= now);
+        let settled: Vec<PendingCompletion> = sim.pending_completions.drain(..due).collect();
         for p in settled {
             if self.scheduler.state(p.dt).is_some() {
                 self.report_refresh(p.dt, p.refresh_ts, &p.outcome, p.ended, wal)?;
@@ -76,9 +123,11 @@ impl EngineState {
         Ok(())
     }
 
-    /// Run `units` of a refresh of `dt` on its warehouse from `start`
-    /// (§3.3.1) and return how long they take; no work takes no time.
-    pub(crate) fn charge(&mut self, dt: EntityId, start: Timestamp, units: f64) -> DtResult<Duration> {
+    /// Run the work units of a refresh of `dt` with `outcome` on its
+    /// warehouse from `start` (§3.3.1) and return how long they take; no
+    /// work takes no time.
+    fn charge(&mut self, dt: EntityId, start: Timestamp, outcome: &RefreshOutcome) -> DtResult<Duration> {
+        let units = self.sim.as_ref().map_or(0.0, |sim| sim.cost_model.refresh_units(outcome));
         if units <= 0.0 {
             return Ok(Duration::ZERO);
         }
@@ -90,6 +139,7 @@ impl EngineState {
     /// event — a pending completion or an active DT's next grid point —
     /// but not past `end`.
     fn step_clock(&self, now: Timestamp, end: Timestamp) {
+        let Some(sim) = &self.sim else { return };
         let sched = &self.scheduler;
         let active = |id: &EntityId| {
             sched.state(*id).is_some_and(|s| !s.suspended && s.last_data_ts.is_some())
@@ -99,9 +149,9 @@ impl EngineState {
             Some(dt_scheduler::periods::grid_at_or_before(now, period, Duration::ZERO).add(period))
         });
         // The earliest pending completion counts only when it lies ahead.
-        let completion = self.pending_completions.iter().map(|p| p.ended).min();
+        let completion = sim.pending_completions.iter().map(|p| p.ended).min();
         let ahead = completion.into_iter().chain(grid_points).filter(|t| *t > now);
-        self.clock.advance_to(ahead.fold(end, Timestamp::min));
+        sim.clock.advance_to(ahead.fold(end, Timestamp::min));
     }
 }
 
@@ -123,7 +173,14 @@ impl Engine {
     /// too — computes with no engine lock held and installs through the
     /// queue, and so does each step of the scheduler's bookkeeping, so
     /// readers and writers interleave with the whole run.
+    ///
+    /// Only a simulated engine ([`Engine::simulated`]) runs it: on the wall
+    /// clock it returns [`DtError::Unsupported`] and does nothing.
     pub fn run_scheduler_until(&self, end: Timestamp) -> DtResult<SimStats> {
+        if self.inspect(|st| st.sim.is_none()) {
+            let msg = "run_scheduler_until drives a simulated engine; this one reads the wall clock";
+            return Err(DtError::Unsupported(msg.into()));
+        }
         let mut stats = SimStats::default();
         loop {
             // 1. Complete refreshes whose virtual end time has passed.
@@ -144,7 +201,7 @@ impl Engine {
                     Err(e) if e.is_user_error() => {
                         stats.failed += 1;
                         let action = RefreshAction::Failed(e.to_string());
-                        let failed = RefreshOutcome { action, changed_rows: 0, dt_rows: 0, work_units: 0.0 };
+                        let failed = RefreshOutcome { action, changed_rows: 0, dt_rows: 0, source_rows: 0 };
                         self.mutate(move |st, wal| st.report_refresh(id, now, &failed, now, wal))?;
                     }
                     other => other?,
@@ -173,9 +230,11 @@ impl Engine {
                 }
                 let (dt, refresh_ts) = (cmd.dt, cmd.refresh_ts);
                 self.mutate(move |st, _| {
-                    let ended = now.add(st.charge(dt, now, outcome.work_units)?);
+                    let ended = now.add(st.charge(dt, now, &outcome)?);
                     let pending = PendingCompletion { ended, dt, refresh_ts, outcome };
-                    st.pending_completions.push(pending);
+                    if let Some(sim) = st.sim.as_mut() {
+                        sim.pending_completions.push(pending);
+                    }
                     Ok(())
                 })?;
             }

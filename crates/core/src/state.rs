@@ -7,20 +7,19 @@
 //! — the DDL below included — under the write lock. Connections never
 //! touch it directly — they go through [`crate::Session`], which carries
 //! the per-connection role and passes it into every call that needs one.
+//! Its clock is the wall clock, or an injected simulation's
+//! ([`crate::simulate`], the only module that knows of one).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use dt_catalog::{Catalog, DtState, DynamicTableMeta, RefreshMode, TargetLagSpec};
 use dt_common::{
-    Column, DataType, DtError, DtResult, Duration, DurabilityMode, EntityId, Row, Schema,
-    SimClock, Timestamp, TxnId,
+    Clock, Column, DataType, DtError, DtResult, Duration, DurabilityMode, EntityId, Row, Schema,
+    Timestamp, TxnId, WallClock,
 };
-use dt_ivm::OuterJoinStrategy;
 use dt_plan::{BindOutput, Binder, LogicalPlan, ResolvedRelation, Resolver};
-use dt_scheduler::{
-    CostModel, RefreshAction, Scheduler, SchedulerConfig, TargetLag, WarehousePool,
-};
+use dt_scheduler::{RefreshAction, Scheduler, SchedulerConfig, TargetLag, WarehousePool};
 use dt_sql::ast;
 use dt_storage::TableStore;
 use dt_txn::{Frontier, RefreshTsMap, TxnManager};
@@ -28,20 +27,17 @@ use dt_txn::{Frontier, RefreshTsMap, TxnManager};
 use crate::durability::{SideEffect, WalRecord, WalShared};
 use crate::engine::Engine;
 use crate::refresh::RefreshLog;
+use crate::simulate::{Simulation, Simulator};
 
 /// EngineState configuration.
 #[derive(Debug, Clone)]
 pub struct DbConfig {
     /// Micro-partition capacity for new tables.
     pub partition_capacity: usize,
-    /// Outer-join differentiation strategy (§5.5.1 ablation).
-    pub outer_join: OuterJoinStrategy,
     /// Re-check the DVS guarantee after every refresh (§6.1 level 4).
     pub validate_dvs: bool,
     /// Consecutive failures before automatic suspension (§3.3.3).
     pub error_suspend_threshold: u32,
-    /// Refresh cost model.
-    pub cost_model: CostModel,
     /// Durability: in-memory (default) or write-ahead logged to a
     /// directory. Durable engines must be opened with
     /// [`crate::Engine::open_with_config`].
@@ -67,10 +63,8 @@ impl Default for DbConfig {
     fn default() -> Self {
         DbConfig {
             partition_capacity: 4096,
-            outer_join: OuterJoinStrategy::Direct,
             validate_dvs: false,
             error_suspend_threshold: 5,
-            cost_model: CostModel::default(),
             durability: DurabilityMode::None,
             wal_checkpoint_bytes: 8 * 1024 * 1024,
             lock_wait_timeout: dt_txn::lock_manager::DEFAULT_WAIT_TIMEOUT,
@@ -189,7 +183,8 @@ impl ExecResult {
 /// by [`crate::Engine`]; obtain one via [`crate::Engine::new`] and interact
 /// through [`crate::Session`] handles or [`crate::Engine::inspect`].
 pub struct EngineState {
-    pub(crate) clock: SimClock,
+    /// The wall clock, or a simulation's virtual clock.
+    pub(crate) clock: Arc<dyn Clock>,
     /// `Arc`'d so the [`crate::Engine`] handle reads `active_txns` with no
     /// engine lock (all methods take `&self`).
     pub(crate) txn: Arc<TxnManager>,
@@ -208,11 +203,8 @@ pub struct EngineState {
     /// log is behind its own lock (see [`RefreshLog`]), so telemetry reads
     /// never hold the engine lock.
     pub(crate) refresh_log: RefreshLog,
-    /// Refreshes issued by the simulation driver whose virtual end time
-    /// has not been reached yet (carried across `run_scheduler_until`
-    /// calls so long refreshes keep blocking their DT — the precondition
-    /// for skip behaviour, §3.3.3).
-    pub(crate) pending_completions: Vec<crate::simulate::PendingCompletion>,
+    /// The injected simulation, if any (see [`crate::simulate`]).
+    pub(crate) sim: Option<Simulator>,
     /// The WAL, when durable. `None` means a purely in-memory engine.
     pub(crate) wal: Option<Arc<WalShared>>,
 }
@@ -230,10 +222,11 @@ impl Resolver for DbResolver<'_> {
 }
 
 impl EngineState {
-    /// Create an empty database at the simulation epoch.
-    pub fn new(config: DbConfig) -> Self {
-        let clock = SimClock::new();
-        let txn = Arc::new(TxnManager::new(Arc::new(clock.clone())));
+    /// An empty engine state on the wall clock, or on the clock of `sim`.
+    pub(crate) fn new(config: DbConfig, sim: Option<Simulation>) -> Self {
+        let sim = sim.map(Simulator::from);
+        let clock = sim.as_ref().map_or_else(|| Arc::new(WallClock::default()) as _, Simulator::clock);
+        let txn = Arc::new(TxnManager::new(Arc::clone(&clock)));
         EngineState {
             clock,
             txn,
@@ -248,20 +241,14 @@ impl EngineState {
             warehouses: WarehousePool::new(),
             dt_warehouse: HashMap::new(),
             refresh_log: RefreshLog::default(),
-            pending_completions: Vec::new(),
+            sim,
             wal: None,
             config,
         }
     }
 
-    /// The simulated clock (advance it to let the scheduler act).
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
-    /// Current simulated time.
+    /// The engine's current time, on the wall clock or a simulation's.
     pub fn now(&self) -> Timestamp {
-        use dt_common::Clock;
         self.clock.now()
     }
 
@@ -297,14 +284,6 @@ impl EngineState {
     /// The refresh log handle (every refresh executed so far).
     pub fn refresh_log(&self) -> &RefreshLog {
         &self.refresh_log
-    }
-
-    /// The DDL generation: bumped whenever the catalog's entity set (or a
-    /// definition) changes — Suspend/Resume don't count, so scheduler-driven
-    /// state flips never invalidate cached plans. Prepared statements record
-    /// the generation they were bound at and rebind when it moves.
-    pub fn ddl_generation(&self) -> u64 {
-        self.catalog.ddl_log().binding_generation()
     }
 
     /// Grant a privilege on a named entity to a role (§3.4).
@@ -403,10 +382,7 @@ impl EngineState {
                 // A recovered DT resumes scheduling from where it left off
                 // (§3.4).
                 if let Some(meta) = self.catalog.get(id)?.as_dt() {
-                    let target = match meta.target_lag {
-                        TargetLagSpec::Duration(d) => TargetLag::Duration(d),
-                        TargetLagSpec::Downstream => TargetLag::Downstream,
-                    };
+                    let target = scheduled_lag(&meta.target_lag);
                     let upstream = meta.upstream.clone();
                     self.scheduler.register(id, target, upstream);
                     if let Some(ts) = self.refresh_map.latest_refresh(id) {
@@ -492,10 +468,7 @@ impl EngineState {
             dt_catalog::EntityKind::DynamicTable(meta) => {
                 let mut meta = (**meta).clone();
                 meta.error_count = 0;
-                let target = match meta.target_lag {
-                    TargetLagSpec::Duration(d) => TargetLag::Duration(d),
-                    TargetLagSpec::Downstream => TargetLag::Downstream,
-                };
+                let target = scheduled_lag(&meta.target_lag);
                 let upstream = meta.upstream.clone();
                 let warehouse = meta.warehouse.clone();
                 let id = self
@@ -605,6 +578,7 @@ impl EngineState {
             ast::TargetLag::Duration(d) => TargetLagSpec::Duration(d),
             ast::TargetLag::Downstream => TargetLagSpec::Downstream,
         };
+        let sched_lag = scheduled_lag(&target_lag);
         // Extract the defining query text: everything after the AS keyword.
         let definition_sql = extract_defining_query(original_sql)?;
         let meta = DynamicTableMeta {
@@ -627,10 +601,6 @@ impl EngineState {
         cols.extend(out.plan.schema().columns().iter().cloned());
         self.dt_warehouse
             .insert(id, cdt.warehouse.to_ascii_lowercase());
-        let sched_lag = match cdt.target_lag {
-            ast::TargetLag::Duration(d) => TargetLag::Duration(d),
-            ast::TargetLag::Downstream => TargetLag::Downstream,
-        };
         self.scheduler.register(id, sched_lag, upstream);
         // Logged *before* the initial refresh so replay creates the DT's
         // store before it replays that refresh's install.
@@ -712,10 +682,10 @@ impl Engine {
 
     /// Manual refresh (§3.2): data timestamp after the command was issued;
     /// refreshes the whole upstream chain. Returns the number of refreshes
-    /// executed. The clock advances by each refresh's duration (the command
-    /// blocks). The install leader plans it and, after each install,
-    /// charges the warehouse and reports — nothing holds the engine lock
-    /// across a compute.
+    /// executed. The install leader plans it and, after each install,
+    /// reports it as ended — under a simulation, after its warehouse time,
+    /// which the clock advances by (the command blocks) — and nothing holds
+    /// the engine lock across a compute.
     pub(crate) fn manual_refresh(&self, name: &str, role: &str) -> DtResult<usize> {
         let (name, role) = (name.to_string(), role.to_string());
         let plan = self.mutate(move |st, _| {
@@ -736,9 +706,7 @@ impl Engine {
             let outcome = self.refresh(cmd.dt, cmd.refresh_ts, false)?;
             let (dt, refresh_ts) = (cmd.dt, cmd.refresh_ts);
             self.mutate(move |st, wal| {
-                let duration = st.charge(dt, st.now(), outcome.work_units)?;
-                st.clock.advance(duration);
-                let ended = st.now();
+                let ended = st.blocking_refresh_end(dt, &outcome)?;
                 st.report_refresh(dt, refresh_ts, &outcome, ended, wal)
             })?;
             reported += 1;
@@ -750,6 +718,14 @@ impl Engine {
             return Err(e);
         }
         Ok(plan.len())
+    }
+}
+
+/// The scheduler's form of a DT's target lag.
+pub(crate) fn scheduled_lag(spec: &TargetLagSpec) -> TargetLag {
+    match *spec {
+        TargetLagSpec::Duration(d) => TargetLag::Duration(d),
+        TargetLagSpec::Downstream => TargetLag::Downstream,
     }
 }
 

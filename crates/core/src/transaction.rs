@@ -603,11 +603,6 @@ impl PreparedCommit {
         self.request.as_ref().expect("present until consumed").txn.id
     }
 
-    /// Number of tables this commit will install into.
-    pub fn table_count(&self) -> usize {
-        self.request.as_ref().expect("present until consumed").prepared.len()
-    }
-
     /// Finish the commit through the engine's install queue: enqueue the
     /// request and block until a leader — possibly this thread — installs
     /// the batch containing it. Returns this transaction's commit

@@ -39,6 +39,19 @@ pub enum RefreshAction {
     Failed(String),
 }
 
+impl RefreshAction {
+    /// The action's name in logs and statistics.
+    pub fn label(&self) -> &'static str {
+        match self {
+            RefreshAction::NoData => "no_data",
+            RefreshAction::Full => "full",
+            RefreshAction::Incremental => "incremental",
+            RefreshAction::Reinitialize => "reinitialize",
+            RefreshAction::Failed(_) => "failed",
+        }
+    }
+}
+
 /// The outcome the driver reports after executing a refresh.
 #[derive(Debug, Clone)]
 pub struct RefreshOutcome {
@@ -48,8 +61,10 @@ pub struct RefreshOutcome {
     pub changed_rows: usize,
     /// The DT's row count after the refresh.
     pub dt_rows: usize,
-    /// Work units consumed (for warehouse billing).
-    pub work_units: f64,
+    /// Source rows the refresh read: the whole query input for FULL and
+    /// REINITIALIZE, the source change rows for INCREMENTAL, 0 for NO_DATA
+    /// and failures.
+    pub source_rows: usize,
 }
 
 /// A refresh the scheduler wants executed.
@@ -455,8 +470,8 @@ impl Scheduler {
         visited.into_iter().filter(|id| set.contains(id)).collect()
     }
 
-    /// Report a refresh outcome. `started`/`ended` are the wall (simulated)
-    /// times of the refresh job. Returns true if the DT was auto-suspended
+    /// Report a refresh outcome. `ended` is when the refresh job finished,
+    /// on the engine's clock. Returns true if the DT was auto-suspended
     /// by the error policy.
     pub fn report(
         &mut self,
@@ -471,14 +486,7 @@ impl Scheduler {
             .get_mut(&id)
             .ok_or_else(|| DtError::Catalog(format!("unknown DT {id}")))?;
         st.in_flight = None;
-        let label = match &outcome.action {
-            RefreshAction::NoData => "no_data",
-            RefreshAction::Full => "full",
-            RefreshAction::Incremental => "incremental",
-            RefreshAction::Reinitialize => "reinitialize",
-            RefreshAction::Failed(_) => "failed",
-        };
-        *st.action_counts.entry(label).or_insert(0) += 1;
+        *st.action_counts.entry(outcome.action.label()).or_insert(0) += 1;
         if let RefreshAction::Failed(_) = outcome.action {
             // §3.3.3: failures are not retried; the next scheduled refresh
             // (a later data timestamp) will be attempted. Consecutive
@@ -532,7 +540,7 @@ mod tests {
             action: RefreshAction::Incremental,
             changed_rows: 10,
             dt_rows: 100,
-            work_units: 100.0,
+            source_rows: 100,
         }
     }
 
@@ -737,7 +745,7 @@ mod tests {
             action: RefreshAction::Failed("division by zero".into()),
             changed_rows: 0,
             dt_rows: 0,
-            work_units: 10.0,
+            source_rows: 0,
         };
         let mut now = 50;
         for i in 0..3 {
@@ -765,7 +773,7 @@ mod tests {
             action: RefreshAction::Failed("x".into()),
             changed_rows: 0,
             dt_rows: 0,
-            work_units: 1.0,
+            source_rows: 0,
         };
         let due = s.due_refreshes(ts(50));
         s.report(a, due[0].refresh_ts, &fail, ts(51)).unwrap();

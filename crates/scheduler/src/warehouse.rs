@@ -9,6 +9,8 @@ use std::collections::HashMap;
 
 use dt_common::{DtError, DtResult, Duration, Timestamp};
 
+use crate::scheduler::{RefreshAction, RefreshOutcome};
+
 /// The fixed + variable refresh cost model of §3.3.2, in abstract "work
 /// units" (1 unit ≈ 1 node-millisecond).
 #[derive(Debug, Clone, Copy)]
@@ -35,6 +37,17 @@ impl CostModel {
     /// Work units for a refresh that processes `rows` rows.
     pub fn units(&self, rows: usize) -> f64 {
         self.fixed_units + self.unit_per_row * rows as f64
+    }
+
+    /// Work units of a refresh with `outcome`: none for NO_DATA (§3.3.2:
+    /// no warehouse compute), the fixed cost for a failure, else the rows
+    /// it read and wrote.
+    pub fn refresh_units(&self, outcome: &RefreshOutcome) -> f64 {
+        match outcome.action {
+            RefreshAction::NoData => 0.0,
+            RefreshAction::Failed(_) => self.fixed_units,
+            _ => self.units(outcome.source_rows + outcome.changed_rows),
+        }
     }
 }
 
@@ -201,6 +214,16 @@ mod tests {
         let m = CostModel::default();
         assert!(m.units(0) > 0.0);
         assert!(m.units(1_000_000) > 100.0 * m.units(0) / 2.0);
+    }
+
+    #[test]
+    fn refresh_units_follow_the_outcome() {
+        let m = CostModel { fixed_units: 100.0, unit_per_row: 0.5 };
+        let outcome = |action| RefreshOutcome { action, changed_rows: 4, dt_rows: 9, source_rows: 6 };
+        assert_eq!(m.refresh_units(&outcome(RefreshAction::NoData)), 0.0);
+        assert_eq!(m.refresh_units(&outcome(RefreshAction::Failed("x".into()))), 100.0);
+        assert_eq!(m.refresh_units(&outcome(RefreshAction::Full)), 105.0);
+        assert_eq!(m.refresh_units(&outcome(RefreshAction::Incremental)), m.units(10));
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! a `(physical, logical)` pair with the send/receive rules — and also a
 //! *folded* form: because the rest of the system keys table versions by a
 //! single [`Timestamp`], [`Hlc::tick`] folds the logical component into
-//! otherwise-unused microseconds (events in the simulation are far sparser
-//! than 1/µs), preserving the two properties everything depends on: strict
-//! monotonicity and closeness to physical time.
+//! otherwise-unused microseconds (commits and refreshes are far sparser
+//! than one per µs), preserving the two properties everything depends on:
+//! strict monotonicity and closeness to physical time.
 
 use std::sync::Arc;
 
@@ -38,7 +38,8 @@ struct HlcState {
     last: HlcTimestamp,
 }
 
-/// A hybrid logical clock bound to a (simulated) physical clock.
+/// A hybrid logical clock bound to a physical clock: the engine's wall
+/// clock, or the virtual clock a simulation injects.
 pub struct Hlc {
     clock: Arc<dyn Clock>,
     state: Mutex<HlcState>,

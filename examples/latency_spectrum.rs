@@ -5,10 +5,10 @@
 //! Run with: `cargo run --example latency_spectrum`
 
 use dt_common::{Duration, Timestamp};
-use dt_core::{DbConfig, Engine};
+use dt_core::{DbConfig, Engine, Simulation};
 
 fn main() {
-    let engine = Engine::new(DbConfig::default());
+    let engine = Engine::simulated(DbConfig::default(), Simulation::default()).unwrap();
     engine.create_warehouse("wh", 4).unwrap();
     let db = engine.session();
     db.execute("CREATE TABLE metrics (host INT, value INT)").unwrap();

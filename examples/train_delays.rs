@@ -4,11 +4,11 @@
 //! Run with: `cargo run --example train_delays`
 
 use dt_common::{Duration, Timestamp};
-use dt_core::{DbConfig, Engine};
+use dt_core::{DbConfig, Engine, Simulation};
 
 fn main() {
     let cfg = DbConfig { validate_dvs: true, ..DbConfig::default() };
-    let engine = Engine::new(cfg);
+    let engine = Engine::simulated(cfg, Simulation::default()).unwrap();
     engine.create_warehouse("trains_wh", 2).unwrap();
     let db = engine.session();
 

@@ -14,11 +14,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 
 use dt_common::{Duration, Timestamp, Value};
-use dt_core::{DbConfig, Engine};
+use dt_core::{DbConfig, Engine, Simulation};
 
 #[test]
 fn readers_run_while_scheduler_refreshes() {
-    let engine = Engine::new(DbConfig { validate_dvs: true, ..DbConfig::default() });
+    let config = DbConfig { validate_dvs: true, ..DbConfig::default() };
+    let engine = Engine::simulated(config, Simulation::default()).unwrap();
     engine.create_warehouse("wh", 4).unwrap();
     let admin = engine.session();
     admin.execute("CREATE TABLE bal (k INT, v INT)").unwrap();
@@ -118,7 +119,7 @@ fn readers_run_while_scheduler_refreshes() {
 /// drives refreshes; fresh reads see the new state.
 #[test]
 fn pinned_snapshot_rereads_identically_under_concurrent_writes() {
-    let engine = Engine::new(DbConfig::default());
+    let engine = Engine::simulated(DbConfig::default(), Simulation::default()).unwrap();
     engine.create_warehouse("wh", 2).unwrap();
     let admin = engine.session();
     admin.execute("CREATE TABLE t (k INT, v INT)").unwrap();
@@ -358,7 +359,7 @@ fn beside_a_refresh(engine: &Engine, refresh: impl FnOnce() + Send) -> dt_common
 /// was before the refresh.
 #[test]
 fn refreshes_compute_beside_readers_and_writers() {
-    let engine = Engine::new(DbConfig::default());
+    let engine = Engine::simulated(DbConfig::default(), Simulation::default()).unwrap();
     engine.create_warehouse("wh", 1).unwrap();
     let s = engine.session();
     s.execute("CREATE TABLE src (k INT, v INT)").unwrap();

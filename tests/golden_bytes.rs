@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dt_common::{row, Value};
-use dt_core::Engine;
+use dt_core::{DbConfig, DurabilityMode, Engine, Simulation};
 use dt_wal::{Wal, WalStats};
 use dt_wire::{read_frame, write_frame, Request, DEFAULT_MAX_FRAME_LEN};
 
@@ -58,6 +58,13 @@ impl Drop for TestDir {
     }
 }
 
+/// A durable engine at `dir` on a fresh simulated clock, so its timestamps
+/// are deterministic.
+fn simulated(dir: &Path) -> Engine {
+    let config = DbConfig { durability: DurabilityMode::wal(dir), ..DbConfig::default() };
+    Engine::simulated(config, Simulation::default()).unwrap()
+}
+
 fn wal_records(dir: &Path) -> Vec<Vec<u8>> {
     let (_, recovered) = Wal::open(dir, Arc::new(WalStats::default())).unwrap();
     recovered.records
@@ -92,7 +99,7 @@ fn wal_record_and_wire_frame_bytes_are_stable() {
     // log the same bytes (virtual clock and ids are deterministic).
     let written = TestDir::new("written");
     {
-        let session = Engine::open(&written.0).unwrap().session();
+        let session = simulated(&written.0).session();
         session.execute("CREATE TABLE t (k INT, s STRING)").unwrap();
         session
             .execute("INSERT INTO t VALUES (1, 'a'), (2, NULL)")
@@ -134,7 +141,7 @@ const REFRESH_HISTORY_CRC32: u32 = 45_290_034;
 fn refresh_history_logs_the_same_records_in_the_same_order() {
     let dir = TestDir::new("refresh-history");
     {
-        let engine = Engine::open(&dir.0).unwrap();
+        let engine = simulated(&dir.0);
         engine.set_refresh_threads(1);
         engine.create_warehouse("wh", 2).unwrap();
         let session = engine.session();

@@ -2,13 +2,17 @@
 //! catalog, storage, transactions, planning, execution, IVM, and
 //! scheduling.
 
-use dt_common::{row, DtError, Duration, Row, Timestamp, Value};
-use dt_core::{DbConfig, Engine, Session};
+use dt_common::{row, DtError, Duration, Row, SimClock, Timestamp, Value};
+use dt_core::{DbConfig, Engine, Session, Simulation};
 
 fn setup() -> (Engine, Session) {
+    setup_on(SimClock::new())
+}
+
+fn setup_on(clock: SimClock) -> (Engine, Session) {
     // §6.1 level-4 validation on every refresh.
     let cfg = DbConfig { validate_dvs: true, ..DbConfig::default() };
-    let eng = Engine::new(cfg);
+    let eng = Engine::simulated(cfg, Simulation { clock, ..Simulation::default() }).unwrap();
     eng.create_warehouse("wh", 4).unwrap();
     let db = eng.session();
     (eng, db)
@@ -244,7 +248,7 @@ fn scheduled_refreshes_maintain_lag() {
 #[test]
 fn consecutive_failures_auto_suspend_and_resume_recovers() {
     let cfg = DbConfig { error_suspend_threshold: 3, ..DbConfig::default() };
-    let eng = Engine::new(cfg);
+    let eng = Engine::simulated(cfg, Simulation::default()).unwrap();
     let db = eng.session();
     eng.create_warehouse("wh", 1).unwrap();
     db.execute("CREATE TABLE t (k INT, v INT)").unwrap();
@@ -348,10 +352,11 @@ fn isolation_levels_per_query_shape() {
 
 #[test]
 fn time_travel_reads_past_versions() {
-    let (eng, db) = setup();
+    let clock = SimClock::new();
+    let (eng, db) = setup_on(clock.clone());
     db.execute("CREATE TABLE t (k INT)").unwrap();
     db.execute("INSERT INTO t VALUES (1)").unwrap();
-    eng.clock().advance(Duration::from_secs(100));
+    clock.advance(Duration::from_secs(100));
     let before = eng.now();
     db.execute("INSERT INTO t VALUES (2)").unwrap();
     let rows = db.query_at("SELECT * FROM t", before).unwrap().into_rows();
@@ -408,33 +413,27 @@ fn window_function_dt_maintains_incrementally() {
 
 #[test]
 fn outer_join_dt_with_both_strategies() {
-    for strategy in [
-        dt_ivm::OuterJoinStrategy::Direct,
-        dt_ivm::OuterJoinStrategy::NaiveRewrite,
-    ] {
-        let cfg = DbConfig { validate_dvs: true, outer_join: strategy, ..DbConfig::default() };
-        let eng = Engine::new(cfg);
-        let db = eng.session();
-        eng.create_warehouse("wh", 2).unwrap();
-        db.execute("CREATE TABLE l (k INT, v INT)").unwrap();
-        db.execute("CREATE TABLE r (k INT, w INT)").unwrap();
-        db.execute("INSERT INTO l VALUES (1, 10), (2, 20)").unwrap();
-        db.execute("INSERT INTO r VALUES (1, 100)").unwrap();
-        db.execute(
-            "CREATE DYNAMIC TABLE oj TARGET_LAG = '1 minute' WAREHOUSE = wh \
-             AS SELECT l.k, l.v, r.w FROM l LEFT JOIN r ON l.k = r.k",
-        )
-        .unwrap();
-        // A matching row arrives: (2,20,NULL) must become (2,20,200).
-        db.execute("INSERT INTO r VALUES (2, 200)").unwrap();
-        db.execute("ALTER DYNAMIC TABLE oj REFRESH").unwrap();
-        let rows = db.query_sorted("SELECT * FROM oj").unwrap();
-        assert_eq!(
-            rows,
-            vec![row!(1i64, 10i64, 100i64), row!(2i64, 20i64, 200i64)],
-            "strategy {strategy:?}"
-        );
-    }
+    // The engine differentiates outer joins with the direct rule; the
+    // naive rewrite is checked against it in dt-ivm and by the §5.5.1
+    // ablation.
+    let cfg = DbConfig { validate_dvs: true, ..DbConfig::default() };
+    let eng = Engine::new(cfg);
+    let db = eng.session();
+    eng.create_warehouse("wh", 2).unwrap();
+    db.execute("CREATE TABLE l (k INT, v INT)").unwrap();
+    db.execute("CREATE TABLE r (k INT, w INT)").unwrap();
+    db.execute("INSERT INTO l VALUES (1, 10), (2, 20)").unwrap();
+    db.execute("INSERT INTO r VALUES (1, 100)").unwrap();
+    db.execute(
+        "CREATE DYNAMIC TABLE oj TARGET_LAG = '1 minute' WAREHOUSE = wh \
+         AS SELECT l.k, l.v, r.w FROM l LEFT JOIN r ON l.k = r.k",
+    )
+    .unwrap();
+    // A matching row arrives: (2,20,NULL) must become (2,20,200).
+    db.execute("INSERT INTO r VALUES (2, 200)").unwrap();
+    db.execute("ALTER DYNAMIC TABLE oj REFRESH").unwrap();
+    let rows = db.query_sorted("SELECT * FROM oj").unwrap();
+    assert_eq!(rows, vec![row!(1i64, 10i64, 100i64), row!(2i64, 20i64, 200i64)]);
 }
 
 #[test]
@@ -658,7 +657,8 @@ fn creating_a_dt_over_a_dt_beside_refresh_rounds_initializes_it() {
 #[test]
 fn dropping_a_dt_with_a_pending_completion_does_not_fail_the_scheduler() {
     let cost_model = dt_scheduler::CostModel { fixed_units: 100_000.0, unit_per_row: 1.0 };
-    let eng = Engine::new(DbConfig { cost_model, ..DbConfig::default() });
+    let simulation = Simulation { cost_model, ..Simulation::default() };
+    let eng = Engine::simulated(DbConfig::default(), simulation).unwrap();
     eng.create_warehouse("wh", 1).unwrap();
     let db = eng.session();
     db.execute("CREATE TABLE t (k INT)").unwrap();

@@ -11,8 +11,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dt_common::{row, Duration, Row, Value};
-use dt_core::{DbConfig, DurabilityMode, Engine};
+use dt_common::{row, Duration, Row, SimClock, Value};
+use dt_core::{DbConfig, DurabilityMode, Engine, Simulation};
 
 static NEXT: AtomicU64 = AtomicU64::new(0);
 
@@ -44,6 +44,12 @@ impl Drop for TestDir {
 
 fn durable(dir: &Path) -> Engine {
     Engine::open(dir).unwrap()
+}
+
+/// [`durable`], reading `clock` instead of the wall clock.
+fn simulated(dir: &Path, clock: &SimClock) -> Engine {
+    let cfg = DbConfig { durability: DurabilityMode::wal(dir), ..DbConfig::default() };
+    Engine::simulated(cfg, Simulation { clock: clock.clone(), ..Simulation::default() }).unwrap()
 }
 
 fn durable_with(dir: &Path, f: impl FnOnce(&mut DbConfig)) -> Engine {
@@ -219,7 +225,8 @@ fn refresh_rounds_time_travel_and_dag_survive_restart() {
     let (after_init, after_second, final_now);
     let (rows_init, rows_second, rows_now);
     {
-        let eng = durable(dir.path());
+        let clock = SimClock::new();
+        let eng = simulated(dir.path(), &clock);
         eng.create_warehouse("wh", 2).unwrap();
         let s = eng.session();
         s.execute("CREATE TABLE t (k INT, v INT)").unwrap();
@@ -234,11 +241,11 @@ fn refresh_rounds_time_travel_and_dag_survive_restart() {
              AS SELECT k, s FROM agg WHERE s >= 20",
         )
         .unwrap();
-        eng.clock().advance(Duration::from_secs(60));
+        clock.advance(Duration::from_secs(60));
         after_init = eng.now();
         s.execute("INSERT INTO t VALUES (1, 5), (3, 30)").unwrap();
         s.execute("ALTER DYNAMIC TABLE agg REFRESH").unwrap();
-        eng.clock().advance(Duration::from_secs(60));
+        clock.advance(Duration::from_secs(60));
         after_second = eng.now();
         s.execute("DELETE FROM t WHERE k = 2").unwrap();
         s.execute("ALTER DYNAMIC TABLE agg REFRESH").unwrap();
@@ -652,7 +659,8 @@ fn recovered_engine_answers_the_differential_fixture_set_identically() {
     let at;
     let expected_at;
     {
-        let eng = durable(dir.path());
+        let clock = SimClock::new();
+        let eng = simulated(dir.path(), &clock);
         eng.create_warehouse("wh", 2).unwrap();
         let s = eng.session();
         s.execute("CREATE TABLE t1 (k INT, v INT, name STRING)").unwrap();
@@ -680,7 +688,7 @@ fn recovered_engine_answers_the_differential_fixture_set_identically() {
         // Mid-history checkpoint: half the state comes back via snapshot,
         // half via replay — equivalence must hold across the seam.
         assert!(eng.checkpoint().unwrap());
-        eng.clock().advance(Duration::from_secs(60));
+        clock.advance(Duration::from_secs(60));
         at = eng.now();
         s.execute("UPDATE t1 SET v = v + 1 WHERE k < 10").unwrap();
         s.execute("ALTER DYNAMIC TABLE dt_totals REFRESH").unwrap();

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use dt_common::{Row, Value};
 use dt_ivm::merge::make_row_id;
 use dt_storage::RowIndexStats;
-use dynamic_tables::core::{DbConfig, DurabilityMode, Engine, Session};
+use dynamic_tables::core::{DbConfig, DurabilityMode, Engine, Session, Simulation};
 
 /// Every stored table spans many partitions at this capacity.
 const PARTITION_CAPACITY: usize = 8;
@@ -302,11 +302,13 @@ fn a_full_or_reinitializing_refresh_between_incrementals_is_crossed_by_a_rebuild
 
 #[test]
 fn a_losing_committer_retries_and_a_write_in_the_past_conflicts_without_touching_the_cache() {
-    let engine = Engine::new(config());
+    let clock = dt_common::SimClock::new();
+    let simulation = Simulation { clock: clock.clone(), ..Simulation::default() };
+    let engine = Engine::simulated(config(), simulation).unwrap();
     let s = create(&engine, 100);
     round(&s, 0);
     let before_any = engine.now();
-    engine.clock().advance(dt_common::Duration::from_secs(1));
+    clock.advance(dt_common::Duration::from_secs(1));
 
     // Two optimistic transactions delete different rows of one version.
     let (mut first, mut second) = (s.begin(), s.begin());

@@ -10,12 +10,15 @@ use std::thread;
 use std::time::Duration;
 
 use dynamic_tables::client::{Client, ClientError};
-use dynamic_tables::core::{DbConfig, Engine};
+use dynamic_tables::core::{DbConfig, Engine, Simulation};
 use dynamic_tables::server::{Server, ServerConfig};
-use dt_common::Value;
+use dt_common::{SimClock, Value};
 
 fn serve(config: ServerConfig) -> (Engine, Server) {
-    let engine = Engine::new(DbConfig::default());
+    serve_engine(Engine::new(DbConfig::default()), config)
+}
+
+fn serve_engine(engine: Engine, config: ServerConfig) -> (Engine, Server) {
     let server = Server::bind(engine.clone(), "127.0.0.1:0", config).unwrap();
     (engine, server)
 }
@@ -43,7 +46,10 @@ fn int(rows: &dynamic_tables::wire::RemoteRows, row: usize, col: usize) -> i64 {
 
 #[test]
 fn remote_session_full_surface() {
-    let (engine, server) = serve_default();
+    let clock = SimClock::new();
+    let simulation = Simulation { clock: clock.clone(), ..Simulation::default() };
+    let engine = Engine::simulated(DbConfig::default(), simulation).unwrap();
+    let (engine, server) = serve_engine(engine, ServerConfig::default());
     let mut client = Client::connect(server.local_addr()).unwrap();
 
     // DDL + DML + query.
@@ -71,7 +77,7 @@ fn remote_session_full_surface() {
     // Time travel: advance the simulated clock past the folded HLC
     // ticks of the commits so far, capture "now", commit more, and read
     // back the old state through the wire.
-    engine.clock().advance(dt_common::Duration::from_secs(100));
+    clock.advance(dt_common::Duration::from_secs(100));
     let before = engine.now();
     client.execute("INSERT INTO t VALUES (5, 50)").unwrap();
     let old = client.query_at("SELECT k FROM t", before).unwrap();

@@ -1,13 +1,15 @@
 //! Time travel, skip semantics, and frontier behaviour across refreshes.
 
-use dt_common::{row, Duration, Timestamp};
-use dt_core::{DbConfig, Engine};
+use dt_common::{row, Duration, SimClock, Timestamp};
+use dt_core::{DbConfig, Engine, Simulation};
 use dt_scheduler::CostModel;
 
 #[test]
 fn dt_time_travel_history_tracks_refreshes() {
     let cfg = DbConfig { validate_dvs: true, ..DbConfig::default() };
-    let eng = Engine::new(cfg);
+    let clock = SimClock::new();
+    let simulation = Simulation { clock: clock.clone(), ..Simulation::default() };
+    let eng = Engine::simulated(cfg, simulation).unwrap();
     let db = eng.session();
     eng.create_warehouse("wh", 2).unwrap();
     db.execute("CREATE TABLE t (k INT)").unwrap();
@@ -16,7 +18,7 @@ fn dt_time_travel_history_tracks_refreshes() {
         "CREATE DYNAMIC TABLE d TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT k FROM t",
     )
     .unwrap();
-    eng.clock().advance(Duration::from_secs(100));
+    clock.advance(Duration::from_secs(100));
     let after_init = eng.now();
     db.execute("INSERT INTO t VALUES (2)").unwrap();
     db.execute("ALTER DYNAMIC TABLE d REFRESH").unwrap();
@@ -35,16 +37,13 @@ fn dt_time_travel_history_tracks_refreshes() {
 fn skipped_refreshes_reduce_time_travel_granularity_but_not_correctness() {
     // §3.3.3: a skip leaves no time-travel entry for the skipped data
     // timestamp, and the following refresh covers the whole interval.
-    let cfg = DbConfig {
-        validate_dvs: true,
-        // Heavy refreshes: ~100 s on one node, period 48 s → skips.
-        cost_model: CostModel {
-            fixed_units: 100_000.0,
-            unit_per_row: 1.0,
-        },
-        ..DbConfig::default()
+    let cfg = DbConfig { validate_dvs: true, ..DbConfig::default() };
+    // Heavy refreshes: ~100 s on one node, period 48 s → skips.
+    let cost_model = CostModel {
+        fixed_units: 100_000.0,
+        unit_per_row: 1.0,
     };
-    let eng = Engine::new(cfg);
+    let eng = Engine::simulated(cfg, Simulation { cost_model, ..Simulation::default() }).unwrap();
     let db = eng.session();
     eng.create_warehouse("wh", 1).unwrap();
     db.execute("CREATE TABLE t (k INT, v INT)").unwrap();
@@ -78,7 +77,7 @@ fn skipped_refreshes_reduce_time_travel_granularity_but_not_correctness() {
 #[test]
 fn frontier_only_moves_forward_under_mixed_refresh_kinds() {
     let cfg = DbConfig { validate_dvs: true, ..DbConfig::default() };
-    let eng = Engine::new(cfg);
+    let eng = Engine::simulated(cfg, Simulation::default()).unwrap();
     let db = eng.session();
     eng.create_warehouse("wh", 4).unwrap();
     db.execute("CREATE TABLE a (k INT)").unwrap();
@@ -105,7 +104,9 @@ fn frontier_only_moves_forward_under_mixed_refresh_kinds() {
 
 #[test]
 fn no_data_refreshes_advance_data_timestamp_without_new_versions() {
-    let eng = Engine::new(DbConfig::default());
+    let clock = SimClock::new();
+    let simulation = Simulation { clock: clock.clone(), ..Simulation::default() };
+    let eng = Engine::simulated(DbConfig::default(), simulation).unwrap();
     let db = eng.session();
     eng.create_warehouse("wh", 2).unwrap();
     db.execute("CREATE TABLE t (k INT)").unwrap();
@@ -116,7 +117,7 @@ fn no_data_refreshes_advance_data_timestamp_without_new_versions() {
     .unwrap();
     // Three manual refreshes with no DML: all NO_DATA.
     for _ in 0..3 {
-        eng.clock().advance(Duration::from_secs(60));
+        clock.advance(Duration::from_secs(60));
         db.execute("ALTER DYNAMIC TABLE d REFRESH").unwrap();
         assert_eq!(eng.refresh_log().last().unwrap().action, "no_data");
     }
