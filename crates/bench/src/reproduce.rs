@@ -13,8 +13,10 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dt_catalog::{RefreshMode, TargetLagSpec};
-use dt_common::{row, Column, DataType, DtResult, Duration, EntityId, Row, Schema, Timestamp};
+use dt_catalog::RefreshMode;
+use dt_common::{
+    row, Column, DataType, DtResult, Duration, EntityId, Row, Schema, TargetLag, Timestamp,
+};
 use dt_core::{DbConfig, Engine, Session, Simulation};
 use dt_exec::{MapProvider, TableProvider};
 use dt_isolation::{analyze, History, IsolationLevel};
@@ -181,8 +183,8 @@ pub fn lag_sawtooth() -> Sawtooth {
     }
     let (samples, period) = engine.inspect(|s| {
         let id = s.catalog().resolve("sawtooth").expect("just created").id;
-        let st = s.scheduler().state(id).expect("registered at creation");
-        (st.lag_samples.clone(), s.scheduler().period_of(id).expect("has a target lag"))
+        let st = s.scheduler().state(id).expect("initialized at creation");
+        (st.lag_samples.clone(), s.dt_graph().period_of(id).expect("has a target lag"))
     });
     let troughs = samples.iter().filter(|s| !s.peak).skip(1);
     let peaks = samples.iter().filter(|s| s.peak);
@@ -256,7 +258,7 @@ pub fn target_lag_census() -> LagCensus {
     engine.inspect(|s| {
         for id in s.catalog().dynamic_tables() {
             let meta = s.catalog().get(id).expect("listed").as_dt().expect("a DT");
-            if let TargetLagSpec::Duration(lag) = meta.target_lag {
+            if let TargetLag::Duration(lag) = meta.target_lag {
                 *buckets.entry(lag_bucket(lag)).or_insert(0) += 1;
             }
         }
@@ -401,8 +403,8 @@ pub fn adoption_stats() -> AdoptionStats {
         changed_under_1pct: changing.iter().filter(|e| ratio(e) < 0.01).count(),
         changed_over_10pct: changing.iter().filter(|e| ratio(e) > 0.10).count(),
         skips: engine.inspect(|s| {
-            let sched = s.scheduler();
-            sched.registered().iter().filter_map(|id| sched.state(*id)).map(|st| st.skipped_total).sum()
+            let dts = s.catalog().dynamic_tables();
+            dts.iter().filter_map(|id| s.scheduler().state(*id)).map(|st| st.skipped_total).sum()
         }),
         credits: engine.inspect(|s| s.warehouses().total_credits()),
     }
@@ -486,7 +488,7 @@ pub fn skip_behavior() -> SkipBehavior {
         }
         let (refreshes, skips) = engine.inspect(|s| {
             let id = s.catalog().resolve("d").expect("just created").id;
-            let st = s.scheduler().state(id).expect("registered at creation");
+            let st = s.scheduler().state(id).expect("initialized at creation");
             (st.action_counts.values().sum::<u64>(), st.skipped_total)
         });
         // The DT still reconciles exactly after the last skip.

@@ -1,7 +1,7 @@
 //! The catalog proper.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -244,6 +244,14 @@ impl Catalog {
         )
     }
 
+    /// True when `name` is or was the name of an entity, live or dropped:
+    /// creating an entity under it can change what existing definitions
+    /// bind to.
+    pub fn knows_name(&self, name: &str) -> bool {
+        let lname = name.to_ascii_lowercase();
+        self.by_name.contains_key(&lname) || self.dropped_by_name.contains_key(&lname)
+    }
+
     /// Resolve a live entity by name.
     pub fn resolve(&self, name: &str) -> DtResult<&Entity> {
         let lname = name.to_ascii_lowercase();
@@ -321,7 +329,9 @@ impl Catalog {
             .ok_or_else(|| DtError::Catalog(format!("'{name}' is not a dynamic table")))?;
         let old = meta.state;
         meta.state = state;
-        if state == DtState::Active {
+        // Activation and RESUME (to `Initializing`, for a DT that never
+        // initialized) start the consecutive-error count afresh.
+        if matches!(state, DtState::Active | DtState::Initializing) {
             meta.error_count = 0;
         }
         match (old, state) {
@@ -375,51 +385,6 @@ impl Catalog {
             .and_then(|e| e.as_dt())
             .map(|m| m.upstream.clone())
             .unwrap_or_default()
-    }
-
-    /// Live DTs whose upstream set contains `id`.
-    pub fn downstream_of(&self, id: EntityId) -> Vec<EntityId> {
-        let mut out: Vec<EntityId> = self
-            .entities
-            .values()
-            .filter(|e| e.is_live())
-            .filter(|e| e.as_dt().map(|m| m.upstream.contains(&id)).unwrap_or(false))
-            .map(|e| e.id)
-            .collect();
-        out.sort();
-        out
-    }
-
-    /// Topological order (upstream before downstream) of the given DTs,
-    /// considering only DT→DT edges.
-    pub fn topo_order(&self, ids: &[EntityId]) -> Vec<EntityId> {
-        let set: BTreeSet<EntityId> = ids.iter().copied().collect();
-        let mut indeg: BTreeMap<EntityId, usize> = set.iter().map(|id| (*id, 0)).collect();
-        for id in &set {
-            for up in self.upstream_of(*id) {
-                if set.contains(&up) {
-                    *indeg.get_mut(id).unwrap() += 1;
-                }
-            }
-        }
-        let mut ready: Vec<EntityId> = indeg
-            .iter()
-            .filter(|(_, d)| **d == 0)
-            .map(|(id, _)| *id)
-            .collect();
-        let mut out = Vec::with_capacity(set.len());
-        while let Some(id) = ready.pop() {
-            out.push(id);
-            for down in self.downstream_of(id) {
-                if let Some(d) = indeg.get_mut(&down) {
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.push(down);
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// The DDL log.
@@ -601,9 +566,11 @@ impl Catalog {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
-    use crate::entity::{RefreshMode, TargetLagSpec};
-    use dt_common::{Column, DataType, Duration};
+    use crate::entity::RefreshMode;
+    use dt_common::{Column, DataType, Duration, TargetLag};
 
     fn ts(s: i64) -> Timestamp {
         Timestamp::from_secs(s)
@@ -615,7 +582,7 @@ mod tests {
 
     fn dt_meta(upstream: Vec<EntityId>) -> DynamicTableMeta {
         DynamicTableMeta {
-            target_lag: TargetLagSpec::Duration(Duration::from_mins(1)),
+            target_lag: TargetLag::Duration(Duration::from_mins(1)),
             warehouse: "wh".into(),
             refresh_mode: RefreshMode::Incremental,
             definition_sql: "select * from t".into(),
@@ -669,7 +636,7 @@ mod tests {
     }
 
     #[test]
-    fn dt_graph_topology() {
+    fn dt_upstream_sets_are_recorded() {
         let mut c = Catalog::new();
         let base = c.create_table("base", schema(), ts(1), "admin", false).unwrap();
         let dt1 = c
@@ -681,12 +648,9 @@ mod tests {
         let dt3 = c
             .create_dynamic_table("dt3", dt_meta(vec![dt1, base]), ts(4), "admin", false)
             .unwrap();
-        assert_eq!(c.downstream_of(dt1), vec![dt2, dt3]);
         assert_eq!(c.upstream_of(dt2), vec![dt1]);
-        let order = c.topo_order(&[dt3, dt2, dt1]);
-        let pos = |id| order.iter().position(|x| *x == id).unwrap();
-        assert!(pos(dt1) < pos(dt2));
-        assert!(pos(dt1) < pos(dt3));
+        assert_eq!(c.upstream_of(dt3), vec![dt1, base]);
+        assert_eq!(c.dynamic_tables(), vec![dt1, dt2, dt3]);
     }
 
     #[test]

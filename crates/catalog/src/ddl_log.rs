@@ -3,8 +3,12 @@
 //! §5.1: "The catalog generates a timestamped, linearizable log of DDL
 //! operations to all DTs and related entities. This DDL log is consumed by
 //! a job in the scheduler that renders the dependency graph of DTs and
-//! issues refresh commands." We reproduce that interface: every catalog
-//! mutation appends an event; the scheduler polls `events_since`.
+//! issues refresh commands." Every catalog mutation appends an event, and
+//! the events travel in every catalog image ([`crate::Catalog::encode`]).
+//! The scheduler does not replay them: the engine renders the DT graph
+//! from the catalog itself (`dt_scheduler::DtGraph`), rebinding the
+//! definitions after each event that changes what a name binds to — the
+//! events [`DdlLog::binding_generation`] counts.
 
 use dt_common::{EntityId, Timestamp};
 
@@ -84,8 +88,8 @@ impl DdlLog {
         self.binding_ops
     }
 
-    /// Events with `seq >= from`, in order. The scheduler keeps a cursor
-    /// and calls this to incrementally rebuild its view of the DT graph.
+    /// Events with `seq >= from`, in order. [`crate::Catalog::encode`]
+    /// reads them all to write the catalog image.
     pub fn events_since(&self, from: u64) -> &[DdlEvent] {
         let start = (from as usize).min(self.events.len());
         &self.events[start..]

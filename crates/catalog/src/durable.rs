@@ -16,10 +16,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dt_common::codec::{get_schema, put_schema, Reader, Writer};
-use dt_common::{DtError, DtResult, Duration, EntityId, Timestamp};
+use dt_common::{DtError, DtResult, Duration, EntityId, TargetLag, Timestamp};
 
 use crate::ddl_log::{DdlEvent, DdlOp};
-use crate::entity::{DtState, DynamicTableMeta, Entity, EntityKind, RefreshMode, TargetLagSpec};
+use crate::entity::{DtState, DynamicTableMeta, Entity, EntityKind, RefreshMode};
 use crate::privilege::Privilege;
 
 fn err<T>(msg: impl Into<String>) -> DtResult<T> {
@@ -44,11 +44,11 @@ fn get_entity_ids(r: &mut Reader<'_>) -> DtResult<Vec<EntityId>> {
 
 fn put_dt_meta(w: &mut Writer, m: &DynamicTableMeta) {
     match m.target_lag {
-        TargetLagSpec::Duration(d) => {
+        TargetLag::Duration(d) => {
             w.put_u8(0);
             w.put_i64(d.as_micros());
         }
-        TargetLagSpec::Downstream => w.put_u8(1),
+        TargetLag::Downstream => w.put_u8(1),
     }
     w.put_str(&m.warehouse);
     w.put_u8(match m.refresh_mode {
@@ -77,9 +77,9 @@ fn put_dt_meta(w: &mut Writer, m: &DynamicTableMeta) {
 
 fn get_dt_meta(r: &mut Reader<'_>) -> DtResult<DynamicTableMeta> {
     let target_lag = match r.get_u8()? {
-        0 => TargetLagSpec::Duration(Duration::from_micros(r.get_i64()?)),
-        1 => TargetLagSpec::Downstream,
-        tag => return err(format!("unknown TargetLagSpec tag {tag:#04x}")),
+        0 => TargetLag::Duration(Duration::from_micros(r.get_i64()?)),
+        1 => TargetLag::Downstream,
+        tag => return err(format!("unknown TargetLag tag {tag:#04x}")),
     };
     let warehouse = r.get_str()?;
     let refresh_mode = match r.get_u8()? {

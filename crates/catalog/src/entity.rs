@@ -2,16 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dt_common::{Duration, EntityId, Schema, Timestamp};
-
-/// Target lag as stored in the catalog (§3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TargetLagSpec {
-    /// Keep lag below this duration.
-    Duration(Duration),
-    /// Inherit the minimum target lag of downstream DTs.
-    Downstream,
-}
+use dt_common::{EntityId, Schema, TargetLag, Timestamp};
 
 /// Refresh mode chosen for a DT (§3.3.2). `AUTO` is resolved to one of
 /// these at creation time by the planner (incremental iff differentiable).
@@ -40,7 +31,7 @@ pub enum DtState {
 #[derive(Debug, Clone)]
 pub struct DynamicTableMeta {
     /// Target lag.
-    pub target_lag: TargetLagSpec,
+    pub target_lag: TargetLag,
     /// Virtual warehouse used for refreshes.
     pub warehouse: String,
     /// Refresh mode (resolved, never AUTO).

@@ -5,11 +5,12 @@
 //! * **Entities** — base tables, views, and dynamic tables, resolvable by
 //!   name, with drop/undrop (dropped entities are retained so `UNDROP`
 //!   restores them and downstream DTs recover automatically, §3.4).
-//! * **DDL log** — a timestamped, linearizable log of every DDL operation;
-//!   the scheduler consumes it to maintain the DT dependency graph (§5.1).
+//! * **DDL log** — a timestamped, linearizable log of every DDL operation
+//!   (§5.1), carried in every catalog image.
 //! * **Dependencies** — each DT records the entities and the specific
-//!   columns it reads (§5.4), used for query-evolution detection and for
-//!   rendering the refresh DAG.
+//!   columns its stored contents were computed from (§5.4), used for
+//!   query-evolution detection. The refresh DAG is rendered from what the
+//!   definitions bind to now, not from this record.
 //! * **Privileges** — role-based access control with the DT-specific
 //!   MONITOR and OPERATE privileges (§3.4).
 
@@ -22,6 +23,6 @@ pub mod snapshot;
 
 pub use catalog::Catalog;
 pub use ddl_log::{DdlEvent, DdlOp};
-pub use entity::{DtState, DynamicTableMeta, Entity, EntityKind, RefreshMode, TargetLagSpec};
+pub use entity::{DtState, DynamicTableMeta, Entity, EntityKind, RefreshMode};
 pub use privilege::{Privilege, PrivilegeSet, Role};
 pub use snapshot::CatalogSnapshot;

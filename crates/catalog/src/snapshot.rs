@@ -95,15 +95,6 @@ impl CatalogSnapshot {
         &self.dynamic_tables
     }
 
-    /// Direct upstream dependencies of a DT.
-    pub fn upstream_of(&self, id: EntityId) -> &[EntityId] {
-        self.entities
-            .get(&id)
-            .and_then(|e| e.as_dt())
-            .map(|m| m.upstream.as_slice())
-            .unwrap_or(&[])
-    }
-
     /// The privilege table as of capture.
     pub fn privileges(&self) -> &PrivilegeSet {
         &self.privileges
@@ -168,7 +159,7 @@ mod tests {
         let mut c = Catalog::new();
         c.create_table("base", schema(), ts(1), "admin", false).unwrap();
         let meta = crate::entity::DynamicTableMeta {
-            target_lag: crate::entity::TargetLagSpec::Downstream,
+            target_lag: dt_common::TargetLag::Downstream,
             warehouse: "wh".into(),
             refresh_mode: crate::entity::RefreshMode::Full,
             definition_sql: "select * from base".into(),

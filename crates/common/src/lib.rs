@@ -38,5 +38,5 @@ pub use ids::{EntityId, PartitionId, RefreshId, TxnId, VersionId};
 pub use retry::retry_backoff;
 pub use row::Row;
 pub use schema::{Column, DataType, Schema};
-pub use time::{Clock, Duration, SimClock, Timestamp, WallClock};
+pub use time::{Clock, Duration, SimClock, TargetLag, Timestamp, WallClock};
 pub use value::{numeric_hash_bits, Value};

@@ -194,6 +194,16 @@ impl std::ops::Sub for Duration {
     }
 }
 
+/// A dynamic table's target lag (§3.2), as parsed, stored in the catalog
+/// and scheduled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TargetLag {
+    /// Keep lag below this duration.
+    Duration(Duration),
+    /// Align with the minimum target lag of downstream DTs.
+    Downstream,
+}
+
 /// A source of "now". An engine reads a [`WallClock`]; a simulation
 /// injects a [`SimClock`] so experiments are deterministic and fast.
 pub trait Clock: Send + Sync {

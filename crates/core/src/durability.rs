@@ -45,7 +45,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dt_catalog::{Catalog, DtState};
+use dt_catalog::Catalog;
 use dt_common::codec::{get_schema, put_schema, Reader, Writer};
 use dt_common::{
     DtError, DtResult, Duration, EntityId, Schema, Timestamp, TxnId, VersionId,
@@ -623,7 +623,7 @@ pub(crate) fn open_durable(config: DbConfig, sim: Option<Simulation>, dir: &Path
         state.restore_clock(max_stamp);
         state.txn.hlc().tick_after(max_stamp);
     }
-    rebuild_scheduler(&mut state)?;
+    rebuild_schedule(&mut state);
 
     state.wal = Some(Arc::new(WalShared {
         wal: Mutex::new(wal),
@@ -739,28 +739,18 @@ fn replay_record(state: &mut EngineState, record: WalRecord) -> DtResult<()> {
     Ok(())
 }
 
-/// Rebuild the scheduler's DAG from the recovered catalog: register every
-/// live DT, mark initialized DTs from the refresh map, and restore
-/// suspension flags. Runtime lag samples start fresh — the scheduler
-/// re-learns cadence from the first post-recovery rounds.
-fn rebuild_scheduler(state: &mut EngineState) -> DtResult<()> {
+/// Rebuild what scheduling reads beside the recovered catalog: what each
+/// live DT's definition binds to (the DT graph's edges), and the data
+/// timestamp of each initialized DT from the refresh map. Runtime lag
+/// samples start fresh — the scheduler re-learns cadence from the first
+/// post-recovery rounds.
+fn rebuild_schedule(state: &mut EngineState) {
+    state.rebind_dt_reads();
     for id in state.catalog.dynamic_tables() {
-        let meta = state
-            .catalog
-            .get(id)?
-            .as_dt()
-            .ok_or_else(|| DtError::internal(format!("{id} is not a DT")))?
-            .clone();
-        let target = crate::state::scheduled_lag(&meta.target_lag);
-        state.scheduler.register(id, target, meta.upstream.clone());
         if let Some(ts) = state.refresh_map.latest_refresh(id) {
-            state.scheduler.mark_initialized(id, ts)?;
-        }
-        if matches!(meta.state, DtState::Suspended | DtState::SuspendedOnErrors) {
-            state.scheduler.set_suspended(id, true)?;
+            state.scheduler.mark_initialized(id, ts);
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]

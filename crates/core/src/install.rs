@@ -345,7 +345,7 @@ pub(crate) fn check_admitted(
 ) -> DtResult<()> {
     // A transaction can be retired out from under a queued install only
     // by driving the manager directly, but the check is what lets
-    // `commit_at` run after the installs with no way to fail — the
+    // `finish` run after the installs with no way to fail — the
     // inversion would publish versions while reporting failure.
     if !st.txn.is_active(txn) {
         return Err(DtError::Txn(format!(
@@ -408,6 +408,6 @@ pub(crate) fn validate_and_install(
         guard.install_validated(prep, commit_ts, txn.id);
     }
     drop(guards);
-    st.txn.commit_at(txn, commit_ts)?;
+    st.txn.finish(txn)?;
     Ok((commit_ts, records))
 }

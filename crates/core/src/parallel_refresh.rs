@@ -7,14 +7,16 @@
 //! install path of [`crate::refresh`] — only *where* and *when* the steps
 //! run:
 //!
-//! 1. **Order** — one topological level order over the due set
-//!    ([`dt_scheduler::Scheduler::level_order`]) ranks the DTs; a DT is
-//!    *ready* once every in-round DT it reads has installed (`RoundPlan`),
-//!    and the workers of the round's one pool always start the
-//!    lowest-ranked ready DT. There is no barrier between levels: a round
-//!    takes as long as its critical path, not the sum of each level's
-//!    slowest refresh, and one worker starts the DTs in exactly the level
-//!    order.
+//! 1. **Order** — the round reads the one DT graph
+//!    ([`crate::EngineState::dt_graph`]: the catalog's live DTs, and an
+//!    edge from each DT a definition binds to now), and one topological
+//!    level order over the due set ([`dt_scheduler::DtGraph::level_order`])
+//!    ranks the DTs; a DT is *ready* once every in-round DT it reads has
+//!    installed (`RoundPlan`), and the workers of the round's one pool
+//!    always start the lowest-ranked ready DT. There is no barrier between
+//!    levels: a round takes as long as its critical path, not the sum of
+//!    each level's slowest refresh, and one worker starts the DTs in
+//!    exactly the level order.
 //! 2. **Pin + compute** — each worker pins its DT under a brief engine
 //!    **read** lock, then computes its delta completely lock-free.
 //! 3. **Group install** — the O(metadata) install rides the engine's
@@ -402,41 +404,24 @@ impl Engine {
         let (refresh_ts, levels, upstream_of, pre_pruned) = {
             let st = self.state.read();
             let refresh_ts = st.txn_manager().hlc().tick();
-            let mut eligible = Vec::new();
-            let mut unavailable = Vec::new();
-            for id in st.scheduler().registered() {
-                let sched = st.scheduler().state(id).expect("registered");
-                let live = st
-                    .catalog()
-                    .get(id)
-                    .map(|e| e.is_live())
-                    .unwrap_or(false);
-                if live && !sched.suspended && st.frontiers.contains_key(&id) {
-                    eligible.push(id);
-                } else {
-                    unavailable.push(id);
-                }
-            }
+            let graph = st.dt_graph();
+            let available =
+                |id: &EntityId| !graph.is_suspended(*id) && st.frontiers.contains_key(id);
+            let (eligible, unavailable): (Vec<EntityId>, Vec<EntityId>) =
+                graph.order().iter().copied().partition(available);
             // A suspended/uninitialized parent prunes its cone up front.
             let mut pre_pruned = BTreeSet::new();
             for root in &unavailable {
-                pre_pruned.extend(st.scheduler().downstream_cone(*root, &eligible));
+                pre_pruned.extend(graph.downstream_cone(*root, &eligible));
             }
             let included: Vec<EntityId> = eligible
                 .iter()
                 .copied()
                 .filter(|id| !pre_pruned.contains(id))
                 .collect();
-            let levels = st.scheduler().level_order(&included);
-            let upstream_of: BTreeMap<EntityId, Vec<EntityId>> = included
-                .iter()
-                .map(|id| {
-                    (
-                        *id,
-                        st.scheduler().state(*id).expect("registered").upstream.clone(),
-                    )
-                })
-                .collect();
+            let levels = graph.level_order(&included);
+            let upstream_of: BTreeMap<EntityId, Vec<EntityId>> =
+                included.iter().map(|id| (*id, graph.upstream(*id).to_vec())).collect();
             (refresh_ts, levels, upstream_of, pre_pruned)
         };
         self.installs.rounds.fetch_add(1, Ordering::Relaxed);

@@ -553,8 +553,13 @@ pub(crate) fn install_refresh(
             // DT; the next one (a later data timestamp) tries again.
             check_admitted(st, &txn, [dt], dropped)?;
             st.txn.abort(&txn)?;
-            st.catalog.record_dt_error(dt)?;
-            st.push_catalog_record(SideEffect::None, wal_records);
+            // A failed initialization counts when the scheduler reports it
+            // (`run_scheduler_until`); `CREATE DYNAMIC TABLE` returns it to
+            // its caller instead.
+            if !initial {
+                st.catalog.record_dt_error(dt)?;
+                st.push_catalog_record(SideEffect::None, wal_records);
+            }
             let outcome = RefreshOutcome {
                 action: RefreshAction::Failed(error),
                 changed_rows: 0,
@@ -624,7 +629,7 @@ pub(crate) fn install_refresh(
             // §3.1.2: marked under the install's lock, so nothing sees a
             // DT with a frontier that is still initializing.
             if initial {
-                st.scheduler.mark_initialized(dt, refresh_ts)?;
+                st.scheduler.mark_initialized(dt, refresh_ts);
                 if st.catalog.get(dt)?.as_dt().map(|m| m.state) == Some(DtState::Initializing) {
                     st.catalog.set_dt_state(dt, DtState::Active, refresh_ts)?;
                 }
@@ -732,6 +737,11 @@ impl EngineState {
             Err(e) => return Err(e),
         };
         let upstream = plan.scanned_entities();
+        if self.reads_itself(dt, &upstream) {
+            let name = &self.catalog.get(dt)?.name;
+            let error = DtError::Binding(format!("dynamic table '{name}' reads itself"));
+            return Ok(Err(error.to_string()));
+        }
         let fingerprint = self.catalog.fingerprint(&upstream);
         Ok(Ok(PinnedWork {
             env: self.refresh_env(dt, &upstream)?,
@@ -768,10 +778,10 @@ impl EngineState {
 
     /// Report a finished refresh to the scheduler as of `ended` — now,
     /// except under a simulation, where a refresh ends after its warehouse
-    /// time (see [`crate::simulate`]) — and suspend the DT in the catalog when its
-    /// consecutive failures reached the threshold (§3.3.3). The catalog
-    /// record a suspension needs is pushed onto `wal_records` for the
-    /// caller to append.
+    /// time (see [`crate::simulate`]) — and, when it failed, suspend the
+    /// live DT in the catalog once the catalog's consecutive-error counter
+    /// has reached the threshold (§3.3.3). The catalog record a suspension
+    /// needs is pushed onto `wal_records` for the caller to append.
     pub(crate) fn report_refresh(
         &mut self,
         dt: EntityId,
@@ -780,12 +790,33 @@ impl EngineState {
         ended: Timestamp,
         wal_records: &mut Vec<WalRecord>,
     ) -> DtResult<()> {
-        if self.scheduler.report(dt, refresh_ts, outcome, ended)? {
+        self.scheduler.report(dt, refresh_ts, outcome, ended);
+        let live = self.catalog.get(dt).ok().filter(|e| e.is_live());
+        let errors = live.and_then(|e| e.as_dt()).map_or(0, |m| m.error_count);
+        let failed = matches!(outcome.action, RefreshAction::Failed(_));
+        if failed && errors >= self.config.error_suspend_threshold {
             self.catalog
                 .set_dt_state(dt, DtState::SuspendedOnErrors, ended)?;
             self.push_catalog_record(SideEffect::None, wal_records);
         }
         Ok(())
+    }
+
+    /// True when a definition reading `upstream` reads `dt` itself,
+    /// directly or through the DTs that read it — a view re-pointed under
+    /// the definition can do that. O(the DTs reachable from `upstream`).
+    fn reads_itself(&self, dt: EntityId, upstream: &[EntityId]) -> bool {
+        let mut seen = BTreeSet::new();
+        let mut stack = upstream.to_vec();
+        while let Some(up) = stack.pop() {
+            if up == dt {
+                return true;
+            }
+            if seen.insert(up) {
+                stack.extend(self.dt_reads.get(&up).into_iter().flatten());
+            }
+        }
+        false
     }
 
     /// §6.1 level-4 validation: "if you run the defining query as of the

@@ -13,7 +13,7 @@ use dt_catalog::DtState;
 use dt_common::{Clock, DtError, DtResult, Duration, EntityId, SimClock, Timestamp};
 use dt_scheduler::{CostModel, RefreshAction, RefreshCommand, RefreshOutcome};
 
-use crate::durability::WalRecord;
+use crate::durability::{SideEffect, WalRecord};
 use crate::engine::Engine;
 use crate::state::EngineState;
 
@@ -106,9 +106,8 @@ impl EngineState {
     }
 
     /// Report every pending completion whose virtual end time has passed.
-    /// A completion whose DT the scheduler no longer knows (dropped since
-    /// it was issued) is discarded; one dropped and undropped since is
-    /// reported to its new schedule.
+    /// A completion whose DT is dropped by then is discarded, and the DT
+    /// taken out of flight; one dropped and undropped since is reported.
     fn settle_completions(&mut self, now: Timestamp, wal: &mut Vec<WalRecord>) -> DtResult<()> {
         let Some(sim) = self.sim.as_mut() else { return Ok(()) };
         // Process in end-time order.
@@ -116,8 +115,10 @@ impl EngineState {
         let due = sim.pending_completions.partition_point(|p| p.ended <= now);
         let settled: Vec<PendingCompletion> = sim.pending_completions.drain(..due).collect();
         for p in settled {
-            if self.scheduler.state(p.dt).is_some() {
+            if self.catalog.get(p.dt).is_ok_and(|e| e.is_live()) {
                 self.report_refresh(p.dt, p.refresh_ts, &p.outcome, p.ended, wal)?;
+            } else {
+                self.scheduler.abandon(p.dt);
             }
         }
         Ok(())
@@ -140,13 +141,13 @@ impl EngineState {
     /// but not past `end`.
     fn step_clock(&self, now: Timestamp, end: Timestamp) {
         let Some(sim) = &self.sim else { return };
-        let sched = &self.scheduler;
-        let active = |id: &EntityId| {
-            sched.state(*id).is_some_and(|s| !s.suspended && s.last_data_ts.is_some())
-        };
-        let grid_points = sched.registered().into_iter().filter(active).filter_map(|id| {
-            let period = sched.period_of(id)?;
-            Some(dt_scheduler::periods::grid_at_or_before(now, period, Duration::ZERO).add(period))
+        let graph = self.dt_graph();
+        let active =
+            |id: &EntityId| !graph.is_suspended(*id) && self.scheduler.data_ts(*id).is_some();
+        let grid_points = graph.order().iter().copied().filter(active).filter_map(|id| {
+            let period = graph.period_of(id)?;
+            let phase = dt_scheduler::periods::ACCOUNT_PHASE;
+            Some(dt_scheduler::periods::grid_at_or_before(now, period, phase).add(period))
         });
         // The earliest pending completion counts only when it lies ahead.
         let completion = sim.pending_completions.iter().map(|p| p.ended).min();
@@ -194,15 +195,19 @@ impl Engine {
             })?;
 
             // 2. Initialize any DTs awaiting initialization. A failed one
-            // is a failed refresh of that DT (§3.3.3): counted, reported
-            // towards suspension, and the fleet goes on.
+            // is a failed refresh of that DT (§3.3.3): counted against it,
+            // reported towards suspension, and the fleet goes on.
             for id in to_init {
                 match self.initialize_dt(id) {
                     Err(e) if e.is_user_error() => {
                         stats.failed += 1;
                         let action = RefreshAction::Failed(e.to_string());
                         let failed = RefreshOutcome { action, changed_rows: 0, dt_rows: 0, source_rows: 0 };
-                        self.mutate(move |st, wal| st.report_refresh(id, now, &failed, now, wal))?;
+                        self.mutate(move |st, wal| {
+                            st.catalog.record_dt_error(id)?;
+                            st.push_catalog_record(SideEffect::None, wal);
+                            st.report_refresh(id, now, &failed, now, wal)
+                        })?;
                     }
                     other => other?,
                 }
@@ -210,7 +215,10 @@ impl Engine {
 
             // 3. Issue due refreshes. One that does not run is abandoned,
             // and so is every one issued after it.
-            let due = self.mutate(move |st, _| Ok(st.scheduler.due_refreshes(now)))?;
+            let due = self.mutate(move |st, _| {
+                let graph = st.dt_graph();
+                Ok(st.scheduler.due_refreshes(&graph, now))
+            })?;
             for (i, cmd) in due.iter().enumerate() {
                 stats.skipped += cmd.skipped;
                 let outcome = match self.refresh(cmd.dt, cmd.refresh_ts, false) {

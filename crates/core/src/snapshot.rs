@@ -23,10 +23,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dt_catalog::{CatalogSnapshot, DtState, RefreshMode, TargetLagSpec};
+use dt_catalog::{CatalogSnapshot, DtState, RefreshMode};
 use dt_common::{
-    Batch, Column, DataType, DtError, DtResult, EntityId, PredicateSet, Row, Schema, Timestamp,
-    Value, VersionId,
+    Batch, Column, DataType, DtError, DtResult, EntityId, PredicateSet, Row, Schema, TargetLag,
+    Timestamp, Value, VersionId,
 };
 use dt_exec::TableProvider;
 use dt_plan::{BindOutput, Binder, LogicalPlan, ResolvedRelation, Resolver, ScalarExpr};
@@ -114,7 +114,7 @@ impl EngineState {
             // Uninitialized: no data timestamp yet, whatever its state (a
             // DT whose initialization failed can be suspended on errors).
             let is_dt = catalog.get(id).ok().and_then(|e| e.as_dt()).is_some();
-            let data_ts = self.scheduler.state(id).and_then(|s| s.last_data_ts);
+            let data_ts = self.scheduler.data_ts(id);
             let uninitialized = is_dt && at.is_none() && data_ts.is_none();
             tables.insert(
                 id,
@@ -279,8 +279,8 @@ impl ReadSnapshot {
             let e = self.catalog.get(id)?;
             let meta = e.as_dt().expect("dynamic_tables returns DTs");
             let lag = match meta.target_lag {
-                TargetLagSpec::Duration(d) => d.to_string(),
-                TargetLagSpec::Downstream => "DOWNSTREAM".to_string(),
+                TargetLag::Duration(d) => d.to_string(),
+                TargetLag::Downstream => "DOWNSTREAM".to_string(),
             };
             let mode = match meta.refresh_mode {
                 RefreshMode::Full => "FULL",

@@ -13,13 +13,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dt_catalog::{Catalog, DtState, DynamicTableMeta, RefreshMode, TargetLagSpec};
+use dt_catalog::{Catalog, DtState, DynamicTableMeta, RefreshMode};
 use dt_common::{
     Clock, Column, DataType, DtError, DtResult, Duration, DurabilityMode, EntityId, Row, Schema,
     Timestamp, TxnId, WallClock,
 };
 use dt_plan::{BindOutput, Binder, LogicalPlan, ResolvedRelation, Resolver};
-use dt_scheduler::{RefreshAction, Scheduler, SchedulerConfig, TargetLag, WarehousePool};
+use dt_scheduler::{DtGraph, RefreshAction, Scheduler, WarehousePool};
 use dt_sql::ast;
 use dt_storage::TableStore;
 use dt_txn::{Frontier, RefreshTsMap, TxnManager};
@@ -194,6 +194,12 @@ pub struct EngineState {
     /// lock-free against a pinned handle (all methods take `&self`).
     pub(crate) refresh_map: Arc<RefreshTsMap>,
     pub(crate) frontiers: HashMap<EntityId, Frontier>,
+    /// What each live DT's definition binds to now: the edges of the DT
+    /// graph ([`EngineState::dt_graph`]). Rebound only by a statement that
+    /// changes what an existing name binds to, and at recovery.
+    pub(crate) dt_reads: HashMap<EntityId, Vec<EntityId>>,
+    /// Scheduling state only; the DTs, their lags, states and edges come
+    /// from the catalog through [`EngineState::dt_graph`].
     pub(crate) scheduler: Scheduler,
     pub(crate) warehouses: WarehousePool,
     pub(crate) config: DbConfig,
@@ -234,10 +240,8 @@ impl EngineState {
             tables: HashMap::new(),
             refresh_map: Arc::new(RefreshTsMap::new()),
             frontiers: HashMap::new(),
-            scheduler: Scheduler::new(SchedulerConfig {
-                phase: Duration::ZERO,
-                error_suspend_threshold: config.error_suspend_threshold,
-            }),
+            dt_reads: HashMap::new(),
+            scheduler: Scheduler::default(),
             warehouses: WarehousePool::new(),
             dt_warehouse: HashMap::new(),
             refresh_log: RefreshLog::default(),
@@ -274,6 +278,34 @@ impl EngineState {
     /// The scheduler (read-only, for telemetry).
     pub fn scheduler(&self) -> &Scheduler {
         &self.scheduler
+    }
+
+    /// The DT graph every scheduling call reads, rendered from the catalog:
+    /// each live DT, suspended ones included, with its target lag and
+    /// state, and an edge from each DT its definition binds to now.
+    /// O(#entities + #edges).
+    pub fn dt_graph(&self) -> DtGraph {
+        DtGraph::new(self.catalog.dynamic_tables().into_iter().filter_map(|id| {
+            let meta = self.catalog.get(id).ok()?.as_dt()?;
+            let suspended = matches!(meta.state, DtState::Suspended | DtState::SuspendedOnErrors);
+            let reads = self.dt_reads.get(&id).cloned().unwrap_or_default();
+            Some((id, meta.target_lag, suspended, reads))
+        }))
+    }
+
+    /// Rebind every live DT's definition for the DT graph, after a
+    /// statement that changed what an existing name binds to (`OR
+    /// REPLACE`, `DROP`, `UNDROP`, a `CREATE` under a name once used) and
+    /// at recovery. A definition that no longer binds reads nothing.
+    pub(crate) fn rebind_dt_reads(&mut self) {
+        let reads = (self.catalog.dynamic_tables().into_iter())
+            .filter_map(|id| {
+                let meta = self.catalog.get(id).ok()?.as_dt()?;
+                let bound = self.bind_definition(meta).map(|out| out.plan.scanned_entities());
+                Some((id, bound.unwrap_or_default()))
+            })
+            .collect();
+        self.dt_reads = reads;
     }
 
     /// The warehouse pool (read-only, for billing telemetry).
@@ -335,6 +367,29 @@ impl EngineState {
         role: &str,
         wal: &mut Vec<WalRecord>,
     ) -> DtResult<ExecResult> {
+        // A statement that can change what an existing name binds to
+        // rebinds every definition: the DT graph's edges.
+        let rebind = match &stmt {
+            ast::Statement::CreateTable { name, .. }
+            | ast::Statement::CreateView { name, .. }
+            | ast::Statement::Clone { name, .. } => self.catalog.knows_name(name),
+            ast::Statement::Drop { .. } | ast::Statement::Undrop { .. } => true,
+            _ => false,
+        };
+        let result = self.apply_ddl(stmt, sql, role, wal);
+        if rebind {
+            self.rebind_dt_reads();
+        }
+        result
+    }
+
+    fn apply_ddl(
+        &mut self,
+        stmt: ast::Statement,
+        sql: &str,
+        role: &str,
+        wal: &mut Vec<WalRecord>,
+    ) -> DtResult<ExecResult> {
         match stmt {
             ast::Statement::CreateTable {
                 name,
@@ -371,7 +426,6 @@ impl EngineState {
             ast::Statement::Drop { name } => {
                 let now = self.now();
                 let id = self.catalog.drop_entity(&name, now)?;
-                self.scheduler.unregister(id);
                 self.txn.locks().forget_table(id);
                 self.push_catalog_record(SideEffect::None, wal);
                 Ok(ExecResult::Ok(format!("{name} dropped")))
@@ -380,14 +434,10 @@ impl EngineState {
                 let now = self.now();
                 let id = self.catalog.undrop(&name, now)?;
                 // A recovered DT resumes scheduling from where it left off
-                // (§3.4).
-                if let Some(meta) = self.catalog.get(id)?.as_dt() {
-                    let target = scheduled_lag(&meta.target_lag);
-                    let upstream = meta.upstream.clone();
-                    self.scheduler.register(id, target, upstream);
-                    if let Some(ts) = self.refresh_map.latest_refresh(id) {
-                        self.scheduler.mark_initialized(id, ts)?;
-                    }
+                // (§3.4), even if a refresh installed while it was dropped
+                // was never reported.
+                if let Some(ts) = self.refresh_map.latest_refresh(id) {
+                    self.scheduler.mark_initialized(id, ts);
                 }
                 self.push_catalog_record(SideEffect::None, wal);
                 Ok(ExecResult::Ok(format!("{name} undropped")))
@@ -421,13 +471,11 @@ impl EngineState {
                 } else {
                     // Never initialized (its initialization failed until it
                     // was suspended): it waits for one again.
-                    let data = self.scheduler.state(id).and_then(|s| s.last_data_ts);
+                    let data = self.scheduler.data_ts(id);
                     let state = data.map_or(DtState::Initializing, |_| DtState::Active);
                     (state, "resumed")
                 };
                 self.catalog.set_dt_state(id, state, now)?;
-                self.scheduler
-                    .set_suspended(id, state == DtState::Suspended)?;
                 self.push_catalog_record(SideEffect::None, wal);
                 Ok(ExecResult::Ok(format!("{name} {done}")))
             }
@@ -468,8 +516,6 @@ impl EngineState {
             dt_catalog::EntityKind::DynamicTable(meta) => {
                 let mut meta = (**meta).clone();
                 meta.error_count = 0;
-                let target = scheduled_lag(&meta.target_lag);
-                let upstream = meta.upstream.clone();
                 let warehouse = meta.warehouse.clone();
                 let id = self
                     .catalog
@@ -477,7 +523,8 @@ impl EngineState {
                 let fork = self.tables[&src.id].fork();
                 self.tables.insert(id, Arc::new(fork));
                 self.dt_warehouse.insert(id, warehouse);
-                self.scheduler.register(id, target, upstream);
+                let reads = self.dt_reads.get(&src.id).cloned().unwrap_or_default();
+                self.dt_reads.insert(id, reads);
                 // Carry over the source's progress: frontier, refresh-ts
                 // mapping for its current data timestamp, Active state.
                 let mut carried = None;
@@ -487,7 +534,7 @@ impl EngineState {
                     let commit_ts = self.txn.hlc().tick();
                     self.refresh_map.record(id, ts, version, commit_ts);
                     self.frontiers.insert(id, frontier.clone());
-                    self.scheduler.mark_initialized(id, ts)?;
+                    self.scheduler.mark_initialized(id, ts);
                     self.catalog.set_dt_state(id, DtState::Active, now)?;
                     carried = Some((ts, version, commit_ts, frontier));
                 }
@@ -574,15 +621,10 @@ impl EngineState {
             }
         };
         let upstream = out.plan.scanned_entities();
-        let target_lag = match cdt.target_lag {
-            ast::TargetLag::Duration(d) => TargetLagSpec::Duration(d),
-            ast::TargetLag::Downstream => TargetLagSpec::Downstream,
-        };
-        let sched_lag = scheduled_lag(&target_lag);
         // Extract the defining query text: everything after the AS keyword.
         let definition_sql = extract_defining_query(original_sql)?;
         let meta = DynamicTableMeta {
-            target_lag,
+            target_lag: cdt.target_lag,
             warehouse: cdt.warehouse.to_ascii_lowercase(),
             refresh_mode,
             definition_sql,
@@ -592,7 +634,7 @@ impl EngineState {
             error_count: 0,
             definition_fingerprint: 0, // set by the catalog
         };
-        let now = self.now();
+        let (now, rebind) = (self.now(), self.catalog.knows_name(&cdt.name));
         let id = self
             .catalog
             .create_dynamic_table(&cdt.name, meta, now, role, cdt.or_replace)?;
@@ -601,10 +643,15 @@ impl EngineState {
         cols.extend(out.plan.schema().columns().iter().cloned());
         self.dt_warehouse
             .insert(id, cdt.warehouse.to_ascii_lowercase());
-        self.scheduler.register(id, sched_lag, upstream);
         // Logged *before* the initial refresh so replay creates the DT's
         // store before it replays that refresh's install.
         self.create_store(id, Schema::new(cols), wal);
+        // A fresh name binds only the new definition.
+        if rebind {
+            self.rebind_dt_reads();
+        } else {
+            self.dt_reads.insert(id, upstream);
+        }
         Ok(id)
     }
 
@@ -628,7 +675,7 @@ impl Engine {
     pub(crate) fn initialize_dt(&self, id: EntityId) -> DtResult<()> {
         let mut attempt = 0;
         loop {
-            let ts = {
+            let (ts, graph) = {
                 let st = self.state.read();
                 // Dropped, suspended, or initialized by a concurrent caller.
                 let dt = st.catalog.get(id).ok().filter(|e| e.is_live());
@@ -638,14 +685,17 @@ impl Engine {
                 // Take "now" from the HLC: strictly after every commit so
                 // far, so the initialization sees all committed data.
                 let now = st.txn.hlc().tick();
-                let chosen = st.scheduler.choose_init_ts(id, now);
+                let graph = st.dt_graph();
+                let chosen = st.scheduler.choose_init_ts(&graph, id, now);
                 // If any upstream DT is already ahead of the chosen
                 // timestamp, we cannot rewind it; fall forward to now.
-                let data_ts = |up| st.scheduler.state(up).and_then(|s| s.last_data_ts);
-                let ahead = |up| st.is_dt(up) && data_ts(up) > Some(chosen);
-                if st.catalog.upstream_of(id).into_iter().any(ahead) { now } else { chosen }
+                let ahead = |up: &EntityId| st.scheduler.data_ts(*up) > Some(chosen);
+                let ts = if graph.upstream(id).iter().any(ahead) { now } else { chosen };
+                (ts, graph)
             };
-            let outcome = match self.ensure_upstream_at(id, ts).and_then(|()| self.refresh(id, ts, true)) {
+            let initialized =
+                self.ensure_upstream_at(&graph, id, ts).and_then(|()| self.refresh(id, ts, true));
+            let outcome = match initialized {
                 // A concurrent refresh holds a DT of the chain or moved it past
                 // `ts`: back off (1 ms, doubling, ~1 s in all), choose again.
                 Err(DtError::Conflict(_)) if attempt < 10 => {
@@ -662,20 +712,23 @@ impl Engine {
         }
     }
 
-    /// Ensure every upstream DT of `id` has data at exactly `ts`,
+    /// Ensure every DT `id` reads in `graph` has data at exactly `ts`,
     /// refreshing the chain in dependency order where needed.
-    fn ensure_upstream_at(&self, id: EntityId, ts: Timestamp) -> DtResult<()> {
-        for up in self.inspect(|st| st.catalog.upstream_of(id)) {
-            if self.inspect(|st| !st.is_dt(up) || st.refresh_map.exact_version_for(up, ts).is_ok()) {
+    fn ensure_upstream_at(&self, graph: &DtGraph, id: EntityId, ts: Timestamp) -> DtResult<()> {
+        for &up in graph.upstream(id) {
+            if self.inspect(|st| st.refresh_map.exact_version_for(up, ts).is_ok()) {
                 continue;
             }
-            self.ensure_upstream_at(up, ts)?;
+            self.ensure_upstream_at(graph, up, ts)?;
             if let RefreshAction::Failed(msg) = self.refresh(up, ts, false)?.action {
                 return Err(DtError::Evaluation(format!(
                     "upstream refresh of {up} failed: {msg}"
                 )));
             }
-            self.mutate(move |st, _| st.scheduler.mark_initialized(up, ts))?;
+            self.mutate(move |st, _| {
+                st.scheduler.mark_initialized(up, ts);
+                Ok(())
+            })?;
         }
         Ok(())
     }
@@ -699,7 +752,8 @@ impl Engine {
             // §3.2: a data timestamp after the command was issued (the HLC
             // guarantees it is after every prior commit).
             let now = st.txn.hlc().tick();
-            Ok(st.scheduler.manual_refresh_plan(id, now))
+            let graph = st.dt_graph();
+            Ok(st.scheduler.manual_refresh_plan(&graph, id, now))
         })?;
         let mut reported = 0;
         let run = plan.iter().try_for_each(|cmd| {
@@ -718,14 +772,6 @@ impl Engine {
             return Err(e);
         }
         Ok(plan.len())
-    }
-}
-
-/// The scheduler's form of a DT's target lag.
-pub(crate) fn scheduled_lag(spec: &TargetLagSpec) -> TargetLag {
-    match *spec {
-        TargetLagSpec::Duration(d) => TargetLag::Duration(d),
-        TargetLagSpec::Downstream => TargetLag::Downstream,
     }
 }
 

@@ -289,9 +289,9 @@ impl Transaction {
             return Err(e);
         }
         // Snapshot *after* the locks are held (see above). The manager
-        // registered the transaction at `begin`, slightly before the
-        // snapshot's read timestamp — an older registration only makes
-        // GC watermarks more conservative, never incorrect.
+        // registered the transaction at `begin` with a snapshot timestamp
+        // slightly before this snapshot's read timestamp; the transaction
+        // reads through the snapshot.
         let snapshot = engine.state.read().capture_snapshot(None);
         Ok(Transaction::new(engine, snapshot, txn))
     }

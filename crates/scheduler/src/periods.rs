@@ -1,15 +1,10 @@
-//! Target lags and canonical refresh periods.
+//! Canonical refresh periods.
 
 use dt_common::Duration;
 
-/// Target lag (scheduler-side mirror of the catalog's spec).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TargetLag {
-    /// Keep lag below this duration.
-    Duration(Duration),
-    /// Align with the minimum target lag of downstream DTs (§3.2).
-    Downstream,
-}
+/// The constant per-account phase offsetting every refresh grid (§5.2).
+/// An engine serves one account.
+pub const ACCOUNT_PHASE: Duration = Duration::ZERO;
 
 /// Base of the canonical period set: §5.2 "We define a set of canonical
 /// refresh periods as 48·2ⁿ seconds, for integers n."
@@ -94,16 +89,17 @@ mod tests {
 
     #[test]
     fn downstream_chain_resolves_to_min_consumer_lag_and_period() {
-        use crate::scheduler::{Scheduler, SchedulerConfig};
-        use dt_common::EntityId;
+        use crate::graph::DtGraph;
+        use dt_common::{EntityId, TargetLag};
 
         // a ← b ← {c, d}: a and b are DOWNSTREAM, c/d carry durations.
-        let mut s = Scheduler::new(SchedulerConfig::default());
         let (a, b, c, d) = (EntityId(1), EntityId(2), EntityId(3), EntityId(4));
-        s.register(a, TargetLag::Downstream, vec![]);
-        s.register(b, TargetLag::Downstream, vec![a]);
-        s.register(c, TargetLag::Duration(Duration::from_mins(30)), vec![b]);
-        s.register(d, TargetLag::Duration(Duration::from_hours(4)), vec![b]);
+        let s = DtGraph::new([
+            (a, TargetLag::Downstream, false, vec![]),
+            (b, TargetLag::Downstream, false, vec![a]),
+            (c, TargetLag::Duration(Duration::from_mins(30)), false, vec![b]),
+            (d, TargetLag::Duration(Duration::from_hours(4)), false, vec![b]),
+        ]);
 
         // §3.2: DOWNSTREAM inherits the *minimum* consumer lag, transitively.
         assert_eq!(s.effective_lag(b), Some(Duration::from_mins(30)));

@@ -1,6 +1,6 @@
 //! Abstract syntax tree for the supported SQL dialect.
 
-use dt_common::{DataType, Duration};
+use dt_common::{DataType, Duration, TargetLag};
 
 /// A parsed SQL statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,15 +147,6 @@ pub struct CreateDynamicTable {
     pub query: Query,
     /// `OR REPLACE` was specified.
     pub or_replace: bool,
-}
-
-/// Target lag specification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TargetLag {
-    /// Keep lag below this duration.
-    Duration(Duration),
-    /// Align with the minimum target lag of downstream DTs (§3.2).
-    Downstream,
 }
 
 /// Refresh mode requested at creation.

@@ -1,6 +1,6 @@
 //! Recursive-descent parser.
 
-use dt_common::{DataType, DtError, DtResult, Duration};
+use dt_common::{DataType, DtError, DtResult, Duration, TargetLag};
 
 use crate::ast::*;
 use crate::lexer::{Symbol, Token, TokenKind};

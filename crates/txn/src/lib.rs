@@ -7,8 +7,8 @@
 //!   physical time.
 //! * [`manager::TxnManager`] — begin/commit with snapshot timestamps,
 //!   per-entity locks (each DT is locked for the duration of its refresh;
-//!   concurrent refreshes of one DT are not permitted, §3.3.3/§5.3), and
-//!   bounded garbage collection of terminal transaction state.
+//!   concurrent refreshes of one DT are not permitted, §3.3.3/§5.3); it
+//!   tracks live transactions only.
 //! * [`lock_manager::LockManager`] — the admission lock table behind the
 //!   manager: per-table optimistic try-locks (first-committer-wins) or
 //!   pessimistic FIFO wait-queues with timeouts and a wait-for-cycle

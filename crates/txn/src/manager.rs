@@ -1,6 +1,6 @@
 //! The transaction manager: snapshots, locks, commits.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -20,58 +20,9 @@ pub struct Txn {
     pub snapshot_ts: Timestamp,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum TxnState {
-    /// Running; carries its snapshot timestamp so the GC watermark (the
-    /// oldest live snapshot) is computable from the state map alone.
-    Active(Timestamp),
-    Committed(Timestamp),
-    Aborted,
-}
-
-/// Terminal entries (Committed/Aborted) retained past this count become
-/// eligible for the watermark sweep. Keeping a recent window means
-/// telemetry lookups ([`TxnManager::commit_ts`]) keep working for any
-/// commit a caller could plausibly still be holding on to.
-pub const DEFAULT_SOFT_RETENTION: usize = 128;
-
-/// Hard ceiling on retained terminal entries: past this, the oldest are
-/// dropped even if an ancient live snapshot would otherwise pin them.
-/// Bounds the manager's memory under churn no matter what.
-pub const DEFAULT_HARD_RETENTION: usize = 4096;
-
-struct ManagerState {
-    next_txn: u64,
-    txns: HashMap<TxnId, TxnState>,
-    /// Terminal transactions in termination order, stamped with a terminal
-    /// timestamp (commit ts for commits, an HLC tick for aborts). The GC
-    /// sweep pops from the front.
-    terminal: VecDeque<(TxnId, Timestamp)>,
-}
-
-impl ManagerState {
-    /// The oldest live snapshot timestamp, or `None` when no transaction
-    /// is active.
-    fn watermark(&self) -> Option<Timestamp> {
-        self.txns
-            .values()
-            .filter_map(|s| match s {
-                TxnState::Active(ts) => Some(*ts),
-                _ => None,
-            })
-            .min()
-    }
-}
-
-/// Transaction manager shared by the whole database instance.
-///
-/// Terminal transaction state is garbage-collected: committed/aborted
-/// entries are retained in a bounded window (so recent
-/// [`TxnManager::commit_ts`] lookups resolve) and swept once they fall
-/// behind the oldest live snapshot — with a hard cap so one long-lived
-/// transaction cannot pin unbounded history. The map therefore stays
-/// O(active + retention window) under arbitrary commit churn instead of
-/// growing forever.
+/// Transaction manager shared by the whole database instance. It tracks
+/// live transactions only — id and snapshot timestamp — from `begin` until
+/// commit or abort.
 pub struct TxnManager {
     hlc: Hlc,
     state: Mutex<ManagerState>,
@@ -82,29 +33,24 @@ pub struct TxnManager {
     /// (`Arc`) so the engine's commit path can park on a wait-queue
     /// without holding any manager or engine lock.
     locks: Arc<LockManager>,
-    soft_retention: usize,
-    hard_retention: usize,
+}
+
+struct ManagerState {
+    next_txn: u64,
+    /// Live transactions and their snapshot timestamps.
+    active: HashMap<TxnId, Timestamp>,
 }
 
 impl TxnManager {
-    /// Build over a physical clock with default terminal-state retention.
+    /// Build over a physical clock.
     pub fn new(clock: Arc<dyn Clock>) -> Self {
-        Self::with_retention(clock, DEFAULT_SOFT_RETENTION, DEFAULT_HARD_RETENTION)
-    }
-
-    /// Build with explicit terminal-state retention bounds (tests tighten
-    /// these to make the GC observable at small scale).
-    pub fn with_retention(clock: Arc<dyn Clock>, soft: usize, hard: usize) -> Self {
         TxnManager {
             hlc: Hlc::new(clock),
             state: Mutex::new(ManagerState {
                 next_txn: 1,
-                txns: HashMap::new(),
-                terminal: VecDeque::new(),
+                active: HashMap::new(),
             }),
             locks: Arc::new(LockManager::new()),
-            soft_retention: soft,
-            hard_retention: hard.max(soft),
         }
     }
 
@@ -143,8 +89,7 @@ impl TxnManager {
         let mut st = self.state.lock();
         let id = TxnId(st.next_txn);
         st.next_txn += 1;
-        st.txns.insert(id, TxnState::Active(snapshot_ts));
-        self.sweep(&mut st);
+        st.active.insert(id, snapshot_ts);
         Txn { id, snapshot_ts }
     }
 
@@ -175,36 +120,18 @@ impl TxnManager {
         self.locks.is_locked(entity)
     }
 
-    /// Retire a transaction to a terminal state, stamp it into the sweep
-    /// queue, release its admission locks (waking any queued waiters), and
-    /// run the GC sweep.
-    fn retire(&self, st: &mut ManagerState, txn: TxnId, state: TxnState, terminal_ts: Timestamp) {
-        st.txns.insert(txn, state);
-        st.terminal.push_back((txn, terminal_ts));
-        self.locks.release_all(txn);
-        self.sweep(st);
-    }
-
-    /// Drop terminal entries beyond the soft retention window once no live
-    /// snapshot is older than them; drop unconditionally beyond the hard
-    /// cap. Amortized O(1) per transaction (each entry is pushed and
-    /// popped once); the watermark scan is O(map), and the map itself is
-    /// bounded by this very sweep.
-    fn sweep(&self, st: &mut ManagerState) {
-        if st.terminal.len() <= self.soft_retention {
-            return;
+    /// End a live transaction: forget it and release its admission locks
+    /// (waking any queued waiters). A transaction that already ended is a
+    /// [`DtError::Txn`]. The optimistic commit path ends its transaction
+    /// this way once the versions it stamped with an already-minted commit
+    /// timestamp are installed (every version of a multi-table commit must
+    /// carry the same stamp).
+    pub fn finish(&self, txn: &Txn) -> DtResult<()> {
+        if self.state.lock().active.remove(&txn.id).is_none() {
+            return Err(DtError::Txn(format!("transaction {} is not active", txn.id)));
         }
-        let watermark = st.watermark();
-        while st.terminal.len() > self.soft_retention {
-            let &(id, terminal_ts) = st.terminal.front().expect("len checked");
-            let droppable = st.terminal.len() > self.hard_retention
-                || watermark.is_none_or(|w| terminal_ts < w);
-            if !droppable {
-                break;
-            }
-            st.terminal.pop_front();
-            st.txns.remove(&id);
-        }
+        self.locks.release_all(txn.id);
+        Ok(())
     }
 
     /// Commit: assign a commit timestamp from the HLC (totally ordered per
@@ -212,79 +139,32 @@ impl TxnManager {
     /// storage layer to stamp new table versions with.
     pub fn commit(&self, txn: &Txn) -> DtResult<Timestamp> {
         let commit_ts = self.hlc.tick();
-        self.commit_at(txn, commit_ts)?;
+        self.finish(txn)?;
         Ok(commit_ts)
     }
 
-    /// Commit at an explicit, already-minted commit timestamp, releasing
-    /// the transaction's locks. The optimistic commit path mints its
-    /// timestamp *before* installing table versions (every version of a
-    /// multi-table commit must carry the same stamp) and only then marks
-    /// the transaction committed here.
-    pub fn commit_at(&self, txn: &Txn, commit_ts: Timestamp) -> DtResult<()> {
-        let mut st = self.state.lock();
-        match st.txns.get(&txn.id) {
-            Some(TxnState::Active(_)) => {}
-            Some(other) => {
-                return Err(DtError::Txn(format!(
-                    "transaction {} is not active ({other:?})",
-                    txn.id
-                )))
-            }
-            None => return Err(DtError::Txn(format!("unknown transaction {}", txn.id))),
-        }
-        self.retire(&mut st, txn.id, TxnState::Committed(commit_ts), commit_ts);
-        Ok(())
-    }
-
-    /// Abort: release locks, mark aborted.
+    /// Abort: release locks, forget the transaction, and tick the HLC —
+    /// like a commit, which mints its timestamp, so the timestamps a
+    /// history mints (and the WAL records carrying them) do not depend on
+    /// which of its transactions abort.
     pub fn abort(&self, txn: &Txn) -> DtResult<()> {
-        let mut st = self.state.lock();
-        match st.txns.get(&txn.id) {
-            Some(TxnState::Active(_)) => {}
-            _ => return Err(DtError::Txn(format!("transaction {} is not active", txn.id))),
-        }
-        let terminal_ts = self.hlc.tick();
-        self.retire(&mut st, txn.id, TxnState::Aborted, terminal_ts);
+        self.finish(txn)?;
+        self.hlc.tick();
         Ok(())
     }
 
-    /// True while the transaction is Active (begun, neither committed nor
+    /// True while the transaction is live (begun, neither committed nor
     /// aborted). The optimistic install path checks this during its
     /// validation phase — *before* publishing any table version — so a
     /// transaction aborted out from under a queued commit fails cleanly
     /// instead of after its writes are already visible.
     pub fn is_active(&self, txn: &Txn) -> bool {
-        matches!(
-            self.state.lock().txns.get(&txn.id),
-            Some(TxnState::Active(_))
-        )
+        self.state.lock().active.contains_key(&txn.id)
     }
 
-    /// The commit timestamp of a committed transaction. Returns `None` for
-    /// unknown, active, or aborted transactions — and for commits old
-    /// enough that the terminal-state GC has forgotten them.
-    pub fn commit_ts(&self, txn: TxnId) -> Option<Timestamp> {
-        match self.state.lock().txns.get(&txn) {
-            Some(TxnState::Committed(ts)) => Some(*ts),
-            _ => None,
-        }
-    }
-
-    /// Number of transactions currently tracked (active + retained
-    /// terminal). The GC keeps this bounded under commit churn.
-    pub fn tracked_txns(&self) -> usize {
-        self.state.lock().txns.len()
-    }
-
-    /// Number of currently active (non-terminal) transactions.
+    /// Number of currently live transactions.
     pub fn active_txns(&self) -> usize {
-        self.state
-            .lock()
-            .txns
-            .values()
-            .filter(|s| matches!(s, TxnState::Active(_)))
-            .count()
+        self.state.lock().active.len()
     }
 }
 
@@ -317,15 +197,17 @@ mod tests {
         let c1 = m.commit(&t1).unwrap();
         let c2 = m.commit(&t2).unwrap();
         assert!(c1 < c2);
-        assert_eq!(m.commit_ts(t1.id), Some(c1));
     }
 
     #[test]
-    fn double_commit_rejected() {
+    fn double_commit_or_abort_rejected() {
         let m = mgr();
         let t = m.begin();
         m.commit(&t).unwrap();
-        assert!(m.commit(&t).is_err());
+        assert!(matches!(m.commit(&t), Err(DtError::Txn(_))));
+        let t = m.begin();
+        m.abort(&t).unwrap();
+        assert!(matches!(m.abort(&t), Err(DtError::Txn(_))));
     }
 
     #[test]
@@ -381,17 +263,16 @@ mod tests {
     }
 
     #[test]
-    fn commit_at_uses_explicit_timestamp_and_releases_locks() {
+    fn finish_ends_the_transaction_and_releases_locks() {
         let m = mgr();
         let e = EntityId(7);
         let t = m.begin();
         m.try_lock(&t, e).unwrap();
-        let ts = m.hlc().tick();
-        m.commit_at(&t, ts).unwrap();
-        assert_eq!(m.commit_ts(t.id), Some(ts));
+        m.finish(&t).unwrap();
+        assert!(!m.is_active(&t));
         assert!(!m.is_locked(e));
-        // Already committed: a second commit_at is rejected.
-        assert!(m.commit_at(&t, ts).is_err());
+        // Already finished: a second finish is rejected.
+        assert!(matches!(m.finish(&t), Err(DtError::Txn(_))));
     }
 
     #[test]
@@ -403,7 +284,7 @@ mod tests {
 
     #[test]
     fn terminal_state_stays_bounded_under_commit_churn() {
-        let m = TxnManager::with_retention(Arc::new(SimClock::new()), 16, 64);
+        let m = mgr();
         for i in 0..10_000 {
             let t = m.begin();
             if i % 3 == 0 {
@@ -411,62 +292,7 @@ mod tests {
             } else {
                 m.commit(&t).unwrap();
             }
-            assert!(
-                m.tracked_txns() <= 16 + 2,
-                "leaked to {} tracked txns at iteration {i}",
-                m.tracked_txns()
-            );
         }
         assert_eq!(m.active_txns(), 0);
-    }
-
-    #[test]
-    fn long_lived_snapshot_defers_gc_until_the_hard_cap() {
-        let m = TxnManager::with_retention(Arc::new(SimClock::new()), 16, 64);
-        // An old transaction stays active: its snapshot pins the watermark,
-        // so terminal entries newer than it are retained...
-        let pinned = m.begin();
-        for _ in 0..500 {
-            let t = m.begin();
-            m.commit(&t).unwrap();
-        }
-        let while_pinned = m.tracked_txns();
-        assert!(
-            while_pinned > 16,
-            "watermark must retain entries a live snapshot postdates"
-        );
-        // ...but never beyond the hard cap.
-        assert!(
-            while_pinned <= 64 + 2,
-            "hard cap exceeded: {while_pinned} tracked"
-        );
-        // Once the pin is gone, churn drains retention back to the soft
-        // window.
-        m.commit(&pinned).unwrap();
-        for _ in 0..70 {
-            let t = m.begin();
-            m.commit(&t).unwrap();
-        }
-        assert!(m.tracked_txns() <= 16 + 2, "got {}", m.tracked_txns());
-    }
-
-    #[test]
-    fn gc_forgets_ancient_commits_but_keeps_recent_ones() {
-        let m = TxnManager::with_retention(Arc::new(SimClock::new()), 8, 32);
-        let first = m.begin();
-        m.commit(&first).unwrap();
-        let mut last = None;
-        for _ in 0..100 {
-            let t = m.begin();
-            let ts = m.commit(&t).unwrap();
-            last = Some((t.id, ts));
-        }
-        let (last_id, last_ts) = last.unwrap();
-        // The most recent commit is still resolvable; the ancient one has
-        // been swept, and re-committing it reports an unknown transaction.
-        assert_eq!(m.commit_ts(last_id), Some(last_ts));
-        assert_eq!(m.commit_ts(first.id), None);
-        let err = m.commit(&first).unwrap_err();
-        assert!(matches!(err, DtError::Txn(_)), "got {err:?}");
     }
 }

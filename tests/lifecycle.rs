@@ -3,7 +3,7 @@
 //! scheduling.
 
 use dt_common::{row, DtError, Duration, Row, SimClock, Timestamp, Value};
-use dt_core::{DbConfig, Engine, Session, Simulation};
+use dt_core::{DbConfig, Engine, RefreshRoundReport, RoundStatus, Session, Simulation};
 
 fn setup() -> (Engine, Session) {
     setup_on(SimClock::new())
@@ -263,7 +263,7 @@ fn consecutive_failures_auto_suspend_and_resume_recovers() {
     eng.run_scheduler_until(Timestamp::from_secs(600)).unwrap();
     eng.inspect(|s| {
         let id = s.catalog().resolve("d").unwrap().id;
-        assert!(s.scheduler().state(id).unwrap().suspended);
+        assert!(s.dt_graph().is_suspended(id));
         assert_eq!(
             s.catalog().get(id).unwrap().as_dt().unwrap().state,
             dt_catalog::DtState::SuspendedOnErrors
@@ -572,7 +572,7 @@ fn a_failed_initialization_does_not_wedge_the_scheduler() {
     assert_eq!(stats.failed, 5, "{stats:?}");
     eng.inspect(|s| {
         let id = s.catalog().resolve("bad").unwrap().id;
-        assert!(s.scheduler().state(id).unwrap().suspended);
+        assert!(s.dt_graph().is_suspended(id));
         assert_eq!(
             s.catalog().get(id).unwrap().as_dt().unwrap().state,
             dt_catalog::DtState::SuspendedOnErrors
@@ -675,4 +675,149 @@ fn dropping_a_dt_with_a_pending_completion_does_not_fail_the_scheduler() {
     let stats = eng.run_scheduler_until(eng.now().add(Duration::from_secs(600))).unwrap();
     assert!(stats.refreshes >= 1, "{stats:?}");
     assert_eq!(db.query_sorted("SELECT k FROM d").unwrap(), vec![row!(1i64), row!(2i64)]);
+}
+
+/// `d`'s status in a round report.
+fn status_of(eng: &Engine, report: &RefreshRoundReport, name: &str) -> RoundStatus {
+    let id = eng.inspect(|s| s.catalog().resolve(name).unwrap().id);
+    let found = report.outcomes.iter().find(|(dt, _)| *dt == id);
+    found.unwrap_or_else(|| panic!("{name} sat the round out: {report:?}")).1.clone()
+}
+
+/// Replacing a DT another DT reads (§5.4): the next round reinitializes
+/// the reader against the new definition, and later rounds maintain it.
+#[test]
+fn replacing_an_upstream_dt_reinitializes_its_reader_in_the_next_round() {
+    let (eng, db) = setup();
+    db.execute("CREATE TABLE t (k INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+    for (name, from) in [("u", "SELECT k FROM t"), ("d", "SELECT k FROM u")] {
+        db.execute(&format!(
+            "CREATE DYNAMIC TABLE {name} TARGET_LAG = '1 minute' WAREHOUSE = wh AS {from}"
+        ))
+        .unwrap();
+    }
+    db.execute(
+        "CREATE OR REPLACE DYNAMIC TABLE u TARGET_LAG = '1 minute' WAREHOUSE = wh \
+         AS SELECT k * 10 k FROM t",
+    )
+    .unwrap();
+    for round in 0..3 {
+        let report = eng.refresh_all_parallel().unwrap();
+        let expected = if round == 0 { "reinitialize" } else { "incremental" };
+        match status_of(&eng, &report, "d") {
+            RoundStatus::Installed { action, .. } => assert_eq!(action, expected, "round {round}"),
+            other => panic!("round {round}: d is {other:?}"),
+        }
+        assert_eq!(
+            db.query_sorted("SELECT k FROM d").unwrap(),
+            db.query_sorted("SELECT k * 10 k FROM t").unwrap(),
+            "round {round}"
+        );
+        db.execute(&format!("INSERT INTO t VALUES ({})", 3 + round)).unwrap();
+    }
+}
+
+/// `d` reads DT `u1` through view `v`; `v` is then re-pointed to `u2`,
+/// which reads `u1` and was created after `d`. The engine refreshes with
+/// one worker.
+fn dt_over_a_repointed_view() -> (Engine, Session) {
+    let (eng, db) = setup();
+    eng.set_refresh_threads(1);
+    db.execute("CREATE TABLE t (k INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+    db.execute("CREATE DYNAMIC TABLE u1 TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT k FROM t")
+        .unwrap();
+    db.execute("CREATE VIEW v AS SELECT k FROM u1").unwrap();
+    db.execute("CREATE DYNAMIC TABLE d TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT k FROM v")
+        .unwrap();
+    db.execute(
+        "CREATE DYNAMIC TABLE u2 TARGET_LAG = '1 minute' WAREHOUSE = wh \
+         AS SELECT k + 100 k FROM u1",
+    )
+    .unwrap();
+    db.execute("CREATE OR REPLACE VIEW v AS SELECT k FROM u2").unwrap();
+    (eng, db)
+}
+
+/// The re-pointed view through refresh rounds with one worker: `d` now
+/// reads `u2`, so every round refreshes `u2` before `d`.
+#[test]
+fn a_dt_over_a_repointed_view_refreshes_after_its_new_upstream_in_rounds() {
+    let (eng, db) = dt_over_a_repointed_view();
+    for round in 0..3 {
+        db.execute(&format!("INSERT INTO t VALUES ({})", 10 + round)).unwrap();
+        let report = eng.refresh_all_parallel().unwrap();
+        assert!(
+            matches!(status_of(&eng, &report, "d"), RoundStatus::Installed { .. }),
+            "round {round}: {report:?}"
+        );
+        assert_eq!(
+            db.query_sorted("SELECT k FROM d").unwrap(),
+            db.query_sorted("SELECT k FROM u2").unwrap(),
+            "round {round}"
+        );
+        assert_eq!(
+            db.query_sorted("SELECT k FROM d").unwrap(),
+            db.query_sorted("SELECT k + 100 k FROM t").unwrap(),
+            "round {round}"
+        );
+    }
+}
+
+/// The re-pointed view through `ALTER … REFRESH`: the plan refreshes the
+/// chain `d` binds to now (`u1`, `u2`) before `d`.
+#[test]
+fn a_dt_over_a_repointed_view_refreshes_its_new_chain_on_alter_refresh() {
+    let (eng, db) = dt_over_a_repointed_view();
+    for i in 0..3 {
+        db.execute(&format!("INSERT INTO t VALUES ({})", 10 + i)).unwrap();
+        db.execute("ALTER DYNAMIC TABLE d REFRESH").unwrap();
+        assert_eq!(
+            db.query_sorted("SELECT k FROM d").unwrap(),
+            db.query_sorted("SELECT k + 100 k FROM t").unwrap(),
+            "refresh {i}"
+        );
+    }
+    let actions: Vec<_> = eng.refresh_log().tail(3).iter().map(|e| e.action).collect();
+    assert_eq!(actions, ["incremental", "incremental", "incremental"]);
+}
+
+/// A view re-pointed so that `d`'s definition reads `d` itself: each
+/// refresh of `d` fails with a user error (§3.3.3) — the round goes on and
+/// returns `Ok`, `d` keeps its rows — until `d` is suspended on errors.
+/// Pointing the view back and resuming heals it.
+#[test]
+fn a_dt_whose_view_comes_to_read_the_dt_itself_fails_its_refreshes() {
+    let (eng, db) = setup();
+    db.execute("CREATE TABLE t (k INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    db.execute("CREATE VIEW v AS SELECT k FROM t").unwrap();
+    db.execute("CREATE DYNAMIC TABLE d TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT k FROM v")
+        .unwrap();
+    db.execute("CREATE OR REPLACE VIEW v AS SELECT k FROM d").unwrap();
+    // The default threshold is five consecutive failures.
+    for round in 0..5 {
+        let report = eng.refresh_all_parallel().unwrap();
+        match status_of(&eng, &report, "d") {
+            RoundStatus::Failed(msg) => assert!(msg.contains("reads itself"), "{msg}"),
+            other => panic!("round {round}: d is {other:?}"),
+        }
+        assert_eq!(db.query_sorted("SELECT * FROM d").unwrap(), vec![row!(1i64)]);
+    }
+    db.execute("ALTER DYNAMIC TABLE d REFRESH").unwrap();
+    assert_eq!(eng.refresh_log().last().unwrap().action, "failed");
+    eng.inspect(|s| {
+        let id = s.catalog().resolve("d").unwrap().id;
+        let state = s.catalog().get(id).unwrap().as_dt().unwrap().state;
+        assert_eq!(state, dt_catalog::DtState::SuspendedOnErrors);
+    });
+    assert_eq!(eng.refresh_all_parallel().unwrap().outcomes, []);
+
+    db.execute("CREATE OR REPLACE VIEW v AS SELECT k FROM t").unwrap();
+    db.execute("INSERT INTO t VALUES (2)").unwrap();
+    db.execute("ALTER DYNAMIC TABLE d RESUME").unwrap();
+    let report = eng.refresh_all_parallel().unwrap();
+    assert!(matches!(status_of(&eng, &report, "d"), RoundStatus::Installed { .. }));
+    assert_eq!(db.query_sorted("SELECT * FROM d").unwrap(), vec![row!(1i64), row!(2i64)]);
 }

@@ -50,11 +50,10 @@ fn setup() -> (Engine, Session) {
     (eng, db)
 }
 
-/// What the catalog and the scheduler each hold about `d`.
+/// What the catalog holds about `d`.
 #[derive(Debug, PartialEq)]
 struct DtMeta {
     catalog_errors: u32,
-    scheduler_errors: u32,
     fingerprint: u64,
     upstream: Vec<EntityId>,
 }
@@ -65,7 +64,6 @@ fn dt_meta(eng: &Engine) -> DtMeta {
         let meta = entity.as_dt().unwrap();
         DtMeta {
             catalog_errors: meta.error_count,
-            scheduler_errors: st.scheduler().state(entity.id).unwrap().error_count,
             fingerprint: meta.definition_fingerprint,
             upstream: meta.upstream.clone(),
         }
@@ -76,12 +74,12 @@ fn dt_meta(eng: &Engine) -> DtMeta {
 #[derive(Debug, PartialEq)]
 struct Observed {
     actions: Vec<&'static str>,
-    /// `(catalog, scheduler)` consecutive-error counters after each refresh.
-    errors: Vec<(u32, u32)>,
+    /// The consecutive-error counter after each refresh.
+    errors: Vec<u32>,
     rows: Vec<Row>,
 }
 
-fn observe(eng: &Engine, db: &Session, errors: Vec<(u32, u32)>) -> Observed {
+fn observe(eng: &Engine, db: &Session, errors: Vec<u32>) -> Observed {
     Observed {
         actions: eng.refresh_log().entries().iter().map(|e| e.action).collect(),
         errors,
@@ -115,7 +113,7 @@ fn replaced_upstream_with_a_failing_row(entry: EntryPoint) -> Observed {
     assert_eq!(failed.fingerprint, bound.fingerprint, "{entry:?}");
     assert_eq!(failed.upstream, bound.upstream, "{entry:?}");
     assert_eq!(db.query_sorted("SELECT * FROM d").unwrap(), before_replace);
-    errors.push((failed.catalog_errors, failed.scheduler_errors));
+    errors.push(failed.catalog_errors);
 
     db.execute("UPDATE t SET k = 2 WHERE k = 0").unwrap();
     entry.refresh(&eng, &db);
@@ -132,7 +130,7 @@ fn replaced_upstream_with_a_failing_row(entry: EntryPoint) -> Observed {
         db.query_sorted("SELECT k, 10 / k q FROM t").unwrap(),
         "{entry:?}"
     );
-    errors.push((recovered.catalog_errors, recovered.scheduler_errors));
+    errors.push(recovered.catalog_errors);
     observe(&eng, &db, errors)
 }
 
@@ -154,13 +152,13 @@ fn dropped_then_undropped_upstream(entry: EntryPoint) -> Observed {
     entry.refresh(&eng, &db);
     assert_eq!(eng.refresh_log().last().unwrap().action, "failed", "{entry:?}");
     let failed = dt_meta(&eng);
-    errors.push((failed.catalog_errors, failed.scheduler_errors));
+    errors.push(failed.catalog_errors);
 
     db.execute("UNDROP TABLE t").unwrap();
     db.execute("INSERT INTO t VALUES (2)").unwrap();
     entry.refresh(&eng, &db);
     let recovered = dt_meta(&eng);
-    errors.push((recovered.catalog_errors, recovered.scheduler_errors));
+    errors.push(recovered.catalog_errors);
     observe(&eng, &db, errors)
 }
 
@@ -173,7 +171,7 @@ fn failure_histories_are_the_same_through_every_entry_point() {
             replaced_upstream_with_a_failing_row,
             Observed {
                 actions: vec!["full", "failed", "reinitialize"],
-                errors: vec![(1, 1), (0, 0)],
+                errors: vec![1, 0],
                 rows: vec![dt_common::row!(2i64, 5i64), dt_common::row!(5i64, 2i64)],
             },
         ),
@@ -182,7 +180,7 @@ fn failure_histories_are_the_same_through_every_entry_point() {
             dropped_then_undropped_upstream,
             Observed {
                 actions: vec!["full", "failed", "incremental"],
-                errors: vec![(1, 1), (0, 0)],
+                errors: vec![1, 0],
                 rows: vec![dt_common::row!(1i64), dt_common::row!(2i64)],
             },
         ),
