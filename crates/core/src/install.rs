@@ -1,9 +1,8 @@
 //! The install pipeline: the one writer of the engine state. A
 //! transaction's write set ([`crate::PreparedCommit`]), every refresh —
-//! whoever runs it: `CREATE DYNAMIC TABLE`'s initialization, `ALTER …
-//! REFRESH`, the simulated scheduler and the round driver all submit
-//! here — and every other change (DDL, grants, warehouses, the
-//! scheduler's bookkeeping: `Engine::mutate`) become part of the database
+//! whoever runs it, through the refresh executor — and every other change
+//! (DDL, grants, warehouses, the scheduler's bookkeeping:
+//! `Engine::mutate`) become part of the database
 //! only here. A refresh *is* a transaction (§5.3): both arrive with their
 //! row work done against pinned versions and need the same thing —
 //! validate, stamp, log, publish, all or nothing, durable before visible
@@ -77,13 +76,11 @@ pub(crate) struct CommitRequest {
 pub(crate) enum Install {
     /// A transaction's write set.
     Commit(CommitRequest),
-    /// A refresh. With `report_now` the install also reports the outcome
-    /// to the scheduler, as of the install instant; a manual or simulated
-    /// refresh reports later, once it has ended (under a simulation, after
-    /// its warehouse time), and an initialization not at all.
+    /// A refresh, and what its install reports once it has recorded
+    /// itself.
     Refresh {
         request: RefreshInstall,
-        report_now: bool,
+        report: Report,
     },
     /// Any other change to the engine state (see [`Engine::mutate`]).
     Mutate(Mutation),
@@ -94,6 +91,12 @@ pub(crate) enum Install {
 /// is given.
 pub(crate) type Mutation =
     Box<dyn FnOnce(&mut EngineState, &mut Vec<WalRecord>) -> DtResult<()> + Send>;
+
+/// What a refresh's install does with its outcome, in the same batch (the
+/// caller's choice, see `crate::parallel_refresh`), pushing any WAL
+/// records it needs onto the list it is given.
+pub(crate) type Report =
+    Box<dyn FnOnce(&mut EngineState, &RefreshOutcome, &mut Vec<WalRecord>) -> DtResult<()> + Send>;
 
 /// The acknowledgement of one installed request.
 pub(crate) struct Installed {
@@ -247,10 +250,9 @@ pub(crate) fn install_batch(engine: &Engine, batch: Vec<Install>) -> Vec<DtResul
         .into_iter()
         .map(|request| match request {
             Install::Commit(request) => install_commit(&st, request, &mut wal_records),
-            Install::Refresh {
-                request,
-                report_now,
-            } => install_refresh(&mut st, request, report_now, &mut wal_records),
+            Install::Refresh { request, report } => {
+                install_refresh(&mut st, request, report, &mut wal_records)
+            }
             Install::Mutate(change) => {
                 let mut records = Vec::new();
                 change(&mut st, &mut records)?;

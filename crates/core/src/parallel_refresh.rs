@@ -1,43 +1,42 @@
-//! The round driver: refresh a whole dependency DAG of dynamic tables
-//! concurrently, each DT as soon as the DTs it reads have landed.
+//! The refresh executor: the one runner of every set of refreshes — a round
+//! over the whole DT graph, `ALTER … REFRESH` and its upstream chain, an
+//! initialization and the chain it forces, the simulator's due set. It
+//! adds no refresh logic of its own — each command goes through the one
+//! pin → compute → install path of [`crate::refresh`] — only *when* each
+//! runs, and what a failure does to the rest:
 //!
-//! The paper's scheduler (§5.2) aligns every DT in a DAG to shared grid
-//! timestamps; this module exploits the alignment. It adds no refresh
-//! logic of its own — each DT goes through the one pin → compute →
-//! install path of [`crate::refresh`] — only *where* and *when* the steps
-//! run:
-//!
-//! 1. **Order** — the round reads the one DT graph
-//!    ([`crate::EngineState::dt_graph`]: the catalog's live DTs, and an
-//!    edge from each DT a definition binds to now), and one topological
-//!    level order over the due set ([`dt_scheduler::DtGraph::level_order`])
-//!    ranks the DTs; a DT is *ready* once every in-round DT it reads has
-//!    installed (`RoundPlan`), and the workers of the round's one pool
-//!    always start the lowest-ranked ready DT. There is no barrier between
-//!    levels: a round takes as long as its critical path, not the sum of
-//!    each level's slowest refresh, and one worker starts the DTs in
-//!    exactly the level order.
+//! 1. **Order** — a plan is a list of commands `(dt, refresh_ts)` in
+//!    topological rank order, with the edges of the one DT graph
+//!    ([`crate::EngineState::dt_graph`]). A command is *ready* once every
+//!    in-plan DT it reads has installed (`RoundPlan`), and the workers
+//!    always start the lowest-ranked ready one: no barrier between levels,
+//!    so a round takes its critical path. One worker runs on the calling
+//!    thread, exactly in rank order.
 //! 2. **Pin + compute** — each worker pins its DT under a brief engine
-//!    **read** lock, then computes its delta completely lock-free.
-//! 3. **Group install** — the O(metadata) install rides the engine's
-//!    install queue, beside transaction commits: one leader drains every
-//!    refresh staged at that moment under a single engine write lock
-//!    acquisition, installs each, reports each to the scheduler at the
-//!    current time, and appends the whole batch to the WAL with one
-//!    fsync — so N refreshes land in fewer than N lock acquisitions.
+//!    **read** lock (a DT with no data yet gets its initial refresh,
+//!    §3.1.2), then computes its delta lock-free.
+//! 3. **Group install + report** — the install rides the engine's install
+//!    queue beside transaction commits: one leader installs every refresh
+//!    staged at that moment under one write lock acquisition, runs each
+//!    one's *reporter* (the caller's choice: report to the scheduler,
+//!    charge a simulated warehouse, mark an initialization) in the same
+//!    batch, and appends the batch to the WAL with one fsync.
 //!
-//! A DT that fails, conflicts, or is suspended prunes its downstream cone
-//! for the round (§3.3.3): descendants cannot produce a consistent result
-//! at the round timestamp without it, and they retry next round.
+//! A command that fails or conflicts prunes its in-plan downstream cone
+//! (§3.3.3): its readers keep their data timestamp, and their lag grows. A
+//! command the scheduler issued that did not run is withdrawn, so no DT
+//! stays in flight. docs/PARALLEL_REFRESH.md lists each caller's plan and
+//! reporter.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use dt_common::{DtError, DtResult, EntityId, Timestamp};
-use dt_scheduler::{RefreshAction, RefreshOutcome};
+use dt_scheduler::{DtGraph, RefreshAction, RefreshCommand, RefreshOutcome};
 
-use crate::install::Install;
+use crate::install::{Install, Report};
 use crate::refresh::RefreshInstall;
 use crate::Engine;
 
@@ -87,28 +86,6 @@ pub struct InstalledRefresh {
     pub error: Option<String>,
 }
 
-impl InstalledRefresh {
-    fn new(
-        dt: EntityId,
-        refresh_ts: Timestamp,
-        commit_ts: Timestamp,
-        outcome: RefreshOutcome,
-    ) -> InstalledRefresh {
-        InstalledRefresh {
-            dt,
-            refresh_ts,
-            commit_ts,
-            action: outcome.action.label(),
-            changed_rows: outcome.changed_rows,
-            dt_rows: outcome.dt_rows,
-            error: match outcome.action {
-                RefreshAction::Failed(error) => Some(error),
-                _ => None,
-            },
-        }
-    }
-}
-
 /// A refresh whose row work is done and staged, holding the DT's refresh
 /// lock. [`PreparedRefresh::install`] publishes it through the engine's
 /// install queue; dropping without installing aborts the refresh
@@ -130,24 +107,36 @@ impl PreparedRefresh {
         self.request.as_ref().expect("not yet installed").is_failed()
     }
 
-    /// Install through the engine's install queue. Blocks until a leader
-    /// (this thread or another) lands the batch containing this refresh.
-    /// Returns `Err(DtError::Conflict)` when validation lost — the DT's
-    /// version moved past the prepared base, or a table read by the refresh
-    /// was dropped mid-round; the refresh transaction is aborted and nothing
+    /// Install through the engine's install queue, reporting to the
+    /// scheduler as a round does. Blocks until a leader (this thread or
+    /// another) lands the batch containing this refresh. Returns
+    /// `Err(DtError::Conflict)` when validation lost — the DT's version
+    /// moved past the prepared base, or a table read by the refresh was
+    /// dropped mid-round; the refresh transaction is aborted and nothing
     /// was installed.
     pub fn install(self) -> DtResult<InstalledRefresh> {
         let request = self.request.as_ref().expect("already installed");
         let (dt, refresh_ts) = (request.dt, request.refresh_ts);
-        let (commit_ts, outcome) = self.submit(true)?;
-        Ok(InstalledRefresh::new(dt, refresh_ts, commit_ts, outcome))
+        let (commit_ts, outcome) = self.submit(report_at_install(dt, refresh_ts))?;
+        Ok(InstalledRefresh {
+            dt,
+            refresh_ts,
+            commit_ts,
+            action: outcome.action.label(),
+            changed_rows: outcome.changed_rows,
+            dt_rows: outcome.dt_rows,
+            error: match outcome.action {
+                RefreshAction::Failed(error) => Some(error),
+                _ => None,
+            },
+        })
     }
 
-    /// Submit to the install queue; with `report_now` the install reports
-    /// the outcome to the scheduler, else the caller does, on its clock.
-    fn submit(mut self, report_now: bool) -> DtResult<(Timestamp, RefreshOutcome)> {
+    /// Submit to the install queue, whose install hands the outcome to
+    /// `report`.
+    fn submit(mut self, report: Report) -> DtResult<(Timestamp, RefreshOutcome)> {
         let request = self.request.take().expect("already installed");
-        let installed = self.engine.install(Install::Refresh { request, report_now })?;
+        let installed = self.engine.install(Install::Refresh { request, report })?;
         Ok((installed.commit_ts, installed.refresh.expect("a refresh install carries its outcome")))
     }
 }
@@ -160,7 +149,17 @@ impl Drop for PreparedRefresh {
     }
 }
 
-/// Per-DT status within one parallel round.
+/// The round's reporter: report the refresh to the scheduler as it
+/// installs, at the engine's clock.
+fn report_at_install(dt: EntityId, refresh_ts: Timestamp) -> Report {
+    Box::new(move |st, outcome, wal| {
+        let now = st.now();
+        st.report_refresh(dt, refresh_ts, outcome, now, wal)
+    })
+}
+
+/// How one command of a plan ended: per-DT status within one parallel
+/// round.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RoundStatus {
     /// Installed (including NO_DATA) — the DT advanced to the round's
@@ -177,7 +176,8 @@ pub enum RoundStatus {
     /// Failed with a recorded user error; its cone was pruned.
     Failed(String),
     /// Skipped on a typed conflict (locked by an overlapping round, or a
-    /// table it reads was dropped mid-round); its cone was pruned.
+    /// table it reads was dropped mid-round), with the conflict's message;
+    /// its cone was pruned.
     Conflict(String),
     /// Skipped because an ancestor was unavailable this round.
     Pruned,
@@ -221,32 +221,29 @@ impl RefreshRoundReport {
     }
 }
 
-/// The dependency bookkeeping of one round, free of threads and clocks:
-/// which DT may start next, and what a finished one unblocks or prunes.
-/// DTs are handled by *rank*, their position in the flattened level order.
+/// The dependency bookkeeping of one plan, free of threads and clocks:
+/// which command may start next, and what a finished one unblocks or
+/// prunes. Commands are handled by *rank*, their position in the plan's
+/// topological order.
 struct RoundPlan {
-    /// Rank → DT.
-    order: Vec<EntityId>,
-    /// Rank → the in-round DTs it reads that have not finished yet.
+    /// Rank → the in-plan DTs it reads that have not finished yet.
     waiting_on: Vec<usize>,
-    /// Rank → an in-round DT it reads did not land.
+    /// Rank → an in-plan DT it reads did not land.
     blocked: Vec<bool>,
-    /// Rank → ranks of the in-round DTs that read it.
+    /// Rank → ranks of the in-plan DTs that read it.
     dependents: Vec<Vec<usize>>,
     /// Ranks that may start, lowest first.
     ready: BTreeSet<usize>,
-    /// DTs handed out by `start` and not yet `finish`ed.
+    /// Ranks handed out by `start` and not yet `finish`ed.
     running: usize,
-    /// The round was abandoned: nothing more starts.
-    abandoned: bool,
+    /// The plan was halted: nothing more starts.
+    halted: bool,
 }
 
 impl RoundPlan {
-    /// Plan a round over `levels` (a topological level order); a DT's
-    /// in-round upstreams are the entries of `upstream_of` that are in
-    /// `levels` themselves.
-    fn new(levels: &[Vec<EntityId>], upstream_of: &BTreeMap<EntityId, Vec<EntityId>>) -> Self {
-        let order: Vec<EntityId> = levels.iter().flatten().copied().collect();
+    /// Plan over `order` (a topological order): a DT's in-plan upstreams
+    /// are the DTs it reads in `graph` that are in `order` themselves.
+    fn new(order: &[EntityId], graph: &DtGraph) -> Self {
         let rank: BTreeMap<EntityId, usize> =
             order.iter().enumerate().map(|(r, dt)| (*dt, r)).collect();
         let mut plan = RoundPlan {
@@ -255,12 +252,10 @@ impl RoundPlan {
             dependents: vec![Vec::new(); order.len()],
             ready: BTreeSet::new(),
             running: 0,
-            abandoned: false,
-            order,
+            halted: false,
         };
-        for (r, dt) in plan.order.iter().enumerate() {
-            let ups = upstream_of.get(dt).map_or(&[][..], Vec::as_slice);
-            for up in ups.iter().filter_map(|up| rank.get(up)) {
+        for (r, dt) in order.iter().enumerate() {
+            for up in graph.upstream(*dt).iter().filter_map(|up| rank.get(up)) {
                 plan.waiting_on[r] += 1;
                 plan.dependents[*up].push(r);
             }
@@ -271,38 +266,35 @@ impl RoundPlan {
         plan
     }
 
-    /// Hand out the lowest-ranked ready DT, if any.
-    fn start(&mut self) -> Option<EntityId> {
-        if self.abandoned {
+    /// Hand out the lowest ready rank, if any.
+    fn start(&mut self) -> Option<usize> {
+        if self.halted {
             return None;
         }
         let r = self.ready.pop_first()?;
         self.running += 1;
-        Some(self.order[r])
+        Some(r)
     }
 
-    /// Nothing will start: nothing is ready (or the round was abandoned)
-    /// and nothing running can make anything ready.
+    /// Nothing will start: nothing is ready (or the plan was halted) and
+    /// nothing running can make anything ready.
     fn is_drained(&self) -> bool {
-        (self.abandoned || self.ready.is_empty()) && self.running == 0
+        (self.halted || self.ready.is_empty()) && self.running == 0
     }
 
-    /// Stop handing out DTs, whatever becomes ready; the ones running
+    /// Stop handing out commands, whatever becomes ready; the ones running
     /// finish.
-    fn abandon(&mut self) {
-        self.abandoned = true;
+    fn halt(&mut self) {
+        self.halted = true;
     }
 
-    /// Record that a started `dt` finished, having `landed` (installed) or
-    /// not. Every DT for which it was the last unfinished upstream becomes
-    /// ready — or, if any of its upstreams did not land, is pruned, which
-    /// in turn resolves the DTs reading it. Returns the DTs pruned, each
-    /// exactly once per round.
-    fn finish(&mut self, dt: EntityId, landed: bool) -> Vec<EntityId> {
+    /// Record that the started rank `r` finished, having `landed`
+    /// (installed) or not. Every rank for which it was the last unfinished
+    /// upstream becomes ready — or, if any of its upstreams did not land,
+    /// is pruned, which in turn resolves the ranks reading it. Returns the
+    /// ranks pruned, each exactly once per plan.
+    fn finish(&mut self, r: usize, landed: bool) -> Vec<usize> {
         self.running -= 1;
-        let r = (self.order.iter())
-            .position(|d| *d == dt)
-            .expect("finished a DT of this round");
         let mut pruned = Vec::new();
         let mut resolved = vec![(r, landed)];
         while let Some((r, landed)) = resolved.pop() {
@@ -313,7 +305,7 @@ impl RoundPlan {
                     continue;
                 }
                 if self.blocked[d] {
-                    pruned.push(self.order[d]);
+                    pruned.push(d);
                     resolved.push((d, false));
                 } else {
                     self.ready.insert(d);
@@ -324,10 +316,11 @@ impl RoundPlan {
     }
 }
 
-/// What the workers of one round share.
-struct RoundState {
+/// What the workers of one plan share.
+struct Run {
     plan: RoundPlan,
-    report: RefreshRoundReport,
+    /// How each finished command ended, in completion order.
+    ended: Vec<(EntityId, RoundStatus)>,
     internal_error: Option<DtError>,
 }
 
@@ -364,19 +357,7 @@ impl Engine {
     /// internal errors; user errors (binding/evaluation) return a failed
     /// [`PreparedRefresh`] whose install records the failure.
     pub fn prepare_refresh(&self, dt: EntityId, refresh_ts: Timestamp) -> DtResult<PreparedRefresh> {
-        self.prepare(dt, refresh_ts, false)
-    }
-
-    /// Run one refresh the one way — pin under the read lock, compute with
-    /// no engine lock, install through the queue — and return its outcome
-    /// for the caller to report when it has ended. `initial` marks
-    /// a DT's first refresh (§3.1.2). Callers must hold no engine guard.
-    pub(crate) fn refresh(&self, dt: EntityId, ts: Timestamp, initial: bool) -> DtResult<RefreshOutcome> {
-        Ok(self.prepare(dt, ts, initial)?.submit(false)?.1)
-    }
-
-    fn prepare(&self, dt: EntityId, refresh_ts: Timestamp, initial: bool) -> DtResult<PreparedRefresh> {
-        let pinned = self.state.read().pin_refresh(dt, refresh_ts, initial)?;
+        let pinned = self.state.read().pin_refresh(dt, refresh_ts)?;
         let txn = pinned.txn.clone();
         match pinned.compute() {
             Ok(request) => Ok(PreparedRefresh {
@@ -401,32 +382,29 @@ impl Engine {
         // read lock. The HLC tick orders the round after every commit that
         // has already landed; base rows committing after it surface in the
         // next round.
-        let (refresh_ts, levels, upstream_of, pre_pruned) = {
+        let (refresh_ts, graph, levels, pre_pruned) = {
             let st = self.state.read();
             let refresh_ts = st.txn_manager().hlc().tick();
             let graph = st.dt_graph();
-            let available =
-                |id: &EntityId| !graph.is_suspended(*id) && st.frontiers.contains_key(id);
-            let (eligible, unavailable): (Vec<EntityId>, Vec<EntityId>) =
-                graph.order().iter().copied().partition(available);
-            // A suspended/uninitialized parent prunes its cone up front.
-            let mut pre_pruned = BTreeSet::new();
-            for root in &unavailable {
-                pre_pruned.extend(graph.downstream_cone(*root, &eligible));
+            // A suspended or uninitialized DT sits the round out, and its
+            // cone is pruned up front: upstream before downstream, a DT is
+            // in when every DT it reads is.
+            let (mut included, mut pre_pruned) = (BTreeSet::new(), BTreeSet::new());
+            for &id in graph.order() {
+                if graph.is_suspended(id) || !st.frontiers.contains_key(&id) {
+                    continue;
+                }
+                if graph.upstream(id).iter().all(|up| included.contains(up)) {
+                    included.insert(id);
+                } else {
+                    pre_pruned.insert(id);
+                }
             }
-            let included: Vec<EntityId> = eligible
-                .iter()
-                .copied()
-                .filter(|id| !pre_pruned.contains(id))
-                .collect();
-            let levels = graph.level_order(&included);
-            let upstream_of: BTreeMap<EntityId, Vec<EntityId>> =
-                included.iter().map(|id| (*id, graph.upstream(*id).to_vec())).collect();
-            (refresh_ts, levels, upstream_of, pre_pruned)
+            let levels = graph.level_order(&included.into_iter().collect::<Vec<_>>());
+            (refresh_ts, graph, levels, pre_pruned)
         };
         self.installs.rounds.fetch_add(1, Ordering::Relaxed);
 
-        let round_started = Instant::now();
         let mut report = RefreshRoundReport {
             refresh_ts,
             levels: levels.len(),
@@ -441,147 +419,256 @@ impl Engine {
             report.record(dt, RoundStatus::Pruned);
         }
 
-        // One pool for the whole round: each worker starts the
-        // lowest-ranked DT whose in-round upstreams have all installed,
-        // prepares lock-free and submits to the install queue, where
-        // refreshes that finish together share one install batch.
+        // One pool for the whole round, where refreshes that finish
+        // together share one install batch.
         let workers = self
             .refresh_threads()
             .min(levels.iter().map(Vec::len).max().unwrap_or(0));
-        let shared = parking_lot::Mutex::new(RoundState {
-            plan: RoundPlan::new(&levels, &upstream_of),
-            report,
+        let commands = (levels.into_iter().flatten())
+            .map(|dt| RefreshCommand { dt, refresh_ts, skipped: 0 })
+            .collect();
+        let reporter = |cmd: &RefreshCommand| report_at_install(cmd.dt, cmd.refresh_ts);
+        for (dt, status) in self.execute(commands, &graph, workers, false, reporter)? {
+            report.record(dt, status);
+        }
+        Ok(report)
+    }
+
+    /// Run `commands` (in topological rank order; edges from `graph`) on
+    /// `workers`: each command once its in-plan upstreams have installed,
+    /// the lowest-ranked ready one first, its install handing the outcome
+    /// to `report(cmd)`; one that does not land prunes its in-plan cone.
+    /// Returns how each ended, in completion order — a pruned one at the
+    /// completion that resolved the last DT it reads; `at_micros` counts
+    /// from the call. When the scheduler `issued` the commands, those that
+    /// did not run are withdrawn. `Err` only on an internal error, once the
+    /// running commands have finished: nothing else starts.
+    pub(crate) fn execute(
+        &self,
+        commands: Vec<RefreshCommand>,
+        graph: &DtGraph,
+        workers: usize,
+        issued: bool,
+        report: impl Fn(&RefreshCommand) -> Report + Sync,
+    ) -> DtResult<Vec<(EntityId, RoundStatus)>> {
+        let order: Vec<EntityId> = commands.iter().map(|cmd| cmd.dt).collect();
+        let shared = parking_lot::Mutex::new(Run {
+            plan: RoundPlan::new(&order, graph),
+            ended: Vec::new(),
             internal_error: None,
         });
-        let wake = parking_lot::Condvar::new();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| self.round_worker(&shared, &wake, refresh_ts, round_started));
-            }
-        });
-        let RoundState {
-            report,
-            internal_error,
-            ..
-        } = shared.into_inner();
+        let (wake, started) = (parking_lot::Condvar::new(), Instant::now());
+        let work = || self.work(&commands, &shared, &wake, &report, started);
+        if workers > 1 {
+            std::thread::scope(|s| (0..workers).for_each(|_| {
+                s.spawn(work);
+            }));
+        } else {
+            work();
+        }
+        let Run { ended, internal_error, .. } = shared.into_inner();
+        // A command ran when its install reported: it installed or failed.
+        let ran: BTreeSet<EntityId> = (ended.iter())
+            .filter(|(_, status)| matches!(status, RoundStatus::Installed { .. } | RoundStatus::Failed(_)))
+            .map(|(dt, _)| *dt)
+            .collect();
+        let unrun: Vec<EntityId> = order.into_iter().filter(|dt| issued && !ran.contains(dt)).collect();
+        let withdrawn = if unrun.is_empty() { Ok(()) } else { self.abandon(unrun) };
         match internal_error {
             Some(e) => Err(e),
-            None => Ok(report),
+            None => withdrawn.map(|()| ended),
         }
     }
 
-    /// One worker of a round: start ready DTs until the round is drained.
-    fn round_worker(
+    /// One worker of a plan: start ready commands until the plan is
+    /// drained.
+    fn work(
         &self,
-        shared: &parking_lot::Mutex<RoundState>,
+        commands: &[RefreshCommand],
+        shared: &parking_lot::Mutex<Run>,
         wake: &parking_lot::Condvar,
-        refresh_ts: Timestamp,
-        round_started: Instant,
+        report: &(dyn Fn(&RefreshCommand) -> Report + Sync),
+        started: Instant,
     ) {
         loop {
-            let dt = {
-                let mut st = shared.lock();
+            let rank = {
+                let mut run = shared.lock();
                 loop {
-                    if let Some(dt) = st.plan.start() {
-                        break dt;
+                    if let Some(rank) = run.plan.start() {
+                        break rank;
                     }
-                    if st.plan.is_drained() {
+                    if run.plan.is_drained() {
                         return;
                     }
-                    wake.wait(&mut st);
+                    wake.wait(&mut run);
                 }
             };
-            // A panicking refresh must still finish its DT, or the other
-            // workers would wait for it forever instead of draining and
-            // letting the scope propagate the panic.
-            let step = || self.round_step(dt, refresh_ts, round_started);
-            let status = std::panic::catch_unwind(std::panic::AssertUnwindSafe(step));
-            let mut st = shared.lock();
+            let cmd = &commands[rank];
+            // A panicking refresh must still finish its command, or the
+            // other workers would wait for it forever instead of draining
+            // and letting the scope propagate the panic.
+            let step = || self.run_step(cmd, report(cmd), started);
+            let status = catch_unwind(AssertUnwindSafe(step));
+            let mut run = shared.lock();
             let landed = matches!(status, Ok(Ok(RoundStatus::Installed { .. })));
-            let pruned = st.plan.finish(dt, landed);
+            let pruned = run.plan.finish(rank, landed);
             let panic = match status {
                 Ok(Ok(status)) => {
-                    st.report.record(dt, status);
-                    for dt in pruned {
-                        st.report.record(dt, RoundStatus::Pruned);
-                    }
+                    run.ended.push((cmd.dt, status));
+                    let pruned = pruned.into_iter().map(|r| (commands[r].dt, RoundStatus::Pruned));
+                    run.ended.extend(pruned);
                     None
                 }
-                // An internal error (or a panic) ends the round: what is
+                // An internal error (or a panic) ends the plan: what is
                 // running finishes, nothing else starts.
                 Ok(Err(e)) => {
-                    st.plan.abandon();
-                    st.internal_error.get_or_insert(e);
+                    run.plan.halt();
+                    run.internal_error.get_or_insert(e);
                     None
                 }
                 Err(panic) => {
-                    st.plan.abandon();
+                    run.plan.halt();
                     Some(panic)
                 }
             };
-            drop(st);
+            drop(run);
             wake.notify_all();
             if let Some(panic) = panic {
-                std::panic::resume_unwind(panic);
+                resume_unwind(panic);
             }
         }
     }
 
-    /// One worker step of a round: prepare + install one DT, classifying
-    /// conflicts and recorded failures into a [`RoundStatus`].
-    fn round_step(
-        &self,
-        dt: EntityId,
-        refresh_ts: Timestamp,
-        round_started: Instant,
-    ) -> DtResult<RoundStatus> {
-        let prepared = match self.prepare_refresh(dt, refresh_ts) {
-            Ok(p) => p,
-            Err(e) if e.is_conflict() => return Ok(RoundStatus::Conflict(e.to_string())),
+    /// Prepare + install one command of a plan that started at `started`;
+    /// a lost conflict is a status, not an `Err`.
+    fn run_step(&self, cmd: &RefreshCommand, report: Report, started: Instant) -> DtResult<RoundStatus> {
+        let installed = self.prepare_refresh(cmd.dt, cmd.refresh_ts);
+        Ok(match installed.and_then(|prepared| prepared.submit(report)) {
+            Ok((_, RefreshOutcome { action: RefreshAction::Failed(error), .. })) => {
+                RoundStatus::Failed(error)
+            }
+            Ok((_, outcome)) => RoundStatus::Installed {
+                action: outcome.action.label(),
+                changed_rows: outcome.changed_rows,
+                at_micros: started.elapsed().as_micros() as u64,
+            },
+            Err(DtError::Conflict(conflict)) => RoundStatus::Conflict(conflict),
             Err(e) => return Err(e),
-        };
-        match prepared.install() {
-            Ok(installed) => Ok(match installed.error {
-                Some(error) => RoundStatus::Failed(error),
-                None => RoundStatus::Installed {
-                    action: installed.action,
-                    changed_rows: installed.changed_rows,
-                    at_micros: round_started.elapsed().as_micros() as u64,
-                },
-            }),
-            Err(e) if e.is_conflict() => Ok(RoundStatus::Conflict(e.to_string())),
-            Err(e) => Err(e),
+        })
+    }
+
+    /// Withdraw refreshes the scheduler issued that did not run: take
+    /// their DTs out of flight.
+    fn abandon(&self, dts: Vec<EntityId>) -> DtResult<()> {
+        self.mutate(move |st, _| {
+            dts.iter().for_each(|dt| st.scheduler.abandon(*dt));
+            Ok(())
+        })
+    }
+
+    /// Run a DT's chain — the upstream DTs it refreshes, then the DT
+    /// itself, last — on one worker. The DT's own refresh failing with a
+    /// user error is an outcome (§3.3.3), unless it was the DT's
+    /// initialization: that is the caller's error, as `CREATE DYNAMIC
+    /// TABLE`'s is. `Err` also when a command of the chain conflicted (that
+    /// conflict), when an upstream refresh failed ([`DtError::Evaluation`]
+    /// naming it; the DT keeps its data timestamp), or on an internal
+    /// error.
+    pub(crate) fn execute_chain(
+        &self,
+        commands: Vec<RefreshCommand>,
+        graph: &DtGraph,
+        issued: bool,
+        report: impl Fn(&RefreshCommand) -> Report + Sync,
+    ) -> DtResult<()> {
+        let target = commands.last().map(|cmd| cmd.dt);
+        // One worker ends the commands in rank order: the first that did
+        // not land is the cause.
+        for (dt, status) in self.execute(commands, graph, 1, issued, report)? {
+            let error = match status {
+                RoundStatus::Conflict(conflict) => return Err(DtError::Conflict(conflict)),
+                RoundStatus::Failed(error) => error,
+                RoundStatus::Installed { .. } | RoundStatus::Pruned => continue,
+            };
+            if Some(dt) != target {
+                let name = self.inspect(|st| st.catalog.get(dt).map_or(dt.to_string(), |e| e.name.clone()));
+                return Err(DtError::Evaluation(format!("upstream refresh of {name} failed: {error}")));
+            }
+            if self.inspect(|st| !st.frontiers.contains_key(&dt)) {
+                return Err(DtError::Evaluation(format!("initialization failed: {error}")));
+            }
         }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dt_common::TargetLag;
 
     fn dt(n: u64) -> EntityId {
         EntityId(n)
     }
 
-    /// A plan over `levels`, where `reads` lists each DT's upstreams (a
-    /// number in no level is a base table).
-    fn plan(levels: &[&[u64]], reads: &[(u64, &[u64])]) -> RoundPlan {
-        let levels: Vec<Vec<EntityId>> = (levels.iter())
-            .map(|l| l.iter().copied().map(dt).collect())
-            .collect();
-        let upstream_of = (reads.iter())
-            .map(|(d, ups)| (dt(*d), ups.iter().copied().map(dt).collect()))
-            .collect();
-        RoundPlan::new(&levels, &upstream_of)
+    /// A [`RoundPlan`] that speaks in DT numbers rather than ranks.
+    struct Numbered {
+        plan: RoundPlan,
+        order: Vec<u64>,
+    }
+
+    impl Numbered {
+        fn start(&mut self) -> Option<u64> {
+            self.plan.start().map(|r| self.order[r])
+        }
+
+        fn finish(&mut self, d: u64, landed: bool) -> Vec<u64> {
+            let r = self.order.iter().position(|o| *o == d).expect("a DT of the plan");
+            self.plan.finish(r, landed).into_iter().map(|r| self.order[r]).collect()
+        }
+
+        fn is_drained(&self) -> bool {
+            self.plan.is_drained()
+        }
+    }
+
+    /// A plan over `order`, where `reads` lists each DT's upstreams (a
+    /// number that is no DT of the plan is a base table, or a DT the plan
+    /// leaves out).
+    fn ordered(order: &[u64], reads: &[(u64, &[u64])]) -> Numbered {
+        let dts = reads.iter().flat_map(|(d, ups)| std::iter::once(d).chain(*ups));
+        let dts: BTreeSet<u64> = dts.chain(order).copied().collect();
+        let graph = DtGraph::new(dts.into_iter().map(|d| {
+            let ups = reads.iter().find(|(r, _)| *r == d).map_or(&[][..], |(_, ups)| *ups);
+            (dt(d), TargetLag::Downstream, false, ups.iter().copied().map(dt).collect())
+        }));
+        let ids: Vec<EntityId> = order.iter().copied().map(dt).collect();
+        Numbered { plan: RoundPlan::new(&ids, &graph), order: order.to_vec() }
+    }
+
+    /// A round's plan: its DTs ranked by `levels`, flattened.
+    fn plan(levels: &[&[u64]], reads: &[(u64, &[u64])]) -> Numbered {
+        ordered(&levels.concat(), reads)
     }
 
     /// Everything `plan` will start right now, in the order it hands it out.
-    fn start_all(plan: &mut RoundPlan) -> Vec<u64> {
-        std::iter::from_fn(|| plan.start()).map(|d| d.0).collect()
+    fn start_all(plan: &mut Numbered) -> Vec<u64> {
+        std::iter::from_fn(|| plan.start()).collect()
     }
 
-    fn pruned(plan: &mut RoundPlan, finished: u64, landed: bool) -> Vec<u64> {
-        plan.finish(dt(finished), landed).into_iter().map(|d| d.0).collect()
+    fn pruned(plan: &mut Numbered, finished: u64, landed: bool) -> Vec<u64> {
+        plan.finish(finished, landed)
+    }
+
+    /// What one worker starts, finishing each DT as landed.
+    fn one_worker(mut p: Numbered) -> Vec<u64> {
+        let mut started = Vec::new();
+        while let Some(d) = p.start() {
+            started.push(d);
+            assert!(p.finish(d, true).is_empty());
+        }
+        assert!(p.is_drained());
+        started
     }
 
     #[test]
@@ -648,29 +735,43 @@ mod tests {
     fn one_worker_starts_the_round_in_level_order() {
         // 4 reads 3 and 5 reads 1: a first-come queue would run 5 before 4.
         let levels: [&[u64]; 3] = [&[1, 2, 3], &[4, 5], &[6]];
-        let mut p = plan(&levels, &[(4, &[3]), (5, &[1]), (6, &[4, 5])]);
-        let mut started = Vec::new();
-        while let Some(d) = p.start() {
-            started.push(d.0);
-            assert!(p.finish(d, true).is_empty());
-        }
-        assert_eq!(started, levels.concat());
-        assert!(p.is_drained());
+        let p = plan(&levels, &[(4, &[3]), (5, &[1]), (6, &[4, 5])]);
+        assert_eq!(one_worker(p), levels.concat());
+    }
+
+    #[test]
+    fn one_worker_runs_a_flat_due_set_in_the_given_order() {
+        // The simulator's due set: no DT of it reads another, and the
+        // order is the scheduler's, not the ids'.
+        let p = ordered(&[7, 3, 5], &[(7, &[100]), (3, &[1]), (5, &[1])]);
+        assert_eq!(one_worker(p), [7, 3, 5]);
+    }
+
+    #[test]
+    fn one_worker_runs_a_chain_with_a_gap_in_the_given_order() {
+        // An initialization chain of 4: 3 already has data at the chosen
+        // timestamp, so the plan leaves it out; 4 still waits for 1, which
+        // it reads directly.
+        let reads: [(u64, &[u64]); 3] = [(2, &[1]), (3, &[2]), (4, &[3, 1])];
+        assert_eq!(one_worker(ordered(&[1, 2, 4], &reads)), [1, 2, 4]);
+        let mut p = ordered(&[1, 2, 4], &reads);
+        assert_eq!(start_all(&mut p), [1], "2 and 4 wait for 1");
+        assert_eq!(pruned(&mut p, 1, false), [2, 4]);
     }
 
     #[test]
     fn an_abandoned_round_drains_once_its_running_dts_finish() {
         let mut p = plan(&[&[1, 2, 3], &[4]], &[(4, &[1])]);
-        assert_eq!(p.start(), Some(dt(1)));
-        assert_eq!(p.start(), Some(dt(2)));
-        p.abandon();
+        assert_eq!(p.start(), Some(1));
+        assert_eq!(p.start(), Some(2));
+        p.plan.halt();
         assert!(p.start().is_none());
         assert!(!p.is_drained(), "1 and 2 are still running");
         // 1 lands and would have made 4 ready.
-        p.finish(dt(1), true);
+        p.finish(1, true);
         assert!(p.start().is_none());
         assert!(!p.is_drained());
-        p.finish(dt(2), true);
+        p.finish(2, true);
         assert!(p.start().is_none());
         assert!(p.is_drained());
     }

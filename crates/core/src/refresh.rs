@@ -21,16 +21,11 @@
 //!    initialized and `Active`); a refresh that failed with a user error
 //!    records the failure instead.
 //!
-//! Every caller pins under a brief engine read lock, computes with no
-//! engine lock held and submits step 3 to the install queue, where a
-//! leader lands whatever queued together behind one lock acquisition
-//! (`Engine::prepare_refresh` + `PreparedRefresh::install`). Callers
-//! differ only in which timestamp they refresh to, where the compute step
-//! runs — the round driver in [`crate::parallel_refresh`] spreads it over
-//! a worker pool — and when they report the outcome to the scheduler
-//! (`EngineState::report_refresh`: inside the install for the
-//! round driver, else in a mutation the caller queues to the same leader
-//! afterwards, so no caller takes the engine write lock itself).
+//! Every refresh runs through the one executor in
+//! [`crate::parallel_refresh`] (or `Engine::prepare_refresh` +
+//! `PreparedRefresh::install`): it pins under a brief engine read lock,
+//! computes with no engine lock held and submits step 3 to the install
+//! queue, whose install hands the outcome to the caller's reporter.
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
@@ -50,7 +45,7 @@ use dt_storage::{ChangeSet, PreparedChange, TableStore};
 use dt_txn::{Frontier, RefreshTsMap, Txn};
 
 use crate::durability::{SideEffect, WalRecord};
-use crate::install::{check_admitted, validate_and_install, Installed};
+use crate::install::{check_admitted, validate_and_install, Installed, Report};
 use crate::providers::{
     evaluate_at, strip_row_ids, PinnedVersion, SnapshotProvider, StorageView, WRITE_SCAN_THREADS,
 };
@@ -220,12 +215,7 @@ struct ComputedRefresh {
 /// result against the DT's pinned latest version. User errors (binding
 /// losses surface earlier; evaluation errors surface here) propagate as
 /// `Err` for the caller to classify.
-fn compute_refresh(
-    work: &PinnedWork,
-    dt: EntityId,
-    refresh_ts: Timestamp,
-    initial: bool,
-) -> DtResult<ComputedRefresh> {
+fn compute_refresh(work: &PinnedWork, dt: EntityId, refresh_ts: Timestamp) -> DtResult<ComputedRefresh> {
     let PinnedWork {
         env,
         plan,
@@ -235,7 +225,8 @@ fn compute_refresh(
         ..
     } = work;
     let (prev, refresh_mode) = (prev.as_ref(), *refresh_mode);
-    let evolved = work.evolved.is_some();
+    // A DT with no frontier yet gets its initial refresh (§3.1.2).
+    let (initial, evolved) = (prev.is_none(), work.evolved.is_some());
     let store = Arc::clone(env.store(dt)?);
     // Pin the base version every staged change validates against at
     // install time (first committer wins, like transactional DML).
@@ -258,8 +249,7 @@ fn compute_refresh(
     // answers the NO_DATA test and, if there is data, is the source delta
     // the INCREMENTAL path differentiates.
     let mut source_changes = Vec::with_capacity(to_versions.len());
-    if !initial && !evolved {
-        let prev = prev.ok_or_else(|| DtError::internal("refresh of uninitialized DT"))?;
+    if let Some(prev) = prev.filter(|_| !evolved) {
         for (up, to) in &to_versions {
             let from = prev
                 .get(*up)
@@ -414,7 +404,6 @@ fn compute_refresh(
 pub(crate) struct PinnedRefresh {
     dt: EntityId,
     refresh_ts: Timestamp,
-    initial: bool,
     pub(crate) txn: Txn,
     started: Instant,
     /// `Err` when the defining query no longer binds (a user-fixable
@@ -447,7 +436,7 @@ impl PinnedRefresh {
         let kind = match self.work {
             Err(error) => InstallKind::Failed { error },
             Ok(work) => {
-                match compute_refresh(&work, self.dt, self.refresh_ts, self.initial) {
+                match compute_refresh(&work, self.dt, self.refresh_ts) {
                     Ok(computed) => InstallKind::Staged {
                         store: Arc::clone(&work.env.tables[&self.dt]),
                         prep: computed.prep.map(Box::new),
@@ -467,7 +456,6 @@ impl PinnedRefresh {
         Ok(RefreshInstall {
             dt: self.dt,
             refresh_ts: self.refresh_ts,
-            initial: self.initial,
             txn: self.txn,
             started: self.started,
             kind,
@@ -481,7 +469,6 @@ impl PinnedRefresh {
 pub(crate) struct RefreshInstall {
     pub(crate) dt: EntityId,
     pub(crate) refresh_ts: Timestamp,
-    initial: bool,
     pub(crate) txn: Txn,
     started: Instant,
     kind: InstallKind,
@@ -519,10 +506,10 @@ enum InstallKind {
 /// Step 3, the refresh's part of the install leader's batch (under the
 /// engine write lock): run the staged change through the shared core,
 /// then record the refresh — refresh map, frontier, catalog, refresh log,
-/// an initial refresh's `Active` state and, with `report_now`, the
-/// scheduler — or, for a refresh that failed with a user error, record
-/// the failure. The WAL records this produces are pushed onto
-/// `wal_records` for the batch's one append.
+/// an initial refresh's `Active` state — or, for a refresh that failed
+/// with a user error, record the failure; then hand the outcome to
+/// `report`. The WAL records this produces are pushed onto `wal_records`
+/// for the batch's one append.
 ///
 /// `Err(DtError::Conflict)` means validation lost — the DT's version moved
 /// past the prepared base, or the DT or a table it read was dropped since
@@ -530,17 +517,19 @@ enum InstallKind {
 pub(crate) fn install_refresh(
     st: &mut EngineState,
     req: RefreshInstall,
-    report_now: bool,
+    report: Report,
     wal_records: &mut Vec<WalRecord>,
 ) -> DtResult<Installed> {
     let RefreshInstall {
         dt,
         refresh_ts,
-        initial,
         txn,
         started,
         kind,
     } = req;
+    // The refresh lock, held since the pin, froze the frontier: a DT
+    // without one is initializing (§3.1.2).
+    let initial = !st.frontiers.contains_key(&dt);
     // A drop since the pin aborts this refresh (and, via the round driver,
     // its cone) with a typed conflict.
     let dropped = |id: EntityId| {
@@ -649,10 +638,7 @@ pub(crate) fn install_refresh(
         duration_micros: started.elapsed().as_micros() as u64,
         source_rows: outcome.source_rows,
     });
-    if report_now {
-        let ended = st.now();
-        st.report_refresh(dt, refresh_ts, &outcome, ended, wal_records)?;
-    }
+    report(st, &outcome, wal_records)?;
     Ok(Installed {
         commit_ts,
         refresh: Some(outcome),
@@ -661,16 +647,12 @@ pub(crate) fn install_refresh(
 
 impl EngineState {
     /// Step 1: admit a refresh of `dt` to `refresh_ts` and pin what its
-    /// row work reads, under the engine read lock. Returns `Err` — holding
-    /// nothing — when the DT is gone, another refresh holds its lock, or
-    /// it is already at or past `refresh_ts` (all typed
+    /// row work reads, under the engine read lock. A DT with no frontier
+    /// yet gets its initial refresh (§3.1.2), whoever asks. Returns `Err` —
+    /// holding nothing — when the DT is gone, another refresh holds its
+    /// lock, or it is already at or past `refresh_ts` (all typed
     /// [`DtError::Conflict`]), and on internal errors.
-    pub(crate) fn pin_refresh(
-        &self,
-        dt: EntityId,
-        refresh_ts: Timestamp,
-        initial: bool,
-    ) -> DtResult<PinnedRefresh> {
+    pub(crate) fn pin_refresh(&self, dt: EntityId, refresh_ts: Timestamp) -> DtResult<PinnedRefresh> {
         let started = Instant::now();
         let dropped = || DtError::Conflict(format!("refresh target {dt} was dropped"));
         let entity = self.catalog.get(dt).map_err(|_| dropped())?;
@@ -692,7 +674,6 @@ impl EngineState {
             Ok(work) => Ok(PinnedRefresh {
                 dt,
                 refresh_ts,
-                initial,
                 txn,
                 started,
                 work,

@@ -3,9 +3,11 @@
 //! their warehouses. An engine built with [`Engine::simulated`] reads the
 //! injected [`SimClock`] instead of the wall clock and charges each refresh
 //! its work units: `ALTER … REFRESH` advances the clock by their warehouse
-//! time before it reports, and [`Engine::run_scheduler_until`] keeps the DT
-//! in flight until the clock passes that time, so slow refreshes skip grid
-//! points (§3.3.3). On the wall clock a refresh charges nothing.
+//! time as it reports, and [`Engine::run_scheduler_until`] hands its due
+//! set to the refresh executor with a reporter (`complete_later`) that
+//! keeps the DT in flight until the clock passes that time, so slow
+//! refreshes skip grid points (§3.3.3). On the wall clock a refresh charges
+//! nothing.
 
 use std::sync::Arc;
 
@@ -15,6 +17,8 @@ use dt_scheduler::{CostModel, RefreshAction, RefreshCommand, RefreshOutcome};
 
 use crate::durability::{SideEffect, WalRecord};
 use crate::engine::Engine;
+use crate::install::Report;
+use crate::parallel_refresh::RoundStatus;
 use crate::state::EngineState;
 
 /// What [`Engine::simulated`] injects into an engine.
@@ -83,6 +87,19 @@ pub struct SimStats {
     pub skipped: u64,
     /// Warehouse credits consumed.
     pub credits: f64,
+}
+
+/// The simulator's reporter: the refresh runs on its DT's warehouse from
+/// `now`, and the DT stays in flight until the clock passes its end.
+fn complete_later(dt: EntityId, refresh_ts: Timestamp, now: Timestamp) -> Report {
+    Box::new(move |st, outcome, _| {
+        let ended = now.add(st.charge(dt, now, outcome)?);
+        let outcome = outcome.clone();
+        if let Some(sim) = st.sim.as_mut() {
+            sim.pending_completions.push(PendingCompletion { ended, dt, refresh_ts, outcome });
+        }
+        Ok(())
+    })
 }
 
 impl EngineState {
@@ -157,17 +174,6 @@ impl EngineState {
 }
 
 impl Engine {
-    /// Take refreshes the scheduler issued but that will not run out of
-    /// flight.
-    pub(crate) fn abandon(&self, issued: &[RefreshCommand]) {
-        let dts: Vec<EntityId> = issued.iter().map(|cmd| cmd.dt).collect();
-        // The caller is already returning an error.
-        let _ = self.mutate(move |st, _| {
-            dts.iter().for_each(|dt| st.scheduler.abandon(*dt));
-            Ok(())
-        });
-    }
-
     /// Run the scheduler until the virtual clock reaches `end`. May be
     /// called repeatedly; refreshes still executing at `end` remain pending
     /// and complete during later calls. Each refresh — an initialization
@@ -213,38 +219,27 @@ impl Engine {
                 }
             }
 
-            // 3. Issue due refreshes. One that does not run is abandoned,
-            // and so is every one issued after it.
-            let due = self.mutate(move |st, _| {
+            // 3. Run the due refreshes, one at a time in dependency order,
+            // each reporting by charging its warehouse and queuing its
+            // completion. One that conflicts is withdrawn and issued again
+            // at a later grid point.
+            let (due, graph) = self.mutate(move |st, _| {
                 let graph = st.dt_graph();
-                Ok(st.scheduler.due_refreshes(&graph, now))
+                Ok((st.scheduler.due_refreshes(&graph, now), graph))
             })?;
-            for (i, cmd) in due.iter().enumerate() {
-                stats.skipped += cmd.skipped;
-                let outcome = match self.refresh(cmd.dt, cmd.refresh_ts, false) {
-                    Ok(outcome) => outcome,
-                    Err(e) => {
-                        self.abandon(&due[i..]);
-                        return Err(e);
-                    }
+            stats.skipped += due.iter().map(|cmd| cmd.skipped).sum::<u64>();
+            let report = |cmd: &RefreshCommand| complete_later(cmd.dt, cmd.refresh_ts, now);
+            for (_, status) in self.execute(due, &graph, 1, true, report)? {
+                let counter = match status {
+                    RoundStatus::Installed { action: "no_data", .. } => &mut stats.no_data,
+                    RoundStatus::Installed { action: "incremental", .. } => &mut stats.incremental,
+                    RoundStatus::Installed { action: "reinitialize", .. } => &mut stats.reinitialize,
+                    RoundStatus::Installed { .. } => &mut stats.full,
+                    RoundStatus::Failed(_) => &mut stats.failed,
+                    RoundStatus::Conflict(_) | RoundStatus::Pruned => continue,
                 };
+                *counter += 1;
                 stats.refreshes += 1;
-                match &outcome.action {
-                    RefreshAction::NoData => stats.no_data += 1,
-                    RefreshAction::Full => stats.full += 1,
-                    RefreshAction::Incremental => stats.incremental += 1,
-                    RefreshAction::Reinitialize => stats.reinitialize += 1,
-                    RefreshAction::Failed(_) => stats.failed += 1,
-                }
-                let (dt, refresh_ts) = (cmd.dt, cmd.refresh_ts);
-                self.mutate(move |st, _| {
-                    let ended = now.add(st.charge(dt, now, &outcome)?);
-                    let pending = PendingCompletion { ended, dt, refresh_ts, outcome };
-                    if let Some(sim) = st.sim.as_mut() {
-                        sim.pending_completions.push(pending);
-                    }
-                    Ok(())
-                })?;
             }
 
             // 4. Advance virtual time to the next event, or stop at `end`.

@@ -19,13 +19,14 @@ use dt_common::{
     Timestamp, TxnId, WallClock,
 };
 use dt_plan::{BindOutput, Binder, LogicalPlan, ResolvedRelation, Resolver};
-use dt_scheduler::{DtGraph, RefreshAction, Scheduler, WarehousePool};
+use dt_scheduler::{DtGraph, RefreshAction, RefreshCommand, Scheduler, WarehousePool};
 use dt_sql::ast;
 use dt_storage::TableStore;
 use dt_txn::{Frontier, RefreshTsMap, TxnManager};
 
 use crate::durability::{SideEffect, WalRecord, WalShared};
 use crate::engine::Engine;
+use crate::install::Report;
 use crate::refresh::RefreshLog;
 use crate::simulate::{Simulation, Simulator};
 
@@ -665,17 +666,29 @@ impl EngineState {
         let created = SideEffect::CreateStore { entity: id, schema, partition_capacity, created_ts };
         self.push_catalog_record(created, wal);
     }
+
+    /// Push onto `chain`, upstream first, every DT `id` reads in `graph`
+    /// that has no data at exactly `ts`, with what those read in turn.
+    fn stale_upstream(&self, graph: &DtGraph, id: EntityId, ts: Timestamp, chain: &mut Vec<EntityId>) {
+        for &up in graph.upstream(id) {
+            if chain.contains(&up) || self.refresh_map.exact_version_for(up, ts).is_ok() {
+                continue;
+            }
+            self.stale_upstream(graph, up, ts, chain);
+            chain.push(up);
+        }
+    }
 }
 
 impl Engine {
     /// Initialize a DT (§3.1.2): pick an initialization data timestamp that
-    /// reuses recent upstream data where possible, ensure the upstream
-    /// chain has data at that timestamp, then run the initial refresh,
-    /// whose install marks the DT initialized and `Active`.
+    /// reuses recent upstream data where possible, then run one chain: the
+    /// upstream DTs without data at that timestamp, and the DT's initial
+    /// refresh, whose install marks it initialized and `Active`.
     pub(crate) fn initialize_dt(&self, id: EntityId) -> DtResult<()> {
         let mut attempt = 0;
         loop {
-            let (ts, graph) = {
+            let (chain, graph) = {
                 let st = self.state.read();
                 // Dropped, suspended, or initialized by a concurrent caller.
                 let dt = st.catalog.get(id).ok().filter(|e| e.is_live());
@@ -691,57 +704,45 @@ impl Engine {
                 // timestamp, we cannot rewind it; fall forward to now.
                 let ahead = |up: &EntityId| st.scheduler.data_ts(*up) > Some(chosen);
                 let ts = if graph.upstream(id).iter().any(ahead) { now } else { chosen };
-                (ts, graph)
+                let mut chain = Vec::new();
+                st.stale_upstream(&graph, id, ts, &mut chain);
+                chain.push(id);
+                let chain = chain.into_iter().map(|dt| RefreshCommand { dt, refresh_ts: ts, skipped: 0 });
+                (chain.collect(), graph)
             };
-            let initialized =
-                self.ensure_upstream_at(&graph, id, ts).and_then(|()| self.refresh(id, ts, true));
-            let outcome = match initialized {
+            // The upstream refreshes are marked, not reported: they run no
+            // warehouse model and count no action.
+            let mark = |cmd: &RefreshCommand| -> Report {
+                let (dt, ts) = (cmd.dt, cmd.refresh_ts);
+                Box::new(move |st, outcome, _| {
+                    if !matches!(outcome.action, RefreshAction::Failed(_)) {
+                        st.scheduler.mark_initialized(dt, ts);
+                    }
+                    Ok(())
+                })
+            };
+            match self.execute_chain(chain, &graph, false, mark) {
                 // A concurrent refresh holds a DT of the chain or moved it past
                 // `ts`: back off (1 ms, doubling, ~1 s in all), choose again.
                 Err(DtError::Conflict(_)) if attempt < 10 => {
                     std::thread::sleep(std::time::Duration::from_millis(1 << attempt));
                     attempt += 1;
-                    continue;
                 }
-                run => run?,
-            };
-            if let RefreshAction::Failed(msg) = outcome.action {
-                return Err(DtError::Evaluation(format!("initialization failed: {msg}")));
+                initialized => return initialized,
             }
-            return Ok(());
         }
     }
 
-    /// Ensure every DT `id` reads in `graph` has data at exactly `ts`,
-    /// refreshing the chain in dependency order where needed.
-    fn ensure_upstream_at(&self, graph: &DtGraph, id: EntityId, ts: Timestamp) -> DtResult<()> {
-        for &up in graph.upstream(id) {
-            if self.inspect(|st| st.refresh_map.exact_version_for(up, ts).is_ok()) {
-                continue;
-            }
-            self.ensure_upstream_at(graph, up, ts)?;
-            if let RefreshAction::Failed(msg) = self.refresh(up, ts, false)?.action {
-                return Err(DtError::Evaluation(format!(
-                    "upstream refresh of {up} failed: {msg}"
-                )));
-            }
-            self.mutate(move |st, _| {
-                st.scheduler.mark_initialized(up, ts);
-                Ok(())
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Manual refresh (§3.2): data timestamp after the command was issued;
-    /// refreshes the whole upstream chain. Returns the number of refreshes
-    /// executed. The install leader plans it and, after each install,
-    /// reports it as ended — under a simulation, after its warehouse time,
-    /// which the clock advances by (the command blocks) — and nothing holds
-    /// the engine lock across a compute.
+    /// Manual refresh (§3.2): data timestamp after the command was issued,
+    /// shared by the whole upstream chain, refreshed first. Returns the
+    /// number of refreshes executed. Each install reports its refresh as
+    /// ended — under a simulation, after its warehouse time, which the
+    /// clock advances by. A failed upstream refresh is the statement's
+    /// error, and the DT stays where it was; so is a failed
+    /// initialization of the DT itself.
     pub(crate) fn manual_refresh(&self, name: &str, role: &str) -> DtResult<usize> {
         let (name, role) = (name.to_string(), role.to_string());
-        let plan = self.mutate(move |st, _| {
+        let (plan, graph) = self.mutate(move |st, _| {
             let e = st.catalog.resolve(&name)?;
             let not_dt = || DtError::Unsupported(format!("'{name}' is not a dynamic table"));
             let id = e.as_dt().map(|_| e.id).ok_or_else(not_dt)?;
@@ -753,25 +754,18 @@ impl Engine {
             // guarantees it is after every prior commit).
             let now = st.txn.hlc().tick();
             let graph = st.dt_graph();
-            Ok(st.scheduler.manual_refresh_plan(&graph, id, now))
+            Ok((st.scheduler.manual_refresh_plan(&graph, id, now), graph))
         })?;
-        let mut reported = 0;
-        let run = plan.iter().try_for_each(|cmd| {
-            let outcome = self.refresh(cmd.dt, cmd.refresh_ts, false)?;
-            let (dt, refresh_ts) = (cmd.dt, cmd.refresh_ts);
-            self.mutate(move |st, wal| {
-                let ended = st.blocking_refresh_end(dt, &outcome)?;
-                st.report_refresh(dt, refresh_ts, &outcome, ended, wal)
-            })?;
-            reported += 1;
-            Ok(())
-        });
-        // An issued refresh that did not run must not stay in flight.
-        if let Err(e) = run {
-            self.abandon(&plan[reported..]);
-            return Err(e);
-        }
-        Ok(plan.len())
+        let executed = plan.len();
+        let report_ended = |cmd: &RefreshCommand| -> Report {
+            let (dt, ts) = (cmd.dt, cmd.refresh_ts);
+            Box::new(move |st, outcome, wal| {
+                let ended = st.blocking_refresh_end(dt, outcome)?;
+                st.report_refresh(dt, ts, outcome, ended, wal)
+            })
+        };
+        self.execute_chain(plan, &graph, true, report_ended)?;
+        Ok(executed)
     }
 }
 

@@ -175,24 +175,6 @@ impl DtGraph {
         }
         levels
     }
-
-    /// The downstream cone of `root` restricted to `within`: every DT in
-    /// `within` that (transitively) reads `root`, excluding `root` itself,
-    /// ascending. A parallel refresh round prunes this cone when `root`
-    /// is suspended or uninitialized — its descendants cannot produce a
-    /// consistent result at the round's timestamp without it (§3.3.3).
-    pub fn downstream_cone(&self, root: EntityId, within: &[EntityId]) -> Vec<EntityId> {
-        let set: BTreeSet<EntityId> = within.iter().copied().collect();
-        // Traverse every descendant (an out-of-scope intermediate DT still
-        // propagates unavailability), then restrict the answer.
-        let mut visited = BTreeSet::new();
-        let mut frontier = vec![root];
-        while let Some(parent) = frontier.pop() {
-            let readers = self.nodes.get(&parent).map_or(&[][..], |n| &n.downstream);
-            frontier.extend(readers.iter().copied().filter(|d| visited.insert(*d)));
-        }
-        visited.into_iter().filter(|id| set.contains(id)).collect()
-    }
 }
 
 /// Kahn's algorithm with a stack, the ready DTs pushed in ascending id
@@ -313,24 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn downstream_cone_is_transitive_and_restricted() {
-        let one = Some(mins(1));
-        let g = graph(&[
-            (1, one, &[]),
-            (2, one, &[1]),
-            (3, one, &[2]),
-            (4, one, &[1]),
-            (5, one, &[]),
-        ]);
-        let all = ids(&[1, 2, 3, 4, 5]);
-        assert_eq!(g.downstream_cone(EntityId(1), &all), ids(&[2, 3, 4]));
-        assert_eq!(g.downstream_cone(EntityId(2), &all), ids(&[3]));
-        assert_eq!(g.downstream_cone(EntityId(5), &all), ids(&[]));
-        // Restriction: 3 reads 2 which reads 1, but only 3 is in scope.
-        assert_eq!(g.downstream_cone(EntityId(1), &ids(&[3])), ids(&[3]));
-    }
-
-    #[test]
     fn downstream_lag_resolution() {
         let g = graph(&[
             (1, None, &[]),
@@ -379,8 +343,8 @@ mod tests {
         );
         assert_eq!(g.order(), ids(&[1, 2, 3, 4]));
         assert_eq!(
-            g.downstream_cone(EntityId(2), &ids(&[1, 2, 3, 4])),
-            ids(&[3, 4])
+            g.level_order(&ids(&[1, 2, 3, 4])),
+            vec![ids(&[1, 2]), ids(&[3]), ids(&[4])]
         );
         assert_eq!(g.upstream_order(EntityId(4)), ids(&[2, 3]));
     }

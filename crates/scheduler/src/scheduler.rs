@@ -194,8 +194,9 @@ impl Scheduler {
     }
 
     /// Plan a manual refresh (§3.2): a data timestamp at `now` (after the
-    /// command was issued), refreshing every upstream DT first at the same
-    /// timestamp, in dependency order.
+    /// command was issued, and so after every DT's data timestamp),
+    /// refreshing every upstream DT first at the same timestamp, in
+    /// dependency order.
     pub fn manual_refresh_plan(
         &mut self,
         graph: &DtGraph,
@@ -206,11 +207,7 @@ impl Scheduler {
         chain.push(id);
         let mut out = Vec::new();
         for dt in chain {
-            let st = self.dts.entry(dt).or_default();
-            if st.last_data_ts == Some(now) {
-                continue; // already there
-            }
-            st.in_flight = Some((now, Timestamp::MAX));
+            self.dts.entry(dt).or_default().in_flight = Some((now, Timestamp::MAX));
             out.push(RefreshCommand {
                 dt,
                 refresh_ts: now,

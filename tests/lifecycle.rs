@@ -452,6 +452,64 @@ fn querying_uninitialized_dt_errors() {
     assert!(db.query("SELECT * FROM d").is_ok());
 }
 
+/// `ALTER … REFRESH` of a DT that has no data yet initializes it at the
+/// command's timestamp (§3.1.2, §3.2), and so does every DT of its chain
+/// without data: two `INITIALIZE = ON_SCHEDULE` DTs stacked, and a DT
+/// whose CREATE-time initialization failed. On the wall clock, where no
+/// scheduler runs.
+#[test]
+fn alter_refresh_initializes_a_dt_that_has_no_data_yet() {
+    let eng = Engine::new(DbConfig { validate_dvs: true, ..DbConfig::default() });
+    eng.create_warehouse("wh", 1).unwrap();
+    let db = eng.session();
+    db.execute("CREATE TABLE t (k INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+    for (name, from) in [("u", "SELECT k FROM t"), ("d", "SELECT k + 1 k FROM u")] {
+        db.execute(&format!(
+            "CREATE DYNAMIC TABLE {name} TARGET_LAG = '1 minute' WAREHOUSE = wh \
+             INITIALIZE = ON_SCHEDULE AS {from}"
+        ))
+        .unwrap();
+    }
+    let err = db.query("SELECT * FROM d").unwrap_err();
+    assert!(matches!(err, DtError::NotInitialized(_)), "{err:?}");
+
+    db.execute("ALTER DYNAMIC TABLE d REFRESH").unwrap();
+    assert_eq!(db.query_sorted("SELECT k FROM u").unwrap(), vec![row!(1i64), row!(2i64)]);
+    assert_eq!(db.query_sorted("SELECT k FROM d").unwrap(), vec![row!(2i64), row!(3i64)]);
+    let log = eng.refresh_log().entries();
+    assert_eq!(log.iter().map(|e| (e.action, e.initial)).collect::<Vec<_>>(), [("full", true); 2]);
+    assert_eq!(log[0].refresh_ts, log[1].refresh_ts, "one data timestamp for the chain");
+    eng.inspect(|s| {
+        for name in ["u", "d"] {
+            let id = s.catalog().resolve(name).unwrap().id;
+            let state = s.catalog().get(id).unwrap().as_dt().unwrap().state;
+            assert_eq!(state, dt_catalog::DtState::Active, "{name}");
+            assert_eq!(s.scheduler().data_ts(id), Some(log[0].refresh_ts), "{name}");
+        }
+    });
+
+    // A DT whose initialization failed stays uninitialized until the
+    // cause is fixed — ALTER … REFRESH returns the failure, as CREATE
+    // does — and then ALTER … REFRESH initializes it.
+    db.execute("CREATE TABLE z (k INT)").unwrap();
+    db.execute("INSERT INTO z VALUES (0)").unwrap();
+    let err = db
+        .execute("CREATE DYNAMIC TABLE bad TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT 10 / k q FROM z")
+        .unwrap_err();
+    assert!(err.is_user_error(), "{err:?}");
+    let err = db.execute("ALTER DYNAMIC TABLE bad REFRESH").unwrap_err();
+    assert!(err.to_string().contains("initialization failed"), "{err}");
+    db.execute("UPDATE z SET k = 2").unwrap();
+    db.execute("ALTER DYNAMIC TABLE bad REFRESH").unwrap();
+    assert_eq!(db.query_sorted("SELECT q FROM bad").unwrap(), vec![row!(5i64)]);
+    eng.inspect(|s| {
+        let id = s.catalog().resolve("bad").unwrap().id;
+        let state = s.catalog().get(id).unwrap().as_dt().unwrap().state;
+        assert_eq!(state, dt_catalog::DtState::Active);
+    });
+}
+
 #[test]
 fn union_all_and_distinct_dts() {
     let (_eng, db) = setup();
@@ -538,6 +596,72 @@ fn a_refresh_issued_but_never_run_does_not_stay_in_flight() {
     db.execute("INSERT INTO t VALUES (2)").unwrap();
     let stats = eng.run_scheduler_until(Timestamp::from_secs(600)).unwrap();
     assert!(stats.refreshes >= 2, "{stats:?}");
+    assert_eq!(db.query_sorted("SELECT k FROM d").unwrap(), vec![row!(1i64), row!(2i64)]);
+}
+
+/// `ALTER … REFRESH` of `d` when `d`'s upstream DT `u` fails with a user
+/// error (§3.3.3): `u`'s failure prunes `d` as it does in a round, so `d`
+/// keeps its rows and data timestamp, the statement's error names `u`,
+/// and neither DT stays in flight. On the wall clock.
+#[test]
+fn a_failed_upstream_prunes_its_cone_on_alter_refresh() {
+    let eng = Engine::new(DbConfig { validate_dvs: true, ..DbConfig::default() });
+    eng.create_warehouse("wh", 1).unwrap();
+    let db = eng.session();
+    db.execute("CREATE TABLE t (k INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+    for (name, from) in [("u", "SELECT 10 / k q FROM t"), ("d", "SELECT q FROM u")] {
+        db.execute(&format!(
+            "CREATE DYNAMIC TABLE {name} TARGET_LAG = '1 minute' WAREHOUSE = wh AS {from}"
+        ))
+        .unwrap();
+    }
+    let id = |name: &str| eng.inspect(|s| s.catalog().resolve(name).unwrap().id);
+    let (u, d) = (id("u"), id("d"));
+    let rows = db.query_sorted("SELECT q FROM d").unwrap();
+    let data_ts = eng.inspect(|s| s.scheduler().data_ts(d));
+
+    db.execute("INSERT INTO t VALUES (0)").unwrap();
+    let err = db.execute("ALTER DYNAMIC TABLE d REFRESH").unwrap_err();
+    assert!(err.is_user_error(), "{err:?}");
+    assert!(err.to_string().contains("upstream refresh of u failed"), "{err}");
+    assert!(err.to_string().contains("division by zero"), "{err}");
+
+    let last = eng.refresh_log().last().unwrap();
+    assert_eq!((last.dt, last.action), (u, "failed"));
+    eng.inspect(|s| {
+        let errors = |id| s.catalog().get(id).unwrap().as_dt().unwrap().error_count;
+        assert_eq!((errors(u), errors(d)), (1, 0));
+        assert_eq!(s.scheduler().state(u).unwrap().action_counts.get("failed"), Some(&1));
+        assert_eq!(s.scheduler().data_ts(d), data_ts);
+        for dt in [u, d] {
+            assert_eq!(s.scheduler().state(dt).unwrap().in_flight, None, "{dt}");
+        }
+    });
+    assert_eq!(db.query_sorted("SELECT q FROM d").unwrap(), rows);
+}
+
+/// A due refresh that loses a conflict in the simulated scheduler (its
+/// DT's refresh lock is held elsewhere) is withdrawn and issued again at a
+/// later grid point, as a round's would be: the run goes on, and the DT
+/// does not stay in flight.
+#[test]
+fn a_conflicted_due_refresh_is_withdrawn_and_retried_by_the_simulator() {
+    let (eng, db) = setup();
+    db.execute("CREATE TABLE t (k INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    db.execute("CREATE DYNAMIC TABLE d TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT k FROM t")
+        .unwrap();
+    db.execute("INSERT INTO t VALUES (2)").unwrap();
+    let (d, ts) = eng.inspect(|s| (s.catalog().resolve("d").unwrap().id, s.txn_manager().hlc().tick()));
+    let held = eng.prepare_refresh(d, ts).unwrap();
+    let stats = eng.run_scheduler_until(Timestamp::from_secs(300)).unwrap();
+    assert_eq!(stats.refreshes, 0, "{stats:?}");
+    eng.inspect(|s| assert_eq!(s.scheduler().state(d).unwrap().in_flight, None));
+    drop(held);
+
+    let stats = eng.run_scheduler_until(Timestamp::from_secs(600)).unwrap();
+    assert!(stats.refreshes >= 1, "{stats:?}");
     assert_eq!(db.query_sorted("SELECT k FROM d").unwrap(), vec![row!(1i64), row!(2i64)]);
 }
 
