@@ -104,9 +104,9 @@ pub(crate) struct Installed {
     /// a refresh that failed with a user error, which installs nothing;
     /// `EPOCH` for a mutation, which stamps no version).
     pub(crate) commit_ts: Timestamp,
-    /// The refresh's outcome; `None` for a transaction commit or a
-    /// mutation.
-    pub(crate) refresh: Option<RefreshOutcome>,
+    /// The refresh's outcome, and whether it was its DT's initialization;
+    /// `None` for a transaction commit or a mutation.
+    pub(crate) refresh: Option<(RefreshOutcome, bool)>,
 }
 
 /// How one kind of request has used the queue and the engine write lock.

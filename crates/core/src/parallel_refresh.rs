@@ -117,7 +117,7 @@ impl PreparedRefresh {
     pub fn install(self) -> DtResult<InstalledRefresh> {
         let request = self.request.as_ref().expect("already installed");
         let (dt, refresh_ts) = (request.dt, request.refresh_ts);
-        let (commit_ts, outcome) = self.submit(report_at_install(dt, refresh_ts))?;
+        let (commit_ts, (outcome, _)) = self.submit(report_at_install(dt, refresh_ts))?;
         Ok(InstalledRefresh {
             dt,
             refresh_ts,
@@ -133,8 +133,8 @@ impl PreparedRefresh {
     }
 
     /// Submit to the install queue, whose install hands the outcome to
-    /// `report`.
-    fn submit(mut self, report: Report) -> DtResult<(Timestamp, RefreshOutcome)> {
+    /// `report`; returns it, and whether the install initialized the DT.
+    fn submit(mut self, report: Report) -> DtResult<(Timestamp, (RefreshOutcome, bool))> {
         let request = self.request.take().expect("already installed");
         let installed = self.engine.install(Install::Refresh { request, report })?;
         Ok((installed.commit_ts, installed.refresh.expect("a refresh install carries its outcome")))
@@ -184,7 +184,7 @@ pub enum RoundStatus {
 }
 
 /// The report of one [`Engine::refresh_all_parallel`] round.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RefreshRoundReport {
     /// The shared data timestamp every DT in the round refreshed to.
     pub refresh_ts: Timestamp,
@@ -319,8 +319,9 @@ impl RoundPlan {
 /// What the workers of one plan share.
 struct Run {
     plan: RoundPlan,
-    /// How each finished command ended, in completion order.
-    ended: Vec<(EntityId, RoundStatus)>,
+    /// How each finished command ended, in completion order, and whether
+    /// its install initialized the DT.
+    ended: Vec<(EntityId, RoundStatus, bool)>,
     internal_error: Option<DtError>,
 }
 
@@ -405,16 +406,7 @@ impl Engine {
         };
         self.installs.rounds.fetch_add(1, Ordering::Relaxed);
 
-        let mut report = RefreshRoundReport {
-            refresh_ts,
-            levels: levels.len(),
-            refreshed: 0,
-            no_data: 0,
-            failed: 0,
-            conflicts: 0,
-            pruned: 0,
-            outcomes: Vec::new(),
-        };
+        let mut report = RefreshRoundReport { refresh_ts, levels: levels.len(), ..Default::default() };
         for dt in pre_pruned {
             report.record(dt, RoundStatus::Pruned);
         }
@@ -428,7 +420,7 @@ impl Engine {
             .map(|dt| RefreshCommand { dt, refresh_ts, skipped: 0 })
             .collect();
         let reporter = |cmd: &RefreshCommand| report_at_install(cmd.dt, cmd.refresh_ts);
-        for (dt, status) in self.execute(commands, &graph, workers, false, reporter)? {
+        for (dt, status, _) in self.execute(commands, &graph, workers, false, reporter)? {
             report.record(dt, status);
         }
         Ok(report)
@@ -438,7 +430,8 @@ impl Engine {
     /// `workers`: each command once its in-plan upstreams have installed,
     /// the lowest-ranked ready one first, its install handing the outcome
     /// to `report(cmd)`; one that does not land prunes its in-plan cone.
-    /// Returns how each ended, in completion order — a pruned one at the
+    /// Returns how each ended, and whether its install was its DT's
+    /// initialization, in completion order — a pruned one at the
     /// completion that resolved the last DT it reads; `at_micros` counts
     /// from the call. When the scheduler `issued` the commands, those that
     /// did not run are withdrawn. `Err` only on an internal error, once the
@@ -450,7 +443,7 @@ impl Engine {
         workers: usize,
         issued: bool,
         report: impl Fn(&RefreshCommand) -> Report + Sync,
-    ) -> DtResult<Vec<(EntityId, RoundStatus)>> {
+    ) -> DtResult<Vec<(EntityId, RoundStatus, bool)>> {
         let order: Vec<EntityId> = commands.iter().map(|cmd| cmd.dt).collect();
         let shared = parking_lot::Mutex::new(Run {
             plan: RoundPlan::new(&order, graph),
@@ -468,11 +461,11 @@ impl Engine {
         }
         let Run { ended, internal_error, .. } = shared.into_inner();
         // A command ran when its install reported: it installed or failed.
-        let ran: BTreeSet<EntityId> = (ended.iter())
-            .filter(|(_, status)| matches!(status, RoundStatus::Installed { .. } | RoundStatus::Failed(_)))
-            .map(|(dt, _)| *dt)
+        let ran: BTreeSet<EntityId> = (ended.iter().filter(|_| issued))
+            .filter(|(_, status, _)| matches!(status, RoundStatus::Installed { .. } | RoundStatus::Failed(_)))
+            .map(|(dt, ..)| *dt)
             .collect();
-        let unrun: Vec<EntityId> = order.into_iter().filter(|dt| issued && !ran.contains(dt)).collect();
+        let unrun: Vec<RefreshCommand> = commands.into_iter().filter(|cmd| issued && !ran.contains(&cmd.dt)).collect();
         let withdrawn = if unrun.is_empty() { Ok(()) } else { self.abandon(unrun) };
         match internal_error {
             Some(e) => Err(e),
@@ -510,12 +503,12 @@ impl Engine {
             let step = || self.run_step(cmd, report(cmd), started);
             let status = catch_unwind(AssertUnwindSafe(step));
             let mut run = shared.lock();
-            let landed = matches!(status, Ok(Ok(RoundStatus::Installed { .. })));
+            let landed = matches!(status, Ok(Ok((RoundStatus::Installed { .. }, _))));
             let pruned = run.plan.finish(rank, landed);
             let panic = match status {
-                Ok(Ok(status)) => {
-                    run.ended.push((cmd.dt, status));
-                    let pruned = pruned.into_iter().map(|r| (commands[r].dt, RoundStatus::Pruned));
+                Ok(Ok((status, initial))) => {
+                    run.ended.push((cmd.dt, status, initial));
+                    let pruned = pruned.into_iter().map(|r| (commands[r].dt, RoundStatus::Pruned, false));
                     run.ended.extend(pruned);
                     None
                 }
@@ -539,29 +532,29 @@ impl Engine {
         }
     }
 
-    /// Prepare + install one command of a plan that started at `started`;
-    /// a lost conflict is a status, not an `Err`.
-    fn run_step(&self, cmd: &RefreshCommand, report: Report, started: Instant) -> DtResult<RoundStatus> {
+    /// Prepare + install one command of a plan that started at `started`,
+    /// and whether it initialized the DT; a lost conflict is a status.
+    fn run_step(&self, cmd: &RefreshCommand, report: Report, started: Instant) -> DtResult<(RoundStatus, bool)> {
         let installed = self.prepare_refresh(cmd.dt, cmd.refresh_ts);
         Ok(match installed.and_then(|prepared| prepared.submit(report)) {
-            Ok((_, RefreshOutcome { action: RefreshAction::Failed(error), .. })) => {
-                RoundStatus::Failed(error)
+            Ok((_, (RefreshOutcome { action: RefreshAction::Failed(error), .. }, initial))) => {
+                (RoundStatus::Failed(error), initial)
             }
-            Ok((_, outcome)) => RoundStatus::Installed {
-                action: outcome.action.label(),
-                changed_rows: outcome.changed_rows,
-                at_micros: started.elapsed().as_micros() as u64,
-            },
-            Err(DtError::Conflict(conflict)) => RoundStatus::Conflict(conflict),
+            Ok((_, (outcome, initial))) => {
+                let at_micros = started.elapsed().as_micros() as u64;
+                let (action, changed_rows) = (outcome.action.label(), outcome.changed_rows);
+                (RoundStatus::Installed { action, changed_rows, at_micros }, initial)
+            }
+            Err(DtError::Conflict(conflict)) => (RoundStatus::Conflict(conflict), false),
             Err(e) => return Err(e),
         })
     }
 
     /// Withdraw refreshes the scheduler issued that did not run: take
-    /// their DTs out of flight.
-    fn abandon(&self, dts: Vec<EntityId>) -> DtResult<()> {
+    /// their DTs out of flight, and back the grid points they skipped.
+    fn abandon(&self, commands: Vec<RefreshCommand>) -> DtResult<()> {
         self.mutate(move |st, _| {
-            dts.iter().for_each(|dt| st.scheduler.abandon(*dt));
+            commands.iter().for_each(|cmd| st.scheduler.abandon(cmd.dt, cmd.skipped));
             Ok(())
         })
     }
@@ -584,7 +577,7 @@ impl Engine {
         let target = commands.last().map(|cmd| cmd.dt);
         // One worker ends the commands in rank order: the first that did
         // not land is the cause.
-        for (dt, status) in self.execute(commands, graph, 1, issued, report)? {
+        for (dt, status, initial) in self.execute(commands, graph, 1, issued, report)? {
             let error = match status {
                 RoundStatus::Conflict(conflict) => return Err(DtError::Conflict(conflict)),
                 RoundStatus::Failed(error) => error,
@@ -594,7 +587,7 @@ impl Engine {
                 let name = self.inspect(|st| st.catalog.get(dt).map_or(dt.to_string(), |e| e.name.clone()));
                 return Err(DtError::Evaluation(format!("upstream refresh of {name} failed: {error}")));
             }
-            if self.inspect(|st| !st.frontiers.contains_key(&dt)) {
+            if initial {
                 return Err(DtError::Evaluation(format!("initialization failed: {error}")));
             }
         }

@@ -641,7 +641,7 @@ pub(crate) fn install_refresh(
     report(st, &outcome, wal_records)?;
     Ok(Installed {
         commit_ts,
-        refresh: Some(outcome),
+        refresh: Some((outcome, initial)),
     })
 }
 

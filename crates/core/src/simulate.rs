@@ -5,11 +5,13 @@
 //! its work units: `ALTER … REFRESH` advances the clock by their warehouse
 //! time as it reports, and [`Engine::run_scheduler_until`] hands its due
 //! set to the refresh executor with a reporter (`complete_later`) that
-//! keeps the DT in flight until the clock passes that time, so slow
-//! refreshes skip grid points (§3.3.3). On the wall clock a refresh charges
-//! nothing.
+//! counts the refresh in the run's [`SimStats`] and keeps the DT in flight
+//! until the clock passes that time, so slow refreshes skip grid points
+//! (§3.3.3). On the wall clock a refresh charges nothing.
 
 use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use dt_catalog::DtState;
 use dt_common::{Clock, DtError, DtResult, Duration, EntityId, SimClock, Timestamp};
@@ -18,7 +20,6 @@ use dt_scheduler::{CostModel, RefreshAction, RefreshCommand, RefreshOutcome};
 use crate::durability::{SideEffect, WalRecord};
 use crate::engine::Engine;
 use crate::install::Report;
-use crate::parallel_refresh::RoundStatus;
 use crate::state::EngineState;
 
 /// What [`Engine::simulated`] injects into an engine.
@@ -90,10 +91,22 @@ pub struct SimStats {
 }
 
 /// The simulator's reporter: the refresh runs on its DT's warehouse from
-/// `now`, and the DT stays in flight until the clock passes its end.
-fn complete_later(dt: EntityId, refresh_ts: Timestamp, now: Timestamp) -> Report {
+/// `now`, is counted in `stats` with the grid points it skipped, and the
+/// DT stays in flight until the clock passes its end.
+fn complete_later(cmd: &RefreshCommand, now: Timestamp, stats: &Arc<Mutex<SimStats>>) -> Report {
+    let (RefreshCommand { dt, refresh_ts, skipped }, stats) = (cmd.clone(), Arc::clone(stats));
     Box::new(move |st, outcome, _| {
         let ended = now.add(st.charge(dt, now, outcome)?);
+        let mut stats = stats.lock();
+        *match outcome.action {
+            RefreshAction::NoData => &mut stats.no_data,
+            RefreshAction::Full => &mut stats.full,
+            RefreshAction::Incremental => &mut stats.incremental,
+            RefreshAction::Reinitialize => &mut stats.reinitialize,
+            RefreshAction::Failed(_) => &mut stats.failed,
+        } += 1;
+        stats.refreshes += 1;
+        stats.skipped += skipped;
         let outcome = outcome.clone();
         if let Some(sim) = st.sim.as_mut() {
             sim.pending_completions.push(PendingCompletion { ended, dt, refresh_ts, outcome });
@@ -124,7 +137,8 @@ impl EngineState {
 
     /// Report every pending completion whose virtual end time has passed.
     /// A completion whose DT is dropped by then is discarded, and the DT
-    /// taken out of flight; one dropped and undropped since is reported.
+    /// taken out of flight (its skips stand: the refresh ran); one dropped
+    /// and undropped since is reported.
     fn settle_completions(&mut self, now: Timestamp, wal: &mut Vec<WalRecord>) -> DtResult<()> {
         let Some(sim) = self.sim.as_mut() else { return Ok(()) };
         // Process in end-time order.
@@ -135,7 +149,7 @@ impl EngineState {
             if self.catalog.get(p.dt).is_ok_and(|e| e.is_live()) {
                 self.report_refresh(p.dt, p.refresh_ts, &p.outcome, p.ended, wal)?;
             } else {
-                self.scheduler.abandon(p.dt);
+                self.scheduler.abandon(p.dt, 0);
             }
         }
         Ok(())
@@ -188,7 +202,7 @@ impl Engine {
             let msg = "run_scheduler_until drives a simulated engine; this one reads the wall clock";
             return Err(DtError::Unsupported(msg.into()));
         }
-        let mut stats = SimStats::default();
+        let stats = Arc::new(Mutex::new(SimStats::default()));
         loop {
             // 1. Complete refreshes whose virtual end time has passed.
             let (now, to_init) = self.mutate(|st, wal| {
@@ -206,7 +220,7 @@ impl Engine {
             for id in to_init {
                 match self.initialize_dt(id) {
                     Err(e) if e.is_user_error() => {
-                        stats.failed += 1;
+                        stats.lock().failed += 1;
                         let action = RefreshAction::Failed(e.to_string());
                         let failed = RefreshOutcome { action, changed_rows: 0, dt_rows: 0, source_rows: 0 };
                         self.mutate(move |st, wal| {
@@ -220,27 +234,14 @@ impl Engine {
             }
 
             // 3. Run the due refreshes, one at a time in dependency order,
-            // each reporting by charging its warehouse and queuing its
-            // completion. One that conflicts is withdrawn and issued again
-            // at a later grid point.
+            // each reporting by counting itself, charging its warehouse and
+            // queuing its completion. One that conflicts is withdrawn and
+            // issued again at a later grid point.
             let (due, graph) = self.mutate(move |st, _| {
                 let graph = st.dt_graph();
                 Ok((st.scheduler.due_refreshes(&graph, now), graph))
             })?;
-            stats.skipped += due.iter().map(|cmd| cmd.skipped).sum::<u64>();
-            let report = |cmd: &RefreshCommand| complete_later(cmd.dt, cmd.refresh_ts, now);
-            for (_, status) in self.execute(due, &graph, 1, true, report)? {
-                let counter = match status {
-                    RoundStatus::Installed { action: "no_data", .. } => &mut stats.no_data,
-                    RoundStatus::Installed { action: "incremental", .. } => &mut stats.incremental,
-                    RoundStatus::Installed { action: "reinitialize", .. } => &mut stats.reinitialize,
-                    RoundStatus::Installed { .. } => &mut stats.full,
-                    RoundStatus::Failed(_) => &mut stats.failed,
-                    RoundStatus::Conflict(_) | RoundStatus::Pruned => continue,
-                };
-                *counter += 1;
-                stats.refreshes += 1;
-            }
+            self.execute(due, &graph, 1, true, |cmd| complete_later(cmd, now, &stats))?;
 
             // 4. Advance virtual time to the next event, or stop at `end`.
             if now >= end {
@@ -251,7 +252,7 @@ impl Engine {
                 Ok(())
             })?;
         }
-        stats.credits = self.state.read().warehouses.total_credits();
-        Ok(stats)
+        let stats = stats.lock().clone();
+        Ok(SimStats { credits: self.state.read().warehouses.total_credits(), ..stats })
     }
 }

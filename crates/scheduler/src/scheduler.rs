@@ -141,12 +141,13 @@ impl Scheduler {
     }
 
     /// Withdraw an issued refresh of `id` that will not run: clear its
-    /// in-flight mark without counting a refresh. Every command
-    /// [`Scheduler::due_refreshes`] or [`Scheduler::manual_refresh_plan`]
-    /// issues is either reported or abandoned.
-    pub fn abandon(&mut self, id: EntityId) {
+    /// in-flight mark and take back the `skipped` grid points it counted,
+    /// counting no refresh. Every command [`Scheduler::due_refreshes`] or
+    /// [`Scheduler::manual_refresh_plan`] issues is reported or abandoned.
+    pub fn abandon(&mut self, id: EntityId, skipped: u64) {
         if let Some(st) = self.dts.get_mut(&id) {
             st.in_flight = None;
+            st.skipped_total -= skipped;
         }
     }
 
@@ -416,12 +417,29 @@ mod tests {
         assert_eq!(plan.len(), 2);
         assert!(s.due_refreshes(&g, ts(50)).is_empty(), "both in flight");
         for cmd in &plan {
-            s.abandon(cmd.dt);
+            s.abandon(cmd.dt, cmd.skipped);
         }
         assert_eq!(s.due_refreshes(&g, ts(50)).len(), 1, "a is due again");
         assert!(s.state(a).unwrap().action_counts.is_empty());
         assert_eq!(s.data_ts(a), Some(ts(0)));
-        s.abandon(EntityId(99)); // unknown ids are ignored
+        s.abandon(EntityId(99), 0); // unknown ids are ignored
+    }
+
+    #[test]
+    fn a_withdrawn_command_takes_back_its_skips() {
+        let mut s = Scheduler::default();
+        let a = EntityId(1);
+        let g = graph(&[(1, mins(1), &[])]);
+        s.mark_initialized(a, ts(0));
+        // Withdrawn at each grid point from 144 on: each command counts
+        // every grid point since 0, so only one of them may stand.
+        for (now, skipped) in [(150, 2), (200, 3), (250, 4)] {
+            let due = s.due_refreshes(&g, ts(now));
+            assert_eq!(due[0].skipped, skipped);
+            assert_eq!(s.state(a).unwrap().skipped_total, skipped);
+            s.abandon(a, due[0].skipped);
+            assert_eq!(s.state(a).unwrap().skipped_total, 0);
+        }
     }
 
     #[test]

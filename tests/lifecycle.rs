@@ -656,13 +656,18 @@ fn a_conflicted_due_refresh_is_withdrawn_and_retried_by_the_simulator() {
     let (d, ts) = eng.inspect(|s| (s.catalog().resolve("d").unwrap().id, s.txn_manager().hlc().tick()));
     let held = eng.prepare_refresh(d, ts).unwrap();
     let stats = eng.run_scheduler_until(Timestamp::from_secs(300)).unwrap();
-    assert_eq!(stats.refreshes, 0, "{stats:?}");
-    eng.inspect(|s| assert_eq!(s.scheduler().state(d).unwrap().in_flight, None));
+    assert_eq!((stats.refreshes, stats.skipped), (0, 0), "{stats:?}");
+    // Each withdrawn command took back the grid points it counted.
+    let state = |eng: &Engine| eng.inspect(|s| s.scheduler().state(d).cloned().unwrap());
+    assert_eq!((state(&eng).in_flight, state(&eng).skipped_total), (None, 0));
     drop(held);
 
     let stats = eng.run_scheduler_until(Timestamp::from_secs(600)).unwrap();
     assert!(stats.refreshes >= 1, "{stats:?}");
     assert_eq!(db.query_sorted("SELECT k FROM d").unwrap(), vec![row!(1i64), row!(2i64)]);
+    // The first refresh after the hold, at 300 s, counts the grid points
+    // the held lock made it miss (60, 120, 180 and 240 s) once.
+    assert_eq!((stats.skipped, state(&eng).skipped_total), (4, 4), "{stats:?}");
 }
 
 /// One DT whose initialization fails must not wedge the simulated
@@ -840,6 +845,68 @@ fn replacing_an_upstream_dt_reinitializes_its_reader_in_the_next_round() {
         );
         db.execute(&format!("INSERT INTO t VALUES ({})", 3 + round)).unwrap();
     }
+}
+
+/// A round prunes the whole downstream cone of a DT that sits it out
+/// (§3.3.3) — down a chain, through both arms of a diamond, and past a DT
+/// outside the round — and none of the pruned DTs runs: first with `a`,
+/// the root, suspended; then with `b`, in the middle of the chain,
+/// replaced by a DT with no data yet.
+#[test]
+fn a_round_prunes_every_transitive_reader_of_a_dt_that_sits_it_out() {
+    let (eng, db) = setup();
+    db.execute("CREATE TABLE t (k INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    // The chain a → b → c → w, the diamond a → {x, y} → z, and `o`,
+    // which reads no DT.
+    let dts = [
+        ("a", "SELECT k FROM t"),
+        ("b", "SELECT k FROM a"),
+        ("c", "SELECT k FROM b"),
+        ("w", "SELECT k FROM c"),
+        ("x", "SELECT k FROM a"),
+        ("y", "SELECT k + 1 k FROM a"),
+        ("z", "SELECT k FROM x UNION ALL SELECT k FROM y"),
+        ("o", "SELECT k FROM t"),
+    ];
+    for (name, from) in dts {
+        db.execute(&format!(
+            "CREATE DYNAMIC TABLE {name} TARGET_LAG = '1 minute' WAREHOUSE = wh AS {from}"
+        ))
+        .unwrap();
+    }
+    let contents = |names: &[&str]| -> Vec<Vec<Row>> {
+        names.iter().map(|n| db.query_sorted(&format!("SELECT k FROM {n}")).unwrap()).collect()
+    };
+    let assert_round = |sat_out: &str, pruned: &[&str], installed: &[&str]| {
+        let id = |name: &str| eng.inspect(|s| s.catalog().resolve(name).unwrap().id);
+        let before = (contents(pruned), eng.refresh_log().len());
+        db.execute("INSERT INTO t VALUES (2)").unwrap();
+        let report = eng.refresh_all_parallel().unwrap();
+        assert!(report.outcomes.iter().all(|(dt, _)| *dt != id(sat_out)), "{report:?}");
+        for name in pruned {
+            assert_eq!(status_of(&eng, &report, name), RoundStatus::Pruned, "{name}: {report:?}");
+        }
+        for name in installed {
+            let status = status_of(&eng, &report, name);
+            assert!(matches!(status, RoundStatus::Installed { .. }), "{name}: {report:?}");
+        }
+        assert_eq!(report.outcomes.len(), pruned.len() + installed.len(), "{report:?}");
+        // Only the installed DTs ran: the pruned ones logged nothing and
+        // kept their rows.
+        assert_eq!((contents(pruned), eng.refresh_log().len()), (before.0, before.1 + installed.len()));
+    };
+
+    db.execute("ALTER DYNAMIC TABLE a SUSPEND").unwrap();
+    assert_round("a", &["b", "c", "w", "x", "y", "z"], &["o"]);
+
+    db.execute("ALTER DYNAMIC TABLE a RESUME").unwrap();
+    db.execute(
+        "CREATE OR REPLACE DYNAMIC TABLE b TARGET_LAG = '1 minute' WAREHOUSE = wh \
+         INITIALIZE = ON_SCHEDULE AS SELECT k FROM a",
+    )
+    .unwrap();
+    assert_round("b", &["c", "w"], &["a", "x", "y", "z", "o"]);
 }
 
 /// `d` reads DT `u1` through view `v`; `v` is then re-pointed to `u2`,
