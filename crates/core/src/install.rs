@@ -50,7 +50,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use dt_common::{DtError, DtResult, EntityId, Timestamp};
+use dt_common::{DtError, DtResult, EntityId, Timestamp, VersionId};
 use dt_scheduler::RefreshOutcome;
 use dt_storage::{CommitGuard, PreparedChange, TableStore, VersionInstallRecord};
 use dt_txn::{CommitQueue, Txn};
@@ -104,9 +104,20 @@ pub(crate) struct Installed {
     /// a refresh that failed with a user error, which installs nothing;
     /// `EPOCH` for a mutation, which stamps no version).
     pub(crate) commit_ts: Timestamp,
-    /// The refresh's outcome, and whether it was its DT's initialization;
-    /// `None` for a transaction commit or a mutation.
-    pub(crate) refresh: Option<(RefreshOutcome, bool)>,
+    /// What a refresh's install did; `None` for a transaction commit or a
+    /// mutation.
+    pub(crate) refresh: Option<RefreshInstalled>,
+}
+
+/// What one refresh's install did.
+pub(crate) struct RefreshInstalled {
+    /// The outcome its reporter was handed.
+    pub(crate) outcome: RefreshOutcome,
+    /// The install was its DT's initialization.
+    pub(crate) initial: bool,
+    /// The DT's version after the install (`None` for a failed refresh):
+    /// the one it created, or for NO_DATA the one it already had.
+    pub(crate) version: Option<VersionId>,
 }
 
 /// How one kind of request has used the queue and the engine write lock.

@@ -28,6 +28,7 @@
 //! stays in flight. docs/PARALLEL_REFRESH.md lists each caller's plan and
 //! reporter.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -36,8 +37,8 @@ use std::time::Instant;
 use dt_common::{DtError, DtResult, EntityId, Timestamp};
 use dt_scheduler::{DtGraph, RefreshAction, RefreshCommand, RefreshOutcome};
 
-use crate::install::{Install, Report};
-use crate::refresh::RefreshInstall;
+use crate::install::{Install, RefreshInstalled, Report};
+use crate::refresh::{Delta, PlanChanges, RefreshInstall};
 use crate::Engine;
 
 /// Refresh-pipeline telemetry: how refreshes have used the install
@@ -117,7 +118,7 @@ impl PreparedRefresh {
     pub fn install(self) -> DtResult<InstalledRefresh> {
         let request = self.request.as_ref().expect("already installed");
         let (dt, refresh_ts) = (request.dt, request.refresh_ts);
-        let (commit_ts, (outcome, _)) = self.submit(report_at_install(dt, refresh_ts))?;
+        let (commit_ts, RefreshInstalled { outcome, .. }) = self.submit(report_at_install(dt, refresh_ts))?;
         Ok(InstalledRefresh {
             dt,
             refresh_ts,
@@ -133,8 +134,8 @@ impl PreparedRefresh {
     }
 
     /// Submit to the install queue, whose install hands the outcome to
-    /// `report`; returns it, and whether the install initialized the DT.
-    fn submit(mut self, report: Report) -> DtResult<(Timestamp, (RefreshOutcome, bool))> {
+    /// `report`; returns what the install did.
+    fn submit(mut self, report: Report) -> DtResult<(Timestamp, RefreshInstalled)> {
         let request = self.request.take().expect("already installed");
         let installed = self.engine.install(Install::Refresh { request, report })?;
         Ok((installed.commit_ts, installed.refresh.expect("a refresh install carries its outcome")))
@@ -232,8 +233,13 @@ struct RoundPlan {
     blocked: Vec<bool>,
     /// Rank → ranks of the in-plan DTs that read it.
     dependents: Vec<Vec<usize>>,
-    /// Ranks that may start, lowest first.
-    ready: BTreeSet<usize>,
+    /// Rank → its remaining path: its own weight plus the heaviest
+    /// remaining path among the in-plan DTs that read it (all 0 until
+    /// [`RoundPlan::weigh`]).
+    path: Vec<u64>,
+    /// Ranks that may start, the longest remaining path first, then the
+    /// lowest rank.
+    ready: BTreeSet<(Reverse<u64>, usize)>,
     /// Ranks handed out by `start` and not yet `finish`ed.
     running: usize,
     /// The plan was halted: nothing more starts.
@@ -250,6 +256,7 @@ impl RoundPlan {
             waiting_on: vec![0; order.len()],
             blocked: vec![false; order.len()],
             dependents: vec![Vec::new(); order.len()],
+            path: vec![0; order.len()],
             ready: BTreeSet::new(),
             running: 0,
             halted: false,
@@ -260,18 +267,31 @@ impl RoundPlan {
                 plan.dependents[*up].push(r);
             }
             if plan.waiting_on[r] == 0 {
-                plan.ready.insert(r);
+                plan.ready.insert((Reverse(0), r));
             }
         }
         plan
     }
 
-    /// Hand out the lowest ready rank, if any.
+    /// Weigh each rank (by its DT's last refresh duration), before any
+    /// starts: of the ready ranks, the one with the longest weighted path
+    /// to the end of the plan starts first (upward-rank list scheduling),
+    /// equal paths in rank order.
+    fn weigh(&mut self, weights: &[u64]) {
+        // A reader ranks after every DT it reads.
+        for r in (0..self.path.len()).rev() {
+            let readers = self.dependents[r].iter().map(|d| self.path[*d]).max();
+            self.path[r] = weights[r] + readers.unwrap_or(0);
+        }
+        self.ready = self.ready.iter().map(|(_, r)| (Reverse(self.path[*r]), *r)).collect();
+    }
+
+    /// Hand out the ready rank with the longest remaining path, if any.
     fn start(&mut self) -> Option<usize> {
         if self.halted {
             return None;
         }
-        let r = self.ready.pop_first()?;
+        let (_, r) = self.ready.pop_first()?;
         self.running += 1;
         Some(r)
     }
@@ -308,7 +328,7 @@ impl RoundPlan {
                     pruned.push(d);
                     resolved.push((d, false));
                 } else {
-                    self.ready.insert(d);
+                    self.ready.insert((Reverse(self.path[d]), d));
                 }
             }
         }
@@ -358,13 +378,22 @@ impl Engine {
     /// internal errors; user errors (binding/evaluation) return a failed
     /// [`PreparedRefresh`] whose install records the failure.
     pub fn prepare_refresh(&self, dt: EntityId, refresh_ts: Timestamp) -> DtResult<PreparedRefresh> {
+        self.prepare(dt, refresh_ts, None).map(|(prepared, _)| prepared)
+    }
+
+    /// [`Engine::prepare_refresh`] within a plan whose refreshes share
+    /// `shared`; also returns the delta the plan hands over, if it wants
+    /// the DT's.
+    fn prepare(
+        &self,
+        dt: EntityId,
+        refresh_ts: Timestamp,
+        shared: Option<&PlanChanges>,
+    ) -> DtResult<(PreparedRefresh, Option<Delta>)> {
         let pinned = self.state.read().pin_refresh(dt, refresh_ts)?;
         let txn = pinned.txn.clone();
-        match pinned.compute() {
-            Ok(request) => Ok(PreparedRefresh {
-                engine: self.clone(),
-                request: Some(request),
-            }),
+        match pinned.compute(shared) {
+            Ok((request, delta)) => Ok((PreparedRefresh { engine: self.clone(), request: Some(request) }, delta)),
             Err(e) => {
                 let _ = self.inspect(|st| st.txn_manager().abort(&txn));
                 Err(e)
@@ -427,15 +456,18 @@ impl Engine {
     }
 
     /// Run `commands` (in topological rank order; edges from `graph`) on
-    /// `workers`: each command once its in-plan upstreams have installed,
-    /// the lowest-ranked ready one first, its install handing the outcome
-    /// to `report(cmd)`; one that does not land prunes its in-plan cone.
-    /// Returns how each ended, and whether its install was its DT's
-    /// initialization, in completion order — a pruned one at the
-    /// completion that resolved the last DT it reads; `at_micros` counts
-    /// from the call. When the scheduler `issued` the commands, those that
-    /// did not run are withdrawn. `Err` only on an internal error, once the
-    /// running commands have finished: nothing else starts.
+    /// `workers`: each command once its in-plan upstreams have installed —
+    /// on one worker the lowest-ranked ready one first, on more the one
+    /// with the longest remaining path, weighted by each DT's last refresh
+    /// duration — its install handing the outcome to `report(cmd)`; one
+    /// that does not land prunes its in-plan cone. The refreshes share one
+    /// change set per source and interval ([`PlanChanges`]). Returns how
+    /// each ended, and whether its install was its DT's initialization, in
+    /// completion order — a pruned one at the completion that resolved the
+    /// last DT it reads; `at_micros` counts from the call. When the
+    /// scheduler `issued` the commands, those that did not run are
+    /// withdrawn. `Err` only on an internal error, once the running
+    /// commands have finished: nothing else starts.
     pub(crate) fn execute(
         &self,
         commands: Vec<RefreshCommand>,
@@ -445,13 +477,21 @@ impl Engine {
         report: impl Fn(&RefreshCommand) -> Report + Sync,
     ) -> DtResult<Vec<(EntityId, RoundStatus, bool)>> {
         let order: Vec<EntityId> = commands.iter().map(|cmd| cmd.dt).collect();
-        let shared = parking_lot::Mutex::new(Run {
-            plan: RoundPlan::new(&order, graph),
-            ended: Vec::new(),
-            internal_error: None,
-        });
+        let mut plan = RoundPlan::new(&order, graph);
+        // A plan of one command has nothing to share and no order to choose.
+        let changes = match order.len() {
+            0 | 1 => None,
+            _ => self.inspect(|st| {
+                if workers > 1 {
+                    let weight = |dt: &EntityId| st.scheduler.state(*dt).map_or(0, |s| s.last_duration_micros);
+                    plan.weigh(&order.iter().map(weight).collect::<Vec<_>>());
+                }
+                PlanChanges::for_plan(&order, &st.dt_reads)
+            }),
+        };
+        let shared = parking_lot::Mutex::new(Run { plan, ended: Vec::new(), internal_error: None });
         let (wake, started) = (parking_lot::Condvar::new(), Instant::now());
-        let work = || self.work(&commands, &shared, &wake, &report, started);
+        let work = || self.work(&commands, &shared, &wake, &report, started, changes.as_ref());
         if workers > 1 {
             std::thread::scope(|s| (0..workers).for_each(|_| {
                 s.spawn(work);
@@ -482,6 +522,7 @@ impl Engine {
         wake: &parking_lot::Condvar,
         report: &(dyn Fn(&RefreshCommand) -> Report + Sync),
         started: Instant,
+        changes: Option<&PlanChanges>,
     ) {
         loop {
             let rank = {
@@ -500,7 +541,7 @@ impl Engine {
             // A panicking refresh must still finish its command, or the
             // other workers would wait for it forever instead of draining
             // and letting the scope propagate the panic.
-            let step = || self.run_step(cmd, report(cmd), started);
+            let step = || self.run_step(cmd, report(cmd), started, changes);
             let status = catch_unwind(AssertUnwindSafe(step));
             let mut run = shared.lock();
             let landed = matches!(status, Ok(Ok((RoundStatus::Installed { .. }, _))));
@@ -532,15 +573,31 @@ impl Engine {
         }
     }
 
-    /// Prepare + install one command of a plan that started at `started`,
-    /// and whether it initialized the DT; a lost conflict is a status.
-    fn run_step(&self, cmd: &RefreshCommand, report: Report, started: Instant) -> DtResult<(RoundStatus, bool)> {
-        let installed = self.prepare_refresh(cmd.dt, cmd.refresh_ts);
-        Ok(match installed.and_then(|prepared| prepared.submit(report)) {
-            Ok((_, (RefreshOutcome { action: RefreshAction::Failed(error), .. }, initial))) => {
-                (RoundStatus::Failed(error), initial)
+    /// Prepare + install one command of a plan that started at `started`
+    /// and shares `changes`, and whether it initialized the DT; a lost
+    /// conflict is a status. An installed INCREMENTAL delta the plan wants
+    /// is handed over before this returns, so before any reader starts.
+    fn run_step(
+        &self,
+        cmd: &RefreshCommand,
+        report: Report,
+        started: Instant,
+        changes: Option<&PlanChanges>,
+    ) -> DtResult<(RoundStatus, bool)> {
+        let installed = self.prepare(cmd.dt, cmd.refresh_ts, changes).and_then(|(prepared, delta)| {
+            let (_, installed) = prepared.submit(report)?;
+            if let (Some(changes), Some(delta), Some(version)) = (changes, delta, installed.version) {
+                changes.hand_over(cmd.dt, delta, version);
             }
-            Ok((_, (outcome, initial))) => {
+            Ok(installed)
+        });
+        Ok(match installed {
+            Ok(RefreshInstalled {
+                outcome: RefreshOutcome { action: RefreshAction::Failed(error), .. },
+                initial,
+                ..
+            }) => (RoundStatus::Failed(error), initial),
+            Ok(RefreshInstalled { outcome, initial, .. }) => {
                 let at_micros = started.elapsed().as_micros() as u64;
                 let (action, changed_rows) = (outcome.action.label(), outcome.changed_rows);
                 (RoundStatus::Installed { action, changed_rows, at_micros }, initial)
@@ -566,32 +623,56 @@ impl Engine {
     /// TABLE`'s is. `Err` also when a command of the chain conflicted (that
     /// conflict), when an upstream refresh failed ([`DtError::Evaluation`]
     /// naming it; the DT keeps its data timestamp), or on an internal
-    /// error.
+    /// error; [`ChainError::failed`] names the DT whose refresh failed.
     pub(crate) fn execute_chain(
         &self,
         commands: Vec<RefreshCommand>,
         graph: &DtGraph,
         issued: bool,
         report: impl Fn(&RefreshCommand) -> Report + Sync,
-    ) -> DtResult<()> {
+    ) -> Result<(), ChainError> {
         let target = commands.last().map(|cmd| cmd.dt);
         // One worker ends the commands in rank order: the first that did
         // not land is the cause.
         for (dt, status, initial) in self.execute(commands, graph, 1, issued, report)? {
             let error = match status {
-                RoundStatus::Conflict(conflict) => return Err(DtError::Conflict(conflict)),
+                RoundStatus::Conflict(conflict) => return Err(DtError::Conflict(conflict).into()),
                 RoundStatus::Failed(error) => error,
                 RoundStatus::Installed { .. } | RoundStatus::Pruned => continue,
             };
-            if Some(dt) != target {
+            let error = if Some(dt) != target {
                 let name = self.inspect(|st| st.catalog.get(dt).map_or(dt.to_string(), |e| e.name.clone()));
-                return Err(DtError::Evaluation(format!("upstream refresh of {name} failed: {error}")));
-            }
-            if initial {
-                return Err(DtError::Evaluation(format!("initialization failed: {error}")));
-            }
+                format!("upstream refresh of {name} failed: {error}")
+            } else if initial {
+                format!("initialization failed: {error}")
+            } else {
+                continue;
+            };
+            return Err(ChainError { failed: Some(dt), error: DtError::Evaluation(error) });
         }
         Ok(())
+    }
+}
+
+/// Why a chain ([`Engine::execute_chain`]) did not land.
+#[derive(Debug)]
+pub(crate) struct ChainError {
+    /// The DT whose refresh failed with a user error, when one did: the
+    /// chain's own DT, or an upstream DT it refreshes.
+    pub(crate) failed: Option<EntityId>,
+    /// The caller's error.
+    pub(crate) error: DtError,
+}
+
+impl From<DtError> for ChainError {
+    fn from(error: DtError) -> Self {
+        ChainError { failed: None, error }
+    }
+}
+
+impl From<ChainError> for DtError {
+    fn from(chain: ChainError) -> Self {
+        chain.error
     }
 }
 
@@ -750,6 +831,53 @@ mod tests {
         let mut p = ordered(&[1, 2, 4], &reads);
         assert_eq!(start_all(&mut p), [1], "2 and 4 wait for 1");
         assert_eq!(pruned(&mut p, 1, false), [2, 4]);
+    }
+
+    #[test]
+    fn two_workers_start_the_longest_weighted_path_before_a_lower_rank() {
+        // Two roots over base tables: 1 is read by the light 3, 2 by the
+        // heavy 4, which 5 reads in turn. Weights are in rank order.
+        let reads: [(u64, &[u64]); 3] = [(3, &[1]), (4, &[2]), (5, &[4])];
+        let mut p = plan(&[&[1, 2], &[3, 4], &[5]], &reads);
+        p.plan.weigh(&[2, 3, 1, 20, 5]);
+        // Paths: 1 → 3 weighs 3, 2 → 4 → 5 weighs 28.
+        assert_eq!(start_all(&mut p), [2, 1]);
+        // 1 lands first: 3 is the only ready DT and starts.
+        assert!(pruned(&mut p, 1, true).is_empty());
+        assert_eq!(start_all(&mut p), [3]);
+        assert!(pruned(&mut p, 2, true).is_empty());
+        assert_eq!(start_all(&mut p), [4]);
+        // Both ready at once: the heavier remaining path goes first even
+        // though its rank is the higher one.
+        let mut p = plan(&[&[1], &[2, 3], &[4]], &[(2, &[1]), (3, &[1]), (4, &[3])]);
+        p.plan.weigh(&[1, 5, 2, 10]);
+        assert_eq!(start_all(&mut p), [1]);
+        assert!(pruned(&mut p, 1, true).is_empty());
+        assert_eq!(start_all(&mut p), [3, 2]);
+        assert!(pruned(&mut p, 3, true).is_empty());
+        assert_eq!(start_all(&mut p), [4]);
+        assert!(pruned(&mut p, 2, true).is_empty());
+        assert!(pruned(&mut p, 4, true).is_empty());
+        assert!(p.is_drained());
+    }
+
+    #[test]
+    fn equal_or_zero_weights_keep_rank_order() {
+        let reads: [(u64, &[u64]); 3] = [(4, &[1]), (5, &[2]), (6, &[4, 5])];
+        let levels: [&[u64]; 3] = [&[1, 2, 3], &[4, 5], &[6]];
+        // Zero weights (no history): every path is 0.
+        let mut p = plan(&levels, &reads);
+        p.plan.weigh(&[0; 6]);
+        assert_eq!(one_worker(p), levels.concat());
+        // Equal weights and equal paths below 1 and 2, and 3 (a path of
+        // its own weight only) after both.
+        let mut p = plan(&levels, &reads);
+        p.plan.weigh(&[4; 6]);
+        assert_eq!(start_all(&mut p), [1, 2, 3]);
+        for d in [1, 2, 3] {
+            assert!(pruned(&mut p, d, true).is_empty());
+        }
+        assert_eq!(start_all(&mut p), [4, 5]);
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //! queue, whose install hands the outcome to the caller's reporter.
 
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use dt_catalog::{DtState, DynamicTableMeta, RefreshMode};
@@ -43,9 +43,10 @@ use dt_plan::LogicalPlan;
 use dt_scheduler::{RefreshAction, RefreshOutcome};
 use dt_storage::{ChangeSet, PreparedChange, TableStore};
 use dt_txn::{Frontier, RefreshTsMap, Txn};
+use parking_lot::Mutex;
 
 use crate::durability::{SideEffect, WalRecord};
-use crate::install::{check_admitted, validate_and_install, Installed, Report};
+use crate::install::{check_admitted, validate_and_install, Installed, RefreshInstalled, Report};
 use crate::providers::{
     evaluate_at, strip_row_ids, PinnedVersion, SnapshotProvider, StorageView, WRITE_SCAN_THREADS,
 };
@@ -137,17 +138,112 @@ impl std::fmt::Debug for RefreshLog {
     }
 }
 
+/// One source's change over one interval, as a refresh reads it.
+pub(crate) struct SourceChange {
+    /// The payload rows: a DT's `$ROW_ID`s stripped, then consolidated (a
+    /// row whose id churned but whose payload did not is no logical
+    /// change).
+    rows: ChangeSet,
+    /// The stored interval changed at all, ids included: the NO_DATA test
+    /// (§5.4), which a DT whose row ids churned fails with no payload
+    /// change.
+    moved: bool,
+}
+
 /// Per-source change sets gathered for an interval.
 struct IntervalChanges {
-    per_entity: HashMap<EntityId, ChangeSet>,
+    per_entity: HashMap<EntityId, Arc<SourceChange>>,
 }
 
 impl ChangeProvider for IntervalChanges {
     fn changes(&self, entity: EntityId) -> DtResult<Cow<'_, ChangeSet>> {
         self.per_entity
             .get(&entity)
-            .map(Cow::Borrowed)
+            .map(|change| Cow::Borrowed(&change.rows))
             .ok_or_else(|| DtError::internal(format!("no change set gathered for {entity}")))
+    }
+}
+
+/// An INCREMENTAL refresh's delta, kept for the plan to hand over to the
+/// DT's readers once the install lands: the DT's version it was merged
+/// into, and the delta in payload form, consolidated.
+pub(crate) struct Delta {
+    base: VersionId,
+    rows: ChangeSet,
+}
+
+/// A change set of a plan: computed once by whoever asks first, the
+/// others waiting for it; an error is every asker's.
+type SharedChange = Arc<OnceLock<DtResult<Arc<SourceChange>>>>;
+
+/// The change sets one plan's refreshes share, one per `(source, from
+/// version, to version)`: the first refresh that asks for one scans it,
+/// and a second asking meanwhile waits for that scan. An upstream DT's
+/// INCREMENTAL delta is registered under the interval its install
+/// created, so a reader whose interval is exactly that one reads the
+/// delta and scans nothing. Dropped with the plan.
+pub(crate) struct PlanChanges {
+    /// The sources that go through the cache: read by two or more of the
+    /// plan's DTs, or themselves a DT of the plan that another one reads.
+    shared: HashSet<EntityId>,
+    sets: Mutex<HashMap<(EntityId, VersionId, VersionId), SharedChange>>,
+}
+
+impl PlanChanges {
+    /// The cache of a plan over `order`, whose DTs read `reads`; `None`
+    /// when no source is shared and no DT of the plan reads another.
+    pub(crate) fn for_plan(order: &[EntityId], reads: &HashMap<EntityId, Vec<EntityId>>) -> Option<PlanChanges> {
+        let mut readers: HashMap<EntityId, usize> = HashMap::new();
+        for dt in order {
+            let sources: BTreeSet<&EntityId> = reads.get(dt).into_iter().flatten().collect();
+            sources.into_iter().for_each(|up| *readers.entry(*up).or_default() += 1);
+        }
+        let shared: HashSet<EntityId> = (readers.into_iter())
+            .filter(|(up, n)| *n > 1 || order.contains(up))
+            .map(|(up, _)| up)
+            .collect();
+        (!shared.is_empty()).then(|| PlanChanges { shared, sets: Mutex::default() })
+    }
+
+    /// True when a DT of the plan reads `dt`: its refresh keeps its
+    /// INCREMENTAL delta for [`PlanChanges::hand_over`].
+    pub(crate) fn hands_over(&self, dt: EntityId) -> bool {
+        self.shared.contains(&dt)
+    }
+
+    fn slot(&self, key: (EntityId, VersionId, VersionId)) -> SharedChange {
+        Arc::clone(self.sets.lock().entry(key).or_default())
+    }
+
+    /// Register `delta`, an installed refresh of `dt`, as `dt`'s change
+    /// over the interval its install created, up to `version`.
+    pub(crate) fn hand_over(&self, dt: EntityId, delta: Delta, version: VersionId) {
+        let change = SourceChange { moved: !delta.rows.is_empty(), rows: delta.rows };
+        let _ = self.slot((dt, delta.base, version)).set(Ok(Arc::new(change)));
+    }
+
+    /// `source`'s change over (`from`, `to`]: the plan's shared one when
+    /// `plan` shares `source`, else scanned for this refresh alone.
+    fn read(
+        plan: Option<&PlanChanges>,
+        env: &RefreshEnv,
+        source: EntityId,
+        from: VersionId,
+        to: VersionId,
+    ) -> DtResult<Arc<SourceChange>> {
+        let scan = || -> DtResult<Arc<SourceChange>> {
+            let stored = env.store(source)?.changes_between(from, to)?;
+            let moved = !stored.is_empty();
+            let rows = match env.is_dt(source) {
+                true => ChangeSet::new(strip_row_ids(stored.inserts()), strip_row_ids(stored.deletes())).consolidate(),
+                false => stored,
+            };
+            Ok(Arc::new(SourceChange { rows, moved }))
+        };
+        match plan.filter(|plan| plan.shared.contains(&source)) {
+            Some(plan) => plan.slot((source, from, to)).get_or_init(scan).clone(),
+            None => scan(),
+        }
     }
 }
 
@@ -208,6 +304,8 @@ struct ComputedRefresh {
     prep: Option<PreparedChange>,
     /// The frontier the DT advances to at install.
     new_frontier: Frontier,
+    /// An INCREMENTAL delta the plan hands over to the DT's readers.
+    delta: Option<Delta>,
 }
 
 /// The row work of one refresh, runnable with no engine lock held: decide
@@ -215,7 +313,12 @@ struct ComputedRefresh {
 /// result against the DT's pinned latest version. User errors (binding
 /// losses surface earlier; evaluation errors surface here) propagate as
 /// `Err` for the caller to classify.
-fn compute_refresh(work: &PinnedWork, dt: EntityId, refresh_ts: Timestamp) -> DtResult<ComputedRefresh> {
+fn compute_refresh(
+    work: &PinnedWork,
+    dt: EntityId,
+    refresh_ts: Timestamp,
+    shared: Option<&PlanChanges>,
+) -> DtResult<ComputedRefresh> {
     let PinnedWork {
         env,
         plan,
@@ -244,28 +347,27 @@ fn compute_refresh(work: &PinnedWork, dt: EntityId, refresh_ts: Timestamp) -> Dt
         to_versions.push((*up, to));
     }
 
-    // Decide the refresh action (§5.4). Each source's change scan over
-    // the interval since the previous frontier is read once, here: it
-    // answers the NO_DATA test and, if there is data, is the source delta
-    // the INCREMENTAL path differentiates.
+    // Decide the refresh action (§5.4). Each source's change over the
+    // interval since the previous frontier is read once, here (or shared
+    // with the plan's other refreshes): it answers the NO_DATA test and,
+    // if there is data, is the source delta the INCREMENTAL path
+    // differentiates.
     let mut source_changes = Vec::with_capacity(to_versions.len());
     if let Some(prev) = prev.filter(|_| !evolved) {
         for (up, to) in &to_versions {
             let from = prev
                 .get(*up)
                 .ok_or_else(|| DtError::internal(format!("no frontier entry for {up}")))?;
-            // A source behind its frontier entry has nothing new to show;
-            // only differentiating across it is an error (below).
-            let regressed = *to < from;
-            let cs = if regressed {
-                ChangeSet::empty()
-            } else {
-                env.store(*up)?.changes_between(from, *to)?
+            // A source behind its frontier entry (`None`) has nothing new
+            // to show; only differentiating across it is an error (below).
+            let change = match *to < from {
+                true => None,
+                false => Some(PlanChanges::read(shared, env, *up, from, *to)?),
             };
-            source_changes.push((*up, cs, regressed));
+            source_changes.push((*up, change));
         }
         // NO_DATA: no source changed since the previous frontier.
-        if source_changes.iter().all(|(_, cs, _)| cs.is_empty()) {
+        if !source_changes.iter().any(|(_, change)| change.as_ref().is_some_and(|c| c.moved)) {
             // §3.3.2: uses negligible resources and no warehouse
             // compute; only the data timestamp advances.
             let dt_rows = store.row_count_at(base)?;
@@ -278,6 +380,7 @@ fn compute_refresh(work: &PinnedWork, dt: EntityId, refresh_ts: Timestamp) -> Dt
                 },
                 prep: None,
                 new_frontier,
+                delta: None,
             });
         }
     }
@@ -304,34 +407,24 @@ fn compute_refresh(work: &PinnedWork, dt: EntityId, refresh_ts: Timestamp) -> Dt
             },
             prep: Some(prep),
             new_frontier,
+            delta: None,
         });
     }
 
     // INCREMENTAL (§5.5): neither initial nor evolved, so the source
     // changes were gathered above.
     let prev = prev.ok_or_else(|| DtError::internal("refresh of uninitialized DT"))?;
-    let mut per_entity = HashMap::new();
-    let mut change_volume = 0usize;
-    for (up, mut cs, regressed) in source_changes {
-        if regressed {
-            return Err(DtError::internal("source version regressed"));
-        }
-        if env.is_dt(up) {
-            // DT storage carries the $ROW_ID column; the defining query
-            // sees only the payload. Strip ids and re-consolidate (a
-            // row whose id churned but whose payload did not is not a
-            // logical change).
-            cs = ChangeSet::new(strip_row_ids(cs.inserts()), strip_row_ids(cs.deletes()))
-                .consolidate();
-        }
-        change_volume += cs.len();
-        per_entity.insert(up, cs);
+    let mut per_entity = HashMap::with_capacity(source_changes.len());
+    for (up, change) in source_changes {
+        let change = change.ok_or_else(|| DtError::internal("source version regressed"))?;
+        per_entity.insert(up, change);
     }
+    let change_volume = per_entity.values().map(|change| change.rows.len()).sum();
     // §5.5.2 insert-only specialization: when the plan structure
     // guarantees differentiation introduces no redundant actions and
     // every source change is pure inserts, the final consolidation
     // pass is provably a no-op and is skipped.
-    let insert_only = per_entity.values().all(|cs| cs.deletes().is_empty())
+    let insert_only = per_entity.values().all(|change| change.rows.deletes().is_empty())
         && dt_ivm::merge::is_insert_only_safe(plan);
     let changes = IntervalChanges { per_entity };
 
@@ -386,6 +479,13 @@ fn compute_refresh(work: &PinnedWork, dt: EntityId, refresh_ts: Timestamp) -> Dt
     let changed = inserts.len() + deletes.len();
     let prep = store.prepare_change_at(base, inserts, deletes)?;
     let dt_rows = prep.row_count();
+    // The DT's readers in the plan read `d` as its change over the
+    // interval this install creates: the payload form a scan of it would
+    // give, consolidated like one.
+    let delta = shared.filter(|shared| shared.hands_over(dt)).map(|_| Delta {
+        base,
+        rows: if insert_only { d.consolidate() } else { d },
+    });
     Ok(ComputedRefresh {
         outcome: RefreshOutcome {
             action: RefreshAction::Incremental,
@@ -395,6 +495,7 @@ fn compute_refresh(work: &PinnedWork, dt: EntityId, refresh_ts: Timestamp) -> Dt
         },
         prep: Some(prep),
         new_frontier,
+        delta,
     })
 }
 
@@ -429,37 +530,41 @@ struct PinnedWork {
 }
 
 impl PinnedRefresh {
-    /// Step 2: the row work, against the pinned environment only. A user
-    /// error (§3.3.3) yields a request whose install records the failure;
-    /// any other error is returned, and the caller aborts `txn`.
-    pub(crate) fn compute(self) -> DtResult<RefreshInstall> {
-        let kind = match self.work {
-            Err(error) => InstallKind::Failed { error },
+    /// Step 2: the row work, against the pinned environment and the
+    /// change sets `shared` by its plan only. A user error (§3.3.3) yields
+    /// a request whose install records the failure; any other error is
+    /// returned, and the caller aborts `txn`. Also returns the delta the
+    /// plan hands over, when it wants the DT's.
+    pub(crate) fn compute(self, shared: Option<&PlanChanges>) -> DtResult<(RefreshInstall, Option<Delta>)> {
+        let (kind, delta) = match self.work {
+            Err(error) => (InstallKind::Failed { error }, None),
             Ok(work) => {
-                match compute_refresh(&work, self.dt, self.refresh_ts) {
-                    Ok(computed) => InstallKind::Staged {
-                        store: Arc::clone(&work.env.tables[&self.dt]),
-                        prep: computed.prep.map(Box::new),
-                        outcome: computed.outcome,
-                        new_frontier: computed.new_frontier,
-                        upstream: work.upstream,
-                        evolved: work.evolved,
-                        validate_plan: work.validate.then(|| Box::new(work.plan)),
-                    },
-                    Err(e) if e.is_user_error() => InstallKind::Failed {
-                        error: e.to_string(),
-                    },
+                match compute_refresh(&work, self.dt, self.refresh_ts, shared) {
+                    Ok(computed) => (
+                        InstallKind::Staged {
+                            store: Arc::clone(&work.env.tables[&self.dt]),
+                            prep: computed.prep.map(Box::new),
+                            outcome: computed.outcome,
+                            new_frontier: computed.new_frontier,
+                            upstream: work.upstream,
+                            evolved: work.evolved,
+                            validate_plan: work.validate.then(|| Box::new(work.plan)),
+                        },
+                        computed.delta,
+                    ),
+                    Err(e) if e.is_user_error() => (InstallKind::Failed { error: e.to_string() }, None),
                     Err(e) => return Err(e),
                 }
             }
         };
-        Ok(RefreshInstall {
+        let install = RefreshInstall {
             dt: self.dt,
             refresh_ts: self.refresh_ts,
             txn: self.txn,
             started: self.started,
             kind,
-        })
+        };
+        Ok((install, delta))
     }
 }
 
@@ -536,7 +641,7 @@ pub(crate) fn install_refresh(
         format!("entity {id} read by the refresh of {dt} was dropped before its install")
     };
 
-    let (commit_ts, outcome) = match kind {
+    let (commit_ts, outcome, version) = match kind {
         InstallKind::Failed { error } => {
             // §3.3.3: the refresh installs nothing and counts against the
             // DT; the next one (a later data timestamp) tries again.
@@ -555,7 +660,7 @@ pub(crate) fn install_refresh(
                 dt_rows: 0,
                 source_rows: 0,
             };
-            (refresh_ts, outcome)
+            (refresh_ts, outcome, None)
         }
         InstallKind::Staged {
             store,
@@ -624,10 +729,12 @@ pub(crate) fn install_refresh(
                 }
                 st.push_catalog_record(SideEffect::None, wal_records);
             }
-            (commit_ts, outcome)
+            (commit_ts, outcome, Some(version))
         }
     };
 
+    let duration_micros = started.elapsed().as_micros() as u64;
+    st.scheduler.record_duration(dt, duration_micros);
     st.refresh_log.push(RefreshLogEntry {
         dt,
         refresh_ts,
@@ -635,13 +742,13 @@ pub(crate) fn install_refresh(
         changed_rows: outcome.changed_rows,
         dt_rows: outcome.dt_rows,
         initial,
-        duration_micros: started.elapsed().as_micros() as u64,
+        duration_micros,
         source_rows: outcome.source_rows,
     });
     report(st, &outcome, wal_records)?;
     Ok(Installed {
         commit_ts,
-        refresh: Some((outcome, initial)),
+        refresh: Some(RefreshInstalled { outcome, initial, version }),
     })
 }
 

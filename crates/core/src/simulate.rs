@@ -20,6 +20,7 @@ use dt_scheduler::{CostModel, RefreshAction, RefreshCommand, RefreshOutcome};
 use crate::durability::{SideEffect, WalRecord};
 use crate::engine::Engine;
 use crate::install::Report;
+use crate::parallel_refresh::ChainError;
 use crate::state::EngineState;
 
 /// What [`Engine::simulated`] injects into an engine.
@@ -216,12 +217,15 @@ impl Engine {
 
             // 2. Initialize any DTs awaiting initialization. A failed one
             // is a failed refresh of that DT (§3.3.3): counted against it,
-            // reported towards suspension, and the fleet goes on.
+            // reported towards suspension, and the fleet goes on. A chain
+            // that failed on an upstream counts nothing against the DT: the
+            // upstream's failure counts at its own initialization, or at
+            // its install once it has data.
             for id in to_init {
                 match self.initialize_dt(id) {
-                    Err(e) if e.is_user_error() => {
+                    Err(ChainError { failed: Some(dt), error }) if dt == id => {
                         stats.lock().failed += 1;
-                        let action = RefreshAction::Failed(e.to_string());
+                        let action = RefreshAction::Failed(error.to_string());
                         let failed = RefreshOutcome { action, changed_rows: 0, dt_rows: 0, source_rows: 0 };
                         self.mutate(move |st, wal| {
                             st.catalog.record_dt_error(id)?;
@@ -229,6 +233,7 @@ impl Engine {
                             st.report_refresh(id, now, &failed, now, wal)
                         })?;
                     }
+                    Err(ChainError { failed: Some(_), .. }) => {}
                     other => other?,
                 }
             }

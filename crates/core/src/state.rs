@@ -27,6 +27,7 @@ use dt_txn::{Frontier, RefreshTsMap, TxnManager};
 use crate::durability::{SideEffect, WalRecord, WalShared};
 use crate::engine::Engine;
 use crate::install::Report;
+use crate::parallel_refresh::ChainError;
 use crate::refresh::RefreshLog;
 use crate::simulate::{Simulation, Simulator};
 
@@ -684,8 +685,9 @@ impl Engine {
     /// Initialize a DT (§3.1.2): pick an initialization data timestamp that
     /// reuses recent upstream data where possible, then run one chain: the
     /// upstream DTs without data at that timestamp, and the DT's initial
-    /// refresh, whose install marks it initialized and `Active`.
-    pub(crate) fn initialize_dt(&self, id: EntityId) -> DtResult<()> {
+    /// refresh, whose install marks it initialized and `Active`. `Err` as
+    /// [`Engine::execute_chain`]'s, a conflict once retries ran out.
+    pub(crate) fn initialize_dt(&self, id: EntityId) -> Result<(), ChainError> {
         let mut attempt = 0;
         loop {
             let (chain, graph) = {
@@ -724,7 +726,7 @@ impl Engine {
             match self.execute_chain(chain, &graph, false, mark) {
                 // A concurrent refresh holds a DT of the chain or moved it past
                 // `ts`: back off (1 ms, doubling, ~1 s in all), choose again.
-                Err(DtError::Conflict(_)) if attempt < 10 => {
+                Err(ChainError { error: DtError::Conflict(_), .. }) if attempt < 10 => {
                     std::thread::sleep(std::time::Duration::from_millis(1 << attempt));
                     attempt += 1;
                 }

@@ -261,6 +261,8 @@ pub struct TableStore {
     row_index: Mutex<Option<RowIndex>>,
     index_builds: AtomicU64,
     index_advanced_rows: AtomicU64,
+    /// Calls of [`TableStore::changes_between`] ([`TableStore::change_scans`]).
+    change_scans: AtomicU64,
 }
 
 impl TableStore {
@@ -279,6 +281,7 @@ impl TableStore {
             row_index: Mutex::new(None),
             index_builds: AtomicU64::new(0),
             index_advanced_rows: AtomicU64::new(0),
+            change_scans: AtomicU64::new(0),
         }
     }
 
@@ -849,6 +852,7 @@ impl TableStore {
     /// data-equivalently (§5.5.2), is answered from version metadata; no
     /// row is read, and none is ever read while the store's lock is held.
     pub fn changes_between(&self, from: VersionId, to: VersionId) -> DtResult<ChangeSet> {
+        self.change_scans.fetch_add(1, Ordering::Relaxed);
         let delta = self.partition_delta(from, to)?;
         if delta.logically_empty {
             return Ok(ChangeSet::empty());
@@ -912,6 +916,12 @@ impl TableStore {
             builds: self.index_builds.load(Ordering::Relaxed),
             advanced_rows: self.index_advanced_rows.load(Ordering::Relaxed),
         }
+    }
+
+    /// Change scans this store has answered so far: calls of
+    /// [`TableStore::changes_between`], whether or not they read a row.
+    pub fn change_scans(&self) -> u64 {
+        self.change_scans.load(Ordering::Relaxed)
     }
 
     /// Number of versions in the chain (for telemetry / time travel tests).

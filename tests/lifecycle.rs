@@ -722,6 +722,34 @@ fn a_failed_initialization_does_not_wedge_the_scheduler() {
     });
 }
 
+/// An `INITIALIZE = ON_SCHEDULE` DT whose upstream DT's initialization
+/// fails: the simulator counts each failure against the upstream only.
+/// The reader's chain fails on the upstream, which is the upstream's
+/// fault, so the reader keeps no error and does not head for suspension.
+#[test]
+fn a_failed_upstream_initialization_counts_against_the_upstream_only() {
+    let (eng, db) = setup();
+    db.execute("CREATE TABLE t (k INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (0)").unwrap();
+    for (name, from) in [("u", "SELECT 10 / k q FROM t"), ("d", "SELECT q FROM u")] {
+        db.execute(&format!(
+            "CREATE DYNAMIC TABLE {name} TARGET_LAG = '1 minute' WAREHOUSE = wh \
+             INITIALIZE = ON_SCHEDULE AS {from}"
+        ))
+        .unwrap();
+    }
+    let stats = eng.run_scheduler_until(Timestamp::from_secs(130)).unwrap();
+    eng.inspect(|s| {
+        let errors = |name| {
+            let id = s.catalog().resolve(name).unwrap().id;
+            s.catalog().get(id).unwrap().as_dt().unwrap().error_count
+        };
+        // Two initializations of `u` by 130 s, each failed once.
+        assert_eq!((errors("u"), errors("d")), (2, 0));
+        assert_eq!(stats.failed, 2, "{stats:?}");
+    });
+}
+
 /// `CREATE DYNAMIC TABLE` beside other refreshes of its upstream DT: an
 /// initialization whose forced refresh of `u` loses (`u`'s refresh lock
 /// is held, or a round moved `u` past the chosen timestamp) backs off and
