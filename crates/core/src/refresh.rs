@@ -192,17 +192,26 @@ pub(crate) struct PlanChanges {
 impl PlanChanges {
     /// The cache of a plan over `order`, whose DTs read `reads`; `None`
     /// when no source is shared and no DT of the plan reads another.
-    pub(crate) fn for_plan(order: &[EntityId], reads: &HashMap<EntityId, Vec<EntityId>>) -> Option<PlanChanges> {
+    pub(crate) fn for_plan(
+        order: &[EntityId],
+        reads: &HashMap<EntityId, Vec<EntityId>>,
+    ) -> Option<PlanChanges> {
         let mut readers: HashMap<EntityId, usize> = HashMap::new();
         for dt in order {
             let sources: BTreeSet<&EntityId> = reads.get(dt).into_iter().flatten().collect();
-            sources.into_iter().for_each(|up| *readers.entry(*up).or_default() += 1);
+            sources
+                .into_iter()
+                .for_each(|up| *readers.entry(*up).or_default() += 1);
         }
+        let in_plan: HashSet<&EntityId> = order.iter().collect();
         let shared: HashSet<EntityId> = (readers.into_iter())
-            .filter(|(up, n)| *n > 1 || order.contains(up))
+            .filter(|(up, n)| *n > 1 || in_plan.contains(up))
             .map(|(up, _)| up)
             .collect();
-        (!shared.is_empty()).then(|| PlanChanges { shared, sets: Mutex::default() })
+        (!shared.is_empty()).then(|| PlanChanges {
+            shared,
+            sets: Mutex::default(),
+        })
     }
 
     /// True when a DT of the plan reads `dt`: its refresh keeps its
@@ -218,8 +227,13 @@ impl PlanChanges {
     /// Register `delta`, an installed refresh of `dt`, as `dt`'s change
     /// over the interval its install created, up to `version`.
     pub(crate) fn hand_over(&self, dt: EntityId, delta: Delta, version: VersionId) {
-        let change = SourceChange { moved: !delta.rows.is_empty(), rows: delta.rows };
-        let _ = self.slot((dt, delta.base, version)).set(Ok(Arc::new(change)));
+        let change = SourceChange {
+            moved: !delta.rows.is_empty(),
+            rows: delta.rows,
+        };
+        let _ = self
+            .slot((dt, delta.base, version))
+            .set(Ok(Arc::new(change)));
     }
 
     /// `source`'s change over (`from`, `to`]: the plan's shared one when
@@ -235,7 +249,11 @@ impl PlanChanges {
             let stored = env.store(source)?.changes_between(from, to)?;
             let moved = !stored.is_empty();
             let rows = match env.is_dt(source) {
-                true => ChangeSet::new(strip_row_ids(stored.inserts()), strip_row_ids(stored.deletes())).consolidate(),
+                true => ChangeSet::new(
+                    strip_row_ids(stored.inserts()),
+                    strip_row_ids(stored.deletes()),
+                )
+                .consolidate(),
                 false => stored,
             };
             Ok(Arc::new(SourceChange { rows, moved }))
@@ -367,7 +385,10 @@ fn compute_refresh(
             source_changes.push((*up, change));
         }
         // NO_DATA: no source changed since the previous frontier.
-        if !source_changes.iter().any(|(_, change)| change.as_ref().is_some_and(|c| c.moved)) {
+        if !source_changes
+            .iter()
+            .any(|(_, change)| change.as_ref().is_some_and(|c| c.moved))
+        {
             // §3.3.2: uses negligible resources and no warehouse
             // compute; only the data timestamp advances.
             let dt_rows = store.row_count_at(base)?;
@@ -424,7 +445,9 @@ fn compute_refresh(
     // guarantees differentiation introduces no redundant actions and
     // every source change is pure inserts, the final consolidation
     // pass is provably a no-op and is skipped.
-    let insert_only = per_entity.values().all(|change| change.rows.deletes().is_empty())
+    let insert_only = per_entity
+        .values()
+        .all(|change| change.rows.deletes().is_empty())
         && dt_ivm::merge::is_insert_only_safe(plan);
     let changes = IntervalChanges { per_entity };
 
@@ -482,10 +505,12 @@ fn compute_refresh(
     // The DT's readers in the plan read `d` as its change over the
     // interval this install creates: the payload form a scan of it would
     // give, consolidated like one.
-    let delta = shared.filter(|shared| shared.hands_over(dt)).map(|_| Delta {
-        base,
-        rows: if insert_only { d.consolidate() } else { d },
-    });
+    let delta = shared
+        .filter(|shared| shared.hands_over(dt))
+        .map(|_| Delta {
+            base,
+            rows: if insert_only { d.consolidate() } else { d },
+        });
     Ok(ComputedRefresh {
         outcome: RefreshOutcome {
             action: RefreshAction::Incremental,
@@ -535,27 +560,33 @@ impl PinnedRefresh {
     /// a request whose install records the failure; any other error is
     /// returned, and the caller aborts `txn`. Also returns the delta the
     /// plan hands over, when it wants the DT's.
-    pub(crate) fn compute(self, shared: Option<&PlanChanges>) -> DtResult<(RefreshInstall, Option<Delta>)> {
+    pub(crate) fn compute(
+        self,
+        shared: Option<&PlanChanges>,
+    ) -> DtResult<(RefreshInstall, Option<Delta>)> {
         let (kind, delta) = match self.work {
             Err(error) => (InstallKind::Failed { error }, None),
-            Ok(work) => {
-                match compute_refresh(&work, self.dt, self.refresh_ts, shared) {
-                    Ok(computed) => (
-                        InstallKind::Staged {
-                            store: Arc::clone(&work.env.tables[&self.dt]),
-                            prep: computed.prep.map(Box::new),
-                            outcome: computed.outcome,
-                            new_frontier: computed.new_frontier,
-                            upstream: work.upstream,
-                            evolved: work.evolved,
-                            validate_plan: work.validate.then(|| Box::new(work.plan)),
-                        },
-                        computed.delta,
-                    ),
-                    Err(e) if e.is_user_error() => (InstallKind::Failed { error: e.to_string() }, None),
-                    Err(e) => return Err(e),
-                }
-            }
+            Ok(work) => match compute_refresh(&work, self.dt, self.refresh_ts, shared) {
+                Ok(computed) => (
+                    InstallKind::Staged {
+                        store: Arc::clone(&work.env.tables[&self.dt]),
+                        prep: computed.prep.map(Box::new),
+                        outcome: computed.outcome,
+                        new_frontier: computed.new_frontier,
+                        upstream: work.upstream,
+                        evolved: work.evolved,
+                        validate_plan: work.validate.then(|| Box::new(work.plan)),
+                    },
+                    computed.delta,
+                ),
+                Err(e) if e.is_user_error() => (
+                    InstallKind::Failed {
+                        error: e.to_string(),
+                    },
+                    None,
+                ),
+                Err(e) => return Err(e),
+            },
         };
         let install = RefreshInstall {
             dt: self.dt,
@@ -748,7 +779,11 @@ pub(crate) fn install_refresh(
     report(st, &outcome, wal_records)?;
     Ok(Installed {
         commit_ts,
-        refresh: Some(RefreshInstalled { outcome, initial, version }),
+        refresh: Some(RefreshInstalled {
+            outcome,
+            initial,
+            version,
+        }),
     })
 }
 
@@ -759,7 +794,11 @@ impl EngineState {
     /// holding nothing — when the DT is gone, another refresh holds its
     /// lock, or it is already at or past `refresh_ts` (all typed
     /// [`DtError::Conflict`]), and on internal errors.
-    pub(crate) fn pin_refresh(&self, dt: EntityId, refresh_ts: Timestamp) -> DtResult<PinnedRefresh> {
+    pub(crate) fn pin_refresh(
+        &self,
+        dt: EntityId,
+        refresh_ts: Timestamp,
+    ) -> DtResult<PinnedRefresh> {
         let started = Instant::now();
         let dropped = || DtError::Conflict(format!("refresh target {dt} was dropped"));
         let entity = self.catalog.get(dt).map_err(|_| dropped())?;
