@@ -1010,3 +1010,58 @@ impl TableProvider for FrontierProvider<'_> {
         self.pinned(entity)?.batches(filter, WRITE_SCAN_THREADS)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dt_common::{row, Column, DataType, Schema, TxnId};
+
+    /// A refresh environment over one base table `t` of two versions
+    /// after its first, and a plan whose two DTs both read `t`.
+    fn shared_table() -> (EntityId, RefreshEnv, PlanChanges) {
+        let t = EntityId(1);
+        let schema = Schema::new(vec![Column::new("x", DataType::Int)]);
+        let store = TableStore::new(schema, Timestamp::EPOCH, TxnId(0));
+        for (i, x) in [1i64, 2].into_iter().enumerate() {
+            store.commit_change(vec![row!(x)], vec![], Timestamp::from_secs(i as i64 + 1), TxnId(1)).unwrap();
+        }
+        let env = RefreshEnv {
+            tables: HashMap::from([(t, Arc::new(store))]),
+            dt_ids: BTreeSet::new(),
+            refresh_map: Arc::default(),
+        };
+        let reads = HashMap::from([(EntityId(2), vec![t]), (EntityId(3), vec![t])]);
+        let plan = PlanChanges::for_plan(&[EntityId(2), EntityId(3)], &reads).expect("t is read twice");
+        (t, env, plan)
+    }
+
+    #[test]
+    fn two_askers_of_one_interval_share_one_scan() {
+        let (t, env, plan) = shared_table();
+        let barrier = std::sync::Barrier::new(2);
+        let read = || {
+            barrier.wait();
+            PlanChanges::read(Some(&plan), &env, t, VersionId(0), VersionId(2)).unwrap()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let (a, b) = (s.spawn(read), s.spawn(read));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(a.rows.inserts(), [row!(1i64), row!(2i64)]);
+        // Another interval is another scan; no plan, a scan of its own.
+        PlanChanges::read(Some(&plan), &env, t, VersionId(1), VersionId(2)).unwrap();
+        PlanChanges::read(None, &env, t, VersionId(0), VersionId(2)).unwrap();
+        assert_eq!(env.tables[&t].change_scans(), 3);
+    }
+
+    #[test]
+    fn a_failed_scan_is_every_askers_error_and_never_an_empty_change() {
+        let (t, env, plan) = shared_table();
+        let read = || PlanChanges::read(Some(&plan), &env, t, VersionId(0), VersionId(7)).map(|_| ());
+        let first = read().unwrap_err();
+        assert!(matches!(first, DtError::Storage(_)), "{first:?}");
+        assert_eq!(read().unwrap_err(), first);
+        assert_eq!(env.tables[&t].change_scans(), 1);
+    }
+}
