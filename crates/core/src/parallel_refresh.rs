@@ -478,17 +478,15 @@ impl Engine {
     ) -> DtResult<Vec<(EntityId, RoundStatus, bool)>> {
         let order: Vec<EntityId> = commands.iter().map(|cmd| cmd.dt).collect();
         let mut plan = RoundPlan::new(&order, graph);
-        // A plan of one command has nothing to share and no order to choose.
-        let changes = match order.len() {
-            0 | 1 => None,
-            _ => self.inspect(|st| {
-                if workers > 1 {
-                    let weight = |dt: &EntityId| st.scheduler.state(*dt).map_or(0, |s| s.last_duration_micros);
-                    plan.weigh(&order.iter().map(weight).collect::<Vec<_>>());
-                }
-                PlanChanges::for_plan(&order, &st.dt_reads)
-            }),
-        };
+        if workers > 1 {
+            let weights: Vec<u64> = self.inspect(|st| {
+                let weight = |dt: &EntityId| st.scheduler.state(*dt).map_or(0, |s| s.last_duration_micros);
+                order.iter().map(weight).collect()
+            });
+            plan.weigh(&weights);
+        }
+        // A plan of one command has nothing to share.
+        let changes = (order.len() > 1).then(|| PlanChanges::for_plan(&order, graph)).flatten();
         let shared = parking_lot::Mutex::new(Run { plan, ended: Vec::new(), internal_error: None });
         let (wake, started) = (parking_lot::Condvar::new(), Instant::now());
         let work = || self.work(&commands, &shared, &wake, &report, started, changes.as_ref());

@@ -40,7 +40,7 @@ use dt_ivm::{
     ChangeProvider, DeltaContext, MergeAction, OuterJoinStrategy, StoredOutput,
 };
 use dt_plan::LogicalPlan;
-use dt_scheduler::{RefreshAction, RefreshOutcome};
+use dt_scheduler::{DtGraph, RefreshAction, RefreshOutcome};
 use dt_storage::{ChangeSet, PreparedChange, TableStore};
 use dt_txn::{Frontier, RefreshTsMap, Txn};
 use parking_lot::Mutex;
@@ -181,47 +181,43 @@ type SharedChange = Arc<OnceLock<DtResult<Arc<SourceChange>>>>;
 /// and a second asking meanwhile waits for that scan. An upstream DT's
 /// INCREMENTAL delta is registered under the interval its install
 /// created, so a reader whose interval is exactly that one reads the
-/// delta and scans nothing. Dropped with the plan.
+/// delta and scans nothing. A source's sets are dropped once every DT of
+/// the plan that reads it has read it, the rest with the plan.
 pub(crate) struct PlanChanges {
     /// The sources that go through the cache: read by two or more of the
     /// plan's DTs, or themselves a DT of the plan that another one reads.
-    shared: HashSet<EntityId>,
-    sets: Mutex<HashMap<(EntityId, VersionId, VersionId), SharedChange>>,
+    sources: Mutex<HashMap<EntityId, SharedSource>>,
+}
+
+/// One source of a [`PlanChanges`].
+#[derive(Default)]
+struct SharedSource {
+    /// The plan's DTs that read the source and have not read it yet.
+    unread: usize,
+    /// Its change sets, by `(from version, to version)`.
+    sets: HashMap<(VersionId, VersionId), SharedChange>,
 }
 
 impl PlanChanges {
-    /// The cache of a plan over `order`, whose DTs read `reads`; `None`
-    /// when no source is shared and no DT of the plan reads another.
-    pub(crate) fn for_plan(
-        order: &[EntityId],
-        reads: &HashMap<EntityId, Vec<EntityId>>,
-    ) -> Option<PlanChanges> {
-        let mut readers: HashMap<EntityId, usize> = HashMap::new();
-        for dt in order {
-            let sources: BTreeSet<&EntityId> = reads.get(dt).into_iter().flatten().collect();
-            sources
-                .into_iter()
-                .for_each(|up| *readers.entry(*up).or_default() += 1);
+    /// The cache of a plan over `order`, whose DTs read what `graph` says
+    /// they read; `None` when no source is shared and no DT of the plan
+    /// reads another.
+    pub(crate) fn for_plan(order: &[EntityId], graph: &DtGraph) -> Option<PlanChanges> {
+        let mut sources: HashMap<EntityId, SharedSource> = HashMap::new();
+        for source in order.iter().flat_map(|dt| graph.reads(*dt)) {
+            sources.entry(*source).or_default().unread += 1;
         }
         let in_plan: HashSet<&EntityId> = order.iter().collect();
-        let shared: HashSet<EntityId> = (readers.into_iter())
-            .filter(|(up, n)| *n > 1 || in_plan.contains(up))
-            .map(|(up, _)| up)
-            .collect();
-        (!shared.is_empty()).then(|| PlanChanges {
-            shared,
-            sets: Mutex::default(),
+        sources.retain(|source, shared| shared.unread > 1 || in_plan.contains(source));
+        (!sources.is_empty()).then(|| PlanChanges {
+            sources: Mutex::new(sources),
         })
     }
 
     /// True when a DT of the plan reads `dt`: its refresh keeps its
     /// INCREMENTAL delta for [`PlanChanges::hand_over`].
     pub(crate) fn hands_over(&self, dt: EntityId) -> bool {
-        self.shared.contains(&dt)
-    }
-
-    fn slot(&self, key: (EntityId, VersionId, VersionId)) -> SharedChange {
-        Arc::clone(self.sets.lock().entry(key).or_default())
+        self.sources.lock().contains_key(&dt)
     }
 
     /// Register `delta`, an installed refresh of `dt`, as `dt`'s change
@@ -231,9 +227,10 @@ impl PlanChanges {
             moved: !delta.rows.is_empty(),
             rows: delta.rows,
         };
-        let _ = self
-            .slot((dt, delta.base, version))
-            .set(Ok(Arc::new(change)));
+        if let Some(shared) = self.sources.lock().get_mut(&dt) {
+            let slot = shared.sets.entry((delta.base, version)).or_default();
+            let _ = slot.set(Ok(Arc::new(change)));
+        }
     }
 
     /// `source`'s change over (`from`, `to`]: the plan's shared one when
@@ -258,10 +255,26 @@ impl PlanChanges {
             };
             Ok(Arc::new(SourceChange { rows, moved }))
         };
-        match plan.filter(|plan| plan.shared.contains(&source)) {
-            Some(plan) => plan.slot((source, from, to)).get_or_init(scan).clone(),
-            None => scan(),
-        }
+        let Some(plan) = plan else { return scan() };
+        let slot = match plan.sources.lock().get_mut(&source) {
+            Some(shared) => Arc::clone(shared.sets.entry((from, to)).or_default()),
+            None => return scan(),
+        };
+        let change = slot.get_or_init(scan).clone();
+        // This reader has its set: the last one to get here drops the
+        // source's sets, after the lock is let go.
+        let _read = {
+            let mut sources = plan.sources.lock();
+            match sources.get_mut(&source) {
+                Some(shared) if shared.unread > 1 => {
+                    shared.unread -= 1;
+                    None
+                }
+                Some(_) => sources.remove(&source),
+                None => None,
+            }
+        };
+        change
     }
 }
 
@@ -504,12 +517,13 @@ fn compute_refresh(
     let dt_rows = prep.row_count();
     // The DT's readers in the plan read `d` as its change over the
     // interval this install creates: the payload form a scan of it would
-    // give, consolidated like one.
+    // give, consolidated like one. The insert-only `d` has nothing to
+    // cancel (§5.5.2), so sorting it in place is its consolidation.
     let delta = shared
         .filter(|shared| shared.hands_over(dt))
         .map(|_| Delta {
             base,
-            rows: if insert_only { d.consolidate() } else { d },
+            rows: if insert_only { d.sorted() } else { d },
         });
     Ok(ComputedRefresh {
         outcome: RefreshOutcome {
@@ -1014,11 +1028,22 @@ impl TableProvider for FrontierProvider<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dt_common::{row, Column, DataType, Schema, TxnId};
+    use dt_common::{row, Column, DataType, Duration, Schema, TargetLag, TxnId};
 
-    /// A refresh environment over one base table `t` of two versions
-    /// after its first, and a plan whose two DTs both read `t`.
-    fn shared_table() -> (EntityId, RefreshEnv, PlanChanges) {
+    /// A plan over `dts`, each `(id, the entities it reads)`.
+    fn plan_over(dts: &[(u64, &[u64])]) -> Option<PlanChanges> {
+        let graph = DtGraph::new(dts.iter().map(|(id, reads)| {
+            let lag = TargetLag::Duration(Duration::from_mins(1));
+            (EntityId(*id), lag, false, reads.iter().copied().map(EntityId).collect())
+        }));
+        let order: Vec<EntityId> = dts.iter().map(|(id, _)| EntityId(*id)).collect();
+        PlanChanges::for_plan(&order, &graph)
+    }
+
+    /// A refresh environment over one base table `t` (entity 1) of two
+    /// versions after its first, and a plan of `readers` DTs that all
+    /// read `t`.
+    fn shared_table(readers: u64) -> (EntityId, RefreshEnv, PlanChanges) {
         let t = EntityId(1);
         let schema = Schema::new(vec![Column::new("x", DataType::Int)]);
         let store = TableStore::new(schema, Timestamp::EPOCH, TxnId(0));
@@ -1030,14 +1055,22 @@ mod tests {
             dt_ids: BTreeSet::new(),
             refresh_map: Arc::default(),
         };
-        let reads = HashMap::from([(EntityId(2), vec![t]), (EntityId(3), vec![t])]);
-        let plan = PlanChanges::for_plan(&[EntityId(2), EntityId(3)], &reads).expect("t is read twice");
-        (t, env, plan)
+        let dts: Vec<(u64, &[u64])> = (2..2 + readers).map(|dt| (dt, &[1u64][..])).collect();
+        (t, env, plan_over(&dts).expect("t is read twice"))
+    }
+
+    #[test]
+    fn nothing_shared_is_no_cache() {
+        // Two DTs over two tables; a chain's DT read by nobody in the plan.
+        assert!(plan_over(&[(2, &[1]), (3, &[4])]).is_none());
+        assert!(plan_over(&[(2, &[1]), (3, &[4, 5])]).is_none());
+        let plan = plan_over(&[(2, &[1]), (3, &[2, 4])]).expect("3 reads 2");
+        assert!(plan.hands_over(EntityId(2)) && !plan.hands_over(EntityId(3)));
     }
 
     #[test]
     fn two_askers_of_one_interval_share_one_scan() {
-        let (t, env, plan) = shared_table();
+        let (t, env, plan) = shared_table(3);
         let barrier = std::sync::Barrier::new(2);
         let read = || {
             barrier.wait();
@@ -1049,19 +1082,42 @@ mod tests {
         });
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.rows.inserts(), [row!(1i64), row!(2i64)]);
-        // Another interval is another scan; no plan, a scan of its own.
+        assert_eq!(env.tables[&t].change_scans(), 1);
+        // The third reader's interval is another scan, and with it every
+        // reader of `t` has read it: the plan lets go of `t`'s sets.
         PlanChanges::read(Some(&plan), &env, t, VersionId(1), VersionId(2)).unwrap();
+        assert_eq!(env.tables[&t].change_scans(), 2);
+        assert!(plan.sources.lock().is_empty());
         PlanChanges::read(None, &env, t, VersionId(0), VersionId(2)).unwrap();
         assert_eq!(env.tables[&t].change_scans(), 3);
     }
 
     #[test]
     fn a_failed_scan_is_every_askers_error_and_never_an_empty_change() {
-        let (t, env, plan) = shared_table();
+        let (t, env, plan) = shared_table(2);
         let read = || PlanChanges::read(Some(&plan), &env, t, VersionId(0), VersionId(7)).map(|_| ());
         let first = read().unwrap_err();
         assert!(matches!(first, DtError::Storage(_)), "{first:?}");
         assert_eq!(read().unwrap_err(), first);
         assert_eq!(env.tables[&t].change_scans(), 1);
+    }
+
+    #[test]
+    fn a_handed_over_delta_is_read_without_a_scan_and_dropped_by_its_last_reader() {
+        // `u` (2) over `t`, and `r` (3) over `u`; the environment has no
+        // store for `u`, so a scan of it would fail.
+        let (t, env, _) = shared_table(2);
+        let plan = plan_over(&[(2, &[1]), (3, &[2])]).expect("3 reads 2");
+        let u = EntityId(2);
+        let rows = ChangeSet::new(vec![row!(5i64)], vec![]);
+        let delta = Delta { base: VersionId(3), rows: rows.clone() };
+        plan.hand_over(u, delta, VersionId(4));
+        let change = PlanChanges::read(Some(&plan), &env, u, VersionId(3), VersionId(4)).unwrap();
+        assert_eq!((&change.rows, change.moved), (&rows, true));
+        assert!(plan.sources.lock().is_empty());
+        // Its last reader has read it: `u` goes through the cache no
+        // more, and a read scans (here, with no store, in vain).
+        assert!(PlanChanges::read(Some(&plan), &env, u, VersionId(2), VersionId(4)).is_err());
+        assert_eq!(env.tables[&t].change_scans(), 0);
     }
 }

@@ -19,6 +19,8 @@ use crate::periods::canonical_period;
 struct DtNode {
     target: TargetLag,
     suspended: bool,
+    /// Every entity its definition reads, base tables included, ascending.
+    reads: Vec<EntityId>,
     /// The DTs of the graph this one reads, ascending.
     upstream: Vec<EntityId>,
     /// The DTs of the graph that read this one, ascending.
@@ -57,11 +59,15 @@ impl DtGraph {
             .map(|(id, target, suspended, mut reads)| {
                 reads.sort();
                 reads.dedup();
-                reads.retain(|up| *up != id && ids.contains(up));
+                reads.retain(|up| *up != id);
+                let upstream = (reads.iter().copied())
+                    .filter(|up| ids.contains(up))
+                    .collect();
                 let node = DtNode {
                     target,
                     suspended,
-                    upstream: reads,
+                    reads,
+                    upstream,
                     downstream: Vec::new(),
                     lag: None,
                     period: None,
@@ -115,6 +121,12 @@ impl DtGraph {
     /// The DTs `id` reads (none for an unknown id), ascending.
     pub fn upstream(&self, id: EntityId) -> &[EntityId] {
         self.nodes.get(&id).map_or(&[], |n| &n.upstream)
+    }
+
+    /// Every entity `id` reads, base tables included (none for an unknown
+    /// id), ascending.
+    pub fn reads(&self, id: EntityId) -> &[EntityId] {
+        self.nodes.get(&id).map_or(&[], |n| &n.reads)
     }
 
     /// Effective target lag: durations stand; DOWNSTREAM resolves to the
@@ -272,6 +284,16 @@ mod tests {
             "base tables are no edges"
         );
         assert_eq!(g.upstream_order(EntityId(4)), ids(&[2, 1, 3]));
+    }
+
+    #[test]
+    fn reads_keep_base_tables_and_drop_the_dt_itself() {
+        let one = Some(mins(1));
+        let g = graph(&[(1, one, &[100, 100]), (2, one, &[1, 100, 2, 101])]);
+        assert_eq!(g.reads(EntityId(1)), ids(&[100]));
+        assert_eq!(g.reads(EntityId(2)), ids(&[1, 100, 101]));
+        assert_eq!(g.upstream(EntityId(2)), ids(&[1]));
+        assert_eq!(g.reads(EntityId(3)), ids(&[]));
     }
 
     #[test]

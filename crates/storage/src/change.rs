@@ -99,6 +99,15 @@ impl ChangeSet {
         ChangeSet::consolidated(&self.inserts, &self.deletes)
     }
 
+    /// Each side sorted in place, no row cloned: what [`ChangeSet::consolidate`]
+    /// returns for a change set with nothing to cancel (no row both
+    /// inserted and deleted).
+    pub fn sorted(mut self) -> ChangeSet {
+        self.inserts.sort_unstable();
+        self.deletes.sort_unstable();
+        self
+    }
+
     /// The consolidated change set of `inserts` and `deletes`, read in
     /// place: only the rows that survive the cancellation are cloned —
     /// what lets a change scan over rewritten partitions pay for the rows
@@ -156,6 +165,17 @@ mod tests {
         let c = cs.consolidate();
         assert_eq!(c.inserts().len(), 2);
         assert!(c.deletes().is_empty());
+    }
+
+    #[test]
+    fn sorted_is_the_consolidation_of_a_change_with_nothing_to_cancel() {
+        let cs = ChangeSet::new(
+            vec![row!(3i64), row!(1i64), row!(3i64)],
+            vec![row!(7i64), row!(5i64)],
+        );
+        let sorted = cs.clone().sorted();
+        assert_eq!(sorted.inserts(), [row!(1i64), row!(3i64), row!(3i64)]);
+        assert_eq!(sorted, cs.consolidate());
     }
 
     #[test]
