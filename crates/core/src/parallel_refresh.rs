@@ -28,7 +28,6 @@
 //! stays in flight. docs/PARALLEL_REFRESH.md lists each caller's plan and
 //! reporter.
 
-use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -233,13 +232,8 @@ struct RoundPlan {
     blocked: Vec<bool>,
     /// Rank → ranks of the in-plan DTs that read it.
     dependents: Vec<Vec<usize>>,
-    /// Rank → its remaining path: its own weight plus the heaviest
-    /// remaining path among the in-plan DTs that read it (all 0 until
-    /// [`RoundPlan::weigh`]).
-    path: Vec<u64>,
-    /// Ranks that may start, the longest remaining path first, then the
-    /// lowest rank.
-    ready: BTreeSet<(Reverse<u64>, usize)>,
+    /// Ranks that may start, lowest first.
+    ready: BTreeSet<usize>,
     /// Ranks handed out by `start` and not yet `finish`ed.
     running: usize,
     /// The plan was halted: nothing more starts.
@@ -256,7 +250,6 @@ impl RoundPlan {
             waiting_on: vec![0; order.len()],
             blocked: vec![false; order.len()],
             dependents: vec![Vec::new(); order.len()],
-            path: vec![0; order.len()],
             ready: BTreeSet::new(),
             running: 0,
             halted: false,
@@ -267,31 +260,18 @@ impl RoundPlan {
                 plan.dependents[*up].push(r);
             }
             if plan.waiting_on[r] == 0 {
-                plan.ready.insert((Reverse(0), r));
+                plan.ready.insert(r);
             }
         }
         plan
     }
 
-    /// Weigh each rank (by its DT's last refresh duration), before any
-    /// starts: of the ready ranks, the one with the longest weighted path
-    /// to the end of the plan starts first (upward-rank list scheduling),
-    /// equal paths in rank order.
-    fn weigh(&mut self, weights: &[u64]) {
-        // A reader ranks after every DT it reads.
-        for r in (0..self.path.len()).rev() {
-            let readers = self.dependents[r].iter().map(|d| self.path[*d]).max();
-            self.path[r] = weights[r] + readers.unwrap_or(0);
-        }
-        self.ready = self.ready.iter().map(|(_, r)| (Reverse(self.path[*r]), *r)).collect();
-    }
-
-    /// Hand out the ready rank with the longest remaining path, if any.
+    /// Hand out the lowest ready rank, if any.
     fn start(&mut self) -> Option<usize> {
         if self.halted {
             return None;
         }
-        let (_, r) = self.ready.pop_first()?;
+        let r = self.ready.pop_first()?;
         self.running += 1;
         Some(r)
     }
@@ -328,7 +308,7 @@ impl RoundPlan {
                     pruned.push(d);
                     resolved.push((d, false));
                 } else {
-                    self.ready.insert((Reverse(self.path[d]), d));
+                    self.ready.insert(d);
                 }
             }
         }
@@ -456,18 +436,17 @@ impl Engine {
     }
 
     /// Run `commands` (in topological rank order; edges from `graph`) on
-    /// `workers`: each command once its in-plan upstreams have installed —
-    /// on one worker the lowest-ranked ready one first, on more the one
-    /// with the longest remaining path, weighted by each DT's last refresh
-    /// duration — its install handing the outcome to `report(cmd)`; one
-    /// that does not land prunes its in-plan cone. The refreshes share one
-    /// change set per source and interval ([`PlanChanges`]). Returns how
-    /// each ended, and whether its install was its DT's initialization, in
-    /// completion order — a pruned one at the completion that resolved the
-    /// last DT it reads; `at_micros` counts from the call. When the
-    /// scheduler `issued` the commands, those that did not run are
-    /// withdrawn. `Err` only on an internal error, once the running
-    /// commands have finished: nothing else starts.
+    /// `workers`: each command once its in-plan upstreams have installed,
+    /// the lowest-ranked ready one first, its install handing the outcome
+    /// to `report(cmd)`; one that does not land prunes its in-plan cone.
+    /// The refreshes share one change set per source and interval
+    /// ([`PlanChanges`]). Returns how each ended, and whether its install
+    /// was its DT's initialization, in completion order — a pruned one at
+    /// the completion that resolved the last DT it reads; `at_micros`
+    /// counts from the call. When the scheduler `issued` the commands,
+    /// those that did not run are withdrawn. `Err` only on an internal
+    /// error, once the running commands have finished: nothing else
+    /// starts.
     pub(crate) fn execute(
         &self,
         commands: Vec<RefreshCommand>,
@@ -477,14 +456,7 @@ impl Engine {
         report: impl Fn(&RefreshCommand) -> Report + Sync,
     ) -> DtResult<Vec<(EntityId, RoundStatus, bool)>> {
         let order: Vec<EntityId> = commands.iter().map(|cmd| cmd.dt).collect();
-        let mut plan = RoundPlan::new(&order, graph);
-        if workers > 1 {
-            let weights: Vec<u64> = self.inspect(|st| {
-                let weight = |dt: &EntityId| st.scheduler.state(*dt).map_or(0, |s| s.last_duration_micros);
-                order.iter().map(weight).collect()
-            });
-            plan.weigh(&weights);
-        }
+        let plan = RoundPlan::new(&order, graph);
         // A plan of one command has nothing to share.
         let changes = (order.len() > 1).then(|| PlanChanges::for_plan(&order, graph)).flatten();
         let shared = parking_lot::Mutex::new(Run { plan, ended: Vec::new(), internal_error: None });
@@ -829,53 +801,6 @@ mod tests {
         let mut p = ordered(&[1, 2, 4], &reads);
         assert_eq!(start_all(&mut p), [1], "2 and 4 wait for 1");
         assert_eq!(pruned(&mut p, 1, false), [2, 4]);
-    }
-
-    #[test]
-    fn two_workers_start_the_longest_weighted_path_before_a_lower_rank() {
-        // Two roots over base tables: 1 is read by the light 3, 2 by the
-        // heavy 4, which 5 reads in turn. Weights are in rank order.
-        let reads: [(u64, &[u64]); 3] = [(3, &[1]), (4, &[2]), (5, &[4])];
-        let mut p = plan(&[&[1, 2], &[3, 4], &[5]], &reads);
-        p.plan.weigh(&[2, 3, 1, 20, 5]);
-        // Paths: 1 → 3 weighs 3, 2 → 4 → 5 weighs 28.
-        assert_eq!(start_all(&mut p), [2, 1]);
-        // 1 lands first: 3 is the only ready DT and starts.
-        assert!(pruned(&mut p, 1, true).is_empty());
-        assert_eq!(start_all(&mut p), [3]);
-        assert!(pruned(&mut p, 2, true).is_empty());
-        assert_eq!(start_all(&mut p), [4]);
-        // Both ready at once: the heavier remaining path goes first even
-        // though its rank is the higher one.
-        let mut p = plan(&[&[1], &[2, 3], &[4]], &[(2, &[1]), (3, &[1]), (4, &[3])]);
-        p.plan.weigh(&[1, 5, 2, 10]);
-        assert_eq!(start_all(&mut p), [1]);
-        assert!(pruned(&mut p, 1, true).is_empty());
-        assert_eq!(start_all(&mut p), [3, 2]);
-        assert!(pruned(&mut p, 3, true).is_empty());
-        assert_eq!(start_all(&mut p), [4]);
-        assert!(pruned(&mut p, 2, true).is_empty());
-        assert!(pruned(&mut p, 4, true).is_empty());
-        assert!(p.is_drained());
-    }
-
-    #[test]
-    fn equal_or_zero_weights_keep_rank_order() {
-        let reads: [(u64, &[u64]); 3] = [(4, &[1]), (5, &[2]), (6, &[4, 5])];
-        let levels: [&[u64]; 3] = [&[1, 2, 3], &[4, 5], &[6]];
-        // Zero weights (no history): every path is 0.
-        let mut p = plan(&levels, &reads);
-        p.plan.weigh(&[0; 6]);
-        assert_eq!(one_worker(p), levels.concat());
-        // Equal weights and equal paths below 1 and 2, and 3 (a path of
-        // its own weight only) after both.
-        let mut p = plan(&levels, &reads);
-        p.plan.weigh(&[4; 6]);
-        assert_eq!(start_all(&mut p), [1, 2, 3]);
-        for d in [1, 2, 3] {
-            assert!(pruned(&mut p, d, true).is_empty());
-        }
-        assert_eq!(start_all(&mut p), [4, 5]);
     }
 
     #[test]

@@ -778,8 +778,6 @@ pub(crate) fn install_refresh(
         }
     };
 
-    let duration_micros = started.elapsed().as_micros() as u64;
-    st.scheduler.record_duration(dt, duration_micros);
     st.refresh_log.push(RefreshLogEntry {
         dt,
         refresh_ts,
@@ -787,7 +785,7 @@ pub(crate) fn install_refresh(
         changed_rows: outcome.changed_rows,
         dt_rows: outcome.dt_rows,
         initial,
-        duration_micros,
+        duration_micros: started.elapsed().as_micros() as u64,
         source_rows: outcome.source_rows,
     });
     report(st, &outcome, wal_records)?;

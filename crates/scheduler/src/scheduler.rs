@@ -96,10 +96,6 @@ pub struct DtSchedState {
     pub action_counts: BTreeMap<&'static str, u64>,
     /// Lag sawtooth samples.
     pub lag_samples: Vec<LagSample>,
-    /// Wall-clock duration of the DT's last refresh, pin through install,
-    /// in microseconds; 0 before one is measured. A round weighs its DTs'
-    /// remaining paths by it.
-    pub last_duration_micros: u64,
 }
 
 /// The refresh planner.
@@ -142,15 +138,6 @@ impl Scheduler {
     pub fn mark_initialized(&mut self, id: EntityId, data_ts: Timestamp) {
         let st = self.dts.entry(id).or_default();
         st.last_data_ts = st.last_data_ts.max(Some(data_ts));
-    }
-
-    /// Record how long a refresh of `id` took, in wall-clock microseconds.
-    /// A DT with no scheduler state yet (an initialization that failed)
-    /// keeps none.
-    pub fn record_duration(&mut self, id: EntityId, micros: u64) {
-        if let Some(st) = self.dts.get_mut(&id) {
-            st.last_duration_micros = micros;
-        }
     }
 
     /// Withdraw an issued refresh of `id` that will not run: clear its
