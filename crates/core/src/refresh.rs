@@ -256,10 +256,10 @@ impl PlanChanges {
             Ok(Arc::new(SourceChange { rows, moved }))
         };
         let Some(plan) = plan else { return scan() };
-        let slot = match plan.sources.lock().get_mut(&source) {
-            Some(shared) => Arc::clone(shared.sets.entry((from, to)).or_default()),
-            None => return scan(),
-        };
+        // The lock is let go at the end of this statement, before any scan.
+        let slot = (plan.sources.lock().get_mut(&source))
+            .map(|shared| Arc::clone(shared.sets.entry((from, to)).or_default()));
+        let Some(slot) = slot else { return scan() };
         let change = slot.get_or_init(scan).clone();
         // This reader has its set: the last one to get here drops the
         // source's sets, after the lock is let go.
