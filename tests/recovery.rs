@@ -310,6 +310,114 @@ fn suspension_clone_and_undrop_survive_restart() {
     s.execute("ALTER DYNAMIC TABLE d REFRESH").unwrap();
 }
 
+/// What the catalog says about each DT, by name: state, consecutive-error
+/// count, definition fingerprint and upstream set.
+fn dt_metadata(eng: &Engine) -> Vec<(String, String, u32, u64, Vec<u64>)> {
+    eng.inspect(|st| {
+        let catalog = st.catalog();
+        let mut dts: Vec<_> = (catalog.dynamic_tables().into_iter())
+            .map(|id| {
+                let e = catalog.get(id).unwrap();
+                let m = e.as_dt().unwrap();
+                let upstream = m.upstream.iter().map(|u| u.raw()).collect();
+                let state = format!("{:?}", m.state);
+                (e.name.clone(), state, m.error_count, m.definition_fingerprint, upstream)
+            })
+            .collect();
+        dts.sort();
+        dts
+    })
+}
+
+/// Refreshes change a DT's metadata — the consecutive-error count, the
+/// suspension on errors, the §5.4 evolution of fingerprint and upstream
+/// set, an initial refresh's `ACTIVE` — and a clone carries its source's
+/// over. All of it must read the same after a restart, whether the WAL
+/// replays it from the start or from a checkpoint taken halfway.
+#[test]
+fn refresh_metadata_survives_restart_with_and_without_a_checkpoint() {
+    for checkpoint in [false, true] {
+        let dir = TestDir::new("refresh-metadata");
+        let (halfway, before);
+        {
+            let eng = durable_with(dir.path(), |cfg| cfg.error_suspend_threshold = 3);
+            eng.create_warehouse("wh", 2).unwrap();
+            let s = eng.session();
+            let refresh = |name: &str| s.execute(&format!("ALTER DYNAMIC TABLE {name} REFRESH")).unwrap();
+            for sql in [
+                "CREATE TABLE t (k INT)",
+                "INSERT INTO t VALUES (1), (2)",
+                "CREATE TABLE r (k INT)",
+                "INSERT INTO r VALUES (1)",
+                "CREATE DYNAMIC TABLE flaky TARGET_LAG = '1 minute' WAREHOUSE = wh \
+                 AS SELECT k, 10 / k q FROM t",
+                "CREATE DYNAMIC TABLE doomed TARGET_LAG = '1 minute' WAREHOUSE = wh \
+                 AS SELECT k, 100 / k q FROM t",
+                "CREATE DYNAMIC TABLE evolving TARGET_LAG = '1 minute' WAREHOUSE = wh \
+                 AS SELECT k FROM r",
+                "CREATE DYNAMIC TABLE evolve_fails TARGET_LAG = '1 minute' WAREHOUSE = wh \
+                 AS SELECT k, 10 / k q FROM r",
+                "CREATE DYNAMIC TABLE later TARGET_LAG = '1 minute' WAREHOUSE = wh \
+                 INITIALIZE = ON_SCHEDULE AS SELECT k FROM t",
+                "INSERT INTO t VALUES (0)",
+            ] {
+                s.execute(sql).unwrap();
+            }
+            // Two failures each, and `doomed` a third: the threshold.
+            for name in ["flaky", "flaky", "doomed", "doomed", "doomed"] {
+                refresh(name);
+            }
+            halfway = dt_metadata(&eng);
+            if checkpoint {
+                assert!(eng.checkpoint().unwrap());
+            }
+            // `flaky` succeeds once its bad row is gone; its clone carries
+            // its frontier. `r` is replaced: `evolving` reinitializes,
+            // `evolve_fails` fails and keeps its old fingerprint.
+            for sql in [
+                "DELETE FROM t WHERE k = 0",
+                "ALTER DYNAMIC TABLE flaky REFRESH",
+                "CREATE DYNAMIC TABLE flaky_copy CLONE flaky",
+                "CREATE OR REPLACE TABLE r (k INT)",
+                "INSERT INTO r VALUES (0), (5)",
+                "ALTER DYNAMIC TABLE evolving REFRESH",
+                "ALTER DYNAMIC TABLE evolve_fails REFRESH",
+                "ALTER DYNAMIC TABLE later REFRESH",
+            ] {
+                s.execute(sql).unwrap();
+            }
+            before = dt_metadata(&eng);
+        }
+        let state = |dts: &[(String, String, u32, u64, Vec<u64>)], name: &str| {
+            let dt = dts.iter().find(|d| d.0 == name).unwrap();
+            (dt.1.clone(), dt.2)
+        };
+        let active = |errors| ("Active".to_string(), errors);
+        assert_eq!(state(&halfway, "flaky"), active(2));
+        assert_eq!(state(&halfway, "doomed"), ("SuspendedOnErrors".to_string(), 3));
+        assert_eq!(state(&halfway, "later"), ("Initializing".to_string(), 0));
+        for (name, expected) in [("flaky", active(0)), ("flaky_copy", active(0)), ("later", active(0))] {
+            assert_eq!(state(&before, name), expected, "{name}");
+        }
+        assert_eq!(state(&before, "evolve_fails"), active(1));
+        let fingerprint = |dts: &[(String, String, u32, u64, Vec<u64>)], name: &str| {
+            let dt = dts.iter().find(|d| d.0 == name).unwrap();
+            (dt.3, dt.4.clone())
+        };
+        assert_ne!(fingerprint(&before, "evolving"), fingerprint(&halfway, "evolving"));
+        assert_eq!(fingerprint(&before, "evolve_fails"), fingerprint(&halfway, "evolve_fails"));
+
+        let eng = durable(dir.path());
+        assert_eq!(dt_metadata(&eng), before, "checkpoint halfway: {checkpoint}");
+        drop(eng);
+        // Once more, from a checkpoint of the recovered state.
+        let eng = durable(dir.path());
+        assert!(eng.checkpoint().unwrap());
+        drop(eng);
+        assert_eq!(dt_metadata(&durable(dir.path())), before, "checkpoint halfway: {checkpoint}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoints: truncation, replay watermark, and equivalence.
 // ---------------------------------------------------------------------------
