@@ -9,7 +9,6 @@ use parking_lot::Mutex;
 
 use dt_common::{DtError, DtResult, EntityId, Schema, Timestamp};
 
-use crate::ddl_log::{DdlLog, DdlOp};
 use crate::entity::{DtState, DynamicTableMeta, Entity, EntityKind};
 use crate::privilege::{Privilege, PrivilegeSet};
 use crate::snapshot::CatalogSnapshot;
@@ -24,11 +23,14 @@ pub struct Catalog {
     /// Dropped entities by name, most recent last (for UNDROP).
     dropped_by_name: HashMap<String, Vec<EntityId>>,
     next_id: u64,
-    ddl: DdlLog,
+    /// Count of the DDL that changes what names bind to: create, replace,
+    /// drop and undrop — not suspend or resume, state flips or grants.
+    /// Prepared-statement caches key on it.
+    binding_generation: u64,
     privileges: PrivilegeSet,
     /// Mutation generation: bumped by *every* catalog mutation (DDL, DT
-    /// state flips, error counters, grants) — unlike the DDL log's
-    /// binding generation, which tracks only binding-relevant changes.
+    /// state flips, error counters, grants) — unlike the binding
+    /// generation, which tracks only binding-relevant changes.
     generation: u64,
     /// The snapshot built at `generation`, handed out until the next
     /// mutation. Interior-mutable so `snapshot(&self)` can fill it lazily.
@@ -49,7 +51,7 @@ impl Catalog {
             by_name: HashMap::new(),
             dropped_by_name: HashMap::new(),
             next_id: 1,
-            ddl: DdlLog::new(),
+            binding_generation: 0,
             privileges: PrivilegeSet::new(),
             generation: 0,
             snapshot_cache: Mutex::new(None),
@@ -75,6 +77,13 @@ impl Catalog {
         self.generation
     }
 
+    /// Count of the DDL that changes what names bind to (create, replace,
+    /// drop, undrop). Suspend, resume and grants don't change what a bound
+    /// plan reads, so cached plans key their validity on this counter.
+    pub fn binding_generation(&self) -> u64 {
+        self.binding_generation
+    }
+
     /// Capture an immutable snapshot of the catalog. O(1) between
     /// mutations: the snapshot is rebuilt lazily after a change and the
     /// same `Arc` is handed to every caller until the next change.
@@ -85,7 +94,7 @@ impl Catalog {
         }
         let snap = Arc::new(CatalogSnapshot::new(
             self.generation,
-            self.ddl.binding_generation(),
+            self.binding_generation,
             self.entities.clone(),
             self.by_name.clone(),
             self.privileges.clone(),
@@ -158,11 +167,7 @@ impl Catalog {
         );
         self.by_name.insert(lname.clone(), id);
         self.privileges.grant(owner, id, Privilege::Ownership);
-        let op = match replaced {
-            Some(previous) => DdlOp::Replace { previous },
-            None => DdlOp::Create,
-        };
-        self.ddl.append(now, id, lname, op);
+        self.binding_generation += 1;
         Ok(id)
     }
 
@@ -292,14 +297,14 @@ impl Catalog {
         if let Some(e) = self.entities.get_mut(&id) {
             e.dropped_at = Some(now);
         }
-        self.dropped_by_name.entry(lname.clone()).or_default().push(id);
-        self.ddl.append(now, id, lname, DdlOp::Drop);
+        self.dropped_by_name.entry(lname).or_default().push(id);
+        self.binding_generation += 1;
         Ok(id)
     }
 
     /// Restore the most recently dropped entity with this name (§3.4: "if
     /// the table is UNDROPped, then refreshes should resume without issue").
-    pub fn undrop(&mut self, name: &str, now: Timestamp) -> DtResult<EntityId> {
+    pub fn undrop(&mut self, name: &str) -> DtResult<EntityId> {
         let lname = name.to_ascii_lowercase();
         if self.by_name.contains_key(&lname) {
             return Err(DtError::Catalog(format!(
@@ -315,33 +320,23 @@ impl Catalog {
         if let Some(e) = self.entities.get_mut(&id) {
             e.dropped_at = None;
         }
-        self.by_name.insert(lname.clone(), id);
-        self.ddl.append(now, id, lname, DdlOp::Undrop);
+        self.by_name.insert(lname, id);
+        self.binding_generation += 1;
         Ok(id)
     }
 
-    /// Set a DT's lifecycle state, logging suspend/resume transitions.
-    pub fn set_dt_state(&mut self, id: EntityId, state: DtState, now: Timestamp) -> DtResult<()> {
+    /// Set a DT's lifecycle state.
+    pub fn set_dt_state(&mut self, id: EntityId, state: DtState) -> DtResult<()> {
         let name = self.get(id)?.name.clone();
         let meta = self
             .get_mut(id)?
             .as_dt_mut()
             .ok_or_else(|| DtError::Catalog(format!("'{name}' is not a dynamic table")))?;
-        let old = meta.state;
         meta.state = state;
         // Activation and RESUME (to `Initializing`, for a DT that never
         // initialized) start the consecutive-error count afresh.
         if matches!(state, DtState::Active | DtState::Initializing) {
             meta.error_count = 0;
-        }
-        match (old, state) {
-            (DtState::Active, DtState::Suspended | DtState::SuspendedOnErrors) => {
-                self.ddl.append(now, id, name, DdlOp::Suspend);
-            }
-            (DtState::Suspended | DtState::SuspendedOnErrors, DtState::Active) => {
-                self.ddl.append(now, id, name, DdlOp::Resume);
-            }
-            _ => {}
         }
         Ok(())
     }
@@ -354,16 +349,6 @@ impl Catalog {
             .ok_or_else(|| DtError::Catalog("not a dynamic table".into()))?;
         meta.error_count += 1;
         Ok(meta.error_count)
-    }
-
-    /// Record a refresh success (resets the consecutive-error counter).
-    pub fn record_dt_success(&mut self, id: EntityId) -> DtResult<()> {
-        let meta = self
-            .get_mut(id)?
-            .as_dt_mut()
-            .ok_or_else(|| DtError::Catalog("not a dynamic table".into()))?;
-        meta.error_count = 0;
-        Ok(())
     }
 
     /// Live DTs, in id order.
@@ -385,11 +370,6 @@ impl Catalog {
             .and_then(|e| e.as_dt())
             .map(|m| m.upstream.clone())
             .unwrap_or_default()
-    }
-
-    /// The DDL log.
-    pub fn ddl_log(&self) -> &DdlLog {
-        &self.ddl
     }
 
     /// The grant table.
@@ -431,9 +411,9 @@ impl Catalog {
     }
 
     /// Encode the complete catalog — entities live and dropped, the
-    /// UNDROP stacks, the DDL log, and the grant table — with the
-    /// `dt-wal` codec. Used both by checkpoints and by DDL WAL records
-    /// (which snapshot the whole post-statement catalog; see
+    /// UNDROP stacks, the binding generation, and the grant table — with
+    /// [`dt_common::codec`]. Used both by checkpoints and by DDL WAL
+    /// records (which snapshot the whole post-statement catalog; see
     /// [`crate::durable`]).
     pub fn encode(&self, w: &mut dt_common::codec::Writer) {
         w.put_u64(self.next_id);
@@ -454,11 +434,7 @@ impl Catalog {
                 w.put_u64(id.raw());
             }
         }
-        let events = self.ddl.events_since(0);
-        w.put_len(events.len());
-        for e in events {
-            crate::durable::put_ddl_event(w, e);
-        }
+        w.put_u64(self.binding_generation);
         let grants = self.privileges.dump();
         w.put_len(grants.len());
         for (role, entity, privs) in grants {
@@ -518,18 +494,7 @@ impl Catalog {
             }
             dropped_by_name.insert(name, ids);
         }
-        let n = r.get_len(22)?;
-        let mut ddl = DdlLog::new();
-        for _ in 0..n {
-            let e = crate::durable::get_ddl_event(r)?;
-            let seq = ddl.append(e.ts, e.entity, e.name, e.op);
-            if seq != e.seq {
-                return Err(DtError::Corruption(format!(
-                    "catalog image: DDL event out of order (seq {} at position {seq})",
-                    e.seq
-                )));
-            }
-        }
+        let binding_generation = r.get_u64()?;
         let n = r.get_len(16)?;
         let mut grants = Vec::with_capacity(n);
         for _ in 0..n {
@@ -547,7 +512,7 @@ impl Catalog {
             by_name,
             dropped_by_name,
             next_id,
-            ddl,
+            binding_generation,
             privileges: PrivilegeSet::restore(grants),
             generation,
             snapshot_cache: Mutex::new(None),
@@ -603,14 +568,13 @@ mod tests {
     }
 
     #[test]
-    fn or_replace_mints_new_id_and_logs_replace() {
+    fn or_replace_mints_new_id_and_moves_the_binding_generation() {
         let mut c = Catalog::new();
         let id1 = c.create_table("t", schema(), ts(1), "admin", false).unwrap();
         let id2 = c.create_table("t", schema(), ts(2), "admin", true).unwrap();
         assert_ne!(id1, id2);
         assert_eq!(c.resolve("t").unwrap().id, id2);
-        let last = c.ddl_log().events_since(0).last().unwrap().clone();
-        assert_eq!(last.op, DdlOp::Replace { previous: id1 });
+        assert_eq!(c.binding_generation(), 2);
         // The old entity is retained (dropped) for inspection.
         assert!(!c.get(id1).unwrap().is_live());
     }
@@ -621,9 +585,10 @@ mod tests {
         let id = c.create_table("t", schema(), ts(1), "admin", false).unwrap();
         c.drop_entity("t", ts(2)).unwrap();
         assert!(c.resolve("t").is_err());
-        let back = c.undrop("t", ts(3)).unwrap();
+        let back = c.undrop("t").unwrap();
         assert_eq!(back, id);
         assert!(c.resolve("t").unwrap().is_live());
+        assert_eq!(c.binding_generation(), 3, "create, drop, undrop");
     }
 
     #[test]
@@ -632,7 +597,7 @@ mod tests {
         c.create_table("t", schema(), ts(1), "admin", false).unwrap();
         c.drop_entity("t", ts(2)).unwrap();
         c.create_table("t", schema(), ts(3), "admin", false).unwrap();
-        assert!(c.undrop("t", ts(4)).is_err());
+        assert!(c.undrop("t").is_err());
     }
 
     #[test]
@@ -677,14 +642,16 @@ mod tests {
         let dt = c
             .create_dynamic_table("dt", dt_meta(vec![base]), ts(2), "admin", false)
             .unwrap();
-        c.set_dt_state(dt, DtState::Active, ts(3)).unwrap();
+        c.set_dt_state(dt, DtState::Active).unwrap();
         assert_eq!(c.record_dt_error(dt).unwrap(), 1);
         assert_eq!(c.record_dt_error(dt).unwrap(), 2);
-        c.record_dt_success(dt).unwrap();
+        let binding = c.binding_generation();
+        c.set_dt_state(dt, DtState::SuspendedOnErrors).unwrap();
+        let meta = c.get(dt).unwrap().as_dt().unwrap();
+        assert_eq!((meta.state, meta.error_count), (DtState::SuspendedOnErrors, 2));
+        c.set_dt_state(dt, DtState::Active).unwrap();
         assert_eq!(c.get(dt).unwrap().as_dt().unwrap().error_count, 0);
-        c.set_dt_state(dt, DtState::SuspendedOnErrors, ts(4)).unwrap();
-        let last = c.ddl_log().events_since(0).last().unwrap().clone();
-        assert_eq!(last.op, DdlOp::Suspend);
+        assert_eq!(c.binding_generation(), binding, "state flips bind nothing anew");
     }
 
     #[test]
@@ -712,7 +679,7 @@ mod tests {
         let dt = c
             .create_dynamic_table("dt", dt_meta(vec![base]), ts(2), "admin", false)
             .unwrap();
-        c.set_dt_state(dt, DtState::Active, ts(3)).unwrap();
+        c.set_dt_state(dt, DtState::Active).unwrap();
         c.record_dt_error(dt).unwrap();
         c.create_view("v", "select x from base", ts(4), "alice", false)
             .unwrap();
@@ -726,11 +693,7 @@ mod tests {
 
         assert_eq!(back.generation(), c.generation());
         assert_eq!(back.dynamic_tables(), c.dynamic_tables());
-        assert_eq!(back.ddl_log().len(), c.ddl_log().len());
-        assert_eq!(
-            back.ddl_log().binding_generation(),
-            c.ddl_log().binding_generation()
-        );
+        assert_eq!(back.binding_generation(), c.binding_generation());
         assert_eq!(back.resolve("dt").unwrap().id, dt);
         let m = back.get(dt).unwrap().as_dt().unwrap();
         assert_eq!(m.state, DtState::Active);
@@ -741,7 +704,7 @@ mod tests {
         // Dropped entities and their UNDROP stacks survive.
         assert!(back.resolve("gone").is_err());
         let mut back = back;
-        let restored = back.undrop("gone", ts(8)).unwrap();
+        let restored = back.undrop("gone").unwrap();
         assert_eq!(restored, c.resolve("base").map(|_| restored).unwrap());
         // The replaced old "base" is retained as dropped.
         assert!(!back.get(base).unwrap().is_live());

@@ -8,8 +8,8 @@
 //! format is [`dt_common::codec`] (explicit little-endian layout, strict
 //! decoding that surfaces here as [`DtError::Corruption`]).
 //!
-//! This module encodes the public catalog pieces ([`Entity`],
-//! [`DdlEvent`], [`Privilege`]); the [`crate::Catalog`] container itself
+//! This module encodes the public catalog pieces ([`Entity`], [`DtState`],
+//! [`Privilege`]); the [`crate::Catalog`] container itself
 //! (private maps) implements `encode`/`decode` in `catalog.rs` on top of
 //! these.
 
@@ -18,7 +18,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use dt_common::codec::{get_schema, put_schema, Reader, Writer};
 use dt_common::{DtError, DtResult, Duration, EntityId, TargetLag, Timestamp};
 
-use crate::ddl_log::{DdlEvent, DdlOp};
 use crate::entity::{DtState, DynamicTableMeta, Entity, EntityKind, RefreshMode};
 use crate::privilege::Privilege;
 
@@ -26,14 +25,16 @@ fn err<T>(msg: impl Into<String>) -> DtResult<T> {
     Err(DtError::Corruption(msg.into()))
 }
 
-fn put_entity_ids(w: &mut Writer, ids: &[EntityId]) {
+/// Encode a list of entity ids.
+pub fn put_entity_ids(w: &mut Writer, ids: &[EntityId]) {
     w.put_len(ids.len());
     for id in ids {
         w.put_u64(id.raw());
     }
 }
 
-fn get_entity_ids(r: &mut Reader<'_>) -> DtResult<Vec<EntityId>> {
+/// Decode a list of entity ids.
+pub fn get_entity_ids(r: &mut Reader<'_>) -> DtResult<Vec<EntityId>> {
     let n = r.get_len(8)?;
     let mut ids = Vec::with_capacity(n);
     for _ in 0..n {
@@ -65,12 +66,7 @@ fn put_dt_meta(w: &mut Writer, m: &DynamicTableMeta) {
             w.put_str(c);
         }
     }
-    w.put_u8(match m.state {
-        DtState::Initializing => 0,
-        DtState::Active => 1,
-        DtState::Suspended => 2,
-        DtState::SuspendedOnErrors => 3,
-    });
+    put_dt_state(w, m.state);
     w.put_u32(m.error_count);
     w.put_u64(m.definition_fingerprint);
 }
@@ -100,13 +96,7 @@ fn get_dt_meta(r: &mut Reader<'_>) -> DtResult<DynamicTableMeta> {
         }
         used_columns.insert(id, cols);
     }
-    let state = match r.get_u8()? {
-        0 => DtState::Initializing,
-        1 => DtState::Active,
-        2 => DtState::Suspended,
-        3 => DtState::SuspendedOnErrors,
-        tag => return err(format!("unknown DtState tag {tag:#04x}")),
-    };
+    let state = get_dt_state(r)?;
     let error_count = r.get_u32()?;
     let definition_fingerprint = r.get_u64()?;
     Ok(DynamicTableMeta {
@@ -180,48 +170,24 @@ pub fn get_entity(r: &mut Reader<'_>) -> DtResult<Entity> {
     })
 }
 
-/// Encode one [`DdlEvent`].
-pub fn put_ddl_event(w: &mut Writer, e: &DdlEvent) {
-    w.put_u64(e.seq);
-    w.put_i64(e.ts.as_micros());
-    w.put_u64(e.entity.raw());
-    w.put_str(&e.name);
-    match &e.op {
-        DdlOp::Create => w.put_u8(0),
-        DdlOp::Replace { previous } => {
-            w.put_u8(1);
-            w.put_u64(previous.raw());
-        }
-        DdlOp::Drop => w.put_u8(2),
-        DdlOp::Undrop => w.put_u8(3),
-        DdlOp::Suspend => w.put_u8(4),
-        DdlOp::Resume => w.put_u8(5),
-    }
+/// Encode a [`DtState`] as a one-byte tag.
+pub fn put_dt_state(w: &mut Writer, state: DtState) {
+    w.put_u8(match state {
+        DtState::Initializing => 0,
+        DtState::Active => 1,
+        DtState::Suspended => 2,
+        DtState::SuspendedOnErrors => 3,
+    });
 }
 
-/// Decode one [`DdlEvent`].
-pub fn get_ddl_event(r: &mut Reader<'_>) -> DtResult<DdlEvent> {
-    let seq = r.get_u64()?;
-    let ts = Timestamp::from_micros(r.get_i64()?);
-    let entity = EntityId(r.get_u64()?);
-    let name = r.get_str()?;
-    let op = match r.get_u8()? {
-        0 => DdlOp::Create,
-        1 => DdlOp::Replace {
-            previous: EntityId(r.get_u64()?),
-        },
-        2 => DdlOp::Drop,
-        3 => DdlOp::Undrop,
-        4 => DdlOp::Suspend,
-        5 => DdlOp::Resume,
-        tag => return err(format!("unknown DdlOp tag {tag:#04x}")),
-    };
-    Ok(DdlEvent {
-        seq,
-        ts,
-        entity,
-        name,
-        op,
+/// Decode a [`DtState`].
+pub fn get_dt_state(r: &mut Reader<'_>) -> DtResult<DtState> {
+    Ok(match r.get_u8()? {
+        0 => DtState::Initializing,
+        1 => DtState::Active,
+        2 => DtState::Suspended,
+        3 => DtState::SuspendedOnErrors,
+        tag => return err(format!("unknown DtState tag {tag:#04x}")),
     })
 }
 

@@ -71,7 +71,7 @@ pub enum EntityKind {
 }
 
 impl EntityKind {
-    /// Short label for logs and the DDL log.
+    /// Short label for messages.
     pub fn label(&self) -> &'static str {
         match self {
             EntityKind::Table { .. } => "table",

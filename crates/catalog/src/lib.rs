@@ -1,12 +1,10 @@
-//! The catalog: named entities, the DDL log, dependencies, and privileges.
+//! The catalog: named entities, dependencies, and privileges.
 //!
 //! Reproduces the catalog-side machinery of §5.1 and §3.4:
 //!
 //! * **Entities** — base tables, views, and dynamic tables, resolvable by
 //!   name, with drop/undrop (dropped entities are retained so `UNDROP`
 //!   restores them and downstream DTs recover automatically, §3.4).
-//! * **DDL log** — a timestamped, linearizable log of every DDL operation
-//!   (§5.1), carried in every catalog image.
 //! * **Dependencies** — each DT records the entities and the specific
 //!   columns its stored contents were computed from (§5.4), used for
 //!   query-evolution detection. The refresh DAG is rendered from what the
@@ -15,14 +13,12 @@
 //!   MONITOR and OPERATE privileges (§3.4).
 
 pub mod catalog;
-pub mod ddl_log;
 pub mod durable;
 pub mod entity;
 pub mod privilege;
 pub mod snapshot;
 
 pub use catalog::Catalog;
-pub use ddl_log::{DdlEvent, DdlOp};
 pub use entity::{DtState, DynamicTableMeta, Entity, EntityKind, RefreshMode};
 pub use privilege::{Privilege, PrivilegeSet, Role};
 pub use snapshot::CatalogSnapshot;

@@ -61,7 +61,7 @@ impl CatalogSnapshot {
     }
 
     /// The binding-relevant DDL generation at capture (see
-    /// [`crate::ddl_log::DdlLog::binding_generation`]).
+    /// [`crate::Catalog::binding_generation`]).
     pub fn binding_generation(&self) -> u64 {
         self.binding_generation
     }
@@ -175,7 +175,7 @@ mod tests {
         let before = c.snapshot();
         // Suspend/Resume and grants don't move the *binding* generation,
         // but they must still surface in fresh snapshots.
-        c.set_dt_state(dt, DtState::Active, ts(3)).unwrap();
+        c.set_dt_state(dt, DtState::Active).unwrap();
         let after_state = c.snapshot();
         assert!(!Arc::ptr_eq(&before, &after_state));
         assert_eq!(

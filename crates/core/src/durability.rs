@@ -17,8 +17,14 @@
 //!   reconstructs byte-identical version chains at the original commit
 //!   instants (time travel included).
 //! * **Refresh records** carry a DT refresh's storage install (if any),
-//!   the refresh-ts → version mapping entry, the new frontier, and a
-//!   catalog image (error counters, evolution fingerprints).
+//!   the refresh-ts → version mapping entry, the new frontier, and — only
+//!   when §5.4 evolution installed — the new fingerprint and upstream set.
+//!   No catalog image: replay applies the one metadata rule install
+//!   applies (`EngineState::record_refreshed`), so a record's size does
+//!   not grow with the number of DTs.
+//! * **DT status records** carry one DT's consecutive-error count and
+//!   state, as absolute values, after a failed refresh or a suspension on
+//!   errors — idempotent to replay.
 //!
 //! The install pipeline's leader (the `install` module; transaction
 //! commits, refreshes and every other state change share its
@@ -45,7 +51,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dt_catalog::Catalog;
+use dt_catalog::{Catalog, DtState};
 use dt_common::codec::{get_schema, put_schema, Reader, Writer};
 use dt_common::{
     DtError, DtResult, Duration, EntityId, Schema, Timestamp, TxnId, VersionId,
@@ -223,32 +229,41 @@ pub(crate) enum WalRecord {
         txn: TxnId,
         tables: Vec<(EntityId, VersionInstallRecord)>,
     },
-    /// One installed DT refresh. The storage install carries its own
-    /// stamp field: installs stamp storage and the refresh map alike, but
-    /// logs written before the refresh paths were unified stamped the two
-    /// differently, and replay must reproduce both exactly.
+    /// One installed DT refresh, or a clone's carried-over frontier.
+    /// Replay installs the storage change, records the refresh-map entry
+    /// and the frontier, and applies the refresh's catalog metadata rule.
     Refresh {
         dt: EntityId,
         txn: TxnId,
         refresh_ts: Timestamp,
-        /// The refresh-map commit stamp.
+        /// The commit stamp of the storage version and the refresh-map
+        /// entry alike.
         commit_ts: Timestamp,
-        /// `(storage stamp, physical install)`; `None` for NO_DATA and
-        /// carried-over clone frontiers.
-        install: Option<(Timestamp, VersionInstallRecord)>,
+        /// The physical install; `None` for NO_DATA and carried-over clone
+        /// frontiers.
+        install: Option<VersionInstallRecord>,
         /// The version the refresh-map entry points at.
         version: VersionId,
         /// The new frontier: `(refresh_ts, per-source versions)`.
         frontier: Vec<(EntityId, VersionId)>,
-        /// Catalog image after the refresh's metadata updates (evolution
-        /// fingerprint, error-counter reset). Empty means unchanged.
-        catalog: Vec<u8>,
+        /// The fingerprint and upstream set the DT's definition evolved to
+        /// (§5.4); `None` when it did not evolve.
+        evolved: Option<(u64, Vec<EntityId>)>,
+    },
+    /// One DT's consecutive-error count and state after a failed refresh
+    /// or a suspension on errors (§3.3.3).
+    DtStatus {
+        stamp: Timestamp,
+        dt: EntityId,
+        error_count: u32,
+        state: DtState,
     },
 }
 
 const REC_CATALOG: u8 = 0;
 const REC_DML: u8 = 1;
 const REC_REFRESH: u8 = 2;
+const REC_DT_STATUS: u8 = 3;
 
 impl WalRecord {
     /// The stamp replay compares against the checkpoint watermark. Appends
@@ -259,6 +274,7 @@ impl WalRecord {
             WalRecord::Catalog { stamp, .. } => *stamp,
             WalRecord::DmlCommit { commit_ts, .. } => *commit_ts,
             WalRecord::Refresh { commit_ts, .. } => *commit_ts,
+            WalRecord::DtStatus { stamp, .. } => *stamp,
         }
     }
 
@@ -299,7 +315,7 @@ impl WalRecord {
                 install,
                 version,
                 frontier,
-                catalog,
+                evolved,
             } => {
                 w.put_u8(REC_REFRESH);
                 w.put_u64(dt.0);
@@ -307,20 +323,34 @@ impl WalRecord {
                 w.put_i64(refresh_ts.as_micros());
                 w.put_i64(commit_ts.as_micros());
                 match install {
-                    Some((ts, rec)) => {
+                    Some(rec) => {
                         w.put_bool(true);
-                        w.put_i64(ts.as_micros());
                         dt_storage::durable::put_install_record(&mut w, rec);
                     }
                     None => w.put_bool(false),
                 }
                 w.put_u64(version.0);
-                w.put_len(frontier.len());
-                for (id, v) in frontier {
-                    w.put_u64(id.0);
-                    w.put_u64(v.0);
+                put_versions(&mut w, frontier);
+                match evolved {
+                    Some((fingerprint, upstream)) => {
+                        w.put_bool(true);
+                        w.put_u64(*fingerprint);
+                        dt_catalog::durable::put_entity_ids(&mut w, upstream);
+                    }
+                    None => w.put_bool(false),
                 }
-                w.put_bytes(catalog);
+            }
+            WalRecord::DtStatus {
+                stamp,
+                dt,
+                error_count,
+                state,
+            } => {
+                w.put_u8(REC_DT_STATUS);
+                w.put_i64(stamp.as_micros());
+                w.put_u64(dt.0);
+                w.put_u32(*error_count);
+                dt_catalog::durable::put_dt_state(&mut w, *state);
             }
         }
         w.into_bytes()
@@ -363,19 +393,18 @@ impl WalRecord {
                 let refresh_ts = Timestamp::from_micros(r.get_i64()?);
                 let commit_ts = Timestamp::from_micros(r.get_i64()?);
                 let install = if r.get_bool()? {
-                    let ts = Timestamp::from_micros(r.get_i64()?);
-                    let rec = dt_storage::durable::get_install_record(&mut r)?;
-                    Some((ts, rec))
+                    Some(dt_storage::durable::get_install_record(&mut r)?)
                 } else {
                     None
                 };
                 let version = VersionId(r.get_u64()?);
-                let n = r.get_len(16)?;
-                let mut frontier = Vec::with_capacity(n);
-                for _ in 0..n {
-                    frontier.push((EntityId(r.get_u64()?), VersionId(r.get_u64()?)));
-                }
-                let catalog = r.get_bytes()?.to_vec();
+                let frontier = get_versions(&mut r)?;
+                let evolved = if r.get_bool()? {
+                    let fingerprint = r.get_u64()?;
+                    Some((fingerprint, dt_catalog::durable::get_entity_ids(&mut r)?))
+                } else {
+                    None
+                };
                 WalRecord::Refresh {
                     dt,
                     txn,
@@ -384,14 +413,38 @@ impl WalRecord {
                     install,
                     version,
                     frontier,
-                    catalog,
+                    evolved,
                 }
             }
+            REC_DT_STATUS => WalRecord::DtStatus {
+                stamp: Timestamp::from_micros(r.get_i64()?),
+                dt: EntityId(r.get_u64()?),
+                error_count: r.get_u32()?,
+                state: dt_catalog::durable::get_dt_state(&mut r)?,
+            },
             t => return Err(DtError::Corruption(format!("unknown WAL record tag {t}"))),
         };
         r.finish()?;
         Ok(rec)
     }
+}
+
+/// Encode `(source, version)` pairs: a frontier's.
+fn put_versions(w: &mut Writer, versions: &[(EntityId, VersionId)]) {
+    w.put_len(versions.len());
+    for (id, v) in versions {
+        w.put_u64(id.0);
+        w.put_u64(v.0);
+    }
+}
+
+fn get_versions(r: &mut Reader<'_>) -> DtResult<Vec<(EntityId, VersionId)>> {
+    let n = r.get_len(16)?;
+    let mut versions = Vec::with_capacity(n);
+    for _ in 0..n {
+        versions.push((EntityId(r.get_u64()?), VersionId(r.get_u64()?)));
+    }
+    Ok(versions)
 }
 
 /// One entity's frontier in a checkpoint image:
@@ -433,11 +486,7 @@ impl CheckpointImage {
         for (id, refresh_ts, pairs) in &self.frontiers {
             w.put_u64(id.0);
             w.put_i64(refresh_ts.as_micros());
-            w.put_len(pairs.len());
-            for (src, v) in pairs {
-                w.put_u64(src.0);
-                w.put_u64(v.0);
-            }
+            put_versions(&mut w, pairs);
         }
         w.put_len(self.refresh_map.len());
         for (id, refresh_ts, version, commit_ts) in &self.refresh_map {
@@ -467,12 +516,7 @@ impl CheckpointImage {
         for _ in 0..n {
             let id = EntityId(r.get_u64()?);
             let refresh_ts = Timestamp::from_micros(r.get_i64()?);
-            let m = r.get_len(16)?;
-            let mut pairs = Vec::with_capacity(m);
-            for _ in 0..m {
-                pairs.push((EntityId(r.get_u64()?), VersionId(r.get_u64()?)));
-            }
-            frontiers.push((id, refresh_ts, pairs));
+            frontiers.push((id, refresh_ts, get_versions(&mut r)?));
         }
         let n = r.get_len(32)?;
         let mut refresh_map = Vec::with_capacity(n);
@@ -515,6 +559,23 @@ impl EngineState {
                 side_effect,
             });
         }
+    }
+
+    /// Push `dt`'s consecutive-error count and state, as they are now,
+    /// onto `wal`: the record of a failed refresh or a suspension on
+    /// errors. Nothing when the engine is not durable.
+    pub(crate) fn push_dt_status(&self, dt: EntityId, wal: &mut Vec<WalRecord>) -> DtResult<()> {
+        if self.wal_enabled() {
+            let meta = (self.catalog.get(dt)?.as_dt())
+                .ok_or_else(|| DtError::internal(format!("{dt} is not a DT")))?;
+            wal.push(WalRecord::DtStatus {
+                stamp: self.txn.hlc().tick(),
+                dt,
+                error_count: meta.error_count,
+                state: meta.state,
+            });
+        }
+        Ok(())
     }
 
     fn engine_meta(&self) -> EngineMeta {
@@ -715,18 +776,15 @@ fn replay_record(state: &mut EngineState, record: WalRecord) -> DtResult<()> {
             install,
             version,
             frontier,
-            catalog,
+            evolved,
         } => {
-            if !catalog.is_empty() {
-                state.catalog = Catalog::from_bytes(&catalog)?;
-            }
-            if let Some((install_ts, rec)) = install {
+            if let Some(rec) = install {
                 let store = state.tables.get(&dt).ok_or_else(|| {
                     DtError::Corruption(format!(
                         "WAL refresh references missing DT store {dt}"
                     ))
                 })?;
-                store.replay_install(&rec, install_ts, txn)?;
+                store.replay_install(&rec, commit_ts, txn)?;
             }
             state.refresh_map.record(dt, refresh_ts, version, commit_ts);
             let mut f = Frontier::at(refresh_ts);
@@ -734,6 +792,18 @@ fn replay_record(state: &mut EngineState, record: WalRecord) -> DtResult<()> {
                 f.set(src, v);
             }
             state.frontiers.insert(dt, f);
+            state.record_refreshed(dt, evolved)?;
+        }
+        WalRecord::DtStatus {
+            dt,
+            error_count,
+            state: dt_state,
+            ..
+        } => {
+            let missing = || DtError::Corruption(format!("WAL status record references {dt}, not a DT"));
+            let meta = state.catalog.get_mut(dt).map_err(|_| missing())?.as_dt_mut().ok_or_else(missing)?;
+            meta.error_count = error_count;
+            meta.state = dt_state;
         }
     }
     Ok(())
@@ -791,7 +861,7 @@ mod tests {
             },
             WalRecord::Catalog {
                 stamp: Timestamp::from_micros(42),
-                catalog: catalog.clone(),
+                catalog,
                 meta: EngineMeta::default(),
                 side_effect: SideEffect::CloneStore {
                     source: EntityId(7),
@@ -808,10 +878,26 @@ mod tests {
                 txn: TxnId(6),
                 refresh_ts: Timestamp::from_micros(44),
                 commit_ts: Timestamp::from_micros(45),
-                install: Some((Timestamp::from_micros(44), sample_install())),
+                install: Some(sample_install()),
                 version: VersionId(1),
                 frontier: vec![(EntityId(7), VersionId(2))],
-                catalog,
+                evolved: Some((0xfeed, vec![EntityId(7), EntityId(8)])),
+            },
+            WalRecord::Refresh {
+                dt: EntityId(9),
+                txn: TxnId(7),
+                refresh_ts: Timestamp::from_micros(46),
+                commit_ts: Timestamp::from_micros(47),
+                install: None,
+                version: VersionId(1),
+                frontier: vec![(EntityId(7), VersionId(2))],
+                evolved: None,
+            },
+            WalRecord::DtStatus {
+                stamp: Timestamp::from_micros(48),
+                dt: EntityId(9),
+                error_count: 3,
+                state: DtState::SuspendedOnErrors,
             },
         ];
         for rec in records {

@@ -55,7 +55,7 @@
 //! The crate wires together every substrate built for this reproduction:
 //! versioned copy-on-write storage (`dt-storage`), the HLC-based
 //! transaction manager with refresh-timestamp version resolution
-//! (`dt-txn`), the catalog with its DDL log (`dt-catalog`), the SQL
+//! (`dt-txn`), the catalog (`dt-catalog`), the SQL
 //! front end and binder (`dt-sql`/`dt-plan`), the executor (`dt-exec`),
 //! query differentiation (`dt-ivm`), and the lag-driven scheduler with
 //! virtual warehouses (`dt-scheduler`).

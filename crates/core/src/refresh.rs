@@ -45,7 +45,7 @@ use dt_storage::{ChangeSet, PreparedChange, TableStore};
 use dt_txn::{Frontier, RefreshTsMap, Txn};
 use parking_lot::Mutex;
 
-use crate::durability::{SideEffect, WalRecord};
+use crate::durability::WalRecord;
 use crate::install::{check_admitted, validate_and_install, Installed, RefreshInstalled, Report};
 use crate::providers::{
     evaluate_at, strip_row_ids, PinnedVersion, SnapshotProvider, StorageView, WRITE_SCAN_THREADS,
@@ -696,8 +696,7 @@ pub(crate) fn install_refresh(
             // (`run_scheduler_until`); `CREATE DYNAMIC TABLE` returns it to
             // its caller instead.
             if !initial {
-                st.catalog.record_dt_error(dt)?;
-                st.push_catalog_record(SideEffect::None, wal_records);
+                st.record_refresh_error(dt, wal_records)?;
             }
             let outcome = RefreshOutcome {
                 action: RefreshAction::Failed(error),
@@ -730,32 +729,25 @@ pub(crate) fn install_refresh(
             )?;
 
             // Metadata: the refresh-ts → version entry (§5.3), the new
-            // frontier, and — only now that the reinitialization is in —
-            // the evolved fingerprint and upstream set (§5.4).
-            if let Some(fingerprint) = evolved {
-                if let Some(m) = st.catalog.get_mut(dt)?.as_dt_mut() {
-                    m.definition_fingerprint = fingerprint;
-                    m.upstream = upstream;
-                }
-            }
+            // frontier, and the catalog's — only now that the
+            // reinitialization is in — evolved fingerprint and upstream
+            // set (§5.4).
             let version = store.latest_version();
             st.refresh_map.record(dt, refresh_ts, version, commit_ts);
             let frontier: Vec<_> = new_frontier.iter().collect();
             st.frontiers.insert(dt, new_frontier);
-            st.catalog.record_dt_success(dt)?;
-            // The catalog image is captured after the success bookkeeping
-            // so the record carries the error-counter reset and any
-            // evolution update.
+            let evolved = evolved.map(|fingerprint| (fingerprint, upstream));
+            st.record_refreshed(dt, evolved.clone())?;
             if st.wal_enabled() {
                 wal_records.push(WalRecord::Refresh {
                     dt,
                     txn: txn.id,
                     refresh_ts,
                     commit_ts,
-                    install: installed.pop().map(|(_, record)| (commit_ts, record)),
+                    install: installed.pop().map(|(_, record)| record),
                     version,
                     frontier,
-                    catalog: st.catalog.to_bytes(),
+                    evolved,
                 });
             }
 
@@ -769,10 +761,6 @@ pub(crate) fn install_refresh(
             // DT with a frontier that is still initializing.
             if initial {
                 st.scheduler.mark_initialized(dt, refresh_ts);
-                if st.catalog.get(dt)?.as_dt().map(|m| m.state) == Some(DtState::Initializing) {
-                    st.catalog.set_dt_state(dt, DtState::Active, refresh_ts)?;
-                }
-                st.push_catalog_record(SideEffect::None, wal_records);
             }
             (commit_ts, outcome, Some(version))
         }
@@ -915,11 +903,51 @@ impl EngineState {
         })
     }
 
+    /// The catalog side of an installed refresh, at install and at WAL
+    /// replay alike: the consecutive-error count starts afresh, an
+    /// evolved definition takes its new fingerprint and upstream set
+    /// (§5.4), and an `INITIALIZING` DT becomes `ACTIVE` (§3.1.2). The
+    /// catalog is touched only when a value changes, so a NO_DATA refresh
+    /// keeps its generation and cached snapshot.
+    pub(crate) fn record_refreshed(
+        &mut self,
+        dt: EntityId,
+        evolved: Option<(u64, Vec<EntityId>)>,
+    ) -> DtResult<()> {
+        let meta = (self.catalog.get(dt)?.as_dt())
+            .ok_or_else(|| DtError::internal(format!("{dt} is not a DT")))?;
+        let evolved = evolved.filter(|(fingerprint, upstream)| {
+            (*fingerprint, upstream) != (meta.definition_fingerprint, &meta.upstream)
+        });
+        let activates = meta.state == DtState::Initializing;
+        if meta.error_count == 0 && !activates && evolved.is_none() {
+            return Ok(());
+        }
+        if let Some(meta) = self.catalog.get_mut(dt)?.as_dt_mut() {
+            meta.error_count = 0;
+            if activates {
+                meta.state = DtState::Active;
+            }
+            if let Some((fingerprint, upstream)) = evolved {
+                meta.definition_fingerprint = fingerprint;
+                meta.upstream = upstream;
+            }
+        }
+        Ok(())
+    }
+
+    /// Count a failed refresh against `dt` (§3.3.3) and push its status
+    /// record onto `wal_records`.
+    pub(crate) fn record_refresh_error(&mut self, dt: EntityId, wal_records: &mut Vec<WalRecord>) -> DtResult<()> {
+        self.catalog.record_dt_error(dt)?;
+        self.push_dt_status(dt, wal_records)
+    }
+
     /// Report a finished refresh to the scheduler as of `ended` — now,
     /// except under a simulation, where a refresh ends after its warehouse
     /// time (see [`crate::simulate`]) — and, when it failed, suspend the
     /// live DT in the catalog once the catalog's consecutive-error counter
-    /// has reached the threshold (§3.3.3). The catalog record a suspension
+    /// has reached the threshold (§3.3.3). The status record a suspension
     /// needs is pushed onto `wal_records` for the caller to append.
     pub(crate) fn report_refresh(
         &mut self,
@@ -934,9 +962,8 @@ impl EngineState {
         let errors = live.and_then(|e| e.as_dt()).map_or(0, |m| m.error_count);
         let failed = matches!(outcome.action, RefreshAction::Failed(_));
         if failed && errors >= self.config.error_suspend_threshold {
-            self.catalog
-                .set_dt_state(dt, DtState::SuspendedOnErrors, ended)?;
-            self.push_catalog_record(SideEffect::None, wal_records);
+            self.catalog.set_dt_state(dt, DtState::SuspendedOnErrors)?;
+            self.push_dt_status(dt, wal_records)?;
         }
         Ok(())
     }

@@ -17,7 +17,7 @@ use dt_catalog::DtState;
 use dt_common::{Clock, DtError, DtResult, Duration, EntityId, SimClock, Timestamp};
 use dt_scheduler::{CostModel, RefreshAction, RefreshCommand, RefreshOutcome};
 
-use crate::durability::{SideEffect, WalRecord};
+use crate::durability::WalRecord;
 use crate::engine::Engine;
 use crate::install::Report;
 use crate::parallel_refresh::ChainError;
@@ -228,8 +228,7 @@ impl Engine {
                         let action = RefreshAction::Failed(error.to_string());
                         let failed = RefreshOutcome { action, changed_rows: 0, dt_rows: 0, source_rows: 0 };
                         self.mutate(move |st, wal| {
-                            st.catalog.record_dt_error(id)?;
-                            st.push_catalog_record(SideEffect::None, wal);
+                            st.record_refresh_error(id, wal)?;
                             st.report_refresh(id, now, &failed, now, wal)
                         })?;
                     }

@@ -433,8 +433,7 @@ impl EngineState {
                 Ok(ExecResult::Ok(format!("{name} dropped")))
             }
             ast::Statement::Undrop { name } => {
-                let now = self.now();
-                let id = self.catalog.undrop(&name, now)?;
+                let id = self.catalog.undrop(&name)?;
                 // A recovered DT resumes scheduling from where it left off
                 // (§3.4), even if a refresh installed while it was dropped
                 // was never reported.
@@ -467,7 +466,6 @@ impl EngineState {
                 if action != ast::AlterDtAction::Refresh =>
             {
                 let id = self.catalog.resolve(&name)?.id;
-                let now = self.now();
                 let (state, done) = if action == ast::AlterDtAction::Suspend {
                     (DtState::Suspended, "suspended")
                 } else {
@@ -477,7 +475,7 @@ impl EngineState {
                     let state = data.map_or(DtState::Initializing, |_| DtState::Active);
                     (state, "resumed")
                 };
-                self.catalog.set_dt_state(id, state, now)?;
+                self.catalog.set_dt_state(id, state)?;
                 self.push_catalog_record(SideEffect::None, wal);
                 Ok(ExecResult::Ok(format!("{name} {done}")))
             }
@@ -537,7 +535,7 @@ impl EngineState {
                     self.refresh_map.record(id, ts, version, commit_ts);
                     self.frontiers.insert(id, frontier.clone());
                     self.scheduler.mark_initialized(id, ts);
-                    self.catalog.set_dt_state(id, DtState::Active, now)?;
+                    self.catalog.set_dt_state(id, DtState::Active)?;
                     carried = Some((ts, version, commit_ts, frontier));
                 }
                 // The clone's catalog record, then the carried-over
@@ -554,7 +552,7 @@ impl EngineState {
                         install: None,
                         version,
                         frontier: frontier.iter().collect(),
-                        catalog: Vec::new(),
+                        evolved: None,
                     });
                 }
                 Ok(ExecResult::Ok(format!(

@@ -28,7 +28,7 @@ use crate::log::io_err;
 use crate::stats::WalStats;
 
 const CKPT_MAGIC: &[u8; 4] = b"DTCK";
-const CKPT_VERSION: u16 = 1;
+const CKPT_VERSION: u16 = 2;
 const CKPT_HEADER_LEN: usize = 18;
 
 /// The checkpoint file's name inside the durability directory.
@@ -89,7 +89,7 @@ pub fn read_checkpoint(dir: &Path) -> DtResult<Option<Vec<u8>>> {
     }
     let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
     if version != CKPT_VERSION {
-        return Err(corrupt("unsupported checkpoint version"));
+        return Err(corrupt(&format!("unsupported checkpoint version {version}")));
     }
     let crc = u32::from_le_bytes(bytes[6..10].try_into().unwrap());
     let len = u64::from_le_bytes(bytes[10..18].try_into().unwrap()) as usize;
