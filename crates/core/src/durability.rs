@@ -792,7 +792,7 @@ fn replay_record(state: &mut EngineState, record: WalRecord) -> DtResult<()> {
                 f.set(src, v);
             }
             state.frontiers.insert(dt, f);
-            state.record_refreshed(dt, evolved)?;
+            state.record_refreshed(dt, evolved.as_ref())?;
         }
         WalRecord::DtStatus {
             dt,

@@ -729,15 +729,15 @@ pub(crate) fn install_refresh(
             )?;
 
             // Metadata: the refresh-ts → version entry (§5.3), the new
-            // frontier, and the catalog's — only now that the
-            // reinitialization is in — evolved fingerprint and upstream
-            // set (§5.4).
+            // frontier, and the catalog's refresh rule, which takes the
+            // evolved fingerprint and upstream set (§5.4) only now that
+            // the reinitialization is in.
             let version = store.latest_version();
             st.refresh_map.record(dt, refresh_ts, version, commit_ts);
             let frontier: Vec<_> = new_frontier.iter().collect();
             st.frontiers.insert(dt, new_frontier);
             let evolved = evolved.map(|fingerprint| (fingerprint, upstream));
-            st.record_refreshed(dt, evolved.clone())?;
+            st.record_refreshed(dt, evolved.as_ref())?;
             if st.wal_enabled() {
                 wal_records.push(WalRecord::Refresh {
                     dt,
@@ -912,7 +912,7 @@ impl EngineState {
     pub(crate) fn record_refreshed(
         &mut self,
         dt: EntityId,
-        evolved: Option<(u64, Vec<EntityId>)>,
+        evolved: Option<&(u64, Vec<EntityId>)>,
     ) -> DtResult<()> {
         let meta = (self.catalog.get(dt)?.as_dt())
             .ok_or_else(|| DtError::internal(format!("{dt} is not a DT")))?;
@@ -929,8 +929,8 @@ impl EngineState {
                 meta.state = DtState::Active;
             }
             if let Some((fingerprint, upstream)) = evolved {
-                meta.definition_fingerprint = fingerprint;
-                meta.upstream = upstream;
+                meta.definition_fingerprint = *fingerprint;
+                meta.upstream = upstream.clone();
             }
         }
         Ok(())

@@ -526,7 +526,8 @@ impl EngineState {
                 let reads = self.dt_reads.get(&src.id).cloned().unwrap_or_default();
                 self.dt_reads.insert(id, reads);
                 // Carry over the source's progress: frontier, refresh-ts
-                // mapping for its current data timestamp, Active state.
+                // mapping for its current data timestamp, and what a
+                // refresh installing them sets in the catalog (`Active`).
                 let mut carried = None;
                 if let Some(frontier) = self.frontiers.get(&src.id).cloned() {
                     let ts = frontier.refresh_ts;
@@ -535,7 +536,7 @@ impl EngineState {
                     self.refresh_map.record(id, ts, version, commit_ts);
                     self.frontiers.insert(id, frontier.clone());
                     self.scheduler.mark_initialized(id, ts);
-                    self.catalog.set_dt_state(id, DtState::Active)?;
+                    self.record_refreshed(id, None)?;
                     carried = Some((ts, version, commit_ts, frontier));
                 }
                 // The clone's catalog record, then the carried-over
