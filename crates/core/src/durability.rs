@@ -800,8 +800,10 @@ fn replay_record(state: &mut EngineState, record: WalRecord) -> DtResult<()> {
             state: dt_state,
             ..
         } => {
-            let missing = || DtError::Corruption(format!("WAL status record references {dt}, not a DT"));
-            let meta = state.catalog.get_mut(dt).map_err(|_| missing())?.as_dt_mut().ok_or_else(missing)?;
+            let missing =
+                || DtError::Corruption(format!("WAL status record references {dt}, not a DT"));
+            let entity = state.catalog.get_mut(dt).map_err(|_| missing())?;
+            let meta = entity.as_dt_mut().ok_or_else(missing)?;
             meta.error_count = error_count;
             meta.state = dt_state;
         }
