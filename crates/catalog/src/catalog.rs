@@ -23,9 +23,7 @@ pub struct Catalog {
     /// Dropped entities by name, most recent last (for UNDROP).
     dropped_by_name: HashMap<String, Vec<EntityId>>,
     next_id: u64,
-    /// Count of the DDL that changes what names bind to: create, replace,
-    /// drop and undrop — not suspend or resume, state flips or grants.
-    /// Prepared-statement caches key on it.
+    /// See [`Catalog::binding_generation`].
     binding_generation: u64,
     privileges: PrivilegeSet,
     /// Mutation generation: bumped by *every* catalog mutation (DDL, DT
@@ -165,7 +163,7 @@ impl Catalog {
                 owner: owner.to_string(),
             },
         );
-        self.by_name.insert(lname.clone(), id);
+        self.by_name.insert(lname, id);
         self.privileges.grant(owner, id, Privilege::Ownership);
         self.binding_generation += 1;
         Ok(id)
