@@ -3,27 +3,22 @@
 //! still row-shaped (window functions, sorting) and at the top of the
 //! plan, so `ExecResult` and the SQL surface are unchanged.
 //!
-//! Filters evaluate vectorized wherever the predicate (or a prefix of its
-//! conjunction) is provably error-free — comparisons of columns and
-//! literals composed with `AND`/`OR`/`NOT`/`IS NULL`/`IN (list)` — using Kleene
-//! true/false mask pairs so three-valued logic matches the row interpreter
-//! bit for bit. Anything else (arithmetic that can divide by zero, CASE,
-//! function calls) falls back to row-at-a-time evaluation over the still
-//! selected rows only, which preserves the row path's error behavior
-//! exactly: a conjunct is only ever skipped for a row when an earlier
-//! conjunct already evaluated to definite FALSE, the same rows the row
-//! interpreter's `AND` short-circuit would skip.
+//! Filters and projections evaluate their expressions with [`eval_column`],
+//! the one evaluator every batch operator uses: a bare column is shared, a
+//! literal splatted, anything else evaluated by the row interpreter's
+//! `ScalarExpr::eval` once per live row, and [`FirstError`] reports the
+//! error of the earliest failing row. So a filter keeps exactly the rows,
+//! and raises exactly the error, of the row path's `Filter`, and a
+//! projection gives the row path's rows without copying the columns it
+//! passes through.
 
-use std::sync::Arc;
-
-use dt_common::{Batch, ColumnPredicate, ColumnVec, CmpOp, DtResult, Row, Value};
-use dt_plan::expr::BinOp;
+use dt_common::{Batch, DtResult, Row};
 use dt_plan::{LogicalPlan, ScalarExpr};
 
 use crate::aggregate::execute_aggregate_batches;
-use crate::executor::{project_rows, sort_rows, TableProvider};
+use crate::executor::{sort_rows, TableProvider};
 use crate::join::execute_join_batches;
-use crate::keys::KeyTable;
+use crate::keys::{eval_column, try_eval_columns, FirstError, KeyTable};
 use crate::window::execute_window;
 
 /// Execute a plan as a batch pipeline, returning its result batches (batch
@@ -166,311 +161,39 @@ fn rows_to_batches(rows: Vec<Row>) -> Vec<Batch> {
 }
 
 // ---------------------------------------------------------------------------
-// Filter: vectorized Kleene masks with exact row-path fallback.
+// Filter and projection: expressions through `eval_column`.
 
-/// A Kleene truth-mask pair over a batch's physical slots: `t[i]` = the
-/// predicate is definitely TRUE for slot `i`, `f[i]` = definitely FALSE;
-/// neither = NULL. (Both never hold.)
-struct Mask {
-    t: Vec<bool>,
-    f: Vec<bool>,
-}
-
-impl Mask {
-    fn constant(n: usize, v: Option<bool>) -> Mask {
-        Mask {
-            t: vec![v == Some(true); n],
-            f: vec![v == Some(false); n],
-        }
-    }
-
-    fn not(self) -> Mask {
-        Mask {
-            t: self.f,
-            f: self.t,
-        }
-    }
-
-    fn and(mut self, rhs: &Mask) -> Mask {
-        for i in 0..self.t.len() {
-            self.t[i] = self.t[i] && rhs.t[i];
-            self.f[i] = self.f[i] || rhs.f[i];
-        }
-        self
-    }
-
-    fn or(mut self, rhs: &Mask) -> Mask {
-        for i in 0..self.t.len() {
-            self.t[i] = self.t[i] || rhs.t[i];
-            self.f[i] = self.f[i] && rhs.f[i];
-        }
-        self
-    }
-}
-
-/// Narrow `batch`'s selection to rows where `predicate` is true, with the
-/// row interpreter's exact result *and error* semantics.
+/// Narrow `batch`'s selection to the rows where `predicate` is TRUE, with
+/// the row interpreter's result and, at the earliest failing row, its
+/// error (the selection is then left as it was).
 fn filter_batch(batch: &mut Batch, predicate: &ScalarExpr) -> DtResult<()> {
-    filter_rows(batch, predicate).map_err(|(_, e)| e)
-}
-
-/// [`filter_batch`], reporting an error together with the physical slot it
-/// was raised at (the selection is left as it was).
-pub(crate) fn filter_rows(
-    batch: &mut Batch,
-    predicate: &ScalarExpr,
-) -> Result<(), (usize, dt_common::DtError)> {
-    let conjuncts = predicate.conjuncts();
-
-    // Longest prefix of conjuncts that evaluates vectorized. The split is a
-    // prefix (not an arbitrary subset) so the residual is only skipped for
-    // rows an earlier conjunct decided FALSE — exactly the rows the row
-    // path's left-to-right AND short-circuit would skip.
-    let mut prefix: Option<Mask> = None;
-    let mut vectorized = 0usize;
-    for c in &conjuncts {
-        match vector_mask(c, batch) {
-            Some(m) => {
-                prefix = Some(match prefix {
-                    None => m,
-                    Some(p) => p.and(&m),
-                });
-                vectorized += 1;
-            }
-            None => break,
-        }
-    }
-    let residual = ScalarExpr::and_all(conjuncts[vectorized..].iter().copied());
-
+    let rows = batch.live_indices();
+    let mut first = FirstError::new(rows.len());
+    let verdict = eval_column(predicate, batch, &rows, &mut first);
+    first.finish()?;
     let mut keep = vec![false; batch.len()];
-    match (prefix, residual) {
-        (Some(mask), None) => {
-            for (i, k) in keep.iter_mut().enumerate() {
-                *k = batch.is_selected(i) && mask.t[i];
-            }
-        }
-        (Some(mask), Some(rest)) => {
-            for (i, k) in keep.iter_mut().enumerate() {
-                if !batch.is_selected(i) || mask.f[i] {
-                    continue;
-                }
-                // Rows where the prefix is TRUE or NULL both evaluate the
-                // residual in the row path (NULL AND x still evaluates x),
-                // so evaluate it here too — for its errors — and keep the
-                // row only when the whole conjunction is true.
-                let ok = rest.eval(&batch.row(i)).map_err(|e| (i, e))?.is_true();
-                *k = mask.t[i] && ok;
-            }
-        }
-        (None, residual) => {
-            let rest = residual.unwrap_or(ScalarExpr::Literal(Value::Bool(true)));
-            for (i, k) in keep.iter_mut().enumerate() {
-                if batch.is_selected(i) {
-                    *k = rest.eval(&batch.row(i)).map_err(|e| (i, e))?.is_true();
-                }
-            }
-        }
+    for i in rows {
+        keep[i] = verdict.get(i).is_true();
     }
     batch.set_selection(Some(keep));
     Ok(())
 }
 
-fn cmp_of(op: BinOp) -> Option<CmpOp> {
-    Some(match op {
-        BinOp::Eq => CmpOp::Eq,
-        BinOp::NotEq => CmpOp::NotEq,
-        BinOp::Lt => CmpOp::Lt,
-        BinOp::LtEq => CmpOp::LtEq,
-        BinOp::Gt => CmpOp::Gt,
-        BinOp::GtEq => CmpOp::GtEq,
-        _ => return None,
-    })
-}
-
-/// Evaluate `e` as a vectorized Kleene mask over `batch`, or `None` when
-/// `e` is outside the provably error-free grammar (comparisons over
-/// in-range columns and literals, composed with AND/OR/NOT/IS NULL and
-/// IN over literal lists).
-fn vector_mask(e: &ScalarExpr, batch: &Batch) -> Option<Mask> {
-    let n = batch.len();
-    match e {
-        ScalarExpr::Literal(Value::Bool(b)) => Some(Mask::constant(n, Some(*b))),
-        ScalarExpr::Literal(Value::Null) => Some(Mask::constant(n, None)),
-        ScalarExpr::Not(inner) => Some(vector_mask(inner, batch)?.not()),
-        ScalarExpr::IsNull { expr, negated } => match &**expr {
-            ScalarExpr::Column(i) if *i < batch.arity() => {
-                let col = batch.column(*i);
-                let t: Vec<bool> = (0..n).map(|r| col.is_null(r) != *negated).collect();
-                let f = t.iter().map(|b| !b).collect();
-                Some(Mask { t, f })
-            }
-            ScalarExpr::Literal(v) => Some(Mask::constant(n, Some(v.is_null() != *negated))),
-            _ => None,
-        },
-        ScalarExpr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let lits: Vec<&Value> = list
-                .iter()
-                .map(|e| match e {
-                    ScalarExpr::Literal(v) => Some(v),
-                    _ => None,
-                })
-                .collect::<Option<_>>()?;
-            let has_null = lits.iter().any(|v| v.is_null());
-            match &**expr {
-                ScalarExpr::Column(i) if *i < batch.arity() => {
-                    Some(in_list_mask(batch.column(*i), &lits, has_null, *negated, n))
-                }
-                ScalarExpr::Literal(v) => {
-                    let one = ColumnVec::from_values(vec![v.clone()]);
-                    let m = in_list_mask(&one, &lits, has_null, *negated, 1);
-                    Some(Mask::constant(
-                        n,
-                        match (m.t[0], m.f[0]) {
-                            (true, _) => Some(true),
-                            (_, true) => Some(false),
-                            _ => None,
-                        },
-                    ))
-                }
-                _ => None,
-            }
-        }
-        ScalarExpr::Binary { left, op, right } => {
-            if matches!(op, BinOp::And | BinOp::Or) {
-                let l = vector_mask(left, batch)?;
-                let r = vector_mask(right, batch)?;
-                return Some(if *op == BinOp::And { l.and(&r) } else { l.or(&r) });
-            }
-            let cmp = cmp_of(*op)?;
-            cmp_mask(left, cmp, right, batch)
-        }
-        _ => None,
-    }
-}
-
-/// Mask for `col [NOT] IN (literals)` with SQL's three-valued semantics:
-/// TRUE on any equal candidate, NULL when the operand is NULL or when no
-/// candidate matched but one was NULL, FALSE otherwise (both flipped by
-/// `negated`).
-fn in_list_mask(col: &ColumnVec, lits: &[&Value], has_null: bool, negated: bool, n: usize) -> Mask {
-    let mut m = Mask::constant(n, None);
-    for r in 0..n {
-        let v = col.get(r);
-        if v.is_null() {
-            continue;
-        }
-        let hit = lits.iter().any(|c| v.sql_eq(c) == Value::Bool(true));
-        match (hit, has_null) {
-            (true, _) => {
-                if negated {
-                    m.f[r] = true;
-                } else {
-                    m.t[r] = true;
-                }
-            }
-            (false, true) => {}
-            (false, false) => {
-                if negated {
-                    m.t[r] = true;
-                } else {
-                    m.f[r] = true;
-                }
-            }
-        }
-    }
-    m
-}
-
-/// Mask for `left CMP right` where each side is a column or literal.
-fn cmp_mask(left: &ScalarExpr, op: CmpOp, right: &ScalarExpr, batch: &Batch) -> Option<Mask> {
-    let n = batch.len();
-    match (left, right) {
-        (ScalarExpr::Column(i), ScalarExpr::Literal(v)) if *i < batch.arity() => {
-            Some(column_lit_mask(batch.column(*i), op, v, n))
-        }
-        (ScalarExpr::Literal(v), ScalarExpr::Column(i)) if *i < batch.arity() => {
-            Some(column_lit_mask(batch.column(*i), op.flip(), v, n))
-        }
-        (ScalarExpr::Column(i), ScalarExpr::Column(j))
-            if *i < batch.arity() && *j < batch.arity() =>
-        {
-            let (a, b) = (batch.column(*i), batch.column(*j));
-            let mut m = Mask::constant(n, None);
-            for r in 0..n {
-                if let Some(o) = a.get(r).sql_cmp(&b.get(r)) {
-                    if op.accepts(o) {
-                        m.t[r] = true;
-                    } else {
-                        m.f[r] = true;
-                    }
-                }
-            }
-            Some(m)
-        }
-        (ScalarExpr::Literal(a), ScalarExpr::Literal(b)) => {
-            Some(Mask::constant(n, a.sql_cmp(b).map(|o| op.accepts(o))))
-        }
-        _ => None,
-    }
-}
-
-fn column_lit_mask(col: &ColumnVec, op: CmpOp, lit: &Value, n: usize) -> Mask {
-    if lit.is_null() {
-        // NULL literal: the comparison is NULL for every row.
-        return Mask::constant(n, None);
-    }
-    let pred = ColumnPredicate {
-        column: 0,
-        op,
-        literal: lit.clone(),
-    };
-    let mut t = vec![true; n];
-    pred.and_mask(col, &mut t);
-    // With a non-NULL literal the comparison is NULL exactly when the
-    // column slot is NULL; everything else not-true is definite FALSE.
-    let f = (0..n).map(|i| !t[i] && !col.is_null(i)).collect();
-    Mask { t, f }
-}
-
-// ---------------------------------------------------------------------------
-// Projection.
-
-/// Project a batch. When every output expression is a bare column or a
-/// literal the projection is a zero-copy column permutation (plus constant
-/// splats); otherwise rows are materialized and evaluated.
+/// Project a batch: each output column is [`eval_column`] over the dense
+/// batch, so bare columns stay shared and literals are splatted.
 fn project_batch(batch: &Batch, exprs: &[ScalarExpr]) -> DtResult<Batch> {
-    let simple = exprs.iter().all(|e| match e {
-        ScalarExpr::Column(i) => *i < batch.arity(),
-        ScalarExpr::Literal(_) => true,
-        _ => false,
-    });
-    if simple {
-        let dense = batch.compact();
-        let n = dense.len();
-        let columns = exprs
-            .iter()
-            .map(|e| match e {
-                ScalarExpr::Column(i) => Arc::clone(dense.column(*i)),
-                ScalarExpr::Literal(v) => {
-                    Arc::new(ColumnVec::from_values(vec![v.clone(); n]))
-                }
-                _ => unreachable!("checked simple"),
-            })
-            .collect();
-        return Ok(Batch::new(columns, n));
-    }
-    let rows = project_rows(&batch.to_rows(), exprs)?;
-    Ok(Batch::from_rows(exprs.len(), &rows))
+    let dense = batch.compact();
+    let rows: Vec<usize> = (0..dense.len()).collect();
+    Ok(Batch::new(try_eval_columns(exprs, &dense, &rows)?, dense.len()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dt_common::row;
+    use crate::executor::project_rows;
+    use dt_common::{row, Value};
+    use dt_plan::BinOp;
+    use std::sync::Arc;
 
     fn int_batch(vals: &[Option<i64>]) -> Batch {
         let rows: Vec<Row> = vals
@@ -611,6 +334,22 @@ mod tests {
         let p = project_batch(&b, &[ScalarExpr::col(0), ScalarExpr::lit(7i64)]).unwrap();
         assert!(Arc::ptr_eq(p.column(0), b.column(0)));
         assert_eq!(p.to_rows(), vec![row!(1i64, 7i64), row!(2i64, 7i64)]);
+    }
+
+    #[test]
+    fn computed_projection_shares_bare_columns() {
+        let b = int_batch(&[Some(1), None, Some(5)]);
+        let exprs = [
+            ScalarExpr::col(0),
+            ScalarExpr::Binary {
+                left: Box::new(ScalarExpr::col(0)),
+                op: BinOp::Add,
+                right: Box::new(ScalarExpr::lit(1i64)),
+            },
+        ];
+        let p = project_batch(&b, &exprs).unwrap();
+        assert!(Arc::ptr_eq(p.column(0), b.column(0)));
+        assert_eq!(p.to_rows(), project_rows(&b.to_rows(), &exprs).unwrap());
     }
 
     #[test]

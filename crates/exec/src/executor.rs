@@ -104,9 +104,9 @@ impl TableProvider for MapProvider {
 /// Execute a plan, returning its result bag (row order unspecified).
 ///
 /// This is the batch pipeline: operators run batch-at-a-time over columnar
-/// [`Batch`]es (vectorized filters, zero-copy projections, zone-map
-/// pruning at the scan) and rows are materialized once at the top, so the
-/// result is row-shaped exactly as before.
+/// [`Batch`]es (pushed-down predicates and zone-map pruning at the scan,
+/// projected columns shared, not copied) and rows are materialized once at
+/// the top, so the result is row-shaped exactly as before.
 pub fn execute(plan: &LogicalPlan, provider: &dyn TableProvider) -> DtResult<Vec<Row>> {
     Ok(crate::batch::flatten(crate::batch::execute_batches(
         plan, provider,

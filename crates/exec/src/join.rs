@@ -8,7 +8,8 @@
 //!
 //! * [`execute_join_batches`] — the columnar join every query runs: keys
 //!   hashed column-wise by a [`KeyTable`], output assembled as gathered
-//!   columns, residual conjuncts applied as batch filters.
+//!   columns, residual conjuncts evaluated over them one at a time by
+//!   [`eval_column`].
 //! * [`execute_join`] — the row-at-a-time form, kept as the differential
 //!   oracle and for the small signed joins the IVM rules run over delta
 //!   slices.
@@ -19,9 +20,9 @@ use std::sync::Arc;
 use dt_common::{Batch, ColumnVec, DtResult, Row, Value};
 use dt_plan::{equi_join_keys, JoinType, ScalarExpr};
 
-use crate::batch::filter_rows;
 use crate::keys::{
-    eval_columns, try_eval_columns, without_null_keys, FirstError, KeyTable, ABSENT,
+    eval_column, eval_columns, try_eval_columns, without_null_keys, FirstError, KeyTable,
+    ABSENT,
 };
 
 fn eval_key(exprs: &[ScalarExpr], row: &Row) -> DtResult<Option<Vec<Value>>> {
@@ -114,8 +115,8 @@ const PAIR_CHUNK: usize = 1 << 16;
 /// its key columns hashed into a [`KeyTable`]; each probe (left) batch has
 /// its key columns looked up in one pass, the matching (probe slot, build
 /// slot) pairs gathered into an output batch column by column, and the
-/// residual `ON` conjuncts applied to that batch as filters. No row is
-/// materialised. Output, order and errors are [`execute_join`]'s.
+/// residual `ON` conjuncts evaluated over that batch, in `ON` order. Output,
+/// order and errors are [`execute_join`]'s.
 pub fn execute_join_batches(
     left: &[Batch],
     right: &[Batch],
@@ -182,14 +183,11 @@ pub fn execute_join_batches(
         let mut pos = 0;
         while pos < first.live() {
             // Collect one chunk of candidate pairs, whole probe rows at a
-            // time, remembering where each probe row's pairs begin.
+            // time.
             probe_slots.clear();
             build_slots.clear();
-            let chunk_start = pos;
-            let mut pair_starts = Vec::new();
             while pos < first.live() && probe_slots.len() < PAIR_CHUNK {
                 let slot = rows[pos];
-                pair_starts.push(probe_slots.len());
                 let candidates = match &hashed {
                     None => &build_rows[..],
                     Some(_) if ids[slot] == ABSENT => &[],
@@ -210,22 +208,27 @@ pub fn execute_join_batches(
                 .chain(build.columns().iter().map(|c| Arc::new(c.gather(&build_slots))))
                 .collect();
             let mut pairs = Batch::new(columns, probe_slots.len());
-            // Residual conjuncts in ON order, each over the pairs the
-            // earlier ones kept. The row path stops at the earliest failing
-            // pair, so after a failure later conjuncts only see the pairs
-            // before it.
-            let mut failed = None;
-            for conjunct in &keys.residual {
-                if let Err((p, e)) = filter_rows(&mut pairs, conjunct) {
-                    failed = Some((p, e));
-                    let mut keep = vec![false; pairs.len()];
-                    keep[..p].fill(true);
-                    pairs.retain(&keep);
+            if !keys.residual.is_empty() {
+                // Residual conjuncts in ON order, each over the pairs the
+                // earlier ones found TRUE: the row path stops at a pair's
+                // first conjunct that is not TRUE, NULL included, and at
+                // the earliest failing pair. That pair's probe row lies
+                // before every key failure still pending, so its error is
+                // the join's.
+                let mut kept: Vec<usize> = (0..pairs.len()).collect();
+                let mut failed = FirstError::new(kept.len());
+                for conjunct in &keys.residual {
+                    let verdict = eval_column(conjunct, &pairs, &kept, &mut failed);
+                    kept.truncate(failed.live());
+                    kept.retain(|&p| verdict.get(p).is_true());
+                    failed.shorten(kept.len());
                 }
-            }
-            if let Some((p, e)) = failed {
-                let probe_row = pair_starts.partition_point(|&start| start <= p) - 1;
-                first.fail(chunk_start + probe_row, e);
+                failed.finish()?;
+                let mut keep = vec![false; pairs.len()];
+                for p in kept {
+                    keep[p] = true;
+                }
+                pairs.set_selection(Some(keep));
             }
             if pad_left || pad_right {
                 for p in pairs.live_indices() {
@@ -312,6 +315,39 @@ mod tests {
         let right = vec![row!(1i64), row!(2i64)];
         let out = execute_join(&left, &right, 1, 1, JoinType::Inner, &on).unwrap();
         assert_eq!(out, vec![row!(2i64, 2i64)]);
+    }
+
+    #[test]
+    fn a_null_residual_stops_a_later_failing_one() {
+        // ON l.x = r.x AND r.z > 0 AND 1 / (r.y - r.y) > 0: the second
+        // conjunct is NULL or FALSE for every pair, so the row path never
+        // reaches the division (one `AND` over both would raise).
+        let cmp = |left: ScalarExpr, op, right: ScalarExpr| ScalarExpr::Binary {
+            left: Box::new(left),
+            op,
+            right: Box::new(right),
+        };
+        let y = || ScalarExpr::col(2);
+        let division = cmp(ScalarExpr::lit(1i64), BinOp::Div, cmp(y(), BinOp::Sub, y()));
+        let on = ScalarExpr::and_all(&[
+            eq(0, 1),
+            cmp(ScalarExpr::col(3), BinOp::Gt, ScalarExpr::lit(0i64)),
+            cmp(division, BinOp::Gt, ScalarExpr::lit(0i64)),
+        ])
+        .unwrap();
+        let left = vec![row!(1i64), row!(2i64)];
+        let right = vec![
+            Row::new(vec![Value::Int(1), Value::Int(5), Value::Null]),
+            row!(1i64, 6i64, -1i64),
+            row!(3i64, 7i64, 1i64),
+        ];
+        let (lb, rb) = ([Batch::from_rows(1, &left)], [Batch::from_rows(3, &right)]);
+        for join_type in [JoinType::Inner, JoinType::Left] {
+            let rows = execute_join(&left, &right, 1, 3, join_type, &on).unwrap();
+            let batches = execute_join_batches(&lb, &rb, 1, 3, join_type, &on);
+            let batch_rows: Vec<Row> = batches.unwrap().iter().flat_map(Batch::to_rows).collect();
+            assert_eq!(batch_rows, rows, "{join_type:?}");
+        }
     }
 
     #[test]

@@ -11,36 +11,39 @@
 //! * *scan* — shared column vectors straight from storage, pushed-down
 //!   predicates applied as selection bitmaps, partitions skipped by zone
 //!   map;
-//! * *filter* — Kleene truth masks with typed fast paths ([`batch`]);
-//! * *projection* of bare columns and literals — a column permutation;
+//! * *filter* and *projection* — the predicate or output list over the
+//!   batch, bare columns shared and literals splatted ([`batch`]);
 //! * *grouped aggregation* — group keys hashed column-wise into dense
 //!   group ids, typed per-group states ([`aggregate`]);
 //! * *join* — build side hashed column-wise on the `ON` condition's
 //!   equi-keys (nested loop without any), probe batch by batch, output
-//!   gathered column by column, residual conjuncts as batch filters; outer
-//!   joins pad unmatched sides with NULL columns ([`join`]);
+//!   gathered column by column, residual conjuncts evaluated over it in
+//!   `ON` order; outer joins pad unmatched sides with NULL columns
+//!   ([`join`]);
 //! * *`DISTINCT`*, *`UNION ALL`*, *`LIMIT`* — selection bitmaps over the
 //!   input batches.
 //!
 //! Aggregation, join and `DISTINCT` share one key-hashing primitive,
 //! [`keys::KeyTable`], which the IVM rules also use to restrict a
-//! snapshot to the keys a delta touched.
+//! snapshot to the keys a delta touched. Every operator evaluates its
+//! expressions with one evaluator, [`keys::eval_column`]: anything but a
+//! bare column or a literal is
+//! [`ScalarExpr::eval`](dt_plan::ScalarExpr::eval) on one materialized
+//! row per live row (into a column, once per batch), and
+//! [`keys::FirstError`] reports the earliest failing row's error, so the
+//! batch pipeline's expression semantics are the row interpreter's by
+//! construction.
 //!
 //! **Still row-shaped**: *window functions* and *sort* flatten their input
-//! to rows and re-shred the result; a *projection* or *filter* conjunct
-//! outside the vectorizable grammar, and a group key, join key or
-//! aggregate argument that is not a bare column, evaluate
-//! [`ScalarExpr::eval`](dt_plan::ScalarExpr::eval) on one materialized row
-//! per selected row (into a column, once per batch).
+//! to rows and re-shred the result.
 //!
 //! **The row interpreter** — [`execute_rows`] with
 //! [`aggregate::execute_aggregate`], [`join::execute_join`] and
-//! [`executor::project_rows`] — is kept for two things: it is the
-//! differential oracle (every batch operator must give its rows, in its
-//! order, with its errors: `tests/columnar_differential.rs`,
-//! `tests/kernel_differential.rs`), and the IVM rules run
-//! `execute_join` / `execute_window` over the small row slices a delta
-//! restricts a join or a partition to.
+//! [`executor::project_rows`] — is the differential oracle (every batch
+//! operator must give its rows, in its order, with its errors:
+//! `tests/columnar_differential.rs`, `tests/kernel_differential.rs`), and
+//! the IVM rules run `execute_join` / `execute_window` over the small row
+//! slices a delta restricts a join or a partition to.
 //!
 //! Batches are fetched through a [`TableProvider`], which the database
 //! façade implements by resolving each scanned entity to the table version
