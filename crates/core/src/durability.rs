@@ -5,7 +5,7 @@
 //! the mutation becomes visible to any reader:
 //!
 //! * **Catalog records** carry a *full* catalog image (plus warehouse
-//!   definitions and the DT→warehouse map) after every DDL, grant, or
+//!   definitions and each DT's warehouse) after every DDL, grant, or
 //!   warehouse mutation — trivially idempotent to replay, and faithful to
 //!   the serialization order because the install leader is the state's one
 //!   writer and appends under the engine write lock. A side effect
@@ -44,7 +44,6 @@
 //! records at or below the checkpoint watermark), truncates a torn tail,
 //! and rebuilds the scheduler from the recovered catalog.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -85,13 +84,15 @@ impl WalShared {
     }
 }
 
-/// Warehouse definitions and the DT→warehouse assignment — engine state
-/// that lives outside the catalog but must survive a restart.
+/// Warehouse definitions — engine state that lives outside the catalog but
+/// must survive a restart — and each DT's warehouse.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(crate) struct EngineMeta {
     /// `(name, nodes, auto_suspend)`, sorted by name.
     warehouses: Vec<(String, u32, Duration)>,
-    /// `(dt, warehouse name)`, sorted by entity id.
+    /// `(dt, warehouse name)` for every DT in the catalog, sorted by entity
+    /// id. A copy of `DynamicTableMeta::warehouse`, kept for the format
+    /// only: replay skips it.
     dt_warehouse: Vec<(EntityId, String)>,
 }
 
@@ -579,12 +580,12 @@ impl EngineState {
     }
 
     fn engine_meta(&self) -> EngineMeta {
-        let mut dt_warehouse: Vec<(EntityId, String)> = self
-            .dt_warehouse
-            .iter()
-            .map(|(id, name)| (*id, name.clone()))
+        // Every DT the catalog holds, dropped and replaced ones included:
+        // ids are minted densely from 1 and never removed.
+        let dt_warehouse = (1..)
+            .map_while(|id| self.catalog.get(EntityId(id)).ok())
+            .filter_map(|e| Some((e.id, e.as_dt()?.warehouse.clone())))
             .collect();
-        dt_warehouse.sort();
         EngineMeta {
             warehouses: self.warehouses.dump(),
             dt_warehouse,
@@ -701,11 +702,6 @@ fn apply_meta(state: &mut EngineState, meta: &EngineMeta) -> DtResult<()> {
         // Warehouse definitions only; runtime accounting starts cold.
         state.warehouses.create(name, *nodes, *auto_suspend)?;
     }
-    state.dt_warehouse = meta
-        .dt_warehouse
-        .iter()
-        .map(|(id, name)| (*id, name.clone()))
-        .collect();
     Ok(())
 }
 
@@ -719,7 +715,6 @@ fn replay_record(state: &mut EngineState, record: WalRecord) -> DtResult<()> {
         } => {
             state.catalog = Catalog::from_bytes(&catalog)?;
             state.warehouses = dt_scheduler::WarehousePool::new();
-            state.dt_warehouse = HashMap::new();
             apply_meta(state, &meta)?;
             match side_effect {
                 SideEffect::None => {}

@@ -164,8 +164,9 @@ impl EngineState {
         if units <= 0.0 {
             return Ok(Duration::ZERO);
         }
-        let wh = &self.dt_warehouse[&dt];
-        Ok(self.warehouses.get_mut(wh)?.execute(start, units))
+        let meta = (self.catalog.get(dt)?.as_dt())
+            .ok_or_else(|| DtError::internal(format!("{dt} is not a DT")))?;
+        Ok(self.warehouses.get_mut(&meta.warehouse)?.execute(start, units))
     }
 
     /// Advance the virtual clock from `now` (before `end`) to the next

@@ -205,8 +205,6 @@ pub struct EngineState {
     pub(crate) scheduler: Scheduler,
     pub(crate) warehouses: WarehousePool,
     pub(crate) config: DbConfig,
-    /// DT → warehouse name.
-    pub(crate) dt_warehouse: HashMap<EntityId, String>,
     /// Every refresh executed, for telemetry and the §6.3 statistics. The
     /// log is behind its own lock (see [`RefreshLog`]), so telemetry reads
     /// never hold the engine lock.
@@ -245,7 +243,6 @@ impl EngineState {
             dt_reads: HashMap::new(),
             scheduler: Scheduler::default(),
             warehouses: WarehousePool::new(),
-            dt_warehouse: HashMap::new(),
             refresh_log: RefreshLog::default(),
             sim,
             wal: None,
@@ -516,13 +513,11 @@ impl EngineState {
             dt_catalog::EntityKind::DynamicTable(meta) => {
                 let mut meta = (**meta).clone();
                 meta.error_count = 0;
-                let warehouse = meta.warehouse.clone();
                 let id = self
                     .catalog
                     .create_dynamic_table(name, meta, now, role, false)?;
                 let fork = self.tables[&src.id].fork();
                 self.tables.insert(id, Arc::new(fork));
-                self.dt_warehouse.insert(id, warehouse);
                 let reads = self.dt_reads.get(&src.id).cloned().unwrap_or_default();
                 self.dt_reads.insert(id, reads);
                 // Carry over the source's progress: frontier, refresh-ts
@@ -642,8 +637,6 @@ impl EngineState {
         // Stored schema: $ROW_ID then the payload columns.
         let mut cols = vec![Column::new("$row_id", DataType::Str)];
         cols.extend(out.plan.schema().columns().iter().cloned());
-        self.dt_warehouse
-            .insert(id, cdt.warehouse.to_ascii_lowercase());
         // Logged *before* the initial refresh so replay creates the DT's
         // store before it replays that refresh's install.
         self.create_store(id, Schema::new(cols), wal);
