@@ -4,33 +4,6 @@ use std::collections::HashMap;
 
 use dt_common::Row;
 
-/// One row-level change.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RowDelta {
-    /// The row was inserted.
-    Insert(Row),
-    /// The row was deleted.
-    Delete(Row),
-}
-
-impl RowDelta {
-    /// The row payload regardless of direction.
-    pub fn row(&self) -> &Row {
-        match self {
-            RowDelta::Insert(r) | RowDelta::Delete(r) => r,
-        }
-    }
-
-    /// +1 for insert, -1 for delete (the commutative-group view of changes
-    /// used by DBSP-style IVM, which our differentiation rules follow).
-    pub fn weight(&self) -> i64 {
-        match self {
-            RowDelta::Insert(_) => 1,
-            RowDelta::Delete(_) => -1,
-        }
-    }
-}
-
 /// A multiset of inserted and deleted rows between two versions of a table
 /// (or of a query result). Internally kept as rows with signed weights so
 /// consolidation is a single pass.
@@ -133,14 +106,6 @@ impl ChangeSet {
         }
         out
     }
-
-    /// Iterate as signed deltas.
-    pub fn deltas(&self) -> impl Iterator<Item = RowDelta> + '_ {
-        self.deletes
-            .iter()
-            .map(|r| RowDelta::Delete(r.clone()))
-            .chain(self.inserts.iter().map(|r| RowDelta::Insert(r.clone())))
-    }
 }
 
 #[cfg(test)]
@@ -186,12 +151,6 @@ mod tests {
         let c = a.consolidate();
         assert_eq!(c.inserts(), &[row!(2i64)]);
         assert!(c.deletes().is_empty());
-    }
-
-    #[test]
-    fn weights() {
-        assert_eq!(RowDelta::Insert(row!(1i64)).weight(), 1);
-        assert_eq!(RowDelta::Delete(row!(1i64)).weight(), -1);
     }
 
     #[test]

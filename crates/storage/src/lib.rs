@@ -44,7 +44,7 @@ pub mod table;
 pub mod telemetry;
 pub mod version;
 
-pub use change::{ChangeSet, RowDelta};
+pub use change::ChangeSet;
 pub use durable::{StoreCheckpoint, VersionInstallRecord};
 pub use partition::{ColumnarPartition, Partition};
 pub use row_index::RowLookup;
