@@ -370,10 +370,6 @@ impl ColumnPredicate {
     /// AND this predicate into `keep` over all slots of `col` (vectorized;
     /// typed fast paths for int/float columns with numeric literals). The
     /// predicate's `column` index is ignored — `col` is the column.
-    pub fn and_mask(&self, col: &ColumnVec, keep: &mut [bool]) {
-        self.and_into(col, keep);
-    }
-
     fn and_into(&self, col: &ColumnVec, keep: &mut [bool]) {
         match (col, &self.literal) {
             (ColumnVec::Int { data, validity }, Value::Int(l)) => {

@@ -839,6 +839,32 @@ mod tests {
     }
 
     #[test]
+    fn engine_meta_lists_every_dt_the_catalog_holds() {
+        // Replaced and dropped DTs keep their entry, and a clone has its
+        // source's warehouse.
+        let engine = crate::Engine::new(DbConfig::default());
+        engine.create_warehouse("wh", 1).unwrap();
+        engine.create_warehouse("other", 1).unwrap();
+        let session = engine.session();
+        for sql in [
+            "CREATE TABLE t (k INT)",
+            "CREATE DYNAMIC TABLE a TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT k FROM t",
+            "CREATE OR REPLACE DYNAMIC TABLE a TARGET_LAG = '1 minute' WAREHOUSE = OTHER \
+             AS SELECT k FROM t",
+            "CREATE DYNAMIC TABLE b TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT k FROM t",
+            "DROP TABLE b",
+            "CREATE DYNAMIC TABLE c CLONE a",
+        ] {
+            session.execute(sql).unwrap();
+        }
+        let listed = engine.inspect(|st| st.engine_meta().dt_warehouse);
+        let expected = [(2, "wh"), (3, "other"), (4, "wh"), (5, "other")];
+        let expected: Vec<(EntityId, String)> =
+            expected.iter().map(|(id, wh)| (EntityId(*id), wh.to_string())).collect();
+        assert_eq!(listed, expected);
+    }
+
+    #[test]
     fn wal_records_round_trip() {
         let catalog = Catalog::new().to_bytes();
         let records = vec![

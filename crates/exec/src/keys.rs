@@ -1,5 +1,6 @@
 //! The key-hashing primitive under the hash aggregate, the hash join,
-//! `DISTINCT` and the IVM rules' affected-key restriction.
+//! `DISTINCT` and the IVM rules' affected-key restriction, and the batch
+//! pipeline's expression evaluator.
 //!
 //! A [`KeyTable`] maps key tuples to dense ids (`0, 1, 2, …` in first-seen
 //! order). Keys arrive column-wise: one [`ColumnVec`] per key column plus
@@ -16,10 +17,11 @@
 //! columns the batches bring. Callers that need SQL's "NULL matches
 //! nothing" (joins) leave NULL-keyed rows out with [`without_null_keys`].
 //!
-//! Expression keys are materialised once per batch by [`eval_column`].
-//! Evaluating a column at a time meets errors in a different order than
-//! the row interpreter, which stops at the first failing *row*;
-//! [`FirstError`] restores that order.
+//! Expressions are materialised once per batch by [`eval_column`], the one
+//! evaluator of the batch pipeline: keys, aggregate arguments, filter
+//! predicates, projections and join residuals. Evaluating a column at a
+//! time meets errors in a different order than the row interpreter, which
+//! stops at the first failing *row*; [`FirstError`] restores that order.
 
 use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
