@@ -6,13 +6,12 @@
 //! unmatched left rows NULL-padded, in probe order; then unmatched right
 //! rows NULL-padded, in build order):
 //!
-//! * [`execute_join_batches`] — the columnar join every query runs: keys
-//!   hashed column-wise by a [`KeyTable`], output assembled as gathered
-//!   columns, residual conjuncts evaluated over them one at a time by
-//!   [`eval_column`].
-//! * [`execute_join`] — the row-at-a-time form, kept as the differential
-//!   oracle and for the small signed joins the IVM rules run over delta
-//!   slices.
+//! * [`execute_join_batches`] — the columnar join every query and every
+//!   IVM join rule runs: keys hashed column-wise by a [`KeyTable`], output
+//!   assembled as gathered columns, residual conjuncts evaluated over them
+//!   one at a time by [`eval_column`].
+//! * [`execute_join`] — the row-at-a-time form, kept only as the
+//!   differential oracle.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -39,11 +39,12 @@
 //!
 //! **The row interpreter** — [`execute_rows`] with
 //! [`aggregate::execute_aggregate`], [`join::execute_join`] and
-//! [`executor::project_rows`] — is the differential oracle (every batch
-//! operator must give its rows, in its order, with its errors:
-//! `tests/columnar_differential.rs`, `tests/kernel_differential.rs`), and
-//! the IVM rules run `execute_join` / `execute_window` over the small row
-//! slices a delta restricts a join or a partition to.
+//! [`executor::project_rows`] — is the differential oracle only: every
+//! batch operator must give its rows, in its order, with its errors
+//! (`tests/columnar_differential.rs`, `tests/kernel_differential.rs`).
+//! The IVM rules join with [`join::execute_join_batches`], like every
+//! query, and recompute changed window partitions with
+//! [`window::execute_window`], the one window implementation.
 //!
 //! Batches are fetched through a [`TableProvider`], which the database
 //! façade implements by resolving each scanned entity to the table version

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use dt_common::{Batch, DtResult, EntityId, Row, Schema, Value};
 use dt_exec::aggregate::{execute_aggregate_batches, fold_aggregate_delta, folds_from_delta};
 use dt_exec::batch::flatten;
+use dt_exec::join::execute_join_batches;
 use dt_exec::keys::{try_eval_columns, KeyTable, ABSENT};
 use dt_exec::{execute_batches, TableProvider};
 use dt_plan::{
@@ -414,62 +415,51 @@ fn inner_join_delta(
     let keys = equi_join_keys(on, la);
     let opposite = |side: &LogicalPlan, provider, side_keys: &[ScalarExpr], d: &ChangeSet, d_keys| {
         if side_keys.is_empty() {
-            return evaluate(side, provider);
+            return evaluate_batches(side, provider);
         }
-        Ok(flatten(restricted(
-            side,
-            provider,
-            side_keys,
-            &affected_keys(d, d_keys)?,
-        )?))
+        restricted(side, provider, side_keys, &affected_keys(d, d_keys)?)
     };
     if !dl.is_empty() {
         let r1 = opposite(right, ctx.new, &keys.right, &dl, &keys.left)?;
-        signed_join_into(
-            &mut out,
-            (dl.inserts(), dl.deletes()),
-            (&r1, &[]),
-            la,
-            ra,
-            on,
-        )?;
+        let [ins, del] = signed(&dl, la);
+        signed_join_into(&mut out, (&ins, &del), (&r1, &[]), la, ra, on)?;
     }
     if !dr.is_empty() {
         let q0 = opposite(left, ctx.old, &keys.left, &dr, &keys.right)?;
-        signed_join_into(
-            &mut out,
-            (&q0, &[]),
-            (dr.inserts(), dr.deletes()),
-            la,
-            ra,
-            on,
-        )?;
+        let [ins, del] = signed(&dr, ra);
+        signed_join_into(&mut out, (&q0, &[]), (&ins, &del), la, ra, on)?;
     }
     Ok(out)
 }
 
-/// Join two signed sets, each an (inserts, deletes) pair of row slices,
+/// A change set's inserts and deletes as one batch each.
+fn signed(d: &ChangeSet, arity: usize) -> [[Batch; 1]; 2] {
+    [d.inserts(), d.deletes()].map(|rows| [Batch::from_rows(arity, rows)])
+}
+
+/// Join two signed sets, each an (inserts, deletes) pair of batches,
 /// accumulating weighted results into `out`.
 fn signed_join_into(
     out: &mut ChangeSet,
-    l: (&[Row], &[Row]),
-    r: (&[Row], &[Row]),
+    l: (&[Batch], &[Batch]),
+    r: (&[Batch], &[Batch]),
     la: usize,
     ra: usize,
     on: &ScalarExpr,
 ) -> DtResult<()> {
     // Four sign combinations; inner-join execution handles the matching.
-    let combos: [(&[Row], &[Row], bool); 4] = [
+    let combos: [(&[Batch], &[Batch], bool); 4] = [
         (l.0, r.0, true),
         (l.0, r.1, false),
         (l.1, r.0, false),
         (l.1, r.1, true),
     ];
-    for (lrows, rrows, insert) in combos {
-        if lrows.is_empty() || rrows.is_empty() {
+    let no_rows = |batches: &[Batch]| batches.iter().all(|b| b.live_count() == 0);
+    for (lb, rb, insert) in combos {
+        if no_rows(lb) || no_rows(rb) {
             continue;
         }
-        let joined = dt_exec::join::execute_join(lrows, rrows, la, ra, JoinType::Inner, on)?;
+        let joined = flatten(execute_join_batches(lb, rb, la, ra, JoinType::Inner, on)?);
         for row in joined {
             if insert {
                 out.push_insert(row);
@@ -499,27 +489,16 @@ fn outer_join_delta_direct(
     }
     let la = left.schema().len();
     let ra = right.schema().len();
+    let join = |l: Vec<Batch>, r: Vec<Batch>| -> DtResult<Vec<Row>> {
+        Ok(flatten(execute_join_batches(&l, &r, la, ra, join_type, on)?))
+    };
     let keys = equi_join_keys(on, la);
     let (lk, rk) = (&keys.left, &keys.right);
     if lk.is_empty() {
         // No equi keys: every row is potentially affected; fall back to a
         // full recompute diff.
-        let old = dt_exec::join::execute_join(
-            &evaluate(left, ctx.old)?,
-            &evaluate(right, ctx.old)?,
-            la,
-            ra,
-            join_type,
-            on,
-        )?;
-        let new = dt_exec::join::execute_join(
-            &evaluate(left, ctx.new)?,
-            &evaluate(right, ctx.new)?,
-            la,
-            ra,
-            join_type,
-            on,
-        )?;
+        let old = join(evaluate_batches(left, ctx.old)?, evaluate_batches(right, ctx.old)?)?;
+        let new = join(evaluate_batches(left, ctx.new)?, evaluate_batches(right, ctx.new)?)?;
         return Ok(ChangeSet::new(new, old));
     }
     // Affected key set: keys of changed rows on either side.
@@ -527,13 +506,13 @@ fn outer_join_delta_direct(
     collect_keys(&dl, lk, &mut affected)?;
     collect_keys(&dr, rk, &mut affected)?;
 
-    let l0 = flatten(restricted(left, ctx.old, lk, &affected)?);
-    let r0 = flatten(restricted(right, ctx.old, rk, &affected)?);
-    let l1 = flatten(restricted(left, ctx.new, lk, &affected)?);
-    let r1 = flatten(restricted(right, ctx.new, rk, &affected)?);
+    let l0 = restricted(left, ctx.old, lk, &affected)?;
+    let r0 = restricted(right, ctx.old, rk, &affected)?;
+    let l1 = restricted(left, ctx.new, lk, &affected)?;
+    let r1 = restricted(right, ctx.new, rk, &affected)?;
 
-    let old = dt_exec::join::execute_join(&l0, &r0, la, ra, join_type, on)?;
-    let new = dt_exec::join::execute_join(&l1, &r1, la, ra, join_type, on)?;
+    let old = join(l0, r0)?;
+    let new = join(l1, r1)?;
     Ok(ChangeSet::new(new, old))
 }
 
@@ -551,46 +530,31 @@ fn outer_join_delta_naive(
 ) -> DtResult<ChangeSet> {
     let la = left.schema().len();
     let ra = right.schema().len();
+    // `π_{other=NULL}(Q ▷ R)` at one end: the rows of one side with no join
+    // partner, padded with NULLs on the other — the padded rows of the
+    // matching half-outer join.
+    let anti_join_padded = |provider, left_side: bool| -> DtResult<Vec<Row>> {
+        let jt = if left_side { JoinType::Left } else { JoinType::Right };
+        let (l, r) = (evaluate_batches(left, provider)?, evaluate_batches(right, provider)?);
+        let joined = flatten(execute_join_batches(&l, &r, la, ra, jt, on)?);
+        let other = if left_side { la..la + ra } else { 0..la };
+        Ok(joined.into_iter().filter(|r| r.values()[other.clone()].iter().all(Value::is_null)).collect())
+    };
     // Term 1: the inner-join delta.
     let mut out = inner_join_delta(left, right, on, ctx)?;
     // Terms 2/3: deltas of the padded anti-joins. Computed as full
     // recompute diffs of the anti-join terms (re-evaluating Q and R).
-    if matches!(join_type, JoinType::Left | JoinType::Full) {
-        let old = anti_join_padded(&evaluate(left, ctx.old)?, &evaluate(right, ctx.old)?, la, ra, on, true)?;
-        let new = anti_join_padded(&evaluate(left, ctx.new)?, &evaluate(right, ctx.new)?, la, ra, on, true)?;
-        out.extend(ChangeSet::new(new, old));
+    let terms = [
+        (matches!(join_type, JoinType::Left | JoinType::Full), true),
+        (matches!(join_type, JoinType::Right | JoinType::Full), false),
+    ];
+    for (padded, left_side) in terms {
+        if padded {
+            let old = anti_join_padded(ctx.old, left_side)?;
+            let new = anti_join_padded(ctx.new, left_side)?;
+            out.extend(ChangeSet::new(new, old));
+        }
     }
-    if matches!(join_type, JoinType::Right | JoinType::Full) {
-        let old = anti_join_padded(&evaluate(left, ctx.old)?, &evaluate(right, ctx.old)?, la, ra, on, false)?;
-        let new = anti_join_padded(&evaluate(left, ctx.new)?, &evaluate(right, ctx.new)?, la, ra, on, false)?;
-        out.extend(ChangeSet::new(new, old));
-    }
-    Ok(out)
-}
-
-/// `π_{other=NULL}(probe ▷ build)`: rows of one side with no join partner,
-/// padded with NULLs on the other side.
-fn anti_join_padded(
-    left: &[Row],
-    right: &[Row],
-    la: usize,
-    ra: usize,
-    on: &ScalarExpr,
-    left_side: bool,
-) -> DtResult<Vec<Row>> {
-    // Run the appropriate half-outer join and keep only padded rows.
-    let jt = if left_side { JoinType::Left } else { JoinType::Right };
-    let joined = dt_exec::join::execute_join(left, right, la, ra, jt, on)?;
-    let out = joined
-        .into_iter()
-        .filter(|r| {
-            if left_side {
-                r.values()[la..].iter().all(Value::is_null)
-            } else {
-                r.values()[..la].iter().all(Value::is_null)
-            }
-        })
-        .collect();
     Ok(out)
 }
 
@@ -620,11 +584,6 @@ fn affected_keys(d: &ChangeSet, key_exprs: &[ScalarExpr]) -> DtResult<KeyTable> 
 /// plan, whose scans stand for the raw source changes.)
 fn evaluate_batches(plan: &LogicalPlan, provider: &dyn TableProvider) -> DtResult<Vec<Batch>> {
     execute_batches(&push_down_filters(plan), provider)
-}
-
-/// [`evaluate_batches`], materialized as rows.
-fn evaluate(plan: &LogicalPlan, provider: &dyn TableProvider) -> DtResult<Vec<Row>> {
-    Ok(flatten(evaluate_batches(plan, provider)?))
 }
 
 /// `[min, max]` over `keys` of every key that is a bare column, as one
