@@ -375,12 +375,6 @@ impl Catalog {
         &self.privileges
     }
 
-    /// Mutable grant table.
-    pub fn privileges_mut(&mut self) -> &mut PrivilegeSet {
-        self.touch();
-        &mut self.privileges
-    }
-
     /// Grant `privilege` on the live entity `name` to `role` (§3.4). The
     /// session layer calls this with the *granting session's* target role;
     /// subsequent privilege checks read whatever role the checking session

@@ -127,13 +127,6 @@ impl Schema {
         &self.columns[i]
     }
 
-    /// A new schema with the given column appended.
-    pub fn with_column(&self, c: Column) -> Schema {
-        let mut cols = self.columns.clone();
-        cols.push(c);
-        Schema::new(cols)
-    }
-
     /// Concatenate two schemas (used by joins).
     pub fn join(&self, other: &Schema) -> Schema {
         let mut cols = self.columns.clone();

@@ -85,14 +85,6 @@ impl Value {
         }
     }
 
-    /// Extract a timestamp or fail with a type error.
-    pub fn expect_timestamp(&self) -> DtResult<Timestamp> {
-        match self {
-            Value::Timestamp(t) => Ok(*t),
-            other => Err(DtError::Type(format!("expected TIMESTAMP, got {other}"))),
-        }
-    }
-
     /// SQL `+`. NULL-propagating; timestamp + duration supported.
     pub fn add(&self, rhs: &Value) -> DtResult<Value> {
         use Value::*;

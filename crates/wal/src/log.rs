@@ -236,11 +236,6 @@ impl Wal {
         self.seq
     }
 
-    /// Payload bytes appended to the active segment so far.
-    pub fn active_segment_bytes(&self) -> u64 {
-        self.written
-    }
-
     /// Append a group-commit batch: every record framed and written in
     /// one `write_all`, made durable with one `fdatasync`. Returns only
     /// after the batch is on disk — the caller (a group-commit leader

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use dt_common::codec::{
-    get_row, get_rows, get_schema, get_values, put_row, put_rows, put_schema, put_values,
+    get_rows, get_schema, get_values, put_rows, put_schema, put_values,
     DecodeError, DecodeResult, Reader, Writer,
 };
 use dt_common::{DtError, Row, Schema, Timestamp, Value};
@@ -607,21 +607,6 @@ pub fn get_dt_error(r: &mut Reader<'_>) -> DecodeResult<DtError> {
             )))
         }
     })
-}
-
-/// Decode a [`Row`] (re-exported for schema-shaped consumers).
-pub fn decode_row(payload: &[u8]) -> DecodeResult<Row> {
-    let mut r = Reader::new(payload);
-    let row = get_row(&mut r)?;
-    r.finish()?;
-    Ok(row)
-}
-
-/// Encode a [`Row`] (round-trip helper for tests and tools).
-pub fn encode_row(row: &Row) -> Vec<u8> {
-    let mut w = Writer::new();
-    put_row(&mut w, row);
-    w.into_bytes()
 }
 
 #[cfg(test)]
