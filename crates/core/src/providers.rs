@@ -31,6 +31,31 @@ pub struct StorageView<'a> {
     pub refresh_map: &'a RefreshTsMap,
 }
 
+impl<'a> StorageView<'a> {
+    /// The version of `entity` at the data timestamp `at` (§5.3): a DT's
+    /// by exact refresh timestamp (a miss fails — production validation #1
+    /// of §6.1), a base table's by commit timestamp.
+    pub(crate) fn pinned_at(&self, entity: EntityId, at: Timestamp) -> DtResult<PinnedVersion<'a>> {
+        let store = self
+            .tables
+            .get(&entity)
+            .ok_or_else(|| DtError::Storage(format!("no storage for {entity}")))?;
+        let is_dt = (self.dt_entities)(entity);
+        let version = if is_dt {
+            self.refresh_map.exact_version_for(entity, at)?
+        } else {
+            store
+                .version_at(at)
+                .ok_or_else(|| DtError::Storage(format!("no version of {entity} at {at}")))?
+        };
+        Ok(PinnedVersion {
+            store,
+            version,
+            is_dt,
+        })
+    }
+}
+
 /// The payload of stored DT rows: each without its leading `$ROW_ID`.
 pub fn strip_row_ids<'a>(rows: impl IntoIterator<Item = &'a Row>) -> Vec<Row> {
     rows.into_iter()
@@ -134,25 +159,7 @@ impl<'a> SnapshotProvider<'a> {
 impl SnapshotProvider<'_> {
     /// The version of `entity` this provider reads.
     pub(crate) fn pinned(&self, entity: EntityId) -> DtResult<PinnedVersion<'_>> {
-        let store = self
-            .view
-            .tables
-            .get(&entity)
-            .ok_or_else(|| DtError::Storage(format!("no storage for {entity}")))?;
-        let is_dt = (self.view.dt_entities)(entity);
-        let version = if is_dt {
-            self.view.refresh_map.exact_version_for(entity, self.at)?
-        } else {
-            // Base tables resolve by commit timestamp (§5.3).
-            store
-                .version_at(self.at)
-                .ok_or_else(|| DtError::Storage(format!("no version of {entity} at {}", self.at)))?
-        };
-        Ok(PinnedVersion {
-            store,
-            version,
-            is_dt,
-        })
+        self.view.pinned_at(entity, self.at)
     }
 }
 

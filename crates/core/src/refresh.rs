@@ -303,18 +303,6 @@ impl RefreshEnv {
             .ok_or_else(|| DtError::Storage(format!("no storage for {id}")))
     }
 
-    /// The storage version of a source at a data timestamp (commit-time
-    /// rule for base tables, exact refresh-timestamp rule for DTs — §5.3).
-    fn source_version_at(&self, entity: EntityId, ts: Timestamp) -> DtResult<VersionId> {
-        if self.is_dt(entity) {
-            self.refresh_map.exact_version_for(entity, ts)
-        } else {
-            self.store(entity)?
-                .version_at(ts)
-                .ok_or_else(|| DtError::Storage(format!("no version of {entity} at {ts}")))
-        }
-    }
-
     /// This environment's pinned tables as a provider view.
     fn view<'a>(&'a self, is_dt: &'a dyn Fn(EntityId) -> bool) -> StorageView<'a> {
         StorageView {
@@ -372,8 +360,10 @@ fn compute_refresh(
     // frontier can be computed here, before the install.
     let mut new_frontier = Frontier::at(refresh_ts);
     let mut to_versions = Vec::with_capacity(upstream.len());
+    let is_dt = |id: EntityId| env.is_dt(id);
+    let view = env.view(&is_dt);
     for up in upstream {
-        let to = env.source_version_at(*up, refresh_ts)?;
+        let to = view.pinned_at(*up, refresh_ts)?.version;
         new_frontier.set(*up, to);
         to_versions.push((*up, to));
     }
@@ -421,7 +411,6 @@ fn compute_refresh(
 
     let full = initial || evolved || refresh_mode == RefreshMode::Full;
     if full {
-        let is_dt = |id: EntityId| env.is_dt(id);
         let (rows, input_rows) = evaluate_at(env.view(&is_dt), plan, refresh_ts)?;
         let out_rows = with_initial_row_ids(rows);
         let changed = out_rows.len();
@@ -465,7 +454,6 @@ fn compute_refresh(
     let changes = IntervalChanges { per_entity };
 
     let d = {
-        let is_dt = |id: EntityId| env.is_dt(id);
         // The "old" provider resolves each source at the previous
         // frontier version; implemented as a fixed-version provider.
         let old = FrontierProvider {
