@@ -530,30 +530,28 @@ fn outer_join_delta_naive(
 ) -> DtResult<ChangeSet> {
     let la = left.schema().len();
     let ra = right.schema().len();
-    // `π_{other=NULL}(Q ▷ R)` at one end: the rows of one side with no join
-    // partner, padded with NULLs on the other — the padded rows of the
-    // matching half-outer join.
-    let anti_join_padded = |provider, left_side: bool| -> DtResult<Vec<Row>> {
+    // `Δ π_{other=NULL}(Q ▷ R)`, as a full recompute diff that evaluates
+    // Q and R again: the rows of one side with no join partner, padded
+    // with NULLs on the other — the padded rows of the matching
+    // half-outer join — at both ends.
+    let anti_join_delta = |left_side: bool| -> DtResult<ChangeSet> {
         let jt = if left_side { JoinType::Left } else { JoinType::Right };
-        let (l, r) = (evaluate_batches(left, provider)?, evaluate_batches(right, provider)?);
-        let joined = flatten(execute_join_batches(&l, &r, la, ra, jt, on)?);
         let other = if left_side { la..la + ra } else { 0..la };
-        Ok(joined.into_iter().filter(|r| r.values()[other.clone()].iter().all(Value::is_null)).collect())
+        let padded = |provider| -> DtResult<Vec<Row>> {
+            let (l, r) = (evaluate_batches(left, provider)?, evaluate_batches(right, provider)?);
+            let joined = flatten(execute_join_batches(&l, &r, la, ra, jt, on)?);
+            Ok(joined.into_iter().filter(|r| r.values()[other.clone()].iter().all(Value::is_null)).collect())
+        };
+        let old = padded(ctx.old)?;
+        Ok(ChangeSet::new(padded(ctx.new)?, old))
     };
-    // Term 1: the inner-join delta.
+    // Term 1: the inner-join delta; terms 2/3: the padded anti-joins'.
     let mut out = inner_join_delta(left, right, on, ctx)?;
-    // Terms 2/3: deltas of the padded anti-joins. Computed as full
-    // recompute diffs of the anti-join terms (re-evaluating Q and R).
-    let terms = [
-        (matches!(join_type, JoinType::Left | JoinType::Full), true),
-        (matches!(join_type, JoinType::Right | JoinType::Full), false),
-    ];
-    for (padded, left_side) in terms {
-        if padded {
-            let old = anti_join_padded(ctx.old, left_side)?;
-            let new = anti_join_padded(ctx.new, left_side)?;
-            out.extend(ChangeSet::new(new, old));
-        }
+    if matches!(join_type, JoinType::Left | JoinType::Full) {
+        out.extend(anti_join_delta(true)?);
+    }
+    if matches!(join_type, JoinType::Right | JoinType::Full) {
+        out.extend(anti_join_delta(false)?);
     }
     Ok(out)
 }
