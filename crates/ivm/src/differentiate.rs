@@ -1172,12 +1172,7 @@ mod tests {
 
                 for (i, (inserts, deletes, shuffle)) in steps.into_iter().enumerate() {
                     let (ts, txn) = at(i + 1);
-                    let rows = t.scan(t.latest_version()).unwrap();
-                    let mut doomed: Vec<usize> = deletes.iter().filter(|_| !rows.is_empty()).map(|p| p % rows.len()).collect();
-                    doomed.sort_unstable();
-                    doomed.dedup();
-                    let doomed = doomed.into_iter().map(|p| rows[p].clone()).collect();
-                    t.commit_change(inserts.into_iter().map(t_row).collect(), doomed, ts, txn).unwrap();
+                    change(&t, inserts.into_iter().map(t_row).collect(), &deletes, (ts, txn));
                     if shuffle == 0 {
                         t.recluster(ts, txn).unwrap();
                     }
