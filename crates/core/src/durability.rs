@@ -5,17 +5,17 @@
 //! the mutation becomes visible to any reader:
 //!
 //! * **Catalog records** carry a *full* catalog image (plus warehouse
-//!   definitions and each DT's warehouse) after every DDL, grant, or
+//!   definitions) after every DDL, grant, or
 //!   warehouse mutation — trivially idempotent to replay, and faithful to
 //!   the serialization order because the install leader is the state's one
 //!   writer and appends under the engine write lock. A side effect
 //!   describes the storage action that rode along (a new table store, a
 //!   zero-copy clone).
 //! * **DML commit records** carry each committed transaction's physical
-//!   install — exact partition ids, rows, and version metadata per touched
-//!   table — stamped with the real HLC commit timestamp, so replay
-//!   reconstructs byte-identical version chains at the original commit
-//!   instants (time travel included).
+//!   install — exact partition ids, rows, and the version's delta per
+//!   touched table, never its whole partition list — stamped with the real
+//!   HLC commit timestamp, so replay reconstructs byte-identical version
+//!   chains at the original commit instants (time travel included).
 //! * **Refresh records** carry a DT refresh's storage install (if any),
 //!   the refresh-ts → version mapping entry, the new frontier, and — only
 //!   when §5.4 evolution installed — the new fingerprint and upstream set.
@@ -85,15 +85,11 @@ impl WalShared {
 }
 
 /// Warehouse definitions — engine state that lives outside the catalog but
-/// must survive a restart — and each DT's warehouse.
+/// must survive a restart. Each DT's warehouse is in the catalog.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(crate) struct EngineMeta {
     /// `(name, nodes, auto_suspend)`, sorted by name.
     warehouses: Vec<(String, u32, Duration)>,
-    /// `(dt, warehouse name)` for every DT in the catalog, sorted by entity
-    /// id. A copy of `DynamicTableMeta::warehouse`, kept for the format
-    /// only: replay skips it.
-    dt_warehouse: Vec<(EntityId, String)>,
 }
 
 impl EngineMeta {
@@ -103,11 +99,6 @@ impl EngineMeta {
             w.put_str(name);
             w.put_u32(*nodes);
             w.put_i64(auto_suspend.as_micros());
-        }
-        w.put_len(self.dt_warehouse.len());
-        for (id, name) in &self.dt_warehouse {
-            w.put_u64(id.0);
-            w.put_str(name);
         }
     }
 
@@ -120,17 +111,7 @@ impl EngineMeta {
             let auto_suspend = Duration::from_micros(r.get_i64()?);
             warehouses.push((name, nodes, auto_suspend));
         }
-        let n = r.get_len(12)?;
-        let mut dt_warehouse = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = EntityId(r.get_u64()?);
-            let name = r.get_str()?;
-            dt_warehouse.push((id, name));
-        }
-        Ok(EngineMeta {
-            warehouses,
-            dt_warehouse,
-        })
+        Ok(EngineMeta { warehouses })
     }
 }
 
@@ -580,15 +561,8 @@ impl EngineState {
     }
 
     fn engine_meta(&self) -> EngineMeta {
-        // Every DT the catalog holds, dropped and replaced ones included:
-        // ids are minted densely from 1 and never removed.
-        let dt_warehouse = (1..)
-            .map_while(|id| self.catalog.get(EntityId(id)).ok())
-            .filter_map(|e| Some((e.id, e.as_dt()?.warehouse.clone())))
-            .collect();
         EngineMeta {
             warehouses: self.warehouses.dump(),
-            dt_warehouse,
         }
     }
 
@@ -831,37 +805,57 @@ mod tests {
                 dt_common::PartitionId(3),
                 vec![Row::new(vec![Value::Int(1), Value::Str("a".into())])],
             )],
-            partitions: vec![dt_common::PartitionId(3)],
             added: vec![dt_common::PartitionId(3)],
-            removed: vec![],
+            removed: vec![dt_common::PartitionId(1)],
+            in_place: vec![0],
             row_count: 1,
         }
     }
 
     #[test]
-    fn engine_meta_lists_every_dt_the_catalog_holds() {
-        // Replaced and dropped DTs keep their entry, and a clone has its
-        // source's warehouse.
-        let engine = crate::Engine::new(DbConfig::default());
-        engine.create_warehouse("wh", 1).unwrap();
-        engine.create_warehouse("other", 1).unwrap();
-        let session = engine.session();
-        for sql in [
-            "CREATE TABLE t (k INT)",
-            "CREATE DYNAMIC TABLE a TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT k FROM t",
-            "CREATE OR REPLACE DYNAMIC TABLE a TARGET_LAG = '1 minute' WAREHOUSE = OTHER \
-             AS SELECT k FROM t",
-            "CREATE DYNAMIC TABLE b TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT k FROM t",
-            "DROP TABLE b",
-            "CREATE DYNAMIC TABLE c CLONE a",
-        ] {
-            session.execute(sql).unwrap();
+    fn every_dts_warehouse_survives_a_restart_from_the_catalog_alone() {
+        // Replaced and dropped DTs keep their warehouse, and a clone has
+        // its source's — across WAL replay and across a checkpoint, with
+        // no DT listed in the engine meta.
+        let dir = std::env::temp_dir().join(format!("dt-engine-meta-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let warehouses = |engine: &crate::Engine| {
+            engine.inspect(|st| {
+                assert_eq!(st.engine_meta().warehouses.len(), 2);
+                (1..)
+                    .map_while(|id| st.catalog.get(EntityId(id)).ok())
+                    .filter_map(|e| Some((e.id, e.as_dt()?.warehouse.clone())))
+                    .collect::<Vec<_>>()
+            })
+        };
+        {
+            let engine = crate::Engine::open(&dir).unwrap();
+            engine.create_warehouse("wh", 1).unwrap();
+            engine.create_warehouse("other", 1).unwrap();
+            let session = engine.session();
+            for sql in [
+                "CREATE TABLE t (k INT)",
+                "CREATE DYNAMIC TABLE a TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT k FROM t",
+                "CREATE OR REPLACE DYNAMIC TABLE a TARGET_LAG = '1 minute' WAREHOUSE = OTHER \
+                 AS SELECT k FROM t",
+                "CREATE DYNAMIC TABLE b TARGET_LAG = '1 minute' WAREHOUSE = wh AS SELECT k FROM t",
+                "DROP TABLE b",
+                "CREATE DYNAMIC TABLE c CLONE a",
+            ] {
+                session.execute(sql).unwrap();
+            }
         }
-        let listed = engine.inspect(|st| st.engine_meta().dt_warehouse);
         let expected = [(2, "wh"), (3, "other"), (4, "wh"), (5, "other")];
         let expected: Vec<(EntityId, String)> =
             expected.iter().map(|(id, wh)| (EntityId(*id), wh.to_string())).collect();
-        assert_eq!(listed, expected);
+        let replayed = crate::Engine::open(&dir).unwrap();
+        assert_eq!(warehouses(&replayed), expected, "after WAL replay");
+        assert!(replayed.checkpoint().unwrap());
+        drop(replayed);
+        let restored = crate::Engine::open(&dir).unwrap();
+        assert_eq!(warehouses(&restored), expected, "after a checkpoint");
+        drop(restored);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -873,7 +867,6 @@ mod tests {
                 catalog: catalog.clone(),
                 meta: EngineMeta {
                     warehouses: vec![("wh".into(), 4, Duration::from_mins(5))],
-                    dt_warehouse: vec![(EntityId(7), "wh".into())],
                 },
                 side_effect: SideEffect::CreateStore {
                     entity: EntityId(7),
@@ -964,7 +957,6 @@ mod tests {
             catalog: Catalog::new().to_bytes(),
             meta: EngineMeta {
                 warehouses: vec![("wh".into(), 2, Duration::from_mins(5))],
-                dt_warehouse: vec![],
             },
             stores: vec![],
             frontiers: vec![(

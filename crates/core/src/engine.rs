@@ -71,8 +71,11 @@ pub struct CommitStats {
     /// (grouped and unbatched alike; excludes read-only commits, which
     /// install nothing).
     pub commits: u64,
-    /// Transactions aborted by the install path with a serialization
-    /// conflict (version moved, table dropped).
+    /// Transaction commits lost to a serialization conflict: refused at
+    /// admission (the table's lock is held, a deadlock, a lock-wait
+    /// timeout), refused in the row work (a pessimistic waiter whose
+    /// table moved under a write set with deletes), or failed at install
+    /// validation (version moved, table dropped).
     pub conflicts: u64,
     /// Times the install path acquired the engine write lock for a batch
     /// holding at least one commit — one per commit on the unbatched path.
@@ -281,7 +284,7 @@ impl Engine {
     /// | `requests_served` | wire requests served across all connections |
     /// | `active_txns` | transactions open in the transaction manager |
     /// | `commits` | transactions committed through the install pipeline (read-only commits excluded) |
-    /// | `conflicts` | commits aborted with a serialization conflict |
+    /// | `conflicts` | commits lost to a serialization conflict: at admission, in the row work or at install validation |
     /// | `install_lock_acquisitions` | engine-write-lock acquisitions that installed at least one commit |
     /// | `max_batch` | most commits installed under one acquisition |
     /// | `group_submitted` | commits that went through the install queue |
@@ -633,8 +636,10 @@ impl Session {
     }
 
     /// Trigger a manual refresh of a DT and its upstream chain (§3.2).
+    /// Returns the number of refreshes executed; the DT's own refresh
+    /// failing with a user error is an outcome, not an `Err` (§3.3.3).
     pub fn manual_refresh(&self, name: &str) -> DtResult<usize> {
-        self.engine.manual_refresh(name, &self.role())
+        Ok(self.engine.manual_refresh(name, &self.role())?.0)
     }
 
     /// Grant a privilege on a named entity to a role (§3.4).

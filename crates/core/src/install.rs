@@ -148,8 +148,8 @@ pub(crate) struct InstallShared {
     queue: CommitQueue<Install, DtResult<Installed>>,
     pub(crate) commit: KindCounters,
     pub(crate) refresh: KindCounters,
-    /// Transactions committed / aborted on a serialization conflict by
-    /// the pipeline.
+    /// Transactions committed by the pipeline / lost to a serialization
+    /// conflict anywhere on the commit path ([`InstallShared::record_conflict`]).
     pub(crate) commits: AtomicU64,
     pub(crate) conflicts: AtomicU64,
     /// Parallel rounds driven so far.
@@ -181,6 +181,13 @@ impl InstallShared {
                 std::thread::available_parallelism().map_or(1, |n| n.get()),
             ),
         }
+    }
+
+    /// Count one transaction commit lost to a serialization conflict: at
+    /// admission, in the row work against a pinned base, or at install
+    /// validation.
+    pub(crate) fn record_conflict(&self) {
+        self.conflicts.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -295,7 +302,7 @@ pub(crate) fn install_batch(engine: &Engine, batch: Vec<Install>) -> Vec<DtResul
                 tables.iter().for_each(|id| engine.locking.record_commit(*id));
             }
             Err(e) if is_serialization_conflict(e) => {
-                engine.installs.conflicts.fetch_add(1, Ordering::Relaxed);
+                engine.installs.record_conflict();
                 tables.iter().for_each(|id| engine.locking.record_abort(*id));
             }
             Err(_) => {}

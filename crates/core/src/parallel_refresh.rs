@@ -588,9 +588,9 @@ impl Engine {
 
     /// Run a DT's chain — the upstream DTs it refreshes, then the DT
     /// itself, last — on one worker. The DT's own refresh failing with a
-    /// user error is an outcome (§3.3.3), unless it was the DT's
-    /// initialization: that is the caller's error, as `CREATE DYNAMIC
-    /// TABLE`'s is. `Err` also when a command of the chain conflicted (that
+    /// user error is an outcome (§3.3.3), returned as `Ok(Some(error))`,
+    /// unless it was the DT's initialization: that is the caller's error,
+    /// as `CREATE DYNAMIC TABLE`'s is. `Err` also when a command of the chain conflicted (that
     /// conflict), when an upstream refresh failed ([`DtError::Evaluation`]
     /// naming it; the DT keeps its data timestamp), or on an internal
     /// error; [`ChainError::failed`] names the DT whose refresh failed.
@@ -600,8 +600,9 @@ impl Engine {
         graph: &DtGraph,
         issued: bool,
         report: impl Fn(&RefreshCommand) -> Report + Sync,
-    ) -> Result<(), ChainError> {
+    ) -> Result<Option<String>, ChainError> {
         let target = commands.last().map(|cmd| cmd.dt);
+        let mut own_failure = None;
         // One worker ends the commands in rank order: the first that did
         // not land is the cause.
         for (dt, status, initial) in self.execute(commands, graph, 1, issued, report)? {
@@ -616,11 +617,12 @@ impl Engine {
             } else if initial {
                 format!("initialization failed: {error}")
             } else {
+                own_failure = Some(error);
                 continue;
             };
             return Err(ChainError { failed: Some(dt), error: DtError::Evaluation(error) });
         }
-        Ok(())
+        Ok(own_failure)
     }
 }
 

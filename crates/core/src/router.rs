@@ -283,10 +283,14 @@ fn on_session(
             name,
             action: ast::AlterDtAction::Refresh,
         } => {
-            let n = engine.manual_refresh(name, &role())?;
-            Ok(ExecResult::Ok(format!(
-                "{name} refreshed ({n} refreshes executed)"
-            )))
+            // The DT's own failed refresh is an outcome, not the
+            // statement's error (§3.3.3); the reply names it.
+            Ok(ExecResult::Ok(match engine.manual_refresh(name, &role())? {
+                (n, None) => format!("{name} refreshed ({n} refreshes executed)"),
+                (n, Some(error)) => {
+                    format!("{name} refresh failed: {error} ({n} refreshes executed)")
+                }
+            }))
         }
         _ => {
             let (sql, role, stmt) = (sql.to_string(), role(), stmt.clone());

@@ -722,19 +722,20 @@ impl Engine {
                     std::thread::sleep(std::time::Duration::from_millis(1 << attempt));
                     attempt += 1;
                 }
-                initialized => return initialized,
+                initialized => return initialized.map(|_| ()),
             }
         }
     }
 
     /// Manual refresh (§3.2): data timestamp after the command was issued,
     /// shared by the whole upstream chain, refreshed first. Returns the
-    /// number of refreshes executed. Each install reports its refresh as
-    /// ended — under a simulation, after its warehouse time, which the
-    /// clock advances by. A failed upstream refresh is the statement's
-    /// error, and the DT stays where it was; so is a failed
-    /// initialization of the DT itself.
-    pub(crate) fn manual_refresh(&self, name: &str, role: &str) -> DtResult<usize> {
+    /// number of refreshes executed and, when the DT's own refresh failed
+    /// with a user error (an outcome, §3.3.3), that error. Each install
+    /// reports its refresh as ended — under a simulation, after its
+    /// warehouse time, which the clock advances by. A failed upstream
+    /// refresh is the statement's error, and the DT stays where it was; so
+    /// is a failed initialization of the DT itself.
+    pub(crate) fn manual_refresh(&self, name: &str, role: &str) -> DtResult<(usize, Option<String>)> {
         let (name, role) = (name.to_string(), role.to_string());
         let (plan, graph) = self.mutate(move |st, _| {
             let e = st.catalog.resolve(&name)?;
@@ -758,8 +759,8 @@ impl Engine {
                 st.report_refresh(dt, ts, outcome, ended, wal)
             })
         };
-        self.execute_chain(plan, &graph, true, report_ended)?;
-        Ok(executed)
+        let failed = self.execute_chain(plan, &graph, true, report_ended)?;
+        Ok((executed, failed))
     }
 }
 

@@ -483,6 +483,9 @@ impl Transaction {
                     for id in &touched {
                         self.engine.locking.record_abort(*id);
                     }
+                    if is_serialization_conflict(&e) {
+                        self.engine.installs.record_conflict();
+                    }
                     let _ = self.engine.txns.abort(&self.txn);
                     return Err(e);
                 }
@@ -540,6 +543,7 @@ impl Transaction {
                             self.engine.locking.record_abort(*id);
                         }
                         self.engine.locking.record_abort(id);
+                        self.engine.installs.record_conflict();
                     }
                     let _ = self.engine.txns.abort(&self.txn);
                     return Err(e);
@@ -680,6 +684,31 @@ mod tests {
             "entity e3 is locked by t7".into()
         )));
         assert!(!is_serialization_conflict(&DtError::Unsupported("x".into())));
+    }
+
+    #[test]
+    fn a_commit_lost_at_admission_counts_one_conflict() {
+        let engine = Engine::new(DbConfig::default());
+        let session = engine.session();
+        session.execute("CREATE TABLE t (k INT)").unwrap();
+        let conflicts = || engine.commit_stats().conflicts;
+        let begin_insert = |k: i64| {
+            let mut txn = session.begin();
+            txn.execute(&format!("INSERT INTO t VALUES ({k})")).unwrap();
+            txn
+        };
+        let (winner, loser) = (begin_insert(1), begin_insert(2));
+        // The winner holds the table's admission lock from here to its
+        // install; the optimistic loser fails fast at admission.
+        let prepared = winner.prepare_commit().unwrap();
+        let before = conflicts();
+        let err = loser.prepare_commit().unwrap_err();
+        assert!(is_serialization_conflict(&err), "{err:?}");
+        assert_eq!(conflicts(), before + 1);
+        prepared.commit().unwrap();
+        assert_eq!(conflicts(), before + 1);
+        let listed = engine.stats().into_iter().find(|(name, _)| *name == "conflicts");
+        assert_eq!(listed, Some(("conflicts", before + 1)));
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //! re-running the change and minting fresh ids. That is what makes a
 //! recovered engine answer change scans and time-travel queries
 //! byte-identically to the engine that crashed.
+//!
+//! Both carry a version as its delta only, never the list of
+//! partitions visible at it: a commit logs O(delta) partition ids, and a
+//! checkpoint of a chain of V versions O(sum of their deltas). Replay and
+//! [`TableStore::from_checkpoint`] derive the visible lists by applying
+//! the deltas forward.
 
 use dt_common::codec::{get_row, get_schema, put_row, put_schema, Reader, Writer};
 use dt_common::{DtError, DtResult, PartitionId, Row, Schema, Timestamp, TxnId, VersionId};
@@ -24,12 +30,14 @@ pub struct VersionInstallRecord {
     /// Freshly minted partitions: `(id, rows)`. Ids are preserved so
     /// replay rebuilds the same partition pool.
     pub new_parts: Vec<(PartitionId, Vec<Row>)>,
-    /// All partitions visible at the new version, in scan order.
-    pub partitions: Vec<PartitionId>,
-    /// Partitions added relative to the previous version.
+    /// Partitions added relative to the previous version (the ones in
+    /// `new_parts`, in order).
     pub added: Vec<PartitionId>,
     /// Partitions removed relative to the previous version.
     pub removed: Vec<PartitionId>,
+    /// Parallel to `removed`: how many of `added` take each one's place in
+    /// scan order (see [`TableVersion`]).
+    pub in_place: Vec<u32>,
     /// Total row count at the new version.
     pub row_count: usize,
 }
@@ -48,7 +56,7 @@ pub struct StoreCheckpoint {
     pub next_partition: u64,
     /// Every live partition, sorted by id.
     pub partitions: Vec<(PartitionId, Vec<Row>)>,
-    /// The full version chain, oldest first.
+    /// The full version chain as deltas, oldest first.
     pub versions: Vec<TableVersion>,
 }
 
@@ -73,6 +81,31 @@ fn get_partition_ids(r: &mut Reader<'_>) -> DtResult<Vec<PartitionId>> {
         ids.push(PartitionId(r.get_u64()?));
     }
     Ok(ids)
+}
+
+/// A version's delta: the added ids, then each removed id with its
+/// in-place count.
+fn put_delta(w: &mut Writer, added: &[PartitionId], removed: &[PartitionId], in_place: &[u32]) {
+    put_partition_ids(w, added);
+    w.put_len(removed.len());
+    for (id, n) in removed.iter().zip(in_place) {
+        w.put_u64(id.raw());
+        w.put_u32(*n);
+    }
+}
+
+/// `(added, removed, in_place)`, as [`put_delta`] wrote them.
+type Delta = (Vec<PartitionId>, Vec<PartitionId>, Vec<u32>);
+
+fn get_delta(r: &mut Reader<'_>) -> DtResult<Delta> {
+    let added = get_partition_ids(r)?;
+    let n = r.get_len(12)?;
+    let (mut removed, mut in_place) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for _ in 0..n {
+        removed.push(PartitionId(r.get_u64()?));
+        in_place.push(r.get_u32()?);
+    }
+    Ok((added, removed, in_place))
 }
 
 fn put_parts(w: &mut Writer, parts: &[(PartitionId, Vec<Row>)]) {
@@ -105,19 +138,19 @@ fn get_parts(r: &mut Reader<'_>) -> DtResult<Vec<(PartitionId, Vec<Row>)>> {
 /// Encode a [`VersionInstallRecord`].
 pub fn put_install_record(w: &mut Writer, rec: &VersionInstallRecord) {
     put_parts(w, &rec.new_parts);
-    put_partition_ids(w, &rec.partitions);
-    put_partition_ids(w, &rec.added);
-    put_partition_ids(w, &rec.removed);
+    put_delta(w, &rec.added, &rec.removed, &rec.in_place);
     w.put_u64(rec.row_count as u64);
 }
 
 /// Decode a [`VersionInstallRecord`].
 pub fn get_install_record(r: &mut Reader<'_>) -> DtResult<VersionInstallRecord> {
+    let new_parts = get_parts(r)?;
+    let (added, removed, in_place) = get_delta(r)?;
     Ok(VersionInstallRecord {
-        new_parts: get_parts(r)?,
-        partitions: get_partition_ids(r)?,
-        added: get_partition_ids(r)?,
-        removed: get_partition_ids(r)?,
+        new_parts,
+        added,
+        removed,
+        in_place,
         row_count: r.get_u64()? as usize,
     })
 }
@@ -126,21 +159,23 @@ fn put_version(w: &mut Writer, v: &TableVersion) {
     w.put_u64(v.id.raw());
     w.put_i64(v.commit_ts.as_micros());
     w.put_u64(v.created_by.raw());
-    put_partition_ids(w, &v.partitions);
-    put_partition_ids(w, &v.added);
-    put_partition_ids(w, &v.removed);
+    put_delta(w, &v.added, &v.removed, &v.in_place);
     w.put_bool(v.data_equivalent);
     w.put_u64(v.row_count as u64);
 }
 
 fn get_version(r: &mut Reader<'_>) -> DtResult<TableVersion> {
+    let id = VersionId(r.get_u64()?);
+    let commit_ts = Timestamp::from_micros(r.get_i64()?);
+    let created_by = TxnId(r.get_u64()?);
+    let (added, removed, in_place) = get_delta(r)?;
     Ok(TableVersion {
-        id: VersionId(r.get_u64()?),
-        commit_ts: Timestamp::from_micros(r.get_i64()?),
-        created_by: TxnId(r.get_u64()?),
-        partitions: get_partition_ids(r)?,
-        added: get_partition_ids(r)?,
-        removed: get_partition_ids(r)?,
+        id,
+        commit_ts,
+        created_by,
+        added,
+        removed,
+        in_place,
         data_equivalent: r.get_bool()?,
         row_count: r.get_u64()? as usize,
     })
@@ -164,8 +199,8 @@ pub fn get_store(r: &mut Reader<'_>) -> DtResult<StoreCheckpoint> {
     let partition_capacity = r.get_u64()? as usize;
     let next_partition = r.get_u64()?;
     let partitions = get_parts(r)?;
-    // A version is at least id + ts + txn + three counts + flag + rows.
-    let n = r.get_len(45)?;
+    // A version is at least id + ts + txn + two counts + flag + rows.
+    let n = r.get_len(41)?;
     let mut versions = Vec::with_capacity(n);
     for _ in 0..n {
         versions.push(get_version(r)?);
@@ -300,5 +335,57 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(matches!(get_store(&mut r), Err(DtError::Corruption(_))));
+    }
+
+    /// Encoded bytes of an install record.
+    fn record_bytes(rec: &VersionInstallRecord) -> usize {
+        let mut w = Writer::new();
+        put_install_record(&mut w, rec);
+        w.into_bytes().len()
+    }
+
+    /// Encoded bytes of a store's checkpoint image.
+    fn checkpoint_bytes(t: &TableStore) -> usize {
+        let mut w = Writer::new();
+        put_store(&mut w, &t.checkpoint_dump());
+        w.into_bytes().len()
+    }
+
+    /// A table of `n` one-row partitions, one version each.
+    fn one_row_versions(n: i64) -> TableStore {
+        let t = int_table(1);
+        for i in 0..n {
+            t.commit_change(vec![row!(i)], vec![], ts(i + 1), TxnId(i as u64 + 1))
+                .unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn a_one_row_change_logs_the_same_bytes_at_100_and_at_2000_partitions() {
+        let t = int_table(1);
+        let mut sizes = Vec::new();
+        for i in 0..2000i64 {
+            let latest = t.latest_version();
+            if i == 100 || i == 1999 {
+                assert_eq!(t.partition_count(), i as usize);
+                // A one-row insert, and a one-row delete of a partition
+                // in the middle of the table.
+                let insert = t.prepare_change_at(latest, vec![row!(-1i64)], vec![]).unwrap();
+                let delete = t.prepare_change_at(latest, vec![], vec![row!(i / 2)]).unwrap();
+                sizes.push((record_bytes(&insert.install_record()), record_bytes(&delete.install_record())));
+            }
+            t.commit_change(vec![row!(i)], vec![], ts(i + 1), TxnId(i as u64 + 1))
+                .unwrap();
+        }
+        assert_eq!(sizes[0], sizes[1], "(insert, delete) record bytes at 100 and 2 000 partitions");
+        let (insert, delete) = sizes[0];
+        assert!(insert <= 64 && delete <= 64, "{insert} and {delete} bytes");
+    }
+
+    #[test]
+    fn a_checkpoint_grows_linearly_with_the_versions_it_holds() {
+        let (one, two) = (checkpoint_bytes(&one_row_versions(500)), checkpoint_bytes(&one_row_versions(1000)));
+        assert!(two as f64 <= 2.2 * one as f64, "{one} bytes at 500 versions, {two} at 1 000");
     }
 }

@@ -6,9 +6,13 @@
 //! * Tables are stored as sets of immutable **micro-partitions**
 //!   ([`partition::Partition`]).
 //! * Every committed change produces a new immutable **table version**
-//!   ([`version::TableVersion`]) that records which partitions were *added*
-//!   and *removed* relative to its parent — the copy-on-write scheme that
-//!   powers Snowflake's change tracking and time travel.
+//!   ([`version::TableVersion`]) that records only which partitions were
+//!   *added* and *removed* relative to its parent — the copy-on-write
+//!   scheme that powers
+//!   Snowflake's change tracking and time travel. The partitions visible
+//!   at a version are derived from the deltas and shared between
+//!   neighbouring versions chunk by chunk; the WAL and checkpoints carry
+//!   deltas only.
 //! * **Change scans** ([`change::ChangeSet`]) between two versions are
 //!   computed from the added/removed partition sets, including the
 //!   *consolidation* step that cancels rows copied verbatim between

@@ -14,7 +14,7 @@ use crate::change::ChangeSet;
 use crate::partition::Partition;
 use crate::row_index::{Held, RowIndex, RowLookup};
 use crate::snapshot::TableSnapshot;
-use crate::version::TableVersion;
+use crate::version::{PartitionList, TableVersion};
 
 /// Default number of rows per micro-partition.
 pub const DEFAULT_PARTITION_CAPACITY: usize = 4096;
@@ -22,6 +22,9 @@ pub const DEFAULT_PARTITION_CAPACITY: usize = 4096;
 struct Inner {
     partitions: HashMap<PartitionId, Arc<Partition>>,
     versions: Vec<TableVersion>,
+    /// The partitions visible at each version, in scan order, parallel to
+    /// `versions`: derived from the deltas, never logged.
+    visible: Vec<PartitionList>,
 }
 
 impl Inner {
@@ -29,6 +32,15 @@ impl Inner {
         self.versions
             .get(v.raw() as usize)
             .ok_or_else(|| DtError::Storage(format!("unknown version {v}")))
+    }
+
+    fn visible(&self, v: VersionId) -> DtResult<&PartitionList> {
+        self.version(v)?;
+        Ok(&self.visible[v.raw() as usize])
+    }
+
+    fn latest_visible(&self) -> &PartitionList {
+        self.visible.last().expect("version chain never empty")
     }
 
     fn partition(&self, pid: PartitionId) -> DtResult<Arc<Partition>> {
@@ -75,9 +87,12 @@ pub struct RowIndexStats {
 /// partitions plus the metadata of the version they will form.
 struct ChangeBuild {
     new_parts: Vec<Arc<Partition>>,
-    partitions: Vec<PartitionId>,
     added: Vec<PartitionId>,
     removed: Vec<PartitionId>,
+    /// Parallel to `removed`: how many of `added` take its place.
+    in_place: Vec<u32>,
+    /// The version's visible list: the base's with the delta applied.
+    visible: PartitionList,
     /// The version holds the same rows as its base, repartitioned; change
     /// scans skip it (§5.5.2).
     data_equivalent: bool,
@@ -109,7 +124,8 @@ impl PreparedChange {
     /// log. Called by the group-commit leader just before
     /// [`CommitGuard::install_validated`] consumes the change; replaying
     /// the record with [`TableStore::replay_install`] reconstructs the
-    /// identical version (same partition ids, same deltas).
+    /// identical version (same partition ids, same deltas). O(delta): the
+    /// record carries no visible partition list.
     pub fn install_record(&self) -> crate::durable::VersionInstallRecord {
         crate::durable::VersionInstallRecord {
             new_parts: self
@@ -118,9 +134,9 @@ impl PreparedChange {
                 .iter()
                 .map(|p| (p.id(), p.rows().to_vec()))
                 .collect(),
-            partitions: self.build.partitions.clone(),
             added: self.build.added.clone(),
             removed: self.build.removed.clone(),
+            in_place: self.build.in_place.clone(),
             row_count: self.build.row_count,
         }
     }
@@ -202,18 +218,8 @@ impl CommitGuard<'_> {
             prep.base,
             "install_validated called without validate_prepared"
         );
-        let b = prep.build;
         self.store
-            .install_version(
-                b.new_parts,
-                commit_ts,
-                txn,
-                b.partitions,
-                b.added,
-                b.removed,
-                b.data_equivalent,
-                b.row_count,
-            )
+            .install_version(prep.build, commit_ts, txn)
             .expect("validated prepared change cannot fail to install")
     }
 
@@ -238,6 +244,13 @@ impl CommitGuard<'_> {
 
 /// One table's storage: an append-only chain of immutable versions over a
 /// pool of immutable micro-partitions.
+///
+/// Each version keeps only its delta ([`TableVersion`]); the partitions visible at
+/// it, in scan order, are a chunked list derived from the deltas and
+/// shared chunk by chunk with the neighbouring versions. So a version
+/// costs O(delta + N/64) memory for N visible partitions, pinning one
+/// ([`TableStore::snapshot`]) is O(N) with no replay, and the WAL install
+/// record and the checkpoint carry deltas only.
 ///
 /// Thread-safe, and MVCC-friendly: writers serialize among themselves on
 /// `commit_lock` and do all row work (copy-on-write rewrites, partition
@@ -304,9 +317,9 @@ impl TableStore {
             id: VersionId(0),
             commit_ts: created_ts,
             created_by,
-            partitions: vec![],
             added: vec![],
             removed: vec![],
+            in_place: vec![],
             data_equivalent: false,
             row_count: 0,
         };
@@ -317,6 +330,7 @@ impl TableStore {
             Inner {
                 partitions: HashMap::new(),
                 versions: vec![v0],
+                visible: vec![PartitionList::default()],
             },
         )
     }
@@ -378,8 +392,8 @@ impl TableStore {
     pub fn snapshot(&self, v: VersionId) -> DtResult<TableSnapshot> {
         let inner = self.inner.read();
         let tv = inner.version(v)?;
-        let partitions = (tv.partitions.iter())
-            .map(|pid| inner.partition(*pid))
+        let partitions = (inner.visible(v)?.iter())
+            .map(|pid| inner.partition(pid))
             .collect::<DtResult<Vec<_>>>()?;
         Ok(TableSnapshot::new(
             Arc::clone(&self.schema),
@@ -424,20 +438,10 @@ impl TableStore {
     }
 
     /// Install a fully built version — the only write-path step that takes
-    /// the inner write lock, and it is O(metadata): insert the new
-    /// partition handles and append the version record.
-    #[allow(clippy::too_many_arguments)]
-    fn install_version(
-        &self,
-        new_parts: Vec<Arc<Partition>>,
-        commit_ts: Timestamp,
-        created_by: TxnId,
-        partitions: Vec<PartitionId>,
-        added: Vec<PartitionId>,
-        removed: Vec<PartitionId>,
-        data_equivalent: bool,
-        row_count: usize,
-    ) -> DtResult<VersionId> {
+    /// the inner write lock, and it is O(delta): insert the new partition
+    /// handles and append the version record and its (already derived)
+    /// visible list.
+    fn install_version(&self, b: ChangeBuild, commit_ts: Timestamp, created_by: TxnId) -> DtResult<VersionId> {
         let mut inner = self.inner.write();
         let prev = inner.versions.last().expect("chain never empty");
         if commit_ts < prev.commit_ts {
@@ -446,7 +450,7 @@ impl TableStore {
                 prev.commit_ts
             )));
         }
-        for p in new_parts {
+        for p in b.new_parts {
             inner.partitions.insert(p.id(), p);
         }
         let id = VersionId(inner.versions.len() as u64);
@@ -454,12 +458,13 @@ impl TableStore {
             id,
             commit_ts,
             created_by,
-            partitions,
-            added,
-            removed,
-            data_equivalent,
-            row_count,
+            added: b.added,
+            removed: b.removed,
+            in_place: b.in_place,
+            data_equivalent: b.data_equivalent,
+            row_count: b.row_count,
         });
+        inner.visible.push(b.visible);
         Ok(id)
     }
 
@@ -533,57 +538,62 @@ impl TableStore {
         Ok(victims)
     }
 
-    /// The row work of a change commit: rewrite the partitions of
-    /// `prev_parts` that hold `victims` copy-on-write and mint partitions
-    /// for `inserts`. Takes **no lock** at all: it runs against a pinned
-    /// base version whose stability is validated at install time
-    /// ([`TableStore::prepare_change_at`]).
+    /// The row work of a change commit against a base version whose
+    /// visible list is `base` and whose row count is `base_rows`: rewrite
+    /// the partitions of `prev_parts` (the base's, in scan order) that hold
+    /// `victims` copy-on-write, each one's survivors in its place, and mint
+    /// partitions for `inserts` at the end. Takes **no lock** at all: it
+    /// runs against a pinned base version whose stability is validated at
+    /// install time ([`TableStore::prepare_change_at`]).
     fn build_change(
         &self,
+        base: &PartitionList,
+        base_rows: usize,
         prev_parts: &[Arc<Partition>],
         inserts: Vec<Row>,
         victims: &HashMap<PartitionId, Vec<u32>>,
-    ) -> ChangeBuild {
-        let mut kept: Vec<PartitionId> = Vec::with_capacity(prev_parts.len() + 1);
-        let mut added: Vec<PartitionId> = Vec::new();
-        let mut removed: Vec<PartitionId> = Vec::new();
+    ) -> DtResult<ChangeBuild> {
+        let (mut removed, mut in_place) = (Vec::new(), Vec::new());
         let mut new_parts: Vec<Arc<Partition>> = Vec::new();
-        let mut row_count = 0usize;
-        let mut carried_rows = 0usize;
-        let mut mint = |rows: Vec<Row>, kept: &mut Vec<PartitionId>| {
-            for p in self.mint_partitions(rows) {
-                added.push(p.id());
-                kept.push(p.id());
-                row_count += p.len();
-                new_parts.push(p);
-            }
+        let mut row_count = base_rows + inserts.len();
+        let mut mint = |rows: Vec<Row>| {
+            let parts = self.mint_partitions(rows);
+            let minted = parts.len() as u32;
+            new_parts.extend(parts);
+            minted
         };
 
+        let mut rewrites = victims.len();
         for part in prev_parts {
+            if rewrites == 0 {
+                break;
+            }
             let Some(doomed) = victims.get(&part.id()) else {
-                kept.push(part.id());
-                carried_rows += part.len();
                 continue;
             };
+            rewrites -= 1;
             // Copy-on-write rewrite of this partition.
             let mut doomed = doomed.iter().peekable();
             let survivors: Vec<Row> = (part.rows().iter().enumerate())
                 .filter(|(slot, _)| doomed.next_if(|d| **d as usize == *slot).is_none())
                 .map(|(_, r)| r.clone())
                 .collect();
+            row_count = row_count + survivors.len() - part.len();
             removed.push(part.id());
-            mint(survivors, &mut kept);
+            in_place.push(mint(survivors));
         }
-        mint(inserts, &mut kept);
+        mint(inserts);
 
-        ChangeBuild {
+        let added: Vec<PartitionId> = new_parts.iter().map(|p| p.id()).collect();
+        Ok(ChangeBuild {
+            visible: base.apply(&added, &removed, &in_place)?,
             new_parts,
-            partitions: kept,
             added,
             removed,
+            in_place,
             data_equivalent: false,
-            row_count: row_count + carried_rows,
-        }
+            row_count,
+        })
     }
 
     /// The implementation [`TableStore::find_victims`] +
@@ -593,6 +603,7 @@ impl TableStore {
     #[cfg(test)]
     fn build_change_by_scan(
         &self,
+        base: &PartitionList,
         prev_parts: &[Arc<Partition>],
         inserts: Vec<Row>,
         deletes: &[Row],
@@ -606,6 +617,7 @@ impl TableStore {
         let mut kept: Vec<PartitionId> = Vec::with_capacity(prev_parts.len() + 1);
         let mut added: Vec<PartitionId> = Vec::new();
         let mut removed: Vec<PartitionId> = Vec::new();
+        let mut in_place: Vec<u32> = Vec::new();
         let mut new_parts: Vec<Arc<Partition>> = Vec::new();
         let mut row_count = 0usize;
         let mut missing = deletes.len();
@@ -635,12 +647,14 @@ impl TableStore {
                 }
             }
             removed.push(part.id());
+            in_place.push(0);
             if !survivors.is_empty() {
                 for p in self.mint_partitions(survivors) {
                     added.push(p.id());
                     kept.push(p.id());
                     row_count += p.len();
                     new_parts.push(p);
+                    *in_place.last_mut().expect("pushed above") += 1;
                 }
             }
         }
@@ -660,11 +674,16 @@ impl TableStore {
             }
         }
 
+        // The delta's in-place rule reproduces the full list this scan
+        // kept, in the same order.
+        let visible = base.apply(&added, &removed, &in_place)?;
+        assert_eq!(visible.iter().collect::<Vec<_>>(), kept);
         Ok(ChangeBuild {
             new_parts,
-            partitions: kept,
             added,
             removed,
+            in_place,
+            visible,
             data_equivalent: false,
             row_count,
         })
@@ -701,16 +720,24 @@ impl TableStore {
     ) -> DtResult<PreparedChange> {
         self.check_rows(&inserts)?;
         self.check_rows(&deletes)?;
-        let pinned = self.snapshot(base)?;
-        // An insert-only change needs no row located (and never makes the
-        // store build its index).
-        let victims = if deletes.is_empty() {
-            HashMap::new()
+        let (list, rows) = self.pin_list(base)?;
+        // An insert-only change appends: it resolves no partition of the
+        // base, locates no row, and never makes the store build its index.
+        let build = if deletes.is_empty() {
+            self.build_change(&list, rows, &[], inserts, &HashMap::new())?
         } else {
-            Self::find_victims(&self.row_lookup(base)?, pinned.partitions(), &deletes)?
+            let pinned = self.snapshot(base)?;
+            let victims = Self::find_victims(&self.row_lookup(base)?, pinned.partitions(), &deletes)?;
+            self.build_change(&list, rows, pinned.partitions(), inserts, &victims)?
         };
-        let build = self.build_change(pinned.partitions(), inserts, &victims);
         Ok(PreparedChange { base, build })
+    }
+
+    /// The visible list and the row count of version `v`, pinned under a
+    /// brief read lock: O(1), the list's chunks are shared.
+    fn pin_list(&self, v: VersionId) -> DtResult<(PartitionList, usize)> {
+        let inner = self.inner.read();
+        Ok((inner.visible(v)?.clone(), inner.version(v)?.row_count))
     }
 
     /// [`TableStore::prepare_change_at`] through
@@ -725,7 +752,8 @@ impl TableStore {
         self.check_rows(&inserts)?;
         self.check_rows(&deletes)?;
         let pinned = self.snapshot(base)?;
-        let build = self.build_change_by_scan(pinned.partitions(), inserts, &deletes)?;
+        let (list, _) = self.pin_list(base)?;
+        let build = self.build_change_by_scan(&list, pinned.partitions(), inserts, &deletes)?;
         Ok(PreparedChange { base, build })
     }
 
@@ -738,18 +766,20 @@ impl TableStore {
     /// in the meantime, validation fails and the refresh aborts.
     pub fn prepare_overwrite_at(&self, base: VersionId, rows: Vec<Row>) -> DtResult<PreparedChange> {
         self.check_rows(&rows)?;
-        let removed = self.inner.read().version(base)?.partitions.clone();
+        let (list, _) = self.pin_list(base)?;
         let row_count = rows.len();
         let new_parts = self.mint_partitions(rows);
         let added: Vec<PartitionId> = new_parts.iter().map(|p| p.id()).collect();
-        let partitions = added.clone();
+        let removed: Vec<PartitionId> = list.iter().collect();
+        let in_place = vec![0; removed.len()];
         Ok(PreparedChange {
             base,
             build: ChangeBuild {
+                visible: list.apply(&added, &removed, &in_place)?,
                 new_parts,
-                partitions,
                 added,
                 removed,
+                in_place,
                 data_equivalent: false,
                 row_count,
             },
@@ -931,7 +961,8 @@ impl TableStore {
 
     /// Zero-copy clone (§3.4): a new store sharing every micro-partition
     /// with this one (partitions are immutable and `Arc`-shared, so only
-    /// metadata is copied — Snowflake's zero-copy-cloning).
+    /// metadata is copied — Snowflake's zero-copy-cloning), and every
+    /// version's visible list chunk for chunk.
     pub fn fork(&self) -> TableStore {
         // Hold the commit lock so the fork can't interleave with a
         // writer's pin/install window.
@@ -944,31 +975,38 @@ impl TableStore {
             Inner {
                 partitions: inner.partitions.clone(),
                 versions: inner.versions.clone(),
+                visible: inner.visible.clone(),
             },
         )
     }
 
     /// Number of live partitions at the latest version.
     pub fn partition_count(&self) -> usize {
-        let inner = self.inner.read();
-        inner.versions.last().expect("chain never empty").partitions.len()
+        self.inner.read().latest_visible().len()
     }
 
     /// Append the version described by a WAL install record, exactly as
     /// originally installed: the record's partitions are inserted under
-    /// their original ids and the version metadata is appended verbatim.
-    /// The partition id counter is bumped past every replayed id so
+    /// their original ids, its delta is applied to the latest version's
+    /// visible list, and the version metadata is appended verbatim. The
+    /// partition id counter is bumped past every replayed id so
     /// post-recovery commits cannot collide with recovered partitions.
     ///
     /// Recovery-only: ordering and idempotence are the caller's job (the
     /// engine replays records in WAL order and skips already-checkpointed
-    /// timestamps), though a regressing `commit_ts` is still rejected.
+    /// timestamps), though a regressing `commit_ts` is still rejected, and
+    /// a delta that does not apply is [`DtError::Corruption`].
     pub fn replay_install(
         &self,
         rec: &crate::durable::VersionInstallRecord,
         commit_ts: Timestamp,
         txn: TxnId,
     ) -> DtResult<VersionId> {
+        if !rec.added.iter().eq(rec.new_parts.iter().map(|(id, _)| id)) {
+            return Err(DtError::Corruption(
+                "install record adds partitions other than the ones it carries".into(),
+            ));
+        }
         let mut max_id = 0u64;
         let new_parts: Vec<Arc<Partition>> = rec
             .new_parts
@@ -979,21 +1017,23 @@ impl TableStore {
             })
             .collect();
         self.next_partition.fetch_max(max_id, Ordering::Relaxed);
-        self.install_version(
+        let visible = (self.inner.read().latest_visible())
+            .apply(&rec.added, &rec.removed, &rec.in_place)?;
+        let build = ChangeBuild {
             new_parts,
-            commit_ts,
-            txn,
-            rec.partitions.clone(),
-            rec.added.clone(),
-            rec.removed.clone(),
-            false,
-            rec.row_count,
-        )
+            added: rec.added.clone(),
+            removed: rec.removed.clone(),
+            in_place: rec.in_place.clone(),
+            visible,
+            data_equivalent: false,
+            row_count: rec.row_count,
+        };
+        self.install_version(build, commit_ts, txn)
     }
 
     /// Dump the store's complete physical state — schema, partition pool,
-    /// full version chain — for a checkpoint. Partitions are sorted by id
-    /// so the image is deterministic.
+    /// full version chain as deltas — for a checkpoint. Partitions are
+    /// sorted by id so the image is deterministic.
     pub fn checkpoint_dump(&self) -> crate::durable::StoreCheckpoint {
         let inner = self.inner.read();
         let mut partitions: Vec<(PartitionId, Vec<Row>)> = inner
@@ -1012,7 +1052,8 @@ impl TableStore {
     }
 
     /// Rebuild a store from a checkpoint image (the inverse of
-    /// [`TableStore::checkpoint_dump`]).
+    /// [`TableStore::checkpoint_dump`]), deriving every version's visible
+    /// list by applying the deltas forward from an empty table.
     pub fn from_checkpoint(ck: crate::durable::StoreCheckpoint) -> DtResult<TableStore> {
         if ck.versions.is_empty() {
             return Err(DtError::Corruption(
@@ -1028,16 +1069,25 @@ impl TableStore {
         for (id, rows) in ck.partitions {
             partitions.insert(id, Arc::new(Partition::new(id, rows)));
         }
-        // Every partition any version references must exist in the pool.
+        let mut visible: Vec<PartitionList> = Vec::with_capacity(ck.versions.len());
+        let mut list = PartitionList::default();
         for v in &ck.versions {
-            for pid in &v.partitions {
-                if !partitions.contains_key(pid) {
-                    return Err(DtError::Corruption(format!(
-                        "store checkpoint: version {} references missing partition {pid}",
-                        v.id
-                    )));
-                }
+            if v.id.raw() != visible.len() as u64 {
+                return Err(DtError::Corruption(format!(
+                    "store checkpoint: version {} at position {}",
+                    v.id,
+                    visible.len()
+                )));
             }
+            // Every partition a version adds must exist in the pool.
+            if let Some(pid) = v.added.iter().find(|p| !partitions.contains_key(p)) {
+                return Err(DtError::Corruption(format!(
+                    "store checkpoint: version {} references missing partition {pid}",
+                    v.id
+                )));
+            }
+            list = list.apply(&v.added, &v.removed, &v.in_place)?;
+            visible.push(list.clone());
         }
         Ok(TableStore::from_parts(
             Arc::new(ck.schema),
@@ -1046,6 +1096,7 @@ impl TableStore {
             Inner {
                 partitions,
                 versions: ck.versions,
+                visible,
             },
         ))
     }
@@ -1525,6 +1576,149 @@ mod tests {
                         format!("{:?}", indexed.checkpoint_dump()),
                         format!("{:?}", scanned.checkpoint_dump())
                     );
+                }
+            }
+        }
+    }
+
+    mod durable_histories {
+        use super::*;
+        use crate::durable::{get_store, put_store, VersionInstallRecord};
+        use dt_common::codec::{Reader, Writer};
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Insert(Vec<(i64, i64)>),
+            /// Delete the stored rows at these positions (mod the table
+            /// size).
+            Delete(Vec<usize>),
+            /// Update the stored rows at these positions: each one
+            /// deleted and inserted again with `y + 1`.
+            Update(Vec<usize>),
+            Overwrite(Vec<(i64, i64)>),
+            Recluster,
+        }
+
+        fn rows_strategy(max: usize) -> impl Strategy<Value = Vec<(i64, i64)>> {
+            prop::collection::vec((0..4i64, 0..3i64), 0..max)
+        }
+
+        fn op_strategy() -> impl Strategy<Value = Op> {
+            let picks = || prop::collection::vec(0..1000usize, 1..5);
+            prop_oneof![
+                rows_strategy(7).prop_map(Op::Insert),
+                rows_strategy(3).prop_map(Op::Insert),
+                picks().prop_map(Op::Delete),
+                picks().prop_map(Op::Update),
+                picks().prop_map(Op::Update),
+                rows_strategy(9).prop_map(Op::Overwrite),
+                Just(Op::Recluster),
+            ]
+        }
+
+        fn rows(vals: &[(i64, i64)]) -> Vec<Row> {
+            vals.iter().map(|(x, y)| row!(*x, *y)).collect()
+        }
+
+        fn table(cap: usize) -> TableStore {
+            TableStore::with_partition_capacity(
+                Schema::new(vec![Column::new("x", DataType::Int), Column::new("y", DataType::Int)]),
+                Timestamp::EPOCH,
+                TxnId(0),
+                cap,
+            )
+        }
+
+        /// `t` written as a checkpoint image and read back.
+        fn through_a_checkpoint(t: &TableStore) -> TableStore {
+            let mut w = Writer::new();
+            put_store(&mut w, &t.checkpoint_dump());
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(&bytes);
+            let restored = get_store(&mut r).unwrap().restore().unwrap();
+            r.finish().unwrap();
+            restored
+        }
+
+        fn replay(t: &TableStore, records: &[(VersionInstallRecord, Timestamp, TxnId)]) {
+            for (rec, at, txn) in records {
+                t.replay_install(rec, *at, *txn).unwrap();
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
+
+            /// Random insert / update / delete / overwrite / recluster
+            /// histories, each change logged as its install record: a
+            /// store rebuilt by replaying the records, one restored from
+            /// a checkpoint taken part-way and then replayed to the end,
+            /// and one restored from a checkpoint of the whole history
+            /// all scan every version exactly as the live store does —
+            /// rows, and their order.
+            #[test]
+            fn every_version_scans_alike_after_replay_and_after_checkpoint_and_replay(
+                ops in prop::collection::vec(op_strategy(), 1..40),
+                capacity in 1..6usize,
+                cut in 0..40usize,
+            ) {
+                let live = table(capacity);
+                let mut records = Vec::new();
+                for (i, op) in ops.iter().enumerate() {
+                    let (at, txn) = (ts(i as i64 + 1), TxnId(i as u64 + 1));
+                    let latest = live.latest_version();
+                    let stored = live.scan(latest).unwrap();
+                    let picked = |picks: &[usize]| -> Vec<Row> {
+                        let mut slots: Vec<usize> = if stored.is_empty() {
+                            vec![]
+                        } else {
+                            picks.iter().map(|p| p % stored.len()).collect()
+                        };
+                        slots.sort_unstable();
+                        slots.dedup();
+                        slots.iter().map(|s| stored[*s].clone()).collect()
+                    };
+                    let prep = match op {
+                        Op::Insert(vals) => live.prepare_change_at(latest, rows(vals), vec![]),
+                        Op::Delete(picks) => live.prepare_change_at(latest, vec![], picked(picks)),
+                        Op::Update(picks) => {
+                            let old = picked(picks);
+                            let new = (old.iter())
+                                .map(|r| match (&r.values()[0], &r.values()[1]) {
+                                    (dt_common::Value::Int(x), dt_common::Value::Int(y)) => row!(*x, *y + 1),
+                                    _ => unreachable!(),
+                                })
+                                .collect();
+                            live.prepare_change_at(latest, new, old)
+                        }
+                        Op::Overwrite(vals) => live.prepare_overwrite_at(latest, rows(vals)),
+                        Op::Recluster => live.prepare_overwrite_at(latest, stored.clone()).map(|mut p| {
+                            p.build.data_equivalent = true;
+                            p
+                        }),
+                    }
+                    .unwrap();
+                    records.push((prep.install_record(), at, txn));
+                    live.install_prepared(prep, at, txn).unwrap();
+                }
+
+                let replayed = table(capacity);
+                replay(&replayed, &records);
+                let cut = cut.min(records.len());
+                let early = table(capacity);
+                replay(&early, &records[..cut]);
+                let resumed = through_a_checkpoint(&early);
+                replay(&resumed, &records[cut..]);
+                let restored = through_a_checkpoint(&live);
+                for (name, store) in [("replayed", &replayed), ("resumed", &resumed), ("restored", &restored)] {
+                    prop_assert_eq!(store.version_count(), live.version_count(), "{}", name);
+                    prop_assert_eq!(store.partition_count(), live.partition_count(), "{}", name);
+                    for v in 0..live.version_count() as u64 {
+                        let v = VersionId(v);
+                        prop_assert_eq!(store.scan(v).unwrap(), live.scan(v).unwrap(), "{} at {}", name, v);
+                        prop_assert_eq!(store.row_count_at(v).unwrap(), live.row_count_at(v).unwrap());
+                    }
                 }
             }
         }

@@ -28,7 +28,7 @@ use crate::log::io_err;
 use crate::stats::WalStats;
 
 const CKPT_MAGIC: &[u8; 4] = b"DTCK";
-const CKPT_VERSION: u16 = 2;
+const CKPT_VERSION: u16 = 3;
 const CKPT_HEADER_LEN: usize = 18;
 
 /// The checkpoint file's name inside the durability directory.

@@ -40,7 +40,7 @@ use crate::crc32::crc32;
 use crate::stats::WalStats;
 
 const SEG_MAGIC: &[u8; 4] = b"DTWL";
-const SEG_VERSION: u16 = 2;
+const SEG_VERSION: u16 = 3;
 const SEG_HEADER_LEN: u64 = 14;
 const FRAME_HEADER_LEN: u64 = 8;
 

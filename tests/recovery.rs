@@ -514,7 +514,7 @@ fn auto_checkpoints_under_concurrent_rounds_and_writers_recover_everything() {
     };
     let (early, t0_early, sums_early);
     {
-        let eng = durable_with(dir.path(), |cfg| cfg.wal_checkpoint_bytes = 16 * 1024);
+        let eng = durable_with(dir.path(), |cfg| cfg.wal_checkpoint_bytes = 8 * 1024);
         eng.set_refresh_threads(2);
         eng.create_warehouse("wh", 2).unwrap();
         let s = eng.session();

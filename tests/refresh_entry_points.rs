@@ -191,3 +191,56 @@ fn failure_histories_are_the_same_through_every_entry_point() {
         }
     }
 }
+
+/// The reply of `ALTER DYNAMIC TABLE d REFRESH` to the refresh of `d`.
+fn alter_refresh_reply(db: &Session) -> String {
+    match db.execute("ALTER DYNAMIC TABLE d REFRESH").unwrap() {
+        dt_core::ExecResult::Ok(reply) => reply,
+        other => panic!("ALTER … REFRESH answered {other:?}"),
+    }
+}
+
+/// `ALTER … REFRESH` of a DT whose own refresh fails with a user error
+/// answers `Ok` (the failure is an outcome, §3.3.3), and its reply says
+/// that the refresh failed and with which error, where it used to say
+/// "refreshed". First the join of ROADMAP item 20, whose residual `ON`
+/// fails on a pair of a deleted and an inserted row (until that item
+/// lands, this refresh fails although the query answers at both ends),
+/// then a projection that fails on a row at the new end, and its repair.
+#[test]
+fn alter_refresh_names_the_dts_own_failed_refresh() {
+    let (eng, db) = setup();
+    for sql in [
+        "CREATE TABLE t (k INT, v INT)",
+        "INSERT INTO t VALUES (1, 0)",
+        "CREATE TABLE u (k INT, w INT)",
+        "CREATE DYNAMIC TABLE d TARGET_LAG = '1 minute' WAREHOUSE = wh REFRESH_MODE = INCREMENTAL \
+         AS SELECT t.k, u.w FROM t JOIN u ON t.k = u.k AND 100 / t.v > 0",
+        "DELETE FROM t",
+        "INSERT INTO u VALUES (1, 5)",
+    ] {
+        db.execute(sql).unwrap();
+    }
+    assert_eq!(
+        alter_refresh_reply(&db),
+        "d refresh failed: evaluation error: division by zero (1 refreshes executed)"
+    );
+    assert_eq!(eng.refresh_log().last().unwrap().action, "failed");
+    assert_eq!(dt_meta(&eng).catalog_errors, 1);
+
+    for sql in [
+        "CREATE OR REPLACE DYNAMIC TABLE d TARGET_LAG = '1 minute' WAREHOUSE = wh \
+         AS SELECT k, 10 / k q FROM t",
+        "INSERT INTO t VALUES (0, 1)",
+    ] {
+        db.execute(sql).unwrap();
+    }
+    assert_eq!(
+        alter_refresh_reply(&db),
+        "d refresh failed: evaluation error: division by zero (1 refreshes executed)"
+    );
+    assert_eq!(dt_meta(&eng).catalog_errors, 1);
+    db.execute("DELETE FROM t WHERE k = 0").unwrap();
+    assert_eq!(alter_refresh_reply(&db), "d refreshed (1 refreshes executed)");
+    assert_eq!(dt_meta(&eng).catalog_errors, 0);
+}

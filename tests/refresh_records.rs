@@ -103,6 +103,30 @@ fn wal_bytes_per_refresh_do_not_grow_with_the_fleet() {
     assert_eq!(failed_small, failed_large, "WAL bytes of a failed refresh at 10 and 200 DTs");
 }
 
+/// The WAL bytes of a one-row `INSERT` and a one-row `DELETE` are the
+/// same at 10 and at 300 partitions: a commit logs its version's delta,
+/// never the table's partition list.
+#[test]
+fn wal_bytes_per_one_row_commit_do_not_grow_with_the_table() {
+    let dir = TestDir::new("one-row");
+    let eng = fleet(&dir.0, 0);
+    let s = eng.session();
+    s.execute("CREATE TABLE g (k INT)").unwrap();
+    let logged = |sql: &str| {
+        let start = wal_bytes(&eng);
+        s.execute(sql).unwrap();
+        wal_bytes(&eng) - start
+    };
+    let mut at = Vec::new();
+    for i in 0..300 {
+        if i == 10 || i == 299 {
+            at.push((logged("INSERT INTO g VALUES (-1)"), logged("DELETE FROM g WHERE k = -1")));
+        }
+        s.execute(&format!("INSERT INTO g VALUES ({i})")).unwrap();
+    }
+    assert_eq!(at[0], at[1], "(insert, delete) WAL bytes at 10 and 300 partitions");
+}
+
 /// A refresh that changes no catalog value — NO_DATA with no errors to
 /// reset — keeps the catalog's generation and hands out the same cached
 /// snapshot; resetting a failed DT's error count is a change.
@@ -142,11 +166,15 @@ fn refreshes_that_change_no_catalog_value_leave_the_catalog_alone() {
     assert!(!Arc::ptr_eq(&failed_snapshot, &reset_snapshot));
 }
 
+/// The formats before this one: 1, whose catalog records rode every
+/// refresh, and 2, whose versions carried their whole partition list.
+const OLD_VERSIONS: [u16; 2] = [1, 2];
+
 /// Set the `u16` format version at bytes 4..6 of `file` (segment and
-/// checkpoint headers alike) to 1, the format before this one.
-fn mark_version_one(file: &Path) {
+/// checkpoint headers alike) to `version`.
+fn mark_version(file: &Path, version: u16) {
     let mut bytes = std::fs::read(file).unwrap();
-    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    bytes[4..6].copy_from_slice(&version.to_le_bytes());
     std::fs::write(file, bytes).unwrap();
 }
 
@@ -161,13 +189,14 @@ fn files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
 }
 
 /// `Engine::open` on `dir` fails with a `Corruption` error naming
-/// `version 1`, and changes no byte of any file in it.
-fn assert_refused(dir: &Path) {
+/// `version {version}`, and changes no byte of any file in it.
+fn assert_refused(dir: &Path, version: u16) {
     let untouched = files(dir);
+    let named = format!("version {version}");
     match Engine::open(dir) {
-        Err(DtError::Corruption(msg)) => assert!(msg.contains("version 1"), "{msg}"),
-        Err(e) => panic!("expected a corruption error naming version 1, got {e}"),
-        Ok(_) => panic!("an old-format directory opened"),
+        Err(DtError::Corruption(msg)) => assert!(msg.contains(&named), "{msg}"),
+        Err(e) => panic!("expected a corruption error naming {named}, got {e}"),
+        Ok(_) => panic!("a {named} directory opened"),
     }
     assert_eq!(files(dir), untouched, "refusing to open changed the files");
 }
@@ -182,18 +211,22 @@ fn durable_table(dir: &Path) -> Engine {
 
 #[test]
 fn an_old_format_segment_is_refused_and_left_as_it_was() {
-    let dir = TestDir::new("old-segment");
-    drop(durable_table(&dir.0));
-    mark_version_one(&dir.0.join("wal-00000001.seg"));
-    assert_refused(&dir.0);
+    for version in OLD_VERSIONS {
+        let dir = TestDir::new(&format!("old-segment-v{version}"));
+        drop(durable_table(&dir.0));
+        mark_version(&dir.0.join("wal-00000001.seg"), version);
+        assert_refused(&dir.0, version);
+    }
 }
 
 #[test]
 fn an_old_format_checkpoint_is_refused_and_left_as_it_was() {
-    let dir = TestDir::new("old-checkpoint");
-    let eng = durable_table(&dir.0);
-    assert!(eng.checkpoint().unwrap());
-    drop(eng);
-    mark_version_one(&dir.0.join(dt_wal::CHECKPOINT_FILE));
-    assert_refused(&dir.0);
+    for version in OLD_VERSIONS {
+        let dir = TestDir::new(&format!("old-checkpoint-v{version}"));
+        let eng = durable_table(&dir.0);
+        assert!(eng.checkpoint().unwrap());
+        drop(eng);
+        mark_version(&dir.0.join(dt_wal::CHECKPOINT_FILE), version);
+        assert_refused(&dir.0, version);
+    }
 }
