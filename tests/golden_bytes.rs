@@ -20,7 +20,7 @@ use dt_wire::{read_frame, write_frame, Request, DEFAULT_MAX_FRAME_LEN};
 const DML_COMMIT_RECORD: &str = "\
     0103000000000000000100000000000000010000000100000000000000010000000000000000000000\
     0200000002000000020100000000000000040100000061020000000202000000000000000001000000\
-    0000000000000000010000000000000000000000000000000200000000000000";
+    0000000000000000000000000200000000000000";
 
 /// `Request::ExecutePrepared { id: 7, params: [Int(-3), Str("héllo"),
 /// Null, Float(1.5), Bool(true)] }` as one frame: `u32` length, then the
@@ -127,7 +127,7 @@ fn wal_record_and_wire_frame_bytes_are_stable() {
 /// Record count and `crc32` of the concatenated WAL records of the
 /// scripted history in [`refresh_history_logs_the_same_records_in_the_same_order`].
 const REFRESH_HISTORY_RECORDS: usize = 21;
-const REFRESH_HISTORY_CRC32: u32 = 1_004_571_428;
+const REFRESH_HISTORY_CRC32: u32 = 3_811_641_498;
 
 /// Every kind of install the engine logs, in one single-threaded durable
 /// history: DDL, the initial refreshes behind `CREATE DYNAMIC TABLE`, an
