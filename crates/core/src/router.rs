@@ -285,12 +285,14 @@ fn on_session(
         } => {
             // The DT's own failed refresh is an outcome, not the
             // statement's error (§3.3.3); the reply names it.
-            Ok(ExecResult::Ok(match engine.manual_refresh(name, &role())? {
-                (n, None) => format!("{name} refreshed ({n} refreshes executed)"),
-                (n, Some(error)) => {
-                    format!("{name} refresh failed: {error} ({n} refreshes executed)")
-                }
-            }))
+            Ok(ExecResult::Ok(
+                match engine.manual_refresh(name, &role())? {
+                    (n, None) => format!("{name} refreshed ({n} refreshes executed)"),
+                    (n, Some(error)) => {
+                        format!("{name} refresh failed: {error} ({n} refreshes executed)")
+                    }
+                },
+            ))
         }
         _ => {
             let (sql, role, stmt) = (sql.to_string(), role(), stmt.clone());

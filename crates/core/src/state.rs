@@ -735,7 +735,11 @@ impl Engine {
     /// warehouse time, which the clock advances by. A failed upstream
     /// refresh is the statement's error, and the DT stays where it was; so
     /// is a failed initialization of the DT itself.
-    pub(crate) fn manual_refresh(&self, name: &str, role: &str) -> DtResult<(usize, Option<String>)> {
+    pub(crate) fn manual_refresh(
+        &self,
+        name: &str,
+        role: &str,
+    ) -> DtResult<(usize, Option<String>)> {
         let (name, role) = (name.to_string(), role.to_string());
         let (plan, graph) = self.mutate(move |st, _| {
             let e = st.catalog.resolve(&name)?;

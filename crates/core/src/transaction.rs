@@ -707,7 +707,10 @@ mod tests {
         assert_eq!(conflicts(), before + 1);
         prepared.commit().unwrap();
         assert_eq!(conflicts(), before + 1);
-        let listed = engine.stats().into_iter().find(|(name, _)| *name == "conflicts");
+        let listed = engine
+            .stats()
+            .into_iter()
+            .find(|(name, _)| *name == "conflicts");
         assert_eq!(listed, Some(("conflicts", before + 1)));
     }
 

@@ -371,21 +371,37 @@ mod tests {
                 assert_eq!(t.partition_count(), i as usize);
                 // A one-row insert, and a one-row delete of a partition
                 // in the middle of the table.
-                let insert = t.prepare_change_at(latest, vec![row!(-1i64)], vec![]).unwrap();
-                let delete = t.prepare_change_at(latest, vec![], vec![row!(i / 2)]).unwrap();
-                sizes.push((record_bytes(&insert.install_record()), record_bytes(&delete.install_record())));
+                let insert = t
+                    .prepare_change_at(latest, vec![row!(-1i64)], vec![])
+                    .unwrap();
+                let delete = t
+                    .prepare_change_at(latest, vec![], vec![row!(i / 2)])
+                    .unwrap();
+                sizes.push((
+                    record_bytes(&insert.install_record()),
+                    record_bytes(&delete.install_record()),
+                ));
             }
             t.commit_change(vec![row!(i)], vec![], ts(i + 1), TxnId(i as u64 + 1))
                 .unwrap();
         }
-        assert_eq!(sizes[0], sizes[1], "(insert, delete) record bytes at 100 and 2 000 partitions");
+        assert_eq!(
+            sizes[0], sizes[1],
+            "(insert, delete) record bytes at 100 and 2 000 partitions"
+        );
         let (insert, delete) = sizes[0];
         assert!(insert <= 64 && delete <= 64, "{insert} and {delete} bytes");
     }
 
     #[test]
     fn a_checkpoint_grows_linearly_with_the_versions_it_holds() {
-        let (one, two) = (checkpoint_bytes(&one_row_versions(500)), checkpoint_bytes(&one_row_versions(1000)));
-        assert!(two as f64 <= 2.2 * one as f64, "{one} bytes at 500 versions, {two} at 1 000");
+        let (one, two) = (
+            checkpoint_bytes(&one_row_versions(500)),
+            checkpoint_bytes(&one_row_versions(1000)),
+        );
+        assert!(
+            two as f64 <= 2.2 * one as f64,
+            "{one} bytes at 500 versions, {two} at 1 000"
+        );
     }
 }

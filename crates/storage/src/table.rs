@@ -245,12 +245,12 @@ impl CommitGuard<'_> {
 /// One table's storage: an append-only chain of immutable versions over a
 /// pool of immutable micro-partitions.
 ///
-/// Each version keeps only its delta ([`TableVersion`]); the partitions visible at
-/// it, in scan order, are a chunked list derived from the deltas and
-/// shared chunk by chunk with the neighbouring versions. So a version
-/// costs O(delta + N/64) memory for N visible partitions, pinning one
-/// ([`TableStore::snapshot`]) is O(N) with no replay, and the WAL install
-/// record and the checkpoint carry deltas only.
+/// Each version keeps only its delta ([`TableVersion`]); the partitions
+/// visible at it, in scan order, are a chunked list derived from the
+/// deltas and shared chunk by chunk with the neighbouring versions. So a
+/// version costs O(delta + N/64) memory for N visible partitions, pinning
+/// one ([`TableStore::snapshot`]) is O(N) with no replay, and the WAL
+/// install record and the checkpoint carry deltas only.
 ///
 /// Thread-safe, and MVCC-friendly: writers serialize among themselves on
 /// `commit_lock` and do all row work (copy-on-write rewrites, partition
@@ -441,7 +441,12 @@ impl TableStore {
     /// the inner write lock, and it is O(delta): insert the new partition
     /// handles and append the version record and its (already derived)
     /// visible list.
-    fn install_version(&self, b: ChangeBuild, commit_ts: Timestamp, created_by: TxnId) -> DtResult<VersionId> {
+    fn install_version(
+        &self,
+        b: ChangeBuild,
+        commit_ts: Timestamp,
+        created_by: TxnId,
+    ) -> DtResult<VersionId> {
         let mut inner = self.inner.write();
         let prev = inner.versions.last().expect("chain never empty");
         if commit_ts < prev.commit_ts {
@@ -727,7 +732,8 @@ impl TableStore {
             self.build_change(&list, rows, &[], inserts, &HashMap::new())?
         } else {
             let pinned = self.snapshot(base)?;
-            let victims = Self::find_victims(&self.row_lookup(base)?, pinned.partitions(), &deletes)?;
+            let victims =
+                Self::find_victims(&self.row_lookup(base)?, pinned.partitions(), &deletes)?;
             self.build_change(&list, rows, pinned.partitions(), inserts, &victims)?
         };
         Ok(PreparedChange { base, build })
@@ -1017,8 +1023,8 @@ impl TableStore {
             })
             .collect();
         self.next_partition.fetch_max(max_id, Ordering::Relaxed);
-        let visible = (self.inner.read().latest_visible())
-            .apply(&rec.added, &rec.removed, &rec.in_place)?;
+        let visible =
+            (self.inner.read().latest_visible()).apply(&rec.added, &rec.removed, &rec.in_place)?;
         let build = ChangeBuild {
             new_parts,
             added: rec.added.clone(),
@@ -1623,7 +1629,10 @@ mod tests {
 
         fn table(cap: usize) -> TableStore {
             TableStore::with_partition_capacity(
-                Schema::new(vec![Column::new("x", DataType::Int), Column::new("y", DataType::Int)]),
+                Schema::new(vec![
+                    Column::new("x", DataType::Int),
+                    Column::new("y", DataType::Int),
+                ]),
                 Timestamp::EPOCH,
                 TxnId(0),
                 cap,

@@ -136,7 +136,9 @@ impl PartitionList {
             }
         }
         if let Some(pid) = places.keys().min() {
-            return Err(corrupt(format!("removes partition {pid}, which is not visible")));
+            return Err(corrupt(format!(
+                "removes partition {pid}, which is not visible"
+            )));
         }
         pending.extend_from_slice(appended);
         cut(&mut spine, &mut pending);
@@ -193,7 +195,9 @@ mod tests {
     fn survivors_take_the_place_of_what_they_replace() {
         let base = append(&PartitionList::default(), &[1, 2, 3, 4]);
         // 2 is rewritten into 7, 3 is deleted outright, 8 and 9 are inserts.
-        let next = base.apply(&ids(&[7, 8, 9]), &ids(&[2, 3]), &[1, 0]).unwrap();
+        let next = base
+            .apply(&ids(&[7, 8, 9]), &ids(&[2, 3]), &[1, 0])
+            .unwrap();
         assert_eq!(next.iter().collect::<Vec<_>>(), ids(&[1, 7, 4, 8, 9]));
         assert_eq!(next.len(), 5);
         assert_eq!(base.iter().collect::<Vec<_>>(), ids(&[1, 2, 3, 4]));
@@ -209,7 +213,10 @@ mod tests {
             (ids(&[1, 1]), vec![0, 0]),
         ] {
             let got = base.apply(&[], &removed, &in_place);
-            assert!(matches!(got, Err(DtError::Corruption(_))), "{removed:?} {in_place:?}");
+            assert!(
+                matches!(got, Err(DtError::Corruption(_))),
+                "{removed:?} {in_place:?}"
+            );
         }
     }
 

@@ -241,6 +241,9 @@ fn alter_refresh_names_the_dts_own_failed_refresh() {
     );
     assert_eq!(dt_meta(&eng).catalog_errors, 1);
     db.execute("DELETE FROM t WHERE k = 0").unwrap();
-    assert_eq!(alter_refresh_reply(&db), "d refreshed (1 refreshes executed)");
+    assert_eq!(
+        alter_refresh_reply(&db),
+        "d refreshed (1 refreshes executed)"
+    );
     assert_eq!(dt_meta(&eng).catalog_errors, 0);
 }

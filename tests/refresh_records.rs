@@ -120,11 +120,17 @@ fn wal_bytes_per_one_row_commit_do_not_grow_with_the_table() {
     let mut at = Vec::new();
     for i in 0..300 {
         if i == 10 || i == 299 {
-            at.push((logged("INSERT INTO g VALUES (-1)"), logged("DELETE FROM g WHERE k = -1")));
+            at.push((
+                logged("INSERT INTO g VALUES (-1)"),
+                logged("DELETE FROM g WHERE k = -1"),
+            ));
         }
         s.execute(&format!("INSERT INTO g VALUES ({i})")).unwrap();
     }
-    assert_eq!(at[0], at[1], "(insert, delete) WAL bytes at 10 and 300 partitions");
+    assert_eq!(
+        at[0], at[1],
+        "(insert, delete) WAL bytes at 10 and 300 partitions"
+    );
 }
 
 /// A refresh that changes no catalog value — NO_DATA with no errors to
