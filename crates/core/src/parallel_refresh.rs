@@ -590,10 +590,11 @@ impl Engine {
     /// itself, last — on one worker. The DT's own refresh failing with a
     /// user error is an outcome (§3.3.3), returned as `Ok(Some(error))`,
     /// unless it was the DT's initialization: that is the caller's error,
-    /// as `CREATE DYNAMIC TABLE`'s is. `Err` also when a command of the chain conflicted (that
-    /// conflict), when an upstream refresh failed ([`DtError::Evaluation`]
-    /// naming it; the DT keeps its data timestamp), or on an internal
-    /// error; [`ChainError::failed`] names the DT whose refresh failed.
+    /// as `CREATE DYNAMIC TABLE`'s is. `Err` also when a command of the
+    /// chain conflicted (that conflict), when an upstream refresh failed
+    /// ([`DtError::Evaluation`] naming it; the DT keeps its data
+    /// timestamp), or on an internal error; [`ChainError::failed`] names
+    /// the DT whose refresh failed.
     pub(crate) fn execute_chain(
         &self,
         commands: Vec<RefreshCommand>,
